@@ -13,7 +13,6 @@
 // out-of-domain parameter), 3 invariant violation detected by the
 // auditor.
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <optional>
@@ -28,6 +27,7 @@
 #include "fault/fault_plan.hpp"
 #include "io/cli.hpp"
 #include "io/json.hpp"
+#include "io/sealed.hpp"
 #include "io/table.hpp"
 #include "sim/checkpoint.hpp"
 #include "sim/config.hpp"
@@ -451,11 +451,8 @@ int run_capped_cli(const io::ArgParser& parser, sim::RunSpec spec,
     std::fprintf(stderr, "[checkpoint] saved %s\n", checkpoint_out.c_str());
   }
   if (recording && !timeseries_out.empty()) {
-    std::ofstream ts_out(timeseries_out, std::ios::binary);
-    ts_out << series->render_text();
-    if (!ts_out) {
-      throw std::runtime_error("simulate: cannot write " + timeseries_out);
-    }
+    io::sealed::commit(timeseries_out, series->render_text(),
+                       "simulate timeseries");
     std::fprintf(stderr, "[timeseries] wrote %s (%llu rounds)\n",
                  timeseries_out.c_str(),
                  static_cast<unsigned long long>(series->rounds_observed()));

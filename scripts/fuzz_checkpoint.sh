@@ -84,10 +84,14 @@ head -c 512 /dev/zero > "$work/zeros"
 try "all-zero file" "$work/zeros"
 printf 'iba-checkpoint 1 0 0\n' > "$work/downlevel"
 try "downlevel v1 header" "$work/downlevel"
-printf 'iba-checkpoint 2 0 999999999\n' > "$work/liar"
+printf 'iba-checkpoint 3 0 999999999\n' > "$work/liar"
 try "length-lying header" "$work/liar"
 { cat "$ckpt"; printf 'trailing garbage'; } > "$work/appended"
 try "appended trailing bytes" "$work/appended"
+# A v2 header over an intact body (CRC and length still valid): format
+# v2 predates the control plane and is no longer loaded.
+sed '1s/^iba-checkpoint 3 /iba-checkpoint 2 /' "$ckpt" > "$work/v2"
+try "v2 header" "$work/v2"
 
 # v3 control-plane corruptions. Flipping body bytes alone is caught by
 # the CRC before the parser ever sees the field, so these cases rewrite
@@ -101,7 +105,6 @@ import sys, zlib
 mode, src, dst = sys.argv[1:4]
 data = open(src, 'rb').read()
 body = data[data.index(b'\n') + 1:]
-version = 3
 
 if mode == 'truncate-estimator':
     # Cut the body off 20 bytes into the estimator ring dump.
@@ -126,25 +129,11 @@ elif mode == 'cooldown-flip':
     toks = body[at:eol].split()
     toks[1] = str(int(toks[1]) ^ (1 << 40)).encode()
     body = body[:at] + b' '.join(toks) + body[eol:]
-elif mode == 'to-v2':
-    # Downlevel a control-free v3 body to format v2: drop the six
-    # control config tokens and the 'control 0' section flag.
-    out = []
-    for line in body.split(b'\n'):
-        if line.startswith(b'config '):
-            toks = line.split()
-            assert len(toks) == 20, toks
-            line = b' '.join(toks[:14])
-        if line == b'control 0':
-            continue
-        out.append(line)
-    body = b'\n'.join(out)
-    version = 2
 else:
     sys.exit('unknown mutate mode: ' + mode)
 
-header = b'iba-checkpoint %d %d %d\n' % (
-    version, zlib.crc32(body) & 0xFFFFFFFF, len(body))
+header = b'iba-checkpoint 3 %d %d\n' % (
+    zlib.crc32(body) & 0xFFFFFFFF, len(body))
 open(dst, 'wb').write(header + body)
 PY
 }
@@ -169,18 +158,6 @@ mutate policy-oob "$cckpt" "$work/policy_oob"
 try "control policy id out of range (valid CRC)" "$work/policy_oob"
 mutate cooldown-flip "$cckpt" "$work/cooldown_flip"
 try "cooldown_until bit flip (valid CRC)" "$work/cooldown_flip"
-
-echo "==> v2 downlevel load"
-# The loader keeps kMinVersion = 2: a control-free body downleveled to
-# the v2 layout must still load and resume (exit 0), with control off.
-mutate to-v2 "$ckpt" "$work/downlevel_v2"
-cases=$((cases + 1))
-if ! "$simulate" --resume "$work/downlevel_v2" --rounds 20 >/dev/null 2>&1; then
-  echo "FAIL: v2 downlevel checkpoint rejected" >&2
-  fails=$((fails + 1))
-else
-  echo "    v2 downlevel checkpoint resumes: ok"
-fi
 
 echo "==> $cases corrupt variants tested, $fails misbehaved"
 if [ "$fails" -ne 0 ]; then

@@ -1,39 +1,20 @@
 #include "artifact/artifact.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <cstdio>
-#include <fstream>
 #include <sstream>
-#include <stdexcept>
 
-#include "common/crc32.hpp"
+#include "io/sealed.hpp"
 
 namespace iba::artifact {
 
 namespace {
 
 constexpr std::string_view kMagic = "iba-artifact";
-
-[[noreturn]] void fail(const std::string& message) {
-  throw std::runtime_error("artifact: " + message);
-}
-
-std::string hex32(std::uint32_t value) {
-  static constexpr char kHex[] = "0123456789abcdef";
-  std::string out(8, '0');
-  for (int i = 0; i < 8; ++i) {
-    out[i] = kHex[(value >> (28 - 4 * i)) & 0xFu];
-  }
-  return out;
-}
+constexpr const char* kContext = "artifact";
 
 }  // namespace
 
 std::string render_artifact(const ResultArtifact& artifact) {
   std::ostringstream out;
-  out << kMagic << ' ' << kFormatVersion << '\n';
   out << "scenario = " << artifact.scenario_name << '\n';
   out << "digest = " << artifact.scenario_digest << '\n';
   out << "seed = " << artifact.seed << '\n';
@@ -105,79 +86,19 @@ std::string render_artifact(const ResultArtifact& artifact) {
   }
 
   out << "end\n";
-  std::string body = out.str();
-  body += "crc32 = " + hex32(common::crc32(body)) + '\n';
-  return body;
+  return io::sealed::seal_trailer(kMagic, kFormatVersion, out.str());
 }
 
 void write_artifact(const ResultArtifact& artifact, const std::string& path) {
-  const std::string text = render_artifact(artifact);
-  const std::string tmp = path + ".tmp";
-  std::FILE* out = std::fopen(tmp.c_str(), "wb");
-  if (out == nullptr) fail("cannot open for writing: " + tmp);
-  bool ok = std::fwrite(text.data(), 1, text.size(), out) == text.size() &&
-            std::fflush(out) == 0 && ::fsync(::fileno(out)) == 0;
-  ok = (std::fclose(out) == 0) && ok;
-  if (!ok) {
-    std::remove(tmp.c_str());
-    fail("write error: " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    fail("cannot rename " + tmp + " -> " + path);
-  }
-  const auto slash = path.find_last_of('/');
-  const std::string dir = slash == std::string::npos
-                              ? std::string(".")
-                              : path.substr(0, slash == 0 ? 1 : slash);
-  const int dirfd = ::open(dir.c_str(), O_RDONLY);
-  if (dirfd >= 0) {
-    ::fsync(dirfd);
-    ::close(dirfd);
-  }
+  io::sealed::commit(path, render_artifact(artifact), kContext);
 }
 
 void verify_artifact_text(const std::string& text) {
-  const std::size_t first_eol = text.find('\n');
-  if (first_eol == std::string::npos) fail("truncated: no header line");
-  const std::string header = text.substr(0, first_eol);
-  std::istringstream parse(header);
-  std::string magic;
-  std::uint32_t version = 0;
-  if (!(parse >> magic >> version) || magic != kMagic) {
-    fail("bad header '" + header + "'");
-  }
-  if (version != kFormatVersion) {
-    fail("unsupported version " + std::to_string(version) + " (expected " +
-         std::to_string(kFormatVersion) + ")");
-  }
-  // The trailer is the final line: `crc32 = <8 hex>\n` over all bytes
-  // before it.
-  constexpr std::string_view kTrailerPrefix = "crc32 = ";
-  constexpr std::size_t kTrailerLen = 8 + 8 + 1;  // prefix + hex + \n
-  if (text.size() < kTrailerLen || text.back() != '\n') {
-    fail("truncated: missing crc trailer");
-  }
-  const std::size_t trailer_at = text.size() - kTrailerLen;
-  if (text.compare(trailer_at, kTrailerPrefix.size(), kTrailerPrefix) != 0 ||
-      (trailer_at != 0 && text[trailer_at - 1] != '\n')) {
-    fail("malformed crc trailer");
-  }
-  const std::string stated =
-      text.substr(trailer_at + kTrailerPrefix.size(), 8);
-  const std::string actual = hex32(
-      common::crc32(std::string_view(text).substr(0, trailer_at)));
-  if (stated != actual) {
-    fail("crc mismatch: stated " + stated + ", computed " + actual);
-  }
+  io::sealed::verify_trailer(text, kMagic, kFormatVersion, kContext);
 }
 
 std::string read_artifact_text(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) fail("cannot open: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  std::string text = buffer.str();
+  std::string text = io::sealed::read_file(path, kContext);
   verify_artifact_text(text);
   return text;
 }

@@ -110,9 +110,8 @@ struct ResultArtifact {
 /// disk and compared against goldens.
 [[nodiscard]] std::string render_artifact(const ResultArtifact& artifact);
 
-/// Atomically writes render_artifact() to `path` (tmp + fsync + rename,
-/// same discipline as checkpoints). Throws std::runtime_error on IO
-/// failure, leaving any previous file intact.
+/// Commits render_artifact() to `path` (io::sealed::commit). Throws
+/// std::runtime_error on IO failure, leaving any previous file intact.
 void write_artifact(const ResultArtifact& artifact, const std::string& path);
 
 /// Validates artifact text: header line, version, and the CRC trailer

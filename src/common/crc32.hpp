@@ -1,12 +1,15 @@
 // CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over byte
-// buffers — used by the checkpoint writer to make on-disk corruption
-// (bit flips, truncation, trailing garbage) detectable before any field
-// is parsed. Table-driven, one 1 KiB table built on first use.
+// buffers — used by the sealed-file envelopes (io/sealed.hpp) to make
+// on-disk corruption (bit flips, truncation, trailing garbage)
+// detectable before any field is parsed, and by the wire frames.
+// Table-driven, one 1 KiB table built on first use.
 #pragma once
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
+#include <string>
 #include <string_view>
 
 namespace iba::common {
@@ -40,6 +43,14 @@ inline const std::array<std::uint32_t, 256>& crc32_table() noexcept {
     crc = table[(crc ^ byte) & 0xFFu] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
+}
+
+/// `crc` as 8 lowercase hex digits — the rendering of scenario digests,
+/// engine fingerprints and trailer envelopes.
+[[nodiscard]] inline std::string crc32_hex(std::uint32_t crc) {
+  char hex[9];
+  std::snprintf(hex, sizeof(hex), "%08x", static_cast<unsigned>(crc));
+  return std::string(hex, 8);
 }
 
 }  // namespace iba::common

@@ -1,11 +1,9 @@
 #include "dist/checkpoint.hpp"
 
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 
-#include "common/crc32.hpp"
-#include "scenario/progress.hpp"
+#include "io/sealed.hpp"
 
 namespace iba::dist {
 
@@ -18,48 +16,6 @@ constexpr std::uint32_t kVersion = 1;
 [[noreturn]] void fail(const std::string& context,
                        const std::string& message) {
   throw std::runtime_error(context + ": " + message);
-}
-
-/// Reads one CRC-bound envelope (`<magic> <version> <crc> <bytes>` +
-/// body) and returns the validated body.
-std::string read_envelope(const std::string& path, std::string_view magic,
-                          const std::string& context) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) fail(context, "cannot open: " + path);
-  std::string header;
-  if (!std::getline(in, header)) fail(context, "truncated header");
-  std::istringstream head(header);
-  std::string file_magic;
-  std::uint32_t version = 0;
-  std::uint32_t crc = 0;
-  std::size_t bytes = 0;
-  if (!(head >> file_magic >> version >> crc >> bytes) ||
-      file_magic != magic) {
-    fail(context, "bad header '" + header + "'");
-  }
-  if (version != kVersion) {
-    fail(context, "unsupported version " + std::to_string(version));
-  }
-  std::string body(bytes, '\0');
-  in.read(body.data(), static_cast<std::streamsize>(bytes));
-  if (static_cast<std::size_t>(in.gcount()) != bytes) {
-    fail(context, "truncated body");
-  }
-  if (common::crc32(body) != crc) fail(context, "CRC mismatch");
-  return body;
-}
-
-/// Writes `body` under the envelope, atomically. Returns the body CRC.
-std::uint32_t write_envelope(const std::string& body, std::string_view magic,
-                             const std::string& path,
-                             const std::string& context) {
-  const std::uint32_t crc = common::crc32(body);
-  std::ostringstream out;
-  out << magic << ' ' << kVersion << ' ' << crc << ' ' << body.size()
-      << '\n'
-      << body;
-  scenario::write_text_atomic(out.str(), path, context);
-  return crc;
 }
 
 std::uint64_t parse_u64(std::istringstream& in, const char* what,
@@ -108,12 +64,14 @@ std::uint32_t save_shard(const ShardState& shard, const std::string& path) {
     body << '\n';
   }
   body << "end\n";
-  return write_envelope(body.str(), kShardMagic, path, "dist shard");
+  return io::sealed::commit_header(path, kShardMagic, kVersion, body.str(),
+                                   "dist shard");
 }
 
 ShardState load_shard(const std::string& path) {
   const std::string context = "dist shard";
-  const std::string body = read_envelope(path, kShardMagic, context);
+  const std::string body =
+      io::sealed::load_header(path, kShardMagic, kVersion, context);
   std::istringstream in(body);
   ShardState shard;
   expect_key(in, "round", context);
@@ -122,6 +80,9 @@ ShardState load_shard(const std::string& path) {
   shard.bin_lo = parse_u64(in, "bin-lo", context);
   expect_key(in, "bin-count", context);
   shard.bin_count = parse_u64(in, "bin-count", context);
+  // Every bin is a `queue = ...` line, so the count cannot exceed the
+  // body's size; checked before it sizes the queue table.
+  if (shard.bin_count > body.size()) fail(context, "bin-count out of range");
   expect_key(in, "capacity", context);
   const std::uint64_t capacity = parse_u64(in, "capacity", context);
   if (capacity < 1 || capacity > 0xFFFFu) {
@@ -154,12 +115,14 @@ void save_manifest(const Manifest& manifest, const std::string& path) {
   for (const std::uint32_t crc : manifest.shard_crcs) body << ' ' << crc;
   body << '\n';
   body << "end\n";
-  write_envelope(body.str(), kManifestMagic, path, "dist manifest");
+  io::sealed::commit_header(path, kManifestMagic, kVersion, body.str(),
+                            "dist manifest");
 }
 
 Manifest load_manifest(const std::string& path) {
   const std::string context = "dist manifest";
-  const std::string body = read_envelope(path, kManifestMagic, context);
+  const std::string body =
+      io::sealed::load_header(path, kManifestMagic, kVersion, context);
   std::istringstream in(body);
   Manifest manifest;
   expect_key(in, "round", context);

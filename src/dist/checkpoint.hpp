@@ -25,9 +25,10 @@
 // kMsgCheckpoint's gc_path for shards), so a crash mid-save always
 // leaves the previous generation fully intact.
 //
-// All three files use the repo's standard CRC-bound text envelope
-// (`<magic> <version> <crc32> <bytes>` header + body + `end`), written
-// atomically (tmp + fsync + rename).
+// All files use the header envelope of io/sealed.hpp (`<magic>
+// <version> <crc32> <bytes>` header + body + `end`) and are committed
+// durably by io::sealed::commit: tmp + fsync + rename + directory fsync,
+// so a committed manifest never points at a lost directory entry.
 #pragma once
 
 #include <cstdint>

@@ -1,14 +1,14 @@
 #include "scenario/progress.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <cstdio>
-#include <fstream>
+#include <algorithm>
+#include <iterator>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
-#include "common/crc32.hpp"
+#include "io/sealed.hpp"
+#include "telemetry/flight_recorder.hpp"
+#include "telemetry/timeseries.hpp"
 
 namespace iba::scenario {
 
@@ -16,106 +16,57 @@ namespace {
 
 constexpr std::string_view kProgressMagic = "iba-scenario-progress";
 constexpr std::uint32_t kProgressVersion = 1;
+constexpr const char* kProgressContext = "scenario progress";
 
 [[noreturn]] void fail_progress(const std::string& message) {
-  throw std::runtime_error("scenario progress: " + message);
+  throw std::runtime_error(std::string(kProgressContext) + ": " + message);
 }
 
-std::string render_progress(const Progress& p) {
-  std::ostringstream out;
-  out << "digest = " << p.digest << '\n';
-  out << "seed = " << p.seed << '\n';
-  out << "rounds-done = " << p.rounds_done << '\n';
-  out << "audit-rounds = " << p.audit_rounds << '\n';
-  out << "audit-violations = " << p.audit_violations << '\n';
-  out << "pool-sum = " << p.pool_sum << '\n';
-  out << "pool-min = " << p.pool_min << '\n';
-  out << "pool-max = " << p.pool_max << '\n';
-  out << "pool-last = " << p.pool_last << '\n';
-  out << "load-sum = " << p.load_sum << '\n';
-  out << "max-load-peak = " << p.max_load_peak << '\n';
-  out << "empty-bins-last = " << p.empty_bins_last << '\n';
-  out << "requeued-sum = " << p.requeued_sum << '\n';
-  out << "faulted-bin-rounds = " << p.faulted_bin_rounds << '\n';
-  out << "shed-measured = " << p.shed_measured << '\n';
-  out << "oldest-age-max = " << p.oldest_age_max << '\n';
-  out << "end\n";
-  return out.str();
-}
+constexpr std::string_view kRecordMagic = "iba-scenario-record";
+constexpr std::uint32_t kRecordVersion = 1;
+constexpr std::string_view kRecordSplit = "--recorder--\n";
+constexpr const char* kRecordContext = "scenario record sidecar";
+
+/// The sidecar's integer fields, in file order after `digest`.
+constexpr std::pair<std::string_view, std::uint64_t Progress::*> kFields[] = {
+    {"seed", &Progress::seed},
+    {"rounds-done", &Progress::rounds_done},
+    {"audit-rounds", &Progress::audit_rounds},
+    {"audit-violations", &Progress::audit_violations},
+    {"pool-sum", &Progress::pool_sum},
+    {"pool-min", &Progress::pool_min},
+    {"pool-max", &Progress::pool_max},
+    {"pool-last", &Progress::pool_last},
+    {"load-sum", &Progress::load_sum},
+    {"max-load-peak", &Progress::max_load_peak},
+    {"empty-bins-last", &Progress::empty_bins_last},
+    {"requeued-sum", &Progress::requeued_sum},
+    {"faulted-bin-rounds", &Progress::faulted_bin_rounds},
+    {"shed-measured", &Progress::shed_measured},
+    {"oldest-age-max", &Progress::oldest_age_max},
+};
 
 }  // namespace
 
-void write_text_atomic(const std::string& text, const std::string& path,
-                       const std::string& context) {
-  const auto fail = [&context](const std::string& message) -> void {
-    throw std::runtime_error(context + ": " + message);
-  };
-  const std::string tmp = path + ".tmp";
-  std::FILE* out = std::fopen(tmp.c_str(), "wb");
-  if (out == nullptr) fail("cannot open for writing: " + tmp);
-  bool ok = std::fwrite(text.data(), 1, text.size(), out) == text.size() &&
-            std::fflush(out) == 0 && ::fsync(::fileno(out)) == 0;
-  ok = (std::fclose(out) == 0) && ok;
-  if (!ok) {
-    std::remove(tmp.c_str());
-    fail("write error: " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    fail("cannot rename " + tmp + " -> " + path);
-  }
-}
-
 void save_progress(const Progress& progress, const std::string& path) {
-  const std::string body = render_progress(progress);
   std::ostringstream out;
-  out << kProgressMagic << ' ' << kProgressVersion << ' '
-      << common::crc32(body) << ' ' << body.size() << '\n'
-      << body;
-  write_text_atomic(out.str(), path, "scenario progress");
+  out << "digest = " << progress.digest << '\n';
+  for (const auto& [key, field] : kFields) {
+    out << key << " = " << progress.*field << '\n';
+  }
+  out << "end\n";
+  io::sealed::commit_header(path, kProgressMagic, kProgressVersion, out.str(),
+                            kProgressContext);
 }
 
 Progress load_progress(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) fail_progress("cannot open: " + path);
-  std::string header;
-  if (!std::getline(in, header)) fail_progress("truncated header");
-  std::istringstream head(header);
-  std::string magic;
-  std::uint32_t version = 0;
-  std::uint32_t crc = 0;
-  std::size_t bytes = 0;
-  if (!(head >> magic >> version >> crc >> bytes) ||
-      magic != kProgressMagic) {
-    fail_progress("bad header '" + header + "'");
-  }
-  if (version != kProgressVersion) {
-    fail_progress("unsupported version " + std::to_string(version));
-  }
-  std::string body(bytes, '\0');
-  in.read(body.data(), static_cast<std::streamsize>(bytes));
-  if (static_cast<std::size_t>(in.gcount()) != bytes) {
-    fail_progress("truncated body");
-  }
-  if (common::crc32(body) != crc) fail_progress("CRC mismatch");
-
+  const std::string body = io::sealed::load_header(
+      path, kProgressMagic, kProgressVersion, kProgressContext);
   Progress p;
   std::istringstream lines(body);
   std::string line;
-  bool saw_end = false;
-  const auto parse_u64 = [](const std::string& text, const char* what) {
-    try {
-      return static_cast<std::uint64_t>(std::stoull(text));
-    } catch (const std::exception&) {
-      fail_progress(std::string("invalid field ") + what + ": '" + text +
-                    "'");
-    }
-  };
   while (std::getline(lines, line)) {
-    if (line == "end") {
-      saw_end = true;
-      break;
-    }
+    if (line == "end") return p;
     const std::size_t eq = line.find(" = ");
     if (eq == std::string::npos) {
       fail_progress("malformed line '" + line + "'");
@@ -124,42 +75,42 @@ Progress load_progress(const std::string& path) {
     const std::string value = line.substr(eq + 3);
     if (key == "digest") {
       p.digest = value;
-    } else if (key == "seed") {
-      p.seed = parse_u64(value, "seed");
-    } else if (key == "rounds-done") {
-      p.rounds_done = parse_u64(value, "rounds-done");
-    } else if (key == "audit-rounds") {
-      p.audit_rounds = parse_u64(value, "audit-rounds");
-    } else if (key == "audit-violations") {
-      p.audit_violations = parse_u64(value, "audit-violations");
-    } else if (key == "pool-sum") {
-      p.pool_sum = parse_u64(value, "pool-sum");
-    } else if (key == "pool-min") {
-      p.pool_min = parse_u64(value, "pool-min");
-    } else if (key == "pool-max") {
-      p.pool_max = parse_u64(value, "pool-max");
-    } else if (key == "pool-last") {
-      p.pool_last = parse_u64(value, "pool-last");
-    } else if (key == "load-sum") {
-      p.load_sum = parse_u64(value, "load-sum");
-    } else if (key == "max-load-peak") {
-      p.max_load_peak = parse_u64(value, "max-load-peak");
-    } else if (key == "empty-bins-last") {
-      p.empty_bins_last = parse_u64(value, "empty-bins-last");
-    } else if (key == "requeued-sum") {
-      p.requeued_sum = parse_u64(value, "requeued-sum");
-    } else if (key == "faulted-bin-rounds") {
-      p.faulted_bin_rounds = parse_u64(value, "faulted-bin-rounds");
-    } else if (key == "shed-measured") {
-      p.shed_measured = parse_u64(value, "shed-measured");
-    } else if (key == "oldest-age-max") {
-      p.oldest_age_max = parse_u64(value, "oldest-age-max");
-    } else {
-      fail_progress("unknown field '" + key + "'");
+      continue;
+    }
+    const auto* entry = std::find_if(
+        std::begin(kFields), std::end(kFields),
+        [&key](const auto& candidate) { return candidate.first == key; });
+    if (entry == std::end(kFields)) fail_progress("unknown field '" + key + "'");
+    try {
+      p.*entry->second = std::stoull(value);
+    } catch (const std::exception&) {
+      fail_progress("invalid field " + key + ": '" + value + "'");
     }
   }
-  if (!saw_end) fail_progress("missing end marker");
-  return p;
+  fail_progress("missing end marker");
+}
+
+void save_record(const telemetry::TimeSeries& series,
+                 const telemetry::FlightRecorder& recorder,
+                 const std::string& path) {
+  io::sealed::commit_header(
+      path, kRecordMagic, kRecordVersion,
+      series.state_text() + std::string(kRecordSplit) + recorder.state_text(),
+      kRecordContext);
+}
+
+void load_record(telemetry::TimeSeries& series,
+                 telemetry::FlightRecorder& recorder,
+                 const std::string& path) {
+  const std::string body =
+      io::sealed::load_header(path, kRecordMagic, kRecordVersion, kRecordContext);
+  const std::size_t split = body.find(kRecordSplit);
+  if (split == std::string::npos) {
+    throw std::runtime_error(std::string(kRecordContext) +
+                             ": missing recorder section");
+  }
+  series.restore_state(body.substr(0, split));
+  recorder.restore_state(body.substr(split + kRecordSplit.size()));
 }
 
 void accumulate_progress(Progress& progress, const core::RoundMetrics& m) {

@@ -1,5 +1,6 @@
-// Measured-window accumulators, the `<checkpoint>.progress` sidecar,
-// and the artifact-assembly helpers shared by every scenario runner —
+// Measured-window accumulators, the `<checkpoint>.progress` and
+// `.record` sidecars, and the artifact-assembly helpers shared by every
+// scenario runner —
 // the single-process run_scenario (scenario/runner.cpp) and the
 // distributed coordinator loop (dist/runner.cpp).
 //
@@ -21,6 +22,11 @@
 #include "core/capped.hpp"
 #include "core/metrics.hpp"
 #include "scenario/scenario.hpp"
+
+namespace iba::telemetry {
+class FlightRecorder;
+class TimeSeries;
+}  // namespace iba::telemetry
 
 namespace iba::scenario {
 
@@ -46,8 +52,8 @@ struct Progress {
   std::uint64_t oldest_age_max = 0;
 };
 
-/// Atomically writes the CRC-bound sidecar (tmp + fsync + rename).
-/// Throws std::runtime_error on IO failure.
+/// Atomically writes the CRC-bound sidecar (io::sealed). Throws
+/// std::runtime_error on IO failure.
 void save_progress(const Progress& progress, const std::string& path);
 
 /// Reads and validates a sidecar. Throws std::runtime_error on IO
@@ -59,11 +65,15 @@ void save_progress(const Progress& progress, const std::string& path);
 /// without contributing here.
 void accumulate_progress(Progress& progress, const core::RoundMetrics& m);
 
-/// Atomic text write (tmp + fsync + rename), shared by sidecars and
-/// time-series outputs. Throws std::runtime_error prefixed with
-/// `context` on failure, leaving any previous file intact.
-void write_text_atomic(const std::string& text, const std::string& path,
-                       const std::string& context);
+/// The `.record` sidecar: a recording run's time-series rings and
+/// flight-recorder logs, which a resume needs to reproduce the series
+/// and bundle bytes. Both throw std::runtime_error on IO failure or
+/// damage.
+void save_record(const telemetry::TimeSeries& series,
+                 const telemetry::FlightRecorder& recorder,
+                 const std::string& path);
+void load_record(telemetry::TimeSeries& series,
+                 telemetry::FlightRecorder& recorder, const std::string& path);
 
 /// Lifetime counters + wait state a finished run contributes to the
 /// artifact — the process-side complement of Progress.

@@ -1,104 +1,21 @@
 #include "scenario/runner.hpp"
 
-#include "scenario/progress.hpp"
-
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <cstdio>
-#include <fstream>
 #include <memory>
-#include <sstream>
-
 #include <optional>
+#include <sstream>
 
 #include "common/assert.hpp"
 #include "common/crc32.hpp"
 #include "core/capped.hpp"
 #include "fault/auditor.hpp"
 #include "fault/fault_plan.hpp"
+#include "io/sealed.hpp"
+#include "scenario/progress.hpp"
 #include "sim/checkpoint.hpp"
 #include "telemetry/flight_recorder.hpp"
 #include "telemetry/timeseries.hpp"
 
 namespace iba::scenario {
-
-namespace {
-
-// ---------------------------------------------------------------------------
-// The `<checkpoint>.record` sidecar: the recording state (time-series
-// rings + flight-recorder logs/latch) is not part of checkpoint v3, so a
-// recording run carries it beside the checkpoint the same way the
-// progress sidecar carries the measured-window accumulators. Without it
-// a resumed run could not reproduce the uninterrupted run's bundle or
-// series bytes.
-
-constexpr std::string_view kRecordMagic = "iba-scenario-record";
-constexpr std::uint32_t kRecordVersion = 1;
-constexpr std::string_view kRecordSplit = "--recorder--\n";
-
-[[noreturn]] void fail_record(const std::string& message) {
-  throw std::runtime_error("scenario record sidecar: " + message);
-}
-
-void save_record_sidecar(const telemetry::TimeSeries& series,
-                         const telemetry::FlightRecorder& recorder,
-                         const std::string& path) {
-  const std::string body = series.state_text() +
-                           std::string(kRecordSplit) + recorder.state_text();
-  std::ostringstream out;
-  out << kRecordMagic << ' ' << kRecordVersion << ' ' << common::crc32(body)
-      << ' ' << body.size() << '\n'
-      << body;
-  write_text_atomic(out.str(), path, "scenario record sidecar");
-}
-
-void load_record_sidecar(telemetry::TimeSeries& series,
-                         telemetry::FlightRecorder& recorder,
-                         const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    fail_record("cannot open: " + path +
-                " (resuming a recording run requires the .record sidecar "
-                "of a recording run)");
-  }
-  std::string header;
-  if (!std::getline(in, header)) fail_record("truncated header");
-  std::istringstream head(header);
-  std::string magic;
-  std::uint32_t version = 0;
-  std::uint32_t crc = 0;
-  std::size_t bytes = 0;
-  if (!(head >> magic >> version >> crc >> bytes) || magic != kRecordMagic) {
-    fail_record("bad header '" + header + "'");
-  }
-  if (version != kRecordVersion) {
-    fail_record("unsupported version " + std::to_string(version));
-  }
-  std::string body(bytes, '\0');
-  in.read(body.data(), static_cast<std::streamsize>(bytes));
-  if (static_cast<std::size_t>(in.gcount()) != bytes) {
-    fail_record("truncated body");
-  }
-  if (common::crc32(body) != crc) fail_record("CRC mismatch");
-  const std::size_t split = body.find(kRecordSplit);
-  if (split == std::string::npos) fail_record("missing recorder section");
-  series.restore_state(body.substr(0, split));
-  recorder.restore_state(body.substr(split + kRecordSplit.size()));
-}
-
-/// CRC-32 of `text` as 8 lowercase hex digits (the digest rendering).
-std::string crc_hex(const std::string& text) {
-  const std::uint32_t crc = common::crc32(text);
-  char buf[9];
-  static constexpr char kHex[] = "0123456789abcdef";
-  for (int i = 0; i < 8; ++i) {
-    buf[i] = kHex[(crc >> (28 - 4 * i)) & 0xFu];
-  }
-  return std::string(buf, 8);
-}
-
-}  // namespace
 
 RunOutcome run_scenario(const Scenario& scn, const RunOptions& options) {
   const std::uint32_t n = scn.n;
@@ -195,7 +112,7 @@ RunOutcome run_scenario(const Scenario& scn, const RunOptions& options) {
       plan->restore(ckpt.fault_state);
     }
     if (recording) {
-      load_record_sidecar(*series, *recorder, options.resume + ".record");
+      load_record(*series, *recorder, options.resume + ".record");
     }
   } else {
     core::CappedConfig config;
@@ -253,7 +170,8 @@ RunOutcome run_scenario(const Scenario& scn, const RunOptions& options) {
       const core::CappedSnapshot snap = process->snapshot();
       std::ostringstream words;
       for (const std::uint64_t word : snap.engine_state) words << word << ' ';
-      recorder->set_engine_fingerprint(crc_hex(words.str()));
+      recorder->set_engine_fingerprint(
+          common::crc32_hex(common::crc32(words.str())));
     }
     if (recorder->trigger(kind, round, detail) &&
         !options.flight_recorder.empty()) {
@@ -278,8 +196,7 @@ RunOutcome run_scenario(const Scenario& scn, const RunOptions& options) {
     }
     save_progress(saved, options.checkpoint_out + ".progress");
     if (recording) {
-      save_record_sidecar(*series, *recorder,
-                          options.checkpoint_out + ".record");
+      save_record(*series, *recorder, options.checkpoint_out + ".record");
     }
   };
 
@@ -430,8 +347,8 @@ RunOutcome run_scenario(const Scenario& scn, const RunOptions& options) {
            "debug trigger '" + options.debug_trigger + "'");
     }
     if (!options.timeseries_out.empty()) {
-      write_text_atomic(series->render_text(), options.timeseries_out,
-                        "scenario timeseries");
+      io::sealed::commit(options.timeseries_out, series->render_text(),
+                         "scenario timeseries");
     }
   }
 

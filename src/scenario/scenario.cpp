@@ -731,14 +731,7 @@ std::string Scenario::canonical_text() const {
 }
 
 std::string Scenario::digest() const {
-  const std::uint32_t crc = common::crc32(canonical_text());
-  char buf[9];
-  static constexpr char kHex[] = "0123456789abcdef";
-  for (int i = 0; i < 8; ++i) {
-    buf[i] = kHex[(crc >> (28 - 4 * i)) & 0xFu];
-  }
-  buf[8] = '\0';
-  return std::string(buf, 8);
+  return common::crc32_hex(common::crc32(canonical_text()));
 }
 
 }  // namespace iba::scenario

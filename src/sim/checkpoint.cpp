@@ -1,28 +1,22 @@
 #include "sim/checkpoint.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 
-#include "common/crc32.hpp"
+#include "io/sealed.hpp"
 
 namespace iba::sim {
 
 namespace {
 
 constexpr const char* kMagic = "iba-checkpoint";
-// v3 adds the adaptive-control fields (config + controller state).
-// v2 files (no control plane) still load, with control disabled.
-constexpr int kVersion = 3;
-constexpr int kMinVersion = 2;
+constexpr std::uint32_t kVersion = 3;
+constexpr const char* kContext = "checkpoint";
 
 [[noreturn]] void fail(const std::string& why) {
-  throw std::runtime_error("checkpoint: " + why);
+  throw std::runtime_error(std::string(kContext) + ": " + why);
 }
 
 template <typename T>
@@ -41,6 +35,17 @@ E read_enum(std::istream& in, const char* what, int count) {
          std::to_string(raw));
   }
   return static_cast<E>(raw);
+}
+
+/// Reads an element count bounded by the body bytes left to read (each
+/// element takes at least one), so it never sizes an allocation.
+std::size_t read_count(std::istream& in, const char* what, std::size_t size) {
+  const auto count = read_value<std::size_t>(in, what);
+  const auto at = in.tellg();
+  if (at < 0 || count > size - static_cast<std::size_t>(at)) {
+    fail(std::string("out-of-range field: ") + what);
+  }
+  return count;
 }
 
 void expect_keyword(std::istream& in, const char* keyword) {
@@ -246,39 +251,8 @@ std::string render_body(const Checkpoint& checkpoint) {
 }  // namespace
 
 void save_checkpoint(const Checkpoint& checkpoint, const std::string& path) {
-  const std::string body = render_body(checkpoint);
-  std::ostringstream header;
-  header << kMagic << ' ' << kVersion << ' ' << common::crc32(body) << ' '
-         << body.size() << '\n';
-  const std::string head = header.str();
-
-  // Crash-safe write: tmp file, flush, fsync, atomic rename. A crash at
-  // any point leaves either the old checkpoint or the complete new one.
-  const std::string tmp = path + ".tmp";
-  std::FILE* out = std::fopen(tmp.c_str(), "wb");
-  if (out == nullptr) fail("cannot open for writing: " + tmp);
-  bool ok = std::fwrite(head.data(), 1, head.size(), out) == head.size() &&
-            std::fwrite(body.data(), 1, body.size(), out) == body.size() &&
-            std::fflush(out) == 0 && ::fsync(::fileno(out)) == 0;
-  ok = (std::fclose(out) == 0) && ok;
-  if (!ok) {
-    std::remove(tmp.c_str());
-    fail("write error: " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    fail("cannot rename " + tmp + " -> " + path);
-  }
-  // Persist the rename itself (directory entry) where possible.
-  const auto slash = path.find_last_of('/');
-  const std::string dir = slash == std::string::npos
-                              ? std::string(".")
-                              : path.substr(0, slash == 0 ? 1 : slash);
-  const int dirfd = ::open(dir.c_str(), O_RDONLY);
-  if (dirfd >= 0) {
-    ::fsync(dirfd);
-    ::close(dirfd);
-  }
+  io::sealed::commit_header(path, kMagic, kVersion, render_body(checkpoint),
+                            kContext);
 }
 
 void save_checkpoint(const core::CappedSnapshot& snapshot,
@@ -289,31 +263,9 @@ void save_checkpoint(const core::CappedSnapshot& snapshot,
 }
 
 Checkpoint load_checkpoint_full(const std::string& path) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file) fail("cannot open for reading: " + path);
-
-  std::string header_line;
-  if (!std::getline(file, header_line)) fail("truncated/invalid field: header");
-  std::istringstream header(header_line);
-  const auto magic = read_value<std::string>(header, "magic");
-  if (magic != kMagic) fail("bad magic '" + magic + "'");
-  const auto version = read_value<int>(header, "version");
-  if (version < kMinVersion || version > kVersion) {
-    fail("unsupported version " + std::to_string(version) + " (expected " +
-         std::to_string(kMinVersion) + ".." + std::to_string(kVersion) + ")");
-  }
-  const auto crc = read_value<std::uint32_t>(header, "crc32");
-  const auto length = read_value<std::uint64_t>(header, "body length");
-
-  std::string body((std::istreambuf_iterator<char>(file)),
-                   std::istreambuf_iterator<char>());
-  if (body.size() != length) {
-    fail("body length mismatch: header says " + std::to_string(length) +
-         " bytes, file has " + std::to_string(body.size()));
-  }
-  if (common::crc32(body) != crc) fail("CRC mismatch (corrupt file)");
-
-  std::istringstream in(body);
+  std::string body = io::sealed::load_header(path, kMagic, kVersion, kContext);
+  const std::size_t body_size = body.size();
+  std::istringstream in(std::move(body));
   Checkpoint checkpoint;
   core::CappedSnapshot& snap = checkpoint.snapshot;
 
@@ -339,27 +291,24 @@ Checkpoint load_checkpoint_full(const std::string& path) {
   snap.config.backpressure =
       read_enum<core::BackpressureMode>(in, "backpressure", 3);
   snap.config.backoff_rounds = read_value<std::uint32_t>(in, "backoff_rounds");
-  if (version >= 3) {
-    auto& ctrl = snap.config.control;
-    ctrl.policy = read_enum<control::Policy>(in, "control policy", 4);
-    ctrl.c_max = read_value<std::uint32_t>(in, "control c_max");
-    if (ctrl.c_max < 1 || ctrl.c_max > 0xFFFFu) {
-      fail("out-of-range field: control c_max");
-    }
-    ctrl.window = read_value<std::uint32_t>(in, "control window");
-    if (ctrl.window < 1 || ctrl.window > (1u << 16)) {
-      fail("out-of-range field: control window");
-    }
-    ctrl.cooldown = read_value<std::uint32_t>(in, "control cooldown");
-    if (ctrl.cooldown < 1) fail("out-of-range field: control cooldown");
-    ctrl.hysteresis = read_value<double>(in, "control hysteresis");
-    if (ctrl.hysteresis < 0.0 || ctrl.hysteresis > 1.0) {
-      fail("out-of-range field: control hysteresis");
-    }
-    ctrl.admission_target =
-        read_value<std::uint64_t>(in, "control admission_target");
+  auto& ctrl = snap.config.control;
+  ctrl.policy = read_enum<control::Policy>(in, "control policy", 4);
+  ctrl.c_max = read_value<std::uint32_t>(in, "control c_max");
+  if (ctrl.c_max < 1 || ctrl.c_max > 0xFFFFu) {
+    fail("out-of-range field: control c_max");
   }
-  // (v2 files predate the control plane: control stays disabled.)
+  ctrl.window = read_value<std::uint32_t>(in, "control window");
+  if (ctrl.window < 1 || ctrl.window > (1u << 16)) {
+    fail("out-of-range field: control window");
+  }
+  ctrl.cooldown = read_value<std::uint32_t>(in, "control cooldown");
+  if (ctrl.cooldown < 1) fail("out-of-range field: control cooldown");
+  ctrl.hysteresis = read_value<double>(in, "control hysteresis");
+  if (ctrl.hysteresis < 0.0 || ctrl.hysteresis > 1.0) {
+    fail("out-of-range field: control hysteresis");
+  }
+  ctrl.admission_target =
+      read_value<std::uint64_t>(in, "control admission_target");
 
   expect_keyword(in, "state");
   snap.round = read_value<std::uint64_t>(in, "round");
@@ -373,7 +322,7 @@ Checkpoint load_checkpoint_full(const std::string& path) {
   }
 
   expect_keyword(in, "pool");
-  const auto buckets = read_value<std::size_t>(in, "pool size");
+  const auto buckets = read_count(in, "pool size", body_size);
   snap.pool.reserve(buckets);
   std::uint64_t prev_label = 0;
   for (std::size_t i = 0; i < buckets; ++i) {
@@ -387,7 +336,7 @@ Checkpoint load_checkpoint_full(const std::string& path) {
   }
 
   expect_keyword(in, "deferred");
-  const auto deferred = read_value<std::size_t>(in, "deferred size");
+  const auto deferred = read_count(in, "deferred size", body_size);
   snap.deferred.reserve(deferred);
   std::uint64_t prev_ready = 0;
   for (std::size_t i = 0; i < deferred; ++i) {
@@ -403,7 +352,7 @@ Checkpoint load_checkpoint_full(const std::string& path) {
   }
 
   expect_keyword(in, "bins");
-  const auto bins = read_value<std::size_t>(in, "bin count");
+  const auto bins = read_count(in, "bin count", body_size);
   if (bins != snap.config.n) {
     fail("bin count mismatch: config says " + std::to_string(snap.config.n) +
          ", file has " + std::to_string(bins));
@@ -417,7 +366,7 @@ Checkpoint load_checkpoint_full(const std::string& path) {
                                   snap.config.control.c_max)
           : snap.config.capacity;
   for (auto& queue : snap.bin_queues) {
-    const auto length2 = read_value<std::size_t>(in, "queue length");
+    const auto length2 = read_count(in, "queue length", body_size);
     if (snap.config.capacity != core::CappedConfig::kInfiniteCapacity &&
         length2 > queue_bound) {
       fail("queue longer than capacity");
@@ -458,7 +407,7 @@ Checkpoint load_checkpoint_full(const std::string& path) {
     expect_keyword(in, "fault-schedule");
     const auto schedule_len =
         read_value<std::size_t>(in, "fault schedule length");
-    if (schedule_len > body.size()) {
+    if (schedule_len > body_size) {
       fail("out-of-range field: fault schedule length");
     }
     in.get();  // the single separating space
@@ -480,7 +429,7 @@ Checkpoint load_checkpoint_full(const std::string& path) {
     fs.repairs = read_value<std::uint64_t>(in, "fault repairs");
     fs.straggler_skips = read_value<std::uint64_t>(in, "fault straggler_skips");
     expect_keyword(in, "fault-down");
-    const auto down = read_value<std::size_t>(in, "fault down count");
+    const auto down = read_count(in, "fault down count", body_size);
     fs.down.reserve(down);
     std::uint32_t prev_bin = 0;
     for (std::size_t i = 0; i < down; ++i) {
@@ -493,7 +442,7 @@ Checkpoint load_checkpoint_full(const std::string& path) {
       fs.down.push_back(d);
     }
     expect_keyword(in, "fault-degraded");
-    const auto degraded = read_value<std::size_t>(in, "fault degraded count");
+    const auto degraded = read_count(in, "fault degraded count", body_size);
     fs.degraded.reserve(degraded);
     prev_bin = 0;
     for (std::size_t i = 0; i < degraded; ++i) {
@@ -512,72 +461,70 @@ Checkpoint load_checkpoint_full(const std::string& path) {
     }
   }
 
-  if (version >= 3) {
-    expect_keyword(in, "control");
-    const auto has_control = read_value<int>(in, "control flag");
-    if (has_control != 0 && has_control != 1) {
-      fail("out-of-range field: control flag");
+  expect_keyword(in, "control");
+  const auto has_control = read_value<int>(in, "control flag");
+  if (has_control != 0 && has_control != 1) {
+    fail("out-of-range field: control flag");
+  }
+  if ((has_control == 1) != snap.config.control.enabled()) {
+    fail("control flag disagrees with config control policy");
+  }
+  if (has_control == 1) {
+    control::ControllerState& cs = snap.controller;
+    expect_keyword(in, "control-policy");
+    const auto direction = read_value<int>(in, "control direction");
+    if (direction != 0 && direction != 1) {
+      fail("out-of-range field: control direction");
     }
-    if ((has_control == 1) != snap.config.control.enabled()) {
-      fail("control flag disagrees with config control policy");
+    cs.policy.direction = direction == 1 ? 1 : -1;
+    cs.policy.has_prev = read_value<std::uint32_t>(in, "control has_prev");
+    cs.policy.prev_wait_bits =
+        read_value<std::uint64_t>(in, "control prev_wait");
+    cs.policy.has_best = read_value<std::uint32_t>(in, "control has_best");
+    cs.policy.best_wait_bits =
+        read_value<std::uint64_t>(in, "control best_wait");
+    if (cs.policy.has_prev > 1 || cs.policy.has_best > 1) {
+      fail("out-of-range field: control policy flags");
     }
-    if (has_control == 1) {
-      control::ControllerState& cs = snap.controller;
-      expect_keyword(in, "control-policy");
-      const auto direction = read_value<int>(in, "control direction");
-      if (direction != 0 && direction != 1) {
-        fail("out-of-range field: control direction");
-      }
-      cs.policy.direction = direction == 1 ? 1 : -1;
-      cs.policy.has_prev = read_value<std::uint32_t>(in, "control has_prev");
-      cs.policy.prev_wait_bits =
-          read_value<std::uint64_t>(in, "control prev_wait");
-      cs.policy.has_best = read_value<std::uint32_t>(in, "control has_best");
-      cs.policy.best_wait_bits =
-          read_value<std::uint64_t>(in, "control best_wait");
-      if (cs.policy.has_prev > 1 || cs.policy.has_best > 1) {
-        fail("out-of-range field: control policy flags");
-      }
-      expect_keyword(in, "control-controller");
-      cs.cooldown_until = read_value<std::uint64_t>(in, "control cooldown_until");
-      // The cooldown is always armed as round + cooldown, so anything
-      // beyond that is a corrupt (e.g. bit-flipped) field.
-      if (cs.cooldown_until > snap.round + snap.config.control.cooldown) {
-        fail("out-of-range field: control cooldown_until");
-      }
-      cs.changes = read_value<std::uint64_t>(in, "control changes");
-      cs.grows = read_value<std::uint64_t>(in, "control grows");
-      cs.shrinks = read_value<std::uint64_t>(in, "control shrinks");
-      cs.admission_limit =
-          read_value<std::uint64_t>(in, "control admission_limit");
-      cs.admission_base =
-          read_value<std::uint64_t>(in, "control admission_base");
-      expect_keyword(in, "control-estimator");
-      control::EstimatorState& es = cs.estimator;
-      es.head = read_value<std::uint64_t>(in, "estimator head");
-      es.filled = read_value<std::uint64_t>(in, "estimator filled");
-      es.rounds = read_value<std::uint64_t>(in, "estimator rounds");
-      es.ewma_bits = read_value<std::uint64_t>(in, "estimator ewma");
-      const auto window = read_value<std::size_t>(in, "estimator window");
-      if (window != snap.config.control.window) {
-        fail("out-of-range field: estimator window");
-      }
-      if (es.head >= window || es.filled > window || es.filled > es.rounds) {
-        fail("out-of-range field: estimator cursors");
-      }
-      es.generated.reserve(window);
-      es.pool.reserve(window);
-      es.wait_sum.reserve(window);
-      es.wait_count.reserve(window);
-      for (std::size_t i = 0; i < window; ++i) {
-        es.generated.push_back(
-            read_value<std::uint64_t>(in, "estimator ring generated"));
-        es.pool.push_back(read_value<std::uint64_t>(in, "estimator ring pool"));
-        es.wait_sum.push_back(
-            read_value<std::uint64_t>(in, "estimator ring wait_sum"));
-        es.wait_count.push_back(
-            read_value<std::uint64_t>(in, "estimator ring wait_count"));
-      }
+    expect_keyword(in, "control-controller");
+    cs.cooldown_until = read_value<std::uint64_t>(in, "control cooldown_until");
+    // The cooldown is always armed as round + cooldown, so anything
+    // beyond that is a corrupt (e.g. bit-flipped) field.
+    if (cs.cooldown_until > snap.round + snap.config.control.cooldown) {
+      fail("out-of-range field: control cooldown_until");
+    }
+    cs.changes = read_value<std::uint64_t>(in, "control changes");
+    cs.grows = read_value<std::uint64_t>(in, "control grows");
+    cs.shrinks = read_value<std::uint64_t>(in, "control shrinks");
+    cs.admission_limit =
+        read_value<std::uint64_t>(in, "control admission_limit");
+    cs.admission_base =
+        read_value<std::uint64_t>(in, "control admission_base");
+    expect_keyword(in, "control-estimator");
+    control::EstimatorState& es = cs.estimator;
+    es.head = read_value<std::uint64_t>(in, "estimator head");
+    es.filled = read_value<std::uint64_t>(in, "estimator filled");
+    es.rounds = read_value<std::uint64_t>(in, "estimator rounds");
+    es.ewma_bits = read_value<std::uint64_t>(in, "estimator ewma");
+    const auto window = read_value<std::size_t>(in, "estimator window");
+    if (window != snap.config.control.window) {
+      fail("out-of-range field: estimator window");
+    }
+    if (es.head >= window || es.filled > window || es.filled > es.rounds) {
+      fail("out-of-range field: estimator cursors");
+    }
+    es.generated.reserve(window);
+    es.pool.reserve(window);
+    es.wait_sum.reserve(window);
+    es.wait_count.reserve(window);
+    for (std::size_t i = 0; i < window; ++i) {
+      es.generated.push_back(
+          read_value<std::uint64_t>(in, "estimator ring generated"));
+      es.pool.push_back(read_value<std::uint64_t>(in, "estimator ring pool"));
+      es.wait_sum.push_back(
+          read_value<std::uint64_t>(in, "estimator ring wait_sum"));
+      es.wait_count.push_back(
+          read_value<std::uint64_t>(in, "estimator ring wait_count"));
     }
   }
 

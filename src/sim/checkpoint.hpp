@@ -12,13 +12,11 @@
 //    policy memory, cooldown and admission limit, so a run killed
 //    mid-adaptation, including mid-shrink drain, resumes bit-for-bit)
 //    plus, optionally, the attached FaultPlan's dynamic state;
-//  * a header line `iba-checkpoint 3 <crc32> <bytes>` binding the body
-//    with a CRC32 and its exact length, so truncated or bit-flipped
-//    files are rejected before any field is parsed;
-//  * v2 files (predating the control plane) still load, with control
-//    disabled;
-//  * crash-safe writes: the file is written to `<path>.tmp`, flushed,
-//    fsync'd, and atomically renamed over `path` — a crash mid-save
+//  * the header envelope `iba-checkpoint 3 <crc32> <bytes>` of
+//    io/sealed.hpp binding the body with a CRC32 and its exact length,
+//    so truncated or bit-flipped files are rejected before any field is
+//    parsed; other versions are rejected by name;
+//  * crash-safe writes through io::sealed::commit — a crash mid-save
 //    leaves the previous checkpoint intact.
 //
 // Loaders throw std::runtime_error whose message names the offending
@@ -44,7 +42,7 @@ struct Checkpoint {
   fault::FaultPlan::State fault_state;
 };
 
-/// Atomically writes `checkpoint` to `path` (tmp + fsync + rename).
+/// Atomically writes `checkpoint` to `path` (io::sealed::commit).
 /// Throws std::runtime_error on IO failure; `path` keeps its previous
 /// content in that case.
 void save_checkpoint(const Checkpoint& checkpoint, const std::string& path);

@@ -1,14 +1,9 @@
 #include "telemetry/flight_recorder.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <cstdio>
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 
-#include "common/crc32.hpp"
+#include "io/sealed.hpp"
 
 namespace iba::telemetry {
 
@@ -16,18 +11,10 @@ namespace {
 
 constexpr std::string_view kMagic = "iba-postmortem";
 constexpr std::uint32_t kBundleVersion = 1;
+constexpr const char* kContext = "postmortem";
 
 [[noreturn]] void fail(const std::string& message) {
-  throw std::runtime_error("postmortem: " + message);
-}
-
-std::string hex32(std::uint32_t value) {
-  static constexpr char kHex[] = "0123456789abcdef";
-  std::string out(8, '0');
-  for (int i = 0; i < 8; ++i) {
-    out[i] = kHex[(value >> (28 - 4 * i)) & 0xFu];
-  }
-  return out;
+  throw std::runtime_error(std::string(kContext) + ": " + message);
 }
 
 std::string decision_line(const RecordedDecision& d) {
@@ -128,7 +115,6 @@ bool FlightRecorder::trigger(TriggerKind kind, std::uint64_t round,
 std::string FlightRecorder::render_bundle() const {
   if (!triggered_) fail("render_bundle requires a latched trigger");
   std::ostringstream out;
-  out << kMagic << ' ' << kBundleVersion << '\n';
   out << "trigger = " << trigger_name(kind_) << '\n';
   out << "round = " << trigger_round_ << '\n';
   out << "detail = " << trigger_detail_ << '\n';
@@ -158,36 +144,11 @@ std::string FlightRecorder::render_bundle() const {
   }
 
   out << "end\n";
-  std::string body = out.str();
-  body += "crc32 = " + hex32(common::crc32(body)) + '\n';
-  return body;
+  return io::sealed::seal_trailer(kMagic, kBundleVersion, out.str());
 }
 
 void FlightRecorder::write_bundle(const std::string& path) const {
-  const std::string text = render_bundle();
-  const std::string tmp = path + ".tmp";
-  std::FILE* out = std::fopen(tmp.c_str(), "wb");
-  if (out == nullptr) fail("cannot open for writing: " + tmp);
-  bool ok = std::fwrite(text.data(), 1, text.size(), out) == text.size() &&
-            std::fflush(out) == 0 && ::fsync(::fileno(out)) == 0;
-  ok = (std::fclose(out) == 0) && ok;
-  if (!ok) {
-    std::remove(tmp.c_str());
-    fail("write error: " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    fail("cannot rename " + tmp + " -> " + path);
-  }
-  const auto slash = path.find_last_of('/');
-  const std::string dir = slash == std::string::npos
-                              ? std::string(".")
-                              : path.substr(0, slash == 0 ? 1 : slash);
-  const int dirfd = ::open(dir.c_str(), O_RDONLY);
-  if (dirfd >= 0) {
-    ::fsync(dirfd);
-    ::close(dirfd);
-  }
+  io::sealed::commit(path, render_bundle(), kContext);
 }
 
 std::string FlightRecorder::state_text() const {
@@ -268,54 +229,18 @@ void FlightRecorder::restore_state(const std::string& text) {
 }
 
 void verify_bundle_text(const std::string& text) {
-  const std::size_t first_eol = text.find('\n');
-  if (first_eol == std::string::npos) fail("truncated: no header line");
-  const std::string header = text.substr(0, first_eol);
-  std::istringstream parse(header);
-  std::string magic;
-  std::uint32_t version = 0;
-  if (!(parse >> magic >> version) || magic != kMagic) {
-    fail("bad header '" + header + "'");
-  }
-  if (version != kBundleVersion) {
-    fail("unsupported version " + std::to_string(version) + " (expected " +
-         std::to_string(kBundleVersion) + ")");
-  }
-  constexpr std::string_view kTrailerPrefix = "crc32 = ";
-  constexpr std::size_t kTrailerLen = 8 + 8 + 1;
-  if (text.size() < kTrailerLen || text.back() != '\n') {
-    fail("truncated: missing crc trailer");
-  }
-  const std::size_t trailer_at = text.size() - kTrailerLen;
-  if (text.compare(trailer_at, kTrailerPrefix.size(), kTrailerPrefix) != 0 ||
-      (trailer_at != 0 && text[trailer_at - 1] != '\n')) {
-    fail("malformed crc trailer");
-  }
-  const std::string stated = text.substr(trailer_at + kTrailerPrefix.size(), 8);
-  const std::string actual =
-      hex32(common::crc32(std::string_view(text).substr(0, trailer_at)));
-  if (stated != actual) {
-    fail("crc mismatch: stated " + stated + ", computed " + actual);
-  }
+  io::sealed::verify_trailer(text, kMagic, kBundleVersion, kContext);
 }
 
 PostmortemBundle read_bundle_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) fail("cannot open: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
   PostmortemBundle bundle;
-  bundle.text = buffer.str();
+  bundle.text = io::sealed::read_file(path, kContext);
   verify_bundle_text(bundle.text);
+  bundle.version = kBundleVersion;
 
   std::istringstream lines(bundle.text);
   std::string line;
-  std::getline(lines, line);  // verified header
-  {
-    std::istringstream parse(line);
-    std::string magic;
-    parse >> magic >> bundle.version;
-  }
+  std::getline(lines, line);  // the verified envelope header
   enum class Section { kHeader, kDecisions, kEvents, kTimeseries, kDone };
   Section section = Section::kHeader;
   while (std::getline(lines, line)) {

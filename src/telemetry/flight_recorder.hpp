@@ -15,9 +15,9 @@
 //   end
 //   crc32 = <8 lowercase hex over everything above>
 //
-// Bundles are written through the same atomic tmp + fsync + rename path
-// as artifacts and checkpoints, and carry a CRC trailer so a torn or
-// corrupted bundle is rejected at read time, never misread.
+// Bundles are committed through io::sealed like artifacts and
+// checkpoints, and carry its trailer envelope so a torn or corrupted
+// bundle is rejected at read time, never misread.
 //
 // Determinism: every recorded field is a pure function of simulation
 // state (λ̂ rides as ×10⁶ fixed point, no wall-clock anywhere), so for a
@@ -126,7 +126,7 @@ class FlightRecorder {
   /// The complete bundle text, CRC trailer included. Requires a latched
   /// trigger.
   [[nodiscard]] std::string render_bundle() const;
-  /// render_bundle() through the atomic tmp + fsync + rename path.
+  /// Commits render_bundle() to `path` (io::sealed::commit).
   void write_bundle(const std::string& path) const;
 
   /// Recorder state (logs + latch) for the checkpoint's `.record`

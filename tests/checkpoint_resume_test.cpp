@@ -1,7 +1,8 @@
-// Crash-safe checkpoint/resume (format v2): kill-and-resume byte
+// Crash-safe checkpoint/resume (format v3): kill-and-resume byte
 // identity with and without an attached fault plan, atomicity of the
-// writer, and rejection of corrupt / truncated / downlevel files with
-// messages naming the problem.
+// writer, and rejection of downlevel files and valid-CRC field damage
+// with messages naming the problem. Bit flips and truncation of every
+// sealed format are covered by corruption_battery_test.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -234,68 +235,89 @@ void spit(const std::string& file, const std::string& content) {
   out << content;
 }
 
-TEST_F(CheckpointResumeTest, BitFlipsAreRejectedByCrc) {
-  Capped p(rich_config(), Engine(3));
-  for (int r = 0; r < 40; ++r) (void)p.step();
-  const std::string file = path("ckpt");
-  sim::save_checkpoint(p.snapshot(), file);
-  const std::string good = slurp(file);
-  ASSERT_FALSE(good.empty());
-
-  const std::size_t header_end = good.find('\n');
-  ASSERT_NE(header_end, std::string::npos);
-  // Flip one bit at a spread of body offsets; every mutant must be
-  // rejected, none may be silently accepted.
-  for (const std::size_t offset :
-       {header_end + 1, header_end + 17, good.size() / 2, good.size() - 2}) {
-    std::string bad = good;
-    bad[offset] = static_cast<char>(bad[offset] ^ 0x08);
-    const std::string mutant = path("mutant");
-    spit(mutant, bad);
-    try {
-      (void)sim::load_checkpoint(mutant);
-      FAIL() << "accepted checkpoint with flipped bit at offset " << offset;
-    } catch (const std::runtime_error& e) {
-      EXPECT_NE(std::string(e.what()).find("CRC"), std::string::npos)
-          << "offset " << offset << ": " << e.what();
-    }
-  }
-}
-
-TEST_F(CheckpointResumeTest, TruncationIsRejected) {
-  Capped p(rich_config(), Engine(4));
-  for (int r = 0; r < 40; ++r) (void)p.step();
-  const std::string file = path("ckpt");
-  sim::save_checkpoint(p.snapshot(), file);
-  const std::string good = slurp(file);
-
-  for (const double fraction : {0.1, 0.5, 0.9}) {
-    const std::string cut = path("cut");
-    spit(cut, good.substr(0, static_cast<std::size_t>(
-                                 static_cast<double>(good.size()) * fraction)));
-    EXPECT_THROW((void)sim::load_checkpoint(cut), std::runtime_error)
-        << "fraction " << fraction;
-  }
-  spit(path("empty"), "");
-  EXPECT_THROW((void)sim::load_checkpoint(path("empty")), std::runtime_error);
-  EXPECT_THROW((void)sim::load_checkpoint(path("missing")),
-               std::runtime_error);
-}
-
 TEST_F(CheckpointResumeTest, DownlevelAndForeignFilesAreNamed) {
+  // v1 predates the CRC header; v2 predates the control plane. Neither
+  // loads: checkpoints are transient run state, not an archive format.
   const std::string v1 = path("v1");
   spit(v1, "iba-checkpoint 1\nconfig 8 1 4\n");
-  try {
-    (void)sim::load_checkpoint(v1);
-    FAIL() << "v1 file accepted";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("version"), std::string::npos)
-        << e.what();
+  const std::string v2 = path("v2");
+  spit(v2, "iba-checkpoint 2 0 12\nconfig 8 1 4\n");
+  for (const std::string& file : {v1, v2}) {
+    try {
+      (void)sim::load_checkpoint(file);
+      FAIL() << file << " accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("unsupported version"),
+                std::string::npos)
+          << e.what();
+    }
   }
 
   const std::string foreign = path("foreign");
   spit(foreign, "not-a-checkpoint at all\n");
   EXPECT_THROW((void)sim::load_checkpoint(foreign), std::runtime_error);
+  EXPECT_THROW((void)sim::load_checkpoint(path("missing")),
+               std::runtime_error);
+}
+
+/// `body` under a valid v3 header (CRC and length recomputed).
+std::string reheader(const std::string& body) {
+  return "iba-checkpoint 3 " + std::to_string(common::crc32(body)) + " " +
+         std::to_string(body.size()) + "\n" + body;
+}
+
+/// `body` with token `index` of its positional config line (0 =
+/// "config") replaced by `value`.
+std::string with_config_token(const std::string& body, std::size_t index,
+                              const std::string& value) {
+  const std::size_t line_end = body.find('\n');
+  std::istringstream line(body.substr(0, line_end));
+  std::vector<std::string> tokens;
+  std::string token;
+  while (line >> token) tokens.push_back(token);
+  EXPECT_GT(tokens.size(), index);
+  if (tokens.size() <= index) return body;
+  tokens[index] = value;
+  std::string rebuilt;
+  for (const auto& t : tokens) {
+    if (!rebuilt.empty()) rebuilt += ' ';
+    rebuilt += t;
+  }
+  return rebuilt + body.substr(line_end);
+}
+
+/// `body` with its first line (after the config line) starting with
+/// `prefix` replaced by `line`.
+std::string with_line(const std::string& body, const std::string& prefix,
+                      const std::string& line) {
+  const std::size_t at = body.find("\n" + prefix);
+  EXPECT_NE(at, std::string::npos) << prefix;
+  if (at == std::string::npos) return body;
+  const std::size_t end = body.find('\n', at + 1);
+  return body.substr(0, at + 1) + line + body.substr(end);
+}
+
+/// Loads `mutated_body` under a valid header and expects a
+/// std::runtime_error carrying `expect` — not acceptance, and not a
+/// std::bad_alloc or std::length_error from sizing a container.
+void expect_named_rejection(const std::string& file,
+                            const std::string& mutated_body,
+                            const std::string& expect) {
+  spit(file, reheader(mutated_body));
+  try {
+    (void)sim::load_checkpoint_full(file);
+    ADD_FAILURE() << expect << ": corrupt file accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(expect), std::string::npos)
+        << expect << " -> " << e.what();
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << expect << ": unnamed failure " << e.what();
+  }
+}
+
+std::string body_of(const std::string& file) {
+  const std::string good = slurp(file);
+  return good.substr(good.find('\n') + 1);
 }
 
 TEST_F(CheckpointResumeTest, MalformedFieldsAreNamed) {
@@ -306,10 +328,7 @@ TEST_F(CheckpointResumeTest, MalformedFieldsAreNamed) {
   for (int r = 0; r < 30; ++r) (void)p.step();
   const std::string file = path("ckpt");
   sim::save_checkpoint(p.snapshot(), file);
-  const std::string good = slurp(file);
-  const std::size_t header_end = good.find('\n');
-  ASSERT_NE(header_end, std::string::npos);
-  const std::string body = good.substr(header_end + 1);
+  const std::string body = body_of(file);
 
   // The config line is positional:
   // config n capacity lambda_n arrival deletion acceptance prob
@@ -325,34 +344,52 @@ TEST_F(CheckpointResumeTest, MalformedFieldsAreNamed) {
       {1, "0", "n"},
   };
   for (const Case& c : cases) {
-    const std::size_t line_end = body.find('\n');
-    ASSERT_NE(line_end, std::string::npos);
-    std::istringstream line(body.substr(0, line_end));
-    std::vector<std::string> tokens;
-    std::string token;
-    while (line >> token) tokens.push_back(token);
-    ASSERT_GT(tokens.size(), c.token);
-    tokens[c.token] = c.replacement;
-    std::string rebuilt_line;
-    for (const auto& t : tokens) {
-      if (!rebuilt_line.empty()) rebuilt_line += ' ';
-      rebuilt_line += t;
-    }
-    const std::string mutated = rebuilt_line + body.substr(line_end);
-    const std::uint32_t crc = common::crc32(mutated);
-    const std::string rebuilt = "iba-checkpoint 3 " + std::to_string(crc) +
-                                " " + std::to_string(mutated.size()) + "\n" +
-                                mutated;
-    const std::string mutant = path("mutant");
-    spit(mutant, rebuilt);
-    try {
-      (void)sim::load_checkpoint(mutant);
-      FAIL() << "accepted out-of-domain token " << c.token;
-    } catch (const std::runtime_error& e) {
-      EXPECT_NE(std::string(e.what()).find(c.expect), std::string::npos)
-          << "token " << c.token << " -> " << e.what();
-    }
+    expect_named_rejection(path("mutant"),
+                           with_config_token(body, c.token, c.replacement),
+                           c.expect);
   }
+}
+
+TEST_F(CheckpointResumeTest, OversizedCountsAreRejectedBeforeAllocating) {
+  // A count of 2^40 under a valid CRC is bounded by the body bytes left
+  // to read before it sizes any container.
+  Capped p(rich_config(), Engine(11));
+  fault::FaultPlan plan(fault::parse_schedule("crash@5:bins=0-7,down=50"),
+                        256, 3, 1);
+  p.set_fault_plan(&plan);
+  for (int r = 0; r < 10; ++r) (void)p.step();
+  sim::Checkpoint out;
+  out.snapshot = p.snapshot();
+  out.has_fault_state = true;
+  out.fault_schedule = fault::to_string(plan.schedule());
+  out.fault_seed = plan.seed();
+  out.fault_state = plan.state();
+  const std::string file = path("ckpt");
+  sim::save_checkpoint(out, file);
+  const std::string body = body_of(file);
+  const std::string huge = "1099511627776";
+  const std::string max_u32 = "4294967295";
+
+  expect_named_rejection(path("pool"), with_line(body, "pool ", "pool " + huge),
+                         "pool size");
+  expect_named_rejection(path("deferred"),
+                         with_line(body, "deferred ", "deferred " + huge),
+                         "deferred size");
+  // n = 2^32 - 1 agrees with the bin count, so only the byte bound
+  // stops the queue table from being sized by it.
+  expect_named_rejection(
+      path("bins"),
+      with_line(with_config_token(body, 1, max_u32), "bins ",
+                "bins " + max_u32),
+      "bin count");
+  // Infinite capacity puts no capacity bound on a queue length.
+  std::string queue = with_config_token(body, 2, max_u32);
+  const std::size_t row = queue.find('\n', queue.find("\nbins ") + 1) + 1;
+  queue.replace(row, queue.find('\n', row) - row, huge);
+  expect_named_rejection(path("queue"), queue, "queue length");
+  expect_named_rejection(path("down"),
+                         with_line(body, "fault-down ", "fault-down " + huge),
+                         "fault down count");
 }
 
 // -- format v3: adaptive-control state -------------------------------
@@ -409,99 +446,19 @@ TEST_F(CheckpointResumeTest, KillAndResumeMidAdaptationIsByteIdentical) {
   EXPECT_EQ(reference.config().pool_limit, second_life.config().pool_limit);
 }
 
-std::string reheader(const std::string& body, int version) {
-  return "iba-checkpoint " + std::to_string(version) + " " +
-         std::to_string(common::crc32(body)) + " " +
-         std::to_string(body.size()) + "\n" + body;
-}
-
-TEST_F(CheckpointResumeTest, V2DownlevelFilesLoadWithControlDisabled) {
-  // A v2 file is a v3 file minus the six control tokens on the config
-  // line and the control section; rebuilding one from a control-free
-  // save must load and resume exactly like its v3 twin.
-  Capped p(rich_config(), Engine(6));
-  for (int r = 0; r < 60; ++r) (void)p.step();
-  const std::string v3_file = path("v3");
-  sim::save_checkpoint(p.snapshot(), v3_file);
-  const std::string v3 = slurp(v3_file);
-  const std::size_t header_end = v3.find('\n');
-  ASSERT_NE(header_end, std::string::npos);
-  std::string body = v3.substr(header_end + 1);
-
-  // Drop the trailing 6 control tokens from the config line.
-  const std::size_t config_end = body.find('\n');
-  ASSERT_NE(config_end, std::string::npos);
-  std::istringstream config_line(body.substr(0, config_end));
-  std::vector<std::string> tokens;
-  std::string token;
-  while (config_line >> token) tokens.push_back(token);
-  ASSERT_EQ(tokens.size(), 20u) << "v3 config line should carry 19 fields";
-  std::string v2_config;
-  for (std::size_t i = 0; i + 6 < tokens.size(); ++i) {
-    if (!v2_config.empty()) v2_config += ' ';
-    v2_config += tokens[i];
-  }
-  body = v2_config + body.substr(config_end);
-  // Drop the "control 0" section line.
-  const std::size_t control_at = body.find("\ncontrol 0\n");
-  ASSERT_NE(control_at, std::string::npos);
-  body.erase(control_at, std::string("\ncontrol 0").size());
-
-  const std::string v2_file = path("v2");
-  spit(v2_file, reheader(body, 2));
-  const core::CappedSnapshot snap = sim::load_checkpoint(v2_file);
-  EXPECT_FALSE(snap.config.control.enabled());
-
-  Capped resumed(snap);
-  for (int r = 60; r < 120; ++r) {
-    const auto m = p.step();
-    const auto b = resumed.step();
-    expect_same_round(m, b, m.round);
-  }
-  expect_same_final_state(p, resumed);
-}
-
 TEST_F(CheckpointResumeTest, V3CorruptControlFieldsAreNamed) {
   Capped p(control_config(), Engine(8));
   for (int r = 0; r < 60; ++r) (void)p.step();
   const std::string file = path("ckpt");
   sim::save_checkpoint(p.snapshot(), file);
-  const std::string good = slurp(file);
-  const std::size_t header_end = good.find('\n');
-  ASSERT_NE(header_end, std::string::npos);
-  const std::string body = good.substr(header_end + 1);
-
+  const std::string body = body_of(file);
   const auto expect_rejection = [&](const std::string& mutated_body,
-                                    const char* expect,
-                                    const char* what) {
-    const std::string mutant = path("mutant");
-    spit(mutant, reheader(mutated_body, 3));
-    try {
-      (void)sim::load_checkpoint(mutant);
-      FAIL() << what << ": corrupt file accepted";
-    } catch (const std::runtime_error& e) {
-      EXPECT_NE(std::string(e.what()).find(expect), std::string::npos)
-          << what << " -> " << e.what();
-    }
+                                    const char* expect) {
+    expect_named_rejection(path("mutant"), mutated_body, expect);
   };
 
   // Policy id out of range (config token 14, first control field).
-  {
-    const std::size_t config_end = body.find('\n');
-    std::istringstream line(body.substr(0, config_end));
-    std::vector<std::string> tokens;
-    std::string token;
-    while (line >> token) tokens.push_back(token);
-    ASSERT_GT(tokens.size(), 14u);
-    tokens[14] = "9";
-    std::string rebuilt;
-    for (const auto& t : tokens) {
-      if (!rebuilt.empty()) rebuilt += ' ';
-      rebuilt += t;
-    }
-    expect_rejection(rebuilt + body.substr(config_end), "control policy",
-                     "policy id");
-  }
+  expect_rejection(with_config_token(body, 14, "9"), "control policy");
 
   // Cooldown bit-flip: cooldown_until beyond round + cooldown can never
   // be produced by the controller (it always arms round + cooldown).
@@ -512,7 +469,7 @@ TEST_F(CheckpointResumeTest, V3CorruptControlFieldsAreNamed) {
     const std::size_t value_end = body.find(' ', value_at);
     std::string mutated = body.substr(0, value_at) + "9999999" +
                           body.substr(value_end);
-    expect_rejection(mutated, "cooldown_until", "cooldown bit-flip");
+    expect_rejection(mutated, "cooldown_until");
   }
 
   // Truncated estimator block: the file ends mid-ring.
@@ -521,7 +478,7 @@ TEST_F(CheckpointResumeTest, V3CorruptControlFieldsAreNamed) {
     ASSERT_NE(est_at, std::string::npos);
     const std::size_t cut = body.find('\n', est_at) + 20;
     ASSERT_LT(cut, body.size());
-    expect_rejection(body.substr(0, cut), "estimator", "truncated estimator");
+    expect_rejection(body.substr(0, cut), "estimator");
   }
 
   // Control flag contradicting the config's policy.
@@ -530,7 +487,7 @@ TEST_F(CheckpointResumeTest, V3CorruptControlFieldsAreNamed) {
     ASSERT_NE(flag_at, std::string::npos);
     std::string mutated = body;
     mutated[flag_at + std::string("\ncontrol ").size()] = '0';
-    expect_rejection(mutated, "disagrees", "control flag mismatch");
+    expect_rejection(mutated, "disagrees");
   }
 }
 

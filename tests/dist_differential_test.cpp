@@ -19,6 +19,7 @@
 
 #include "artifact/artifact.hpp"
 #include "common/assert.hpp"
+#include "dist/checkpoint.hpp"
 #include "dist/coordinator.hpp"
 #include "dist/protocol.hpp"
 #include "dist/runner.hpp"
@@ -248,6 +249,45 @@ TEST(DistDifferential, KillAndResumeReproducesTheBytes) {
   resume.resume = true;
   resume.timeout_ms = 5'000;
   EXPECT_EQ(distributed_bytes(scn, 4, resume), baseline);
+}
+
+TEST(DistDifferential, FailedManifestCommitResumesFromThePreviousGeneration) {
+  // The round-64 generation's shard, coordinator and progress commits
+  // land, then its manifest commit fails (the staging path is occupied by
+  // a directory). The manifest on disk must still name round 32, and a
+  // resume from it must reproduce the uninterrupted bytes.
+  const scenario::Scenario scn = scenario::parse_scenario(kBank, "bank.scn");
+  const std::string baseline = single_process_bytes(scn);
+  const std::string base = checkpoint_base("manifest_fail");
+  const std::string staging = manifest_path(base) + ".tmp";
+  std::filesystem::remove_all(staging);
+  {
+    WorkerFleet fleet(3);
+    DistRunOptions options;
+    options.checkpoint_base = base;
+    options.checkpoint_every = 32;
+    options.timeout_ms = 5'000;
+    options.on_round = [&staging](std::uint64_t round) {
+      if (round == 33) std::filesystem::create_directory(staging);
+    };
+    try {
+      (void)run_distributed(scn, fleet.fds(), options);
+      ADD_FAILURE() << "the manifest commit cannot have succeeded";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("dist manifest: open failed"), std::string::npos)
+          << what;
+    }
+  }
+  EXPECT_TRUE(std::filesystem::exists(shard_path(base, 64, 0)));
+  EXPECT_EQ(load_manifest(manifest_path(base)).round, 32u);
+  std::filesystem::remove(staging);
+
+  DistRunOptions resume;
+  resume.checkpoint_base = base;
+  resume.resume = true;
+  resume.timeout_ms = 5'000;
+  EXPECT_EQ(distributed_bytes(scn, 3, resume), baseline);
 }
 
 TEST(DistDifferential, CoordinatorStopAndResumeReproducesTheBytes) {
