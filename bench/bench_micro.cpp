@@ -90,10 +90,9 @@ BENCHMARK(BM_FillBounded)
     ->Args({1 << 20, static_cast<int>(rng::SimdBackend::kScalar)})
     ->Args({1 << 20, static_cast<int>(rng::SimdBackend::kAvx2)});
 
-// Pass-A scatter serial vs parallel: the bin-major kernel's accept
-// phase at shards = 1 runs the serial counting sort, shards > 1 the
-// staged parallel partition. Phase timers isolate the accept cost from
-// throw/delete.
+// Pass-A scatter serial vs parallel: the fused sweep's accept phase
+// (partition + acceptance replay) inline at shards = 1, on the shard
+// pool above. Phase timers isolate the accept cost from throw/delete.
 void BM_CappedScatter(benchmark::State& state) {
   const auto shards = static_cast<std::uint32_t>(state.range(0));
   core::CappedConfig config;
@@ -348,8 +347,8 @@ double time_fill_bounded_ns(rng::SimdBackend backend) {
          1e9 / (static_cast<double>(reps) * static_cast<double>(out.size()));
 }
 
-/// Accept-phase ns/ball of the bin-major kernel at `shards` (serial
-/// counting sort at 1, staged parallel partition above).
+/// Accept-phase ns/ball of the fused sweep at `shards` (inline at 1, on
+/// the shard pool above).
 double time_scatter_accept_ns(std::uint32_t shards) {
   core::CappedConfig config;
   config.n = 1 << 16;

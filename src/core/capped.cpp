@@ -17,15 +17,38 @@ namespace iba::core {
 
 namespace {
 
-// Sharded delete-phase actions, pre-sampled in bin order.
-constexpr std::uint8_t kActionNone = 0;
-constexpr std::uint8_t kActionServe = 1;
-constexpr std::uint8_t kActionCrash = 2;
-
 // The bin-major kernel indexes candidates with uint32 offsets; rounds
 // throwing more balls than that (never at supported n) use the scalar
 // path, which is byte-identical anyway.
 constexpr std::size_t kMaxKernelThrows = 0xFFFFFFFEu;
+
+// The fused sweep's bin chunk: 8192 bins, so a chunk's cursor and label
+// slices stay L2-resident and a chunk-local offset fits in 16 bits, with
+// 0xFFFF left over as the bucket sentinel.
+constexpr std::uint32_t kChunkBits = 13;
+constexpr std::uint32_t kChunkWidth = 1u << kChunkBits;
+constexpr std::uint16_t kSentinel = 0xFFFF;
+// Look-ahead of the acceptance replay's software prefetch, in entries.
+constexpr std::size_t kPrefetchDist = 24;
+
+constexpr std::uint32_t chunk_count(std::uint32_t n) noexcept {
+  return static_cast<std::uint32_t>(
+      (static_cast<std::uint64_t>(n) + kChunkWidth - 1) >> kChunkBits);
+}
+
+// Length of one slice's row of per-chunk cursors, padded to a whole
+// cache line so no two shards ever write the same line.
+constexpr std::size_t cursor_row(std::uint32_t n_chunks) noexcept {
+  constexpr std::size_t kLine = 64 / sizeof(std::uint64_t);
+  return (static_cast<std::size_t>(n_chunks) + kLine - 1) / kLine * kLine;
+}
+
+std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point since) {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - since)
+          .count());
+}
 
 // Read+write prefetch hint; a no-op where the builtin is unavailable.
 inline void prefetch_rw(const void* address) noexcept {
@@ -95,8 +118,6 @@ Capped::Capped(const CappedConfig& config, Engine engine)
     starts_.set_arena(arena_.get());
     part16_.set_arena(arena_.get());
     cand_bucket_.set_arena(arena_.get());
-    staged_.set_arena(arena_.get());
-    staged_idx_.set_arena(arena_.get());
   }
   if (infinite()) {
     unbounded_.emplace(config_.n);
@@ -167,6 +188,17 @@ Capped::Capped(const CappedSnapshot& snapshot)
   if (controller_ != nullptr) controller_->restore(snapshot.controller);
 }
 
+CappedWaitState wait_state(const WaitRecorder& waits) {
+  CappedWaitState state;
+  state.count = waits.moments().count();
+  state.sum = waits.moments().sum();
+  state.sumsq_hi = waits.moments().sumsq_hi();
+  state.sumsq_lo = waits.moments().sumsq_lo();
+  state.max = waits.histogram().max();
+  state.histogram = waits.histogram().counts();
+  return state;
+}
+
 CappedSnapshot Capped::snapshot() const {
   CappedSnapshot snap;
   snap.config = config_;
@@ -177,12 +209,7 @@ CappedSnapshot Capped::snapshot() const {
   snap.engine_state = engine_.state();
   snap.pool.assign(pool_.buckets().begin(), pool_.buckets().end());
   snap.deferred.assign(deferred_.begin(), deferred_.end());
-  snap.waits.count = waits_.moments().count();
-  snap.waits.sum = waits_.moments().sum();
-  snap.waits.sumsq_hi = waits_.moments().sumsq_hi();
-  snap.waits.sumsq_lo = waits_.moments().sumsq_lo();
-  snap.waits.max = waits_.histogram().max();
-  snap.waits.histogram = waits_.histogram().counts();
+  snap.waits = wait_state(waits_);
   if (controller_ != nullptr) snap.controller = controller_->state();
   snap.bin_queues.resize(config_.n);
   for (std::uint32_t bin = 0; bin < config_.n; ++bin) {
@@ -415,13 +442,15 @@ RoundMetrics Capped::allocate_and_delete(
   }();
 
   // Fast path: the fused bin-major kernel handles acceptance and deletion
-  // in one chunked sweep (and computes the end-of-round load stats). The
-  // kernel times itself internally, splitting the sweep between kAccept
-  // and kDelete so phase attribution matches the unfused kernels.
+  // in one chunked sweep on every shard (and computes the end-of-round
+  // load stats). The kernel times itself internally, splitting the sweep
+  // between kAccept and kDelete so phase attribution matches the unfused
+  // kernels. Everything else runs serially, whatever the shard count —
+  // the bytes are the same either way.
   bool load_stats_done = false;
   bool fused = false;
-  if (config_.kernel == RoundKernel::kBinMajor && config_.shards == 1 &&
-      !tracing && !infinite() && choices.size() <= kMaxKernelThrows) {
+  if (config_.kernel == RoundKernel::kBinMajor && !tracing && !infinite() &&
+      choices.size() <= kMaxKernelThrows) {
     fused = round_fused(choices, m);
   }
   if (fused) {
@@ -448,14 +477,13 @@ RoundMetrics Capped::allocate_and_delete(
     }
 
     // Deletion: every non-empty, non-failed bin serves one ball. The
-    // unsharded bin-major pass also computes the end-of-round load stats
-    // while the bin arrays are hot, saving the separate scans below.
+    // bin-major pass also computes the end-of-round load stats while the
+    // bin arrays are hot, saving the separate scans below.
     telemetry::ScopedPhaseTimer delete_timer(timers_,
                                              telemetry::Phase::kDelete);
-    if (config_.kernel == RoundKernel::kBinMajor && config_.shards > 1) {
-      delete_sharded(m);
-    } else if (config_.kernel == RoundKernel::kBinMajor) {
-      load_stats_done = delete_bin_major(m);
+    if (config_.kernel == RoundKernel::kBinMajor) {
+      delete_bin_major(m);
+      load_stats_done = true;
     } else {
       delete_scalar(m);
     }
@@ -616,14 +644,16 @@ void Capped::delete_scalar(RoundMetrics& m) {
 }
 
 // ---------------------------------------------------------------------------
-// Bin-major round kernel: counting-sort throws by destination bin with a
-// stable prefix-sum scatter, then accept in one cache-linear pass over
-// bins. Stability keeps each bin's candidate list in the scalar path's
-// visit order, and acceptance is independent across bins, so each bin
+// Bin-major round kernels. Both group throws by destination bin with a
+// stable partition, which keeps each bin's candidates in the scalar
+// path's visit order; acceptance is independent across bins, so each bin
 // taking the first min{c−ℓ, ν_bin} candidates reproduces the scalar
 // outcome exactly — queues, survivors, metrics and traces are
-// byte-identical. With shards > 1 the per-bin work runs on contiguous bin
-// ranges over a thread pool; all randomness stays on the master engine.
+// byte-identical. The fused sweep (round_fused) is the fast path and the
+// only one that uses the shard pool; the flat counting sort
+// (accept_bin_major + delete_bin_major) serves the configurations it
+// does not: infinite capacity, ball tracing, and pools whose age spread
+// makes the fused partition's sentinels too costly.
 // ---------------------------------------------------------------------------
 
 // Flattens pool buckets in acceptance-visit order: bucket_ends_[b] is
@@ -659,7 +689,6 @@ void Capped::accept_bin_major(std::span<const std::uint32_t> choices,
                               RoundMetrics& m) {
   const std::uint32_t n = config_.n;
   const std::size_t nu = choices.size();
-  const std::uint32_t shards = config_.shards;
   const bool forward =
       infinite() || config_.acceptance == AcceptanceOrder::kOldestFirst;
 
@@ -690,90 +719,57 @@ void Capped::accept_bin_major(std::span<const std::uint32_t> choices,
   }
 
   cand_bucket_.resize(nu);
-  rejected_.assign(static_cast<std::size_t>(shards) * n_buckets, 0);
-  shard_accepted_.assign(shards, 0);
-  shard_load_delta_.assign(shards, 0);
-  if (shards == 1) {
-    // Serial counting sort: count, exclusive prefix (counts_ becomes the
-    // scatter cursor array), then the fused scatter + accept pass.
-    std::fill(counts_.begin(), counts_.end(), 0u);
-    for (std::size_t i = 0; i < nu; ++i) ++counts_[choices[i]];
-    starts_[0] = 0;
-    for (std::uint32_t bin = 0; bin < n; ++bin) {
-      starts_[bin + 1] = starts_[bin] + counts_[bin];
-      counts_[bin] = starts_[bin];
-    }
-    scatter_and_accept_range(choices, 0, 0, n);
-  } else {
-    // Parallel partition (every shard scans only its slice of the
-    // throws), then per-range acceptance over the identical arrays.
-    partition_choices_parallel(choices, tracing);
-    run_sharded([&](std::size_t shard, std::size_t lo, std::size_t hi) {
-      accept_range(shard, static_cast<std::uint32_t>(lo),
-                   static_cast<std::uint32_t>(hi));
-    });
+  rejected_.assign(n_buckets, 0);
+  // Counting sort: count, exclusive prefix (counts_ becomes the scatter
+  // cursor array), then the scatter + accept pass.
+  std::fill(counts_.begin(), counts_.end(), 0u);
+  for (std::size_t i = 0; i < nu; ++i) ++counts_[choices[i]];
+  starts_[0] = 0;
+  for (std::uint32_t bin = 0; bin < n; ++bin) {
+    starts_[bin + 1] = starts_[bin] + counts_[bin];
+    counts_[bin] = starts_[bin];
   }
-
-  // Commit shard totals sequentially.
-  std::int64_t load_delta = 0;
-  std::uint64_t accepted = 0;
-  for (std::uint32_t s = 0; s < shards; ++s) {
-    load_delta += shard_load_delta_[s];
-    accepted += shard_accepted_[s];
-  }
+  const std::uint64_t accepted = scatter_and_accept(choices);
   if (infinite()) {
-    unbounded_->adjust_total_load(load_delta);
+    unbounded_->adjust_total_load(static_cast<std::int64_t>(accepted));
   } else {
-    bounded_->adjust_total_load(load_delta);
+    bounded_->adjust_total_load(static_cast<std::int64_t>(accepted));
   }
   m.accepted = accepted;
 
-  // Survivors: per-bucket rejection counts, merged across shards and
-  // re-added oldest-first (AgedPool's label-order invariant).
+  // Survivors: per-bucket rejection counts, re-added oldest-first
+  // (AgedPool's label-order invariant).
   survivors_.clear();
   for (std::size_t i = 0; i < n_buckets; ++i) {
     const std::size_t b = forward ? i : n_buckets - 1 - i;
-    std::uint64_t rejected = 0;
-    for (std::uint32_t s = 0; s < shards; ++s) {
-      rejected += rejected_[static_cast<std::size_t>(s) * n_buckets + b];
-    }
-    survivors_.add(bucket_labels_[b], rejected);
+    survivors_.add(bucket_labels_[b], rejected_[b]);
   }
 
   if (tracing) emit_throw_traces(choices);
 }
 
-void Capped::scatter_and_accept_range(std::span<const std::uint32_t> choices,
-                                      std::size_t shard,
-                                      std::uint32_t bin_begin,
-                                      std::uint32_t bin_end) {
+std::uint64_t Capped::scatter_and_accept(
+    std::span<const std::uint32_t> choices) {
   const std::size_t nu = choices.size();
   const bool tracing = !rank_scratch_.empty();
 
-  // Stable scatter of the candidates targeting [bin_begin, bin_end):
-  // scanning throws in visit order and appending at each bin's cursor
-  // preserves, per bin, exactly the scalar path's candidate order.
+  // Stable scatter: scanning throws in visit order and appending at each
+  // bin's cursor preserves, per bin, exactly the scalar candidate order.
   std::size_t bucket = 0;
   for (std::size_t idx = 0; idx < nu; ++idx) {
     while (idx >= bucket_ends_[bucket]) ++bucket;
     const std::uint32_t bin = choices[idx];
-    if (bin < bin_begin || bin >= bin_end) continue;
     const std::uint32_t pos = counts_[bin]++;
     cand_bucket_[pos] = static_cast<std::uint32_t>(bucket);
     if (tracing) rank_scratch_[idx] = pos - starts_[bin];
   }
 
-  accept_range(shard, bin_begin, bin_end);
-}
-
-void Capped::accept_range(std::size_t shard, std::uint32_t bin_begin,
-                          std::uint32_t bin_end) {
   // Cache-linear acceptance: each bin takes the first min{c−ℓ, ν_bin}
   // candidates of its segment; the rest count as per-bucket rejections.
+  const std::uint32_t n = config_.n;
   std::uint64_t accepted = 0;
-  std::uint64_t* rejected = rejected_.data() + shard * bucket_labels_.size();
   if (infinite()) {
-    for (std::uint32_t bin = bin_begin; bin < bin_end; ++bin) {
+    for (std::uint32_t bin = 0; bin < n; ++bin) {
       const std::uint32_t seg_begin = starts_[bin];
       const std::uint32_t seg_end = starts_[bin + 1];
       if (seg_begin == seg_end) continue;
@@ -782,244 +778,334 @@ void Capped::accept_range(std::size_t shard, std::uint32_t bin_begin,
       });
       accepted += seg_end - seg_begin;
     }
-  } else {
-    const std::uint32_t cap = config_.capacity;
-    const std::uint32_t* packed = bounded_->packed();
-    for (std::uint32_t bin = bin_begin; bin < bin_end; ++bin) {
-      const std::uint32_t seg_begin = starts_[bin];
-      const std::uint32_t seg_end = starts_[bin + 1];
-      if (seg_begin == seg_end) continue;
-      const std::uint32_t count = seg_end - seg_begin;
-      const std::uint32_t size = packed[bin] & queueing::BinTable::kSizeMask;
-      // A degraded bin's effective capacity can sit below its current
-      // load (balls accepted before the degradation stay put), so the
-      // subtraction must saturate.
-      const std::uint32_t cap_b = faults_round_ ? fault_caps_[bin] : cap;
-      const std::uint32_t free = size < cap_b ? cap_b - size : 0;
-      const std::uint32_t take = count < free ? count : free;
-      if (take > 0) {
-        bounded_->push_bulk(bin, take, [&](std::uint32_t k) {
-          return bucket_labels_[cand_bucket_[seg_begin + k]];
-        });
-      }
-      for (std::uint32_t k = take; k < count; ++k) {
-        ++rejected[cand_bucket_[seg_begin + k]];
-      }
-      accepted += take;
-    }
+    return accepted;
   }
-  shard_accepted_[shard] = accepted;
-  shard_load_delta_[shard] = static_cast<std::int64_t>(accepted);
+  const std::uint32_t cap = config_.capacity;
+  const std::uint32_t* packed = bounded_->packed();
+  for (std::uint32_t bin = 0; bin < n; ++bin) {
+    const std::uint32_t seg_begin = starts_[bin];
+    const std::uint32_t seg_end = starts_[bin + 1];
+    if (seg_begin == seg_end) continue;
+    const std::uint32_t count = seg_end - seg_begin;
+    const std::uint32_t size = packed[bin] & queueing::BinTable::kSizeMask;
+    // A degraded bin's effective capacity can sit below its current
+    // load (balls accepted before the degradation stay put), so the
+    // subtraction must saturate.
+    const std::uint32_t cap_b = faults_round_ ? fault_caps_[bin] : cap;
+    const std::uint32_t free = size < cap_b ? cap_b - size : 0;
+    const std::uint32_t take = count < free ? count : free;
+    if (take > 0) {
+      bounded_->push_bulk(bin, take, [&](std::uint32_t k) {
+        return bucket_labels_[cand_bucket_[seg_begin + k]];
+      });
+    }
+    for (std::uint32_t k = take; k < count; ++k) {
+      ++rejected_[cand_bucket_[seg_begin + k]];
+    }
+    accepted += take;
+  }
+  return accepted;
 }
 
-// Parallel counting sort across shards, replacing the old scheme where
-// every shard re-scanned all ν throws twice (count + scatter) to pick
-// out its own bins — serial work in disguise. Here each shard scans only
-// its 1/S slice of the throws:
+// Fused round kernel for the common configuration: finite capacity, no
+// ball tracer. A flat counting sort over n = 10^6 bins random-accesses
+// multi-megabyte cursor arrays and loses to the scalar loop on cache
+// misses, so the kernel works in two cache-resident levels instead, and
+// splits both over the shard pool:
 //
-//   1. count its slice's throws per destination bin *range* (S² counters
-//      total — micro);
-//   2. barrier + serial S² prefix over those counters: every (slice,
-//      range) pair gets a disjoint cursor into a staging array laid out
-//      range-major, slices in order within a range;
-//   3. scatter its slice into the staging array as (bin << 32 | bucket)
-//      records. Within a range's staging segment, records are ordered by
-//      (slice, throw index) = global throw order — the scatter is stable;
-//   4. barrier; then each shard owns its range's contiguous staging
-//      segment and runs a private counting sort over it into the global
-//      counts_/starts_/cand_bucket_ arrays, offset by the segment start.
+//   Pass A partitions throws into contiguous 8192-bin chunks. Shard s
+//   takes the s-th contiguous slice of the throws (pool buckets are
+//   contiguous index ranges in visit order), appends each throw's 13-bit
+//   local bin offset to its (chunk, slice) stream, and closes every
+//   bucket the slice spans with one sentinel per chunk. A chunk's streams
+//   lie in slice order, so reading them in turn visits the chunk's
+//   throws in (bucket, throw-index) order — the scalar visit order — and
+//   the bucket of an entry is implied by its sentinel-delimited segment
+//   instead of being stored per throw.
 //
-// The arrays produced are byte-identical to the serial partition (proof:
-// starts_[bin] = #throws to lower bins globally, since ranges are bin-
-// ordered and segments are throw-ordered), so the acceptance pass — and
-// every downstream byte — cannot tell which partition built them.
-void Capped::partition_choices_parallel(
-    std::span<const std::uint32_t> choices, bool tracing) {
-  const std::uint32_t n = config_.n;
-  const std::uint32_t shards = config_.shards;
-  const std::size_t nu = choices.size();
-  const std::size_t s_sq = static_cast<std::size_t>(shards) * shards;
-
-  // Inverse of parallel_for_ranges' partition: bin → its range index.
-  // The first `rem` ranges have base+1 bins, the rest have base (when
-  // shards > n, base is 0 and every existing bin sits alone in range
-  // `bin`, dividing by base+1 — never by zero).
-  const std::size_t base = static_cast<std::size_t>(n) / shards;
-  const std::size_t rem = static_cast<std::size_t>(n) % shards;
-  const std::size_t wide_end = rem * (base + 1);
-  const auto range_of = [base, rem, wide_end](std::uint32_t bin) noexcept {
-    return bin < wide_end
-               ? static_cast<std::size_t>(bin) / (base + 1)
-               : rem + (static_cast<std::size_t>(bin) - wide_end) / base;
-  };
-
-  // Phase 1: per-(slice, range) counts.
-  range_count_.assign(s_sq, 0);
-  run_sharded_items(nu, [&](std::size_t slice, std::size_t lo,
-                            std::size_t hi) {
-    std::uint64_t* slice_counts = range_count_.data() + slice * shards;
-    for (std::size_t i = lo; i < hi; ++i) {
-      ++slice_counts[range_of(choices[i])];
-    }
-  });
-
-  // Phase 2: serial S² prefix — staging cursors and segment bounds.
-  range_cursor_.resize(s_sq);
-  range_base_.assign(static_cast<std::size_t>(shards) + 1, 0);
-  std::uint64_t acc = 0;
-  for (std::uint32_t r = 0; r < shards; ++r) {
-    range_base_[r] = acc;
-    for (std::uint32_t s = 0; s < shards; ++s) {
-      range_cursor_[static_cast<std::size_t>(s) * shards + r] = acc;
-      acc += range_count_[static_cast<std::size_t>(s) * shards + r];
-    }
-  }
-  range_base_[shards] = acc;
-  IBA_ASSERT(acc == nu);
-
-  // Phase 3: stage each slice's throws per destination range.
-  staged_.resize(nu);
-  if (tracing) staged_idx_.resize(nu);
-  run_sharded_items(nu, [&](std::size_t slice, std::size_t lo,
-                            std::size_t hi) {
-    std::uint64_t* cursor = range_cursor_.data() + slice * shards;
-    // Bucket of the slice's first throw; then a monotone cursor, exactly
-    // the serial scan's bucket walk.
-    std::size_t bucket = static_cast<std::size_t>(
-        std::upper_bound(bucket_ends_.begin(), bucket_ends_.end(), lo) -
-        bucket_ends_.begin());
-    for (std::size_t idx = lo; idx < hi; ++idx) {
-      while (idx >= bucket_ends_[bucket]) ++bucket;
-      const std::uint32_t bin = choices[idx];
-      const std::uint64_t pos = cursor[range_of(bin)]++;
-      staged_[pos] = (static_cast<std::uint64_t>(bin) << 32) |
-                     static_cast<std::uint64_t>(bucket);
-      if (tracing) staged_idx_[pos] = static_cast<std::uint32_t>(idx);
-    }
-  });
-
-  // Phase 4: per-range private counting sort into the global arrays.
-  run_sharded([&](std::size_t r, std::size_t lo, std::size_t hi) {
-    std::uint32_t* const counts = counts_.data();
-    std::uint32_t* const starts = starts_.data();
-    std::fill(counts + lo, counts + hi, 0u);
-    const std::uint64_t seg_lo = range_base_[r];
-    const std::uint64_t seg_hi = range_base_[r + 1];
-    for (std::uint64_t p = seg_lo; p < seg_hi; ++p) {
-      ++counts[staged_[p] >> 32];
-    }
-    std::uint32_t running = static_cast<std::uint32_t>(seg_lo);
-    for (std::size_t bin = lo; bin < hi; ++bin) {
-      starts[bin] = running;
-      running += counts[bin];
-      counts[bin] = starts[bin];
-    }
-    for (std::uint64_t p = seg_lo; p < seg_hi; ++p) {
-      const std::uint64_t record = staged_[p];
-      const std::uint32_t bin = static_cast<std::uint32_t>(record >> 32);
-      const std::uint32_t pos = counts[bin]++;
-      cand_bucket_[pos] = static_cast<std::uint32_t>(record);
-      if (tracing) rank_scratch_[staged_idx_[p]] = pos - starts[bin];
-    }
-  });
-  starts_[n] = static_cast<std::uint32_t>(nu);
-}
-
-// Fused round kernel for the common configuration: finite capacity, one
-// shard, no ball tracer. A flat counting sort over n = 10^6 bins
-// random-accesses multi-megabyte cursor arrays and loses to the scalar
-// loop on cache misses, so the kernel works in two cache-resident levels
-// instead:
+//   Pass B gives shard t a contiguous run of whole chunks. Per chunk it
+//   first replays acceptance: each candidate is accepted iff its bin has
+//   room at its turn, exactly the scalar rule, with the chunk's bin state
+//   (sizes, heads, labels) L1/L2-resident. It then runs the delete walk
+//   over the same chunk's bins while they are still hot. Accepted counts,
+//   per-bucket rejections, waits, load stats and drained labels go to the
+//   shard's private SweepShard; all are exact integers (see
+//   WaitRecorder), so merging them in shard order equals the scalar
+//   path's end-of-round stream bit for bit.
 //
-//   Pass A partitions throws into contiguous 4096-bin chunks. The scan
-//   runs bucket-by-bucket (pool buckets are contiguous index ranges in
-//   visit order), appending each throw's 12-bit local bin offset to its
-//   chunk's stream and closing every bucket with one sentinel per chunk.
-//   Each chunk stream is therefore in (bucket, throw-index) order — the
-//   scalar visit order — and the bucket of an entry is implied by its
-//   sentinel-delimited segment instead of being stored per throw.
-//
-//   Pass B walks chunks in ascending bin order. It first replays
-//   acceptance: each candidate is accepted iff its bin has room at its
-//   turn, exactly the scalar rule, with the chunk's bin state (sizes,
-//   heads, labels) L1/L2-resident. It then runs the delete walk over the
-//   same chunk's bins while they are still hot, drawing failure coins and
-//   uniform positions in ascending bin order — the scalar engine
-//   sequence — and recording waits inline (the integer wait accumulator
-//   is order-independent, so mid-sweep recording equals the scalar
-//   path's end-of-round stream bit for bit).
+// Configurations that draw from the engine per bin (failure coins,
+// uniform deletion) must draw in ascending bin order: with more than one
+// shard their delete walk runs after the parallel acceptance, serially
+// over all bins on the calling thread.
 //
 // Outcome, RNG consumption and metrics are byte-identical to the scalar
-// path; only the memory access order differs.
+// path for every shard count; only the memory access order differs.
 bool Capped::round_fused(std::span<const std::uint32_t> choices,
                          RoundMetrics& m) {
   const std::uint32_t n = config_.n;
   const std::size_t nu = choices.size();
   flatten_pool_buckets(nu);
   const std::size_t n_buckets = bucket_labels_.size();
-
-  constexpr std::uint32_t kChunkBits = 13;  // 8192 bins per chunk
-  const std::uint32_t chunk_width = 1u << kChunkBits;
-  const std::uint32_t n_chunks = (n + chunk_width - 1) >> kChunkBits;
-  constexpr std::uint16_t kSentinel = 0xFFFF;
+  const std::uint32_t n_chunks = chunk_count(n);
 
   // One sentinel per (bucket, chunk): bail to the flat path if the pool's
   // age spread would make that overhead comparable to the throws
   // themselves (does not happen in steady state).
-  const std::size_t sentinels =
-      n_buckets * static_cast<std::size_t>(n_chunks);
-  if (sentinels > nu / 2 + 1024) return false;
+  if (n_buckets * static_cast<std::size_t>(n_chunks) > nu / 2 + 1024) {
+    return false;
+  }
 
   // The sweep interleaves acceptance and deletion per chunk, so phase
-  // attribution is done here: delete-walk time is accumulated per chunk
-  // and subtracted from the sweep total, giving consistent kAccept /
-  // kDelete booking across all kernels. No clock reads without a sink.
+  // attribution is done here (no clock reads without a sink): each shard
+  // times its delete walks and its whole Pass B, and Pass B's wall time
+  // is split between kAccept and kDelete in that ratio.
   const bool timing = timers_ != nullptr;
-  std::uint64_t delete_ns = 0;
   std::chrono::steady_clock::time_point t_sweep;
   if (timing) t_sweep = std::chrono::steady_clock::now();
 
-  // Pass A: per-chunk counts, prefix, then the bucket-major partition.
-  chunk_counts_.assign(n_chunks, 0);
-  for (std::size_t i = 0; i < nu; ++i) {
-    ++chunk_counts_[choices[i] >> kChunkBits];
-  }
-  chunk_cursor_.resize(n_chunks);
-  std::uint32_t run = 0;
+  // Pass A: per-(slice, chunk) counts and each slice's bucket span, an
+  // exclusive prefix in (chunk, slice) order that turns the counts into
+  // stream cursors, then the sliced bucket-major partition.
+  const std::size_t shards = config_.shards;
+  const std::size_t row = cursor_row(n_chunks);
+  slice_cursor_.assign(shards * row, 0);
+  slice_buckets_.assign(2 * shards, 0);
+  for_shards(nu, [&](std::size_t s, std::size_t lo, std::size_t hi) {
+    if (lo == hi) return;
+    std::uint64_t* const counts = slice_cursor_.data() + s * row;
+    for (std::size_t i = lo; i < hi; ++i) ++counts[choices[i] >> kChunkBits];
+    // Buckets holding throws lo and hi - 1 (bucket_ends_ is strictly
+    // increasing: pool buckets are never empty).
+    const auto bucket_of = [this](std::size_t idx) {
+      return static_cast<std::size_t>(
+          std::upper_bound(bucket_ends_.begin(), bucket_ends_.end(), idx) -
+          bucket_ends_.begin());
+    };
+    slice_buckets_[2 * s] = bucket_of(lo);
+    slice_buckets_[2 * s + 1] = bucket_of(hi - 1) + 1;
+  });
+  chunk_begin_.resize(static_cast<std::size_t>(n_chunks) + 1);
+  std::uint64_t run = 0;
   for (std::uint32_t c = 0; c < n_chunks; ++c) {
-    chunk_cursor_[c] = run;
-    run += chunk_counts_[c] + static_cast<std::uint32_t>(n_buckets);
+    chunk_begin_[c] = run;
+    for (std::size_t s = 0; s < shards; ++s) {
+      std::uint64_t& cell = slice_cursor_[s * row + c];
+      const std::uint64_t count = cell;
+      cell = run;
+      run += count + (slice_buckets_[2 * s + 1] - slice_buckets_[2 * s]);
+    }
   }
+  chunk_begin_[n_chunks] = run;
   // The kPrefetchDist slack keeps the replay loop's look-ahead read in
   // bounds; stale values there are harmless (the prefetched address is
   // masked into the chunk and never dereferenced architecturally).
-  constexpr std::size_t kPrefetchDist = 24;
-  part16_.resize(nu + sentinels + kPrefetchDist);
-  {
-    std::size_t idx = 0;
-    for (std::size_t b = 0; b < n_buckets; ++b) {
-      const std::uint64_t b_end = bucket_ends_[b];
+  part16_.resize(run + kPrefetchDist);
+  for_shards(nu, [&](std::size_t s, std::size_t lo, std::size_t hi) {
+    if (lo == hi) return;
+    std::uint64_t* const cursor = slice_cursor_.data() + s * row;
+    std::uint16_t* const out = part16_.data();
+    std::size_t idx = lo;
+    for (std::size_t b = slice_buckets_[2 * s]; b < slice_buckets_[2 * s + 1];
+         ++b) {
+      const std::size_t b_end =
+          std::min(static_cast<std::size_t>(bucket_ends_[b]), hi);
       for (; idx < b_end; ++idx) {
         const std::uint32_t bin = choices[idx];
-        part16_[chunk_cursor_[bin >> kChunkBits]++] =
-            static_cast<std::uint16_t>(bin & (chunk_width - 1));
+        out[cursor[bin >> kChunkBits]++] =
+            static_cast<std::uint16_t>(bin & (kChunkWidth - 1));
       }
       for (std::uint32_t c = 0; c < n_chunks; ++c) {
-        part16_[chunk_cursor_[c]++] = kSentinel;
+        out[cursor[c]++] = kSentinel;
       }
     }
-    IBA_ASSERT(idx == nu);
+    IBA_ASSERT(idx == hi);
+  });
+
+  // Pass B. Engine-drawing delete walks stay in bin order: inline when
+  // one shard walks every chunk in turn, else after the parallel sweep.
+  sweep_.resize(shards);
+  for (SweepShard& acc : sweep_) {
+    acc.accepted = acc.deleted = acc.wait_sum = acc.wait_max = 0;
+    acc.max_load = acc.empty_bins = acc.busy_ns = acc.delete_ns = 0;
+    acc.rejected.assign(n_buckets, 0);
+    acc.requeued.clear();
+    acc.waits.reset();
+  }
+  const bool draws = config_.failure_probability > 0.0 ||
+                     config_.deletion == DeletionDiscipline::kUniform;
+  const bool inline_delete = !draws || shards == 1;
+  std::chrono::steady_clock::time_point t_pass_b;
+  if (timing) t_pass_b = std::chrono::steady_clock::now();
+  for_shards(n_chunks, [&](std::size_t t, std::size_t lo, std::size_t hi) {
+    sweep_chunks(sweep_[t], static_cast<std::uint32_t>(lo),
+                 static_cast<std::uint32_t>(hi), inline_delete);
+  });
+  std::uint64_t delete_ns = 0;
+  if (timing) {
+    // Pass B wall time, split in the shards' delete/busy ratio.
+    std::uint64_t busy = 0;
+    for (const SweepShard& acc : sweep_) {
+      busy += acc.busy_ns;
+      delete_ns += acc.delete_ns;
+    }
+    const auto wall = static_cast<double>(elapsed_ns(t_pass_b));
+    delete_ns = busy == 0 ? 0
+                          : static_cast<std::uint64_t>(
+                                wall * static_cast<double>(delete_ns) /
+                                static_cast<double>(busy));
+  }
+  if (!inline_delete) {
+    std::chrono::steady_clock::time_point t_del;
+    if (timing) t_del = std::chrono::steady_clock::now();
+    delete_bins(sweep_[0], 0, n);
+    if (timing) delete_ns += elapsed_ns(t_del);
   }
 
-  // Pass B: replay acceptance, then delete, chunk by chunk, on raw
-  // views of the bin arrays. total_load_ is committed once at the end of
-  // the sweep: the per-push/pop read-modify-write of one shared counter
-  // is a store-to-load-forwarding chain that throttles both loops.
-  rejected_.assign(n_buckets, 0);
+  // Merge the shards in order.
+  std::uint64_t accepted = 0;
+  std::uint64_t requeued = 0;
+  std::uint64_t wait_sum = 0;
+  std::uint64_t max_load = 0;
+  std::uint64_t empty_bins = 0;
+  for (const SweepShard& acc : sweep_) {
+    accepted += acc.accepted;
+    m.deleted += acc.deleted;
+    wait_sum += acc.wait_sum;
+    m.wait_max = std::max(m.wait_max, acc.wait_max);
+    max_load = std::max(max_load, acc.max_load);
+    empty_bins += acc.empty_bins;
+    waits_.merge(acc.waits);
+    for (const std::uint64_t label : acc.requeued) ++requeue_[label];
+    requeued += acc.requeued.size();
+  }
+  m.accepted = accepted;
+  m.wait_count = m.deleted;
+  // Per-round wait sums are far below 2^53, so the double equals the
+  // scalar path's per-ball accumulation exactly.
+  m.wait_sum = static_cast<double>(wait_sum);
+  m.requeued = requeued;
+  bounded_->adjust_total_load(static_cast<std::int64_t>(accepted) -
+                              static_cast<std::int64_t>(m.deleted) -
+                              static_cast<std::int64_t>(requeued));
+  m.total_load = bounded_->total_load();
+  m.max_load = max_load;
+  m.empty_bins = empty_bins;
+
+  // Survivors re-added oldest-first (AgedPool's label-order invariant).
+  const bool forward = config_.acceptance == AcceptanceOrder::kOldestFirst;
+  survivors_.clear();
+  for (std::size_t i = 0; i < n_buckets; ++i) {
+    const std::size_t b = forward ? i : n_buckets - 1 - i;
+    std::uint64_t rejected = 0;
+    for (const SweepShard& acc : sweep_) rejected += acc.rejected[b];
+    survivors_.add(bucket_labels_[b], rejected);
+  }
+  pool_.swap(survivors_);
+
+  if (timing) {
+    const std::uint64_t total_ns = elapsed_ns(t_sweep);
+    const std::uint64_t accept_ns =
+        total_ns > delete_ns ? total_ns - delete_ns : 0;
+    timers_->add(telemetry::Phase::kAccept, accept_ns, m.thrown);
+    timers_->add(telemetry::Phase::kDelete, delete_ns, m.deleted);
+  }
+  return true;
+}
+
+void Capped::sweep_chunks(SweepShard& acc, std::uint32_t chunk_begin,
+                          std::uint32_t chunk_end, bool with_delete) {
+  const bool timing = timers_ != nullptr;
+  std::chrono::steady_clock::time_point t_busy;
+  if (timing) t_busy = std::chrono::steady_clock::now();
+
+  const std::uint32_t n = config_.n;
+  const std::size_t shards = config_.shards;
+  const std::size_t row = cursor_row(chunk_count(n));
+  const std::size_t n_buckets = bucket_labels_.size();
   // Acceptance bounds by the logical capacity; slot arithmetic uses the
   // storage capacity, which can be wider after a controller shrink (the
   // storage never narrows — spare slots are simply unused).
   const std::uint32_t cap = config_.capacity;
+  const std::uint32_t storage = bounded_->capacity();
+  const bool faults = faults_round_;
+  std::uint32_t* const hs_arr = bounded_->packed_mut();
+  std::uint64_t* const lb = bounded_->labels_mut();
+  const std::uint16_t* const part = part16_.data();
+  std::uint64_t* const rejected = acc.rejected.data();
+  constexpr std::uint32_t kSizeMask = queueing::BinTable::kSizeMask;
+  constexpr std::uint32_t kHeadShift = queueing::BinTable::kHeadShift;
+  std::uint64_t accepted = 0;
+  std::size_t p = chunk_begin_[chunk_begin];  // chunk streams are contiguous
+  for (std::uint32_t c = chunk_begin; c < chunk_end; ++c) {
+    const std::uint32_t bin_lo = c << kChunkBits;
+    const std::uint32_t bin_hi = std::min(n, bin_lo + kChunkWidth);
+
+    // Acceptance replay in visit order, one slice stream after another.
+    // The replay touches bin state in random order, but only within this
+    // chunk's cache-resident slice of the cursor and label arrays, so the
+    // loads hit L1/L2 instead of paying a full random-access miss per
+    // candidate.
+    for (std::size_t s = 0; s < shards; ++s) {
+      const std::size_t stream_end = slice_cursor_[s * row + c];
+      std::size_t b = slice_buckets_[2 * s];
+      std::uint64_t label = b < n_buckets ? bucket_labels_[b] : 0;
+      std::uint64_t rej = 0;
+      for (; p < stream_end; ++p) {
+        const std::uint32_t v = part[p];
+        // Software prefetch kPrefetchDist entries ahead: the replay's only
+        // cold loads are the cursor word and label line of the upcoming
+        // bins. Sentinels and the tail slack read garbage offsets — the
+        // mask and clamp keep the hinted address inside the chunk, and a
+        // useless hint costs nothing measurable.
+        {
+          const std::uint32_t ahead =
+              part[p + kPrefetchDist] & (kChunkWidth - 1);
+          const std::uint32_t pf_bin = std::min(bin_hi - 1, bin_lo + ahead);
+          prefetch_rw(hs_arr + pf_bin);
+          prefetch_rw(lb + static_cast<std::size_t>(pf_bin) * storage);
+        }
+        if (v == kSentinel) [[unlikely]] {
+          // Bucket b has no further throws in this (chunk, slice).
+          rejected[b] += rej;
+          rej = 0;
+          ++b;
+          if (b < n_buckets) label = bucket_labels_[b];
+          continue;
+        }
+        const std::uint32_t bin = bin_lo + v;
+        const std::uint32_t hs = hs_arr[bin];
+        const std::uint32_t load = hs & kSizeMask;
+        const std::uint32_t cap_b = faults ? fault_caps_[bin] : cap;
+        if (load < cap_b) {
+          std::uint32_t slot = (hs >> kHeadShift) + load;
+          if (slot >= storage) slot -= storage;
+          lb[static_cast<std::size_t>(bin) * storage + slot] = label;
+          hs_arr[bin] = hs + 1;
+          ++accepted;
+        } else {
+          ++rej;
+        }
+      }
+      IBA_ASSERT(b == slice_buckets_[2 * s + 1] && rej == 0);
+    }
+
+    if (with_delete) {
+      std::chrono::steady_clock::time_point t_del;
+      if (timing) t_del = std::chrono::steady_clock::now();
+      delete_bins(acc, bin_lo, bin_hi);
+      if (timing) acc.delete_ns += elapsed_ns(t_del);
+    }
+  }
+  acc.accepted += accepted;
+  if (timing) acc.busy_ns += elapsed_ns(t_busy);
+}
+
+// The fused sweep's delete walk. Waits are recorded inline into the
+// shard's recorder: the integer wait accumulator is order-independent,
+// so mid-sweep recording matches the scalar path's end-of-round stream
+// bit for bit.
+void Capped::delete_bins(SweepShard& acc, std::uint32_t bin_begin,
+                         std::uint32_t bin_end) {
   const std::uint32_t storage = bounded_->capacity();
   const bool faults = faults_round_;
   const bool failures = config_.failure_probability > 0.0;
@@ -1030,203 +1116,100 @@ bool Capped::round_fused(std::span<const std::uint32_t> choices,
   std::uint64_t* const lb = bounded_->labels_mut();
   constexpr std::uint32_t kSizeMask = queueing::BinTable::kSizeMask;
   constexpr std::uint32_t kHeadShift = queueing::BinTable::kHeadShift;
-  std::uint64_t accepted = 0;
-  std::uint64_t max_load = 0;
-  std::uint64_t empty_bins = 0;
-  std::uint64_t wait_count = 0;
+  WaitRecorder& waits = acc.waits;
+  std::uint64_t max_load = acc.max_load;
+  std::uint64_t empty_bins = acc.empty_bins;
+  std::uint64_t deleted = 0;
   std::uint64_t wait_sum = 0;
-  std::uint64_t wait_max = 0;
-  std::uint64_t requeued_balls = 0;
-  std::size_t p = 0;  // chunk streams are contiguous in part16_
-  for (std::uint32_t c = 0; c < n_chunks; ++c) {
-    const std::uint32_t bin_lo = c << kChunkBits;
-    const std::uint32_t bin_hi = std::min(n, bin_lo + chunk_width);
-    const std::size_t chunk_end = chunk_cursor_[c];
-
-    // Acceptance replay in visit order. The replay touches bin state in
-    // random order, but only within this chunk's cache-resident slice of
-    // the cursor and label arrays, so the loads hit L1/L2 instead of
-    // paying a full random-access miss per candidate.
-    std::size_t b = 0;
-    std::uint64_t label = n_buckets > 0 ? bucket_labels_[0] : 0;
-    std::uint64_t rej = 0;
-    for (; p < chunk_end; ++p) {
-      const std::uint32_t v = part16_[p];
-      // Software prefetch kPrefetchDist entries ahead: the replay's only
-      // cold loads are the cursor word and label line of the upcoming
-      // bins. Sentinels and the tail slack read garbage offsets — the
-      // mask and clamp keep the hinted address inside the arrays, and a
-      // useless hint costs nothing measurable.
-      {
-        const std::uint32_t ahead =
-            part16_[p + kPrefetchDist] & (chunk_width - 1);
-        const std::uint32_t pf_bin = std::min(n - 1, bin_lo + ahead);
-        prefetch_rw(hs_arr + pf_bin);
-        prefetch_rw(lb + static_cast<std::size_t>(pf_bin) * storage);
-      }
-      if (v == kSentinel) [[unlikely]] {
-        // Bucket b has no further throws in this chunk.
-        rejected_[b] += rej;
-        rej = 0;
-        ++b;
-        if (b < n_buckets) label = bucket_labels_[b];
-        continue;
-      }
-      const std::uint32_t bin = bin_lo + v;
+  std::uint64_t wait_max = acc.wait_max;
+  const auto drain = [&](std::uint32_t bin) {
+    bounded_->drain_bulk(
+        bin, [&](std::uint64_t label) { acc.requeued.push_back(label); });
+    ++empty_bins;
+  };
+  if (!failures && !faults && discipline != DeletionDiscipline::kUniform) {
+    // Failure-free FIFO/LIFO: no engine draws, lean raw-array loop.
+    const bool lifo = discipline == DeletionDiscipline::kLifo;
+    for (std::uint32_t bin = bin_begin; bin < bin_end; ++bin) {
       const std::uint32_t hs = hs_arr[bin];
       const std::uint32_t load = hs & kSizeMask;
-      // Acceptance is bounded by the round's effective capacity; slot
-      // arithmetic still uses the storage capacity `cap`.
-      const std::uint32_t cap_b = faults ? fault_caps_[bin] : cap;
-      if (load < cap_b) {
-        std::uint32_t slot = (hs >> kHeadShift) + load;
+      if (load == 0) {
+        ++empty_bins;
+        continue;
+      }
+      const std::size_t base = static_cast<std::size_t>(bin) * storage;
+      const std::uint32_t head = hs >> kHeadShift;
+      std::uint64_t served;
+      if (lifo) {
+        std::uint32_t slot = head + load - 1;
         if (slot >= storage) slot -= storage;
-        lb[static_cast<std::size_t>(bin) * storage + slot] = label;
-        hs_arr[bin] = hs + 1;
-        ++accepted;
+        served = lb[base + slot];
+        hs_arr[bin] = hs - 1;  // head unchanged, size - 1
       } else {
-        ++rej;
+        served = lb[base + head];
+        const std::uint32_t next = head + 1 == storage ? 0 : head + 1;
+        hs_arr[bin] = (next << kHeadShift) | (load - 1);
       }
+      const std::uint64_t wait = round_ - served;
+      waits.record(wait);
+      ++deleted;
+      wait_sum += wait;
+      if (wait > wait_max) wait_max = wait;
+      empty_bins += static_cast<std::uint64_t>(load == 1);
+      if (load - 1 > max_load) max_load = load - 1;
     }
-    IBA_ASSERT(b == n_buckets && rej == 0);
-
-    std::chrono::steady_clock::time_point t_del;
-    if (timing) t_del = std::chrono::steady_clock::now();
-
-    // Delete walk over this chunk's bins while their state is hot.
-    // Waits are recorded inline: the integer wait accumulator is
-    // order-independent, so mid-sweep recording matches the scalar
-    // path's end-of-round stream bit for bit.
-    if (!failures && !faults && discipline != DeletionDiscipline::kUniform) {
-      // Failure-free FIFO/LIFO: no engine draws, lean raw-array loop.
-      const bool lifo = discipline == DeletionDiscipline::kLifo;
-      for (std::uint32_t bin = bin_lo; bin < bin_hi; ++bin) {
-        const std::uint32_t hs = hs_arr[bin];
-        const std::uint32_t load = hs & kSizeMask;
-        if (load == 0) {
-          ++empty_bins;
-          continue;
-        }
-        const std::size_t base = static_cast<std::size_t>(bin) * storage;
-        const std::uint32_t head = hs >> kHeadShift;
-        std::uint64_t served;
-        if (lifo) {
-          std::uint32_t slot = head + load - 1;
-          if (slot >= storage) slot -= storage;
-          served = lb[base + slot];
-          hs_arr[bin] = hs - 1;  // head unchanged, size - 1
-        } else {
-          served = lb[base + head];
-          const std::uint32_t next = head + 1 == storage ? 0 : head + 1;
-          hs_arr[bin] = (next << kHeadShift) | (load - 1);
-        }
-        const std::uint64_t wait = round_ - served;
-        waits_.record(wait);
-        ++wait_count;
-        wait_sum += wait;
-        if (wait > wait_max) wait_max = wait;
-        empty_bins += static_cast<std::uint64_t>(load == 1);
-        if (load - 1 > max_load) max_load = load - 1;
+  } else {
+    // Faults, failures and/or uniform service: per-bin coin/position
+    // draws in bin order, exactly the scalar path's engine consumption.
+    for (std::uint32_t bin = bin_begin; bin < bin_end; ++bin) {
+      const std::uint32_t load = hs_arr[bin] & kSizeMask;
+      if (load == 0) {
+        ++empty_bins;
+        continue;
       }
-    } else {
-      // Failures and/or uniform service: per-bin coin/position draws in
-      // bin order, exactly the scalar path's engine consumption.
-      for (std::uint32_t bin = bin_lo; bin < bin_hi; ++bin) {
-        const std::uint32_t load = hs_arr[bin] & kSizeMask;
-        if (load == 0) {
-          ++empty_bins;
-          continue;
+      if (faults && (fault_flags_[bin] & FaultFlags::kNoServe) != 0) {
+        if ((fault_flags_[bin] & FaultFlags::kDrain) != 0) {
+          drain(bin);
+        } else if (load > max_load) {
+          max_load = load;
         }
-        if (faults && (fault_flags_[bin] & FaultFlags::kNoServe) != 0) {
-          if ((fault_flags_[bin] & FaultFlags::kDrain) != 0) {
-            bounded_->drain_bulk(bin, [&](std::uint64_t crashed) {
-              ++requeue_[crashed];
-              ++m.requeued;
-            });
-            requeued_balls += load;
-            ++empty_bins;
-          } else if (load > max_load) {
-            max_load = load;
-          }
-          continue;  // faulted bins draw no failure coin (see above)
-        }
-        if (failures && rng::uniform01(engine_) < p_fail) {
-          if (crash) {
-            bounded_->drain_bulk(bin, [&](std::uint64_t crashed) {
-              ++requeue_[crashed];
-              ++m.requeued;
-            });
-            requeued_balls += load;
-            ++empty_bins;
-          } else if (load > max_load) {
-            max_load = load;
-          }
-          continue;
-        }
-        std::uint64_t served;
-        switch (discipline) {
-          case DeletionDiscipline::kLifo:
-            served = bounded_->remove_at(bin, load - 1);
-            break;
-          case DeletionDiscipline::kUniform:
-            served = bounded_->remove_at(bin, rng::bounded32(engine_, load));
-            break;
-          case DeletionDiscipline::kFifo:
-          default:
-            served = bounded_->remove_at(bin, 0);
-            break;
-        }
-        const std::uint64_t wait = round_ - served;
-        waits_.record(wait);
-        ++wait_count;
-        wait_sum += wait;
-        if (wait > wait_max) wait_max = wait;
-        empty_bins += static_cast<std::uint64_t>(load == 1);
-        if (load - 1 > max_load) max_load = load - 1;
+        continue;  // faulted bins draw no failure coin (see delete_scalar)
       }
-    }
-    if (timing) {
-      delete_ns += static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - t_del)
-              .count());
+      if (failures && rng::uniform01(engine_) < p_fail) {
+        if (crash) {
+          drain(bin);
+        } else if (load > max_load) {
+          max_load = load;
+        }
+        continue;
+      }
+      std::uint64_t served;
+      switch (discipline) {
+        case DeletionDiscipline::kLifo:
+          served = bounded_->remove_at(bin, load - 1);
+          break;
+        case DeletionDiscipline::kUniform:
+          served = bounded_->remove_at(bin, rng::bounded32(engine_, load));
+          break;
+        case DeletionDiscipline::kFifo:
+        default:
+          served = bounded_->remove_at(bin, 0);
+          break;
+      }
+      const std::uint64_t wait = round_ - served;
+      waits.record(wait);
+      ++deleted;
+      wait_sum += wait;
+      if (wait > wait_max) wait_max = wait;
+      empty_bins += static_cast<std::uint64_t>(load == 1);
+      if (load - 1 > max_load) max_load = load - 1;
     }
   }
-
-  m.accepted = accepted;
-  m.deleted = wait_count;
-  m.wait_count = wait_count;
-  // Per-round wait sums are far below 2^53, so the double equals the
-  // scalar path's per-ball accumulation exactly.
-  m.wait_sum = static_cast<double>(wait_sum);
-  m.wait_max = wait_max;
-  bounded_->adjust_total_load(static_cast<std::int64_t>(accepted) -
-                              static_cast<std::int64_t>(wait_count) -
-                              static_cast<std::int64_t>(requeued_balls));
-  m.total_load = bounded_->total_load();
-  m.max_load = max_load;
-  m.empty_bins = static_cast<std::uint32_t>(empty_bins);
-
-  // Survivors re-added oldest-first (AgedPool's label-order invariant).
-  const bool forward = config_.acceptance == AcceptanceOrder::kOldestFirst;
-  survivors_.clear();
-  for (std::size_t i = 0; i < n_buckets; ++i) {
-    const std::size_t bb = forward ? i : n_buckets - 1 - i;
-    survivors_.add(bucket_labels_[bb], rejected_[bb]);
-  }
-  pool_.swap(survivors_);
-
-  if (timing) {
-    const auto total_ns = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - t_sweep)
-            .count());
-    const std::uint64_t accept_ns =
-        total_ns > delete_ns ? total_ns - delete_ns : 0;
-    timers_->add(telemetry::Phase::kAccept, accept_ns, m.thrown);
-    timers_->add(telemetry::Phase::kDelete, delete_ns, m.deleted);
-  }
-  return true;
+  acc.deleted += deleted;
+  acc.wait_sum += wait_sum;
+  acc.wait_max = wait_max;
+  acc.max_load = max_load;
+  acc.empty_bins = empty_bins;
 }
 
 void Capped::emit_throw_traces(std::span<const std::uint32_t> choices) {
@@ -1257,135 +1240,13 @@ void Capped::emit_throw_traces(std::span<const std::uint32_t> choices) {
 #endif
 }
 
-// Sharded end-of-round service. Failure coins and uniform-deletion
-// positions are pre-sampled in bin order from the master engine — the
-// exact draw sequence of the scalar loop — so the RNG stream, and hence
-// every future round, is invariant in the shard count. Workers then pop
-// over disjoint bin ranges, and a sequential bin-order pass records
-// waits/requeues so even floating-point accumulation order matches.
-void Capped::delete_sharded(RoundMetrics& m) {
-  const std::uint32_t n = config_.n;
-  const std::uint32_t shards = config_.shards;
-  const bool failures = config_.failure_probability > 0.0;
-
-  delete_action_.assign(n, kActionNone);
-  delete_pos_.resize(n);
-  deleted_label_.resize(n);
-  for (std::uint32_t bin = 0; bin < n; ++bin) {
-    const std::uint64_t load =
-        infinite() ? unbounded_->load(bin) : bounded_->load(bin);
-    if (load == 0) continue;
-    if (faults_round_ &&
-        (fault_flags_[bin] & FaultFlags::kNoServe) != 0) {
-      // Faulted bins draw no failure coin (see delete_scalar); a
-      // state-loss crash reuses the kActionCrash drain machinery.
-      if ((fault_flags_[bin] & FaultFlags::kDrain) != 0) {
-        delete_action_[bin] = kActionCrash;
-      }
-      continue;
-    }
-    if (failures &&
-        rng::uniform01(engine_) < config_.failure_probability) {
-      if (config_.failure_mode == FailureMode::kCrashRequeue) {
-        delete_action_[bin] = kActionCrash;
-      }
-      continue;
-    }
-    delete_action_[bin] = kActionServe;
-    std::uint32_t pos = 0;
-    if (!infinite()) {
-      switch (config_.deletion) {
-        case DeletionDiscipline::kFifo:
-          break;
-        case DeletionDiscipline::kLifo:
-          pos = static_cast<std::uint32_t>(load - 1);
-          break;
-        case DeletionDiscipline::kUniform:
-          pos = rng::bounded32(engine_,
-                               static_cast<std::uint32_t>(load));
-          break;
-      }
-    }
-    delete_pos_[bin] = pos;
-  }
-
-  shard_crashed_.resize(shards);
-  for (auto& crashed : shard_crashed_) crashed.clear();
-  shard_load_delta_.assign(shards, 0);
-  run_sharded([&](std::size_t shard, std::size_t lo, std::size_t hi) {
-    std::int64_t delta = 0;
-    auto& crashed = shard_crashed_[shard];
-    for (std::uint32_t bin = static_cast<std::uint32_t>(lo);
-         bin < static_cast<std::uint32_t>(hi); ++bin) {
-      switch (delete_action_[bin]) {
-        case kActionServe:
-          deleted_label_[bin] =
-              infinite() ? unbounded_->remove_front(bin)
-                         : bounded_->remove_at(bin, delete_pos_[bin]);
-          --delta;
-          break;
-        case kActionCrash:
-          bounded_->drain_bulk(bin, [&](std::uint64_t label) {
-            crashed.emplace_back(bin, label);
-            --delta;
-          });
-          break;
-        default:
-          break;
-      }
-    }
-    shard_load_delta_[shard] = delta;
-  });
-  std::int64_t load_delta = 0;
-  for (std::uint32_t s = 0; s < shards; ++s) {
-    load_delta += shard_load_delta_[s];
-  }
-  if (infinite()) {
-    unbounded_->adjust_total_load(load_delta);
-  } else {
-    bounded_->adjust_total_load(load_delta);
-  }
-
-  // Sequential bin-order record pass. Shard crash lists concatenate in
-  // ascending bin order (contiguous ranges), so one cursor merges them
-  // back into the scalar loop's interleaving of deletes and requeues.
-  std::size_t crash_shard = 0;
-  std::size_t crash_item = 0;
-  const auto skip_exhausted = [&] {
-    while (crash_shard < shards &&
-           crash_item >= shard_crashed_[crash_shard].size()) {
-      ++crash_shard;
-      crash_item = 0;
-    }
-  };
-  for (std::uint32_t bin = 0; bin < n; ++bin) {
-    if (delete_action_[bin] == kActionServe) {
-      record_wait(bin, deleted_label_[bin], delete_pos_[bin], m);
-    } else if (delete_action_[bin] == kActionCrash) {
-      skip_exhausted();
-      while (crash_shard < shards) {
-        const auto& list = shard_crashed_[crash_shard];
-        if (crash_item >= list.size() || list[crash_item].first != bin) break;
-        const std::uint64_t label = list[crash_item].second;
-        if constexpr (IBA_TELEMETRY_ENABLED != 0) {
-          if (tracer_ != nullptr) tracer_->on_requeue(bin, label);
-        }
-        ++requeue_[label];
-        ++m.requeued;
-        ++crash_item;
-        skip_exhausted();
-      }
-    }
-  }
-}
-
-// Unsharded bin-major deletion: one fused pass that serves bins, draws
+// Serial bin-major deletion: one fused pass that serves bins, draws
 // failure coins and uniform positions in the scalar loop's exact bin
 // order, and computes the end-of-round total/max/empty load statistics
 // while each bin's arrays are still in cache. Outcome-, RNG- and
 // trace-identical to delete_scalar; total_load is committed once at the
 // end instead of per pop.
-bool Capped::delete_bin_major(RoundMetrics& m) {
+void Capped::delete_bin_major(RoundMetrics& m) {
   const std::uint32_t n = config_.n;
   const bool failures = config_.failure_probability > 0.0;
   const double p_fail = config_.failure_probability;
@@ -1483,7 +1344,6 @@ bool Capped::delete_bin_major(RoundMetrics& m) {
   }
   m.max_load = max_load;
   m.empty_bins = empty_bins;
-  return true;
 }
 
 void Capped::record_wait(std::uint32_t bin, std::uint64_t label,
@@ -1516,16 +1376,13 @@ void Capped::ensure_shard_pool() {
   }
 }
 
-void Capped::run_sharded(
-    const std::function<void(std::size_t, std::size_t, std::size_t)>& fn) {
-  ensure_shard_pool();
-  concurrency::parallel_for_ranges(*shard_pool_, config_.n, config_.shards,
-                                   fn);
-}
-
-void Capped::run_sharded_items(
+void Capped::for_shards(
     std::size_t count,
     const std::function<void(std::size_t, std::size_t, std::size_t)>& fn) {
+  if (config_.shards == 1) {
+    fn(0, 0, count);
+    return;
+  }
   ensure_shard_pool();
   concurrency::parallel_for_ranges(*shard_pool_, count, config_.shards, fn);
 }
@@ -1542,20 +1399,18 @@ void Capped::first_touch_state() {
   std::uint32_t* const counts = counts_.data();
   std::uint32_t* const starts = starts_.data();
   // Touching writes the zeroes the buffers are already guaranteed to
-  // hold; its only effect is page placement, so running it serially
-  // (shards == 1) or on workers changes nothing observable.
-  const auto touch = [&](std::size_t, std::size_t lo, std::size_t hi) {
+  // hold; its only effect is page placement, so it changes nothing
+  // observable. Each shard touches the bins of the chunks it sweeps.
+  for_shards(chunk_count(n), [&](std::size_t, std::size_t c_lo,
+                                 std::size_t c_hi) {
+    const std::size_t lo = c_lo << kChunkBits;
+    const std::size_t hi = std::min<std::size_t>(n, c_hi << kChunkBits);
     std::memset(hs + lo, 0, (hi - lo) * sizeof(std::uint32_t));
     std::memset(lb + lo * storage, 0,
                 (hi - lo) * storage * sizeof(std::uint64_t));
     std::memset(counts + lo, 0, (hi - lo) * sizeof(std::uint32_t));
     std::memset(starts + lo, 0, (hi - lo) * sizeof(std::uint32_t));
-  };
-  if (config_.shards > 1) {
-    run_sharded(touch);
-  } else {
-    touch(0, 0, n);
-  }
+  });
 }
 
 void Capped::merge_sorted_into_pool(

@@ -24,6 +24,7 @@
 #include <array>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -75,11 +76,12 @@ struct CappedConfig {
   /// trajectories for the same seed; kBinMajor is the fast default, the
   /// scalar path is kept for differential testing (docs/PERFORMANCE.md).
   RoundKernel kernel = RoundKernel::kBinMajor;
-  /// Number of contiguous bin ranges the bin-major kernel executes in
-  /// parallel (1 = inline, no thread pool). Requires kernel == kBinMajor
-  /// when > 1. Results are invariant in this value — failure coins and
-  /// uniform-deletion draws are pre-sampled in bin order from the master
-  /// engine, so the RNG stream never depends on scheduling.
+  /// Number of threads the fused bin-major sweep runs on (1 = inline, no
+  /// thread pool); each takes a slice of the throws and a contiguous run
+  /// of bin chunks. Requires kernel == kBinMajor when > 1. Results are
+  /// invariant in this value — every engine draw (failure coins,
+  /// uniform-deletion positions) happens on the calling thread in bin
+  /// order, so the RNG stream never depends on scheduling.
   std::uint32_t shards = 1;
 
   // Execution hints for shards > 1 and large n. None of these changes a
@@ -146,6 +148,9 @@ struct CappedWaitState {
   std::vector<std::uint64_t> histogram;  ///< Log2Histogram counts
 };
 
+/// The exact state of a wait recorder, as a snapshot stores it.
+[[nodiscard]] CappedWaitState wait_state(const WaitRecorder& waits);
+
 /// Complete dynamic state of a Capped process — everything needed to
 /// resume a run bit-for-bit, including the cumulative waiting-time
 /// statistics and backpressure accounting. Fault-plan state (when a
@@ -184,6 +189,12 @@ class Capped {
 
   /// Captures the complete dynamic state (O(n·c + pool)).
   [[nodiscard]] CappedSnapshot snapshot() const;
+
+  /// The master engine's state, as snapshot().engine_state holds it,
+  /// without copying the bins.
+  [[nodiscard]] std::array<std::uint64_t, 4> engine_state() const noexcept {
+    return engine_.state();
+  }
 
   /// Advances one round, drawing bin choices from the internal engine.
   RoundMetrics step();
@@ -409,49 +420,58 @@ class Capped {
   void accept_bin_major(std::span<const std::uint32_t> choices,
                         RoundMetrics& m);
   void flatten_pool_buckets(std::uint64_t expected_total);
-  /// Fused accept+delete pass for the unsharded, untraced, finite-capacity
-  /// kernel: bucket-sliced two-level partition, chunk-local acceptance
-  /// replay, and the delete walk over each chunk's bins while they are
-  /// cache-hot. Returns false (nothing mutated) when the pool's bucket
-  /// count makes the partition bookkeeping uneconomical; callers then use
-  /// the flat paths.
+  /// Fused accept+delete sweep for the untraced, finite-capacity kernel,
+  /// run on config_.shards threads: a sliced two-level partition of the
+  /// throws into bin chunks, then per chunk the acceptance replay and the
+  /// delete walk while the chunk's bins are cache-hot. Returns false
+  /// (nothing mutated) when the pool's bucket count makes the partition
+  /// bookkeeping uneconomical; callers then use the flat serial paths.
   bool round_fused(std::span<const std::uint32_t> choices, RoundMetrics& m);
-  /// preserving the scalar path's exact accumulation order.
-  void scatter_and_accept_range(std::span<const std::uint32_t> choices,
-                                std::size_t shard, std::uint32_t bin_begin,
-                                std::uint32_t bin_end);
+  /// One shard's private accumulators in a fused sweep. All are exact
+  /// integers, so merging them in shard order reproduces the serial
+  /// sweep bit for bit. Aligned so shards never share a cache line.
+  struct alignas(64) SweepShard {
+    std::uint64_t accepted = 0;
+    std::uint64_t deleted = 0;
+    std::uint64_t wait_sum = 0;
+    std::uint64_t wait_max = 0;
+    std::uint64_t max_load = 0;
+    std::uint64_t empty_bins = 0;
+    std::uint64_t busy_ns = 0;    // phase timing only
+    std::uint64_t delete_ns = 0;  // phase timing only
+    std::vector<std::uint64_t> rejected;  // per pool bucket
+    std::vector<std::uint64_t> requeued;  // labels of drained balls
+    WaitRecorder waits;
+  };
+  /// Pass B of the fused sweep over chunks [chunk_begin, chunk_end):
+  /// acceptance replay per chunk, then (with_delete) that chunk's delete
+  /// walk.
+  void sweep_chunks(SweepShard& acc, std::uint32_t chunk_begin,
+                    std::uint32_t chunk_end, bool with_delete);
+  /// The fused sweep's delete walk over bins [bin_begin, bin_end). Draws
+  /// from the engine only for failure coins and uniform deletion.
+  void delete_bins(SweepShard& acc, std::uint32_t bin_begin,
+                   std::uint32_t bin_end);
+  /// Stable scatter of the throws into the flat bin-major partition, then
+  /// per-bin bulk acceptance; returns the accepted count.
+  std::uint64_t scatter_and_accept(std::span<const std::uint32_t> choices);
   void emit_throw_traces(std::span<const std::uint32_t> choices);
-  /// Fused single-pass deletion for the unsharded bin-major kernel; also
-  /// computes m.total_load / max_load / empty_bins (returns true when it
-  /// did, so the caller skips the end-of-round scans).
-  bool delete_bin_major(RoundMetrics& m);
-  void delete_sharded(RoundMetrics& m);
+  /// Fused single-pass deletion for the serial bin-major kernel; also
+  /// computes m.total_load / max_load / empty_bins.
+  void delete_bin_major(RoundMetrics& m);
   void record_wait(std::uint32_t bin, std::uint64_t label,
                    std::uint64_t position, RoundMetrics& m);
-  void run_sharded(const std::function<void(std::size_t, std::size_t,
-                                            std::size_t)>& fn);
-  /// Like run_sharded but partitions [0, count) items (throw indices)
-  /// instead of the bin space, with the same deterministic split.
-  void run_sharded_items(std::size_t count,
-                         const std::function<void(std::size_t, std::size_t,
-                                                  std::size_t)>& fn);
+  /// Runs fn(shard, begin, end) over config_.shards contiguous slices of
+  /// [0, count): inline when shards == 1, else on the shard pool.
+  void for_shards(std::size_t count,
+                  const std::function<void(std::size_t, std::size_t,
+                                           std::size_t)>& fn);
   /// Lazily builds the shard pool (shards > 1), honoring pin_threads
   /// and warning once when pinning did not stick.
   void ensure_shard_pool();
-  /// Parallel counting sort of the throws into counts_/starts_/
-  /// cand_bucket_ (and rank_scratch_ when tracing), byte-identical to
-  /// the serial partition: per-slice range counts, a cross-shard
-  /// prefix-sum barrier, a range-staged stable scatter, then per-range
-  /// local counting sorts — each shard touching only its own slices.
-  void partition_choices_parallel(std::span<const std::uint32_t> choices,
-                                  bool tracing);
-  /// The acceptance half of scatter_and_accept_range: per-bin bulk
-  /// accept over an already-built partition.
-  void accept_range(std::size_t shard, std::uint32_t bin_begin,
-                    std::uint32_t bin_end);
-  /// First-touch pass over the arena-backed bin/scatter state, run on
-  /// the shard workers with the bin-range partition so pages land on
-  /// the NUMA node of the worker that will stream them.
+  /// First-touch pass over the arena-backed bin/scatter state, run with
+  /// the sweep's chunk partition so pages land on the NUMA node of the
+  /// worker that will stream them.
   void first_touch_state();
 
   CappedConfig config_;
@@ -481,34 +501,25 @@ class Capped {
   ArenaBuffer<std::uint32_t> starts_;         // n + 1 candidate offsets
   // Fused kernel scratch: throws are partitioned into contiguous bin-range
   // chunks sized so the cursor arrays and per-chunk bin state stay
-  // cache-resident. Each chunk stream holds 16-bit chunk-local offsets in
-  // bucket-major visit order with one sentinel per (bucket, chunk), so the
+  // cache-resident. A chunk's stream is one sub-stream per throw slice,
+  // in slice order; each holds 16-bit chunk-local offsets in bucket-major
+  // visit order with one sentinel per bucket the slice spans, so the
   // bucket of an entry is implied by its segment instead of stored.
   ArenaBuffer<std::uint16_t> part16_;         // local bin offsets + sentinels
-  std::vector<std::uint32_t> chunk_counts_;   // throws per chunk
-  std::vector<std::uint32_t> chunk_cursor_;   // partition write cursors
+  // Fused-sweep partition bookkeeping. Slice s's throws span pool buckets
+  // [slice_buckets_[2s], slice_buckets_[2s+1]) and its stream for chunk c
+  // ends at slice_cursor_[s * row + c] (rows padded to a cache line);
+  // chunk c's streams start at chunk_begin_[c].
+  std::vector<std::uint64_t> slice_cursor_;
+  std::vector<std::size_t> slice_buckets_;
+  std::vector<std::uint64_t> chunk_begin_;
+  std::vector<SweepShard> sweep_;             // one per shard
   ArenaBuffer<std::uint32_t> cand_bucket_;    // per candidate, bin-grouped
-  // Parallel-partition scratch (shards > 1): throws staged per bin
-  // range as (bin << 32 | bucket) records, slice-ordered so the final
-  // per-range counting sorts see the global visit order.
-  ArenaBuffer<std::uint64_t> staged_;         // nu staged records
-  ArenaBuffer<std::uint32_t> staged_idx_;     // throw index (tracer only)
-  std::vector<std::uint64_t> range_count_;    // shards × shards
-  std::vector<std::uint64_t> range_cursor_;   // shards × shards
-  std::vector<std::uint64_t> range_base_;     // shards + 1 staging bounds
   std::vector<std::uint64_t> bucket_labels_;  // flat copy of pool buckets
   std::vector<std::uint64_t> bucket_ends_;    // candidate-index boundaries
-  std::vector<std::uint64_t> rejected_;       // shards × buckets
-  std::vector<std::uint64_t> shard_accepted_;  // per shard
+  std::vector<std::uint64_t> rejected_;       // per bucket (serial path)
   std::vector<std::uint32_t> rank_scratch_;    // per throw idx (tracer only)
   std::vector<std::uint64_t> init_load_;       // per bin (tracer only)
-  // Sharded delete-phase scratch.
-  std::vector<std::uint8_t> delete_action_;    // per bin: none/serve/crash
-  std::vector<std::uint32_t> delete_pos_;      // served queue position
-  std::vector<std::uint64_t> deleted_label_;   // per bin, kNoLabel = none
-  std::vector<std::vector<std::pair<std::uint32_t, std::uint64_t>>>
-      shard_crashed_;                          // per shard: (bin, label)
-  std::vector<std::int64_t> shard_load_delta_;  // per shard total_load fix
   std::unique_ptr<concurrency::ThreadPool> shard_pool_;  // shards > 1
 
   std::unique_ptr<control::Controller> controller_;  // config_.control on

@@ -73,6 +73,14 @@ class WaitRecorder {
     return histogram_;
   }
 
+  /// Adds another recorder's samples. Exact and order-independent (the
+  /// moments and histogram are integer sums), so per-shard recorders
+  /// merged in any order equal one recorder fed every sample.
+  void merge(const WaitRecorder& other) {
+    moments_.merge(other.moments_);
+    histogram_.merge(other.histogram_);
+  }
+
   void reset() noexcept {
     moments_.reset();
     histogram_ = stats::Log2Histogram{};

@@ -167,9 +167,10 @@ RunOutcome run_scenario(const Scenario& scn, const RunOptions& options) {
                         const std::string& detail) {
     if (!recording) return;
     if (!recorder->triggered()) {
-      const core::CappedSnapshot snap = process->snapshot();
       std::ostringstream words;
-      for (const std::uint64_t word : snap.engine_state) words << word << ' ';
+      for (const std::uint64_t word : process->engine_state()) {
+        words << word << ' ';
+      }
       recorder->set_engine_fingerprint(
           common::crc32_hex(common::crc32(words.str())));
     }
@@ -280,13 +281,12 @@ RunOutcome run_scenario(const Scenario& scn, const RunOptions& options) {
 
   // -- assemble the artifact -------------------------------------------
   artifact::ResultArtifact& result = outcome.artifact;
-  const core::CappedSnapshot snapshot = process->snapshot();
   RunTotals totals;
   totals.generated_total = process->generated_total();
   totals.deleted_total = process->deleted_total();
   totals.shed_total = process->shed_total();
   totals.deferred_end = process->deferred_total();
-  totals.waits = snapshot.waits;
+  totals.waits = core::wait_state(process->waits());
   totals.wait_p50 = process->waits().quantile_upper_bound(0.5);
   totals.wait_p99 = process->waits().quantile_upper_bound(0.99);
   fill_artifact(result, scn, digest, seed, progress, totals);
@@ -301,9 +301,11 @@ RunOutcome run_scenario(const Scenario& scn, const RunOptions& options) {
   if (scn.control.enabled()) {
     result.has_control = true;
     result.capacity_final = process->capacity();
-    result.control_changes = snapshot.controller.changes;
-    result.control_grows = snapshot.controller.grows;
-    result.control_shrinks = snapshot.controller.shrinks;
+    if (const control::Controller* ctl = process->controller()) {
+      result.control_changes = ctl->changes_total();
+      result.control_grows = ctl->grows_total();
+      result.control_shrinks = ctl->shrinks_total();
+    }
   }
 
   if (auditor.has_value()) {

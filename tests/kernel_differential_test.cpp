@@ -155,16 +155,8 @@ struct RunCapture {
   std::string spans;
 };
 
-RunCapture run(const CappedConfig& config, std::uint64_t seed,
-               std::uint64_t rounds, bool trace) {
-  Capped process(config, Engine(seed));
-  iba::telemetry::BallTraceConfig trace_config;
-  trace_config.seed = seed;
-  trace_config.sample_rate = 1.0;
-  trace_config.completed_capacity = 1u << 20;
-  iba::telemetry::BallTracer tracer(trace_config);
-  if (trace) process.set_ball_tracer(&tracer);
-
+/// Steps `process` for `rounds` rounds and captures everything but spans.
+RunCapture step_and_capture(Capped& process, std::uint64_t rounds) {
   RunCapture capture;
   capture.metrics.reserve(rounds);
   for (std::uint64_t r = 0; r < rounds; ++r) {
@@ -176,6 +168,20 @@ RunCapture run(const CappedConfig& config, std::uint64_t seed,
   capture.wait_stddev = process.waits().stddev();
   capture.wait_max = process.waits().max();
   capture.wait_q99 = process.waits().quantile_upper_bound(0.99);
+  return capture;
+}
+
+RunCapture run(const CappedConfig& config, std::uint64_t seed,
+               std::uint64_t rounds, bool trace) {
+  Capped process(config, Engine(seed));
+  iba::telemetry::BallTraceConfig trace_config;
+  trace_config.seed = seed;
+  trace_config.sample_rate = 1.0;
+  trace_config.completed_capacity = 1u << 20;
+  iba::telemetry::BallTracer tracer(trace_config);
+  if (trace) process.set_ball_tracer(&tracer);
+
+  RunCapture capture = step_and_capture(process, rounds);
   if (trace) {
     std::ostringstream out;
     for (const auto& span : tracer.completed()) {
@@ -258,9 +264,8 @@ TEST(KernelDifferential, AllVariantsMatchScalarEverywhere) {
                           variant.name, r);
       }
       expect_snapshot_eq(reference.snapshot, capture.snapshot, variant.name);
-      // Wait statistics must match bit for bit — the Welford moments are
-      // accumulation-order-sensitive, so this checks that the sharded
-      // delete phase records waits in the scalar path's bin order.
+      // Wait statistics must match bit for bit: the sharded sweep records
+      // waits into per-shard recorders merged after the round.
       EXPECT_EQ(reference.wait_count, capture.wait_count) << variant.name;
       EXPECT_EQ(reference.wait_mean, capture.wait_mean) << variant.name;
       EXPECT_EQ(reference.wait_stddev, capture.wait_stddev) << variant.name;
@@ -375,18 +380,7 @@ RunCapture run_with_faults(const CappedConfig& config, const char* schedule,
   iba::fault::FaultPlan plan(iba::fault::parse_schedule(schedule), config.n,
                              config.capacity, seed + 7);
   process.set_fault_plan(&plan);
-  RunCapture capture;
-  capture.metrics.reserve(rounds);
-  for (std::uint64_t r = 0; r < rounds; ++r) {
-    capture.metrics.push_back(process.step());
-  }
-  capture.snapshot = process.snapshot();
-  capture.wait_count = process.waits().count();
-  capture.wait_mean = process.waits().mean();
-  capture.wait_stddev = process.waits().stddev();
-  capture.wait_max = process.waits().max();
-  capture.wait_q99 = process.waits().quantile_upper_bound(0.99);
-  return capture;
+  return step_and_capture(process, rounds);
 }
 
 TEST(FaultDifferential, AllVariantsMatchScalarUnderEverySchedule) {
@@ -672,6 +666,103 @@ TEST(KernelDifferential, LargeNKillAndResumeWithArena) {
                      "large_n_shards8");
   expect_snapshot_eq(reference.snapshot(), resumed.snapshot(),
                      "large_n_resume4");
+}
+
+// -- multi-chunk sharding: the fused sweep gives each shard a slice of
+// the throws and a run of whole 8192-bin chunks. At n <= 512 there is
+// one chunk, so only here do several shards sweep bins at once ---------
+
+constexpr std::uint32_t kMultiChunkN = 4 * 3 * 8192 + 17;  // 13 chunks
+constexpr std::uint64_t kMultiChunkRounds = 40;
+constexpr std::uint32_t kMultiChunkShards[] = {2, 4, 7};
+
+/// `config` at kMultiChunkN bins and the same arrival rate.
+CappedConfig multi_chunk(CappedConfig config) {
+  config.lambda_n = config.lambda_n * kMultiChunkN / config.n;
+  config.n = kMultiChunkN;
+  return config;
+}
+
+void expect_runs_eq(const RunCapture& reference, const RunCapture& capture,
+                    const char* variant) {
+  ASSERT_EQ(reference.metrics.size(), capture.metrics.size()) << variant;
+  for (std::size_t r = 0; r < reference.metrics.size(); ++r) {
+    expect_metrics_eq(reference.metrics[r], capture.metrics[r], variant, r);
+  }
+  expect_snapshot_eq(reference.snapshot, capture.snapshot, variant);
+  EXPECT_EQ(reference.wait_stddev, capture.wait_stddev) << variant;
+  EXPECT_EQ(reference.wait_q99, capture.wait_q99) << variant;
+}
+
+TEST(KernelDifferential, MultiChunkShardsMatchScalar) {
+  const auto shard_name = [](std::uint32_t shards) {
+    return "shards_" + std::to_string(shards);
+  };
+  for (const Scenario& scenario : scenarios()) {
+    SCOPED_TRACE(scenario.name);
+    const CappedConfig config = multi_chunk(scenario.config);
+    const RunCapture reference =
+        run(with_kernel(config, RoundKernel::kScalar, 1), kSeed,
+            kMultiChunkRounds, /*trace=*/false);
+    for (const std::uint32_t shards : kMultiChunkShards) {
+      expect_runs_eq(reference,
+                     run(with_kernel(config, RoundKernel::kBinMajor, shards),
+                         kSeed, kMultiChunkRounds, /*trace=*/false),
+                     shard_name(shards).c_str());
+    }
+  }
+
+  // Faults straddling shard boundaries: a state-loss outage (drained
+  // labels merge across shards), a degraded band, stragglers and random
+  // crashes.
+  {
+    constexpr const char* kSchedule =
+        "crash@5:bins=0-30000,down=6;"
+        "degrade@8:bins=40000-70000,cap=1,for=20;"
+        "straggle:bins=81000-90000,period=3;"
+        "random-crash:p=0.002,down=2-6";
+    SCOPED_TRACE(kSchedule);
+    const CappedConfig config = multi_chunk(base_config());
+    const RunCapture reference =
+        run_with_faults(with_kernel(config, RoundKernel::kScalar, 1),
+                        kSchedule, kSeed, kMultiChunkRounds);
+    for (const std::uint32_t shards : kMultiChunkShards) {
+      expect_runs_eq(
+          reference,
+          run_with_faults(with_kernel(config, RoundKernel::kBinMajor, shards),
+                          kSchedule, kSeed, kMultiChunkRounds),
+          shard_name(shards).c_str());
+    }
+  }
+
+  // A wide pool-age spread: one ball from each of 8192 past rounds. The
+  // fused sweep writes a sentinel per (bucket, chunk) — here 8193 × 13,
+  // more than half the ~100k throws — so the first round bails out to
+  // the serial bin-major path and later rounds return to the sweep.
+  {
+    SCOPED_TRACE("wide_pool_age_spread");
+    constexpr std::uint64_t kAges = 8192;
+    CappedSnapshot wide;
+    wide.config = multi_chunk(base_config());
+    wide.round = kAges;
+    wide.generated_total = kAges;
+    wide.engine_state = Engine(kSeed).state();
+    for (std::uint64_t label = 1; label <= kAges; ++label) {
+      wide.pool.push_back({label, 1});
+    }
+    wide.bin_queues.resize(kMultiChunkN);
+    const auto resume = [&](RoundKernel kernel, std::uint32_t shards) {
+      CappedSnapshot snap = wide;
+      snap.config = with_kernel(snap.config, kernel, shards);
+      Capped process(snap);
+      return step_and_capture(process, 8);
+    };
+    const RunCapture reference = resume(RoundKernel::kScalar, 1);
+    for (const std::uint32_t shards : kMultiChunkShards) {
+      expect_runs_eq(reference, resume(RoundKernel::kBinMajor, shards),
+                     shard_name(shards).c_str());
+    }
+  }
 }
 
 TEST(KernelDifferential, ConfigValidationRejectsShardedScalar) {

@@ -46,27 +46,91 @@ audit = on
 audit-every = 16
 )";
 
-std::string run_bytes(const Scenario& scn, const RunOptions& options = {}) {
+// Zipf skew and faults at 98400 bins: 13 chunks of 8192 bins, so with 4
+// shards every shard's sweep covers at least 3 chunks.
+constexpr const char* kMultiChunk = R"(
+[scenario]
+name = determinism_multi_chunk
+
+[system]
+n = 98400
+c = 2
+
+[arrival]
+model = constant
+lambda = 0.75
+skew = zipf
+zipf-s = 1
+
+[faults]
+schedule = crash@6:bins=0-30000,down=5;straggle:bins=50000-60000,period=3
+
+[run]
+rounds = 24
+burn-in = 8
+seed = 21
+)";
+
+// The adaptive controller at the same size: the artifact's control
+// counters come from the live controller, not a snapshot.
+constexpr const char* kMultiChunkControl = R"(
+[scenario]
+name = determinism_multi_chunk_control
+
+[system]
+n = 98400
+c = 1
+
+[arrival]
+model = constant
+lambda = 0.96875
+
+[control]
+policy = sweet-spot
+c-max = 8
+window = 8
+cooldown = 8
+hysteresis = 0.1
+
+[run]
+rounds = 32
+burn-in = 8
+seed = 9
+)";
+
+artifact::ResultArtifact run_artifact(const Scenario& scn,
+                                      const RunOptions& options = {}) {
   const RunOutcome outcome = run_scenario(scn, options);
   EXPECT_TRUE(outcome.complete);
   EXPECT_TRUE(outcome.ok()) << (outcome.failures.empty()
                                     ? "?"
                                     : outcome.failures.front());
-  return artifact::render_artifact(outcome.artifact);
+  return outcome.artifact;
+}
+
+std::string run_bytes(const Scenario& scn, const RunOptions& options = {}) {
+  return artifact::render_artifact(run_artifact(scn, options));
 }
 
 TEST(ScenarioDeterminism, KernelAndShardsLeaveBytesUnchanged) {
-  const Scenario scn = parse_scenario(kLoaded, "det.scn");
-  const std::string baseline = run_bytes(scn);
-
   RunOptions scalar;
   scalar.kernel = core::RoundKernel::kScalar;
-  EXPECT_EQ(run_bytes(scn, scalar), baseline);
-
   RunOptions sharded;
   sharded.kernel = core::RoundKernel::kBinMajor;
   sharded.shards = 4;
-  EXPECT_EQ(run_bytes(scn, sharded), baseline);
+
+  for (const char* text : {kLoaded, kMultiChunk, kMultiChunkControl}) {
+    const Scenario scn = parse_scenario(text, "det.scn");
+    SCOPED_TRACE(scn.name);
+    const artifact::ResultArtifact baseline = run_artifact(scn);
+    const std::string bytes = artifact::render_artifact(baseline);
+    EXPECT_EQ(run_bytes(scn, scalar), bytes);
+    EXPECT_EQ(run_bytes(scn, sharded), bytes);
+    if (scn.control.enabled()) {
+      EXPECT_TRUE(baseline.has_control);
+      EXPECT_GT(baseline.control_changes, 0u);
+    }
+  }
 }
 
 TEST(ScenarioDeterminism, RepeatRunsAreIdentical) {
