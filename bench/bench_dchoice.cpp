@@ -1,7 +1,8 @@
 // E14 — buffers vs choices: the paper's introduction positions finite
 // buffers as the parallel-setting substitute for the power of two
-// choices. This bench composes the two (CAPPED-GREEDY(c, d, λ)) and
-// measures what d = 2 still adds once buffers exist.
+// choices. This bench composes the two (CAPPED-GREEDY(c, d, λ): CAPPED
+// with a GreedyChoiceSampler) and measures what d = 2 still adds once
+// buffers exist.
 //
 // Expected shape: at c = 1, d = 2 helps noticeably (it is the classic
 // two-choice effect on the pool); at the sweet-spot c the marginal gain
@@ -10,7 +11,8 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "core/capped_greedy.hpp"
+#include "core/bin_samplers.hpp"
+#include "core/capped.hpp"
 
 int main(int argc, char** argv) {
   using namespace iba;
@@ -33,13 +35,10 @@ int main(int argc, char** argv) {
     for (const std::uint32_t d : choices) {
       const auto cell =
           bench::make_cell(options, c, sim::lambda_n_for(options.n, i));
-      core::CappedGreedyConfig config;
-      config.n = options.n;
-      config.capacity = c;
-      config.d = d;
-      config.lambda_n = cell.lambda_n;
       std::fprintf(stderr, "[cell] %s d=%u ...\n", cell.label().c_str(), d);
-      core::CappedGreedy process(config, core::Engine(options.seed));
+      core::Capped process(cell.to_capped(), core::Engine(options.seed));
+      core::GreedyChoiceSampler greedy(process, d);
+      process.set_bin_sampler(&greedy);
       const auto result =
           sim::run_experiment(process, sim::RunSpec::from_config(cell));
 

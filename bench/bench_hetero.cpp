@@ -12,27 +12,37 @@
 // overloading exactly the bins with the big buffers. The homogeneous
 // farm wins at every capacity budget; "bigger buffer" must never be
 // conflated with "faster server" when provisioning by this model.
+//
+// Each scenario is CAPPED with per-bin capacities
+// (Capped::set_bin_capacities) and, for weighted routing, a
+// WeightedBinSampler over the capacities.
+#include <algorithm>
 #include <cstdio>
+#include <numeric>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "core/hetero_capped.hpp"
+#include "core/bin_samplers.hpp"
+#include "core/capped.hpp"
 #include "sim/runner.hpp"
 
 namespace {
 
 struct Scenario {
   std::string name;
-  iba::core::HeteroCappedConfig config;
+  std::vector<std::uint32_t> capacities;  ///< c_i per bin
+  std::vector<double> weights;            ///< routing weights; empty = uniform
+
+  [[nodiscard]] std::uint64_t total_capacity() const {
+    return std::accumulate(capacities.begin(), capacities.end(),
+                           std::uint64_t{0});
+  }
 };
 
-iba::core::HeteroCappedConfig make_config(std::uint32_t n,
-                                          std::uint64_t lambda_n) {
-  iba::core::HeteroCappedConfig config;
-  config.capacities.assign(n, 0);
-  config.lambda_n = lambda_n;
-  return config;
+Scenario make_scenario(std::string name, std::uint32_t n) {
+  return {std::move(name), std::vector<std::uint32_t>(n, 0), {}};
 }
 
 }  // namespace
@@ -51,40 +61,40 @@ int main(int argc, char** argv) {
   // All scenarios have total budget 2n.
   std::vector<Scenario> scenarios;
   {
-    Scenario s{"homogeneous c=2", make_config(n, lambda_n)};
-    s.config.capacities.assign(n, 2);
+    Scenario s = make_scenario("homogeneous c=2", n);
+    s.capacities.assign(n, 2);
     scenarios.push_back(std::move(s));
   }
   {
-    Scenario s{"skewed 4/1 (uniform routing)", make_config(n, lambda_n)};
+    Scenario s = make_scenario("skewed 4/1 (uniform routing)", n);
     for (std::uint32_t i = 0; i < n; ++i) {
-      s.config.capacities[i] = i < n / 3 ? 4 : 1;
+      s.capacities[i] = i < n / 3 ? 4 : 1;
     }
-    while (s.config.total_capacity() < 2ull * n) {
-      s.config.capacities[n - 1]++;  // absorb rounding in one bin
-    }
-    scenarios.push_back(std::move(s));
-  }
-  {
-    Scenario s{"skewed 4/1 (capacity-proportional routing)",
-               make_config(n, lambda_n)};
-    s.config.weights.assign(n, 1.0);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      s.config.capacities[i] = i < n / 3 ? 4 : 1;
-      s.config.weights[i] = s.config.capacities[i];
-    }
-    while (s.config.total_capacity() < 2ull * n) {
-      s.config.capacities[n - 1]++;
+    while (s.total_capacity() < 2ull * n) {
+      s.capacities[n - 1]++;  // absorb rounding in one bin
     }
     scenarios.push_back(std::move(s));
   }
   {
-    Scenario s{"extreme 16/1 (capacity-proportional routing)",
-               make_config(n, lambda_n)};
-    s.config.weights.assign(n, 1.0);
+    Scenario s =
+        make_scenario("skewed 4/1 (capacity-proportional routing)", n);
+    s.weights.assign(n, 1.0);
     for (std::uint32_t i = 0; i < n; ++i) {
-      s.config.capacities[i] = i < n / 15 ? 16 : 1;
-      s.config.weights[i] = s.config.capacities[i];
+      s.capacities[i] = i < n / 3 ? 4 : 1;
+      s.weights[i] = s.capacities[i];
+    }
+    while (s.total_capacity() < 2ull * n) {
+      s.capacities[n - 1]++;
+    }
+    scenarios.push_back(std::move(s));
+  }
+  {
+    Scenario s =
+        make_scenario("extreme 16/1 (capacity-proportional routing)", n);
+    s.weights.assign(n, 1.0);
+    for (std::uint32_t i = 0; i < n; ++i) {
+      s.capacities[i] = i < n / 15 ? 16 : 1;
+      s.weights[i] = s.capacities[i];
     }
     scenarios.push_back(std::move(s));
   }
@@ -97,7 +107,19 @@ int main(int argc, char** argv) {
 
   for (Scenario& scenario : scenarios) {
     std::fprintf(stderr, "[cell] %s ...\n", scenario.name.c_str());
-    core::HeteroCapped process(scenario.config, core::Engine(options.seed));
+    core::CappedConfig config;
+    config.n = n;
+    config.capacity = *std::max_element(scenario.capacities.begin(),
+                                        scenario.capacities.end());
+    config.lambda_n = lambda_n;
+    config.kernel = options.kernel;
+    config.shards = options.shards;
+    core::Capped process(config, core::Engine(options.seed));
+    process.set_bin_capacities(scenario.capacities);
+    std::optional<core::WeightedBinSampler> routing;
+    if (!scenario.weights.empty()) {
+      process.set_bin_sampler(&routing.emplace(n, scenario.weights));
+    }
     sim::RunSpec spec;
     spec.burn_in = sim::suggested_burn_in(
         static_cast<double>(lambda_n) / static_cast<double>(n));
@@ -106,7 +128,7 @@ int main(int argc, char** argv) {
     const auto result = sim::run_experiment(process, spec);
 
     const double budget =
-        static_cast<double>(scenario.config.total_capacity()) / n;
+        static_cast<double>(scenario.total_capacity()) / n;
     table.add_row({scenario.name, io::Table::format_number(budget),
                    io::Table::format_number(result.normalized_pool.mean()),
                    io::Table::format_number(result.wait_mean),

@@ -19,8 +19,8 @@
 #include <string>
 
 #include "analysis/bounds.hpp"
+#include "core/bin_samplers.hpp"
 #include "core/capped.hpp"
-#include "core/capped_greedy.hpp"
 #include "core/greedy.hpp"
 #include "core/modcapped.hpp"
 #include "fault/auditor.hpp"
@@ -613,13 +613,16 @@ int main(int argc, char** argv) {
       report("GREEDY[" + std::to_string(config.d) + "]", n, lambda, result,
              as_json);
     } else if (process_name == "capped-greedy") {
-      core::CappedGreedyConfig config;
+      core::CappedConfig config;
       config.n = n;
       config.capacity =
           static_cast<std::uint32_t>(parser.get_uint_range("c", 1, 65535));
-      config.d = static_cast<std::uint32_t>(parser.get_uint_range("d", 1, 16));
       config.lambda_n = lambda_n;
-      core::CappedGreedy process(config, core::Engine(seed));
+      core::Capped process(config, core::Engine(seed));
+      core::GreedyChoiceSampler greedy(
+          process,
+          static_cast<std::uint32_t>(parser.get_uint_range("d", 1, 16)));
+      process.set_bin_sampler(&greedy);
       const auto result = run_with_trace(process, spec, trace_path);
       report("CAPPED-GREEDY", n, lambda, result, as_json);
     } else {

@@ -9,18 +9,12 @@
 
 #include "common/assert.hpp"
 #include "rng/bounded.hpp"
-#include "rng/distributions.hpp"
 #include "telemetry/ball_trace.hpp"
 #include "telemetry/log.hpp"
 
 namespace iba::core {
 
 namespace {
-
-// The bin-major kernel indexes candidates with uint32 offsets; rounds
-// throwing more balls than that (never at supported n) use the scalar
-// path, which is byte-identical anyway.
-constexpr std::size_t kMaxKernelThrows = 0xFFFFFFFEu;
 
 // The fused sweep's bin chunk: 8192 bins, so a chunk's cursor and label
 // slices stay L2-resident and a chunk-local offset fits in 16 bits, with
@@ -114,10 +108,7 @@ Capped::Capped(const CappedConfig& config, Engine engine)
   if (config_.arena.enabled) {
     arena_ = std::make_unique<Arena>(config_.arena);
     choice_scratch_.set_arena(arena_.get());
-    counts_.set_arena(arena_.get());
-    starts_.set_arena(arena_.get());
     part16_.set_arena(arena_.get());
-    cand_bucket_.set_arena(arena_.get());
   }
   if (infinite()) {
     unbounded_.emplace(config_.n);
@@ -141,16 +132,10 @@ Capped::Capped(const CappedSnapshot& snapshot)
   round_ = snapshot.round;
   generated_total_ = snapshot.generated_total;
   deleted_total_ = snapshot.deleted_total;
-  shed_total_ = snapshot.shed_total;
   for (const auto& bucket : snapshot.pool) {
     pool_.add(bucket.label, bucket.count);
   }
-  for (const auto& bucket : snapshot.deferred) {
-    IBA_EXPECT(deferred_.empty() || deferred_.back().ready <= bucket.ready,
-               "CappedSnapshot: deferred buckets must be ready-ordered");
-    deferred_.push_back(bucket);
-    deferred_total_ += bucket.count;
-  }
+  gate_.restore(snapshot.shed_total, snapshot.deferred);
   waits_.restore(
       stats::UintMoments::from_parts(snapshot.waits.count, snapshot.waits.sum,
                                      snapshot.waits.sumsq_hi,
@@ -205,10 +190,10 @@ CappedSnapshot Capped::snapshot() const {
   snap.round = round_;
   snap.generated_total = generated_total_;
   snap.deleted_total = deleted_total_;
-  snap.shed_total = shed_total_;
+  snap.shed_total = gate_.shed_total();
   snap.engine_state = engine_.state();
   snap.pool.assign(pool_.buckets().begin(), pool_.buckets().end());
-  snap.deferred.assign(deferred_.begin(), deferred_.end());
+  snap.deferred.assign(gate_.deferred().begin(), gate_.deferred().end());
   snap.waits = wait_state(waits_);
   if (controller_ != nullptr) snap.controller = controller_->state();
   snap.bin_queues.resize(config_.n);
@@ -228,19 +213,6 @@ CappedSnapshot Capped::snapshot() const {
   return snap;
 }
 
-std::uint64_t Capped::sample_arrivals() {
-  switch (config_.arrival) {
-    case ArrivalModel::kDeterministic:
-      return config_.lambda_n;
-    case ArrivalModel::kBinomial:
-      // n generators, each producing one ball w.p. λ (footnote 2).
-      return rng::binomial(engine_, config_.n, config_.lambda());
-    case ArrivalModel::kPoisson:
-      return rng::poisson(engine_, static_cast<double>(config_.lambda_n));
-  }
-  return config_.lambda_n;
-}
-
 void Capped::begin_round_faults() {
   if (fault_plan_ == nullptr) {
     faults_round_ = false;
@@ -254,70 +226,37 @@ void Capped::begin_round_faults() {
       [this](std::uint32_t bin) { return load(bin); });
   faults_round_ = fault_plan_->active();
   fault_flags_ = faults_round_ ? fault_plan_->flags() : nullptr;
-  fault_caps_ = faults_round_ ? fault_plan_->effective_capacity() : nullptr;
+  round_caps_ = faults_round_ ? fault_plan_->effective_capacity() : nullptr;
 }
 
-Capped::Admission Capped::admit_arrivals(std::uint64_t generated) {
-  Admission adm;
-  adm.generated = generated;
-  adm.admitted = generated;
-  if (config_.backpressure == BackpressureMode::kNone) return adm;
-
-  const std::uint64_t next_round = round_ + 1;
-  const std::uint64_t limit = config_.pool_limit;
-  // The bound applies at admission only: survivors and requeued balls
-  // already in flight are never dropped, so the pool can exceed the
-  // limit transiently (e.g. after a mass crash); admission then stalls
-  // until it drains back below.
-  std::uint64_t free = pool_.total() < limit ? limit - pool_.total() : 0;
-
-  // Retry pass: deferred balls whose backoff expired re-attempt
-  // admission oldest-first, ahead of this round's fresh arrivals. The
-  // eligible entries form one front group of the deque (every round
-  // processes its group, and re-deferred remainders get a strictly
-  // later ready round), so their labels are ascending and the merge
-  // below preserves the pool's oldest-first order.
-  if (!deferred_.empty() && deferred_.front().ready <= next_round) {
-    readmit_scratch_.clear();
-    while (!deferred_.empty() && deferred_.front().ready <= next_round) {
-      DeferredBucket bucket = deferred_.front();
-      deferred_.pop_front();
-      const std::uint64_t take = bucket.count < free ? bucket.count : free;
-      if (take > 0) {
-        readmit_scratch_.push_back({bucket.label, take});
-        free -= take;
-        deferred_total_ -= take;
-        bucket.count -= take;
-      }
-      if (bucket.count > 0) {
-        bucket.ready = next_round + config_.backoff_rounds;
-        deferred_.push_back(bucket);
-      }
-    }
-    if (!readmit_scratch_.empty()) merge_sorted_into_pool(readmit_scratch_);
+void Capped::set_bin_capacities(std::span<const std::uint32_t> capacities) {
+  if (capacities.empty()) {
+    if (!bin_caps_.empty()) round_caps_ = nullptr;  // else a plan's caps
+    bin_caps_.clear();
+    return;
   }
-
-  // Fresh arrivals take whatever room remains.
-  adm.admitted = generated < free ? generated : free;
-  const std::uint64_t excess = generated - adm.admitted;
-  if (excess > 0) {
-    if (config_.backpressure == BackpressureMode::kShed) {
-      adm.shed = excess;
-      shed_total_ += excess;
-    } else {
-      deferred_.push_back(
-          {next_round, excess, next_round + config_.backoff_rounds});
-      deferred_total_ += excess;
-    }
-  }
-  return adm;
+  IBA_EXPECT(capacities.size() == config_.n,
+             "Capped: need exactly one capacity per bin");
+  IBA_EXPECT(fault_plan_ == nullptr,
+             "Capped: per-bin capacities are incompatible with a fault plan");
+  IBA_EXPECT(controller_ == nullptr,
+             "Capped: per-bin capacities are incompatible with adaptive "
+             "control");
+  const auto [lo, hi] = std::minmax_element(capacities.begin(),
+                                            capacities.end());
+  IBA_EXPECT(*lo >= 1, "Capped: every per-bin capacity must be >= 1");
+  IBA_EXPECT(*hi == config_.capacity,
+             "Capped: config.capacity must equal the largest per-bin "
+             "capacity (the storage width)");
+  bin_caps_.assign(capacities.begin(), capacities.end());
+  round_caps_ = bin_caps_.data();
 }
 
 RoundMetrics Capped::step() {
   apply_control();
   begin_round_faults();
-  const std::uint64_t generated = sample_arrivals();
-  const Admission adm = admit_arrivals(generated);
+  const std::uint64_t generated = sample_arrivals(config_, engine_);
+  const Admission adm = gate_.admit(config_, round_ + 1, generated, pool_);
   const std::uint64_t nu = pool_.total() + adm.admitted;
   {
     telemetry::ScopedPhaseTimer timer(timers_, telemetry::Phase::kThrow, nu);
@@ -364,6 +303,8 @@ void Capped::record_time_series(const RoundMetrics& m) {
 
 void Capped::set_capacity(std::uint32_t capacity) {
   IBA_EXPECT(!infinite(), "Capped: set_capacity requires finite capacity");
+  IBA_EXPECT(bin_caps_.empty(),
+             "Capped: set_capacity is incompatible with per-bin capacities");
   IBA_EXPECT(capacity >= 1 && capacity <= 0xFFFFu,
              "Capped: capacity must lie in [1, 65535]");
   if (capacity > bounded_->capacity()) {
@@ -441,52 +382,32 @@ RoundMetrics Capped::allocate_and_delete(
     }
   }();
 
-  // Fast path: the fused bin-major kernel handles acceptance and deletion
-  // in one chunked sweep on every shard (and computes the end-of-round
-  // load stats). The kernel times itself internally, splitting the sweep
-  // between kAccept and kDelete so phase attribution matches the unfused
-  // kernels. Everything else runs serially, whatever the shard count —
-  // the bytes are the same either way.
-  bool load_stats_done = false;
-  bool fused = false;
-  if (config_.kernel == RoundKernel::kBinMajor && !tracing && !infinite() &&
-      choices.size() <= kMaxKernelThrows) {
-    fused = round_fused(choices, m);
-  }
-  if (fused) {
-    load_stats_done = true;
-  } else {
+  // Fast path: the fused sweep handles acceptance and deletion in one
+  // chunked pass on every shard (and computes the end-of-round load
+  // stats), timing itself so its kAccept/kDelete split matches the
+  // scalar path's. Every round it does not take — RoundKernel::kScalar,
+  // c = ∞, an attached ball tracer, or a pool whose age spread makes the
+  // sweep's partition uneconomical — runs the scalar reference, serially
+  // whatever the shard count. The bytes are the same either way.
+  const bool fused = config_.kernel == RoundKernel::kBinMajor && !tracing &&
+                     !infinite() && round_fused(choices, m);
+  if (!fused) {
     // Allocation. Pool buckets are considered in preference order (the
     // paper's oldest-first, or the ablation's inversion); each bin
     // accepts while it has room, which realizes "accept the preferred
-    // min{c−ℓ, ν} requests" exactly (see the header comment). The scalar
-    // path and the bin-major kernel compute the same outcome set —
-    // acceptance is independent across bins — with different
-    // memory-access order.
+    // min{c−ℓ, ν} requests" exactly (see the header comment).
     {
       telemetry::ScopedPhaseTimer accept_timer(timers_,
                                                telemetry::Phase::kAccept,
                                                m.thrown);
-      if (config_.kernel == RoundKernel::kBinMajor &&
-          choices.size() <= kMaxKernelThrows) {
-        accept_bin_major(choices, m);
-      } else {
-        accept_scalar(choices, m);
-      }
+      accept_scalar(choices, m);
       pool_.swap(survivors_);
     }
 
-    // Deletion: every non-empty, non-failed bin serves one ball. The
-    // bin-major pass also computes the end-of-round load stats while the
-    // bin arrays are hot, saving the separate scans below.
+    // Deletion: every non-empty, non-failed bin serves one ball.
     telemetry::ScopedPhaseTimer delete_timer(timers_,
                                              telemetry::Phase::kDelete);
-    if (config_.kernel == RoundKernel::kBinMajor) {
-      delete_bin_major(m);
-      load_stats_done = true;
-    } else {
-      delete_scalar(m);
-    }
+    delete_scalar(m);
     delete_timer.set_balls(m.deleted);
     delete_timer.stop();
   }
@@ -497,9 +418,9 @@ RoundMetrics Capped::allocate_and_delete(
   }
 
   m.pool_size = pool_.total();
-  m.deferred = deferred_total_;
+  m.deferred = gate_.deferred_total();
   m.oldest_pool_age = pool_.oldest_age(round_);
-  if (!load_stats_done) {
+  if (!fused) {
     if (infinite()) {
       m.total_load = unbounded_->total_load();
       m.max_load = unbounded_->max_load();
@@ -514,8 +435,9 @@ RoundMetrics Capped::allocate_and_delete(
 }
 
 // ---------------------------------------------------------------------------
-// Scalar (ball-at-a-time) round path — kept as the differential-testing
-// reference for the bin-major kernel.
+// Scalar (ball-at-a-time) round path: the reference the fused sweep is
+// differentially tested against, and the path of every round the sweep
+// does not take.
 // ---------------------------------------------------------------------------
 
 void Capped::accept_scalar(std::span<const std::uint32_t> choices,
@@ -549,11 +471,12 @@ void Capped::accept_scalar(std::span<const std::uint32_t> choices,
     m.accepted = m.thrown;
   } else if (config_.acceptance == AcceptanceOrder::kOldestFirst) {
     const std::uint32_t cap = config_.capacity;
+    const std::uint32_t* const caps = round_caps_;
     for (const auto& bucket : pool_.buckets()) {
       for (std::uint64_t k = 0; k < bucket.count; ++k) {
         const std::uint32_t bin = choices[idx++];
         const std::uint64_t load = bounded_->load(bin);
-        const std::uint32_t cap_b = faults_round_ ? fault_caps_[bin] : cap;
+        const std::uint32_t cap_b = caps != nullptr ? caps[bin] : cap;
         if (load < cap_b) {
           bounded_->push(bin, bucket.label);
           ++m.accepted;
@@ -569,6 +492,7 @@ void Capped::accept_scalar(std::span<const std::uint32_t> choices,
     // seen youngest-first, so they are staged and re-added oldest-first
     // to keep the pool's label order intact.
     const std::uint32_t cap = config_.capacity;
+    const std::uint32_t* const caps = round_caps_;
     const auto& buckets = pool_.buckets();
     reverse_survivor_scratch_.clear();
     for (auto it = buckets.rbegin(); it != buckets.rend(); ++it) {
@@ -576,7 +500,7 @@ void Capped::accept_scalar(std::span<const std::uint32_t> choices,
       for (std::uint64_t k = 0; k < it->count; ++k) {
         const std::uint32_t bin = choices[idx++];
         const std::uint64_t load = bounded_->load(bin);
-        const std::uint32_t cap_b = faults_round_ ? fault_caps_[bin] : cap;
+        const std::uint32_t cap_b = caps != nullptr ? caps[bin] : cap;
         if (load < cap_b) {
           bounded_->push(bin, it->label);
           ++m.accepted;
@@ -644,26 +568,14 @@ void Capped::delete_scalar(RoundMetrics& m) {
 }
 
 // ---------------------------------------------------------------------------
-// Bin-major round kernels. Both group throws by destination bin with a
-// stable partition, which keeps each bin's candidates in the scalar
-// path's visit order; acceptance is independent across bins, so each bin
-// taking the first min{c−ℓ, ν_bin} candidates reproduces the scalar
-// outcome exactly — queues, survivors, metrics and traces are
-// byte-identical. The fused sweep (round_fused) is the fast path and the
-// only one that uses the shard pool; the flat counting sort
-// (accept_bin_major + delete_bin_major) serves the configurations it
-// does not: infinite capacity, ball tracing, and pools whose age spread
-// makes the fused partition's sentinels too costly.
+// Fused round kernel.
 // ---------------------------------------------------------------------------
 
 // Flattens pool buckets in acceptance-visit order: bucket_ends_[b] is
-// one past the last throw index of bucket b, so a monotone cursor maps
-// throw index → bucket during the scatter scans. The infinite-capacity
-// scalar branch visits buckets forward regardless of the acceptance
-// order (everything is accepted); mirror that.
+// one past the last throw index of bucket b, so a binary search maps a
+// throw index to its bucket.
 void Capped::flatten_pool_buckets(std::uint64_t expected_total) {
-  const bool forward =
-      infinite() || config_.acceptance == AcceptanceOrder::kOldestFirst;
+  const bool forward = config_.acceptance == AcceptanceOrder::kOldestFirst;
   const auto& buckets = pool_.buckets();
   bucket_labels_.clear();
   bucket_ends_.clear();
@@ -683,128 +595,6 @@ void Capped::flatten_pool_buckets(std::uint64_t expected_total) {
   }
   IBA_ASSERT(cum == expected_total);
   (void)expected_total;
-}
-
-void Capped::accept_bin_major(std::span<const std::uint32_t> choices,
-                              RoundMetrics& m) {
-  const std::uint32_t n = config_.n;
-  const std::size_t nu = choices.size();
-  const bool forward =
-      infinite() || config_.acceptance == AcceptanceOrder::kOldestFirst;
-
-  flatten_pool_buckets(nu);
-  const std::size_t n_buckets = bucket_labels_.size();
-
-  const bool tracing = [&] {
-    if constexpr (IBA_TELEMETRY_ENABLED != 0) {
-      return tracer_ != nullptr;
-    } else {
-      return false;
-    }
-  }();
-
-  counts_.resize(n);
-  starts_.resize(static_cast<std::size_t>(n) + 1);
-
-  if (tracing) {
-    // Loads before any acceptance, for replaying per-throw trace events.
-    init_load_.resize(n);
-    for (std::uint32_t bin = 0; bin < n; ++bin) {
-      init_load_[bin] = infinite() ? unbounded_->load(bin)
-                                   : bounded_->load(bin);
-    }
-    rank_scratch_.resize(nu);
-  } else {
-    rank_scratch_.clear();
-  }
-
-  cand_bucket_.resize(nu);
-  rejected_.assign(n_buckets, 0);
-  // Counting sort: count, exclusive prefix (counts_ becomes the scatter
-  // cursor array), then the scatter + accept pass.
-  std::fill(counts_.begin(), counts_.end(), 0u);
-  for (std::size_t i = 0; i < nu; ++i) ++counts_[choices[i]];
-  starts_[0] = 0;
-  for (std::uint32_t bin = 0; bin < n; ++bin) {
-    starts_[bin + 1] = starts_[bin] + counts_[bin];
-    counts_[bin] = starts_[bin];
-  }
-  const std::uint64_t accepted = scatter_and_accept(choices);
-  if (infinite()) {
-    unbounded_->adjust_total_load(static_cast<std::int64_t>(accepted));
-  } else {
-    bounded_->adjust_total_load(static_cast<std::int64_t>(accepted));
-  }
-  m.accepted = accepted;
-
-  // Survivors: per-bucket rejection counts, re-added oldest-first
-  // (AgedPool's label-order invariant).
-  survivors_.clear();
-  for (std::size_t i = 0; i < n_buckets; ++i) {
-    const std::size_t b = forward ? i : n_buckets - 1 - i;
-    survivors_.add(bucket_labels_[b], rejected_[b]);
-  }
-
-  if (tracing) emit_throw_traces(choices);
-}
-
-std::uint64_t Capped::scatter_and_accept(
-    std::span<const std::uint32_t> choices) {
-  const std::size_t nu = choices.size();
-  const bool tracing = !rank_scratch_.empty();
-
-  // Stable scatter: scanning throws in visit order and appending at each
-  // bin's cursor preserves, per bin, exactly the scalar candidate order.
-  std::size_t bucket = 0;
-  for (std::size_t idx = 0; idx < nu; ++idx) {
-    while (idx >= bucket_ends_[bucket]) ++bucket;
-    const std::uint32_t bin = choices[idx];
-    const std::uint32_t pos = counts_[bin]++;
-    cand_bucket_[pos] = static_cast<std::uint32_t>(bucket);
-    if (tracing) rank_scratch_[idx] = pos - starts_[bin];
-  }
-
-  // Cache-linear acceptance: each bin takes the first min{c−ℓ, ν_bin}
-  // candidates of its segment; the rest count as per-bucket rejections.
-  const std::uint32_t n = config_.n;
-  std::uint64_t accepted = 0;
-  if (infinite()) {
-    for (std::uint32_t bin = 0; bin < n; ++bin) {
-      const std::uint32_t seg_begin = starts_[bin];
-      const std::uint32_t seg_end = starts_[bin + 1];
-      if (seg_begin == seg_end) continue;
-      unbounded_->push_bulk(bin, seg_end - seg_begin, [&](std::uint64_t k) {
-        return bucket_labels_[cand_bucket_[seg_begin + k]];
-      });
-      accepted += seg_end - seg_begin;
-    }
-    return accepted;
-  }
-  const std::uint32_t cap = config_.capacity;
-  const std::uint32_t* packed = bounded_->packed();
-  for (std::uint32_t bin = 0; bin < n; ++bin) {
-    const std::uint32_t seg_begin = starts_[bin];
-    const std::uint32_t seg_end = starts_[bin + 1];
-    if (seg_begin == seg_end) continue;
-    const std::uint32_t count = seg_end - seg_begin;
-    const std::uint32_t size = packed[bin] & queueing::BinTable::kSizeMask;
-    // A degraded bin's effective capacity can sit below its current
-    // load (balls accepted before the degradation stay put), so the
-    // subtraction must saturate.
-    const std::uint32_t cap_b = faults_round_ ? fault_caps_[bin] : cap;
-    const std::uint32_t free = size < cap_b ? cap_b - size : 0;
-    const std::uint32_t take = count < free ? count : free;
-    if (take > 0) {
-      bounded_->push_bulk(bin, take, [&](std::uint32_t k) {
-        return bucket_labels_[cand_bucket_[seg_begin + k]];
-      });
-    }
-    for (std::uint32_t k = take; k < count; ++k) {
-      ++rejected_[cand_bucket_[seg_begin + k]];
-    }
-    accepted += take;
-  }
-  return accepted;
 }
 
 // Fused round kernel for the common configuration: finite capacity, no
@@ -848,7 +638,7 @@ bool Capped::round_fused(std::span<const std::uint32_t> choices,
   const std::size_t n_buckets = bucket_labels_.size();
   const std::uint32_t n_chunks = chunk_count(n);
 
-  // One sentinel per (bucket, chunk): bail to the flat path if the pool's
+  // One sentinel per (bucket, chunk): bail to the scalar path if the pool's
   // age spread would make that overhead comparable to the throws
   // themselves (does not happen in steady state).
   if (n_buckets * static_cast<std::size_t>(n_chunks) > nu / 2 + 1024) {
@@ -1027,7 +817,7 @@ void Capped::sweep_chunks(SweepShard& acc, std::uint32_t chunk_begin,
   // storage never narrows — spare slots are simply unused).
   const std::uint32_t cap = config_.capacity;
   const std::uint32_t storage = bounded_->capacity();
-  const bool faults = faults_round_;
+  const std::uint32_t* const caps = round_caps_;  // per-bin bounds, if any
   std::uint32_t* const hs_arr = bounded_->packed_mut();
   std::uint64_t* const lb = bounded_->labels_mut();
   const std::uint16_t* const part = part16_.data();
@@ -1075,7 +865,7 @@ void Capped::sweep_chunks(SweepShard& acc, std::uint32_t chunk_begin,
         const std::uint32_t bin = bin_lo + v;
         const std::uint32_t hs = hs_arr[bin];
         const std::uint32_t load = hs & kSizeMask;
-        const std::uint32_t cap_b = faults ? fault_caps_[bin] : cap;
+        const std::uint32_t cap_b = caps != nullptr ? caps[bin] : cap;
         if (load < cap_b) {
           std::uint32_t slot = (hs >> kHeadShift) + load;
           if (slot >= storage) slot -= storage;
@@ -1212,140 +1002,6 @@ void Capped::delete_bins(SweepShard& acc, std::uint32_t bin_begin,
   acc.empty_bins = empty_bins;
 }
 
-void Capped::emit_throw_traces(std::span<const std::uint32_t> choices) {
-#if IBA_TELEMETRY_ENABLED
-  // Replays the scalar path's on_throw stream: throws in visit order,
-  // each with the load the bin had at that ball's decision point —
-  // derivable from the initial load and the ball's stable rank among the
-  // bin's candidates.
-  const bool finite = !infinite();
-  const std::uint64_t cap = finite ? config_.capacity : 0;
-  std::size_t bucket = 0;
-  for (std::size_t idx = 0; idx < choices.size(); ++idx) {
-    while (idx >= bucket_ends_[bucket]) ++bucket;
-    const std::uint32_t bin = choices[idx];
-    const std::uint64_t label = bucket_labels_[bucket];
-    const std::uint64_t rank = rank_scratch_[idx];
-    const std::uint64_t initial = init_load_[bin];
-    // Written without subtraction: a controller shrink can leave
-    // initial > cap (still-draining bin), where cap - initial underflows.
-    if (!finite || initial + rank < cap) {
-      tracer_->on_throw(label, bin, initial + rank, true);
-    } else {
-      tracer_->on_throw(label, bin, cap, false);
-    }
-  }
-#else
-  (void)choices;
-#endif
-}
-
-// Serial bin-major deletion: one fused pass that serves bins, draws
-// failure coins and uniform positions in the scalar loop's exact bin
-// order, and computes the end-of-round total/max/empty load statistics
-// while each bin's arrays are still in cache. Outcome-, RNG- and
-// trace-identical to delete_scalar; total_load is committed once at the
-// end instead of per pop.
-void Capped::delete_bin_major(RoundMetrics& m) {
-  const std::uint32_t n = config_.n;
-  const bool failures = config_.failure_probability > 0.0;
-  const double p_fail = config_.failure_probability;
-  std::uint64_t max_load = 0;
-  std::uint64_t empty_bins = 0;
-  std::int64_t delta = 0;
-  if (infinite()) {
-    for (std::uint32_t bin = 0; bin < n; ++bin) {
-      const std::uint64_t load = unbounded_->load(bin);
-      if (load == 0) {
-        ++empty_bins;
-        continue;
-      }
-      if (failures && rng::uniform01(engine_) < p_fail) {
-        // Crash-requeue is rejected for infinite capacity at config time,
-        // so a failed bin simply skips service.
-        if (load > max_load) max_load = load;
-        continue;
-      }
-      const std::uint64_t label = unbounded_->remove_front(bin);
-      --delta;
-      record_wait(bin, label, 0, m);
-      if (load == 1) {
-        ++empty_bins;
-      } else if (load - 1 > max_load) {
-        max_load = load - 1;
-      }
-    }
-    unbounded_->adjust_total_load(delta);
-    m.total_load = unbounded_->total_load();
-  } else {
-    const bool crash = config_.failure_mode == FailureMode::kCrashRequeue;
-    const DeletionDiscipline discipline = config_.deletion;
-    for (std::uint32_t bin = 0; bin < n; ++bin) {
-      const std::uint32_t load = bounded_->load(bin);
-      if (load == 0) {
-        ++empty_bins;
-        continue;
-      }
-      if (faults_round_ &&
-          (fault_flags_[bin] & FaultFlags::kNoServe) != 0) {
-        if ((fault_flags_[bin] & FaultFlags::kDrain) != 0) {
-          bounded_->drain_bulk(bin, [&](std::uint64_t label) {
-            if constexpr (IBA_TELEMETRY_ENABLED != 0) {
-              if (tracer_ != nullptr) tracer_->on_requeue(bin, label);
-            }
-            ++requeue_[label];
-            ++m.requeued;
-            --delta;
-          });
-          ++empty_bins;
-        } else if (load > max_load) {
-          max_load = load;
-        }
-        continue;  // faulted bins draw no failure coin (see delete_scalar)
-      }
-      if (failures && rng::uniform01(engine_) < p_fail) {
-        if (crash) {
-          bounded_->drain_bulk(bin, [&](std::uint64_t label) {
-            if constexpr (IBA_TELEMETRY_ENABLED != 0) {
-              if (tracer_ != nullptr) tracer_->on_requeue(bin, label);
-            }
-            ++requeue_[label];
-            ++m.requeued;
-            --delta;
-          });
-          ++empty_bins;
-        } else if (load > max_load) {
-          max_load = load;
-        }
-        continue;
-      }
-      std::uint32_t pos = 0;
-      switch (discipline) {
-        case DeletionDiscipline::kFifo:
-          break;
-        case DeletionDiscipline::kLifo:
-          pos = load - 1;
-          break;
-        case DeletionDiscipline::kUniform:
-          pos = rng::bounded32(engine_, load);
-          break;
-      }
-      const std::uint64_t label = bounded_->remove_at(bin, pos);
-      --delta;
-      record_wait(bin, label, pos, m);
-      if (load == 1) {
-        ++empty_bins;
-      } else if (load - 1 > max_load) {
-        max_load = load - 1;
-      }
-    }
-    bounded_->adjust_total_load(delta);
-    m.total_load = bounded_->total_load();
-  }
-  m.max_load = max_load;
-  m.empty_bins = empty_bins;
-}
-
 void Capped::record_wait(std::uint32_t bin, std::uint64_t label,
                          std::uint64_t position, RoundMetrics& m) {
   if constexpr (IBA_TELEMETRY_ENABLED != 0) {
@@ -1390,14 +1046,9 @@ void Capped::for_shards(
 void Capped::first_touch_state() {
   if (infinite() || arena_ == nullptr) return;
   const std::uint32_t n = config_.n;
-  // Pre-size the per-bin arrays so their pages exist to be touched.
-  counts_.resize(n);
-  starts_.resize(static_cast<std::size_t>(n) + 1);
   const std::size_t storage = bounded_->capacity();
   std::uint32_t* const hs = bounded_->packed_mut();
   std::uint64_t* const lb = bounded_->labels_mut();
-  std::uint32_t* const counts = counts_.data();
-  std::uint32_t* const starts = starts_.data();
   // Touching writes the zeroes the buffers are already guaranteed to
   // hold; its only effect is page placement, so it changes nothing
   // observable. Each shard touches the bins of the chunks it sweeps.
@@ -1408,33 +1059,7 @@ void Capped::first_touch_state() {
     std::memset(hs + lo, 0, (hi - lo) * sizeof(std::uint32_t));
     std::memset(lb + lo * storage, 0,
                 (hi - lo) * storage * sizeof(std::uint64_t));
-    std::memset(counts + lo, 0, (hi - lo) * sizeof(std::uint32_t));
-    std::memset(starts + lo, 0, (hi - lo) * sizeof(std::uint32_t));
   });
-}
-
-void Capped::merge_sorted_into_pool(
-    std::span<const queueing::AgedPool::Bucket> entries) {
-  // Two-pointer merge of the (sorted) entries into the (sorted) pool,
-  // preserving the oldest-first bucket order.
-  merge_scratch_.clear();
-  std::size_t i = 0;
-  for (const auto& bucket : pool_.buckets()) {
-    while (i < entries.size() && entries[i].label < bucket.label) {
-      merge_scratch_.add(entries[i].label, entries[i].count);
-      ++i;
-    }
-    if (i < entries.size() && entries[i].label == bucket.label) {
-      merge_scratch_.add(bucket.label, bucket.count + entries[i].count);
-      ++i;
-    } else {
-      merge_scratch_.add(bucket.label, bucket.count);
-    }
-  }
-  for (; i < entries.size(); ++i) {
-    merge_scratch_.add(entries[i].label, entries[i].count);
-  }
-  pool_.swap(merge_scratch_);
 }
 
 void Capped::merge_requeued_into_pool() {
@@ -1444,7 +1069,7 @@ void Capped::merge_requeued_into_pool() {
   for (const auto& [label, count] : requeue_) {
     requeue_scratch_.push_back({label, count});
   }
-  merge_sorted_into_pool(requeue_scratch_);
+  pool_.merge_sorted(requeue_scratch_);
   requeue_.clear();
 }
 

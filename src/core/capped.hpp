@@ -23,7 +23,6 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -34,6 +33,7 @@
 #include "common/assert.hpp"
 #include "concurrency/thread_pool.hpp"
 #include "control/controller.hpp"
+#include "core/admission.hpp"
 #include "core/fault_hooks.hpp"
 #include "core/metrics.hpp"
 #include "core/policies.hpp"
@@ -73,8 +73,9 @@ struct CappedConfig {
   FailureMode failure_mode = FailureMode::kSkipService;
 
   /// How the round hot path executes. Both kernels produce byte-identical
-  /// trajectories for the same seed; kBinMajor is the fast default, the
-  /// scalar path is kept for differential testing (docs/PERFORMANCE.md).
+  /// trajectories for the same seed; kBinMajor (the fused sweep) is the
+  /// fast default, kScalar is the reference it is differentially tested
+  /// against (docs/PERFORMANCE.md).
   RoundKernel kernel = RoundKernel::kBinMajor;
   /// Number of threads the fused bin-major sweep runs on (1 = inline, no
   /// thread pool); each takes a slice of the throws and a contiguous run
@@ -125,14 +126,6 @@ struct CappedConfig {
 
   /// Throws ContractViolation when the configuration is unusable.
   void validate() const;
-};
-
-/// One bucket of deferred arrivals (kDeferRetry backpressure): `count`
-/// balls generated in round `label`, eligible to retry at round `ready`.
-struct DeferredBucket {
-  std::uint64_t label = 0;
-  std::uint64_t count = 0;
-  std::uint64_t ready = 0;
 };
 
 /// Wait-recorder state captured in a snapshot — exact integer moments
@@ -312,16 +305,29 @@ class Capped {
   /// Attaches (or detaches, with nullptr) a fault plan: from the next
   /// step() on, begin_round() is consulted before each round and the
   /// per-bin flags/effective capacities it publishes are honored
-  /// identically by every kernel (scalar, bin-major, fused, sharded).
-  /// The provider must draw randomness only from its own stream — the
-  /// allocation engine's draw sequence is part of the determinism
-  /// contract. Requires finite capacity.
+  /// identically by both kernels at every shard count. The provider
+  /// must draw randomness only from its own stream — the allocation
+  /// engine's draw sequence is part of the determinism contract.
+  /// Requires finite capacity and no per-bin capacities.
   void set_fault_plan(RoundFaultProvider* plan) {
     IBA_EXPECT(plan == nullptr || !infinite(),
                "Capped: fault injection requires finite capacity");
+    IBA_EXPECT(plan == nullptr || bin_caps_.empty(),
+               "Capped: a fault plan is incompatible with per-bin "
+               "capacities");
     fault_plan_ = plan;
     faults_round_ = false;
+    round_caps_ = bin_caps_.empty() ? nullptr : bin_caps_.data();
   }
+
+  /// Gives bin i its own buffer size c_i from the next step() on (an
+  /// empty span restores the uniform c): CAPPED over non-uniform bins,
+  /// each accepting the oldest min{c_i − ℓ, ν} of its requests. Pair
+  /// with a WeightedBinSampler for weighted routing (core/bin_samplers.hpp).
+  /// Requires config.capacity == max c_i (the storage width), every
+  /// c_i >= 1, and no fault plan or controller. Not serialized in
+  /// snapshots — reattach after a resume, exactly like a fault plan.
+  void set_bin_capacities(std::span<const std::uint32_t> capacities);
 
   /// Attaches (or detaches, with nullptr) a non-uniform bin sampler:
   /// from the next step() on, the per-ball bin choices are drawn through
@@ -364,10 +370,10 @@ class Capped {
     return deleted_total_;
   }
   [[nodiscard]] std::uint64_t shed_total() const noexcept {
-    return shed_total_;
+    return gate_.shed_total();
   }
   [[nodiscard]] std::uint64_t deferred_total() const noexcept {
-    return deferred_total_;
+    return gate_.deferred_total();
   }
 
   /// Label of the ball `i` positions behind the front of bin `bin`
@@ -383,18 +389,6 @@ class Capped {
     return config_.capacity == kInfiniteCapacity;
   }
 
-  [[nodiscard]] std::uint64_t sample_arrivals();
-  /// Outcome of one round's arrival admission (backpressure).
-  struct Admission {
-    std::uint64_t generated = 0;  ///< balls created this round
-    std::uint64_t admitted = 0;   ///< of those, admitted to the pool
-    std::uint64_t shed = 0;       ///< of those, dropped (kShed)
-  };
-  /// Applies the pool bound to this round's arrivals: readmits deferred
-  /// balls whose backoff expired (oldest first), then admits as many
-  /// fresh arrivals as fit; the excess is shed or deferred. No engine
-  /// draws. A no-op returning admitted == generated without backpressure.
-  Admission admit_arrivals(std::uint64_t generated);
   /// Consults the fault plan (if any) for the round about to run and
   /// caches its per-bin views for the kernels.
   void begin_round_faults();
@@ -416,16 +410,14 @@ class Capped {
   void accept_scalar(std::span<const std::uint32_t> choices, RoundMetrics& m);
   void delete_scalar(RoundMetrics& m);
 
-  // -- bin-major round kernel (see docs/PERFORMANCE.md) --
-  void accept_bin_major(std::span<const std::uint32_t> choices,
-                        RoundMetrics& m);
+  // -- fused bin-major round kernel (see docs/PERFORMANCE.md) --
   void flatten_pool_buckets(std::uint64_t expected_total);
   /// Fused accept+delete sweep for the untraced, finite-capacity kernel,
   /// run on config_.shards threads: a sliced two-level partition of the
   /// throws into bin chunks, then per chunk the acceptance replay and the
   /// delete walk while the chunk's bins are cache-hot. Returns false
   /// (nothing mutated) when the pool's bucket count makes the partition
-  /// bookkeeping uneconomical; callers then use the flat serial paths.
+  /// bookkeeping uneconomical; the round then runs the scalar path.
   bool round_fused(std::span<const std::uint32_t> choices, RoundMetrics& m);
   /// One shard's private accumulators in a fused sweep. All are exact
   /// integers, so merging them in shard order reproduces the serial
@@ -452,13 +444,6 @@ class Capped {
   /// from the engine only for failure coins and uniform deletion.
   void delete_bins(SweepShard& acc, std::uint32_t bin_begin,
                    std::uint32_t bin_end);
-  /// Stable scatter of the throws into the flat bin-major partition, then
-  /// per-bin bulk acceptance; returns the accepted count.
-  std::uint64_t scatter_and_accept(std::span<const std::uint32_t> choices);
-  void emit_throw_traces(std::span<const std::uint32_t> choices);
-  /// Fused single-pass deletion for the serial bin-major kernel; also
-  /// computes m.total_load / max_load / empty_bins.
-  void delete_bin_major(RoundMetrics& m);
   void record_wait(std::uint32_t bin, std::uint64_t label,
                    std::uint64_t position, RoundMetrics& m);
   /// Runs fn(shard, begin, end) over config_.shards contiguous slices of
@@ -478,14 +463,9 @@ class Capped {
   Engine engine_;
   std::uint64_t round_ = 0;
   void merge_requeued_into_pool();
-  /// Merges `entries` (sorted by label, ascending) into the pool,
-  /// preserving the oldest-first bucket order (two-pointer merge).
-  void merge_sorted_into_pool(
-      std::span<const queueing::AgedPool::Bucket> entries);
 
   queueing::AgedPool pool_;
   queueing::AgedPool survivors_;  // scratch, reused across rounds
-  queueing::AgedPool merge_scratch_;
   // The arena must outlive everything allocated from it (bounded_ and
   // the ArenaBuffer scratch below), hence its position in this list.
   std::unique_ptr<Arena> arena_;  // config_.arena.enabled only
@@ -495,13 +475,9 @@ class Capped {
   std::optional<queueing::BinTable> bounded_;
   std::optional<queueing::UnboundedBinTable> unbounded_;
 
-  // Bin-major kernel scratch, reused across rounds. `counts_` doubles as
-  // the scatter cursor array after the prefix sum into `starts_`.
-  ArenaBuffer<std::uint32_t> counts_;         // n
-  ArenaBuffer<std::uint32_t> starts_;         // n + 1 candidate offsets
-  // Fused kernel scratch: throws are partitioned into contiguous bin-range
-  // chunks sized so the cursor arrays and per-chunk bin state stay
-  // cache-resident. A chunk's stream is one sub-stream per throw slice,
+  // Fused kernel scratch, reused across rounds: throws are partitioned
+  // into contiguous bin-range chunks sized so the cursor arrays and
+  // per-chunk bin state stay cache-resident. A chunk's stream is one sub-stream per throw slice,
   // in slice order; each holds 16-bit chunk-local offsets in bucket-major
   // visit order with one sentinel per bucket the slice spans, so the
   // bucket of an entry is implied by its segment instead of stored.
@@ -514,12 +490,8 @@ class Capped {
   std::vector<std::size_t> slice_buckets_;
   std::vector<std::uint64_t> chunk_begin_;
   std::vector<SweepShard> sweep_;             // one per shard
-  ArenaBuffer<std::uint32_t> cand_bucket_;    // per candidate, bin-grouped
   std::vector<std::uint64_t> bucket_labels_;  // flat copy of pool buckets
-  std::vector<std::uint64_t> bucket_ends_;    // candidate-index boundaries
-  std::vector<std::uint64_t> rejected_;       // per bucket (serial path)
-  std::vector<std::uint32_t> rank_scratch_;    // per throw idx (tracer only)
-  std::vector<std::uint64_t> init_load_;       // per bin (tracer only)
+  std::vector<std::uint64_t> bucket_ends_;    // throw-index boundaries
   std::unique_ptr<concurrency::ThreadPool> shard_pool_;  // shards > 1
 
   std::unique_ptr<control::Controller> controller_;  // config_.control on
@@ -532,21 +504,20 @@ class Capped {
   std::uint64_t deleted_total_ = 0;
 
   // Fault-injection round state: set by begin_round_faults(), read by
-  // every kernel. Null / false outside a faulted round, so unfaulted
+  // both kernels. Null / false outside a faulted round, so unfaulted
   // rounds keep the lean fast paths.
   RoundFaultProvider* fault_plan_ = nullptr;
   BinChoiceSampler* bin_sampler_ = nullptr;
   bool faults_round_ = false;
   const std::uint8_t* fault_flags_ = nullptr;
-  const std::uint32_t* fault_caps_ = nullptr;
+  // The round's per-bin acceptance bound, or null when every bin has
+  // config_.capacity: a faulted round's effective capacities, else the
+  // attached per-bin capacities (the two are mutually exclusive).
+  const std::uint32_t* round_caps_ = nullptr;
+  std::vector<std::uint32_t> bin_caps_;  // set_bin_capacities; empty = c
 
-  // Backpressure state (kShed / kDeferRetry).
-  std::deque<DeferredBucket> deferred_;  // ready ascending; labels
-                                         // ascending within a ready group
-  std::vector<queueing::AgedPool::Bucket> readmit_scratch_;
+  AdmissionGate gate_;  // backpressure state (kShed / kDeferRetry)
   std::vector<queueing::AgedPool::Bucket> requeue_scratch_;
-  std::uint64_t shed_total_ = 0;
-  std::uint64_t deferred_total_ = 0;
 };
 
 static_assert(AllocationProcess<Capped>);

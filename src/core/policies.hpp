@@ -51,9 +51,12 @@ enum class BackpressureMode : std::uint8_t {
 /// same seed (tests/kernel_differential_test.cpp) — they differ only in
 /// memory-access order and parallelizability. See docs/PERFORMANCE.md.
 enum class RoundKernel : std::uint8_t {
-  kScalar,    ///< ball-at-a-time: one random bin access per throw
-  kBinMajor,  ///< batched: counting-sort throws by bin, then accept in
-              ///< one cache-linear pass over bins; shardable
+  kScalar,    ///< ball-at-a-time: one random bin access per throw; the
+              ///< reference, and the path of every round kBinMajor's
+              ///< sweep does not take (c = ∞, ball tracing, bail-out)
+  kBinMajor,  ///< fused sweep: partition throws by bin chunk, then accept
+              ///< and delete chunk by chunk on cache-resident state;
+              ///< shardable
 };
 
 [[nodiscard]] constexpr std::string_view to_string(ArrivalModel m) noexcept {

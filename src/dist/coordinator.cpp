@@ -7,7 +7,6 @@
 #include "dist/checkpoint.hpp"
 #include "net/socket.hpp"
 #include "rng/bounded.hpp"
-#include "rng/distributions.hpp"
 #include "sim/checkpoint.hpp"
 
 namespace iba::dist {
@@ -57,16 +56,10 @@ Coordinator::Coordinator(const core::CappedSnapshot& snapshot,
   round_ = snapshot.round;
   generated_total_ = snapshot.generated_total;
   deleted_total_ = snapshot.deleted_total;
-  shed_total_ = snapshot.shed_total;
   for (const auto& bucket : snapshot.pool) {
     pool_.add(bucket.label, bucket.count);
   }
-  for (const auto& bucket : snapshot.deferred) {
-    IBA_EXPECT(deferred_.empty() || deferred_.back().ready <= bucket.ready,
-               "Coordinator: deferred buckets must be ready-ordered");
-    deferred_.push_back(bucket);
-    deferred_total_ += bucket.count;
-  }
+  gate_.restore(snapshot.shed_total, snapshot.deferred);
   wait_moments_ = stats::UintMoments::from_parts(
       snapshot.waits.count, snapshot.waits.sum, snapshot.waits.sumsq_hi,
       snapshot.waits.sumsq_lo);
@@ -144,8 +137,8 @@ void Coordinator::init_workers(const std::string& resume_base) {
   // Ball conservation across the restored shards: everything ever
   // generated is in the pool, in a bin, deleted, shed, or deferred.
   const std::uint64_t expected = generated_total_ - pool_.total() -
-                                 deleted_total_ - shed_total_ -
-                                 deferred_total_;
+                                 deleted_total_ - gate_.shed_total() -
+                                 gate_.deferred_total();
   IBA_EXPECT(restored_load == expected,
              "Coordinator: restored shard load breaks ball conservation");
 }
@@ -192,88 +185,6 @@ void Coordinator::apply_control() {
   }
 }
 
-std::uint64_t Coordinator::sample_arrivals() {
-  switch (config_.arrival) {
-    case core::ArrivalModel::kDeterministic:
-      return config_.lambda_n;
-    case core::ArrivalModel::kBinomial:
-      return rng::binomial(engine_, config_.n, config_.lambda());
-    case core::ArrivalModel::kPoisson:
-      return rng::poisson(engine_, static_cast<double>(config_.lambda_n));
-  }
-  return config_.lambda_n;
-}
-
-Coordinator::Admission Coordinator::admit_arrivals(std::uint64_t generated) {
-  // Byte-for-byte the admission logic of core::Capped::admit_arrivals —
-  // it runs entirely on coordinator state, so distribution changes
-  // nothing here.
-  Admission adm;
-  adm.generated = generated;
-  adm.admitted = generated;
-  if (config_.backpressure == core::BackpressureMode::kNone) return adm;
-
-  const std::uint64_t next_round = round_ + 1;
-  const std::uint64_t limit = config_.pool_limit;
-  std::uint64_t free = pool_.total() < limit ? limit - pool_.total() : 0;
-
-  if (!deferred_.empty() && deferred_.front().ready <= next_round) {
-    readmit_scratch_.clear();
-    while (!deferred_.empty() && deferred_.front().ready <= next_round) {
-      core::DeferredBucket bucket = deferred_.front();
-      deferred_.pop_front();
-      const std::uint64_t take = bucket.count < free ? bucket.count : free;
-      if (take > 0) {
-        readmit_scratch_.push_back({bucket.label, take});
-        free -= take;
-        deferred_total_ -= take;
-        bucket.count -= take;
-      }
-      if (bucket.count > 0) {
-        bucket.ready = next_round + config_.backoff_rounds;
-        deferred_.push_back(bucket);
-      }
-    }
-    if (!readmit_scratch_.empty()) merge_sorted_into_pool(readmit_scratch_);
-  }
-
-  adm.admitted = generated < free ? generated : free;
-  const std::uint64_t excess = generated - adm.admitted;
-  if (excess > 0) {
-    if (config_.backpressure == core::BackpressureMode::kShed) {
-      adm.shed = excess;
-      shed_total_ += excess;
-    } else {
-      deferred_.push_back(
-          {next_round, excess, next_round + config_.backoff_rounds});
-      deferred_total_ += excess;
-    }
-  }
-  return adm;
-}
-
-void Coordinator::merge_sorted_into_pool(
-    std::span<const queueing::AgedPool::Bucket> entries) {
-  merge_scratch_.clear();
-  std::size_t i = 0;
-  for (const auto& bucket : pool_.buckets()) {
-    while (i < entries.size() && entries[i].label < bucket.label) {
-      merge_scratch_.add(entries[i].label, entries[i].count);
-      ++i;
-    }
-    if (i < entries.size() && entries[i].label == bucket.label) {
-      merge_scratch_.add(bucket.label, bucket.count + entries[i].count);
-      ++i;
-    } else {
-      merge_scratch_.add(bucket.label, bucket.count);
-    }
-  }
-  for (; i < entries.size(); ++i) {
-    merge_scratch_.add(entries[i].label, entries[i].count);
-  }
-  pool_.swap(merge_scratch_);
-}
-
 std::uint32_t Coordinator::owner_of(std::uint32_t bin) const noexcept {
   // Inverse of the contiguous range split (the sharded kernel's
   // convention): the first `rem` workers own base+1 bins.
@@ -287,8 +198,9 @@ core::RoundMetrics Coordinator::step() {
   // Decide → draw → ship, in exactly core::Capped::step()'s order, so
   // the engine consumes the identical stream.
   apply_control();
-  const std::uint64_t generated = sample_arrivals();
-  const Admission adm = admit_arrivals(generated);
+  const std::uint64_t generated = core::sample_arrivals(config_, engine_);
+  const core::Admission adm =
+      gate_.admit(config_, round_ + 1, generated, pool_);
   const std::uint64_t nu = pool_.total() + adm.admitted;
   choice_scratch_.resize(nu);
   if (bin_sampler_ != nullptr) {
@@ -391,7 +303,7 @@ core::RoundMetrics Coordinator::step() {
 
   deleted_total_ += m.deleted;
   m.pool_size = pool_.total();
-  m.deferred = deferred_total_;
+  m.deferred = gate_.deferred_total();
   m.oldest_pool_age = pool_.oldest_age(round_);
 
   if (controller_ != nullptr) controller_->observe(m);
@@ -404,10 +316,10 @@ core::CappedSnapshot Coordinator::snapshot() const {
   snap.round = round_;
   snap.generated_total = generated_total_;
   snap.deleted_total = deleted_total_;
-  snap.shed_total = shed_total_;
+  snap.shed_total = gate_.shed_total();
   snap.engine_state = engine_.state();
   snap.pool.assign(pool_.buckets().begin(), pool_.buckets().end());
-  snap.deferred.assign(deferred_.begin(), deferred_.end());
+  snap.deferred.assign(gate_.deferred().begin(), gate_.deferred().end());
   snap.waits.count = wait_moments_.count();
   snap.waits.sum = wait_moments_.sum();
   snap.waits.sumsq_hi = wait_moments_.sumsq_hi();
@@ -485,8 +397,8 @@ void Coordinator::save_checkpoint(const std::string& base,
     persisted += ack.balls;
   }
   const std::uint64_t expected = generated_total_ - pool_.total() -
-                                 deleted_total_ - shed_total_ -
-                                 deferred_total_;
+                                 deleted_total_ - gate_.shed_total() -
+                                 gate_.deferred_total();
   IBA_EXPECT(persisted == expected,
              "Coordinator: persisted shard load breaks ball conservation");
 

@@ -21,7 +21,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <span>
 #include <stdexcept>
@@ -29,6 +28,7 @@
 #include <vector>
 
 #include "control/controller.hpp"
+#include "core/admission.hpp"
 #include "core/capped.hpp"
 #include "core/metrics.hpp"
 #include "core/process.hpp"
@@ -110,10 +110,10 @@ class Coordinator {
     return deleted_total_;
   }
   [[nodiscard]] std::uint64_t shed_total() const noexcept {
-    return shed_total_;
+    return gate_.shed_total();
   }
   [[nodiscard]] std::uint64_t deferred_total() const noexcept {
-    return deferred_total_;
+    return gate_.deferred_total();
   }
   [[nodiscard]] const control::Controller* controller() const noexcept {
     return controller_.get();
@@ -145,22 +145,12 @@ class Coordinator {
     std::uint64_t bin_lo = 0;
     std::uint64_t bin_count = 0;
   };
-  struct Admission {
-    std::uint64_t generated = 0;
-    std::uint64_t admitted = 0;
-    std::uint64_t shed = 0;
-  };
-
   Coordinator(const core::CappedConfig& config, core::Engine engine,
               std::vector<int> worker_fds, const CoordinatorOptions& options,
               bool defer_init);
   void validate_dist_config() const;
   void init_workers(const std::string& resume_base);
   void apply_control();
-  [[nodiscard]] std::uint64_t sample_arrivals();
-  Admission admit_arrivals(std::uint64_t generated);
-  void merge_sorted_into_pool(
-      std::span<const queueing::AgedPool::Bucket> entries);
   [[nodiscard]] std::uint32_t owner_of(std::uint32_t bin) const noexcept;
   /// Blocks until `fd` is readable (deadline = options_.timeout_ms) and
   /// reads one frame; raises WorkerLost on timeout, EOF, or transport
@@ -175,14 +165,10 @@ class Coordinator {
 
   queueing::AgedPool pool_;
   queueing::AgedPool survivors_;
-  queueing::AgedPool merge_scratch_;
-  std::deque<core::DeferredBucket> deferred_;
-  std::vector<queueing::AgedPool::Bucket> readmit_scratch_;
+  core::AdmissionGate gate_;  // core::Capped's backpressure admission
 
   std::uint64_t generated_total_ = 0;
   std::uint64_t deleted_total_ = 0;
-  std::uint64_t shed_total_ = 0;
-  std::uint64_t deferred_total_ = 0;
 
   stats::UintMoments wait_moments_;
   stats::Log2Histogram wait_histogram_;

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <span>
 
 #include "common/assert.hpp"
 
@@ -71,6 +72,30 @@ class AgedPool {
       count += b.count;
     }
     return count;
+  }
+
+  /// Merges `entries` (labels ascending) into the pool, preserving the
+  /// oldest-first bucket order: an entry whose label already has a
+  /// bucket joins it. Readmitted deferred arrivals and crash-requeued
+  /// balls re-enter the pool this way.
+  void merge_sorted(std::span<const Bucket> entries) {
+    AgedPool merged;
+    std::size_t i = 0;
+    for (const Bucket& bucket : buckets_) {
+      for (; i < entries.size() && entries[i].label < bucket.label; ++i) {
+        merged.add(entries[i].label, entries[i].count);
+      }
+      if (i < entries.size() && entries[i].label == bucket.label) {
+        merged.add(bucket.label, bucket.count + entries[i].count);
+        ++i;
+      } else {
+        merged.add(bucket.label, bucket.count);
+      }
+    }
+    for (; i < entries.size(); ++i) {
+      merged.add(entries[i].label, entries[i].count);
+    }
+    swap(merged);
   }
 
   void clear() noexcept {

@@ -12,10 +12,10 @@
 // kernel's hot loops then touch a single cache line per bin for cursor
 // state instead of two, and a push is one +1 on the packed word.
 //
-// The *_bulk / adjust_total_load API exists for the bin-major round
-// kernel (core/capped.cpp): shards own disjoint bin ranges, so per-bin
-// state is race-free, but total_load_ is shared — bulk operations defer
-// it and the kernel commits per-shard deltas once, sequentially.
+// The remove_at / drain_bulk / adjust_total_load API exists for the
+// fused round kernel (core/capped.cpp): shards own disjoint bin ranges,
+// so per-bin state is race-free, but total_load_ is shared — these
+// operations defer it and the kernel commits the merged delta once.
 #pragma once
 
 #include <cstdint>
@@ -31,7 +31,7 @@ class BinTable {
  public:
   using Label = std::uint64_t;
 
-  /// Decoding of the packed per-bin cursor word (see packed()).
+  /// Decoding of the packed per-bin cursor word (see packed_mut()).
   static constexpr std::uint32_t kSizeMask = 0xFFFFu;
   static constexpr std::uint32_t kHeadShift = 16;
 
@@ -107,27 +107,6 @@ class BinTable {
     return label;
   }
 
-  /// Appends `count` labels produced by `label_at(k)` for k in [0, count)
-  /// to bin `bin`'s queue, in order. Precondition: they fit. Defers
-  /// total_load_ (see adjust_total_load). This is the bin-major kernel's
-  /// bulk accept: the slot walk is sequential, so a bin's whole candidate
-  /// batch lands in one or two cache lines.
-  template <typename LabelAt>
-  void push_bulk(std::uint32_t bin, std::uint32_t count,
-                 LabelAt&& label_at) noexcept {
-    IBA_ASSERT(bin < bins_);
-    const std::uint32_t hs = hs_[bin];
-    IBA_ASSERT((hs & kSizeMask) + count <= capacity_);
-    const std::size_t base = static_cast<std::size_t>(bin) * capacity_;
-    std::uint32_t slot = (hs >> kHeadShift) + (hs & kSizeMask);
-    if (slot >= capacity_) slot -= capacity_;
-    for (std::uint32_t k = 0; k < count; ++k) {
-      labels_[base + slot] = label_at(k);
-      slot = slot + 1 == capacity_ ? 0 : slot + 1;
-    }
-    hs_[bin] = hs + count;
-  }
-
   /// Empties bin `bin`, calling `sink(label)` in front-to-back order
   /// (crash-requeue). Defers total_load_.
   template <typename Sink>
@@ -169,13 +148,6 @@ class BinTable {
   [[nodiscard]] std::uint32_t capacity() const noexcept { return capacity_; }
   [[nodiscard]] std::uint64_t total_load() const noexcept {
     return total_load_;
-  }
-
-  /// Direct read of the packed head|size words (decode with kHeadShift /
-  /// kSizeMask). The kernel's accept pass walks loads linearly; going
-  /// through load() per bin is measurably slower at n = 10^6.
-  [[nodiscard]] const std::uint32_t* packed() const noexcept {
-    return hs_.data();
   }
 
   /// Raw mutable views of the per-bin arrays for the fused round kernel

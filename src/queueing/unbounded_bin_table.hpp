@@ -29,37 +29,13 @@ class UnboundedBinTable {
   }
 
   [[nodiscard]] Label pop_front(std::uint32_t bin) {
-    --total_load_;
-    return remove_front(bin);
-  }
-
-  /// pop_front without the total_load_ update — the sharded delete phase
-  /// calls this from worker threads (disjoint bin ranges) and commits the
-  /// count afterwards via adjust_total_load().
-  [[nodiscard]] Label remove_front(std::uint32_t bin) {
     IBA_ASSERT(bin < queues_.size());
     Queue& q = queues_[bin];
     IBA_ASSERT(q.head < q.items.size());
+    --total_load_;
     const Label label = q.items[q.head++];
     if (q.head >= 64 && q.head * 2 >= q.items.size()) q.compact();
     return label;
-  }
-
-  /// Appends `count` labels produced by `label_at(k)` for k in [0, count)
-  /// to bin `bin`, in order. Defers total_load_ (bin-major bulk accept).
-  template <typename LabelAt>
-  void push_bulk(std::uint32_t bin, std::uint64_t count, LabelAt&& label_at) {
-    IBA_ASSERT(bin < queues_.size());
-    Queue& q = queues_[bin];
-    for (std::uint64_t k = 0; k < count; ++k) {
-      q.items.push_back(label_at(k));  // amortized growth; no exact reserve
-    }
-  }
-
-  /// Commits the total-load delta of preceding bulk/deferred operations.
-  void adjust_total_load(std::int64_t delta) noexcept {
-    total_load_ = static_cast<std::uint64_t>(
-        static_cast<std::int64_t>(total_load_) + delta);
   }
 
   [[nodiscard]] std::uint64_t load(std::uint32_t bin) const noexcept {

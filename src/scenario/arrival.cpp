@@ -56,7 +56,7 @@ std::string_view to_string(BinSkew s) noexcept {
 }
 
 ZipfBinSampler::ZipfBinSampler(std::uint32_t n, double s)
-    : table_([n, s] {
+    : WeightedBinSampler(n, [n, s] {
         IBA_EXPECT(n >= 1, "ZipfBinSampler: n must be positive");
         IBA_EXPECT(s >= 0.0 && s <= 8.0,
                    "ZipfBinSampler: exponent must lie in [0, 8]");
@@ -75,7 +75,7 @@ ZipfBinSampler::ZipfBinSampler(std::uint32_t n, double s)
             weights[i] = std::pow(rank, -s);
           }
         }
-        return rng::AliasTable(weights);
+        return weights;
       }()) {}
 
 ArrivalModel ArrivalModel::constant(double lambda,

@@ -23,9 +23,9 @@
 #include <string>
 #include <vector>
 
-#include "core/process.hpp"
+#include "core/bin_samplers.hpp"
 #include "core/policies.hpp"
-#include "rng/alias.hpp"
+#include "core/process.hpp"
 
 namespace iba::scenario {
 
@@ -55,24 +55,13 @@ struct Regime {
   double lambda = 0.0;
 };
 
-/// Zipf bin-choice sampler over n bins: P[i] ∝ 1/(i+1)^s via a
-/// Walker/Vose alias table (two engine draws per ball). Weights for
-/// integral s are computed with exact IEEE division/multiplication so
-/// the table — and therefore every trajectory — is platform-identical.
-class ZipfBinSampler final : public core::BinChoiceSampler {
+/// Zipf bin-choice sampler over n bins: the weighted sampler over
+/// P[i] ∝ 1/(i+1)^s (two engine draws per ball). Weights for integral s
+/// are computed with exact IEEE division/multiplication so the table —
+/// and therefore every trajectory — is platform-identical.
+class ZipfBinSampler final : public core::WeightedBinSampler {
  public:
   ZipfBinSampler(std::uint32_t n, double s);
-
-  void fill(core::Engine& engine, std::span<std::uint32_t> out) override {
-    for (auto& choice : out) choice = table_.sample(engine);
-  }
-
-  [[nodiscard]] const rng::AliasTable& table() const noexcept {
-    return table_;
-  }
-
- private:
-  rng::AliasTable table_;
 };
 
 /// Declarative arrival workload. Construct via the factories (benches)

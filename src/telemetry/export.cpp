@@ -2,12 +2,13 @@
 
 #include <cctype>
 #include <cstdio>
-#include <fstream>
 #include <ostream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "io/json.hpp"
+#include "io/sealed.hpp"
 
 namespace iba::telemetry {
 
@@ -116,8 +117,7 @@ void write_json_line(const Registry& registry, std::ostream& out) {
 }
 
 bool write_snapshot_file(const Registry& registry, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) return false;
+  std::ostringstream out;
   const auto dot = path.rfind('.');
   const std::string ext = dot == std::string::npos ? "" : path.substr(dot);
   if (ext == ".json" || ext == ".jsonl") {
@@ -125,7 +125,12 @@ bool write_snapshot_file(const Registry& registry, const std::string& path) {
   } else {
     write_prometheus(registry, out);
   }
-  return static_cast<bool>(out);
+  try {
+    io::sealed::commit(path, out.str(), "telemetry snapshot");
+  } catch (const std::runtime_error&) {
+    return false;
+  }
+  return true;
 }
 
 void record_phase_timers(Registry& registry, const PhaseTimers& timers) {

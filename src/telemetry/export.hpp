@@ -26,7 +26,9 @@ void write_json_line(const Registry& registry, std::ostream& out);
 
 /// Writes one snapshot to `path`, choosing the format by extension:
 /// .json/.jsonl → JSON lines, anything else (.prom, .txt) → Prometheus
-/// text. Returns false when the file cannot be opened.
+/// text. The file is replaced whole through io::sealed::commit, so a
+/// reader never sees a partial snapshot. Returns false when the commit
+/// fails (e.g. an unwritable directory); `path` is then left as it was.
 bool write_snapshot_file(const Registry& registry, const std::string& path);
 
 /// Folds phase-timer totals into `registry` as counters

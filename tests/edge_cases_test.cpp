@@ -7,10 +7,9 @@
 
 #include "core/adler_fifo.hpp"
 #include "core/becchetti.hpp"
+#include "core/bin_samplers.hpp"
 #include "core/capped.hpp"
-#include "core/capped_greedy.hpp"
 #include "core/greedy.hpp"
-#include "core/hetero_capped.hpp"
 #include "core/modcapped.hpp"
 #include "core/static_allocation.hpp"
 #include "core/threshold.hpp"
@@ -104,22 +103,26 @@ TEST(EdgeCases, BatchGreedyZeroArrivals) {
 }
 
 TEST(EdgeCases, CappedGreedySingleBin) {
-  CappedGreedyConfig config;
+  CappedConfig config;
   config.n = 1;
   config.capacity = 3;
-  config.d = 2;
   config.lambda_n = 1;
-  CappedGreedy process(config, Engine(7));
+  Capped process(config, Engine(7));
+  GreedyChoiceSampler greedy(process, 2);
+  process.set_bin_sampler(&greedy);
   for (int i = 0; i < 100; ++i) {
     EXPECT_LE(process.step().max_load, 3u);
   }
 }
 
 TEST(EdgeCases, HeteroSingleBin) {
-  HeteroCappedConfig config;
-  config.capacities = {5};
+  CappedConfig config;
+  config.n = 1;
+  config.capacity = 5;
   config.lambda_n = 1;
-  HeteroCapped process(config, Engine(8));
+  Capped process(config, Engine(8));
+  const std::uint32_t caps[] = {5};
+  process.set_bin_capacities(caps);
   for (int i = 0; i < 100; ++i) {
     const auto m = process.step();
     EXPECT_EQ(m.deleted, 1u);

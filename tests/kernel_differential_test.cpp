@@ -1,12 +1,13 @@
 // Differential tests of the round kernels: the scalar ball-at-a-time
-// path, the bin-major counting-sort kernel, and its sharded execution
+// path, the fused bin-major sweep, and its sharded execution
 // (2 / 4 / 7 / 8 shards, with and without the mmap arena and worker
 // pinning) must produce byte-identical trajectories — every
 // RoundMetrics field, the waiting-time statistics (including the
 // order-sensitive Welford moments), snapshots (pool, bin queues, engine
 // state), ball-trace span streams, snapshot-resume behaviour and
 // step_with_choices — across deletion disciplines, acceptance orders,
-// arrival models and crash-requeue failures.
+// arrival models, crash-requeue failures, per-bin capacities and the
+// d-choice sampler.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -14,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "core/bin_samplers.hpp"
 #include "core/capped.hpp"
 #include "fault/fault_plan.hpp"
 #include "fault/schedule.hpp"
@@ -738,7 +740,7 @@ TEST(KernelDifferential, MultiChunkShardsMatchScalar) {
   // A wide pool-age spread: one ball from each of 8192 past rounds. The
   // fused sweep writes a sentinel per (bucket, chunk) — here 8193 × 13,
   // more than half the ~100k throws — so the first round bails out to
-  // the serial bin-major path and later rounds return to the sweep.
+  // the scalar path and later rounds return to the sweep.
   {
     SCOPED_TRACE("wide_pool_age_spread");
     constexpr std::uint64_t kAges = 8192;
@@ -761,6 +763,62 @@ TEST(KernelDifferential, MultiChunkShardsMatchScalar) {
     for (const std::uint32_t shards : kMultiChunkShards) {
       expect_runs_eq(reference, resume(RoundKernel::kBinMajor, shards),
                      shard_name(shards).c_str());
+    }
+  }
+}
+
+// -- folded configurations: per-bin capacities (CAPPED over non-uniform
+// bins, with capacity-proportional routing) and the d = 2 greedy
+// sampler run on the same two kernels ---------------------------------
+
+/// c_i cycles 1, 2, 3 (config.capacity must be 3); bin i is chosen with
+/// probability proportional to c_i.
+RunCapture run_bin_capacities(const CappedConfig& config,
+                              std::uint64_t rounds) {
+  Capped process(config, Engine(kSeed));
+  std::vector<std::uint32_t> caps(config.n);
+  std::vector<double> weights(config.n);
+  for (std::uint32_t i = 0; i < config.n; ++i) {
+    caps[i] = 1 + i % 3;
+    weights[i] = caps[i];
+  }
+  process.set_bin_capacities(caps);
+  iba::core::WeightedBinSampler routing(config.n, weights);
+  process.set_bin_sampler(&routing);
+  return step_and_capture(process, rounds);
+}
+
+RunCapture run_greedy_d2(const CappedConfig& config, std::uint64_t rounds) {
+  Capped process(config, Engine(kSeed));
+  iba::core::GreedyChoiceSampler greedy(process, 2);
+  process.set_bin_sampler(&greedy);
+  return step_and_capture(process, rounds);
+}
+
+TEST(KernelDifferential, FoldedConfigurationsMatchScalar) {
+  struct Folded {
+    const char* name;
+    RunCapture (*run)(const CappedConfig&, std::uint64_t);
+  };
+  constexpr Folded kFolded[] = {{"bin_capacities", run_bin_capacities},
+                                {"greedy_d2", run_greedy_d2}};
+  CappedConfig one_chunk = base_config();
+  one_chunk.capacity = 3;
+  for (const Folded& folded : kFolded) {
+    for (const CappedConfig& config : {one_chunk, multi_chunk(one_chunk)}) {
+      const std::uint64_t rounds =
+          config.n == one_chunk.n ? kRounds : kMultiChunkRounds;
+      SCOPED_TRACE(std::string(folded.name) + " n=" +
+                   std::to_string(config.n));
+      const RunCapture reference =
+          folded.run(with_kernel(config, RoundKernel::kScalar, 1), rounds);
+      for (const std::uint32_t shards : {1u, 2u, 4u}) {
+        expect_runs_eq(
+            reference,
+            folded.run(with_kernel(config, RoundKernel::kBinMajor, shards),
+                       rounds),
+            ("bin_major_" + std::to_string(shards)).c_str());
+      }
     }
   }
 }

@@ -5,13 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <vector>
 
 #include "core/adler_fifo.hpp"
 #include "core/becchetti.hpp"
+#include "core/bin_samplers.hpp"
 #include "core/capped.hpp"
-#include "core/capped_greedy.hpp"
 #include "core/greedy.hpp"
-#include "core/hetero_capped.hpp"
 #include "core/modcapped.hpp"
 #include "core/reallocation.hpp"
 #include "sim/runner.hpp"
@@ -69,23 +69,46 @@ struct BatchGreedyFactory {
   static sim::CheckOptions checks() { return {}; }
 };
 
+// CAPPED-GREEDY(2, 2, 3/4): Capped with two choices per ball. Owns its
+// sampler, so it is neither copied nor moved (make() returns a prvalue).
+class CappedGreedy : public core::Capped {
+ public:
+  CappedGreedy(const core::CappedConfig& config, Engine engine)
+      : Capped(config, engine), greedy_(*this, 2) {
+    set_bin_sampler(&greedy_);
+  }
+  CappedGreedy(const CappedGreedy&) = delete;
+  CappedGreedy& operator=(const CappedGreedy&) = delete;
+
+ private:
+  core::GreedyChoiceSampler greedy_;
+};
+
 struct CappedGreedyFactory {
-  using Process = core::CappedGreedy;
+  using Process = CappedGreedy;
   static Process make() {
-    core::CappedGreedyConfig config;
+    core::CappedConfig config;
     config.n = 128;
     config.capacity = 2;
-    config.d = 2;
     config.lambda_n = 96;
     return Process(config, Engine(5));
   }
   static sim::CheckOptions checks() { return {}; }
 };
 
+// CAPPED over non-uniform bins: c_i cycles 1, 2, 3.
 struct HeteroFactory {
-  using Process = core::HeteroCapped;
+  using Process = core::Capped;
   static Process make() {
-    return Process(core::HeteroCappedConfig::uniform(128, 2, 96), Engine(6));
+    core::CappedConfig config;
+    config.n = 128;
+    config.capacity = 3;
+    config.lambda_n = 96;
+    Process process(config, Engine(6));
+    std::vector<std::uint32_t> caps(config.n);
+    for (std::uint32_t i = 0; i < config.n; ++i) caps[i] = 1 + i % 3;
+    process.set_bin_capacities(caps);
+    return process;
   }
   static sim::CheckOptions checks() { return {}; }
 };

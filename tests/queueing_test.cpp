@@ -203,27 +203,6 @@ TEST(BinTable, PopBackAcrossWrap) {
   EXPECT_EQ(bt.pop_back(0), 3u);
 }
 
-TEST(BinTable, PushBulkMatchesSequentialPush) {
-  BinTable bulk(2, 4);
-  BinTable seq(2, 4);
-  // Wrap the heads first so bulk slots cross the physical boundary.
-  for (std::uint32_t b = 0; b < 2; ++b) {
-    bulk.push(b, 0);
-    seq.push(b, 0);
-    (void)bulk.pop_front(b);
-    (void)seq.pop_front(b);
-  }
-  bulk.adjust_total_load(0);
-  const std::uint64_t labels[] = {11, 22, 33};
-  bulk.push_bulk(0, 3, [&](std::uint32_t k) { return labels[k]; });
-  bulk.adjust_total_load(3);
-  for (const std::uint64_t label : labels) seq.push(0, label);
-  EXPECT_EQ(bulk.total_load(), seq.total_load());
-  for (std::uint32_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(bulk.peek(0, i), seq.peek(0, i));
-  }
-}
-
 TEST(BinTable, DrainBulkVisitsFrontToBack) {
   BinTable bt(1, 4);
   bt.push(0, 1);
@@ -299,23 +278,24 @@ TEST(UnboundedBinTable, ItemsViewsQueueWithoutDraining) {
   EXPECT_EQ(ut.items(1).size(), 0u);
 }
 
-TEST(UnboundedBinTable, PushBulkAndAdjustTotalLoad) {
-  UnboundedBinTable ut(1);
-  ut.push_bulk(0, 4, [](std::uint64_t k) { return 10 * (k + 1); });
-  EXPECT_EQ(ut.total_load(), 0u);  // deferred
-  ut.adjust_total_load(4);
-  EXPECT_EQ(ut.total_load(), 4u);
-  const auto view = ut.items(0);
-  ASSERT_EQ(view.size(), 4u);
-  EXPECT_EQ(view[0], 10u);
-  EXPECT_EQ(view[3], 40u);
-  EXPECT_EQ(ut.remove_front(0), 10u);
-  ut.adjust_total_load(-1);
-  EXPECT_EQ(ut.total_load(), 3u);
-}
-
 TEST(UnboundedBinTable, RejectsZeroBins) {
   EXPECT_THROW(UnboundedBinTable(0), iba::ContractViolation);
+}
+
+TEST(AgedPool, MergeSortedJoinsAndInterleavesBuckets) {
+  AgedPool pool;
+  pool.add(3, 2);
+  pool.add(5, 4);
+  const AgedPool::Bucket entries[] = {{1, 1}, {5, 3}, {7, 2}};
+  pool.merge_sorted(entries);
+  ASSERT_EQ(pool.bucket_count(), 4u);
+  const std::uint64_t labels[] = {1, 3, 5, 7};
+  const std::uint64_t counts[] = {1, 2, 7, 2};
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(pool.buckets()[i].label, labels[i]);
+    EXPECT_EQ(pool.buckets()[i].count, counts[i]);
+  }
+  EXPECT_EQ(pool.total(), 12u);
 }
 
 TEST(AgedPool, CoalescesSameLabel) {

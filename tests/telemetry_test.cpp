@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <thread>
@@ -253,6 +254,35 @@ TEST(Export, SnapshotFilePicksFormatByExtension) {
   std::getline(jsonl, json_first);
   EXPECT_EQ(prom_first, "# TYPE iba_c counter");
   EXPECT_EQ(json_first.front(), '{');
+}
+
+TEST(Export, SnapshotFileToUnwritablePathReturnsFalse) {
+  Registry registry;
+  registry.counter("c").inc(1);
+  const std::string dir = ::testing::TempDir() + "iba_no_such_dir_snap/";
+  EXPECT_FALSE(
+      iba::telemetry::write_snapshot_file(registry, dir + "snap.prom"));
+  EXPECT_FALSE(std::filesystem::exists(dir));
+}
+
+TEST(Export, SnapshotFileReplacesExistingFileWhole) {
+  Registry registry;
+  registry.counter("c").inc(7);
+  const std::string path = ::testing::TempDir() + "iba_snap_replace.prom";
+  {
+    // A longer previous file: no byte of it may survive the rewrite.
+    std::ofstream old(path, std::ios::binary | std::ios::trunc);
+    old << std::string(4096, 'x');
+  }
+  ASSERT_TRUE(iba::telemetry::write_snapshot_file(registry, path));
+  std::ostringstream expected;
+  iba::telemetry::write_prometheus(registry, expected);
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream actual;
+  actual << in.rdbuf();
+  EXPECT_EQ(actual.str(), expected.str());
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  std::filesystem::remove(path);
 }
 
 TEST(PhaseTimersTest, AccumulatesAndReportsNsPerBall) {
