@@ -13,11 +13,15 @@
 // writes a second JSON (default BENCH_scale.json) gated by
 // scripts/bench_trend.py exactly like the kernel baseline:
 //
-//   ./bench_kernel_throughput --large true --arena true
-//       --shards-sweep 1,2,4,8                # n = 10^7 scaling curve
-//   ./bench_kernel_throughput --huge true --arena true --shards-sweep 4
-//                                             # n = 10^8 smoke: asserts
-//                                             # no per-round allocations
+//   ./bench_kernel_throughput --large true --shards-sweep 1,2,4,8
+//                                             # n = 10^7 scaling curve
+//   ./bench_kernel_throughput --huge true --shards-sweep 4
+//                                             # n = 10^8 smoke
+//
+// Every timed variant must allocate nothing inside its timed rounds
+// (the process arena's allocation count stays flat); the bench exits 1
+// otherwise. Both JSON files carry a host stamp and are committed
+// atomically through io::sealed::commit.
 
 #include <algorithm>
 #include <chrono>
@@ -25,6 +29,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -33,6 +38,7 @@
 #include "core/capped.hpp"
 #include "io/cli.hpp"
 #include "io/json.hpp"
+#include "io/sealed.hpp"
 #include "telemetry/log.hpp"
 #include "telemetry/phase_timers.hpp"
 #include "rng/simd.hpp"
@@ -55,14 +61,9 @@ struct Measurement {
   double accept_ns_per_ball = 0.0;
   double delete_ns_per_ball = 0.0;
 
-  // Arena telemetry (meaningful only when the variant ran with an
-  // arena): allocation counter after the timed window, and whether the
-  // timed window itself allocated nothing — the large-n steady-state
-  // requirement.
-  std::uint64_t arena_allocations = 0;
-  std::uint64_t arena_live_bytes = 0;
-  std::uint64_t arena_huge_bytes = 0;
-  bool arena_steady = true;
+  /// True when the timed window allocated nothing from the process
+  /// arena — the steady-state requirement.
+  bool allocations_steady = true;
 
   [[nodiscard]] double balls_per_sec() const {
     return seconds > 0.0 ? static_cast<double>(balls) / seconds : 0.0;
@@ -75,26 +76,15 @@ struct Measurement {
   }
 };
 
-/// Execution hints shared by every timed variant (byte-inert: arena,
-/// huge pages and pinning never change the trajectory).
-struct ExecOptions {
-  bool arena = false;
-  bool huge_pages = false;
-  bool pin_threads = false;
-};
-
 CappedConfig make_config(std::uint32_t n, std::uint32_t capacity,
                          std::uint64_t lambda_n, RoundKernel kernel,
-                         std::uint32_t shards, const ExecOptions& exec = {}) {
+                         std::uint32_t shards) {
   CappedConfig config;
   config.n = n;
   config.capacity = capacity;
   config.lambda_n = lambda_n;
   config.kernel = kernel;
   config.shards = shards;
-  config.arena.enabled = exec.arena;
-  config.arena.huge_pages = exec.huge_pages;
-  config.pin_threads = exec.pin_threads;
   return config;
 }
 
@@ -114,8 +104,7 @@ Measurement time_variant(const CappedConfig& config, std::uint64_t seed,
   // Allocation count entering the timed window: any growth during it
   // means a round still allocates at steady state (the ArenaBuffers'
   // geometric headroom is supposed to absorb the ±√ν throw jitter).
-  const std::uint64_t allocs_before =
-      process.arena() ? process.arena()->allocation_count() : 0;
+  const std::uint64_t allocs_before = process.arena().allocation_count();
   const auto start = std::chrono::steady_clock::now();
   for (std::uint64_t r = 0; r < rounds; ++r) {
     out.balls += process.step().thrown;
@@ -124,12 +113,8 @@ Measurement time_variant(const CappedConfig& config, std::uint64_t seed,
   out.seconds =
       std::chrono::duration_cast<std::chrono::duration<double>>(elapsed)
           .count();
-  if (const auto* arena = process.arena()) {
-    out.arena_allocations = arena->allocation_count();
-    out.arena_live_bytes = arena->live_bytes();
-    out.arena_huge_bytes = arena->huge_advised_bytes();
-    out.arena_steady = arena->allocation_count() == allocs_before;
-  }
+  out.allocations_steady =
+      process.arena().allocation_count() == allocs_before;
   out.throw_ns_per_ball = timers.ns_per_ball(iba::telemetry::Phase::kThrow);
   out.accept_ns_per_ball = timers.ns_per_ball(iba::telemetry::Phase::kAccept);
   out.delete_ns_per_ball = timers.ns_per_ball(iba::telemetry::Phase::kDelete);
@@ -137,9 +122,7 @@ Measurement time_variant(const CappedConfig& config, std::uint64_t seed,
 }
 
 /// Runs every variant over a small instance and demands byte-identical
-/// round metrics and end-state before any timing is trusted. The widest
-/// sharded variant repeats with the arena and thread pinning forced on:
-/// the execution hints must be byte-inert too.
+/// round metrics and end-state before any timing is trusted.
 bool check_determinism(std::uint32_t capacity, std::uint64_t seed,
                        const std::vector<std::uint32_t>& shard_counts) {
   const std::uint32_t n = 4096;
@@ -153,21 +136,12 @@ bool check_determinism(std::uint32_t capacity, std::uint64_t seed,
   variants.emplace_back(
       make_config(n, capacity, lambda_n, RoundKernel::kBinMajor, 1),
       iba::core::Engine(seed));
-  std::uint32_t max_shards = 1;
   for (const std::uint32_t shards : shard_counts) {
     if (shards <= 1) continue;
-    max_shards = std::max(max_shards, shards);
     variants.emplace_back(
         make_config(n, capacity, lambda_n, RoundKernel::kBinMajor, shards),
         iba::core::Engine(seed));
   }
-  ExecOptions forced;
-  forced.arena = true;
-  forced.pin_threads = true;
-  variants.emplace_back(
-      make_config(n, capacity, lambda_n, RoundKernel::kBinMajor,
-                  std::max(max_shards, 2u), forced),
-      iba::core::Engine(seed));
 
   for (std::uint64_t r = 0; r < rounds; ++r) {
     const RoundMetrics reference = variants.front().step();
@@ -263,21 +237,13 @@ int main(int argc, char** argv) {
                   "false");
   parser.add_flag("huge",
                   "very-large-n smoke: n = 10^8, 3 burn-in, 4 timed "
-                  "rounds (pair with --arena true to assert rounds stop "
-                  "allocating)",
+                  "rounds",
                   "false");
   parser.add_flag("shards-sweep",
                   "comma-separated shard counts (e.g. 1,2,4,8): also "
                   "sweep the bin-major kernel over these and write the "
                   "scaling curve to --scale-json",
                   "");
-  parser.add_flag("arena",
-                  "back bin/scratch state with the mmap arena",
-                  "false");
-  parser.add_flag("huge-pages",
-                  "advise MADV_HUGEPAGE on arena mappings", "false");
-  parser.add_flag("pin-threads",
-                  "pin shard workers to CPUs (best-effort)", "false");
   parser.add_flag("scale-json",
                   "output path for the --shards-sweep scaling results",
                   "BENCH_scale.json");
@@ -311,14 +277,6 @@ int main(int argc, char** argv) {
     iba::io::fail_usage(
         "bench_kernel_throughput: --quick, --large and --huge are "
         "mutually exclusive size presets");
-  }
-  ExecOptions exec;
-  exec.arena = parser.get_bool("arena");
-  exec.huge_pages = parser.get_bool("huge-pages");
-  exec.pin_threads = parser.get_bool("pin-threads");
-  if (exec.huge_pages && !exec.arena) {
-    iba::io::fail_usage(
-        "bench_kernel_throughput: --huge-pages needs --arena true");
   }
   const std::string sweep_spec = parser.get("shards-sweep");
   std::vector<std::uint32_t> sweep;
@@ -379,15 +337,14 @@ int main(int argc, char** argv) {
 
   std::vector<Measurement> results;
   results.push_back(time_variant(
-      make_config(n, capacity, lambda_n, RoundKernel::kScalar, 1, exec),
+      make_config(n, capacity, lambda_n, RoundKernel::kScalar, 1),
       seed, burn_in, rounds));
   results.push_back(time_variant(
-      make_config(n, capacity, lambda_n, RoundKernel::kBinMajor, 1, exec),
+      make_config(n, capacity, lambda_n, RoundKernel::kBinMajor, 1),
       seed, burn_in, rounds));
   if (shards > 1) {
     results.push_back(time_variant(
-        make_config(n, capacity, lambda_n, RoundKernel::kBinMajor, shards,
-                    exec),
+        make_config(n, capacity, lambda_n, RoundKernel::kBinMajor, shards),
         seed, burn_in, rounds));
   }
 
@@ -397,7 +354,7 @@ int main(int argc, char** argv) {
   for (const std::uint32_t sweep_shards : sweep) {
     scale_results.push_back(time_variant(
         make_config(n, capacity, lambda_n, RoundKernel::kBinMajor,
-                    sweep_shards, exec),
+                    sweep_shards),
         seed, burn_in, rounds));
   }
 
@@ -500,8 +457,7 @@ int main(int argc, char** argv) {
         "%8.2f ms/round%s\n",
         m.shards, m.seconds, m.balls_per_sec(), m.ns_per_ball(),
         m.seconds_per_round() * 1e3,
-        exec.arena ? (m.arena_steady ? "  arena steady" : "  ARENA GREW")
-                   : "");
+        m.allocations_steady ? "" : "  ALLOCATED");
   }
   double scale_speedup = 0.0;
   if (scale_results.size() > 1) {
@@ -514,16 +470,16 @@ int main(int argc, char** argv) {
                 first.shards, scale_speedup);
   }
 
-  // Steady-state allocation gate: with the arena on, no timed round may
-  // allocate (the large-n acceptance bar — growth here means a round
-  // still churns memory at steady state).
-  bool arena_ok = true;
-  if (exec.arena) {
-    for (const Measurement& m : results) arena_ok &= m.arena_steady;
-    for (const Measurement& m : scale_results) arena_ok &= m.arena_steady;
-    if (!arena_ok) {
-      iba::telemetry::log_error("arena_allocated_in_timed_rounds", {});
-    }
+  // Steady-state allocation gate: no timed round may allocate from the
+  // process arena (growth here means a round still churns memory at
+  // steady state).
+  bool allocations_ok = true;
+  for (const Measurement& m : results) allocations_ok &= m.allocations_steady;
+  for (const Measurement& m : scale_results) {
+    allocations_ok &= m.allocations_steady;
+  }
+  if (!allocations_ok) {
+    iba::telemetry::log_error("allocated_in_timed_rounds", {});
   }
   for (std::size_t i = 0; i < control_results.size(); ++i) {
     std::printf("  +static control  %-9s shards=%u  %9.3f s  %+6.2f%%\n",
@@ -540,14 +496,25 @@ int main(int argc, char** argv) {
                 record_overhead_pct[i]);
   }
 
-  std::ofstream out(json_path, std::ios::trunc);
-  if (!out) {
-    iba::telemetry::log_error("json_open_failed", {{"path", json_path}});
-    return 1;
-  }
+  // bench_trend.py reads these records back: commit each atomically so
+  // a reader never sees a half-written file.
+  const auto commit_json = [](const std::string& path,
+                              const std::string& text) {
+    try {
+      iba::io::sealed::commit(path, text, "bench_kernel_throughput");
+    } catch (const std::exception& error) {
+      iba::telemetry::log_error("json_commit_failed",
+                                {{"path", path}, {"error", error.what()}});
+      return false;
+    }
+    iba::telemetry::log_info("bench_json_written", {{"path", path}});
+    return true;
+  };
+  std::ostringstream out;
   iba::io::JsonWriter json(out);
   json.begin_object();
   json.key("bench").value("kernel_throughput");
+  write_host(json);
   json.key("n").value(static_cast<std::uint64_t>(n));
   json.key("capacity").value(static_cast<std::uint64_t>(capacity));
   json.key("lambda_n").value(lambda_n);
@@ -569,12 +536,6 @@ int main(int argc, char** argv) {
     json.key("throw_ns_per_ball").value(m.throw_ns_per_ball);
     json.key("accept_ns_per_ball").value(m.accept_ns_per_ball);
     json.key("delete_ns_per_ball").value(m.delete_ns_per_ball);
-    if (exec.arena) {
-      json.key("arena_allocations").value(m.arena_allocations);
-      json.key("arena_live_bytes").value(m.arena_live_bytes);
-      json.key("arena_huge_bytes").value(m.arena_huge_bytes);
-      json.key("arena_steady").value(m.arena_steady);
-    }
     json.end_object();
   }
   json.end_array();
@@ -607,18 +568,13 @@ int main(int argc, char** argv) {
   }
   json.end_object();
   out << "\n";
-  iba::telemetry::log_info("bench_json_written", {{"path", json_path}});
+  if (!commit_json(json_path, out.str())) return 1;
 
   // The scaling curve gets its own artifact in the same results[] shape
   // bench_trend.py keys on, so the committed BENCH_scale.json baseline
   // is gated exactly like the kernel baseline.
   if (!sweep.empty()) {
-    std::ofstream scale_out(scale_json_path, std::ios::trunc);
-    if (!scale_out) {
-      iba::telemetry::log_error("json_open_failed",
-                                {{"path", scale_json_path}});
-      return 1;
-    }
+    std::ostringstream scale_out;
     iba::io::JsonWriter scale(scale_out);
     scale.begin_object();
     scale.key("bench").value("kernel_scale");
@@ -629,9 +585,6 @@ int main(int argc, char** argv) {
     scale.key("burn_in").value(burn_in);
     scale.key("rounds").value(rounds);
     scale.key("seed").value(seed);
-    scale.key("arena").value(exec.arena);
-    scale.key("huge_pages").value(exec.huge_pages);
-    scale.key("pin_threads").value(exec.pin_threads);
     scale.key("determinism_ok").value(determinism_ok);
     scale.key("results").begin_array();
     for (const Measurement& m : scale_results) {
@@ -647,20 +600,13 @@ int main(int argc, char** argv) {
       scale.key("throw_ns_per_ball").value(m.throw_ns_per_ball);
       scale.key("accept_ns_per_ball").value(m.accept_ns_per_ball);
       scale.key("delete_ns_per_ball").value(m.delete_ns_per_ball);
-      if (exec.arena) {
-        scale.key("arena_allocations").value(m.arena_allocations);
-        scale.key("arena_live_bytes").value(m.arena_live_bytes);
-        scale.key("arena_huge_bytes").value(m.arena_huge_bytes);
-        scale.key("arena_steady").value(m.arena_steady);
-      }
       scale.end_object();
     }
     scale.end_array();
     scale.key("speedup_max_vs_min_shards").value(scale_speedup);
     scale.end_object();
     scale_out << "\n";
-    iba::telemetry::log_info("bench_json_written",
-                             {{"path", scale_json_path}});
+    if (!commit_json(scale_json_path, scale_out.str())) return 1;
   }
-  return arena_ok ? 0 : 1;
+  return allocations_ok ? 0 : 1;
 }

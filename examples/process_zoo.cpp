@@ -68,21 +68,6 @@ int main(int argc, char** argv) {
                        (r.system_load.mean() - r.pool.mean()) / n),
                    io::Table::format_number(r.max_load.mean())});
   }
-  {
-    core::CappedConfig config;
-    config.n = n;
-    config.capacity = core::Capped::kInfiniteCapacity;
-    config.lambda_n = lambda_n;
-    core::Capped process(config, core::Engine(seed));
-    const auto r = sim::run_experiment(process, shared_spec(lambda));
-    table.add_row({"CAPPED(inf) = GREEDY[1]",
-                   io::Table::format_number(r.wait_mean),
-                   io::Table::format_number(static_cast<double>(r.wait_max)),
-                   io::Table::format_number(r.normalized_pool.mean()),
-                   io::Table::format_number(
-                       (r.system_load.mean() - r.pool.mean()) / n),
-                   io::Table::format_number(r.max_load.mean())});
-  }
   for (const std::uint32_t d : {1u, 2u}) {
     core::BatchGreedyConfig config;
     config.n = n;

@@ -12,6 +12,7 @@
 // Exit codes: 0 success, 1 runtime error, 2 usage error (bad flag or
 // out-of-domain parameter), 3 invariant violation detected by the
 // auditor.
+#include <chrono>
 #include <cstdio>
 #include <iostream>
 #include <memory>
@@ -60,10 +61,24 @@ core::AcceptanceOrder parse_acceptance(const std::string& text) {
   throw io::UsageError("simulate: unknown --acceptance '" + text + "'");
 }
 
-/// --c: a finite capacity in [1, 65535] or "inf".
+/// --c: a capacity in [1, 65535]. CAPPED(∞, λ) is the batch GREEDY[1]
+/// process, which has its own --process.
 std::uint32_t parse_capacity(const io::ArgParser& parser) {
-  if (parser.get("c") == "inf") return core::Capped::kInfiniteCapacity;
+  if (parser.get("c") == "inf") {
+    throw io::UsageError(
+        "simulate: --c inf is the batch GREEDY[1] process; run it as "
+        "--process greedy --d 1");
+  }
   return static_cast<std::uint32_t>(parser.get_uint_range("c", 1, 65535));
+}
+
+/// Rounds per second over a measured window that began at `start`.
+double rounds_per_second(std::uint64_t rounds,
+                         std::chrono::steady_clock::time_point start) {
+  const double elapsed = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  return elapsed > 0 ? static_cast<double>(rounds) / elapsed : 0.0;
 }
 
 /// The --control* flag family, range-validated (bad values exit 2).
@@ -103,6 +118,7 @@ sim::RunResult run_with_trace(P& process, const sim::RunSpec& spec,
   result.burn_in_used = spec.burn_in;
   result.measured_rounds = spec.measure_rounds;
   double wait_sum = 0;
+  const auto start = std::chrono::steady_clock::now();
   for (std::uint64_t i = 0; i < spec.measure_rounds; ++i) {
     const auto m = process.step();
     trace.observe(m);
@@ -115,6 +131,7 @@ sim::RunResult run_with_trace(P& process, const sim::RunSpec& spec,
     wait_sum += m.wait_sum;
     if (m.wait_max > result.wait_max) result.wait_max = m.wait_max;
   }
+  result.rounds_per_second = rounds_per_second(spec.measure_rounds, start);
   if (result.deletions > 0) {
     result.wait_mean = wait_sum / static_cast<double>(result.deletions);
   }
@@ -200,12 +217,6 @@ int run_capped_cli(const io::ArgParser& parser, sim::RunSpec spec,
   }
   config.shards =
       static_cast<std::uint32_t>(parser.get_uint_range("shards", 1, n));
-  config.pin_threads = parser.get_bool("pin-threads");
-  config.arena.enabled = parser.get_bool("arena");
-  config.arena.huge_pages = parser.get_bool("huge-pages");
-  if (config.arena.huge_pages && !config.arena.enabled) {
-    throw io::UsageError("simulate: --huge-pages requires --arena true");
-  }
   config.pool_limit = parser.get_uint("pool-limit");
   const std::string bp_name = parser.get("backpressure");
   if (!core::backpressure_from_string(bp_name, config.backpressure)) {
@@ -221,10 +232,6 @@ int run_capped_cli(const io::ArgParser& parser, sim::RunSpec spec,
       parser.get_uint_range("backoff", 1, 1u << 20));
   config.control = parse_control(parser);
   if (config.control.enabled()) {
-    if (config.capacity == core::Capped::kInfiniteCapacity) {
-      throw io::UsageError(
-          "simulate: --control requires a finite --c (not inf)");
-    }
     if (config.capacity > config.control.c_max) {
       throw io::UsageError("simulate: --c " +
                            std::to_string(config.capacity) +
@@ -382,6 +389,7 @@ int run_capped_cli(const io::ArgParser& parser, sim::RunSpec spec,
   // bit-for-bit; resetting them would fork from the uninterrupted run.
   if (!resumed) process->reset_wait_stats();
 
+  const auto start = std::chrono::steady_clock::now();
   for (std::uint64_t i = 0; i < spec.measure_rounds; ++i) {
     const auto m = process->step();
     if (auditor.has_value()) auditor->observe(*process, m);
@@ -397,6 +405,7 @@ int run_capped_cli(const io::ArgParser& parser, sim::RunSpec spec,
     if (m.wait_max > result.wait_max) result.wait_max = m.wait_max;
     maybe_checkpoint();
   }
+  result.rounds_per_second = rounds_per_second(spec.measure_rounds, start);
   if (result.deletions > 0) {
     result.wait_mean = wait_sum / static_cast<double>(result.deletions);
   }
@@ -483,7 +492,10 @@ int main(int argc, char** argv) {
   parser.add_flag("process", "capped | modcapped | greedy | capped-greedy",
                   "capped");
   parser.add_flag("n", "number of bins", "8192");
-  parser.add_flag("c", "buffer capacity, 1..65535 or inf", "2");
+  parser.add_flag("c",
+                  "buffer capacity, 1..65535 (for c = inf run --process "
+                  "greedy --d 1)",
+                  "2");
   parser.add_flag("d", "choices per ball (greedy / capped-greedy)", "2");
   parser.add_flag("lambda", "arrival rate in (0, 1); lambda*n integral",
                   "0.9375");
@@ -501,17 +513,6 @@ int main(int argc, char** argv) {
   parser.add_flag("shards",
                   "parallel bin ranges per round (capped bin-major only)",
                   "1");
-  parser.add_flag("pin-threads",
-                  "pin shard workers to CPUs, best-effort; never changes "
-                  "results (capped only)",
-                  "false");
-  parser.add_flag("arena",
-                  "back bin/scratch state with the mmap arena "
-                  "(first-touch NUMA placement; capped only)",
-                  "false");
-  parser.add_flag("huge-pages",
-                  "advise MADV_HUGEPAGE on arena mappings (needs --arena)",
-                  "false");
   parser.add_flag("pool-limit",
                   "pool bound for backpressure (0 = unbounded)", "0");
   parser.add_flag("backpressure", "none | shed | defer (capped only)",

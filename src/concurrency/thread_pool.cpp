@@ -3,36 +3,15 @@
 #include <algorithm>
 #include <exception>
 
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 namespace iba::concurrency {
 
-ThreadPool::ThreadPool(std::size_t threads, bool pin_threads) {
+ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) {
     threads = std::max(1u, std::thread::hardware_concurrency());
   }
   workers_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
-  }
-  if (pin_threads) {
-#if defined(__linux__)
-    const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-    for (std::size_t i = 0; i < workers_.size(); ++i) {
-      cpu_set_t set;
-      CPU_ZERO(&set);
-      CPU_SET(static_cast<int>(i % hw), &set);
-      if (pthread_setaffinity_np(workers_[i].native_handle(), sizeof(set),
-                                 &set) == 0) {
-        ++pinned_count_;
-      }
-    }
-#endif
-    // Non-Linux: no affinity API — run unpinned (pinned_count_ stays 0;
-    // the owner decides whether that deserves a warning).
   }
 }
 

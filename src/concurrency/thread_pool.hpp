@@ -22,13 +22,7 @@ namespace iba::concurrency {
 class ThreadPool {
  public:
   /// `threads` = 0 picks the hardware concurrency (at least 1).
-  /// `pin_threads` pins worker i to CPU (i mod hardware_concurrency) so
-  /// a worker's first-touched pages stay on its NUMA node across
-  /// rounds. Pinning is best-effort: where the platform has no
-  /// sched_setaffinity (or the call fails), the pool runs unpinned and
-  /// pinned_count() reports how many workers actually stuck — pinning
-  /// is a placement hint and never changes results.
-  explicit ThreadPool(std::size_t threads = 0, bool pin_threads = false);
+  explicit ThreadPool(std::size_t threads = 0);
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
@@ -37,12 +31,6 @@ class ThreadPool {
 
   [[nodiscard]] std::size_t thread_count() const noexcept {
     return workers_.size();
-  }
-
-  /// Workers successfully pinned to a CPU (0 when pinning was not
-  /// requested or is unsupported here).
-  [[nodiscard]] std::size_t pinned_count() const noexcept {
-    return pinned_count_;
   }
 
   /// Schedules `fn` and returns a future for its result.
@@ -73,7 +61,6 @@ class ThreadPool {
   std::condition_variable wake_;
   std::condition_variable idle_;
   std::size_t running_ = 0;
-  std::size_t pinned_count_ = 0;
   bool stopping_ = false;
 };
 

@@ -1,49 +1,13 @@
 #include "core/arena.hpp"
 
-#if defined(__unix__) || defined(__APPLE__)
-#define IBA_ARENA_HAVE_MMAP 1
-#include <sys/mman.h>
-#endif
-
 #include "common/assert.hpp"
 
 namespace iba::core {
 
-namespace {
-
-constexpr std::size_t kPageRound = std::size_t{2} << 20;  // 2 MiB
-
-// Round mapped lengths up to the huge-page granule so MADV_HUGEPAGE can
-// cover the whole block and neighboring blocks never share a granule.
-std::size_t round_up_mapped(std::size_t bytes) noexcept {
-  return (bytes + kPageRound - 1) & ~(kPageRound - 1);
-}
-
-}  // namespace
-
-Arena::Arena(ArenaConfig config) : config_(config) {}
-
 Arena::~Arena() {
   for (const Block& block : blocks_) {
-    if (block.ptr == nullptr) {
-      continue;
-    }
-#if defined(IBA_ARENA_HAVE_MMAP)
-    if (block.mapped) {
-      ::munmap(block.ptr, block.bytes);
-      continue;
-    }
-#endif
     ::operator delete(block.ptr, std::align_val_t{64});
   }
-}
-
-bool Arena::mmap_supported() noexcept {
-#if defined(IBA_ARENA_HAVE_MMAP)
-  return true;
-#else
-  return false;
-#endif
 }
 
 void* Arena::allocate(std::size_t bytes) {
@@ -51,34 +15,11 @@ void* Arena::allocate(std::size_t bytes) {
     return nullptr;
   }
   ++allocation_count_;
-  Block block;
-#if defined(IBA_ARENA_HAVE_MMAP)
-  if (config_.enabled && bytes >= kMmapThreshold) {
-    const std::size_t mapped_len = round_up_mapped(bytes);
-    void* mapping = ::mmap(nullptr, mapped_len, PROT_READ | PROT_WRITE,
-                           MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-    if (mapping != MAP_FAILED) {
-      block = {mapping, mapped_len, true, false};
-      mapped_bytes_ += mapped_len;
-#if defined(MADV_HUGEPAGE)
-      if (config_.huge_pages &&
-          ::madvise(mapping, mapped_len, MADV_HUGEPAGE) == 0) {
-        block.huge = true;
-        huge_advised_bytes_ += mapped_len;
-      }
-#endif
-    }
-    // mmap failure falls through to the heap: graceful, not fatal.
-  }
-#endif
-  if (block.ptr == nullptr) {
-    block = {::operator new(bytes, std::align_val_t{64}), bytes, false,
-             false};
-    std::memset(block.ptr, 0, bytes);
-  }
-  blocks_.push_back(block);
-  live_bytes_ += block.bytes;
-  return block.ptr;
+  void* ptr = ::operator new(bytes, std::align_val_t{64});
+  std::memset(ptr, 0, bytes);
+  blocks_.push_back({ptr, bytes});
+  live_bytes_ += bytes;
+  return ptr;
 }
 
 void Arena::deallocate(void* ptr) noexcept {
@@ -89,21 +30,10 @@ void Arena::deallocate(void* ptr) noexcept {
     if (blocks_[i].ptr != ptr) {
       continue;
     }
-    const Block block = blocks_[i];
+    live_bytes_ -= blocks_[i].bytes;
     blocks_[i] = blocks_.back();
     blocks_.pop_back();
-    live_bytes_ -= block.bytes;
-#if defined(IBA_ARENA_HAVE_MMAP)
-    if (block.mapped) {
-      mapped_bytes_ -= block.bytes;
-      if (block.huge) {
-        huge_advised_bytes_ -= block.bytes;
-      }
-      ::munmap(block.ptr, block.bytes);
-      return;
-    }
-#endif
-    ::operator delete(block.ptr, std::align_val_t{64});
+    ::operator delete(ptr, std::align_val_t{64});
     return;
   }
   IBA_ASSERT(false && "Arena::deallocate: unknown block");

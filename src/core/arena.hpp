@@ -1,24 +1,10 @@
-// Large-allocation arena for the round kernels' bin and scatter state.
+// Allocation counter for the round kernels' bin and scratch state.
 //
-// The round hot path streams through a handful of multi-megabyte (at
-// n = 10^8, multi-gigabyte) flat arrays. The arena backs those arrays
-// with anonymous mmap blocks so that
-//
-//   - pages are faulted in lazily: a first-touch pass on the shard
-//     workers places each shard's bin range on that worker's NUMA node
-//     (first-touch policy), instead of wherever the constructor ran;
-//   - opt-in madvise(MADV_HUGEPAGE) lets the kernel back the blocks
-//     with transparent huge pages, cutting TLB pressure on the
-//     counting-sort scatter;
-//   - allocation traffic is observable: allocation_count()/live_bytes()
-//     let benchmarks assert the steady state allocates nothing per
-//     round.
-//
-// Everything degrades gracefully: without mmap support (or below the
-// threshold, or with the arena disabled) allocations fall back to the
-// global heap, and a failed madvise is recorded, not fatal. The arena
-// changes where bytes live, never what they hold — ArenaConfig fields
-// are execution hints and deliberately not part of checkpoints.
+// core::Capped owns one Arena; its bin table and kernel scratch buffers
+// allocate through it, so allocation_count() says whether a round
+// allocated. Benchmarks assert that a steady-state round allocates
+// nothing (bench_kernel_throughput exits non-zero otherwise). Blocks
+// come from the heap, zeroed and 64-byte aligned.
 #pragma once
 
 #include <cstddef>
@@ -31,74 +17,41 @@
 
 namespace iba::core {
 
-/// Execution hints for Arena (not serialized; see header comment).
-struct ArenaConfig {
-  bool enabled = false;     ///< back large buffers with anonymous mmap
-  bool huge_pages = false;  ///< madvise(MADV_HUGEPAGE) each mapped block
-};
-
-/// Block allocator. All allocations return logically zeroed, 64-byte
-/// aligned memory; mapped blocks are zero *without* being touched, so
-/// the caller controls page placement via its own first-touch pass.
+/// Counting block allocator. All allocations return zeroed, 64-byte
+/// aligned heap memory.
 class Arena {
  public:
-  explicit Arena(ArenaConfig config = {});
+  Arena() = default;
   ~Arena();
 
   Arena(const Arena&) = delete;
   Arena& operator=(const Arena&) = delete;
 
-  /// Zeroed, 64-byte-aligned block. Mapped when the arena is enabled,
-  /// the platform has mmap, and `bytes` >= kMmapThreshold; heap
-  /// otherwise. bytes == 0 returns nullptr.
+  /// Zeroed, 64-byte-aligned block. bytes == 0 returns nullptr.
   [[nodiscard]] void* allocate(std::size_t bytes);
 
   /// Releases a block obtained from allocate(). nullptr is a no-op.
   void deallocate(void* ptr) noexcept;
-
-  [[nodiscard]] const ArenaConfig& config() const noexcept {
-    return config_;
-  }
 
   /// Cumulative number of allocate() calls — flat after warmup proves
   /// the round loop allocates nothing.
   [[nodiscard]] std::uint64_t allocation_count() const noexcept {
     return allocation_count_;
   }
-  /// Bytes currently held (mapped + heap blocks).
+  /// Bytes currently held.
   [[nodiscard]] std::size_t live_bytes() const noexcept {
     return live_bytes_;
   }
-  /// Bytes currently backed by mmap (0 when disabled/unsupported).
-  [[nodiscard]] std::size_t mapped_bytes() const noexcept {
-    return mapped_bytes_;
-  }
-  /// Currently mapped bytes for which MADV_HUGEPAGE was accepted.
-  [[nodiscard]] std::size_t huge_advised_bytes() const noexcept {
-    return huge_advised_bytes_;
-  }
-  /// True when this build/platform can mmap at all.
-  [[nodiscard]] static bool mmap_supported() noexcept;
-
-  /// Blocks smaller than this always come from the heap: the mmap +
-  /// page-fault overhead only pays off for buffers that dominate the
-  /// round's cache and TLB footprint.
-  static constexpr std::size_t kMmapThreshold = std::size_t{1} << 20;
 
  private:
   struct Block {
     void* ptr = nullptr;
-    std::size_t bytes = 0;  // rounded-up length as mapped/allocated
-    bool mapped = false;
-    bool huge = false;  // MADV_HUGEPAGE accepted for this block
+    std::size_t bytes = 0;
   };
 
-  ArenaConfig config_;
   std::vector<Block> blocks_;
   std::uint64_t allocation_count_ = 0;
   std::size_t live_bytes_ = 0;
-  std::size_t mapped_bytes_ = 0;
-  std::size_t huge_advised_bytes_ = 0;
 };
 
 /// Grow-only flat buffer over an optional Arena (heap without one).

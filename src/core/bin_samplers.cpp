@@ -18,8 +18,6 @@ GreedyChoiceSampler::GreedyChoiceSampler(const Capped& process,
                                          std::uint32_t d)
     : process_(process), d_(d) {
   IBA_EXPECT(d >= 1, "GreedyChoiceSampler: d must be at least 1");
-  IBA_EXPECT(process.capacity() != Capped::kInfiniteCapacity,
-             "GreedyChoiceSampler: use BatchGreedy for infinite capacity");
 }
 
 void GreedyChoiceSampler::fill(Engine& engine, std::span<std::uint32_t> out) {

@@ -5,12 +5,9 @@
 #include <cmath>
 #include <utility>
 
-#include <cstring>
-
 #include "common/assert.hpp"
 #include "rng/bounded.hpp"
 #include "telemetry/ball_trace.hpp"
-#include "telemetry/log.hpp"
 
 namespace iba::core {
 
@@ -44,6 +41,12 @@ std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point since) {
           .count());
 }
 
+// The constructor validates before any member allocates bin storage.
+CappedConfig validated(const CappedConfig& config) {
+  config.validate();
+  return config;
+}
+
 // Read+write prefetch hint; a no-op where the builtin is unavailable.
 inline void prefetch_rw(const void* address) noexcept {
 #if defined(__GNUC__) || defined(__clang__)
@@ -74,14 +77,12 @@ CappedConfig CappedConfig::from_rate(std::uint32_t n, double lambda,
 
 void CappedConfig::validate() const {
   IBA_EXPECT(n > 0, "CappedConfig: n must be positive");
-  IBA_EXPECT(capacity > 0, "CappedConfig: capacity must be positive");
+  IBA_EXPECT(capacity >= 1 && capacity <= kMaxCapacity,
+             "CappedConfig: capacity must lie in [1, 65535]");
   IBA_EXPECT(lambda_n <= n,
              "CappedConfig: lambda_n must not exceed n (lambda <= 1)");
   IBA_EXPECT(failure_probability >= 0.0 && failure_probability < 1.0,
              "CappedConfig: failure_probability must lie in [0, 1)");
-  IBA_EXPECT(failure_mode != FailureMode::kCrashRequeue ||
-                 capacity != kInfiniteCapacity,
-             "CappedConfig: crash-requeue requires finite capacity");
   IBA_EXPECT(shards >= 1, "CappedConfig: shards must be at least 1");
   IBA_EXPECT(shards == 1 || kernel == RoundKernel::kBinMajor,
              "CappedConfig: sharding requires the bin-major kernel");
@@ -92,8 +93,6 @@ void CappedConfig::validate() const {
              "CappedConfig: defer-retry backoff must be at least 1 round");
   if (control.enabled()) {
     control.validate();
-    IBA_EXPECT(capacity != kInfiniteCapacity,
-               "CappedConfig: adaptive control requires finite capacity");
     IBA_EXPECT(capacity <= control.c_max,
                "CappedConfig: capacity must not exceed control.c_max");
     IBA_EXPECT(control.admission_target == 0 ||
@@ -103,23 +102,14 @@ void CappedConfig::validate() const {
 }
 
 Capped::Capped(const CappedConfig& config, Engine engine)
-    : config_(config), engine_(engine) {
-  config_.validate();
-  if (config_.arena.enabled) {
-    arena_ = std::make_unique<Arena>(config_.arena);
-    choice_scratch_.set_arena(arena_.get());
-    part16_.set_arena(arena_.get());
-  }
-  if (infinite()) {
-    unbounded_.emplace(config_.n);
-  } else {
-    bounded_.emplace(config_.n, config_.capacity, arena_.get());
-  }
+    : config_(validated(config)),
+      engine_(engine),
+      arena_(std::make_unique<Arena>()),
+      bins_(config_.n, config_.capacity, arena_.get()) {
+  choice_scratch_.set_arena(arena_.get());
+  part16_.set_arena(arena_.get());
   if (config_.shards > 1) {
-    ensure_shard_pool();
-  }
-  if (arena_ != nullptr) {
-    first_touch_state();
+    shard_pool_ = std::make_unique<concurrency::ThreadPool>(config_.shards);
   }
   if (config_.control.enabled()) {
     controller_ = std::make_unique<control::Controller>(
@@ -144,30 +134,24 @@ Capped::Capped(const CappedSnapshot& snapshot)
                                         snapshot.waits.max));
   IBA_EXPECT(snapshot.bin_queues.size() == config_.n,
              "CappedSnapshot: bin_queues size must equal n");
-  if (!infinite()) {
-    // A snapshot taken mid-shrink can hold queues longer than the
-    // (already lowered) acceptance capacity: those bins are still
-    // draining. Widen the storage to the longest queue so the restore
-    // fits; without a controller such a snapshot is corrupt.
-    std::size_t longest = 0;
-    for (const auto& queue : snapshot.bin_queues) {
-      longest = std::max(longest, queue.size());
-    }
-    if (longest > bounded_->capacity()) {
-      IBA_EXPECT(config_.control.enabled(),
-                 "CappedSnapshot: bin queue exceeds capacity");
-      IBA_EXPECT(longest <= config_.control.c_max,
-                 "CappedSnapshot: bin queue exceeds control.c_max");
-      bounded_->grow_capacity(static_cast<std::uint32_t>(longest));
-    }
+  // A snapshot taken mid-shrink can hold queues longer than the
+  // (already lowered) acceptance capacity: those bins are still
+  // draining. Widen the storage to the longest queue so the restore
+  // fits; without a controller such a snapshot is corrupt.
+  std::size_t longest = 0;
+  for (const auto& queue : snapshot.bin_queues) {
+    longest = std::max(longest, queue.size());
+  }
+  if (longest > bins_.capacity()) {
+    IBA_EXPECT(config_.control.enabled(),
+               "CappedSnapshot: bin queue exceeds capacity");
+    IBA_EXPECT(longest <= config_.control.c_max,
+               "CappedSnapshot: bin queue exceeds control.c_max");
+    bins_.grow_capacity(static_cast<std::uint32_t>(longest));
   }
   for (std::uint32_t bin = 0; bin < config_.n; ++bin) {
     for (const std::uint64_t label : snapshot.bin_queues[bin]) {
-      if (infinite()) {
-        unbounded_->push(bin, label);
-      } else {
-        bounded_->push(bin, label);
-      }
+      bins_.push(bin, label);
     }
   }
   if (controller_ != nullptr) controller_->restore(snapshot.controller);
@@ -199,15 +183,10 @@ CappedSnapshot Capped::snapshot() const {
   snap.bin_queues.resize(config_.n);
   for (std::uint32_t bin = 0; bin < config_.n; ++bin) {
     auto& queue = snap.bin_queues[bin];
-    if (infinite()) {
-      const auto view = unbounded_->items(bin);
-      queue.assign(view.begin(), view.end());
-    } else {
-      const auto load = bounded_->load(bin);
-      queue.reserve(load);
-      for (std::uint32_t i = 0; i < load; ++i) {
-        queue.push_back(bounded_->peek(bin, i));
-      }
+    const auto load = bins_.load(bin);
+    queue.reserve(load);
+    for (std::uint32_t i = 0; i < load; ++i) {
+      queue.push_back(bins_.peek(bin, i));
     }
   }
   return snap;
@@ -302,13 +281,12 @@ void Capped::record_time_series(const RoundMetrics& m) {
 }
 
 void Capped::set_capacity(std::uint32_t capacity) {
-  IBA_EXPECT(!infinite(), "Capped: set_capacity requires finite capacity");
   IBA_EXPECT(bin_caps_.empty(),
              "Capped: set_capacity is incompatible with per-bin capacities");
-  IBA_EXPECT(capacity >= 1 && capacity <= 0xFFFFu,
+  IBA_EXPECT(capacity >= 1 && capacity <= CappedConfig::kMaxCapacity,
              "Capped: capacity must lie in [1, 65535]");
-  if (capacity > bounded_->capacity()) {
-    bounded_->grow_capacity(capacity);
+  if (capacity > bins_.capacity()) {
+    bins_.grow_capacity(capacity);
   }
   // Shrink touches only the acceptance bound: overfull bins drain via
   // the regular deletions (see the header comment).
@@ -386,11 +364,11 @@ RoundMetrics Capped::allocate_and_delete(
   // chunked pass on every shard (and computes the end-of-round load
   // stats), timing itself so its kAccept/kDelete split matches the
   // scalar path's. Every round it does not take — RoundKernel::kScalar,
-  // c = ∞, an attached ball tracer, or a pool whose age spread makes the
+  // an attached ball tracer, or a pool whose age spread makes the
   // sweep's partition uneconomical — runs the scalar reference, serially
   // whatever the shard count. The bytes are the same either way.
   const bool fused = config_.kernel == RoundKernel::kBinMajor && !tracing &&
-                     !infinite() && round_fused(choices, m);
+                     round_fused(choices, m);
   if (!fused) {
     // Allocation. Pool buckets are considered in preference order (the
     // paper's oldest-first, or the ablation's inversion); each bin
@@ -421,15 +399,9 @@ RoundMetrics Capped::allocate_and_delete(
   m.deferred = gate_.deferred_total();
   m.oldest_pool_age = pool_.oldest_age(round_);
   if (!fused) {
-    if (infinite()) {
-      m.total_load = unbounded_->total_load();
-      m.max_load = unbounded_->max_load();
-      m.empty_bins = unbounded_->empty_bins();
-    } else {
-      m.total_load = bounded_->total_load();
-      m.max_load = bounded_->max_load();
-      m.empty_bins = bounded_->empty_bins();
-    }
+    m.total_load = bins_.total_load();
+    m.max_load = bins_.max_load();
+    m.empty_bins = bins_.empty_bins();
   }
   return m;
 }
@@ -456,29 +428,16 @@ void Capped::accept_scalar(std::span<const std::uint32_t> choices,
     }
   };
   std::size_t idx = 0;
-  if (infinite()) {
-    for (const auto& bucket : pool_.buckets()) {
-      for (std::uint64_t k = 0; k < bucket.count; ++k) {
-        const std::uint32_t bin = choices[idx++];
-        if constexpr (IBA_TELEMETRY_ENABLED != 0) {
-          if (tracer_ != nullptr) {
-            tracer_->on_throw(bucket.label, bin, unbounded_->load(bin), true);
-          }
-        }
-        unbounded_->push(bin, bucket.label);
-      }
-    }
-    m.accepted = m.thrown;
-  } else if (config_.acceptance == AcceptanceOrder::kOldestFirst) {
+  if (config_.acceptance == AcceptanceOrder::kOldestFirst) {
     const std::uint32_t cap = config_.capacity;
     const std::uint32_t* const caps = round_caps_;
     for (const auto& bucket : pool_.buckets()) {
       for (std::uint64_t k = 0; k < bucket.count; ++k) {
         const std::uint32_t bin = choices[idx++];
-        const std::uint64_t load = bounded_->load(bin);
+        const std::uint64_t load = bins_.load(bin);
         const std::uint32_t cap_b = caps != nullptr ? caps[bin] : cap;
         if (load < cap_b) {
-          bounded_->push(bin, bucket.label);
+          bins_.push(bin, bucket.label);
           ++m.accepted;
           trace_throw(bucket.label, bin, load, true);
         } else {
@@ -499,10 +458,10 @@ void Capped::accept_scalar(std::span<const std::uint32_t> choices,
       std::uint64_t rejected = 0;
       for (std::uint64_t k = 0; k < it->count; ++k) {
         const std::uint32_t bin = choices[idx++];
-        const std::uint64_t load = bounded_->load(bin);
+        const std::uint64_t load = bins_.load(bin);
         const std::uint32_t cap_b = caps != nullptr ? caps[bin] : cap;
         if (load < cap_b) {
-          bounded_->push(bin, it->label);
+          bins_.push(bin, it->label);
           ++m.accepted;
           trace_throw(it->label, bin, load, true);
         } else {
@@ -525,9 +484,7 @@ void Capped::accept_scalar(std::span<const std::uint32_t> choices,
 void Capped::delete_scalar(RoundMetrics& m) {
   const bool failures = config_.failure_probability > 0.0;
   for (std::uint32_t bin = 0; bin < config_.n; ++bin) {
-    const std::uint64_t load =
-        infinite() ? unbounded_->load(bin) : bounded_->load(bin);
-    if (load == 0) continue;
+    if (bins_.load(bin) == 0) continue;
     // Injected faults are consulted before the stochastic failure coin:
     // a faulted bin draws no coin, in every kernel, so the engine's
     // draw sequence stays identical across kernels and shard counts.
@@ -536,8 +493,8 @@ void Capped::delete_scalar(RoundMetrics& m) {
       if ((fault_flags_[bin] & FaultFlags::kDrain) != 0) {
         // Crash with state loss: the buffer returns to the pool with
         // labels (ages) preserved, exactly like kCrashRequeue.
-        while (bounded_->load(bin) > 0) {
-          const std::uint64_t crashed = bounded_->pop_front(bin);
+        while (bins_.load(bin) > 0) {
+          const std::uint64_t crashed = bins_.pop_front(bin);
           if constexpr (IBA_TELEMETRY_ENABLED != 0) {
             if (tracer_ != nullptr) tracer_->on_requeue(bin, crashed);
           }
@@ -552,8 +509,8 @@ void Capped::delete_scalar(RoundMetrics& m) {
       if (config_.failure_mode == FailureMode::kCrashRequeue) {
         // The bin crashes: its buffered balls return to the pool with
         // their original labels (ages keep accruing).
-        while (bounded_->load(bin) > 0) {
-          const std::uint64_t crashed = bounded_->pop_front(bin);
+        while (bins_.load(bin) > 0) {
+          const std::uint64_t crashed = bins_.pop_front(bin);
           if constexpr (IBA_TELEMETRY_ENABLED != 0) {
             if (tracer_ != nullptr) tracer_->on_requeue(bin, crashed);
           }
@@ -597,11 +554,10 @@ void Capped::flatten_pool_buckets(std::uint64_t expected_total) {
   (void)expected_total;
 }
 
-// Fused round kernel for the common configuration: finite capacity, no
-// ball tracer. A flat counting sort over n = 10^6 bins random-accesses
-// multi-megabyte cursor arrays and loses to the scalar loop on cache
-// misses, so the kernel works in two cache-resident levels instead, and
-// splits both over the shard pool:
+// Fused round kernel for untraced rounds. A flat counting sort over
+// n = 10^6 bins random-accesses multi-megabyte cursor arrays and loses
+// to the scalar loop on cache misses, so the kernel works in two
+// cache-resident levels instead, and splits both over the shard pool:
 //
 //   Pass A partitions throws into contiguous 8192-bin chunks. Shard s
 //   takes the s-th contiguous slice of the throws (pool buckets are
@@ -774,10 +730,10 @@ bool Capped::round_fused(std::span<const std::uint32_t> choices,
   // scalar path's per-ball accumulation exactly.
   m.wait_sum = static_cast<double>(wait_sum);
   m.requeued = requeued;
-  bounded_->adjust_total_load(static_cast<std::int64_t>(accepted) -
-                              static_cast<std::int64_t>(m.deleted) -
-                              static_cast<std::int64_t>(requeued));
-  m.total_load = bounded_->total_load();
+  bins_.adjust_total_load(static_cast<std::int64_t>(accepted) -
+                          static_cast<std::int64_t>(m.deleted) -
+                          static_cast<std::int64_t>(requeued));
+  m.total_load = bins_.total_load();
   m.max_load = max_load;
   m.empty_bins = empty_bins;
 
@@ -816,10 +772,10 @@ void Capped::sweep_chunks(SweepShard& acc, std::uint32_t chunk_begin,
   // storage capacity, which can be wider after a controller shrink (the
   // storage never narrows — spare slots are simply unused).
   const std::uint32_t cap = config_.capacity;
-  const std::uint32_t storage = bounded_->capacity();
+  const std::uint32_t storage = bins_.capacity();
   const std::uint32_t* const caps = round_caps_;  // per-bin bounds, if any
-  std::uint32_t* const hs_arr = bounded_->packed_mut();
-  std::uint64_t* const lb = bounded_->labels_mut();
+  std::uint32_t* const hs_arr = bins_.packed_mut();
+  std::uint64_t* const lb = bins_.labels_mut();
   const std::uint16_t* const part = part16_.data();
   std::uint64_t* const rejected = acc.rejected.data();
   constexpr std::uint32_t kSizeMask = queueing::BinTable::kSizeMask;
@@ -896,14 +852,14 @@ void Capped::sweep_chunks(SweepShard& acc, std::uint32_t chunk_begin,
 // bit for bit.
 void Capped::delete_bins(SweepShard& acc, std::uint32_t bin_begin,
                          std::uint32_t bin_end) {
-  const std::uint32_t storage = bounded_->capacity();
+  const std::uint32_t storage = bins_.capacity();
   const bool faults = faults_round_;
   const bool failures = config_.failure_probability > 0.0;
   const double p_fail = config_.failure_probability;
   const bool crash = config_.failure_mode == FailureMode::kCrashRequeue;
   const DeletionDiscipline discipline = config_.deletion;
-  std::uint32_t* const hs_arr = bounded_->packed_mut();
-  std::uint64_t* const lb = bounded_->labels_mut();
+  std::uint32_t* const hs_arr = bins_.packed_mut();
+  std::uint64_t* const lb = bins_.labels_mut();
   constexpr std::uint32_t kSizeMask = queueing::BinTable::kSizeMask;
   constexpr std::uint32_t kHeadShift = queueing::BinTable::kHeadShift;
   WaitRecorder& waits = acc.waits;
@@ -913,7 +869,7 @@ void Capped::delete_bins(SweepShard& acc, std::uint32_t bin_begin,
   std::uint64_t wait_sum = 0;
   std::uint64_t wait_max = acc.wait_max;
   const auto drain = [&](std::uint32_t bin) {
-    bounded_->drain_bulk(
+    bins_.drain_bulk(
         bin, [&](std::uint64_t label) { acc.requeued.push_back(label); });
     ++empty_bins;
   };
@@ -976,14 +932,14 @@ void Capped::delete_bins(SweepShard& acc, std::uint32_t bin_begin,
       std::uint64_t served;
       switch (discipline) {
         case DeletionDiscipline::kLifo:
-          served = bounded_->remove_at(bin, load - 1);
+          served = bins_.remove_at(bin, load - 1);
           break;
         case DeletionDiscipline::kUniform:
-          served = bounded_->remove_at(bin, rng::bounded32(engine_, load));
+          served = bins_.remove_at(bin, rng::bounded32(engine_, load));
           break;
         case DeletionDiscipline::kFifo:
         default:
-          served = bounded_->remove_at(bin, 0);
+          served = bins_.remove_at(bin, 0);
           break;
       }
       const std::uint64_t wait = round_ - served;
@@ -1018,20 +974,6 @@ void Capped::record_wait(std::uint32_t bin, std::uint64_t label,
   if (wait > m.wait_max) m.wait_max = wait;
 }
 
-void Capped::ensure_shard_pool() {
-  if (shard_pool_ != nullptr) return;
-  shard_pool_ = std::make_unique<concurrency::ThreadPool>(
-      config_.shards, config_.pin_threads);
-  if (config_.pin_threads &&
-      shard_pool_->pinned_count() < shard_pool_->thread_count()) {
-    // Pinning is a placement hint, never a correctness knob: warn and run.
-    telemetry::log_warn(
-        "pin_threads_unavailable",
-        {{"requested", shard_pool_->thread_count()},
-         {"pinned", shard_pool_->pinned_count()}});
-  }
-}
-
 void Capped::for_shards(
     std::size_t count,
     const std::function<void(std::size_t, std::size_t, std::size_t)>& fn) {
@@ -1039,27 +981,7 @@ void Capped::for_shards(
     fn(0, 0, count);
     return;
   }
-  ensure_shard_pool();
   concurrency::parallel_for_ranges(*shard_pool_, count, config_.shards, fn);
-}
-
-void Capped::first_touch_state() {
-  if (infinite() || arena_ == nullptr) return;
-  const std::uint32_t n = config_.n;
-  const std::size_t storage = bounded_->capacity();
-  std::uint32_t* const hs = bounded_->packed_mut();
-  std::uint64_t* const lb = bounded_->labels_mut();
-  // Touching writes the zeroes the buffers are already guaranteed to
-  // hold; its only effect is page placement, so it changes nothing
-  // observable. Each shard touches the bins of the chunks it sweeps.
-  for_shards(chunk_count(n), [&](std::size_t, std::size_t c_lo,
-                                 std::size_t c_hi) {
-    const std::size_t lo = c_lo << kChunkBits;
-    const std::size_t hi = std::min<std::size_t>(n, c_hi << kChunkBits);
-    std::memset(hs + lo, 0, (hi - lo) * sizeof(std::uint32_t));
-    std::memset(lb + lo * storage, 0,
-                (hi - lo) * storage * sizeof(std::uint64_t));
-  });
 }
 
 void Capped::merge_requeued_into_pool() {
@@ -1076,24 +998,20 @@ void Capped::merge_requeued_into_pool() {
 void Capped::delete_from_bin(std::uint32_t bin, RoundMetrics& m) {
   std::uint64_t label;
   std::uint64_t position = 0;  // queue index served
-  if (infinite()) {
-    label = unbounded_->pop_front(bin);  // discipline applies to finite c
-  } else {
-    switch (config_.deletion) {
-      case DeletionDiscipline::kFifo:
-        label = bounded_->pop_front(bin);
-        break;
-      case DeletionDiscipline::kLifo:
-        position = bounded_->load(bin) - 1;
-        label = bounded_->pop_back(bin);
-        break;
-      case DeletionDiscipline::kUniform:
-        position = rng::bounded32(engine_, bounded_->load(bin));
-        label = bounded_->pop_at(bin, static_cast<std::uint32_t>(position));
-        break;
-      default:
-        label = bounded_->pop_front(bin);
-    }
+  switch (config_.deletion) {
+    case DeletionDiscipline::kFifo:
+      label = bins_.pop_front(bin);
+      break;
+    case DeletionDiscipline::kLifo:
+      position = bins_.load(bin) - 1;
+      label = bins_.pop_back(bin);
+      break;
+    case DeletionDiscipline::kUniform:
+      position = rng::bounded32(engine_, bins_.load(bin));
+      label = bins_.pop_at(bin, static_cast<std::uint32_t>(position));
+      break;
+    default:
+      label = bins_.pop_front(bin);
   }
   record_wait(bin, label, position, m);
 }

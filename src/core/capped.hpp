@@ -14,8 +14,9 @@
 //    accepted by a bin that rejected an older request in the same round.
 //    tests/core_capped_oracle_test.cpp checks this against an independent
 //    explicit-ball implementation, trajectory for trajectory.
-//  * capacity = kInfiniteCapacity removes the buffer limit, which makes
-//    the process identical to the batch GREEDY[1] of [PODC'16].
+//  * c ranges over [1, 65535], the bin table's packed 16-bit queue
+//    length. The c = ∞ limit is the batch GREEDY[1] of [PODC'16]: run
+//    core::BatchGreedy with d = 1 (core/greedy.hpp) for it.
 //  * step_with_choices() lets callers supply the bin choices, which is
 //    how the MODCAPPED coupling (Lemma 6) and the oracle tests drive two
 //    processes with shared randomness.
@@ -26,7 +27,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -41,7 +41,6 @@
 #include "core/arena.hpp"
 #include "queueing/aged_pool.hpp"
 #include "queueing/bin_table.hpp"
-#include "queueing/unbounded_bin_table.hpp"
 #include "telemetry/phase_timers.hpp"
 #include "telemetry/telemetry_config.hpp"
 #include "telemetry/timeseries.hpp"
@@ -59,7 +58,7 @@ namespace iba::core {
 /// DESIGN.md §7.
 struct CappedConfig {
   std::uint32_t n = 0;          ///< number of bins
-  std::uint32_t capacity = 1;   ///< buffer size c, or kInfiniteCapacity
+  std::uint32_t capacity = 1;   ///< buffer size c, in [1, 65535]
   std::uint64_t lambda_n = 0;   ///< λ·n, new balls per round (integral)
 
   ArrivalModel arrival = ArrivalModel::kDeterministic;
@@ -69,7 +68,7 @@ struct CappedConfig {
   /// 0 = the paper's reliable bins.
   double failure_probability = 0.0;
   /// What failure does: skip one service opportunity, or crash and dump
-  /// the buffer back into the pool. kCrashRequeue requires finite c.
+  /// the buffer back into the pool.
   FailureMode failure_mode = FailureMode::kSkipService;
 
   /// How the round hot path executes. Both kernels produce byte-identical
@@ -85,17 +84,6 @@ struct CappedConfig {
   /// order, so the RNG stream never depends on scheduling.
   std::uint32_t shards = 1;
 
-  // Execution hints for shards > 1 and large n. None of these changes a
-  // single result byte — they steer thread and page placement only — so
-  // they are deliberately NOT serialized into checkpoints (a snapshot
-  // taken with them on resumes bit-identically with them off).
-  /// Pin pool workers to CPUs so first-touched pages stay on the
-  /// worker's NUMA node (best-effort; see concurrency::ThreadPool).
-  bool pin_threads = false;
-  /// mmap/huge-page arena behind the bin table and kernel scratch
-  /// (see core/arena.hpp).
-  ArenaConfig arena;
-
   /// Pool bound for backpressure (0 = unbounded, the paper's model).
   /// The bound applies at admission: arrivals beyond it are shed or
   /// deferred per `backpressure`; balls already in flight never drop.
@@ -107,11 +95,13 @@ struct CappedConfig {
 
   /// Adaptive control plane (src/control/): when control.policy is not
   /// 'none', a controller retunes `capacity` (and, with an admission
-  /// target, `pool_limit`) at round boundaries. Requires finite
-  /// capacity, and capacity ≤ control.c_max.
+  /// target, `pool_limit`) at round boundaries. Requires
+  /// capacity ≤ control.c_max.
   control::ControlConfig control;
 
-  static constexpr std::uint32_t kInfiniteCapacity = 0xFFFFFFFFu;
+  /// Largest buffer size: the bin table packs a queue's length into 16
+  /// bits.
+  static constexpr std::uint32_t kMaxCapacity = queueing::BinTable::kSizeMask;
 
   /// λ as a real number.
   [[nodiscard]] double lambda() const noexcept {
@@ -170,15 +160,17 @@ struct CappedSnapshot {
 /// The CAPPED(c, λ) process. Deterministic given (config, engine).
 class Capped {
  public:
-  static constexpr std::uint32_t kInfiniteCapacity =
-      CappedConfig::kInfiniteCapacity;
-
   Capped(const CappedConfig& config, Engine engine);
 
   /// Resumes from a snapshot: identical future trajectory to the
   /// process the snapshot was taken from, with the cumulative wait
   /// statistics continued bit-for-bit.
   explicit Capped(const CappedSnapshot& snapshot);
+
+  Capped(Capped&&) = default;
+  /// Not assignable: the bin table and kernel scratch point at this
+  /// process's arena, which assignment would free under them.
+  Capped& operator=(Capped&&) = delete;
 
   /// Captures the complete dynamic state (O(n·c + pool)).
   [[nodiscard]] CappedSnapshot snapshot() const;
@@ -216,10 +208,10 @@ class Capped {
     return config_.lambda_n;
   }
 
-  /// The backing arena, or nullptr when config.arena.enabled is false.
-  /// Exposed for allocation-steadiness checks: after warm-up, a round
-  /// must not grow allocation_count()/live_bytes().
-  [[nodiscard]] const Arena* arena() const noexcept { return arena_.get(); }
+  /// The allocation counter behind the bin table and the kernel
+  /// scratch. Exposed for allocation-steadiness checks: after warm-up,
+  /// a round must not grow allocation_count().
+  [[nodiscard]] const Arena& arena() const noexcept { return *arena_; }
 
   /// Changes the arrival rate for subsequent rounds (time-varying load,
   /// e.g. diurnal patterns). Takes effect from the next step().
@@ -237,7 +229,7 @@ class Capped {
   /// whose load exceeds the new c simply accept nothing until the
   /// regular one-per-round deletions bring them at or below it, so the
   /// overfull load is monotone non-increasing and no ball is ever
-  /// dropped or reshuffled. Requires finite capacity.
+  /// dropped or reshuffled.
   void set_capacity(std::uint32_t capacity);
 
   /// Retunes the admission pool bound (the controller's second
@@ -265,10 +257,10 @@ class Capped {
 
   /// End-of-round load of bin `i`.
   [[nodiscard]] std::uint64_t load(std::uint32_t i) const noexcept {
-    return infinite() ? unbounded_->load(i) : bounded_->load(i);
+    return bins_.load(i);
   }
   [[nodiscard]] std::uint64_t total_load() const noexcept {
-    return infinite() ? unbounded_->total_load() : bounded_->total_load();
+    return bins_.total_load();
   }
 
   /// Attaches (or detaches, with nullptr) a phase-timer sink: subsequent
@@ -308,10 +300,8 @@ class Capped {
   /// identically by both kernels at every shard count. The provider
   /// must draw randomness only from its own stream — the allocation
   /// engine's draw sequence is part of the determinism contract.
-  /// Requires finite capacity and no per-bin capacities.
+  /// Requires no per-bin capacities.
   void set_fault_plan(RoundFaultProvider* plan) {
-    IBA_EXPECT(plan == nullptr || !infinite(),
-               "Capped: fault injection requires finite capacity");
     IBA_EXPECT(plan == nullptr || bin_caps_.empty(),
                "Capped: a fault plan is incompatible with per-bin "
                "capacities");
@@ -381,14 +371,10 @@ class Capped {
   /// scan; O(1) per peek.
   [[nodiscard]] std::uint64_t bin_label(std::uint32_t bin,
                                         std::uint32_t i) const noexcept {
-    return infinite() ? unbounded_->items(bin)[i] : bounded_->peek(bin, i);
+    return bins_.peek(bin, i);
   }
 
  private:
-  [[nodiscard]] bool infinite() const noexcept {
-    return config_.capacity == kInfiniteCapacity;
-  }
-
   /// Consults the fault plan (if any) for the round about to run and
   /// caches its per-bin views for the kernels.
   void begin_round_faults();
@@ -412,7 +398,7 @@ class Capped {
 
   // -- fused bin-major round kernel (see docs/PERFORMANCE.md) --
   void flatten_pool_buckets(std::uint64_t expected_total);
-  /// Fused accept+delete sweep for the untraced, finite-capacity kernel,
+  /// Fused accept+delete sweep for the untraced kernel,
   /// run on config_.shards threads: a sliced two-level partition of the
   /// throws into bin chunks, then per chunk the acceptance replay and the
   /// delete walk while the chunk's bins are cache-hot. Returns false
@@ -451,13 +437,6 @@ class Capped {
   void for_shards(std::size_t count,
                   const std::function<void(std::size_t, std::size_t,
                                            std::size_t)>& fn);
-  /// Lazily builds the shard pool (shards > 1), honoring pin_threads
-  /// and warning once when pinning did not stick.
-  void ensure_shard_pool();
-  /// First-touch pass over the arena-backed bin/scatter state, run with
-  /// the sweep's chunk partition so pages land on the NUMA node of the
-  /// worker that will stream them.
-  void first_touch_state();
 
   CappedConfig config_;
   Engine engine_;
@@ -466,14 +445,14 @@ class Capped {
 
   queueing::AgedPool pool_;
   queueing::AgedPool survivors_;  // scratch, reused across rounds
-  // The arena must outlive everything allocated from it (bounded_ and
-  // the ArenaBuffer scratch below), hence its position in this list.
-  std::unique_ptr<Arena> arena_;  // config_.arena.enabled only
+  // The arena must outlive everything allocated from it (bins_ and the
+  // ArenaBuffer scratch below), hence its position in this list. Held by
+  // pointer so a moved Capped keeps the address its buffers point at.
+  std::unique_ptr<Arena> arena_;
   ArenaBuffer<std::uint32_t> choice_scratch_;
   std::vector<queueing::AgedPool::Bucket> reverse_survivor_scratch_;
   std::map<std::uint64_t, std::uint64_t> requeue_;  // label → crashed count
-  std::optional<queueing::BinTable> bounded_;
-  std::optional<queueing::UnboundedBinTable> unbounded_;
+  queueing::BinTable bins_;
 
   // Fused kernel scratch, reused across rounds: throws are partitioned
   // into contiguous bin-range chunks sized so the cursor arrays and

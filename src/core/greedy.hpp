@@ -7,7 +7,9 @@
 // *at the beginning of the round* (the batch does not observe itself;
 // ties broken uniformly among the sampled minima); bins have unbounded
 // FIFO queues; at the end of the round every non-empty bin deletes its
-// front ball. d = 1 is the 1-choice process (≡ CAPPED(∞, λ)); d = 2 is
+// front ball. d = 1 is the 1-choice process, the c = ∞ limit of
+// CAPPED(c, λ): core::Capped takes only finite c, so this class is the
+// way to run CAPPED(∞, λ) (`simulate --process greedy --d 1`). d = 2 is
 // the 2-choice process whose waiting time is Θ(log n) for constant λ —
 // the bound CAPPED improves to log log n + O(1).
 #pragma once

@@ -22,8 +22,6 @@ std::uint64_t ModCappedConfig::m_star_default() const {
 void ModCappedConfig::validate() const {
   IBA_EXPECT(n > 0, "ModCappedConfig: n must be positive");
   IBA_EXPECT(capacity > 0, "ModCappedConfig: capacity must be positive");
-  IBA_EXPECT(capacity != CappedConfig::kInfiniteCapacity,
-             "ModCappedConfig: capacity must be finite");
   IBA_EXPECT(lambda_n < n,
              "ModCappedConfig: requires lambda <= 1 - 1/n (lambda_n < n)");
 }

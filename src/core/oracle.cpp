@@ -11,8 +11,6 @@ namespace iba::core {
 OracleCapped::OracleCapped(const CappedConfig& config, Engine engine)
     : config_(config), engine_(engine), bins_(config.n) {
   config_.validate();
-  IBA_EXPECT(config_.capacity != CappedConfig::kInfiniteCapacity,
-             "OracleCapped: use the optimized Capped for infinite capacity");
 }
 
 RoundMetrics OracleCapped::step() {

@@ -71,8 +71,6 @@ Coordinator::Coordinator(const core::CappedSnapshot& snapshot,
 }
 
 void Coordinator::validate_dist_config() const {
-  IBA_EXPECT(config_.capacity != core::CappedConfig::kInfiniteCapacity,
-             "Coordinator: distributed runs require finite capacity");
   IBA_EXPECT(config_.failure_probability == 0.0,
              "Coordinator: stochastic bin failures are not distributed "
              "(the failure coins would have to ship per round)");

@@ -116,8 +116,6 @@ class InvariantAuditor {
                  std::to_string(stored));
     }
 
-    const bool finite =
-        process.capacity() != core::CappedConfig::kInfiniteCapacity;
     // Age monotonicity inside a bin is only an invariant when a queue
     // can never carry balls accepted in different rounds: a retrying
     // old ball is legitimately accepted *behind* a younger resident
@@ -127,7 +125,7 @@ class InvariantAuditor {
     // single-round batch (which ascends); capacity >= 3, requeues, or a
     // fault plan that suppresses service all break that premise.
     const bool check_fifo =
-        !requeues_seen_ && !process.has_fault_plan() && finite &&
+        !requeues_seen_ && !process.has_fault_plan() &&
         !process.config().control.enabled() && process.capacity() <= 2 &&
         process.config().deletion == core::DeletionDiscipline::kFifo &&
         process.config().acceptance == core::AcceptanceOrder::kOldestFirst;
@@ -146,7 +144,7 @@ class InvariantAuditor {
     for (std::uint32_t bin = 0; bin < process.n(); ++bin) {
       const std::uint64_t load = process.load(bin);
       load_sum += load;
-      if (finite && load > process.capacity()) {
+      if (load > process.capacity()) {
         if (!dynamic_capacity) {
           report(m.round, "capacity_bound",
                  "bin " + std::to_string(bin) + " holds " +

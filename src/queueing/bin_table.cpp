@@ -13,8 +13,8 @@ BinTable::BinTable(std::uint32_t bins, std::uint32_t capacity,
              "BinTable: capacity must fit the packed 16-bit size field");
   labels_.set_arena(arena);
   hs_.set_arena(arena);
-  // Fresh arena/heap blocks are logically zero, so resize (not assign)
-  // keeps mapped pages untouched for the caller's first-touch pass.
+  // Fresh blocks are zeroed, so resize (not assign) leaves every bin
+  // empty.
   labels_.resize(static_cast<std::size_t>(bins) * capacity);
   hs_.resize(bins);
 }

@@ -35,11 +35,9 @@ class BinTable {
   static constexpr std::uint32_t kSizeMask = 0xFFFFu;
   static constexpr std::uint32_t kHeadShift = 16;
 
-  /// With an arena, the flat label and cursor arrays come from it
-  /// (mapped, optionally huge-paged) and pages stay untouched until the
-  /// caller's first-touch pass decides their NUMA placement. Without
-  /// one, allocation behaves like the plain heap path. The arena must
-  /// outlive the table.
+  /// With an arena, the flat label and cursor arrays are allocated
+  /// through it, so its allocation count covers them; without one they
+  /// come straight from the heap. The arena must outlive the table.
   explicit BinTable(std::uint32_t bins, std::uint32_t capacity,
                     core::Arena* arena = nullptr);
 

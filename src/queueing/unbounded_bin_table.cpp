@@ -24,12 +24,4 @@ std::uint32_t UnboundedBinTable::empty_bins() const noexcept {
   return count;
 }
 
-void UnboundedBinTable::clear() noexcept {
-  for (Queue& q : queues_) {
-    q.items.clear();
-    q.head = 0;
-  }
-  total_load_ = 0;
-}
-
 }  // namespace iba::queueing

@@ -1,6 +1,6 @@
-// UnboundedBinTable — bins without a capacity limit, for the c = ∞
-// baselines (GREEDY[1] ≡ CAPPED(∞, λ) and the batch GREEDY[d] of
-// Berenbrink et al. [PODC'16]).
+// UnboundedBinTable — bins without a capacity limit, for the batch
+// GREEDY[d] of Berenbrink et al. [PODC'16] (core/greedy.hpp; d = 1 is
+// the c = ∞ limit of CAPPED).
 //
 // Each bin is a grow-only vector with a head cursor; the storage is
 // compacted when the dead prefix dominates, giving amortized O(1)
@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -43,15 +42,6 @@ class UnboundedBinTable {
     return queues_[bin].items.size() - queues_[bin].head;
   }
 
-  /// Front-to-back view of bin `bin`'s queue — const iteration without
-  /// draining (snapshots peek through this instead of copying the whole
-  /// table). Invalidated by any mutation of the bin.
-  [[nodiscard]] std::span<const Label> items(std::uint32_t bin) const noexcept {
-    IBA_ASSERT(bin < queues_.size());
-    const Queue& q = queues_[bin];
-    return {q.items.data() + q.head, q.items.size() - q.head};
-  }
-
   [[nodiscard]] std::uint32_t bins() const noexcept {
     return static_cast<std::uint32_t>(queues_.size());
   }
@@ -61,8 +51,6 @@ class UnboundedBinTable {
 
   [[nodiscard]] std::uint64_t max_load() const noexcept;
   [[nodiscard]] std::uint32_t empty_bins() const noexcept;
-
-  void clear() noexcept;
 
  private:
   struct Queue {

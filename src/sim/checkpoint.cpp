@@ -273,6 +273,10 @@ Checkpoint load_checkpoint_full(const std::string& path) {
   snap.config.n = read_value<std::uint32_t>(in, "n");
   if (snap.config.n == 0) fail("out-of-range field: n = 0");
   snap.config.capacity = read_value<std::uint32_t>(in, "capacity");
+  if (snap.config.capacity < 1 ||
+      snap.config.capacity > core::CappedConfig::kMaxCapacity) {
+    fail("out-of-range field: capacity");
+  }
   snap.config.lambda_n = read_value<std::uint64_t>(in, "lambda_n");
   snap.config.arrival = read_enum<core::ArrivalModel>(in, "arrival", 3);
   snap.config.deletion = read_enum<core::DeletionDiscipline>(in, "deletion", 3);
@@ -367,8 +371,7 @@ Checkpoint load_checkpoint_full(const std::string& path) {
           : snap.config.capacity;
   for (auto& queue : snap.bin_queues) {
     const auto length2 = read_count(in, "queue length", body_size);
-    if (snap.config.capacity != core::CappedConfig::kInfiniteCapacity &&
-        length2 > queue_bound) {
+    if (length2 > queue_bound) {
       fail("queue longer than capacity");
     }
     queue.reserve(length2);

@@ -1,6 +1,5 @@
-// Unit tests of the core::Arena mmap/huge-page allocator and the
-// grow-only ArenaBuffer that fronts it: zeroing and alignment
-// guarantees, the mmap threshold, graceful fallback when disabled,
+// Unit tests of the core::Arena allocation counter and the grow-only
+// ArenaBuffer that fronts it: zeroing and alignment guarantees,
 // allocation accounting (the "no allocations at steady state" signal),
 // and the buffer's geometric-growth / content-preservation contract.
 #include <gtest/gtest.h>
@@ -16,7 +15,6 @@ namespace {
 
 using iba::core::Arena;
 using iba::core::ArenaBuffer;
-using iba::core::ArenaConfig;
 
 bool all_zero(const void* ptr, std::size_t bytes) {
   const auto* p = static_cast<const unsigned char*>(ptr);
@@ -27,74 +25,20 @@ bool all_zero(const void* ptr, std::size_t bytes) {
 }
 
 TEST(Arena, SmallAllocationsComeFromTheHeapZeroedAndAligned) {
-  ArenaConfig config;
-  config.enabled = true;
-  Arena arena(config);
-  void* ptr = arena.allocate(4096);  // below kMmapThreshold
+  Arena arena;
+  void* ptr = arena.allocate(4096);
   ASSERT_NE(ptr, nullptr);
   EXPECT_EQ(reinterpret_cast<std::uintptr_t>(ptr) % 64, 0u);
   EXPECT_TRUE(all_zero(ptr, 4096));
   EXPECT_EQ(arena.allocation_count(), 1u);
-  EXPECT_GE(arena.live_bytes(), 4096u);
-  EXPECT_EQ(arena.mapped_bytes(), 0u);
+  EXPECT_EQ(arena.live_bytes(), 4096u);
   arena.deallocate(ptr);
   EXPECT_EQ(arena.live_bytes(), 0u);
-}
-
-TEST(Arena, LargeAllocationsAreMappedWhenEnabled) {
-  ArenaConfig config;
-  config.enabled = true;
-  Arena arena(config);
-  const std::size_t bytes = Arena::kMmapThreshold + 12345;
-  void* ptr = arena.allocate(bytes);
-  ASSERT_NE(ptr, nullptr);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(ptr) % 64, 0u);
-  EXPECT_TRUE(all_zero(ptr, bytes));
-  if (Arena::mmap_supported()) {
-    // Mapped length rounds up to the 2 MiB huge-page granule.
-    EXPECT_GE(arena.mapped_bytes(), bytes);
-    EXPECT_EQ(arena.mapped_bytes() % (std::size_t{2} << 20), 0u);
-  } else {
-    EXPECT_EQ(arena.mapped_bytes(), 0u);
-  }
-  // Writable end to end.
-  std::memset(ptr, 0xAB, bytes);
-  arena.deallocate(ptr);
-  EXPECT_EQ(arena.mapped_bytes(), 0u);
-  EXPECT_EQ(arena.live_bytes(), 0u);
-}
-
-TEST(Arena, DisabledArenaNeverMaps) {
-  Arena arena;  // default config: disabled
-  void* ptr = arena.allocate(Arena::kMmapThreshold * 4);
-  ASSERT_NE(ptr, nullptr);
-  EXPECT_TRUE(all_zero(ptr, Arena::kMmapThreshold * 4));
-  EXPECT_EQ(arena.mapped_bytes(), 0u);
-  EXPECT_EQ(arena.huge_advised_bytes(), 0u);
-  arena.deallocate(ptr);
-}
-
-TEST(Arena, HugePageAdviceIsBoundedByMappedBytes) {
-  // madvise(MADV_HUGEPAGE) may be refused (THP off, non-Linux) — that
-  // must degrade to plain mapped memory, never fail.
-  ArenaConfig config;
-  config.enabled = true;
-  config.huge_pages = true;
-  Arena arena(config);
-  const std::size_t bytes = Arena::kMmapThreshold * 3;
-  void* ptr = arena.allocate(bytes);
-  ASSERT_NE(ptr, nullptr);
-  EXPECT_TRUE(all_zero(ptr, bytes));
-  EXPECT_LE(arena.huge_advised_bytes(), arena.mapped_bytes());
-  std::memset(ptr, 1, bytes);  // still plain writable memory
-  arena.deallocate(ptr);
-  EXPECT_EQ(arena.huge_advised_bytes(), 0u);
+  EXPECT_EQ(arena.allocation_count(), 1u);  // cumulative
 }
 
 TEST(Arena, ZeroBytesReturnsNull) {
-  ArenaConfig config;
-  config.enabled = true;
-  Arena arena(config);
+  Arena arena;
   EXPECT_EQ(arena.allocate(0), nullptr);
   arena.deallocate(nullptr);  // no-op
   EXPECT_EQ(arena.allocation_count(), 0u);
@@ -102,12 +46,10 @@ TEST(Arena, ZeroBytesReturnsNull) {
 
 TEST(Arena, DestructorReleasesOutstandingBlocks) {
   // Blocks not explicitly deallocated are reclaimed by the destructor
-  // (ASan would flag a leak or a bad munmap here).
-  ArenaConfig config;
-  config.enabled = true;
-  Arena arena(config);
+  // (ASan would flag a leak here).
+  Arena arena;
   (void)arena.allocate(512);
-  (void)arena.allocate(Arena::kMmapThreshold * 2);
+  (void)arena.allocate(std::size_t{4} << 20);
   EXPECT_EQ(arena.allocation_count(), 2u);
 }
 
@@ -128,9 +70,7 @@ TEST(ArenaBuffer, ResizePreservesContentsAndZeroesFreshCapacity) {
 }
 
 TEST(ArenaBuffer, ShrinkThenRegrowDoesNotReallocate) {
-  ArenaConfig config;
-  config.enabled = true;
-  Arena arena(config);
+  Arena arena;
   ArenaBuffer<std::uint64_t> buffer;
   buffer.set_arena(&arena);
   buffer.resize(5000);
@@ -172,12 +112,10 @@ TEST(ArenaBuffer, AssignFillsExactly) {
 }
 
 TEST(ArenaBuffer, MoveTransfersOwnership) {
-  ArenaConfig config;
-  config.enabled = true;
-  Arena arena(config);
+  Arena arena;
   ArenaBuffer<std::uint32_t> a;
   a.set_arena(&arena);
-  a.resize(300'000);  // above the threshold once widened to bytes
+  a.resize(300'000);
   a[0] = 42;
   const std::uint32_t* data = a.data();
   ArenaBuffer<std::uint32_t> b = std::move(a);
@@ -192,20 +130,6 @@ TEST(ArenaBuffer, MoveTransfersOwnership) {
   c = std::move(b);
   EXPECT_EQ(c.data(), data);
   EXPECT_EQ(c[0], 42u);
-}
-
-TEST(ArenaBuffer, ArenaBackedBuffersUseMappedMemoryWhenLarge) {
-  if (!Arena::mmap_supported()) GTEST_SKIP() << "no mmap on this platform";
-  ArenaConfig config;
-  config.enabled = true;
-  Arena arena(config);
-  ArenaBuffer<std::uint64_t> buffer;
-  buffer.set_arena(&arena);
-  buffer.resize(Arena::kMmapThreshold);  // 8 MiB of u64 — mapped
-  EXPECT_GT(arena.mapped_bytes(), 0u);
-  buffer.resize(0);
-  buffer.resize(Arena::kMmapThreshold);
-  EXPECT_EQ(arena.allocation_count(), 1u);
 }
 
 }  // namespace

@@ -342,6 +342,11 @@ TEST_F(CheckpointResumeTest, MalformedFieldsAreNamed) {
       {9, "9", "kernel"},
       {12, "5", "backpressure"},
       {1, "0", "n"},
+      // c must fit the bin table's packed 16-bit queue length, [1, 65535],
+      // including 2^32 - 1, the sentinel older builds wrote for c = ∞.
+      {2, "0", "out-of-range field: capacity"},
+      {2, "70000", "out-of-range field: capacity"},
+      {2, "4294967295", "out-of-range field: capacity"},
   };
   for (const Case& c : cases) {
     expect_named_rejection(path("mutant"),
@@ -382,8 +387,8 @@ TEST_F(CheckpointResumeTest, OversizedCountsAreRejectedBeforeAllocating) {
       with_line(with_config_token(body, 1, max_u32), "bins ",
                 "bins " + max_u32),
       "bin count");
-  // Infinite capacity puts no capacity bound on a queue length.
-  std::string queue = with_config_token(body, 2, max_u32);
+  // The byte bound is checked before the capacity bound.
+  std::string queue = body;
   const std::size_t row = queue.find('\n', queue.find("\nbins ") + 1) + 1;
   queue.replace(row, queue.find('\n', row) - row, huge);
   expect_named_rejection(path("queue"), queue, "queue length");

@@ -182,41 +182,6 @@ TEST(ThreadPool, WaitIdleSeesInFlightTasks) {
 // Regression: the destructor drains every queued task before joining (the
 // documented contract), and a single-worker pool preserves FIFO order —
 // replication correctness depends on tasks never being skipped.
-TEST(ThreadPool, PinningIsBestEffortAndInert) {
-  // Pinning is a placement hint: every worker must still run tasks, and
-  // results cannot depend on it. pinned_count() reports how many stuck
-  // (Linux: all of them; elsewhere: zero — both are valid).
-  ThreadPool pinned(4, /*pin_threads=*/true);
-  EXPECT_EQ(pinned.thread_count(), 4u);
-  EXPECT_LE(pinned.pinned_count(), pinned.thread_count());
-#if defined(__linux__)
-  EXPECT_EQ(pinned.pinned_count(), pinned.thread_count());
-#else
-  EXPECT_EQ(pinned.pinned_count(), 0u);
-#endif
-
-  // Same deterministic range partition with and without pinning: the
-  // partition is a pure function of (count, ranges), so the per-range
-  // sums must agree exactly whichever workers ran them.
-  const auto run_partition = [](bool pin) {
-    ThreadPool pool(4, pin);
-    std::vector<std::uint64_t> sums(7, 0);
-    parallel_for_ranges(pool, 1000, 7,
-                        [&sums](std::size_t i, std::size_t lo, std::size_t hi) {
-                          std::uint64_t s = 0;
-                          for (std::size_t k = lo; k < hi; ++k) s += k * k;
-                          sums[i] = s;
-                        });
-    return sums;
-  };
-  EXPECT_EQ(run_partition(true), run_partition(false));
-}
-
-TEST(ThreadPool, UnpinnedPoolReportsZeroPinned) {
-  ThreadPool pool(2);
-  EXPECT_EQ(pool.pinned_count(), 0u);
-}
-
 TEST(ThreadPool, DestructorDrainsQueueInOrder) {
   std::vector<int> order;
   std::mutex order_mutex;

@@ -234,10 +234,6 @@ TEST(Policy, CappedConfigRejectsBadControlCombinations) {
   // Admission control needs a backpressure mode to act through.
   config.control.admission_target = 5;
   EXPECT_THROW(config.validate(), ContractViolation);
-  // Control over infinite capacity is meaningless.
-  config.control.admission_target = 0;
-  config.capacity = CappedConfig::kInfiniteCapacity;
-  EXPECT_THROW(config.validate(), ContractViolation);
 }
 
 // -- controller ------------------------------------------------------

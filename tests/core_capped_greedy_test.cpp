@@ -47,10 +47,6 @@ TEST(CappedGreedyConfig, Validation) {
                iba::ContractViolation);
   EXPECT_THROW(CappedGreedy(make_config(8, 1, 9), 2, Engine(1)),
                iba::ContractViolation);
-  EXPECT_THROW(
-      CappedGreedy(make_config(8, CappedConfig::kInfiniteCapacity, 4), 2,
-                   Engine(1)),
-      iba::ContractViolation);
   EXPECT_NO_THROW(CappedGreedy(make_config(8, 2, 6), 2, Engine(1)));
 }
 

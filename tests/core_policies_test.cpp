@@ -242,12 +242,11 @@ TEST(FailureInjection, SystemStillStableWithSlack) {
 
 TEST(FailureInjection, CrashRequeueValidation) {
   CappedConfig config = base_config();
-  config.capacity = CappedConfig::kInfiniteCapacity;
   config.failure_mode = FailureMode::kCrashRequeue;
   config.failure_probability = 0.1;
-  EXPECT_THROW(config.validate(), iba::ContractViolation);
-  config.capacity = 2;
   EXPECT_NO_THROW(config.validate());
+  config.failure_probability = 1.0;  // a bin that never serves
+  EXPECT_THROW(config.validate(), iba::ContractViolation);
 }
 
 TEST(FailureInjection, CrashRequeueConservesBalls) {

@@ -299,14 +299,6 @@ TEST(FaultPlanSemantics, FaultSeedIsItsOwnStream) {
   EXPECT_NE(plan_a.crashes_total(), plan_b.crashes_total());
 }
 
-TEST(FaultPlanSemantics, InfiniteCapacityRejected) {
-  CappedConfig config = small_config();
-  config.capacity = Capped::kInfiniteCapacity;
-  Capped p(config, Engine(1));
-  FaultPlan plan(parse_schedule("crash@5:bins=0,down=2"), 64, 2, 1);
-  EXPECT_THROW(p.set_fault_plan(&plan), ContractViolation);
-}
-
 // ---------------------------------------------------------------- auditor
 
 TEST(Auditor, CleanOnRealRunsEvenUnderFaults) {

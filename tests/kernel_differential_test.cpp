@@ -1,7 +1,6 @@
 // Differential tests of the round kernels: the scalar ball-at-a-time
 // path, the fused bin-major sweep, and its sharded execution
-// (2 / 4 / 7 / 8 shards, with and without the mmap arena and worker
-// pinning) must produce byte-identical trajectories — every
+// (2 / 4 / 7 / 8 shards) must produce byte-identical trajectories — every
 // RoundMetrics field, the waiting-time statistics (including the
 // order-sensitive Welford moments), snapshots (pool, bin queues, engine
 // state), ball-trace span streams, snapshot-resume behaviour and
@@ -92,11 +91,6 @@ std::vector<Scenario> scenarios() {
   }
   {
     auto c = base_config();
-    c.capacity = Capped::kInfiniteCapacity;
-    all.push_back({"infinite_capacity", c});
-  }
-  {
-    auto c = base_config();
     c.capacity = 1;
     c.lambda_n = 64;  // λ = 1, maximal pool pressure
     all.push_back({"c1_lambda1", c});
@@ -122,27 +116,19 @@ struct Variant {
   const char* name;
   RoundKernel kernel;
   std::uint32_t shards;
-  bool arena = false;  ///< mmap arena + MADV_HUGEPAGE — must be byte-inert
-  bool pin = false;    ///< worker CPU pinning — must be byte-inert
 };
 
 CappedConfig with_variant(CappedConfig config, const Variant& variant) {
-  config.kernel = variant.kernel;
-  config.shards = variant.shards;
-  config.arena.enabled = variant.arena;
-  config.arena.huge_pages = variant.arena;  // exercise the madvise path
-  config.pin_threads = variant.pin;
-  return config;
+  return with_kernel(config, variant.kernel, variant.shards);
 }
 
 constexpr Variant kVariants[] = {
     {"scalar", RoundKernel::kScalar, 1},
     {"bin_major", RoundKernel::kBinMajor, 1},
     {"bin_major_2", RoundKernel::kBinMajor, 2},
-    {"bin_major_4_arena", RoundKernel::kBinMajor, 4, /*arena=*/true},
+    {"bin_major_4", RoundKernel::kBinMajor, 4},
     {"bin_major_7", RoundKernel::kBinMajor, 7},
-    {"bin_major_8_arena_pin", RoundKernel::kBinMajor, 8, /*arena=*/true,
-     /*pin=*/true},
+    {"bin_major_8", RoundKernel::kBinMajor, 8},
 };
 
 /// Everything observable from one run, for exact comparison.
@@ -619,13 +605,12 @@ TEST(ControlDifferential, KillAndResumeMidShrinkDrain) {
             resumed.controller()->changes_total());
 }
 
-TEST(KernelDifferential, LargeNKillAndResumeWithArena) {
-  // The parallel scatter, arena and pinning at realistic scale: at
-  // n = 10^7, an arena-backed (huge-paged), pinned, 8-shard run must
-  // match the single-shard fused kernel round for round; a snapshot
-  // taken mid-flight and resumed under a different execution
-  // configuration (4 shards, no arena) must continue byte-identically.
-  // Few rounds — byte identity does not need steady state.
+TEST(KernelDifferential, LargeNKillAndResumeAcrossShardCounts) {
+  // The sharded sweep at realistic scale: at n = 10^7 an 8-shard run
+  // must match the single-shard fused kernel round for round; a snapshot
+  // taken mid-flight and resumed at a different shard count (4) must
+  // continue byte-identically. Few rounds — byte identity does not need
+  // steady state.
   CappedConfig config;
   config.n = 10'000'000;
   config.capacity = 2;
@@ -642,9 +627,6 @@ TEST(KernelDifferential, LargeNKillAndResumeWithArena) {
 
   CappedConfig sharded = config;
   sharded.shards = 8;
-  sharded.arena.enabled = true;
-  sharded.arena.huge_pages = true;
-  sharded.pin_threads = true;
   Capped uninterrupted(sharded, Engine(kSeed));
   for (int r = 0; r < kLargeRounds / 2; ++r) {
     expect_metrics_eq(reference_metrics[static_cast<std::size_t>(r)],
@@ -652,10 +634,7 @@ TEST(KernelDifferential, LargeNKillAndResumeWithArena) {
   }
 
   CappedSnapshot snap = uninterrupted.snapshot();
-  snap.config.shards = 4;  // execution hints are not process state
-  snap.config.arena.enabled = false;
-  snap.config.arena.huge_pages = false;
-  snap.config.pin_threads = false;
+  snap.config.shards = 4;  // an execution setting, not process state
   Capped resumed(snap);
 
   for (int r = kLargeRounds / 2; r < kLargeRounds; ++r) {

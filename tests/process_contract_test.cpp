@@ -36,18 +36,6 @@ struct CappedFactory {
   static sim::CheckOptions checks() { return {}; }
 };
 
-struct CappedInfiniteFactory {
-  using Process = core::Capped;
-  static Process make() {
-    core::CappedConfig config;
-    config.n = 128;
-    config.capacity = core::Capped::kInfiniteCapacity;
-    config.lambda_n = 96;
-    return Process(config, Engine(2));
-  }
-  static sim::CheckOptions checks() { return {}; }
-};
-
 struct ModCappedFactory {
   using Process = core::ModCapped;
   static Process make() {
@@ -155,9 +143,9 @@ template <typename Factory>
 class ProcessContract : public ::testing::Test {};
 
 using Factories =
-    ::testing::Types<CappedFactory, CappedInfiniteFactory, ModCappedFactory,
-                     BatchGreedyFactory, CappedGreedyFactory, HeteroFactory,
-                     BecchettiFactory, ReallocationFactory, AdlerFactory>;
+    ::testing::Types<CappedFactory, ModCappedFactory, BatchGreedyFactory,
+                     CappedGreedyFactory, HeteroFactory, BecchettiFactory,
+                     ReallocationFactory, AdlerFactory>;
 TYPED_TEST_SUITE(ProcessContract, Factories);
 
 TYPED_TEST(ProcessContract, RoundsAreSequentialAndFlowsConsistent) {

@@ -265,19 +265,6 @@ TEST(UnboundedBinTable, CompactionPreservesOrder) {
   EXPECT_EQ(ut.load(0), 50u);
 }
 
-TEST(UnboundedBinTable, ItemsViewsQueueWithoutDraining) {
-  UnboundedBinTable ut(2);
-  for (std::uint64_t i = 0; i < 100; ++i) ut.push(0, i);
-  for (std::uint64_t i = 0; i < 70; ++i) (void)ut.pop_front(0);
-  const auto view = ut.items(0);  // head is mid-storage (or compacted)
-  ASSERT_EQ(view.size(), 30u);
-  for (std::size_t i = 0; i < view.size(); ++i) {
-    EXPECT_EQ(view[i], 70 + i);
-  }
-  EXPECT_EQ(ut.load(0), 30u);  // nothing consumed
-  EXPECT_EQ(ut.items(1).size(), 0u);
-}
-
 TEST(UnboundedBinTable, RejectsZeroBins) {
   EXPECT_THROW(UnboundedBinTable(0), iba::ContractViolation);
 }

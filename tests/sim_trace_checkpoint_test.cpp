@@ -143,19 +143,6 @@ TEST(Snapshot, RestoredProcessContinuesIdentically) {
   }
 }
 
-TEST(Snapshot, InfiniteCapacityRoundTrips) {
-  CappedConfig config = small_config();
-  config.capacity = Capped::kInfiniteCapacity;
-  config.lambda_n = 120;  // high load builds real queues
-  Capped original(config, Engine(7));
-  for (int i = 0; i < 150; ++i) (void)original.step();
-
-  Capped restored(original.snapshot());
-  for (int i = 0; i < 100; ++i) {
-    ASSERT_EQ(original.step().total_load, restored.step().total_load);
-  }
-}
-
 TEST(Checkpoint, FileRoundTripPreservesTrajectory) {
   CappedConfig config = small_config();
   config.deletion = core::DeletionDiscipline::kLifo;

@@ -305,29 +305,6 @@ TEST(BallTrace, CoversAllDisciplinesAndAcceptanceOrders) {
   }
 }
 
-TEST(BallTrace, InfiniteCapacityNeverRejects) {
-  CappedConfig config;
-  config.n = 64;
-  config.capacity = CappedConfig::kInfiniteCapacity;
-  config.lambda_n = 48;
-  Capped process(config, Engine(23));
-  BallTraceConfig trace;
-  trace.seed = 23;
-  trace.sample_rate = 1.0;
-  trace.completed_capacity = 1u << 18;
-  BallTracer tracer(trace);
-  process.set_ball_tracer(&tracer);
-  for (int round = 0; round < 200; ++round) process.step();
-
-  ASSERT_GT(tracer.completed_total(), 0u);
-  for (const BallSpan& span : tracer.completed()) {
-    EXPECT_EQ(span.failed_throws, 0u);
-    EXPECT_EQ(span.throws, 1u);
-    EXPECT_EQ(span.pool_rounds, 0u);
-    EXPECT_EQ(span.bin_rounds, span.wait());
-  }
-}
-
 TEST(BallTrace, ClearCompletedKeepsLifetimeCounters) {
   CappedConfig config;
   config.n = 64;
