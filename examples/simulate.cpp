@@ -1,41 +1,45 @@
 // simulate — the library's kitchen-sink command-line driver: every
-// process, policy, and measurement knob behind one binary, with table,
-// JSON, trace-CSV, and checkpoint outputs. The tool a downstream user
-// reaches for before writing code against the API.
+// process, policy, and measurement knob behind one binary, with table
+// and JSON outputs. The tool a downstream user reaches for before
+// writing code against the API.
 //
 //   $ ./simulate --process capped --n 8192 --c 2 --lambda 0.9375
 //   $ ./simulate --process capped-greedy --d 2 --trace-csv trace.csv
 //   $ ./simulate --faults "crash@50:bins=0-63,down=20" --audit-every 1
 //   $ ./simulate --checkpoint-every 500 --checkpoint-out state.ckpt
-//   $ ./simulate --resume state.ckpt --rounds 1000   # bit-identical
+//   $ ./simulate --resume state.ckpt --rounds 1000
 //
-// Exit codes: 0 success, 1 runtime error, 2 usage error (bad flag or
-// out-of-domain parameter), 3 invariant violation detected by the
-// auditor.
+// --process capped compiles its flags into a scenario::Scenario and
+// prints the result artifact of scenario::run_scenario (per-round output:
+// --timeseries-out). --resume P --rounds K runs K more rounds from P;
+// waits and deletions continue P's statistics, pool fields cover K.
+//
+// Exit codes: 0 success, 1 runtime error, 2 usage error (bad flag,
+// out-of-domain parameter, or a resume flag that disagrees with the
+// checkpoint), 3 invariant violation detected by the auditor.
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <iostream>
-#include <memory>
-#include <optional>
+#include <map>
+#include <sstream>
 #include <string>
 
-#include "analysis/bounds.hpp"
+#include "artifact/artifact.hpp"
 #include "core/bin_samplers.hpp"
 #include "core/capped.hpp"
 #include "core/greedy.hpp"
 #include "core/modcapped.hpp"
-#include "fault/auditor.hpp"
-#include "fault/fault_plan.hpp"
+#include "fault/schedule.hpp"
 #include "io/cli.hpp"
 #include "io/json.hpp"
-#include "io/sealed.hpp"
 #include "io/table.hpp"
+#include "scenario/runner.hpp"
+#include "scenario/scenario.hpp"
 #include "sim/checkpoint.hpp"
 #include "sim/config.hpp"
 #include "sim/runner.hpp"
 #include "sim/trace.hpp"
-#include "telemetry/flight_recorder.hpp"
-#include "telemetry/timeseries.hpp"
 
 namespace {
 
@@ -46,19 +50,6 @@ core::ArrivalModel parse_arrival(const std::string& text) {
   if (text == "binomial") return core::ArrivalModel::kBinomial;
   if (text == "poisson") return core::ArrivalModel::kPoisson;
   throw io::UsageError("simulate: unknown --arrival '" + text + "'");
-}
-
-core::DeletionDiscipline parse_deletion(const std::string& text) {
-  if (text == "fifo") return core::DeletionDiscipline::kFifo;
-  if (text == "lifo") return core::DeletionDiscipline::kLifo;
-  if (text == "uniform") return core::DeletionDiscipline::kUniform;
-  throw io::UsageError("simulate: unknown --deletion '" + text + "'");
-}
-
-core::AcceptanceOrder parse_acceptance(const std::string& text) {
-  if (text == "oldest-first") return core::AcceptanceOrder::kOldestFirst;
-  if (text == "youngest-first") return core::AcceptanceOrder::kYoungestFirst;
-  throw io::UsageError("simulate: unknown --acceptance '" + text + "'");
 }
 
 /// --c: a capacity in [1, 65535]. CAPPED(∞, λ) is the batch GREEDY[1]
@@ -72,7 +63,7 @@ std::uint32_t parse_capacity(const io::ArgParser& parser) {
   return static_cast<std::uint32_t>(parser.get_uint_range("c", 1, 65535));
 }
 
-/// Rounds per second over a measured window that began at `start`.
+/// Rounds per second over a window that began at `start`.
 double rounds_per_second(std::uint64_t rounds,
                          std::chrono::steady_clock::time_point start) {
   const double elapsed = std::chrono::duration<double>(
@@ -81,25 +72,21 @@ double rounds_per_second(std::uint64_t rounds,
   return elapsed > 0 ? static_cast<double>(rounds) / elapsed : 0.0;
 }
 
-/// The --control* flag family, range-validated (bad values exit 2).
-control::ControlConfig parse_control(const io::ArgParser& parser) {
-  control::ControlConfig ctrl;
-  const std::string name = parser.get("control");
-  if (!control::policy_from_string(name, ctrl.policy)) {
-    throw io::UsageError(
-        "simulate: --control expects none, static, sweet-spot or aimd, "
-        "got '" + name + "'");
-  }
-  ctrl.c_max =
-      static_cast<std::uint32_t>(parser.get_uint_range("c-max", 1, 65535));
-  ctrl.window = static_cast<std::uint32_t>(
-      parser.get_uint_range("control-window", 1, 1u << 16));
-  ctrl.cooldown = static_cast<std::uint32_t>(
-      parser.get_uint_range("cooldown", 1, 1u << 20));
-  ctrl.hysteresis =
-      parser.get_double_range("control-hysteresis", 0.0, 1.0, false, false);
-  ctrl.admission_target = parser.get_uint("admission-target");
-  return ctrl;
+/// The printed fields of one run, whichever process produced them.
+struct Report {
+  std::uint64_t burn_in = 0, measured_rounds = 0, wait_max = 0, deletions = 0;
+  double pool_mean = 0, pool_over_n = 0, pool_max = 0, wait_mean = 0;
+  double wait_p99_upper = 0, max_load_peak = 0, rounds_per_second = 0;
+};
+
+Report report_of(const sim::RunResult& r) {
+  return {.burn_in = r.burn_in_used, .measured_rounds = r.measured_rounds,
+          .wait_max = r.wait_max, .deletions = r.deletions,
+          .pool_mean = r.pool.mean(), .pool_over_n = r.normalized_pool.mean(),
+          .pool_max = r.pool.max(), .wait_mean = r.wait_mean,
+          .wait_p99_upper = r.wait_p99_upper,
+          .max_load_peak = r.max_load.max(),
+          .rounds_per_second = r.rounds_per_second};
 }
 
 template <core::AllocationProcess P>
@@ -147,341 +134,290 @@ sim::RunResult run_with_trace(P& process, const sim::RunSpec& spec,
 }
 
 void report(const std::string& process_name, std::uint32_t n, double lambda,
-            const sim::RunResult& result, bool as_json) {
+            const Report& result, bool as_json) {
   if (as_json) {
     io::JsonWriter json(std::cout);
     json.begin_object()
         .key("process").value(process_name)
         .key("n").value(static_cast<std::uint64_t>(n))
         .key("lambda").value(lambda)
-        .key("burn_in").value(result.burn_in_used)
+        .key("burn_in").value(result.burn_in)
         .key("measured_rounds").value(result.measured_rounds)
-        .key("pool_mean").value(result.pool.mean())
-        .key("pool_over_n").value(result.normalized_pool.mean())
-        .key("pool_max").value(result.pool.max())
+        .key("pool_mean").value(result.pool_mean)
+        .key("pool_over_n").value(result.pool_over_n)
+        .key("pool_max").value(result.pool_max)
         .key("wait_mean").value(result.wait_mean)
         .key("wait_max").value(result.wait_max)
         .key("wait_p99_upper").value(result.wait_p99_upper)
         .key("deletions").value(result.deletions)
-        .key("max_load_mean").value(result.max_load.mean())
+        .key("max_load_peak").value(result.max_load_peak)
         .key("rounds_per_second").value(result.rounds_per_second)
         .end_object();
     std::cout << '\n';
     return;
   }
+  const std::pair<const char*, double> rows[] = {
+      {"burn-in rounds", static_cast<double>(result.burn_in)},
+      {"measured rounds", static_cast<double>(result.measured_rounds)},
+      {"pool size (avg)", result.pool_mean},
+      {"pool / n", result.pool_over_n},
+      {"waiting time (avg)", result.wait_mean},
+      {"waiting time (p99<=)", result.wait_p99_upper},
+      {"waiting time (max)", static_cast<double>(result.wait_max)},
+      {"max load (peak)", result.max_load_peak},
+      {"throughput (rounds/s)", result.rounds_per_second}};
   io::Table table({"metric", "value"});
   table.set_title(process_name + " results");
-  table.add_row({"burn-in rounds",
-                 io::Table::format_number(
-                     static_cast<double>(result.burn_in_used))});
-  table.add_row({"measured rounds",
-                 io::Table::format_number(
-                     static_cast<double>(result.measured_rounds))});
-  table.add_row({"pool size (avg)",
-                 io::Table::format_number(result.pool.mean())});
-  table.add_row({"pool / n",
-                 io::Table::format_number(result.normalized_pool.mean())});
-  table.add_row({"waiting time (avg)",
-                 io::Table::format_number(result.wait_mean)});
-  table.add_row({"waiting time (p99<=)",
-                 io::Table::format_number(result.wait_p99_upper)});
-  table.add_row({"waiting time (max)",
-                 io::Table::format_number(
-                     static_cast<double>(result.wait_max))});
-  table.add_row({"max load (avg)",
-                 io::Table::format_number(result.max_load.mean())});
-  table.add_row({"throughput (rounds/s)",
-                 io::Table::format_number(result.rounds_per_second)});
+  for (const auto& [label, value] : rows) {
+    table.add_row({label, io::Table::format_number(value)});
+  }
   table.print();
 }
 
-/// The CAPPED driver: fault injection, online auditing, periodic
-/// crash-safe checkpoints, resume, and per-round tracing in one loop.
-/// Returns the process exit code.
-int run_capped_cli(const io::ArgParser& parser, sim::RunSpec spec,
-                   std::uint32_t n, double lambda, std::uint64_t lambda_n,
-                   std::uint64_t seed) {
-  core::CappedConfig config;
-  config.n = n;
-  config.capacity = parse_capacity(parser);
-  config.lambda_n = lambda_n;
-  config.arrival = parse_arrival(parser.get("arrival"));
-  config.deletion = parse_deletion(parser.get("deletion"));
-  config.acceptance = parse_acceptance(parser.get("acceptance"));
-  config.failure_probability =
-      parser.get_double_range("failure-prob", 0.0, 1.0, false, true);
-  const std::string kernel_name = parser.get("kernel");
-  if (!core::kernel_from_string(kernel_name, config.kernel)) {
-    throw io::UsageError("simulate: --kernel expects bin-major or scalar, "
-                         "got '" + kernel_name + "'");
+/// Sets the scenario fields a checkpoint also stores from the CAPPED
+/// flags: every flag for a fresh run, only the given ones on a resume.
+void apply_flags(const io::ArgParser& parser, scenario::Scenario& scn,
+                 bool given_only) {
+  const auto use = [&](const char* flag) {
+    return !given_only || parser.provided(flag);
+  };
+  const auto u32 = [&](const char* flag, std::uint32_t hi,
+                       std::uint32_t& out) {
+    if (use(flag)) {
+      out = static_cast<std::uint32_t>(parser.get_uint_range(flag, 1, hi));
+    }
+  };
+  u32("n", 1u << 28, scn.n);
+  if (use("c")) scn.capacity = parse_capacity(parser);
+  if (use("lambda")) {
+    scn.arrival.lambda = parser.get_double_range("lambda", 0, 1, true, true);
   }
-  config.shards =
-      static_cast<std::uint32_t>(parser.get_uint_range("shards", 1, n));
-  config.pool_limit = parser.get_uint("pool-limit");
+  if (use("arrival")) {
+    scn.arrival.distribution = parse_arrival(parser.get("arrival"));
+  }
+  if (use("faults")) {
+    const std::string text = parser.get("faults");
+    scn.fault_schedule =
+        text.empty() ? "" : fault::to_string(fault::parse_schedule(text));
+  }
+  if (use("fault-seed")) scn.fault_seed = parser.get_uint("fault-seed");
+  if (use("pool-limit")) scn.pool_limit = parser.get_uint("pool-limit");
   const std::string bp_name = parser.get("backpressure");
-  if (!core::backpressure_from_string(bp_name, config.backpressure)) {
+  if (use("backpressure") &&
+      !core::backpressure_from_string(bp_name, scn.backpressure)) {
     throw io::UsageError("simulate: --backpressure expects none, shed or "
                          "defer, got '" + bp_name + "'");
   }
-  if (config.backpressure != core::BackpressureMode::kNone &&
-      config.pool_limit == 0) {
+  u32("backoff", 1u << 20, scn.backoff);
+  control::ControlConfig& ctrl = scn.control;
+  const std::string policy = parser.get("control");
+  if (use("control") && !control::policy_from_string(policy, ctrl.policy)) {
+    throw io::UsageError(
+        "simulate: --control expects none, static, sweet-spot or aimd, "
+        "got '" + policy + "'");
+  }
+  u32("c-max", 65535, ctrl.c_max);
+  u32("control-window", 1u << 16, ctrl.window);
+  u32("cooldown", 1u << 20, ctrl.cooldown);
+  if (use("control-hysteresis")) {
+    ctrl.hysteresis =
+        parser.get_double_range("control-hysteresis", 0, 1, false, false);
+  }
+  if (use("admission-target")) {
+    ctrl.admission_target = parser.get_uint("admission-target");
+  }
+}
+
+/// A fresh run's scenario: the flags, their cross-flag rules, and the
+/// burn-in rule.
+scenario::Scenario fresh_scenario(const io::ArgParser& parser) {
+  scenario::Scenario scn;
+  apply_flags(parser, scn, false);
+  if (scn.backpressure != core::BackpressureMode::kNone &&
+      scn.pool_limit == 0) {
     throw io::UsageError(
         "simulate: --backpressure requires --pool-limit > 0");
   }
-  config.backoff_rounds = static_cast<std::uint32_t>(
-      parser.get_uint_range("backoff", 1, 1u << 20));
-  config.control = parse_control(parser);
-  if (config.control.enabled()) {
-    if (config.capacity > config.control.c_max) {
-      throw io::UsageError("simulate: --c " +
-                           std::to_string(config.capacity) +
-                           " exceeds --c-max " +
-                           std::to_string(config.control.c_max));
-    }
-    if (config.control.admission_target > 0 &&
-        config.backpressure == core::BackpressureMode::kNone) {
-      throw io::UsageError(
-          "simulate: --admission-target requires --backpressure shed or "
-          "defer (and --pool-limit)");
-    }
-  } else if (parser.get_uint("admission-target") > 0) {
+  if (scn.control.enabled() && scn.capacity > scn.control.c_max) {
+    throw io::UsageError("simulate: --c " + std::to_string(scn.capacity) +
+                         " exceeds --c-max " +
+                         std::to_string(scn.control.c_max));
+  }
+  if (scn.control.admission_target > 0 &&
+      (!scn.control.enabled() ||
+       scn.backpressure == core::BackpressureMode::kNone)) {
     throw io::UsageError(
         "simulate: --admission-target requires --control (static, "
-        "sweet-spot or aimd)");
+        "sweet-spot or aimd) and --backpressure shed or defer");
   }
+  const std::uint64_t burn_in = parser.get_uint("burnin");
+  scn.burn_in =
+      burn_in > 0 ? burn_in : sim::suggested_burn_in(scn.arrival.lambda);
+  return scn;
+}
 
-  const std::string fault_text = parser.get("faults");
-  const std::uint64_t fault_seed = parser.get_uint("fault-seed");
-  std::string resume_path = parser.get("resume");
-  if (resume_path.empty()) resume_path = parser.get("checkpoint-in");
-  const std::string checkpoint_out = parser.get("checkpoint-out");
-  const std::uint64_t checkpoint_every = parser.get_uint("checkpoint-every");
-  if (checkpoint_every > 0 && checkpoint_out.empty()) {
+/// A resumed run's scenario: the checkpoint's configuration and fault
+/// schedule, with burn-in = the checkpoint's round, so every round run
+/// is measured.
+scenario::Scenario checkpoint_scenario(const sim::Checkpoint& ckpt) {
+  const core::CappedConfig& cfg = ckpt.snapshot.config;
+  scenario::Scenario scn;
+  scn.n = cfg.n;
+  scn.capacity = cfg.capacity;
+  scn.kernel = cfg.kernel;
+  scn.shards = cfg.shards;
+  scn.arrival = scenario::ArrivalModel::constant(cfg.lambda(), cfg.arrival);
+  if (ckpt.has_fault_state) {
+    scn.fault_schedule = ckpt.fault_schedule;
+    scn.fault_seed = ckpt.fault_seed;
+  }
+  scn.pool_limit = cfg.pool_limit;
+  scn.backpressure = cfg.backpressure;
+  scn.backoff = cfg.backoff_rounds;
+  scn.control = cfg.control;
+  scn.burn_in = ckpt.snapshot.round;
+  return scn;
+}
+
+/// A resume continues the checkpoint's run, so the given flags may not
+/// change a field of its canonical scenario text. Under control, c and
+/// the pool limit are exempt: the controller retunes them.
+void check_resume_flags(const io::ArgParser& parser,
+                        const scenario::Scenario& saved) {
+  scenario::Scenario given = saved;
+  apply_flags(parser, given, true);
+  if (saved.control.enabled()) {
+    given.capacity = saved.capacity;
+    given.pool_limit = saved.pool_limit;
+  }
+  // "section.key" -> {checkpoint value, flag value}.
+  std::map<std::string, std::array<std::string, 2>> fields;
+  for (const int side : {0, 1}) {
+    std::istringstream text((side == 0 ? saved : given).canonical_text());
+    std::string section;
+    for (std::string line; std::getline(text, line);) {
+      const std::size_t eq = line.find(" = ");
+      if (line.starts_with('[')) {
+        section = line.substr(1, line.size() - 2) + ".";
+      } else if (eq != std::string::npos) {
+        fields[section + line.substr(0, eq)][side] = line.substr(eq + 3);
+      }
+    }
+  }
+  std::string conflicts;
+  for (const auto& [key, values] : fields) {
+    if (values[0] == values[1]) continue;
+    conflicts += "; checkpoint field " + key + " = '" + values[0] +
+                 "' (flags: '" + values[1] + "')";
+  }
+  if (!conflicts.empty()) {
+    throw io::UsageError("simulate: --resume continues the checkpoint's "
+                         "run, so drop the flags that disagree with it or "
+                         "run fresh" + conflicts);
+  }
+}
+
+/// The CAPPED front end: compiles the flags (or the --resume checkpoint)
+/// into a scenario, runs it, and prints the artifact's fields. Returns
+/// the process exit code.
+int run_capped_cli(const io::ArgParser& parser) {
+  if (!parser.get("trace-csv").empty()) {
+    throw io::UsageError(
+        "simulate: --trace-csv is not available for --process capped; "
+        "its per-round output is --timeseries-out");
+  }
+  const std::string resume = parser.get("resume");
+  sim::Checkpoint ckpt;
+  scenario::Scenario scn;
+  if (!resume.empty()) {
+    ckpt = sim::load_checkpoint_full(resume);
+    scn = checkpoint_scenario(ckpt);
+    check_resume_flags(parser, scn);
+    std::fprintf(stderr, "[checkpoint] resumed from %s at round %llu%s\n",
+                 resume.c_str(),
+                 static_cast<unsigned long long>(ckpt.snapshot.round),
+                 ckpt.has_fault_state ? " (fault plan restored)" : "");
+  } else {
+    scn = fresh_scenario(parser);
+  }
+  scn.name = "simulate";
+  scn.seed = parser.get_uint("seed");
+  scn.rounds = parser.get_uint_range("rounds", 1, UINT64_MAX);
+  scn.expect.audit = parser.get_uint("audit-every") > 0;
+  if (scn.expect.audit) scn.expect.audit_every = parser.get_uint("audit-every");
+  scn.record.cadence = parser.get_uint_range("ts-cadence", 1, UINT64_MAX);
+
+  scenario::RunOptions options;
+  if (parser.provided("kernel")) {
+    core::RoundKernel kernel = core::RoundKernel::kBinMajor;
+    if (!core::kernel_from_string(parser.get("kernel"), kernel)) {
+      throw io::UsageError("simulate: --kernel expects bin-major or scalar, "
+                           "got '" + parser.get("kernel") + "'");
+    }
+    options.kernel = kernel;
+  }
+  if (parser.provided("shards")) {
+    options.shards = static_cast<std::uint32_t>(
+        parser.get_uint_range("shards", 1, scn.n));
+  }
+  options.checkpoint_out = parser.get("checkpoint-out");
+  options.checkpoint_every = parser.get_uint("checkpoint-every");
+  if (options.checkpoint_every > 0 && options.checkpoint_out.empty()) {
     throw io::UsageError(
         "simulate: --checkpoint-every requires --checkpoint-out");
   }
-  const std::uint64_t audit_every = parser.get_uint("audit-every");
-  const std::string trace_path = parser.get("trace-csv");
-
-  std::unique_ptr<core::Capped> process;
-  std::unique_ptr<fault::FaultPlan> plan;
-  bool resumed = false;
-  if (!resume_path.empty()) {
-    resumed = true;
-    sim::Checkpoint ckpt = sim::load_checkpoint_full(resume_path);
-    // The checkpoint's control configuration is authoritative (it is
-    // part of the resumed trajectory); a conflicting --control on the
-    // command line is a hard usage error, not a silent override.
-    if (parser.provided("control") &&
-        config.control.policy != ckpt.snapshot.config.control.policy) {
-      throw io::UsageError(
-          "simulate: --control '" +
-          std::string(control::to_string(config.control.policy)) +
-          "' disagrees with checkpoint field control.policy = '" +
-          std::string(
-              control::to_string(ckpt.snapshot.config.control.policy)) +
-          "' (resume keeps the saved policy; drop --control or re-run "
-          "fresh)");
-    }
-    process = std::make_unique<core::Capped>(ckpt.snapshot);
-    if (ckpt.has_fault_state) {
-      // The checkpoint's schedule is authoritative: the plan resumes the
-      // recorded fault trajectory, not a fresh one. Under adaptive
-      // control the plan validates against c_max (the capacity ceiling)
-      // — the saved capacity may be mid-shrink.
-      const auto& rc = ckpt.snapshot.config;
-      plan = std::make_unique<fault::FaultPlan>(
-          fault::parse_schedule(ckpt.fault_schedule), rc.n,
-          rc.control.enabled() ? rc.control.c_max : rc.capacity,
-          ckpt.fault_seed);
-      plan->restore(ckpt.fault_state);
-    }
-    std::fprintf(stderr, "[checkpoint] resumed from %s at round %llu%s\n",
-                 resume_path.c_str(),
-                 static_cast<unsigned long long>(process->round()),
-                 plan != nullptr ? " (fault plan restored)" : "");
-    spec.burn_in = 0;  // the checkpoint is already in steady state
-  } else {
-    process = std::make_unique<core::Capped>(config, core::Engine(seed));
-    if (!fault_text.empty()) {
-      plan = std::make_unique<fault::FaultPlan>(
-          fault::parse_schedule(fault_text), config.n,
-          config.control.enabled() ? config.control.c_max : config.capacity,
-          fault_seed);
-    }
-  }
-  if (plan != nullptr) process->set_fault_plan(plan.get());
-
-  std::optional<fault::InvariantAuditor> auditor;
-  if (audit_every > 0) auditor.emplace(audit_every);
-
-  // Recording: a per-round time series and an armed flight recorder
-  // whose bundle dumps on the first auditor violation. Both inert with
-  // -DIBA_TELEMETRY=OFF.
-  const std::string timeseries_out = parser.get("timeseries-out");
-  const std::string flight_recorder = parser.get("flight-recorder");
-  const bool recording = telemetry::TimeSeries::kEnabled &&
-                         (!timeseries_out.empty() || !flight_recorder.empty());
-  std::optional<telemetry::TimeSeries> series;
-  std::optional<telemetry::FlightRecorder> recorder;
-  std::uint64_t seen_violations = 0;
-  if (recording) {
-    telemetry::TimeSeriesConfig ts_config;
-    ts_config.cadence = parser.get_uint_range("ts-cadence", 1, UINT64_MAX);
-    series.emplace(ts_config);
-    recorder.emplace();
-    recorder->attach_time_series(&*series);
-    recorder->set_context("simulate", "-", seed, process->n());
-    process->set_time_series(&*series);
-  }
-  const auto record_round = [&] {
-    if (!recording || !auditor.has_value() ||
-        auditor->violation_count() <= seen_violations) {
-      return;
-    }
-    seen_violations = auditor->violation_count();
-    std::string detail = "invariant violation";
-    if (!auditor->violations().empty()) {
-      const auto& v = auditor->violations().back();
-      detail = v.invariant + ": " + v.detail;
-    }
-    recorder->note_event(process->round(), "audit-violation", detail);
-    if (recorder->trigger(telemetry::TriggerKind::kAuditorViolation,
-                          process->round(), detail) &&
-        !flight_recorder.empty()) {
-      recorder->write_bundle(flight_recorder);
-      std::fprintf(stderr, "[recorder] wrote %s\n", flight_recorder.c_str());
-    }
-  };
-
-  const auto save = [&](const std::string& path) {
-    sim::Checkpoint ckpt;
-    ckpt.snapshot = process->snapshot();
-    if (plan != nullptr) {
-      ckpt.has_fault_state = true;
-      ckpt.fault_schedule = fault::to_string(plan->schedule());
-      ckpt.fault_seed = plan->seed();
-      ckpt.fault_state = plan->state();
-    }
-    sim::save_checkpoint(ckpt, path);
-  };
-
-  sim::TraceRecorder trace;
-  sim::RunResult result;
-  result.burn_in_used = spec.burn_in;
-  result.measured_rounds = spec.measure_rounds;
-  double wait_sum = 0;
-  std::uint64_t since_checkpoint = 0;
-  const auto maybe_checkpoint = [&] {
-    if (checkpoint_every == 0) return;
-    if (++since_checkpoint < checkpoint_every) return;
-    since_checkpoint = 0;
-    save(checkpoint_out);
-  };
-
-  for (std::uint64_t i = 0; i < spec.burn_in; ++i) {
-    const auto m = process->step();
-    if (auditor.has_value()) auditor->observe(*process, m);
-    record_round();
-    maybe_checkpoint();
-  }
-  // A resumed run continues the saved cumulative wait statistics
-  // bit-for-bit; resetting them would fork from the uninterrupted run.
-  if (!resumed) process->reset_wait_stats();
+  options.timeseries_out = parser.get("timeseries-out");
+  options.flight_recorder = parser.get("flight-recorder");
 
   const auto start = std::chrono::steady_clock::now();
-  for (std::uint64_t i = 0; i < spec.measure_rounds; ++i) {
-    const auto m = process->step();
-    if (auditor.has_value()) auditor->observe(*process, m);
-    record_round();
-    if (!trace_path.empty()) trace.observe(m);
-    result.pool.add(static_cast<double>(m.pool_size));
-    result.normalized_pool.add(static_cast<double>(m.pool_size) /
-                               static_cast<double>(process->n()));
-    result.max_load.add(static_cast<double>(m.max_load));
-    result.system_load.add(static_cast<double>(m.pool_size + m.total_load));
-    result.deletions += m.wait_count;
-    wait_sum += m.wait_sum;
-    if (m.wait_max > result.wait_max) result.wait_max = m.wait_max;
-    maybe_checkpoint();
-  }
-  result.rounds_per_second = rounds_per_second(spec.measure_rounds, start);
-  if (result.deletions > 0) {
-    result.wait_mean = wait_sum / static_cast<double>(result.deletions);
-  }
-  result.wait_stddev = process->waits().stddev();
-  result.wait_p99_upper =
-      static_cast<double>(process->waits().quantile_upper_bound(0.99));
-  if (!trace_path.empty()) {
-    trace.write_csv(trace_path);
-    std::fprintf(stderr, "[trace] wrote %s (%zu rounds)\n", trace_path.c_str(),
-                 static_cast<std::size_t>(spec.measure_rounds));
-  }
+  const scenario::RunOutcome outcome =
+      resume.empty() ? scenario::run_scenario(scn, options)
+                     : scenario::continue_run(scn, std::move(ckpt), options);
+  const std::uint64_t rounds_run =
+      resume.empty() ? scn.burn_in + scn.rounds : scn.rounds;
+  const artifact::ResultArtifact& a = outcome.artifact;
+  const double pool_mean =
+      static_cast<double>(a.pool_sum) / static_cast<double>(a.rounds);
+  const Report result{
+      .burn_in = a.burn_in, .measured_rounds = a.rounds,
+      .wait_max = a.wait_max, .deletions = a.wait_count,
+      .pool_mean = pool_mean,
+      .pool_over_n = pool_mean / static_cast<double>(a.n),
+      .pool_max = static_cast<double>(a.pool_max),
+      .wait_mean = a.wait_count == 0 ? 0.0
+                                     : static_cast<double>(a.wait_sum) /
+                                           static_cast<double>(a.wait_count),
+      .wait_p99_upper = static_cast<double>(a.wait_p99),
+      .max_load_peak = static_cast<double>(a.max_load_peak),
+      .rounds_per_second = rounds_per_second(rounds_run, start)};
+  report("CAPPED", a.n, scn.arrival.lambda, result, parser.get_bool("json"));
 
-  // Report the geometry actually run — on resume that is the
-  // checkpoint's, not the CLI defaults.
-  report("CAPPED", process->n(), process->lambda(), result,
-         parser.get_bool("json"));
-  (void)n;
-  (void)lambda;
-  if (process->controller() != nullptr) {
-    const control::Controller* ctl = process->controller();
-    std::fprintf(
-        stderr,
-        "[control] policy=%s capacity_now=%u lambda_hat=%.4f changes=%llu "
-        "grows=%llu shrinks=%llu\n",
-        std::string(control::to_string(ctl->config().policy)).c_str(),
-        process->capacity(), ctl->estimator().lambda_ewma(),
-        static_cast<unsigned long long>(ctl->changes_total()),
-        static_cast<unsigned long long>(ctl->grows_total()),
-        static_cast<unsigned long long>(ctl->shrinks_total()));
-    for (const auto& d : ctl->decisions()) {
-      std::fprintf(stderr,
-                   "[control] round %llu: c %u -> %u, pool_limit %llu -> "
-                   "%llu (lambda_hat=%.4f wait=%.2f)\n",
-                   static_cast<unsigned long long>(d.round), d.old_capacity,
-                   d.new_capacity,
-                   static_cast<unsigned long long>(d.old_pool_limit),
-                   static_cast<unsigned long long>(d.new_pool_limit),
-                   d.lambda_hat, d.mean_wait);
-    }
-  }
-  if (plan != nullptr) {
+  if (a.has_control) {
     std::fprintf(stderr,
-                 "[faults] crashes=%llu repairs=%llu straggler_skips=%llu "
-                 "down_now=%llu\n",
-                 static_cast<unsigned long long>(plan->crashes_total()),
-                 static_cast<unsigned long long>(plan->repairs_total()),
-                 static_cast<unsigned long long>(plan->straggler_skips_total()),
-                 static_cast<unsigned long long>(plan->down_bins()));
+                 "[control] policy=%s capacity_final=%u changes=%llu "
+                 "grows=%llu shrinks=%llu\n",
+                 std::string(control::to_string(scn.control.policy)).c_str(),
+                 a.capacity_final,
+                 static_cast<unsigned long long>(a.control_changes),
+                 static_cast<unsigned long long>(a.control_grows),
+                 static_cast<unsigned long long>(a.control_shrinks));
   }
-  if (!checkpoint_out.empty()) {
-    save(checkpoint_out);
-    std::fprintf(stderr, "[checkpoint] saved %s\n", checkpoint_out.c_str());
-  }
-  if (recording && !timeseries_out.empty()) {
-    io::sealed::commit(timeseries_out, series->render_text(),
-                       "simulate timeseries");
-    std::fprintf(stderr, "[timeseries] wrote %s (%llu rounds)\n",
-                 timeseries_out.c_str(),
-                 static_cast<unsigned long long>(series->rounds_observed()));
-  }
-  if (auditor.has_value()) {
+  if (a.has_faults) {
     std::fprintf(stderr,
-                 "[audit] rounds=%llu deep=%llu violations=%llu\n",
-                 static_cast<unsigned long long>(auditor->rounds_audited()),
-                 static_cast<unsigned long long>(auditor->deep_audits()),
-                 static_cast<unsigned long long>(auditor->violation_count()));
-    if (!auditor->ok()) {
-      for (const auto& v : auditor->violations()) {
-        std::fprintf(stderr, "[audit] round %llu: %s: %s\n",
-                     static_cast<unsigned long long>(v.round),
-                     v.invariant.c_str(), v.detail.c_str());
-      }
-      return 3;
-    }
+                 "[faults] crashes=%llu repairs=%llu straggler_skips=%llu\n",
+                 static_cast<unsigned long long>(a.crashes),
+                 static_cast<unsigned long long>(a.repairs),
+                 static_cast<unsigned long long>(a.straggler_skips));
   }
-  return 0;
+  if (a.audited) {
+    std::fprintf(stderr, "[audit] rounds=%llu violations=%llu\n",
+                 static_cast<unsigned long long>(a.audit_rounds),
+                 static_cast<unsigned long long>(a.audit_violations));
+  }
+  for (const std::string& failure : outcome.failures) {
+    std::fprintf(stderr, "%s\n", failure.c_str());
+  }
+  return outcome.ok() ? 0 : 3;
 }
 
 }  // namespace
@@ -504,11 +440,6 @@ int main(int argc, char** argv) {
   parser.add_flag("seed", "random seed", "1");
   parser.add_flag("arrival", "deterministic | binomial | poisson",
                   "deterministic");
-  parser.add_flag("deletion", "fifo | lifo | uniform", "fifo");
-  parser.add_flag("acceptance", "oldest-first | youngest-first",
-                  "oldest-first");
-  parser.add_flag("failure-prob", "per-bin service failure probability",
-                  "0");
   parser.add_flag("kernel", "bin-major | scalar (capped only)", "bin-major");
   parser.add_flag("shards",
                   "parallel bin ranges per round (capped bin-major only)",
@@ -541,7 +472,7 @@ int main(int argc, char** argv) {
                   "run deep invariant audits every K rounds (0 = off; "
                   "violations exit 3)",
                   "0");
-  parser.add_flag("trace-csv", "write per-round trace CSV to this path", "");
+  parser.add_flag("trace-csv", "per-round trace CSV path (not capped)", "");
   parser.add_flag("timeseries-out",
                   "write the multi-tier per-round time series here "
                   "(capped only)",
@@ -552,12 +483,11 @@ int main(int argc, char** argv) {
                   "arm the flight recorder; the postmortem bundle lands "
                   "here on the first auditor violation (capped only)",
                   "");
-  parser.add_flag("checkpoint-in", "resume a capped run from this file", "");
-  parser.add_flag("resume", "alias for --checkpoint-in", "");
+  parser.add_flag("resume", "run --rounds more rounds from this file", "");
   parser.add_flag("checkpoint-out", "save capped state after the run", "");
   parser.add_flag("checkpoint-every",
-                  "also checkpoint every K rounds during the run "
-                  "(requires --checkpoint-out)",
+                  "also checkpoint at every round that is a multiple of "
+                  "K (requires --checkpoint-out)",
                   "0");
   parser.add_flag("json", "emit the result as JSON", "false");
   parser.add_flag("force", "overwrite existing output files", "false");
@@ -594,7 +524,7 @@ int main(int argc, char** argv) {
     const auto lambda_n = core::CappedConfig::from_rate(n, lambda, 1).lambda_n;
 
     if (process_name == "capped") {
-      return run_capped_cli(parser, spec, n, lambda, lambda_n, seed);
+      return run_capped_cli(parser);
     } else if (process_name == "modcapped") {
       core::ModCappedConfig config;
       config.n = n;
@@ -603,7 +533,7 @@ int main(int argc, char** argv) {
       config.lambda_n = lambda_n;
       core::ModCapped process(config, core::Engine(seed));
       const auto result = run_with_trace(process, spec, trace_path);
-      report("MODCAPPED", n, lambda, result, as_json);
+      report("MODCAPPED", n, lambda, report_of(result), as_json);
     } else if (process_name == "greedy") {
       core::BatchGreedyConfig config;
       config.n = n;
@@ -611,8 +541,8 @@ int main(int argc, char** argv) {
       config.lambda_n = lambda_n;
       core::BatchGreedy process(config, core::Engine(seed));
       const auto result = run_with_trace(process, spec, trace_path);
-      report("GREEDY[" + std::to_string(config.d) + "]", n, lambda, result,
-             as_json);
+      report("GREEDY[" + std::to_string(config.d) + "]", n, lambda,
+             report_of(result), as_json);
     } else if (process_name == "capped-greedy") {
       core::CappedConfig config;
       config.n = n;
@@ -625,7 +555,7 @@ int main(int argc, char** argv) {
           static_cast<std::uint32_t>(parser.get_uint_range("d", 1, 16)));
       process.set_bin_sampler(&greedy);
       const auto result = run_with_trace(process, spec, trace_path);
-      report("CAPPED-GREEDY", n, lambda, result, as_json);
+      report("CAPPED-GREEDY", n, lambda, report_of(result), as_json);
     } else {
       throw io::UsageError("simulate: unknown --process '" + process_name +
                            "'");

@@ -17,7 +17,13 @@
 
 namespace iba::scenario {
 
-RunOutcome run_scenario(const Scenario& scn, const RunOptions& options) {
+namespace {
+
+/// The round loop of both entry points. It continues `given` when set
+/// (continue_run), else options.resume with its sidecars, else starts
+/// fresh.
+RunOutcome run(const Scenario& scn, const RunOptions& options,
+               sim::Checkpoint* given) {
   const std::uint32_t n = scn.n;
   const core::RoundKernel kernel = options.kernel.value_or(scn.kernel);
   const std::uint32_t shards =
@@ -72,18 +78,20 @@ RunOutcome run_scenario(const Scenario& scn, const RunOptions& options) {
   const std::uint32_t plan_ceiling =
       scn.control.enabled() ? scn.control.c_max : scn.capacity;
 
+  sim::Checkpoint loaded;
   if (!options.resume.empty()) {
-    sim::Checkpoint ckpt = sim::load_checkpoint_full(options.resume);
+    loaded = sim::load_checkpoint_full(options.resume);
+    given = &loaded;
     progress = load_progress(options.resume + ".progress");
     if (recording && !options.flight_recorder.empty() &&
         (progress.digest != digest || progress.seed != seed ||
-         ckpt.snapshot.round != progress.rounds_done)) {
+         loaded.snapshot.round != progress.rounds_done)) {
       // A broken resume is exactly what the black box is for: dump the
       // identity mismatch before the contract check aborts the run. This
       // bundle describes the failed stitch, so it is the one deliberate
       // exception to the bytes-identical-across-resume contract.
       recorder->trigger(telemetry::TriggerKind::kResumeMismatch,
-                        ckpt.snapshot.round,
+                        loaded.snapshot.round,
                         "expected digest " + digest + " seed " +
                             std::to_string(seed) + ", checkpoint has digest " +
                             progress.digest + " seed " +
@@ -96,22 +104,30 @@ RunOutcome run_scenario(const Scenario& scn, const RunOptions& options) {
                "(digest mismatch)");
     IBA_EXPECT(progress.seed == seed,
                "run_scenario: checkpoint belongs to a different seed");
-    IBA_EXPECT(ckpt.snapshot.round == progress.rounds_done,
+    IBA_EXPECT(loaded.snapshot.round == progress.rounds_done,
                "run_scenario: checkpoint and progress sidecar disagree");
+  } else if (given != nullptr) {
+    IBA_EXPECT(given->snapshot.config.n == n,
+               "continue_run: checkpoint and scenario disagree on n");
+    progress.digest = digest;
+    progress.seed = seed;
+    progress.rounds_done = given->snapshot.round;
+  }
+  if (given != nullptr) {
     IBA_EXPECT(progress.rounds_done < total_rounds,
                "run_scenario: checkpoint is already past the scenario's end");
     // Execution hints are free to change on resume — overwrite them in
     // the restored config before the process spins up its thread pool.
-    ckpt.snapshot.config.kernel = kernel;
-    ckpt.snapshot.config.shards = shards;
-    process = std::make_unique<core::Capped>(ckpt.snapshot);
-    if (ckpt.has_fault_state) {
+    given->snapshot.config.kernel = kernel;
+    given->snapshot.config.shards = shards;
+    process = std::make_unique<core::Capped>(given->snapshot);
+    if (given->has_fault_state) {
       plan = std::make_unique<fault::FaultPlan>(
-          fault::parse_schedule(ckpt.fault_schedule), n, plan_ceiling,
-          ckpt.fault_seed);
-      plan->restore(ckpt.fault_state);
+          fault::parse_schedule(given->fault_schedule), n, plan_ceiling,
+          given->fault_seed);
+      plan->restore(given->fault_state);
     }
-    if (recording) {
+    if (recording && !options.resume.empty()) {
       load_record(*series, *recorder, options.resume + ".record");
     }
   } else {
@@ -356,6 +372,19 @@ RunOutcome run_scenario(const Scenario& scn, const RunOptions& options) {
 
   if (!options.checkpoint_out.empty()) save_state();
   return outcome;
+}
+
+}  // namespace
+
+RunOutcome run_scenario(const Scenario& scn, const RunOptions& options) {
+  return run(scn, options, nullptr);
+}
+
+RunOutcome continue_run(const Scenario& scn, sim::Checkpoint checkpoint,
+                        const RunOptions& options) {
+  IBA_EXPECT(options.resume.empty(),
+             "continue_run: the checkpoint is given; resume must be empty");
+  return run(scn, options, &checkpoint);
 }
 
 }  // namespace iba::scenario
