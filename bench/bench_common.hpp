@@ -15,11 +15,14 @@
 #include <string>
 #include <string_view>
 #include <system_error>
+#include <thread>
 #include <vector>
 
 #include "io/cli.hpp"
 #include "io/csv.hpp"
+#include "io/json.hpp"
 #include "io/table.hpp"
+#include "rng/simd.hpp"
 #include "sim/config.hpp"
 #include "sim/runner.hpp"
 #include "telemetry/ball_trace.hpp"
@@ -234,6 +237,44 @@ inline void emit(const io::Table& table, const BenchOptions& options,
   for (const auto& row : rows) csv.row(row);
   telemetry::log_info("csv_written",
                       {{"path", path}, {"rows", rows.size()}});
+}
+
+/// Writes the "host" object of a BENCH_*.json record: core count, CPU
+/// model, L3 size, the SIMD backend fill_bounded dispatches to,
+/// compiler and build type.
+inline void write_host(io::JsonWriter& json) {
+  std::string cpu_model;
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; std::getline(cpuinfo, line);) {
+    if (line.rfind("model name", 0) == 0) {
+      const std::size_t colon = line.find(": ");
+      if (colon != std::string::npos) cpu_model = line.substr(colon + 2);
+      break;
+    }
+  }
+  std::string l3;
+  for (int index = 0; index < 8 && l3.empty(); ++index) {
+    const std::string dir =
+        "/sys/devices/system/cpu/cpu0/cache/index" + std::to_string(index);
+    std::string level;
+    std::ifstream(dir + "/level") >> level;
+    if (level == "3") std::ifstream(dir + "/size") >> l3;
+  }
+#if defined(__clang__)
+  const char* compiler = "clang " __clang_version__;
+#else
+  const char* compiler = "gcc " __VERSION__;
+#endif
+  json.key("host").begin_object();
+  json.key("nproc").value(
+      static_cast<std::uint64_t>(std::thread::hardware_concurrency()));
+  json.key("cpu_model").value(cpu_model);
+  json.key("l3").value(l3);
+  json.key("simd_backend")
+      .value(rng::simd_backend_name(rng::active_simd_backend()));
+  json.key("compiler").value(compiler);
+  json.key("build_type").value(IBA_BUILD_TYPE);
+  json.end_object();
 }
 
 }  // namespace iba::bench

@@ -5,7 +5,8 @@
 // as the reference row. Verifies first that every variant's counters
 // agree with the single-process run — the byte-identity contract in
 // miniature — then times the steady state. Machine-readable results go
-// to --json (default BENCH_dist.json), gated in CI by
+// to --json (default BENCH_dist.json) with a host stamp, committed
+// atomically through io::sealed::commit, and are gated in CI by
 // scripts/bench_trend.py against the committed baseline.
 //
 //   ./bench_dist                  # n = 2^16, workers 1/2/4
@@ -14,17 +15,20 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
+#include <exception>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "core/capped.hpp"
 #include "dist/coordinator.hpp"
 #include "dist/worker.hpp"
 #include "io/cli.hpp"
 #include "io/json.hpp"
+#include "io/sealed.hpp"
 #include "net/socket.hpp"
 
 namespace {
@@ -230,14 +234,11 @@ int main(int argc, char** argv) {
   }
 
   const std::string json_path = parser.get("json");
-  std::ofstream out(json_path, std::ios::trunc);
-  if (!out) {
-    std::fprintf(stderr, "bench_dist: cannot open %s\n", json_path.c_str());
-    return 1;
-  }
+  std::ostringstream out;
   io::JsonWriter json(out);
   json.begin_object();
   json.key("bench").value("dist");
+  bench::write_host(json);
   json.key("n").value(static_cast<std::uint64_t>(n));
   json.key("capacity").value(static_cast<std::uint64_t>(capacity));
   json.key("lambda_n").value(lambda_n);
@@ -262,6 +263,14 @@ int main(int argc, char** argv) {
   json.end_array();
   json.end_object();
   out << "\n";
+  // bench_trend.py reads the record back: a reader never sees a
+  // half-written file.
+  try {
+    io::sealed::commit(json_path, out.str(), "bench_dist");
+  } catch (const std::exception& error) {
+    std::fprintf(stderr, "bench_dist: %s\n", error.what());
+    return 1;
+  }
 
   return determinism_ok ? 0 : 1;
 }

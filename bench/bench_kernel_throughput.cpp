@@ -28,20 +28,18 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "core/capped.hpp"
 #include "io/cli.hpp"
 #include "io/json.hpp"
 #include "io/sealed.hpp"
 #include "telemetry/log.hpp"
 #include "telemetry/phase_timers.hpp"
-#include "rng/simd.hpp"
 #include "telemetry/timeseries.hpp"
 
 namespace {
@@ -174,43 +172,6 @@ bool check_determinism(std::uint32_t capacity, std::uint64_t seed,
     }
   }
   return true;
-}
-
-/// The host a measurement comes from: core count, CPU model, L3 size,
-/// the SIMD backend fill_bounded dispatches to, compiler and build type.
-void write_host(iba::io::JsonWriter& json) {
-  std::string cpu_model;
-  std::ifstream cpuinfo("/proc/cpuinfo");
-  for (std::string line; std::getline(cpuinfo, line);) {
-    if (line.rfind("model name", 0) == 0) {
-      const std::size_t colon = line.find(": ");
-      if (colon != std::string::npos) cpu_model = line.substr(colon + 2);
-      break;
-    }
-  }
-  std::string l3;
-  for (int index = 0; index < 8 && l3.empty(); ++index) {
-    const std::string dir =
-        "/sys/devices/system/cpu/cpu0/cache/index" + std::to_string(index);
-    std::string level;
-    std::ifstream(dir + "/level") >> level;
-    if (level == "3") std::ifstream(dir + "/size") >> l3;
-  }
-#if defined(__clang__)
-  const char* compiler = "clang " __clang_version__;
-#else
-  const char* compiler = "gcc " __VERSION__;
-#endif
-  json.key("host").begin_object();
-  json.key("nproc").value(
-      static_cast<std::uint64_t>(std::thread::hardware_concurrency()));
-  json.key("cpu_model").value(cpu_model);
-  json.key("l3").value(l3);
-  json.key("simd_backend")
-      .value(iba::rng::simd_backend_name(iba::rng::active_simd_backend()));
-  json.key("compiler").value(compiler);
-  json.key("build_type").value(IBA_BUILD_TYPE);
-  json.end_object();
 }
 
 }  // namespace
@@ -514,7 +475,7 @@ int main(int argc, char** argv) {
   iba::io::JsonWriter json(out);
   json.begin_object();
   json.key("bench").value("kernel_throughput");
-  write_host(json);
+  iba::bench::write_host(json);
   json.key("n").value(static_cast<std::uint64_t>(n));
   json.key("capacity").value(static_cast<std::uint64_t>(capacity));
   json.key("lambda_n").value(lambda_n);
@@ -578,7 +539,7 @@ int main(int argc, char** argv) {
     iba::io::JsonWriter scale(scale_out);
     scale.begin_object();
     scale.key("bench").value("kernel_scale");
-    write_host(scale);
+    iba::bench::write_host(scale);
     scale.key("n").value(static_cast<std::uint64_t>(n));
     scale.key("capacity").value(static_cast<std::uint64_t>(capacity));
     scale.key("lambda_n").value(lambda_n);

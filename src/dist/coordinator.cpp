@@ -6,7 +6,7 @@
 #include "common/assert.hpp"
 #include "dist/checkpoint.hpp"
 #include "net/socket.hpp"
-#include "rng/bounded.hpp"
+#include "scenario/arrival.hpp"
 #include "sim/checkpoint.hpp"
 
 namespace iba::dist {
@@ -22,14 +22,15 @@ Coordinator::Coordinator(const core::CappedConfig& config,
   IBA_EXPECT(worker_fds.size() <= config_.n,
              "Coordinator: more workers than bins");
   links_.resize(worker_fds.size());
+  // Contiguous ranges, the sharded kernel's convention: the first
+  // n % W workers own one extra bin.
   const std::uint64_t workers = worker_fds.size();
-  split_base_ = config_.n / workers;
-  split_rem_ = config_.n % workers;
-  split_wide_end_ = split_rem_ * (split_base_ + 1);
+  const std::uint64_t base = config_.n / workers;
+  const std::uint64_t rem = config_.n % workers;
   for (std::uint64_t w = 0; w < workers; ++w) {
     links_[w].fd = worker_fds[w];  // provisional; hello reorders below
-    links_[w].bin_lo = w * split_base_ + (w < split_rem_ ? w : split_rem_);
-    links_[w].bin_count = split_base_ + (w < split_rem_ ? 1 : 0);
+    links_[w].bin_lo = w * base + (w < rem ? w : rem);
+    links_[w].bin_count = base + (w < rem ? 1 : 0);
   }
   // The hello handshake must see the fds in accept order, not slot
   // order — keep the raw list around until init maps them.
@@ -183,29 +184,13 @@ void Coordinator::apply_control() {
   }
 }
 
-std::uint32_t Coordinator::owner_of(std::uint32_t bin) const noexcept {
-  // Inverse of the contiguous range split (the sharded kernel's
-  // convention): the first `rem` workers own base+1 bins.
-  return bin < split_wide_end_
-             ? static_cast<std::uint32_t>(bin / (split_base_ + 1))
-             : static_cast<std::uint32_t>(
-                   split_rem_ + (bin - split_wide_end_) / split_base_);
-}
-
 core::RoundMetrics Coordinator::step() {
-  // Decide → draw → ship, in exactly core::Capped::step()'s order, so
-  // the engine consumes the identical stream.
+  // Decide → admit → ship the draw, in exactly core::Capped::step()'s
+  // order, so the engine consumes the identical stream.
   apply_control();
   const std::uint64_t generated = core::sample_arrivals(config_, engine_);
   const core::Admission adm =
       gate_.admit(config_, round_ + 1, generated, pool_);
-  const std::uint64_t nu = pool_.total() + adm.admitted;
-  choice_scratch_.resize(nu);
-  if (bin_sampler_ != nullptr) {
-    bin_sampler_->fill(engine_, choice_scratch_);
-  } else {
-    rng::fill_bounded(engine_, choice_scratch_, config_.n);
-  }
 
   ++round_;
   pool_.add(round_, adm.admitted);
@@ -216,42 +201,25 @@ core::RoundMetrics Coordinator::step() {
   m.generated = generated;
   m.shed = adm.shed;
   m.thrown = pool_.total();
+  IBA_EXPECT(m.thrown <= kMaxRoundThrows,
+             "Coordinator: a round may throw at most 2^40 balls");
 
-  // Partition the throws by owning worker, bucket-major in the global
-  // visit order (pool buckets are contiguous index ranges of the choice
-  // vector, oldest first).
-  const auto& buckets = pool_.buckets();
+  // One frame for every worker: the pre-draw engine state, the sampler
+  // and the pool's buckets. Written to all workers before any result is
+  // collected, so their draw + accept + delete passes overlap.
+  RoundMsg msg;
+  msg.round = round_;
+  msg.capacity = config_.capacity;
+  msg.engine = engine_.state();
+  msg.sampler = sampler_;
+  msg.zipf_s = zipf_s_;
+  msg.buckets.assign(pool_.buckets().begin(), pool_.buckets().end());
+  net::WireWriter frame;
+  encode_round(msg, frame);
   const std::uint32_t workers = this->workers();
-  round_scratch_.resize(workers);
-  for (std::uint32_t w = 0; w < workers; ++w) {
-    RoundMsg& msg = round_scratch_[w];
-    msg.round = round_;
-    msg.capacity = config_.capacity;
-    msg.labels.clear();
-    for (auto& bins : msg.bins) bins.clear();
-    msg.bins.resize(buckets.size());
-    for (const auto& bucket : buckets) msg.labels.push_back(bucket.label);
-  }
-  {
-    std::size_t idx = 0;
-    std::size_t b = 0;
-    for (const auto& bucket : buckets) {
-      for (std::uint64_t k = 0; k < bucket.count; ++k) {
-        const std::uint32_t bin = choice_scratch_[idx++];
-        const std::uint32_t w = owner_of(bin);
-        round_scratch_[w].bins[b].push_back(
-            bin - static_cast<std::uint32_t>(links_[w].bin_lo));
-      }
-      ++b;
-    }
-    IBA_ASSERT(idx == nu);
-  }
-
-  // Ship every frame before collecting any result, so the workers'
-  // accept+delete passes overlap.
   for (std::uint32_t w = 0; w < workers; ++w) {
     try {
-      send_round(links_[w].fd, round_scratch_[w]);
+      net::write_frame(links_[w].fd, kMsgRound, frame.span());
     } catch (const net::PeerClosed&) {
       throw WorkerLost(w, "hung up before round " + std::to_string(round_));
     }
@@ -261,16 +229,25 @@ core::RoundMetrics Coordinator::step() {
   // (sums, max, exact integer moments, histogram counts), so merging in
   // worker order equals the single process's bin-order accumulation.
   survivors_.clear();
-  std::vector<std::uint64_t> rejected(buckets.size(), 0);
+  std::vector<std::uint64_t> rejected(msg.buckets.size(), 0);
   std::uint64_t wait_sum = 0;
   std::vector<std::uint8_t> payload;
   for (std::uint32_t w = 0; w < workers; ++w) {
     read_worker_frame(w, kMsgRoundResult, payload);
     net::WireReader in(payload);
     const RoundResultMsg result = decode_round_result(in);
-    if (result.round != round_ || result.rejected.size() != buckets.size()) {
+    if (result.round != round_ ||
+        result.rejected.size() != msg.buckets.size()) {
       throw WorkerLost(w, "round result does not match round " +
                               std::to_string(round_));
+    }
+    // Every worker drew the same round from the same state; a worker
+    // that ends elsewhere drew something else.
+    if (w == 0) {
+      engine_ = core::Engine(result.engine);
+    } else if (result.engine != engine_.state()) {
+      throw WorkerLost(w, "post-draw engine state differs from worker 0's "
+                          "in round " + std::to_string(round_));
     }
     m.accepted += result.accepted;
     m.deleted += result.deleted;
@@ -294,8 +271,8 @@ core::RoundMetrics Coordinator::step() {
   m.wait_sum = static_cast<double>(wait_sum);
 
   // Survivors re-added oldest-first (AgedPool's label-order invariant).
-  for (std::size_t i = 0; i < buckets.size(); ++i) {
-    survivors_.add(round_scratch_[0].labels[i], rejected[i]);
+  for (std::size_t i = 0; i < msg.buckets.size(); ++i) {
+    survivors_.add(msg.buckets[i].label, rejected[i]);
   }
   pool_.swap(survivors_);
 
@@ -351,6 +328,25 @@ void Coordinator::set_lambda_n(std::uint64_t lambda_n) {
   IBA_EXPECT(lambda_n <= config_.n,
              "Coordinator: lambda_n must not exceed n (lambda <= 1)");
   config_.lambda_n = lambda_n;
+}
+
+void Coordinator::set_bin_sampler(core::BinChoiceSampler* sampler) {
+  if (sampler == nullptr) {
+    sampler_ = kSamplerUniform;
+    zipf_s_ = 0.0;
+    return;
+  }
+  // Workers draw the choices, so they must be able to rebuild the
+  // sampler from the round frame: only Zipf ships (as its exponent).
+  const auto* zipf = dynamic_cast<const scenario::ZipfBinSampler*>(sampler);
+  IBA_EXPECT(zipf != nullptr,
+             "Coordinator: distributed runs support uniform and Zipf bin "
+             "choice only (a greedy or weighted sampler cannot be rebuilt "
+             "by the workers)");
+  IBA_EXPECT(zipf->table().size() == config_.n,
+             "Coordinator: the Zipf sampler must cover the run's n bins");
+  sampler_ = kSamplerZipf;
+  zipf_s_ = zipf->exponent();
 }
 
 void Coordinator::save_checkpoint(const std::string& base,

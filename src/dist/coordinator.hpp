@@ -1,28 +1,30 @@
-// dist::Coordinator — the randomness- and state-owning half of the
-// distributed engine (docs/DISTRIBUTED.md).
+// dist::Coordinator — the state-owning half of the distributed engine
+// (docs/DISTRIBUTED.md).
 //
 // The coordinator replicates core::Capped's round structure exactly —
-// control decision, arrival sampling, backpressure admission, the full
-// bin-choice draw — on the master engine, in the single-process order,
-// so the engine stream is byte-identical to a local run by
-// construction. Only acceptance + FIFO deletion are remote: the
-// pre-drawn choices are partitioned by owning worker (bucket-major, in
-// the global visit order) and shipped as one kRound frame per worker;
-// the returned deltas are exact integers merged order-independently
-// (sums, min/max, UintMoments, histogram counts), so the merged
-// RoundMetrics — and everything downstream: controller decisions,
-// artifact bytes — cannot tell how many processes computed them.
+// control decision, arrival sampling, backpressure admission — on the
+// master engine, in the single-process order. It does not draw the
+// bin choices: it ships the engine state from before the draw and the
+// pool's buckets in one kRound frame, identical for every worker, and
+// each worker redraws the round and keeps its own range's throws. All
+// workers must return the same post-draw engine state, which the
+// coordinator adopts, so the engine stream is byte-identical to a local
+// run. The returned deltas are exact integers merged order-
+// independently (sums, min/max, UintMoments, histogram counts), so the
+// merged RoundMetrics — and everything downstream: controller
+// decisions, artifact bytes — cannot tell how many processes computed
+// them.
 //
 // Failure model: the round protocol is synchronous, so every expected
-// response carries a poll deadline. A worker that hangs up or misses
-// the deadline raises WorkerLost; the caller (dist_run) exits with
+// response carries a poll deadline. A worker that hangs up, misses the
+// deadline or reports a post-draw engine state that differs from
+// worker 0's raises WorkerLost; the caller (dist_run) exits with
 // status 4 and the run resumes from the last committed checkpoint
 // generation.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -133,11 +135,11 @@ class Coordinator {
 
   /// Time-varying arrival rate, as core::Capped::set_lambda_n.
   void set_lambda_n(std::uint64_t lambda_n);
-  /// Non-uniform bin sampler (Zipf), as core::Capped::set_bin_sampler.
+  /// Bin sampler, as core::Capped::set_bin_sampler: nullptr (uniform)
+  /// or a scenario::ZipfBinSampler over n bins — the workers rebuild it
+  /// from its exponent. Any other sampler is a ContractViolation.
   /// Reattach after a resume; not serialized.
-  void set_bin_sampler(core::BinChoiceSampler* sampler) noexcept {
-    bin_sampler_ = sampler;
-  }
+  void set_bin_sampler(core::BinChoiceSampler* sampler);
 
  private:
   struct Link {
@@ -151,7 +153,6 @@ class Coordinator {
   void validate_dist_config() const;
   void init_workers(const std::string& resume_base);
   void apply_control();
-  [[nodiscard]] std::uint32_t owner_of(std::uint32_t bin) const noexcept;
   /// Blocks until `fd` is readable (deadline = options_.timeout_ms) and
   /// reads one frame; raises WorkerLost on timeout, EOF, or transport
   /// failure, and on a frame whose type differs from `want`.
@@ -174,17 +175,10 @@ class Coordinator {
   stats::Log2Histogram wait_histogram_;
 
   std::unique_ptr<control::Controller> controller_;
-  core::BinChoiceSampler* bin_sampler_ = nullptr;
+  std::uint32_t sampler_ = kSamplerUniform;  // a SamplerTag
+  double zipf_s_ = 0.0;
 
   std::vector<Link> links_;
-  // Range-split parameters (base/rem convention of the sharded kernel).
-  std::uint64_t split_base_ = 0;
-  std::uint64_t split_rem_ = 0;
-  std::uint64_t split_wide_end_ = 0;
-
-  // Per-round scratch, reused across rounds.
-  std::vector<std::uint32_t> choice_scratch_;
-  std::vector<RoundMsg> round_scratch_;
 
   // Checkpoint-generation bookkeeping for deferred gc (see
   // dist/checkpoint.hpp). kNoGeneration = none saved yet / unknown

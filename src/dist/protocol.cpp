@@ -1,21 +1,32 @@
 #include "dist/protocol.hpp"
 
+#include <bit>
+#include <string>
+
 namespace iba::dist {
 
 namespace {
 
-void write_u32_list(net::WireWriter& out,
-                    const std::vector<std::uint32_t>& values) {
-  out.u32(static_cast<std::uint32_t>(values.size()));
-  for (const std::uint32_t v : values) out.u32(v);
+void write_state(net::WireWriter& out,
+                 const std::array<std::uint64_t, 4>& state) {
+  for (const std::uint64_t word : state) out.u64(word);
 }
 
-std::vector<std::uint32_t> read_u32_list(net::WireReader& in,
-                                         const char* what) {
-  const std::uint32_t count = in.u32(what);
-  std::vector<std::uint32_t> values(count);
-  for (std::uint32_t i = 0; i < count; ++i) values[i] = in.u32(what);
-  return values;
+/// xoshiro's one forbidden state (all zero) never leaves it, so a frame
+/// carrying it is corrupt.
+std::array<std::uint64_t, 4> read_state(net::WireReader& in,
+                                        const char* what) {
+  std::array<std::uint64_t, 4> state{};
+  for (std::uint64_t& word : state) word = in.u64(what);
+  if (state == std::array<std::uint64_t, 4>{}) {
+    throw net::FrameError(std::string("frame: all-zero engine state at ") +
+                          what);
+  }
+  return state;
+}
+
+[[noreturn]] void reject_round(const std::string& what) {
+  throw net::FrameError("frame: round: " + what);
 }
 
 }  // namespace
@@ -73,31 +84,55 @@ InitAckMsg decode_init_ack(net::WireReader& in) {
   return msg;
 }
 
-void send_round(int fd, const RoundMsg& msg) {
-  net::WireWriter out;
-  std::size_t throws = 0;
-  for (const auto& bucket : msg.bins) throws += bucket.size();
-  out.reserve(24 + msg.labels.size() * 16 + throws * 4);
+void encode_round(const RoundMsg& msg, net::WireWriter& out) {
+  out.reserve(72 + msg.buckets.size() * 16);
   out.u64(msg.round);
   out.u32(msg.capacity);
-  out.u32(static_cast<std::uint32_t>(msg.labels.size()));
-  for (std::size_t b = 0; b < msg.labels.size(); ++b) {
-    out.u64(msg.labels[b]);
-    write_u32_list(out, msg.bins[b]);
+  write_state(out, msg.engine);
+  out.u32(msg.sampler);
+  if (msg.sampler == kSamplerZipf) {
+    out.u64(std::bit_cast<std::uint64_t>(msg.zipf_s));
   }
-  net::write_frame(fd, kMsgRound, out.span());
+  out.u32(static_cast<std::uint32_t>(msg.buckets.size()));
+  for (const auto& bucket : msg.buckets) {
+    out.u64(bucket.label);
+    out.u64(bucket.count);
+  }
 }
 
 RoundMsg decode_round(net::WireReader& in) {
   RoundMsg msg;
   msg.round = in.u64("round.round");
   msg.capacity = in.u32("round.capacity");
+  msg.engine = read_state(in, "round.engine");
+  msg.sampler = in.u32("round.sampler");
+  if (msg.sampler == kSamplerZipf) {
+    msg.zipf_s = std::bit_cast<double>(in.u64("round.zipf_s"));
+    if (!(msg.zipf_s >= 0.0 && msg.zipf_s <= 8.0)) {
+      reject_round("Zipf exponent outside [0, 8]");
+    }
+  } else if (msg.sampler != kSamplerUniform) {
+    reject_round("unknown sampler tag " + std::to_string(msg.sampler));
+  }
   const std::uint32_t buckets = in.u32("round.buckets");
-  msg.labels.resize(buckets);
-  msg.bins.resize(buckets);
+  if (buckets > in.remaining() / 16) {
+    throw net::FrameError("frame: truncated payload at round.bucket");
+  }
+  msg.buckets.resize(buckets);
+  std::uint64_t throws = 0;
   for (std::uint32_t b = 0; b < buckets; ++b) {
-    msg.labels[b] = in.u64("round.label");
-    msg.bins[b] = read_u32_list(in, "round.bins");
+    auto& bucket = msg.buckets[b];
+    bucket.label = in.u64("round.label");
+    bucket.count = in.u64("round.count");
+    if (bucket.label > msg.round ||
+        (b > 0 && bucket.label <= msg.buckets[b - 1].label)) {
+      reject_round("labels must ascend strictly up to the round");
+    }
+    if (bucket.count == 0) reject_round("zero bucket count");
+    if (bucket.count > kMaxRoundThrows - throws) {
+      reject_round("more than 2^40 throws");
+    }
+    throws += bucket.count;
   }
   in.expect_end("round");
   return msg;
@@ -106,6 +141,7 @@ RoundMsg decode_round(net::WireReader& in) {
 void send_round_result(int fd, const RoundResultMsg& msg) {
   net::WireWriter out;
   out.u64(msg.round);
+  write_state(out, msg.engine);
   out.u64(msg.accepted);
   out.u64(msg.deleted);
   out.u64(msg.total_load);
@@ -124,6 +160,7 @@ void send_round_result(int fd, const RoundResultMsg& msg) {
 RoundResultMsg decode_round_result(net::WireReader& in) {
   RoundResultMsg msg;
   msg.round = in.u64("result.round");
+  msg.engine = read_state(in, "result.engine");
   msg.accepted = in.u64("result.accepted");
   msg.deleted = in.u64("result.deleted");
   msg.total_load = in.u64("result.total_load");

@@ -2,16 +2,20 @@
 // coordinator and its workers exchange as net:: frames (docs/
 // DISTRIBUTED.md).
 //
-// Topology and determinism: ALL randomness lives on the coordinator —
-// it owns the master engine, the pool, backpressure and the control
-// plane, exactly like a single-process run. Workers own only their
-// contiguous bin range. Per round the coordinator partitions the
-// pre-drawn bin choices by owning worker and ships each worker its
-// slice (kRound); workers run acceptance + FIFO deletion on their bins
-// — which draws nothing — and return exact-integer deltas
-// (kRoundResult) the coordinator merges order-independently. The merged
-// trajectory is therefore byte-identical to the single-process sharded
-// kernel by construction.
+// Topology and determinism: the coordinator owns the master engine, the
+// pool, backpressure and the control plane, and runs control, arrivals
+// and admission exactly like a single-process run. Workers own their
+// contiguous bin range. A round's bin-choice draw is a pure function of
+// the engine state at the start of the draw and the pool's (label,
+// count) buckets — every pool ball picks its bin independently — so the
+// coordinator ships exactly that (kRound: 32 bytes of xoshiro state,
+// the sampler, 16 bytes per bucket) and every worker redraws the whole
+// round, keeping only the throws that land in its range. Workers then
+// run acceptance + FIFO deletion on their bins and return exact-integer
+// deltas plus the engine state after the draw (kRoundResult). The
+// coordinator requires all post-draw states to agree, adopts that state
+// and merges the deltas order-independently, so the merged trajectory
+// is byte-identical to the single-process kernel by construction.
 //
 // The round protocol is synchronous (one kRound → one kRoundResult per
 // worker per round), so the coordinator's poll deadline on each
@@ -24,22 +28,24 @@
 // reject trailing bytes.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "net/frame.hpp"
+#include "queueing/aged_pool.hpp"
 
 namespace iba::dist {
 
-inline constexpr std::uint32_t kProtocolVersion = 1;
+inline constexpr std::uint32_t kProtocolVersion = 2;
 
 /// Frame types. Values are wire format — append, never renumber.
 enum MsgType : std::uint32_t {
   kMsgHello = 1,          ///< worker → coordinator, on connect
   kMsgInit = 2,           ///< coordinator → worker: bin range + resume
   kMsgInitAck = 3,        ///< worker → coordinator: range loaded
-  kMsgRound = 4,          ///< coordinator → worker: one round's throws
+  kMsgRound = 4,          ///< coordinator → worker: one round's draw
   kMsgRoundResult = 5,    ///< worker → coordinator: round deltas
   kMsgCheckpoint = 6,     ///< coordinator → worker: persist your range
   kMsgCheckpointAck = 7,  ///< worker → coordinator: shard written
@@ -72,17 +78,32 @@ struct InitAckMsg {
   std::uint64_t total_load = 0;  ///< balls restored into the range
 };
 
-/// One round of throws for one worker, in the global acceptance visit
-/// order. `labels[b]` is the generation label of pool bucket b
-/// (oldest-first, ascending); `bins[b]` lists the worker-local bin of
-/// every throw of bucket b that landed in this worker's range, in
-/// arrival order. Bucket-major framing keeps the per-throw cost at one
-/// u32 and lets the worker replay acceptance exactly.
+/// How a round's pool balls pick their bin (RoundMsg::sampler). Values
+/// are wire format. Uniform is its own tag, not Zipf with s = 0: the
+/// s = 0 alias table draws a different stream than fill_bounded.
+enum SamplerTag : std::uint32_t {
+  kSamplerUniform = 0,  ///< rng::fill_bounded over [0, n)
+  kSamplerZipf = 1,     ///< scenario::ZipfBinSampler(n, zipf_s)
+};
+
+/// Ceiling on a round frame's Σ counts. Each count orders that many
+/// draws on every worker, so a corrupt count must not order unbounded
+/// work; 2^40 balls is 256 times the largest n (2^32 − 1), far beyond
+/// any pool a run of this engine holds.
+inline constexpr std::uint64_t kMaxRoundThrows = std::uint64_t{1} << 40;
+
+/// One round's draw, identical for every worker. `engine` is the
+/// master engine's xoshiro256++ state after control, arrivals and
+/// admission — the start of the draw. `buckets` is the pool after
+/// admission, oldest first (strictly ascending labels, newest = round):
+/// the draw assigns the choices to the buckets' balls in that order.
 struct RoundMsg {
   std::uint64_t round = 0;     ///< the round being executed
   std::uint32_t capacity = 0;  ///< acceptance bound c this round
-  std::vector<std::uint64_t> labels;
-  std::vector<std::vector<std::uint32_t>> bins;
+  std::array<std::uint64_t, 4> engine{};
+  std::uint32_t sampler = kSamplerUniform;  ///< a SamplerTag
+  double zipf_s = 0.0;                      ///< kSamplerZipf only
+  std::vector<queueing::AgedPool::Bucket> buckets;
 };
 
 /// A worker's exact per-round deltas. Sums and the wait moments are
@@ -90,6 +111,7 @@ struct RoundMsg {
 /// to a single process having visited the bins in any order.
 struct RoundResultMsg {
   std::uint64_t round = 0;
+  std::array<std::uint64_t, 4> engine{};  ///< the state after the draw
   std::uint64_t accepted = 0;
   std::uint64_t deleted = 0;
   std::uint64_t total_load = 0;  ///< end-of-round, this range
@@ -124,13 +146,14 @@ struct CheckpointAckMsg {
 };
 
 // -- frame I/O --------------------------------------------------------
-// Each send_* writes exactly one frame; read_message reads one frame
-// and returns its type + payload for the caller to decode_*.
+// Each send_* writes exactly one frame; the caller reads a frame with
+// net::read_frame and decodes its payload with decode_*. A round frame
+// is encoded once (encode_round) and written to every worker.
 
 void send_hello(int fd, const HelloMsg& msg);
 void send_init(int fd, const InitMsg& msg);
 void send_init_ack(int fd, const InitAckMsg& msg);
-void send_round(int fd, const RoundMsg& msg);
+void encode_round(const RoundMsg& msg, net::WireWriter& out);
 void send_round_result(int fd, const RoundResultMsg& msg);
 void send_checkpoint(int fd, const CheckpointMsg& msg);
 void send_checkpoint_ack(int fd, const CheckpointAckMsg& msg);
@@ -139,6 +162,10 @@ void send_shutdown(int fd);
 [[nodiscard]] HelloMsg decode_hello(net::WireReader& in);
 [[nodiscard]] InitMsg decode_init(net::WireReader& in);
 [[nodiscard]] InitAckMsg decode_init_ack(net::WireReader& in);
+/// Rejects as net::FrameError what would order unbounded or undefined
+/// work: labels not strictly ascending or above the round, a zero
+/// count, Σ counts above kMaxRoundThrows, the all-zero engine state,
+/// an unknown sampler tag and a Zipf exponent outside [0, 8].
 [[nodiscard]] RoundMsg decode_round(net::WireReader& in);
 [[nodiscard]] RoundResultMsg decode_round_result(net::WireReader& in);
 [[nodiscard]] CheckpointMsg decode_checkpoint(net::WireReader& in);

@@ -1,11 +1,15 @@
 #include "dist/worker.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cstdio>
+#include <span>
 #include <stdexcept>
 #include <string>
 
 #include "common/assert.hpp"
 #include "dist/checkpoint.hpp"
+#include "rng/bounded.hpp"
 
 namespace iba::dist {
 
@@ -56,6 +60,7 @@ void Worker::handle_init(const InitMsg& msg) {
          std::to_string(msg.bin_count) + ") does not fit n = " +
          std::to_string(msg.n));
   }
+  if (msg.n > 0xFFFFFFFFu) fail("init: n must fit 32 bits");
   if (msg.capacity < 1 || msg.capacity > 0xFFFFu) {
     fail("init: capacity out of range");
   }
@@ -102,26 +107,53 @@ void Worker::handle_round(const RoundMsg& msg) {
 
   RoundResultMsg result;
   result.round = msg.round;
-  result.rejected.resize(msg.labels.size());
+  result.rejected.resize(msg.buckets.size());
 
-  // Acceptance: the global oldest-first visit order restricted to this
-  // range. Each bin accepts while it has room under this round's bound
-  // (possibly below a draining bin's current load after a shrink — it
-  // then accepts nothing). Acceptance is independent across bins, so
-  // replaying only this range's throws reproduces the single-process
-  // outcome for these bins exactly.
-  for (std::size_t b = 0; b < msg.labels.size(); ++b) {
-    const std::uint64_t label = msg.labels[b];
-    for (const std::uint32_t bin : msg.bins[b]) {
-      if (bin >= bin_count_) fail("round: bin index out of range");
-      if (table_->load(bin) < msg.capacity) {
-        table_->push(bin, label);
-        ++result.accepted;
+  core::BinChoiceSampler* zipf = nullptr;
+  if (msg.sampler == kSamplerZipf) {
+    if (!zipf_.has_value() || zipf_->exponent() != msg.zipf_s) {
+      zipf_.emplace(static_cast<std::uint32_t>(n_), msg.zipf_s);
+    }
+    zipf = &*zipf_;
+  }
+
+  // Draw the whole round, bucket by bucket in the global visit order
+  // (oldest first), in fixed batches: fill_bounded and the Zipf sampler
+  // consume the engine stream identically at any batch split, so these
+  // are the single-process choices exactly. Acceptance runs on the
+  // throws into this range as they are drawn. Each bin accepts while it
+  // has room under this round's bound (possibly below a draining bin's
+  // current load after a shrink — it then accepts nothing). Acceptance
+  // is independent across bins, so visiting only this range's throws
+  // reproduces the single-process outcome for these bins exactly.
+  core::Engine engine(msg.engine);
+  constexpr std::size_t kDrawBatch = 4096;
+  std::array<std::uint32_t, kDrawBatch> choices{};
+  for (std::size_t b = 0; b < msg.buckets.size(); ++b) {
+    const std::uint64_t label = msg.buckets[b].label;
+    for (std::uint64_t left = msg.buckets[b].count; left > 0;) {
+      const std::span<std::uint32_t> batch(
+          choices.data(), std::min<std::uint64_t>(left, kDrawBatch));
+      if (zipf != nullptr) {
+        zipf->fill(engine, batch);
       } else {
-        ++result.rejected[b];
+        rng::fill_bounded(engine, batch, static_cast<std::uint32_t>(n_));
+      }
+      left -= batch.size();
+      for (const std::uint32_t choice : batch) {
+        const std::uint64_t bin = choice - bin_lo_;
+        if (bin >= bin_count_) continue;  // another worker's range
+        const auto local = static_cast<std::uint32_t>(bin);
+        if (table_->load(local) < msg.capacity) {
+          table_->push(local, label);
+          ++result.accepted;
+        } else {
+          ++result.rejected[b];
+        }
       }
     }
   }
+  result.engine = engine.state();
 
   // Deletion: every non-empty bin serves its FIFO front; the served
   // ball's wait is its age. Draws nothing — this is what lets deletion

@@ -1,14 +1,17 @@
 // dist::Worker — one bin-range shard of the distributed engine.
 //
-// A worker owns bins [bin_lo, bin_lo + bin_count) of the global n and
-// nothing else: no engine, no pool, no controller. Each round it
-// replays acceptance over the coordinator-shipped throws (bucket-major,
-// oldest-first — the global visit order restricted to its range), runs
-// the paper's FIFO one-deletion-per-non-empty-bin pass, and reports
-// exact integer deltas. Neither phase draws randomness, which is the
-// whole reason the distributed trajectory can be byte-identical to the
-// single-process one: the coordinator's engine stream never depends on
-// worker scheduling or message timing.
+// A worker owns bins [bin_lo, bin_lo + bin_count) of the global n: no
+// pool, no controller. Each round it rebuilds the master engine from
+// the state the coordinator shipped and redraws the whole round's bin
+// choices, bucket by bucket and oldest first — the single-process draw,
+// choice for choice. It keeps only the throws that land in its range,
+// replays acceptance over them in that global visit order, runs the
+// paper's FIFO one-deletion-per-non-empty-bin pass, and reports exact
+// integer deltas plus the engine state after the draw. Every worker
+// draws the same stream from the same state, so the coordinator can
+// require their post-draw states to agree; acceptance and deletion draw
+// nothing, so the trajectory never depends on worker scheduling or
+// message timing.
 //
 // The same class serves both deployments: dist_run --role worker wraps
 // it around a connected TCP socket; the differential tests run it on a
@@ -21,6 +24,7 @@
 
 #include "dist/protocol.hpp"
 #include "queueing/bin_table.hpp"
+#include "scenario/arrival.hpp"
 #include "stats/histogram.hpp"
 #include "stats/int_moments.hpp"
 
@@ -59,6 +63,9 @@ class Worker {
   std::uint64_t bin_count_ = 0;
   std::uint64_t round_ = 0;  ///< last completed round
   std::optional<queueing::BinTable> table_;
+  // The Zipf table of the last kSamplerZipf round, rebuilt when the
+  // exponent changes (it is a pure function of (n, s)).
+  std::optional<scenario::ZipfBinSampler> zipf_;
   std::uint64_t rounds_served_ = 0;
   // Per-round wait delta scratch, reset each round.
   stats::UintMoments wait_moments_;

@@ -76,7 +76,8 @@ ZipfBinSampler::ZipfBinSampler(std::uint32_t n, double s)
           }
         }
         return weights;
-      }()) {}
+      }()),
+      s_(s) {}
 
 ArrivalModel ArrivalModel::constant(double lambda,
                                     core::ArrivalModel distribution) {

@@ -62,6 +62,13 @@ struct Regime {
 class ZipfBinSampler final : public core::WeightedBinSampler {
  public:
   ZipfBinSampler(std::uint32_t n, double s);
+
+  /// The exponent s: with n it determines the table, which is how a
+  /// distributed worker rebuilds the coordinator's sampler.
+  [[nodiscard]] double exponent() const noexcept { return s_; }
+
+ private:
+  double s_;
 };
 
 /// Declarative arrival workload. Construct via the factories (benches)

@@ -4,10 +4,13 @@
 // trailing byte. Every mutant must be rejected cleanly — a
 // std::runtime_error from the format's own decoder, never acceptance,
 // a crash, or std::bad_alloc / std::length_error from sizing a
-// container by a corrupt count.
+// container by a corrupt count. Payloads that pass every envelope check
+// but order unbounded or undefined work (a shard's bin count, a round
+// frame's buckets, engine state and sampler) are rejected by name.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -21,6 +24,7 @@
 #include "artifact/artifact.hpp"
 #include "core/capped.hpp"
 #include "dist/checkpoint.hpp"
+#include "dist/protocol.hpp"
 #include "io/sealed.hpp"
 #include "net/frame.hpp"
 #include "net/socket.hpp"
@@ -296,6 +300,101 @@ TEST(ValidCrcMutants, ShardBinCountIsBoundedBeforeAllocating) {
     ADD_FAILURE() << "unnamed failure: " << e.what();
   }
   std::filesystem::remove_all(dir);
+}
+
+/// A valid round frame: three buckets, oldest first, the newest
+/// labelled with the round.
+dist::RoundMsg valid_round() {
+  dist::RoundMsg msg;
+  msg.round = 9;
+  msg.capacity = 2;
+  msg.engine = core::Engine(7).state();
+  msg.buckets = {{3, 5}, {8, 1}, {9, 6}};
+  return msg;
+}
+
+dist::RoundMsg round_trip(const dist::RoundMsg& msg) {
+  net::WireWriter out;
+  dist::encode_round(msg, out);
+  net::WireReader in(out.span());
+  return dist::decode_round(in);
+}
+
+TEST(RoundFrameMutants, ValidFramesRoundTrip) {
+  const dist::RoundMsg uniform = round_trip(valid_round());
+  EXPECT_EQ(uniform.engine, valid_round().engine);
+  ASSERT_EQ(uniform.buckets.size(), 3u);
+  EXPECT_EQ(uniform.buckets[2].label, 9u);
+  EXPECT_EQ(uniform.buckets[2].count, 6u);
+
+  dist::RoundMsg zipf = valid_round();
+  zipf.sampler = dist::kSamplerZipf;
+  zipf.zipf_s = 0.5;
+  EXPECT_EQ(round_trip(zipf).zipf_s, 0.5);
+
+  // Σ counts exactly at the ceiling is legal.
+  dist::RoundMsg full = valid_round();
+  full.buckets = {{3, dist::kMaxRoundThrows - 1}, {9, 1}};
+  EXPECT_NO_THROW((void)round_trip(full));
+}
+
+TEST(RoundFrameMutants, UnboundedOrUndefinedWorkIsAFrameError) {
+  struct Mutant {
+    std::string name;
+    std::function<void(dist::RoundMsg&)> mutate;
+  };
+  const std::uint64_t kHalfCeiling = dist::kMaxRoundThrows / 2;
+  const std::vector<Mutant> mutants = {
+      {"labels descending",
+       [](dist::RoundMsg& m) { m.buckets = {{8, 1}, {3, 5}, {9, 6}}; }},
+      {"labels repeated",
+       [](dist::RoundMsg& m) { m.buckets = {{3, 5}, {3, 1}, {9, 6}}; }},
+      {"label above the round",
+       [](dist::RoundMsg& m) { m.buckets.back().label = m.round + 1; }},
+      {"zero count", [](dist::RoundMsg& m) { m.buckets[1].count = 0; }},
+      {"counts overflow u64",
+       [](dist::RoundMsg& m) {
+         m.buckets = {{3, ~std::uint64_t{0}}, {9, 2}};
+       }},
+      {"counts above the ceiling",
+       [kHalfCeiling](dist::RoundMsg& m) {
+         m.buckets = {{3, kHalfCeiling}, {8, kHalfCeiling}, {9, 1}};
+       }},
+      {"all-zero engine state", [](dist::RoundMsg& m) { m.engine = {}; }},
+      {"unknown sampler tag", [](dist::RoundMsg& m) { m.sampler = 2; }},
+      {"Zipf s above 8",
+       [](dist::RoundMsg& m) {
+         m.sampler = dist::kSamplerZipf;
+         m.zipf_s = 8.5;
+       }},
+      {"Zipf s negative",
+       [](dist::RoundMsg& m) {
+         m.sampler = dist::kSamplerZipf;
+         m.zipf_s = -0.25;
+       }},
+      {"Zipf s NaN",
+       [](dist::RoundMsg& m) {
+         m.sampler = dist::kSamplerZipf;
+         m.zipf_s = std::nan("");
+       }},
+  };
+  for (const Mutant& mutant : mutants) {
+    dist::RoundMsg msg = valid_round();
+    mutant.mutate(msg);
+    EXPECT_THROW((void)round_trip(msg), net::FrameError) << mutant.name;
+  }
+}
+
+TEST(RoundFrameMutants, ResultWithAllZeroEngineStateIsAFrameError) {
+  auto [a, b] = net::socket_pair();
+  dist::RoundResultMsg result;
+  result.round = 9;
+  dist::send_round_result(a.fd(), result);
+  std::uint32_t type = 0;
+  std::vector<std::uint8_t> payload;
+  ASSERT_TRUE(net::read_frame(b.fd(), type, payload));
+  net::WireReader in(payload);
+  EXPECT_THROW((void)dist::decode_round_result(in), net::FrameError);
 }
 
 }  // namespace

@@ -19,6 +19,8 @@
 
 #include "artifact/artifact.hpp"
 #include "common/assert.hpp"
+#include "core/bin_samplers.hpp"
+#include "core/capped.hpp"
 #include "dist/checkpoint.hpp"
 #include "dist/coordinator.hpp"
 #include "dist/protocol.hpp"
@@ -26,6 +28,7 @@
 #include "dist/worker.hpp"
 #include "net/frame.hpp"
 #include "net/socket.hpp"
+#include "scenario/arrival.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/scenario.hpp"
 
@@ -372,6 +375,63 @@ TEST(DistDifferential, StragglerPastTheDeadlineIsLost) {
   straggler.join();
 }
 
+TEST(DistDifferential, DivergentPostDrawEngineStateIsLost) {
+  const scenario::Scenario scn = scenario::parse_scenario(kBank, "bank.scn");
+
+  // Slot 0: a real worker. Slot 1: a fake that answers the first round
+  // with a well-formed result whose post-draw engine state is the
+  // pre-draw one — not where a worker that drew the round ends up.
+  auto [c0, w0] = net::socket_pair();
+  auto [c1, w1] = net::socket_pair();
+  std::thread real([fd = w0.fd()] {
+    try {
+      Worker(fd, 0).run();
+    } catch (...) {
+    }
+  });
+  std::thread fake([fd = w1.fd()] {
+    try {
+      send_hello(fd, HelloMsg{kProtocolVersion, 1});
+      std::uint32_t type = 0;
+      std::vector<std::uint8_t> payload;
+      ASSERT_TRUE(net::read_frame(fd, type, payload));
+      ASSERT_EQ(type, static_cast<std::uint32_t>(kMsgInit));
+      net::WireReader init_in(payload);
+      const InitMsg init = decode_init(init_in);
+      send_init_ack(fd, InitAckMsg{init.round, 0});
+      ASSERT_TRUE(net::read_frame(fd, type, payload));
+      ASSERT_EQ(type, static_cast<std::uint32_t>(kMsgRound));
+      net::WireReader round_in(payload);
+      const RoundMsg round = decode_round(round_in);
+      ASSERT_FALSE(round.buckets.empty());  // the round draws something
+      RoundResultMsg result;
+      result.round = round.round;
+      result.engine = round.engine;
+      result.rejected.resize(round.buckets.size());
+      send_round_result(fd, result);
+      while (net::read_frame(fd, type, payload)) {
+      }
+    } catch (...) {
+    }
+  });
+
+  DistRunOptions options;
+  options.timeout_ms = 5'000;
+  try {
+    (void)run_distributed(scn, {c0.fd(), c1.fd()}, options);
+    FAIL() << "a divergent engine state must surface as WorkerLost";
+  } catch (const WorkerLost& error) {
+    EXPECT_EQ(error.worker(), 1u);
+    EXPECT_NE(std::string(error.what()).find("engine state"),
+              std::string::npos)
+        << error.what();
+  }
+  c0.close();
+  c1.close();
+  real.join();
+  fake.join();
+}
+
 TEST(DistDifferential, HandshakeRejectsBadVersionAndDuplicateSlots) {
   const scenario::Scenario scn = scenario::parse_scenario(kBank, "bank.scn");
 
@@ -448,6 +508,35 @@ seed = 1
       scenario::parse_scenario(kFaulted, "faulted.scn");
   WorkerFleet fleet(1);
   EXPECT_THROW((void)run_distributed(faulted, fleet.fds()), ContractViolation);
+
+  // Workers draw the choices, so only samplers they can rebuild from
+  // the round frame are accepted: uniform (nullptr) and Zipf over n.
+  core::CappedConfig config;
+  config.n = 64;
+  config.capacity = 2;
+  config.lambda_n = 32;
+  WorkerFleet sampler_fleet(1);
+  Coordinator coordinator(config, core::Engine(1), sampler_fleet.fds());
+  const core::Capped process(config, core::Engine(1));
+  core::GreedyChoiceSampler greedy(process, 2);
+  core::WeightedBinSampler weighted(64, std::vector<double>(64, 1.0));
+  scenario::ZipfBinSampler wrong_n(32, 1.0);
+  for (core::BinChoiceSampler* sampler :
+       {static_cast<core::BinChoiceSampler*>(&greedy),
+        static_cast<core::BinChoiceSampler*>(&weighted),
+        static_cast<core::BinChoiceSampler*>(&wrong_n)}) {
+    try {
+      coordinator.set_bin_sampler(sampler);
+      ADD_FAILURE() << "an unsupported sampler was accepted";
+    } catch (const ContractViolation& error) {
+      EXPECT_NE(std::string(error.what()).find("Zipf"), std::string::npos)
+          << error.what();
+    }
+  }
+  scenario::ZipfBinSampler zipf(64, 1.0);
+  EXPECT_NO_THROW(coordinator.set_bin_sampler(&zipf));
+  EXPECT_NO_THROW(coordinator.set_bin_sampler(nullptr));
+  coordinator.shutdown();
 }
 
 }  // namespace
