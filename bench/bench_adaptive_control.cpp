@@ -20,10 +20,11 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "control/policy.hpp"
 #include "core/capped.hpp"
 #include "io/cli.hpp"
@@ -175,14 +176,11 @@ int main(int argc, char** argv) {
                                         Policy::kAimd};
   const std::uint32_t start_capacity = 1;  // cold start, under-provisioned
 
-  std::ofstream out(json_path, std::ios::trunc);
-  if (!out) {
-    iba::telemetry::log_error("json_open_failed", {{"path", json_path}});
-    return 1;
-  }
+  std::ostringstream out;
   iba::io::JsonWriter json(out);
   json.begin_object();
   json.key("bench").value("adaptive_control");
+  iba::bench::write_host(json);
   json.key("n").value(static_cast<std::uint64_t>(n));
   json.key("horizon").value(horizon);
   json.key("burn_in").value(burn_in);
@@ -310,7 +308,10 @@ int main(int argc, char** argv) {
   json.key("sweet_spot_ok").value(sweet_spot_ok);
   json.end_object();
   out << "\n";
-  iba::telemetry::log_info("bench_json_written", {{"path", json_path}});
+  if (!iba::bench::commit_json(json_path, out.str(),
+                               "bench_adaptive_control")) {
+    return 1;
+  }
   std::printf("  sweet-spot convergence: %s\n",
               sweet_spot_ok ? "ok" : "DIVERGED (see log)");
   return 0;

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <optional>
@@ -21,6 +22,7 @@
 #include "io/cli.hpp"
 #include "io/csv.hpp"
 #include "io/json.hpp"
+#include "io/sealed.hpp"
 #include "io/table.hpp"
 #include "rng/simd.hpp"
 #include "sim/config.hpp"
@@ -275,6 +277,22 @@ inline void write_host(io::JsonWriter& json) {
   json.key("compiler").value(compiler);
   json.key("build_type").value(IBA_BUILD_TYPE);
   json.end_object();
+}
+
+/// Commits a BENCH_*.json record atomically (io::sealed::commit), so a
+/// reader such as bench_trend.py never sees a half-written file. Logs
+/// and returns false on failure; `tool` names the bench in the error.
+inline bool commit_json(const std::string& path, const std::string& text,
+                        const std::string& tool) {
+  try {
+    io::sealed::commit(path, text, tool);
+  } catch (const std::exception& error) {
+    telemetry::log_error("json_commit_failed",
+                         {{"path", path}, {"error", error.what()}});
+    return false;
+  }
+  telemetry::log_info("bench_json_written", {{"path", path}});
+  return true;
 }
 
 }  // namespace iba::bench

@@ -75,9 +75,11 @@ int main(int argc, char** argv) {
     config.deletion = variant.deletion;
     config.acceptance = variant.acceptance;
     core::Capped probe(config, core::Engine(options.seed + 1));
-    for (std::uint64_t i = 0; i < cell.burn_in; ++i) (void)probe.step();
+    for (std::uint64_t round = 0; round < cell.burn_in; ++round) {
+      (void)probe.step();
+    }
     std::uint64_t starve_age = 0;
-    for (std::uint64_t i = 0; i < cell.measure_rounds; ++i) {
+    for (std::uint64_t round = 0; round < cell.measure_rounds; ++round) {
       starve_age = std::max(starve_age, probe.step().oldest_pool_age);
     }
 

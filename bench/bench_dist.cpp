@@ -6,7 +6,7 @@
 // agree with the single-process run — the byte-identity contract in
 // miniature — then times the steady state. Machine-readable results go
 // to --json (default BENCH_dist.json) with a host stamp, committed
-// atomically through io::sealed::commit, and are gated in CI by
+// atomically through bench::commit_json, and are gated in CI by
 // scripts/bench_trend.py against the committed baseline.
 //
 //   ./bench_dist                  # n = 2^16, workers 1/2/4
@@ -15,7 +15,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <exception>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -28,7 +27,6 @@
 #include "dist/worker.hpp"
 #include "io/cli.hpp"
 #include "io/json.hpp"
-#include "io/sealed.hpp"
 #include "net/socket.hpp"
 
 namespace {
@@ -263,14 +261,7 @@ int main(int argc, char** argv) {
   json.end_array();
   json.end_object();
   out << "\n";
-  // bench_trend.py reads the record back: a reader never sees a
-  // half-written file.
-  try {
-    io::sealed::commit(json_path, out.str(), "bench_dist");
-  } catch (const std::exception& error) {
-    std::fprintf(stderr, "bench_dist: %s\n", error.what());
-    return 1;
-  }
+  if (!bench::commit_json(json_path, out.str(), "bench_dist")) return 1;
 
   return determinism_ok ? 0 : 1;
 }

@@ -20,10 +20,11 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "core/capped.hpp"
 #include "fault/auditor.hpp"
 #include "fault/fault_plan.hpp"
@@ -306,14 +307,11 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::ofstream out(json_path, std::ios::trunc);
-  if (!out) {
-    iba::telemetry::log_error("json_open_failed", {{"path", json_path}});
-    return 1;
-  }
+  std::ostringstream out;
   iba::io::JsonWriter json(out);
   json.begin_object();
   json.key("bench").value("fault_recovery");
+  iba::bench::write_host(json);
   json.key("n").value(static_cast<std::uint64_t>(n));
   json.key("capacity").value(static_cast<std::uint64_t>(capacity));
   json.key("lambda_n").value(lambda_n);
@@ -347,6 +345,8 @@ int main(int argc, char** argv) {
   json.end_object();
   json.end_object();
   out << "\n";
-  iba::telemetry::log_info("bench_json_written", {{"path", json_path}});
+  if (!iba::bench::commit_json(json_path, out.str(), "bench_fault_recovery")) {
+    return 1;
+  }
   return audit_ok ? 0 : 1;
 }

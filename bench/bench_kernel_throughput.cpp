@@ -21,7 +21,7 @@
 // Every timed variant must allocate nothing inside its timed rounds
 // (the process arena's allocation count stays flat); the bench exits 1
 // otherwise. Both JSON files carry a host stamp and are committed
-// atomically through io::sealed::commit.
+// atomically through bench::commit_json.
 
 #include <algorithm>
 #include <chrono>
@@ -37,7 +37,6 @@
 #include "core/capped.hpp"
 #include "io/cli.hpp"
 #include "io/json.hpp"
-#include "io/sealed.hpp"
 #include "telemetry/log.hpp"
 #include "telemetry/phase_timers.hpp"
 #include "telemetry/timeseries.hpp"
@@ -457,20 +456,6 @@ int main(int argc, char** argv) {
                 record_overhead_pct[i]);
   }
 
-  // bench_trend.py reads these records back: commit each atomically so
-  // a reader never sees a half-written file.
-  const auto commit_json = [](const std::string& path,
-                              const std::string& text) {
-    try {
-      iba::io::sealed::commit(path, text, "bench_kernel_throughput");
-    } catch (const std::exception& error) {
-      iba::telemetry::log_error("json_commit_failed",
-                                {{"path", path}, {"error", error.what()}});
-      return false;
-    }
-    iba::telemetry::log_info("bench_json_written", {{"path", path}});
-    return true;
-  };
   std::ostringstream out;
   iba::io::JsonWriter json(out);
   json.begin_object();
@@ -529,7 +514,9 @@ int main(int argc, char** argv) {
   }
   json.end_object();
   out << "\n";
-  if (!commit_json(json_path, out.str())) return 1;
+  if (!iba::bench::commit_json(json_path, out.str(), "bench_kernel_throughput")) {
+    return 1;
+  }
 
   // The scaling curve gets its own artifact in the same results[] shape
   // bench_trend.py keys on, so the committed BENCH_scale.json baseline
@@ -567,7 +554,10 @@ int main(int argc, char** argv) {
     scale.key("speedup_max_vs_min_shards").value(scale_speedup);
     scale.end_object();
     scale_out << "\n";
-    if (!commit_json(scale_json_path, scale_out.str())) return 1;
+    if (!iba::bench::commit_json(scale_json_path, scale_out.str(),
+                                   "bench_kernel_throughput")) {
+      return 1;
+    }
   }
   return allocations_ok ? 0 : 1;
 }

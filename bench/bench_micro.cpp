@@ -128,17 +128,44 @@ void BM_BinTablePushPop(benchmark::State& state) {
 }
 BENCHMARK(BM_BinTablePushPop);
 
-void BM_AliasSample(benchmark::State& state) {
-  std::vector<double> weights(1 << 13);
+// Alias draws at k = 2^13 (cache-resident) and k = 2^20 (the zipf_ckpt
+// table: 16 MiB of slots, so every draw's slot load misses L2).
+// BM_AliasFill is the batched path WeightedBinSampler uses, over rounds
+// of 2^16 balls; both report draws/s.
+rng::AliasTable bench_alias_table(std::size_t k) {
+  std::vector<double> weights(k);
   core::Engine seed_engine(5);
   for (auto& w : weights) w = 1.0 + rng::uniform01(seed_engine) * 3.0;
-  const rng::AliasTable table(weights);
+  return rng::AliasTable(weights);
+}
+
+void BM_AliasSample(benchmark::State& state) {
+  const rng::AliasTable table =
+      bench_alias_table(static_cast<std::size_t>(state.range(0)));
   core::Engine engine(6);
   std::uint64_t sink = 0;
   for (auto _ : state) sink += table.sample(engine);
   benchmark::DoNotOptimize(sink);
+  state.counters["draws/s"] = benchmark::Counter(
+      static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_AliasSample);
+BENCHMARK(BM_AliasSample)->Arg(1 << 13)->Arg(1 << 20);
+
+void BM_AliasFill(benchmark::State& state) {
+  const rng::AliasTable table =
+      bench_alias_table(static_cast<std::size_t>(state.range(0)));
+  core::Engine engine(6);
+  std::vector<std::uint32_t> out(1u << 16);
+  std::uint64_t draws = 0;
+  for (auto _ : state) {
+    table.fill(engine, std::span<std::uint32_t>(out));
+    draws += out.size();
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.counters["draws/s"] = benchmark::Counter(
+      static_cast<double>(draws), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_AliasFill)->Arg(1 << 13)->Arg(1 << 20);
 
 void BM_P2QuantileAdd(benchmark::State& state) {
   stats::P2Quantile p99(0.99);

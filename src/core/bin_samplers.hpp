@@ -3,7 +3,11 @@
 // runs, so every kernel and shard count stays byte-identical under them.
 //
 //  * WeightedBinSampler: ball i picks bin b with probability w_b / Σw
-//    (Walker/Vose alias table, two engine draws per ball). Over
+//    (Walker/Vose alias table, two engine draws per ball). fill() draws
+//    in prefetched batches from one packed {p, alias} slot per bin
+//    (rng/alias.hpp); rejecting batches replay through the per-ball
+//    sample(), so the choices and the engine position equal one
+//    sample() per ball. Over
 //    capacity-proportional weights, together with
 //    Capped::set_bin_capacities, this is CAPPED over non-uniform bins,
 //    the paper's reference [6] (Berenbrink et al., "Balls into
@@ -35,7 +39,7 @@ class WeightedBinSampler : public BinChoiceSampler {
   WeightedBinSampler(std::uint32_t n, const std::vector<double>& weights);
 
   void fill(Engine& engine, std::span<std::uint32_t> out) final {
-    for (auto& choice : out) choice = table_.sample(engine);
+    table_.fill(engine, out);
   }
 
   [[nodiscard]] const rng::AliasTable& table() const noexcept {

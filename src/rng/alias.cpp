@@ -1,6 +1,6 @@
 #include "rng/alias.hpp"
 
-#include <numeric>
+#include <cmath>
 
 namespace iba::rng {
 
@@ -8,47 +8,59 @@ AliasTable::AliasTable(const std::vector<double>& weights) {
   IBA_EXPECT(!weights.empty(), "AliasTable: needs at least one weight");
   double total = 0.0;
   for (const double w : weights) {
+    IBA_EXPECT(std::isfinite(w), "AliasTable: weights must be finite");
     IBA_EXPECT(w >= 0.0, "AliasTable: weights must be non-negative");
     total += w;
   }
+  IBA_EXPECT(std::isfinite(total), "AliasTable: weight sum must be finite");
   IBA_EXPECT(total > 0.0, "AliasTable: weights must not all be zero");
 
+  // Vose, in place: scale to mean 1 straight into the slots, split into
+  // under-/over-full outcomes, and pair each under-full slot with an
+  // over-full alias. One worklist holds both stacks: small grows up from
+  // 0, large grows down from k.
   const std::size_t k = weights.size();
-  normalized_.resize(k);
-  for (std::size_t i = 0; i < k; ++i) normalized_[i] = weights[i] / total;
-
-  // Vose: scale to mean 1, split into under-/over-full outcomes, and pair
-  // each under-full slot with an over-full alias.
-  std::vector<double> scaled(k);
+  slots_.resize(k);
+  std::vector<std::uint32_t> work(k);
+  std::size_t small = 0;
+  std::size_t large = k;
   for (std::size_t i = 0; i < k; ++i) {
-    scaled[i] = normalized_[i] * static_cast<double>(k);
-  }
-  std::vector<std::uint32_t> small, large;
-  small.reserve(k);
-  large.reserve(k);
-  for (std::size_t i = 0; i < k; ++i) {
-    (scaled[i] < 1.0 ? small : large).push_back(
-        static_cast<std::uint32_t>(i));
-  }
-
-  probability_.assign(k, 1.0);
-  alias_.resize(k);
-  for (std::size_t i = 0; i < k; ++i) {
-    alias_[i] = static_cast<std::uint32_t>(i);
-  }
-  while (!small.empty() && !large.empty()) {
-    const std::uint32_t s = small.back();
-    small.pop_back();
-    const std::uint32_t l = large.back();
-    probability_[s] = scaled[s];
-    alias_[s] = l;
-    scaled[l] -= 1.0 - scaled[s];
-    if (scaled[l] < 1.0) {
-      large.pop_back();
-      small.push_back(l);
+    const double scaled = weights[i] / total * static_cast<double>(k);
+    slots_[i] = {scaled, static_cast<std::uint32_t>(i)};
+    if (scaled < 1.0) {
+      work[small++] = static_cast<std::uint32_t>(i);
+    } else {
+      work[--large] = static_cast<std::uint32_t>(i);
     }
   }
-  // Residual slots (rounding leftovers) keep probability 1.
+  while (small > 0 && large < k) {
+    const std::uint32_t s = work[--small];
+    const std::uint32_t l = work[large];
+    slots_[s].alias = l;
+    slots_[l].p -= 1.0 - slots_[s].p;
+    if (slots_[l].p < 1.0) {
+      ++large;
+      work[small++] = l;
+    }
+  }
+  // A slot was paired exactly when its alias moved off itself; the rest
+  // (rounding leftovers) keep probability 1.
+  for (std::size_t i = 0; i < k; ++i) {
+    if (slots_[i].alias == i) slots_[i].p = 1.0;
+  }
+}
+
+double AliasTable::outcome_probability(std::uint32_t i) const noexcept {
+  IBA_ASSERT(i < slots_.size());
+  double mass = 0.0;
+  for (std::size_t j = 0; j < slots_.size(); ++j) {
+    if (j == i) {
+      mass += slots_[j].p;
+    } else if (slots_[j].alias == i) {
+      mass += 1.0 - slots_[j].p;
+    }
+  }
+  return mass / static_cast<double>(slots_.size());
 }
 
 }  // namespace iba::rng

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstdint>
 #include <initializer_list>
+#include <limits>
 #include <memory>
 #include <numeric>
 #include <vector>
@@ -99,6 +100,13 @@ TEST(AliasTable, RejectsBadWeights) {
   EXPECT_THROW(rng::AliasTable({}), ContractViolation);
   EXPECT_THROW(rng::AliasTable({1.0, -0.5}), ContractViolation);
   EXPECT_THROW(rng::AliasTable({0.0, 0.0}), ContractViolation);
+  // A non-finite weight or sum would leave NaN slot probabilities.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(rng::AliasTable({1.0, inf}), ContractViolation);
+  EXPECT_THROW(rng::AliasTable({nan, 1.0}), ContractViolation);
+  const double huge = std::numeric_limits<double>::max();
+  EXPECT_THROW(rng::AliasTable({huge, huge}), ContractViolation);
 }
 
 TEST(AliasTable, NormalizesWeights) {

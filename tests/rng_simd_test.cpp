@@ -11,11 +11,13 @@
 #include "rng/bounded.hpp"
 #include "rng/simd.hpp"
 #include "rng/xoshiro256.hpp"
+#include "scripted_engine.hpp"
 
 namespace {
 
 using iba::rng::SimdBackend;
 using iba::rng::Xoshiro256pp;
+using iba::test::ScriptedEngine;
 
 /// Pins a backend for one test and always restores auto-resolution.
 class BackendGuard {
@@ -26,35 +28,6 @@ class BackendGuard {
   ~BackendGuard() { iba::rng::reset_simd_backend(); }
   BackendGuard(const BackendGuard&) = delete;
   BackendGuard& operator=(const BackendGuard&) = delete;
-};
-
-/// Engine that replays a scripted word sequence, then falls back to a
-/// real engine. Lets tests force the Lemire rejection path, which real
-/// 64-bit streams hit with probability ~range/2^64 (never in practice).
-class ScriptedEngine {
- public:
-  using result_type = std::uint64_t;
-  static constexpr result_type min() { return 0; }
-  static constexpr result_type max() { return ~result_type{0}; }
-
-  ScriptedEngine(std::vector<std::uint64_t> script, std::uint64_t seed)
-      : script_(std::move(script)), fallback_(seed) {}
-
-  result_type operator()() {
-    ++drawn_;
-    if (pos_ < script_.size()) {
-      return script_[pos_++];
-    }
-    return fallback_();
-  }
-
-  [[nodiscard]] std::size_t words_drawn() const { return drawn_; }
-
- private:
-  std::vector<std::uint64_t> script_;
-  std::size_t pos_ = 0;
-  std::size_t drawn_ = 0;
-  Xoshiro256pp fallback_;
 };
 
 constexpr std::uint32_t kRanges[] = {
