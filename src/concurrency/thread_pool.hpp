@@ -1,6 +1,7 @@
-// A small fixed-size thread pool used by the replication runner to fan
-// independent simulation replicas across cores. Determinism is preserved
-// by deriving every replica's seed from its index, never from scheduling.
+// A small fixed-size thread pool. core::Capped's sharded rounds fan their
+// per-shard work across it with parallel_for_ranges. Determinism is
+// preserved because each task's work is a function of its index and
+// range, never of scheduling.
 #pragma once
 
 #include <condition_variable>

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 
-#include "telemetry/log.hpp"
-#include "telemetry/registry.hpp"
-
 namespace iba::control {
 
 namespace {
@@ -76,29 +73,6 @@ std::optional<Decision> Controller::decide(std::uint64_t next_round,
     decisions_.push_back({next_round, current_capacity, capacity,
                           current_pool_limit, pool_limit,
                           estimator_.lambda_ewma(), estimator_.mean_wait()});
-  }
-  if (registry_ != nullptr) {
-    registry_->counter("control_decisions_total").inc();
-    if (capacity > current_capacity) {
-      registry_->counter("control_capacity_grows_total").inc();
-    }
-    if (capacity < current_capacity) {
-      registry_->counter("control_capacity_shrinks_total").inc();
-    }
-    if (pool_limit != current_pool_limit) {
-      registry_->counter("control_admission_changes_total").inc();
-    }
-    registry_->gauge("control_capacity").set(static_cast<double>(capacity));
-    telemetry::log_info(
-        "control_decision",
-        {{"round", next_round},
-         {"policy", to_string(config_.policy)},
-         {"capacity_from", current_capacity},
-         {"capacity_to", capacity},
-         {"pool_limit_from", current_pool_limit},
-         {"pool_limit_to", pool_limit},
-         {"lambda_hat", estimator_.lambda_ewma()},
-         {"mean_wait", estimator_.mean_wait()}});
   }
   return Decision{capacity, pool_limit};
 }

@@ -31,10 +31,6 @@
 #include "control/estimator.hpp"
 #include "control/policy.hpp"
 
-namespace iba::telemetry {
-class Registry;
-}  // namespace iba::telemetry
-
 namespace iba::control {
 
 /// Full serializable controller state (checkpoint v3).
@@ -62,7 +58,7 @@ struct Decision {
 };
 
 /// One applied change, kept in a bounded in-memory log for reports and
-/// tests (not serialized — counters and telemetry survive the resume).
+/// tests (not serialized — the counters survive the resume).
 struct DecisionRecord {
   std::uint64_t round = 0;
   std::uint32_t old_capacity = 0;
@@ -108,12 +104,6 @@ class Controller {
     return shrinks_;
   }
 
-  /// Optional metrics sink; decisions bump counters and emit a
-  /// structured `control_decision` log line when attached.
-  void set_registry(telemetry::Registry* registry) noexcept {
-    registry_ = registry;
-  }
-
   [[nodiscard]] ControllerState state() const;
   /// Throws ContractViolation when the state does not fit this
   /// configuration (wrong estimator window).
@@ -133,7 +123,6 @@ class Controller {
   std::uint64_t grows_ = 0;
   std::uint64_t shrinks_ = 0;
   std::uint64_t admission_limit_ = 0;
-  telemetry::Registry* registry_ = nullptr;
   std::vector<DecisionRecord> decisions_;
 };
 

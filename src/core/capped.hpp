@@ -329,12 +329,6 @@ class Capped {
     bin_sampler_ = sampler;
   }
 
-  /// Routes the controller's decision counters and structured log lines
-  /// into `registry` (no-op without a controller).
-  void set_control_registry(telemetry::Registry* registry) noexcept {
-    if (controller_ != nullptr) controller_->set_registry(registry);
-  }
-
   [[nodiscard]] const CappedConfig& config() const noexcept {
     return config_;
   }

@@ -61,11 +61,12 @@ Coordinator::Coordinator(const core::CappedSnapshot& snapshot,
     pool_.add(bucket.label, bucket.count);
   }
   gate_.restore(snapshot.shed_total, snapshot.deferred);
-  wait_moments_ = stats::UintMoments::from_parts(
-      snapshot.waits.count, snapshot.waits.sum, snapshot.waits.sumsq_hi,
-      snapshot.waits.sumsq_lo);
-  wait_histogram_ = stats::Log2Histogram::from_counts(
-      snapshot.waits.histogram, snapshot.waits.max);
+  waits_.restore(
+      stats::UintMoments::from_parts(snapshot.waits.count, snapshot.waits.sum,
+                                     snapshot.waits.sumsq_hi,
+                                     snapshot.waits.sumsq_lo),
+      stats::Log2Histogram::from_counts(snapshot.waits.histogram,
+                                        snapshot.waits.max));
   if (controller_ != nullptr) controller_->restore(snapshot.controller);
   last_saved_round_ = round_;  // the generation being resumed from
   init_workers(resume_base);
@@ -257,11 +258,14 @@ core::RoundMetrics Coordinator::step() {
     m.wait_count += result.wait_count;
     wait_sum += result.wait_sum;
     m.wait_max = std::max(m.wait_max, result.wait_max);
-    wait_moments_.merge(stats::UintMoments::from_parts(
-        result.wait_count, result.wait_sum, result.wait_sumsq_hi,
-        result.wait_sumsq_lo));
-    wait_histogram_.merge(stats::Log2Histogram::from_counts(
-        result.wait_histogram, result.wait_max));
+    core::WaitRecorder worker_waits;
+    worker_waits.restore(
+        stats::UintMoments::from_parts(result.wait_count, result.wait_sum,
+                                       result.wait_sumsq_hi,
+                                       result.wait_sumsq_lo),
+        stats::Log2Histogram::from_counts(result.wait_histogram,
+                                          result.wait_max));
+    waits_.merge(worker_waits);
     for (std::size_t i = 0; i < rejected.size(); ++i) {
       rejected[i] += result.rejected[i];
     }
@@ -295,33 +299,12 @@ core::CappedSnapshot Coordinator::snapshot() const {
   snap.engine_state = engine_.state();
   snap.pool.assign(pool_.buckets().begin(), pool_.buckets().end());
   snap.deferred.assign(gate_.deferred().begin(), gate_.deferred().end());
-  snap.waits.count = wait_moments_.count();
-  snap.waits.sum = wait_moments_.sum();
-  snap.waits.sumsq_hi = wait_moments_.sumsq_hi();
-  snap.waits.sumsq_lo = wait_moments_.sumsq_lo();
-  snap.waits.max = wait_histogram_.max();
-  snap.waits.histogram = wait_histogram_.counts();
+  snap.waits = core::wait_state(waits_);
   if (controller_ != nullptr) snap.controller = controller_->state();
   // Bins live in the shard files; n empty queues keep the snapshot
   // well-formed for checkpoint v3 (they serialize compactly).
   snap.bin_queues.resize(config_.n);
   return snap;
-}
-
-core::CappedWaitState Coordinator::wait_state() const {
-  core::CappedWaitState waits;
-  waits.count = wait_moments_.count();
-  waits.sum = wait_moments_.sum();
-  waits.sumsq_hi = wait_moments_.sumsq_hi();
-  waits.sumsq_lo = wait_moments_.sumsq_lo();
-  waits.max = wait_histogram_.max();
-  waits.histogram = wait_histogram_.counts();
-  return waits;
-}
-
-void Coordinator::reset_wait_stats() noexcept {
-  wait_moments_.reset();
-  wait_histogram_ = stats::Log2Histogram{};
 }
 
 void Coordinator::set_lambda_n(std::uint64_t lambda_n) {

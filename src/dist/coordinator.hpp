@@ -125,13 +125,15 @@ class Coordinator {
   }
 
   /// Cumulative measured-window wait statistics (exact integer state).
-  [[nodiscard]] core::CappedWaitState wait_state() const;
+  [[nodiscard]] core::CappedWaitState wait_state() const {
+    return core::wait_state(waits_);
+  }
   [[nodiscard]] std::uint64_t wait_quantile(double q) const noexcept {
-    return wait_histogram_.quantile_upper_bound(q);
+    return waits_.quantile_upper_bound(q);
   }
   /// Clears the wait statistics (burn-in boundary) — coordinator-side
   /// only; workers keep no cumulative wait state.
-  void reset_wait_stats() noexcept;
+  void reset_wait_stats() noexcept { waits_.reset(); }
 
   /// Time-varying arrival rate, as core::Capped::set_lambda_n.
   void set_lambda_n(std::uint64_t lambda_n);
@@ -171,8 +173,7 @@ class Coordinator {
   std::uint64_t generated_total_ = 0;
   std::uint64_t deleted_total_ = 0;
 
-  stats::UintMoments wait_moments_;
-  stats::Log2Histogram wait_histogram_;
+  core::WaitRecorder waits_;
 
   std::unique_ptr<control::Controller> controller_;
   std::uint32_t sampler_ = kSamplerUniform;  // a SamplerTag

@@ -104,6 +104,9 @@ RoundMsg decode_round(net::WireReader& in) {
   RoundMsg msg;
   msg.round = in.u64("round.round");
   msg.capacity = in.u32("round.capacity");
+  if (msg.capacity < 1 || msg.capacity > 0xFFFFu) {
+    reject_round("capacity outside [1, 65535]");
+  }
   msg.engine = read_state(in, "round.engine");
   msg.sampler = in.u32("round.sampler");
   if (msg.sampler == kSamplerZipf) {

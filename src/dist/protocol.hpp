@@ -163,9 +163,10 @@ void send_shutdown(int fd);
 [[nodiscard]] InitMsg decode_init(net::WireReader& in);
 [[nodiscard]] InitAckMsg decode_init_ack(net::WireReader& in);
 /// Rejects as net::FrameError what would order unbounded or undefined
-/// work: labels not strictly ascending or above the round, a zero
-/// count, Σ counts above kMaxRoundThrows, the all-zero engine state,
-/// an unknown sampler tag and a Zipf exponent outside [0, 8].
+/// work: a capacity outside [1, 65535], labels not strictly ascending
+/// or above the round, a zero count, Σ counts above kMaxRoundThrows,
+/// the all-zero engine state, an unknown sampler tag and a Zipf
+/// exponent outside [0, 8].
 [[nodiscard]] RoundMsg decode_round(net::WireReader& in);
 [[nodiscard]] RoundResultMsg decode_round_result(net::WireReader& in);
 [[nodiscard]] CheckpointMsg decode_checkpoint(net::WireReader& in);

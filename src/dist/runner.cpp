@@ -81,16 +81,8 @@ scenario::RunOutcome run_distributed(const scenario::Scenario& scn,
     coordinator = std::make_unique<Coordinator>(
         snapshot, worker_fds, options.checkpoint_base, copts);
   } else {
-    core::CappedConfig config;
-    config.n = scn.n;
-    config.capacity = scn.capacity;
-    scn.arrival.apply_to(scn.n, config.arrival, config.lambda_n);
-    config.pool_limit = scn.pool_limit;
-    config.backpressure = scn.backpressure;
-    config.backoff_rounds = scn.backoff;
-    config.control = scn.control;
     coordinator = std::make_unique<Coordinator>(
-        config, core::Engine(seed), worker_fds, copts);
+        scenario::capped_config(scn), core::Engine(seed), worker_fds, copts);
     progress.digest = digest;
     progress.seed = seed;
   }
@@ -157,15 +149,8 @@ scenario::RunOutcome run_distributed(const scenario::Scenario& scn,
     result.control_shrinks = state.shrinks;
   }
 
-  scenario::evaluate_expectations(scn, result);
-  for (const artifact::ExpectationCheck& check : result.checks) {
-    if (!check.pass) {
-      outcome.expectations_ok = false;
-      outcome.failures.push_back("expect: " + check.name + ": bound " +
-                                 check.bound + ", observed " +
-                                 check.observed);
-    }
-  }
+  outcome.expectations_ok =
+      scenario::check_expectations(scn, result, outcome.failures);
 
   if (!options.checkpoint_base.empty()) save_state();
   coordinator->shutdown();

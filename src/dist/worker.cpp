@@ -100,7 +100,6 @@ void Worker::handle_round(const RoundMsg& msg) {
     fail("round " + std::to_string(msg.round) + " out of order (at " +
          std::to_string(round_) + ")");
   }
-  if (msg.capacity < 1) fail("round: capacity must be positive");
   if (msg.capacity > table_->capacity()) {
     table_->grow_capacity(msg.capacity);
   }

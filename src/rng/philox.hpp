@@ -2,9 +2,9 @@
 // numbers: as easy as 1, 2, 3", SC'11).
 //
 // A counter-based engine produces random output as a pure function of
-// (key, counter); any stream position is addressable in O(1). iba uses it
-// for reproducible parallel replications: replication r simply uses key r,
-// so results are independent of scheduling and thread count.
+// (key, counter); any stream position is addressable in O(1), so a
+// stream keyed by a task's index is independent of scheduling and thread
+// count.
 #pragma once
 
 #include <array>

@@ -131,6 +131,18 @@ void accumulate_progress(Progress& progress, const core::RoundMetrics& m) {
   }
 }
 
+core::CappedConfig capped_config(const Scenario& scn) {
+  core::CappedConfig config;
+  config.n = scn.n;
+  config.capacity = scn.capacity;
+  scn.arrival.apply_to(scn.n, config.arrival, config.lambda_n);
+  config.pool_limit = scn.pool_limit;
+  config.backpressure = scn.backpressure;
+  config.backoff_rounds = scn.backoff;
+  config.control = scn.control;
+  return config;
+}
+
 void fill_artifact(artifact::ResultArtifact& result, const Scenario& scn,
                    const std::string& digest, std::uint64_t seed,
                    const Progress& progress, const RunTotals& totals) {
@@ -214,6 +226,21 @@ void evaluate_expectations(const Scenario& scn,
         std::to_string(artifact.shed_total),
         artifact.shed_total <= expect.max_shed);
   }
+}
+
+bool check_expectations(const Scenario& scn,
+                        artifact::ResultArtifact& artifact,
+                        std::vector<std::string>& failures) {
+  evaluate_expectations(scn, artifact);
+  bool ok = true;
+  for (const artifact::ExpectationCheck& check : artifact.checks) {
+    if (!check.pass) {
+      ok = false;
+      failures.push_back("expect: " + check.name + ": bound " + check.bound +
+                         ", observed " + check.observed);
+    }
+  }
+  return ok;
 }
 
 }  // namespace iba::scenario

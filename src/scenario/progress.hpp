@@ -4,11 +4,12 @@
 // the single-process run_scenario (scenario/runner.cpp) and the
 // distributed coordinator loop (dist/runner.cpp).
 //
-// Sharing is what keeps the two byte-identical: the accumulators, the
-// sidecar format, the expectation evaluation and the artifact field
-// fill are one implementation, so "same scenario + seed → same artifact
-// bytes" holds across process topologies by construction, not by
-// parallel maintenance of two copies.
+// Sharing is what keeps the two byte-identical: the engine
+// configuration, the accumulators, the sidecar format, the expectation
+// evaluation and the artifact field fill are one implementation, so
+// "same scenario + seed → same artifact bytes" holds across process
+// topologies by construction, not by parallel maintenance of two
+// copies.
 //
 // The process checkpoint carries the trajectory; Progress carries the
 // runner's own state, so a resumed run finishes with accumulator values
@@ -17,6 +18,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "artifact/artifact.hpp"
 #include "core/capped.hpp"
@@ -87,6 +89,11 @@ struct RunTotals {
   std::uint64_t wait_p99 = 0;
 };
 
+/// The engine configuration a scenario runs: n, c, arrivals, pool
+/// limit, backpressure, backoff and control. Execution hints (kernel,
+/// shards) stay at their defaults for the caller to set.
+[[nodiscard]] core::CappedConfig capped_config(const Scenario& scn);
+
 /// Fills the identity, lifetime, measured-window and wait fields of the
 /// artifact from (scenario, seed, progress, totals). Fault, control and
 /// audit fields stay with the caller; expectation checks are appended
@@ -100,5 +107,12 @@ void fill_artifact(artifact::ResultArtifact& artifact, const Scenario& scn,
 /// comparisons, deterministic doubles (IEEE +−×÷ only).
 void evaluate_expectations(const Scenario& scn,
                            artifact::ResultArtifact& artifact);
+
+/// evaluate_expectations, then one "expect: <name>: bound …, observed …"
+/// line in `failures` per failed check. Returns true when every bound
+/// held.
+[[nodiscard]] bool check_expectations(const Scenario& scn,
+                                      artifact::ResultArtifact& artifact,
+                                      std::vector<std::string>& failures);
 
 }  // namespace iba::scenario

@@ -131,16 +131,9 @@ RunOutcome run(const Scenario& scn, const RunOptions& options,
       load_record(*series, *recorder, options.resume + ".record");
     }
   } else {
-    core::CappedConfig config;
-    config.n = n;
-    config.capacity = scn.capacity;
-    scn.arrival.apply_to(n, config.arrival, config.lambda_n);
+    core::CappedConfig config = capped_config(scn);
     config.kernel = kernel;
     config.shards = shards;
-    config.pool_limit = scn.pool_limit;
-    config.backpressure = scn.backpressure;
-    config.backoff_rounds = scn.backoff;
-    config.control = scn.control;
     process = std::make_unique<core::Capped>(config, core::Engine(seed));
     if (!scn.fault_schedule.empty()) {
       plan = std::make_unique<fault::FaultPlan>(
@@ -344,15 +337,8 @@ RunOutcome run(const Scenario& scn, const RunOptions& options,
     }
   }
 
-  evaluate_expectations(scn, result);
-  for (const artifact::ExpectationCheck& check : result.checks) {
-    if (!check.pass) {
-      outcome.expectations_ok = false;
-      outcome.failures.push_back("expect: " + check.name + ": bound " +
-                                 check.bound + ", observed " +
-                                 check.observed);
-    }
-  }
+  outcome.expectations_ok =
+      check_expectations(scn, result, outcome.failures);
 
   if (recording) {
     if (!outcome.expectations_ok) {

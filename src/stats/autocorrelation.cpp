@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
-#include <limits>
 
 namespace iba::stats {
 
@@ -17,68 +15,6 @@ double mean_of(const std::vector<double>& v, std::size_t from,
 }
 
 }  // namespace
-
-double autocorrelation(const std::vector<double>& series,
-                       std::size_t lag) noexcept {
-  const std::size_t n = series.size();
-  if (lag >= n || n < 2) return 0.0;
-  const double mu = mean_of(series, 0, n);
-  double var = 0.0;
-  for (double x : series) var += (x - mu) * (x - mu);
-  if (var == 0.0) return 0.0;
-  double cov = 0.0;
-  for (std::size_t i = 0; i + lag < n; ++i) {
-    cov += (series[i] - mu) * (series[i + lag] - mu);
-  }
-  return cov / var;
-}
-
-double effective_sample_size(const std::vector<double>& series) noexcept {
-  const std::size_t n = series.size();
-  if (n < 2) return static_cast<double>(n);
-  double rho_sum = 0.0;
-  for (std::size_t lag = 1; lag < n / 2; ++lag) {
-    const double rho = autocorrelation(series, lag);
-    if (rho <= 0.0) break;
-    rho_sum += rho;
-  }
-  return static_cast<double>(n) / (1.0 + 2.0 * rho_sum);
-}
-
-std::size_t mser_truncation_point(const std::vector<double>& series,
-                                  std::size_t batch) noexcept {
-  if (batch == 0) batch = 1;
-  const std::size_t batches = series.size() / batch;
-  if (batches < 4) return 0;
-
-  // Batch means reduce the series' autocorrelation before applying MSER.
-  std::vector<double> bm(batches);
-  for (std::size_t b = 0; b < batches; ++b) {
-    bm[b] = mean_of(series, b * batch, (b + 1) * batch);
-  }
-
-  // Prefix sums for O(1) suffix mean/variance at every candidate cut.
-  std::vector<double> ps(batches + 1, 0.0), ps2(batches + 1, 0.0);
-  for (std::size_t b = 0; b < batches; ++b) {
-    ps[b + 1] = ps[b] + bm[b];
-    ps2[b + 1] = ps2[b] + bm[b] * bm[b];
-  }
-
-  double best = std::numeric_limits<double>::infinity();
-  std::size_t best_cut = 0;
-  for (std::size_t d = 0; d <= batches / 2; ++d) {
-    const auto k = static_cast<double>(batches - d);
-    const double sum = ps[batches] - ps[d];
-    const double sum2 = ps2[batches] - ps2[d];
-    const double var = sum2 / k - (sum / k) * (sum / k);
-    const double mse = var / k;  // marginal standard error (squared)
-    if (mse < best) {
-      best = mse;
-      best_cut = d;
-    }
-  }
-  return best_cut * batch;
-}
 
 bool windows_agree(const std::vector<double>& series, std::size_t window,
                    double rel_tol) noexcept {

@@ -1,32 +1,14 @@
-// Time-series diagnostics for the simulation runner: lag autocorrelation,
-// effective sample size, and MSER-style burn-in (warm-up) truncation.
+// Time-series diagnostic for the simulation runner's burn-in.
 //
 // The paper measures "a stabilized system after a burn-in phase of
-// suitable length"; mser_truncation_point() makes "suitable" precise by
-// choosing the truncation that minimizes the marginal standard error of
-// the remaining series (White's MSER rule, batched for robustness).
+// suitable length"; windows_agree() is the runner's online test for
+// when the pool series has stabilized.
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
 namespace iba::stats {
-
-/// Sample autocorrelation of `series` at `lag` (biased estimator).
-/// Returns 0 for degenerate inputs (lag ≥ length, zero variance).
-[[nodiscard]] double autocorrelation(const std::vector<double>& series,
-                                     std::size_t lag) noexcept;
-
-/// Effective sample size n / (1 + 2·Σ ρ_k), truncating the sum at the
-/// first non-positive autocorrelation (Geyer's initial positive sequence).
-[[nodiscard]] double effective_sample_size(
-    const std::vector<double>& series) noexcept;
-
-/// MSER truncation point: the prefix length d minimizing the marginal
-/// standard error of series[d..]. Evaluated on `batch`-sized batch means
-/// (MSER-5 style) and capped at half the series, per standard practice.
-[[nodiscard]] std::size_t mser_truncation_point(
-    const std::vector<double>& series, std::size_t batch = 5) noexcept;
 
 /// Heuristic steady-state check: true when the means of the last two
 /// `window`-sized windows agree within `rel_tol` (relative) — the runner's

@@ -12,9 +12,8 @@
 //
 // Sampling is decided by a stable hash of the ball id (its global
 // generation sequence number) mixed with the master seed, so identical
-// seeds reproduce byte-identical span streams across runs and across
-// replicate_parallel thread counts — the same determinism guarantee the
-// registry gives.
+// seeds reproduce byte-identical span streams across runs — the same
+// determinism guarantee the registry gives.
 //
 // Shadow tracking. core::Capped stores balls as indistinguishable
 // age-bucketed counts, so the tracer reconstructs identity from the event

@@ -6,14 +6,13 @@
 // exporter and merge — deterministic. With IBA_TELEMETRY_ENABLED=0 the
 // registry stores nothing and every mutation compiles to a no-op.
 //
-// Merge semantics (used to combine replica registries):
+// Merge semantics (used to combine per-thread registries):
 //   counters    — sum
 //   gauges      — elementwise max (a merged gauge reads as the peak)
 //   histograms  — bucketwise sum; sum/max combine exactly
-// Merging is commutative for counters/gauges/histogram buckets, but the
-// callers in sim::replicate_* still merge in replica order so that
-// floating-point sums — and thus exported bytes — are identical for a
-// given master seed regardless of thread count.
+// Merging is commutative for counters/gauges/histogram buckets, but
+// floating-point sums are not associative: callers that need identical
+// exported bytes regardless of thread count merge in a fixed order.
 #pragma once
 
 #include <cstdint>

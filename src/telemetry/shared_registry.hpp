@@ -3,7 +3,7 @@
 // with()), readers take consistent snapshots. Note that concurrent merges
 // arrive in scheduling order — callers needing byte-reproducible exports
 // across thread counts should instead keep one Registry per worker and
-// merge them in a fixed order after joining (see sim::replicate_*).
+// merge them in a fixed order after joining.
 #pragma once
 
 #include <mutex>

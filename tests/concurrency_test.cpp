@@ -181,7 +181,7 @@ TEST(ThreadPool, WaitIdleSeesInFlightTasks) {
 
 // Regression: the destructor drains every queued task before joining (the
 // documented contract), and a single-worker pool preserves FIFO order —
-// replication correctness depends on tasks never being skipped.
+// sharded rounds depend on tasks never being skipped.
 TEST(ThreadPool, DestructorDrainsQueueInOrder) {
   std::vector<int> order;
   std::mutex order_mutex;

@@ -352,6 +352,8 @@ TEST(RoundFrameMutants, UnboundedOrUndefinedWorkIsAFrameError) {
       {"label above the round",
        [](dist::RoundMsg& m) { m.buckets.back().label = m.round + 1; }},
       {"zero count", [](dist::RoundMsg& m) { m.buckets[1].count = 0; }},
+      {"capacity 0", [](dist::RoundMsg& m) { m.capacity = 0; }},
+      {"capacity 65536", [](dist::RoundMsg& m) { m.capacity = 65536; }},
       {"counts overflow u64",
        [](dist::RoundMsg& m) {
          m.buckets = {{3, ~std::uint64_t{0}}, {9, 2}};

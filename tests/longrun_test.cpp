@@ -10,7 +10,6 @@
 
 #include "analysis/bounds.hpp"
 #include "core/capped.hpp"
-#include "stats/autocorrelation.hpp"
 #include "stats/welford.hpp"
 
 namespace {
@@ -19,6 +18,27 @@ using namespace iba;
 using core::Capped;
 using core::CappedConfig;
 using core::Engine;
+
+/// Effective sample size n / (1 + 2·Σ ρ_k), the sum cut at the first
+/// non-positive lag autocorrelation (Geyer's initial positive sequence).
+double effective_sample_size(const std::vector<double>& xs) {
+  const std::size_t n = xs.size();
+  double mu = 0.0;
+  for (const double x : xs) mu += x;
+  mu /= static_cast<double>(n);
+  double var = 0.0;
+  for (const double x : xs) var += (x - mu) * (x - mu);
+  double rho_sum = 0.0;
+  for (std::size_t lag = 1; var > 0.0 && lag < n / 2; ++lag) {
+    double cov = 0.0;
+    for (std::size_t i = 0; i + lag < n; ++i) {
+      cov += (xs[i] - mu) * (xs[i + lag] - mu);
+    }
+    if (cov <= 0.0) break;
+    rho_sum += cov / var;
+  }
+  return static_cast<double>(n) / (1.0 + 2.0 * rho_sum);
+}
 
 struct LongParam {
   std::uint32_t n;
@@ -85,7 +105,7 @@ TEST(LongRun, PoolIsStationaryAfterBurnIn) {
   const double sem = first_half.sem() + second_half.sem();
   EXPECT_NEAR(first_half.mean(), second_half.mean(), 12 * sem + 1.0);
   // And the process decorrelates: the ESS is far above the lag-1 floor.
-  EXPECT_GT(stats::effective_sample_size(series), 50.0);
+  EXPECT_GT(effective_sample_size(series), 50.0);
 }
 
 TEST(LongRun, ReturnsToLowLoadInfinitelyOften) {

@@ -1,6 +1,5 @@
-// Tests for the storage substrate: RingBuffer, BinTable,
-// UnboundedBinTable, AgedPool — FIFO semantics, accounting invariants,
-// and contract checks.
+// Tests for the storage substrate: BinTable, UnboundedBinTable,
+// AgedPool — FIFO semantics, accounting invariants, and contract checks.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -8,60 +7,11 @@
 
 #include "queueing/aged_pool.hpp"
 #include "queueing/bin_table.hpp"
-#include "queueing/ring_buffer.hpp"
 #include "queueing/unbounded_bin_table.hpp"
 
 namespace {
 
 using namespace iba::queueing;
-
-TEST(RingBuffer, FifoOrder) {
-  RingBuffer<int> rb(3);
-  rb.push(1);
-  rb.push(2);
-  rb.push(3);
-  EXPECT_TRUE(rb.full());
-  EXPECT_EQ(rb.pop_front(), 1);
-  EXPECT_EQ(rb.pop_front(), 2);
-  rb.push(4);
-  rb.push(5);
-  EXPECT_EQ(rb.pop_front(), 3);
-  EXPECT_EQ(rb.pop_front(), 4);
-  EXPECT_EQ(rb.pop_front(), 5);
-  EXPECT_TRUE(rb.empty());
-}
-
-TEST(RingBuffer, WrapsManyTimes) {
-  RingBuffer<std::uint64_t> rb(4);
-  for (std::uint64_t i = 0; i < 1000; ++i) {
-    rb.push(i);
-    EXPECT_EQ(rb.pop_front(), i);
-  }
-}
-
-TEST(RingBuffer, FrontAndIndexing) {
-  RingBuffer<int> rb(4);
-  rb.push(10);
-  rb.push(20);
-  rb.push(30);
-  EXPECT_EQ(rb.front(), 10);
-  EXPECT_EQ(rb.at(0), 10);
-  EXPECT_EQ(rb.at(2), 30);
-  EXPECT_EQ(rb.size(), 3u);
-}
-
-TEST(RingBuffer, ClearResets) {
-  RingBuffer<int> rb(2);
-  rb.push(1);
-  rb.clear();
-  EXPECT_TRUE(rb.empty());
-  rb.push(9);
-  EXPECT_EQ(rb.front(), 9);
-}
-
-TEST(RingBuffer, RejectsZeroCapacity) {
-  EXPECT_THROW(RingBuffer<int>(0), iba::ContractViolation);
-}
 
 TEST(BinTable, ConstructionInvariants) {
   BinTable bt(8, 3);

@@ -1,16 +1,13 @@
 // End-to-end telemetry wiring: run_experiment populating a registry with
-// conserved flow counters, the round trace capturing measured rounds,
-// phase timers splitting real step time, and — the key operational
-// property — sequential vs. thread-pool replication merging replica
-// registries to byte-identical exports for the same master seed.
+// conserved flow counters and byte-identical exports for the same seed,
+// the round trace capturing measured rounds, and phase timers splitting
+// real step time.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <sstream>
 
-#include "concurrency/thread_pool.hpp"
 #include "core/capped.hpp"
-#include "sim/replication.hpp"
 #include "sim/runner.hpp"
 #include "telemetry/export.hpp"
 
@@ -123,37 +120,6 @@ TEST(SimTelemetry, PhaseTimersSplitStepTime) {
   EXPECT_LE(timers.ns(Phase::kThrow) + timers.ns(Phase::kAccept) +
                 timers.ns(Phase::kDelete),
             timers.ns(Phase::kBurnIn) + timers.ns(Phase::kMeasure));
-}
-
-TEST(SimTelemetry, ReplicaMergeIsThreadCountInvariant) {
-  const std::uint64_t master_seed = 2021;
-  constexpr std::size_t kReplicas = 6;
-  auto run_one = [](std::uint64_t seed, sim::RunTelemetry hooks) {
-    const auto config = small_config(seed);
-    return sim::run_capped(config, sim::RunSpec::from_config(config), hooks);
-  };
-
-  telemetry::Registry sequential;
-  const auto result_seq =
-      sim::replicate(run_one, kReplicas, master_seed, sequential);
-
-  concurrency::ThreadPool pool(4);
-  telemetry::Registry parallel;
-  const auto result_par = sim::replicate_parallel(run_one, kReplicas,
-                                                  master_seed, pool, parallel);
-
-  EXPECT_EQ(result_seq.runs.size(), result_par.runs.size());
-  std::ostringstream seq_prom, par_prom, seq_json, par_json;
-  telemetry::write_prometheus(sequential, seq_prom);
-  telemetry::write_prometheus(parallel, par_prom);
-  telemetry::write_json_line(sequential, seq_json);
-  telemetry::write_json_line(parallel, par_json);
-  EXPECT_FALSE(seq_prom.str().empty());
-  EXPECT_EQ(seq_prom.str(), par_prom.str());
-  EXPECT_EQ(seq_json.str(), par_json.str());
-  // Merged counters cover all replicas.
-  EXPECT_EQ(sequential.counter("rounds_total").value(),
-            kReplicas * small_config(0).measure_rounds);
 }
 
 #endif  // IBA_TELEMETRY_ENABLED

@@ -1,15 +1,12 @@
 // Integration tests of the simulation engine: config validation, burn-in
-// behaviour, measurement aggregation, determinism, and replication
-// (sequential ≡ parallel).
+// behaviour, measurement aggregation and determinism.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "analysis/bounds.hpp"
-#include "concurrency/thread_pool.hpp"
 #include "core/greedy.hpp"
 #include "sim/config.hpp"
-#include "sim/replication.hpp"
 #include "sim/runner.hpp"
 
 namespace {
@@ -125,46 +122,6 @@ TEST(Runner, WorksWithOtherProcesses) {
   EXPECT_EQ(result.measured_rounds, 200u);
   EXPECT_EQ(result.pool.mean(), 0.0);  // GREEDY[d] has no pool
   EXPECT_GT(result.system_load.mean(), 0.0);
-}
-
-TEST(Replication, AggregatesAndBuildsCis) {
-  auto fn = [](std::uint64_t seed) {
-    SimConfig config = small_config();
-    config.seed = seed;
-    config.measure_rounds = 100;
-    config.burn_in = 50;
-    return run_capped(config);
-  };
-  const auto result = replicate(fn, 5, 99);
-  EXPECT_EQ(result.runs.size(), 5u);
-  EXPECT_LE(result.normalized_pool.lo, result.normalized_pool.point);
-  EXPECT_GE(result.normalized_pool.hi, result.normalized_pool.point);
-  EXPECT_GT(result.wait_mean.point, 0.0);
-}
-
-TEST(Replication, ParallelMatchesSequential) {
-  auto fn = [](std::uint64_t seed) {
-    SimConfig config = small_config();
-    config.seed = seed;
-    config.measure_rounds = 80;
-    config.burn_in = 40;
-    return run_capped(config);
-  };
-  const auto seq = replicate(fn, 4, 1234);
-  iba::concurrency::ThreadPool pool(3);
-  const auto par = replicate_parallel(fn, 4, 1234, pool);
-  ASSERT_EQ(seq.runs.size(), par.runs.size());
-  for (std::size_t r = 0; r < seq.runs.size(); ++r) {
-    EXPECT_DOUBLE_EQ(seq.runs[r].normalized_pool.mean(),
-                     par.runs[r].normalized_pool.mean());
-    EXPECT_EQ(seq.runs[r].wait_max, par.runs[r].wait_max);
-  }
-  EXPECT_DOUBLE_EQ(seq.normalized_pool.point, par.normalized_pool.point);
-}
-
-TEST(Replication, RejectsZeroReplications) {
-  auto fn = [](std::uint64_t) { return RunResult{}; };
-  EXPECT_THROW((void)replicate(fn, 0, 1), iba::ContractViolation);
 }
 
 }  // namespace

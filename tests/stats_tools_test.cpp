@@ -1,20 +1,15 @@
-// Tests for histograms, P² quantiles, reservoir sampling, ECDF, bootstrap
-// CIs, and the burn-in / autocorrelation diagnostics.
+// Tests for histograms, P² quantiles, and the runner's burn-in
+// window check.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
-#include <numeric>
 #include <vector>
 
 #include "rng/bounded.hpp"
 #include "rng/xoshiro256.hpp"
 #include "stats/autocorrelation.hpp"
-#include "stats/bootstrap.hpp"
-#include "stats/ecdf.hpp"
 #include "stats/histogram.hpp"
 #include "stats/p2_quantile.hpp"
-#include "stats/reservoir.hpp"
 
 namespace {
 
@@ -123,143 +118,6 @@ TEST(P2Quantile, ConvergesOnSkewedData) {
     p90.add(-std::log(iba::rng::uniform01_open_low(eng)));
   }
   EXPECT_NEAR(p90.value(), std::log(10.0), 0.1);
-}
-
-TEST(Reservoir, KeepsEverythingBelowCapacity) {
-  iba::rng::Xoshiro256pp eng(1);
-  ReservoirSample<int> r(10);
-  for (int i = 0; i < 5; ++i) r.add(eng, i);
-  EXPECT_EQ(r.sample().size(), 5u);
-  EXPECT_EQ(r.seen(), 5u);
-}
-
-TEST(Reservoir, UniformInclusionProbability) {
-  // Each of 1000 values should land in a 100-slot reservoir w.p. 0.1;
-  // check inclusion frequency of a fixed element across many trials.
-  int included = 0;
-  const int kTrials = 2000;
-  for (int trial = 0; trial < kTrials; ++trial) {
-    iba::rng::Xoshiro256pp eng(static_cast<std::uint64_t>(trial) + 99);
-    ReservoirSample<int> r(100);
-    for (int v = 0; v < 1000; ++v) r.add(eng, v);
-    const auto& s = r.sample();
-    included += std::count(s.begin(), s.end(), 123) > 0 ? 1 : 0;
-  }
-  EXPECT_NEAR(static_cast<double>(included) / kTrials, 0.1, 0.03);
-}
-
-TEST(Ecdf, CdfAndQuantile) {
-  Ecdf e({4.0, 1.0, 3.0, 2.0});
-  EXPECT_EQ(e.cdf(0.5), 0.0);
-  EXPECT_EQ(e.cdf(1.0), 0.25);
-  EXPECT_EQ(e.cdf(2.5), 0.5);
-  EXPECT_EQ(e.cdf(100.0), 1.0);
-  EXPECT_EQ(e.quantile(0.0), 1.0);
-  EXPECT_EQ(e.quantile(0.5), 2.0);
-  EXPECT_EQ(e.quantile(1.0), 4.0);
-}
-
-TEST(Ecdf, KsDistanceIdenticalAndDisjoint) {
-  Ecdf a({1, 2, 3, 4, 5});
-  Ecdf b({1, 2, 3, 4, 5});
-  EXPECT_NEAR(Ecdf::ks_distance(a, b), 0.0, 1e-12);
-  Ecdf c({10, 11, 12});
-  EXPECT_NEAR(Ecdf::ks_distance(a, c), 1.0, 1e-12);
-}
-
-TEST(Ecdf, KsDistanceDetectsShift) {
-  iba::rng::Xoshiro256pp eng(5);
-  std::vector<double> xs, ys;
-  for (int i = 0; i < 20000; ++i) {
-    xs.push_back(iba::rng::uniform01(eng));
-    ys.push_back(iba::rng::uniform01(eng) + 0.25);
-  }
-  EXPECT_NEAR(Ecdf::ks_distance(Ecdf(xs), Ecdf(ys)), 0.25, 0.02);
-}
-
-TEST(Bootstrap, CiContainsTrueMeanOfConstantSample) {
-  iba::rng::Xoshiro256pp eng(6);
-  const auto ci = bootstrap_mean_ci(eng, {5.0, 5.0, 5.0, 5.0});
-  EXPECT_EQ(ci.point, 5.0);
-  EXPECT_EQ(ci.lo, 5.0);
-  EXPECT_EQ(ci.hi, 5.0);
-}
-
-TEST(Bootstrap, CiWidthShrinksWithSampleSize) {
-  iba::rng::Xoshiro256pp eng(7);
-  std::vector<double> small, large;
-  for (int i = 0; i < 20; ++i) small.push_back(iba::rng::uniform01(eng));
-  for (int i = 0; i < 2000; ++i) large.push_back(iba::rng::uniform01(eng));
-  const auto ci_small = bootstrap_mean_ci(eng, small);
-  const auto ci_large = bootstrap_mean_ci(eng, large);
-  EXPECT_LT(ci_large.half_width(), ci_small.half_width());
-  EXPECT_LE(ci_large.lo, ci_large.point);
-  EXPECT_GE(ci_large.hi, ci_large.point);
-}
-
-TEST(Bootstrap, RejectsBadInput) {
-  iba::rng::Xoshiro256pp eng(8);
-  EXPECT_THROW((void)bootstrap_mean_ci(eng, {}), iba::ContractViolation);
-  EXPECT_THROW((void)bootstrap_mean_ci(eng, {1.0}, 1.5),
-               iba::ContractViolation);
-}
-
-TEST(Autocorrelation, WhiteNoiseNearZero) {
-  iba::rng::Xoshiro256pp eng(9);
-  std::vector<double> xs;
-  for (int i = 0; i < 50000; ++i) xs.push_back(iba::rng::uniform01(eng));
-  EXPECT_NEAR(autocorrelation(xs, 1), 0.0, 0.02);
-  EXPECT_NEAR(autocorrelation(xs, 10), 0.0, 0.02);
-}
-
-TEST(Autocorrelation, PersistentSeriesNearOne) {
-  std::vector<double> xs;
-  for (int i = 0; i < 1000; ++i) xs.push_back(i < 500 ? 0.0 : 1.0);
-  EXPECT_GT(autocorrelation(xs, 1), 0.95);
-}
-
-TEST(Autocorrelation, DegenerateInputs) {
-  EXPECT_EQ(autocorrelation({}, 1), 0.0);
-  EXPECT_EQ(autocorrelation({1.0, 1.0, 1.0}, 1), 0.0);  // zero variance
-  EXPECT_EQ(autocorrelation({1.0, 2.0}, 5), 0.0);       // lag too large
-}
-
-TEST(EffectiveSampleSize, IidKeepsMostSamples) {
-  iba::rng::Xoshiro256pp eng(10);
-  std::vector<double> xs;
-  for (int i = 0; i < 10000; ++i) xs.push_back(iba::rng::uniform01(eng));
-  EXPECT_GT(effective_sample_size(xs), 5000.0);
-}
-
-TEST(EffectiveSampleSize, CorrelatedSeriesShrinks) {
-  iba::rng::Xoshiro256pp eng(11);
-  std::vector<double> xs;
-  double x = 0.0;
-  for (int i = 0; i < 10000; ++i) {
-    x = 0.95 * x + iba::rng::uniform01(eng);  // AR(1), strongly correlated
-    xs.push_back(x);
-  }
-  EXPECT_LT(effective_sample_size(xs), 2000.0);
-}
-
-TEST(MserTruncation, DetectsWarmupRamp) {
-  // 200 rounds of ramp then 1000 rounds of stationary noise: the cut
-  // should land near the end of the ramp.
-  iba::rng::Xoshiro256pp eng(12);
-  std::vector<double> xs;
-  for (int i = 0; i < 200; ++i) xs.push_back(static_cast<double>(i));
-  for (int i = 0; i < 1000; ++i)
-    xs.push_back(200.0 + iba::rng::uniform01(eng));
-  const auto cut = mser_truncation_point(xs);
-  EXPECT_GE(cut, 150u);
-  EXPECT_LE(cut, 400u);
-}
-
-TEST(MserTruncation, StationarySeriesCutsLittle) {
-  iba::rng::Xoshiro256pp eng(13);
-  std::vector<double> xs;
-  for (int i = 0; i < 1000; ++i) xs.push_back(iba::rng::uniform01(eng));
-  EXPECT_LE(mser_truncation_point(xs), 300u);
 }
 
 TEST(WindowsAgree, DetectsStabilization) {

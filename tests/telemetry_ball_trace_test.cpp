@@ -1,23 +1,18 @@
 // Ball-lifecycle span tracing: flow conservation at full sampling,
 // per-span invariants (pool + bin-queue decomposition of the wait, throw
 // accounting), deterministic sampling (same seed ⇒ byte-identical span
-// streams, sequential vs. parallel replication), crash-requeue coverage,
+// streams), crash-requeue coverage,
 // discipline coverage, and registry recording.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <map>
-#include <mutex>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "concurrency/thread_pool.hpp"
 #include "core/capped.hpp"
-#include "rng/seed.hpp"
 #include "rng/xoshiro256.hpp"
 #include "sim/config.hpp"
-#include "sim/replication.hpp"
 #include "sim/runner.hpp"
 #include "telemetry/ball_trace.hpp"
 #include "telemetry/export.hpp"
@@ -397,60 +392,6 @@ TEST(BallTrace, RunnerClearsBurnInSpansAndRecordsRegistry) {
             tracer.completed().size() + tracer.dropped());
   EXPECT_EQ(registry.histogram("span_binq_rounds").count(),
             tracer.completed().size() + tracer.dropped());
-}
-
-TEST(BallTrace, ReplicationSpanStreamsAreThreadCountInvariant) {
-  constexpr std::size_t kReplicas = 4;
-  const std::uint64_t master_seed = 2026;
-
-  // Each replica owns a tracer seeded by its derived seed; the serialized
-  // span stream is captured per replica seed.
-  auto run_with_spans = [](std::map<std::uint64_t, std::string>& streams,
-                           std::mutex& mutex) {
-    return [&streams, &mutex](std::uint64_t seed,
-                              iba::sim::RunTelemetry telemetry) {
-      auto config = small_config(seed);
-      BallTraceConfig trace;
-      trace.seed = seed;
-      trace.sample_rate = 0.1;
-      trace.completed_capacity = 1u << 18;
-      BallTracer tracer(trace);
-      telemetry.ball_trace = &tracer;
-      const auto result = iba::sim::run_capped(
-          config, iba::sim::RunSpec::from_config(config), telemetry);
-      const std::lock_guard lock(mutex);
-      streams[seed] = spans_to_string(tracer.completed());
-      return result;
-    };
-  };
-
-  std::map<std::uint64_t, std::string> seq_streams, par_streams;
-  std::mutex seq_mutex, par_mutex;
-
-  iba::telemetry::Registry sequential;
-  (void)iba::sim::replicate(run_with_spans(seq_streams, seq_mutex), kReplicas,
-                            master_seed, sequential);
-
-  iba::concurrency::ThreadPool pool(4);
-  iba::telemetry::Registry parallel;
-  (void)iba::sim::replicate_parallel(run_with_spans(par_streams, par_mutex),
-                                     kReplicas, master_seed, pool, parallel);
-
-  ASSERT_EQ(seq_streams.size(), kReplicas);
-  ASSERT_EQ(par_streams.size(), kReplicas);
-  for (const auto& [seed, stream] : seq_streams) {
-    ASSERT_TRUE(par_streams.contains(seed));
-    EXPECT_FALSE(stream.empty());
-    EXPECT_EQ(stream, par_streams.at(seed)) << "seed " << seed;
-  }
-
-  // The merged registries — including the span_* aggregates — export to
-  // identical bytes regardless of thread count.
-  std::ostringstream seq_out, par_out;
-  iba::telemetry::write_prometheus(sequential, seq_out);
-  iba::telemetry::write_prometheus(parallel, par_out);
-  EXPECT_EQ(seq_out.str(), par_out.str());
-  EXPECT_NE(seq_out.str().find("spans_completed_total"), std::string::npos);
 }
 
 TEST(BallTrace, ZeroRateTracesNothing) {

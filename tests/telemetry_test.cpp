@@ -152,8 +152,8 @@ TEST(Registry, MergeAdoptsAbsentHistogramsWithTheirShift) {
 }
 
 TEST(Registry, MergeOrderGivesIdenticalExports) {
-  // Simulates the replication path: replica registries merged in replica
-  // order must export identical bytes no matter how they were produced.
+  // Per-thread registries merged in a fixed order must export identical
+  // bytes no matter how they were produced.
   auto make_replica = [](std::uint64_t salt) {
     Registry r;
     r.counter("rounds_total").inc(100 + salt);
