@@ -10,8 +10,6 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "core/capped.hpp"
-#include "scenario/arrival.hpp"
 
 int main(int argc, char** argv) {
   using namespace iba;
@@ -35,36 +33,23 @@ int main(int argc, char** argv) {
   for (const std::uint32_t i : lambda_exponents) {
     for (const std::uint32_t c : capacities) {
       for (const auto model : models) {
-        // The workload as a declarative arrival model (scenario/arrival.hpp)
-        // — the same object the scenario engine builds from a .scn file.
-        const auto arrival = scenario::ArrivalModel::constant(
-            sim::lambda_one_minus_2pow(i), model);
-        arrival.validate(options.n);
-        core::ArrivalModel distribution{};
-        std::uint64_t lambda_n = 0;
-        arrival.apply_to(options.n, distribution, lambda_n);
+        scenario::Scenario scn = bench::make_cell(
+            options, c, bench::paper_lambda_n(options.n, i));
+        scn.arrival.distribution = model;
+        scn.name += " arrivals=" + std::string(core::to_string(model));
+        const auto result = bench::run_cell(options, scn);
 
-        auto sim_config = bench::make_cell(options, c, lambda_n);
-        core::CappedConfig config = sim_config.to_capped();
-        config.arrival = distribution;
-        std::fprintf(stderr, "[cell] %s arrivals=%s ...\n",
-                     sim_config.label().c_str(),
-                     std::string(core::to_string(model)).c_str());
-        core::Capped process(config, core::Engine(options.seed));
-        sim::RunSpec spec = sim::RunSpec::from_config(sim_config);
-        const auto result = sim::run_experiment(process, spec);
-
-        table.add_row({io::Table::format_number(config.lambda()),
+        const double lambda = scn.arrival.lambda;
+        table.add_row({io::Table::format_number(lambda),
                        io::Table::format_number(c),
                        std::string(core::to_string(model)),
-                       io::Table::format_number(
-                           result.normalized_pool.mean()),
+                       io::Table::format_number(result.pool_over_n),
                        io::Table::format_number(result.wait_mean),
                        io::Table::format_number(
                            static_cast<double>(result.wait_max))});
-        csv_rows.push_back({config.lambda(), static_cast<double>(c),
-                            static_cast<double>(model),
-                            result.normalized_pool.mean(), result.wait_mean,
+        csv_rows.push_back({lambda, static_cast<double>(c),
+                            static_cast<double>(model), result.pool_over_n,
+                            result.wait_mean,
                             static_cast<double>(result.wait_max)});
       }
     }

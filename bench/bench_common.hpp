@@ -1,7 +1,9 @@
 // Shared plumbing of the experiment benches: standard CLI flags (--n,
-// --rounds, --seed, --csv-dir, ...), cell execution with the principled
-// burn-in, and combined table + CSV reporting. Every bench prints the
-// paper's series as an aligned table and mirrors it to CSV. Progress and
+// --rounds, --seed, --csv-dir, ...), CAPPED cells compiled into a
+// scenario::Scenario with the principled burn-in and run through
+// scenario::run_scenario, and combined table + CSV reporting. Every
+// bench prints the paper's series as an aligned table and mirrors it to
+// CSV. Progress and
 // warnings go through the structured logger (telemetry/log.hpp), so
 // IBA_LOG_LEVEL / IBA_LOG_FORMAT shape bench output like any other tool.
 #pragma once
@@ -12,22 +14,26 @@
 #include <exception>
 #include <filesystem>
 #include <fstream>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <system_error>
 #include <thread>
 #include <vector>
 
+#include "artifact/artifact.hpp"
+#include "common/assert.hpp"
+#include "core/capped.hpp"
 #include "io/cli.hpp"
 #include "io/csv.hpp"
 #include "io/json.hpp"
 #include "io/sealed.hpp"
 #include "io/table.hpp"
 #include "rng/simd.hpp"
+#include "scenario/progress.hpp"
+#include "scenario/runner.hpp"
 #include "sim/config.hpp"
 #include "sim/runner.hpp"
-#include "telemetry/ball_trace.hpp"
+#include "stats/histogram.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/log.hpp"
 #include "telemetry/registry.hpp"
@@ -43,8 +49,6 @@ struct BenchOptions {
   std::string csv_dir = ".";
   bool write_csv = true;
   std::string telemetry_out;  ///< empty = no metrics snapshot
-  std::string trace_spans;    ///< empty = no span file
-  double trace_sample = 0.0;  ///< 0 = ball tracing off
   bool force = false;         ///< overwrite existing output files
   core::RoundKernel kernel = core::RoundKernel::kBinMajor;
   std::uint32_t shards = 1;   ///< bin ranges run in parallel per round
@@ -55,7 +59,7 @@ inline void add_standard_flags(io::ArgParser& parser) {
   parser.add_flag("n", "number of bins (paper: 32768)", "8192");
   parser.add_flag("rounds", "measured rounds per cell (paper: 1000)", "1000");
   parser.add_flag("seed", "master seed", "2021");
-  parser.add_flag("burnin", "burn-in rounds (0 = auto 5/(1-lambda)+2000)",
+  parser.add_flag("burnin", "burn-in rounds (0 = 5/(1-lambda)+2000)",
                   "0");
   parser.add_flag("csv-dir", "directory for CSV output (created if missing)",
                   "results");
@@ -64,14 +68,6 @@ inline void add_standard_flags(io::ArgParser& parser) {
                   "write a metrics snapshot covering every cell to this path "
                   "(.prom = Prometheus text, .jsonl = JSON lines)",
                   "");
-  parser.add_flag("trace-spans",
-                  "append sampled ball spans (JSON lines) to this file; "
-                  "requires --trace-sample > 0",
-                  "");
-  parser.add_flag("trace-sample",
-                  "fraction of balls to trace through their lifecycle "
-                  "(deterministic in the seed; 0 = off)",
-                  "0");
   parser.add_flag("force", "overwrite existing output files", "false");
   parser.add_flag("kernel",
                   "round hot-path kernel: bin-major or scalar "
@@ -83,20 +79,6 @@ inline void add_standard_flags(io::ArgParser& parser) {
                   "1");
 }
 
-/// Per-process span-tracing sink shared by every run_cell of a bench.
-namespace detail {
-struct TraceSink {
-  std::string path;
-  double sample = 0.0;
-  std::ofstream out;
-  std::uint64_t written = 0;
-};
-inline TraceSink& trace_sink() {
-  static TraceSink sink;
-  return sink;
-}
-}  // namespace detail
-
 /// Refuses to clobber `path` unless --force was given. Thin forward to
 /// the shared io::guard_overwrite (one-line diagnostic, exit 2), kept
 /// under the bench namespace so existing bench call sites read the same.
@@ -105,7 +87,7 @@ inline void guard_overwrite(const std::string& path, bool force,
   io::guard_overwrite(path, force, std::string(flag));
 }
 
-/// Reads the standard flags back (and arms the span sink).
+/// Reads the standard flags back.
 inline BenchOptions read_standard_flags(const io::ArgParser& parser) {
   BenchOptions options;
   try {
@@ -117,8 +99,6 @@ inline BenchOptions read_standard_flags(const io::ArgParser& parser) {
     options.csv_dir = parser.get("csv-dir");
     options.write_csv = parser.get_bool("csv");
     options.telemetry_out = parser.get("telemetry-out");
-    options.trace_spans = parser.get("trace-spans");
-    options.trace_sample = parser.get_double_range("trace-sample", 0.0, 1.0);
     options.force = parser.get_bool("force");
     const std::string kernel_name = parser.get("kernel");
     if (!core::kernel_from_string(kernel_name, options.kernel)) {
@@ -132,11 +112,74 @@ inline BenchOptions read_standard_flags(const io::ArgParser& parser) {
   }
 
   guard_overwrite(options.telemetry_out, options.force, "--telemetry-out");
-  guard_overwrite(options.trace_spans, options.force, "--trace-spans");
-  auto& sink = detail::trace_sink();
-  sink.path = options.trace_spans;
-  sink.sample = options.trace_sample;
   return options;
+}
+
+/// Reads a bench's own unsigned flag, restricted to [lo, hi]. A malformed
+/// or out-of-range value exits 2 with a one-line message naming the flag.
+inline std::uint32_t read_flag(const io::ArgParser& parser,
+                               const std::string& name, std::uint32_t lo,
+                               std::uint32_t hi) {
+  try {
+    return static_cast<std::uint32_t>(parser.get_uint_range(name, lo, hi));
+  } catch (const io::UsageError& e) {
+    io::fail_usage(e.what());
+  }
+}
+
+/// λn for the paper's λ = 1 − 2^(−i) at n bins. A grid cell whose λn
+/// rounds to n would run at λ = 1, not at the rate its row is labelled
+/// with, so that is a usage error (exit 2) naming n and i.
+inline std::uint64_t paper_lambda_n(std::uint32_t n, std::uint32_t i) {
+  const std::uint64_t lambda_n = sim::lambda_n_for(n, i);
+  if (lambda_n >= n) {
+    io::fail_usage("lambda = 1-2^-" + std::to_string(i) +
+                   " rounds to lambda = 1 at n = " + std::to_string(n) +
+                   "; use a larger --n or a smaller i");
+  }
+  return lambda_n;
+}
+
+/// One CAPPED cell under `options`: n bins of capacity `capacity` with
+/// exactly `lambda_n` deterministic arrivals per round, measured for
+/// --rounds rounds after --burnin (default sim::suggested_burn_in(λ)).
+inline scenario::Scenario make_cell(const BenchOptions& options,
+                                    std::uint32_t capacity,
+                                    std::uint64_t lambda_n) {
+  const double lambda =
+      static_cast<double>(lambda_n) / static_cast<double>(options.n);
+  scenario::Scenario scn;
+  char label[96];
+  std::snprintf(label, sizeof(label), "n=%u c=%u lambda=%.6g", options.n,
+                capacity, lambda);
+  scn.name = label;
+  scn.n = options.n;
+  scn.capacity = capacity;
+  scn.arrival = scenario::ArrivalModel::constant(lambda);
+  scn.rounds = options.rounds;
+  scn.burn_in = options.burn_in_override != 0
+                    ? options.burn_in_override
+                    : sim::suggested_burn_in(lambda);
+  scn.seed = options.seed;
+  IBA_EXPECT(scenario::capped_config(scn).lambda_n == lambda_n,
+             "make_cell: the scenario's rate does not quantize back to "
+             "lambda_n");
+  return scn;
+}
+
+/// The engine configuration of a cell, with --kernel and --shards, for
+/// the benches that drive a core::Capped through sim::run_experiment.
+inline core::CappedConfig capped_cell(const BenchOptions& options,
+                                      const scenario::Scenario& scn) {
+  core::CappedConfig config = scenario::capped_config(scn);
+  config.kernel = options.kernel;
+  config.shards = options.shards;
+  return config;
+}
+
+/// The measurement protocol of a cell, for sim::run_experiment.
+inline sim::RunSpec run_spec(const scenario::Scenario& scn) {
+  return {.burn_in = scn.burn_in, .measure_rounds = scn.rounds};
 }
 
 /// The bench-wide metrics registry: every run_cell records into it, and
@@ -146,65 +189,31 @@ inline telemetry::Registry& bench_registry() {
   return registry;
 }
 
-/// Builds the SimConfig for one cell under `options`.
-inline sim::SimConfig make_cell(const BenchOptions& options,
-                                std::uint32_t capacity,
-                                std::uint64_t lambda_n) {
-  sim::SimConfig config;
-  config.n = options.n;
-  config.capacity = capacity;
-  config.lambda_n = lambda_n;
-  config.measure_rounds = options.rounds;
-  config.auto_burn_in = false;  // benches use the principled fixed burn-in
-  config.burn_in = options.burn_in_override != 0
-                       ? options.burn_in_override
-                       : sim::suggested_burn_in(config.lambda());
-  config.seed = options.seed;
-  config.kernel = options.kernel;
-  config.shards = options.shards;
-  return config;
-}
+/// Runs one CAPPED cell through scenario::run_scenario under --kernel and
+/// --shards, records its artifact into bench_registry(), and returns the
+/// observables the benches tabulate.
+inline artifact::Observables run_cell(const BenchOptions& options,
+                                      const scenario::Scenario& scn) {
+  telemetry::log_info("cell_start", {{"cell", scn.name},
+                                     {"burn_in", scn.burn_in},
+                                     {"rounds", scn.rounds}});
+  scenario::RunOptions run_options;
+  run_options.kernel = options.kernel;
+  run_options.shards = options.shards;
+  const artifact::ResultArtifact a =
+      scenario::run_scenario(scn, run_options).artifact;
 
-/// Runs one CAPPED cell, recording it into bench_registry() and — when
-/// --trace-sample is set — tracing sampled balls, appending their spans
-/// to the --trace-spans file.
-inline sim::RunResult run_cell(const sim::SimConfig& config) {
-  telemetry::log_info("cell_start", {{"cell", config.label()},
-                                     {"burn_in", config.burn_in},
-                                     {"rounds", config.measure_rounds}});
-  sim::RunTelemetry telemetry;
-  telemetry.registry = &bench_registry();
-
-  auto& sink = detail::trace_sink();
-  std::optional<telemetry::BallTracer> tracer;
-  if (sink.sample > 0.0) {
-    telemetry::BallTraceConfig trace_config;
-    trace_config.seed = config.seed;
-    trace_config.sample_rate = sink.sample;
-    trace_config.completed_capacity = 1u << 16;
-    tracer.emplace(trace_config);
-    telemetry.ball_trace = &*tracer;
-  }
-
-  const sim::RunResult result = sim::run_capped(
-      config, sim::RunSpec::from_config(config), telemetry);
-
-  if (tracer.has_value() && !sink.path.empty()) {
-    if (!sink.out.is_open()) {
-      sink.out.open(sink.path, std::ios::trunc);
-    }
-    for (const telemetry::BallSpan& span : tracer->completed()) {
-      telemetry::write_span_json(span, sink.out);
-      ++sink.written;
-    }
-    sink.out.flush();
-    telemetry::log_info("spans_written",
-                        {{"cell", config.label()},
-                         {"spans", tracer->completed().size()},
-                         {"dropped", tracer->dropped()},
-                         {"path", sink.path}});
-  }
-  return result;
+  telemetry::Registry& registry = bench_registry();
+  registry.counter("runs_total").inc();
+  registry.counter("rounds_total").inc(a.rounds);
+  registry.gauge("burn_in_rounds").set(static_cast<double>(a.burn_in));
+  registry.counter("balls_deleted_total").inc(a.wait_count);
+  registry.counter("balls_requeued_total").inc(a.requeued_sum);
+  registry.histogram("wait_rounds")
+      .merge_log2(stats::Log2Histogram::from_counts(a.wait_histogram,
+                                                    a.wait_max),
+                  static_cast<double>(a.wait_sum));
+  return artifact::observables(a);
 }
 
 /// Writes the bench-wide registry to options.telemetry_out (no-op when

@@ -31,14 +31,12 @@ Row run_greedy(const iba::bench::BenchOptions& options, std::uint32_t d,
   config.d = d;
   config.lambda_n = lambda_n;
   core::BatchGreedy process(config, core::Engine(options.seed));
-  sim::RunSpec spec;
-  spec.burn_in = burn_in;
-  spec.auto_burn_in = false;
-  spec.measure_rounds = options.rounds;
   std::fprintf(stderr, "[cell] greedy[%u] lambda_n=%llu burn_in=%llu ...\n",
                d, static_cast<unsigned long long>(lambda_n),
                static_cast<unsigned long long>(burn_in));
-  const auto result = sim::run_experiment(process, spec);
+  // GREEDY[d] is not a CAPPED process, so no Scenario describes it.
+  const auto result = sim::run_experiment(
+      process, {.burn_in = burn_in, .measure_rounds = options.rounds});
   return {"GREEDY[" + std::to_string(d) + "]", config.lambda(),
           result.wait_mean, static_cast<double>(result.wait_max),
           result.system_load.mean() / options.n};
@@ -76,18 +74,17 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "[skip] lambda=1-2^-%u needs 2^%u | n\n", i, i);
       continue;
     }
-    const std::uint64_t lambda_n = sim::lambda_n_for(options.n, i);
+    const std::uint64_t lambda_n = bench::paper_lambda_n(options.n, i);
     const double lambda = sim::lambda_one_minus_2pow(i);
     const double slack = 1.0 - lambda;
     const auto greedy_burn = static_cast<std::uint64_t>(
         std::min(2000.0 + 5.0 / (slack * slack), 2e5));
 
     for (std::uint32_t c : {1u, 2u, 3u}) {
-      auto config = bench::make_cell(options, c, lambda_n);
-      const auto result = bench::run_cell(config);
+      const auto result =
+          bench::run_cell(options, bench::make_cell(options, c, lambda_n));
       add({"CAPPED(c=" + std::to_string(c) + ")", lambda, result.wait_mean,
-           static_cast<double>(result.wait_max),
-           result.system_load.mean() / options.n},
+           static_cast<double>(result.wait_max), result.system_load_over_n},
           static_cast<double>(c));
     }
     add(run_greedy(options, 1, lambda_n, greedy_burn), 101);

@@ -34,13 +34,14 @@ int main(int argc, char** argv) {
   for (const std::uint32_t c : capacities) {
     for (const std::uint32_t d : choices) {
       const auto cell =
-          bench::make_cell(options, c, sim::lambda_n_for(options.n, i));
-      std::fprintf(stderr, "[cell] %s d=%u ...\n", cell.label().c_str(), d);
-      core::Capped process(cell.to_capped(), core::Engine(options.seed));
+          bench::make_cell(options, c, bench::paper_lambda_n(options.n, i));
+      std::fprintf(stderr, "[cell] %s d=%u ...\n", cell.name.c_str(), d);
+      // A Scenario has no d-choice sampler, so this runs on run_experiment.
+      core::Capped process(bench::capped_cell(options, cell),
+                           core::Engine(options.seed));
       core::GreedyChoiceSampler greedy(process, d);
       process.set_bin_sampler(&greedy);
-      const auto result =
-          sim::run_experiment(process, sim::RunSpec::from_config(cell));
+      const auto result = sim::run_experiment(process, bench::run_spec(cell));
 
       table.add_row({io::Table::format_number(c),
                      io::Table::format_number(d),

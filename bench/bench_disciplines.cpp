@@ -15,19 +15,21 @@
 
 namespace {
 
+// A Scenario runs the paper's disciplines only, so the ablations run on
+// run_experiment.
 iba::sim::RunResult run_variant(const iba::bench::BenchOptions& options,
-                                const iba::sim::SimConfig& cell,
+                                const iba::scenario::Scenario& cell,
                                 iba::core::DeletionDiscipline deletion,
                                 iba::core::AcceptanceOrder acceptance) {
   using namespace iba;
-  core::CappedConfig config = cell.to_capped();
+  core::CappedConfig config = bench::capped_cell(options, cell);
   config.deletion = deletion;
   config.acceptance = acceptance;
-  std::fprintf(stderr, "[cell] %s del=%s acc=%s ...\n", cell.label().c_str(),
+  std::fprintf(stderr, "[cell] %s del=%s acc=%s ...\n", cell.name.c_str(),
                std::string(core::to_string(deletion)).c_str(),
                std::string(core::to_string(acceptance)).c_str());
   core::Capped process(config, core::Engine(options.seed));
-  return sim::run_experiment(process, sim::RunSpec::from_config(cell));
+  return sim::run_experiment(process, bench::run_spec(cell));
 }
 
 }  // namespace
@@ -43,7 +45,8 @@ int main(int argc, char** argv) {
 
   const std::uint32_t i = 6;  // λ = 1 − 2^−6: enough pressure to separate
   const std::uint32_t c = 3;
-  const auto cell = bench::make_cell(options, c, sim::lambda_n_for(options.n, i));
+  const auto cell =
+      bench::make_cell(options, c, bench::paper_lambda_n(options.n, i));
 
   struct Variant {
     const char* name;
@@ -71,7 +74,7 @@ int main(int argc, char** argv) {
   for (const Variant& variant : variants) {
     // Starvation depth: the worst oldest-pool-age over a fresh window
     // (measures how long the unluckiest *unallocated* ball lingered).
-    core::CappedConfig config = cell.to_capped();
+    core::CappedConfig config = bench::capped_cell(options, cell);
     config.deletion = variant.deletion;
     config.acceptance = variant.acceptance;
     core::Capped probe(config, core::Engine(options.seed + 1));
@@ -79,7 +82,7 @@ int main(int argc, char** argv) {
       (void)probe.step();
     }
     std::uint64_t starve_age = 0;
-    for (std::uint64_t round = 0; round < cell.measure_rounds; ++round) {
+    for (std::uint64_t round = 0; round < cell.rounds; ++round) {
       starve_age = std::max(starve_age, probe.step().oldest_pool_age);
     }
 

@@ -35,16 +35,18 @@ int main(int argc, char** argv) {
 
   for (const auto mode : modes)
   for (const double phi : failure_probs) {
-    auto cell = bench::make_cell(options, c, lambda_n);
-    core::CappedConfig config = cell.to_capped();
+    // A Scenario has no per-round failure probability, and the drift
+    // window below steps the process past the run, so this runs on
+    // run_experiment.
+    const auto cell = bench::make_cell(options, c, lambda_n);
+    core::CappedConfig config = bench::capped_cell(options, cell);
     config.failure_probability = phi;
     config.failure_mode = mode;
     std::fprintf(stderr, "[cell] %s phi=%.2f mode=%s ...\n",
-                 cell.label().c_str(), phi,
+                 cell.name.c_str(), phi,
                  std::string(core::to_string(mode)).c_str());
     core::Capped process(config, core::Engine(options.seed));
-    sim::RunSpec spec = sim::RunSpec::from_config(cell);
-    const auto result = sim::run_experiment(process, spec);
+    const auto result = sim::run_experiment(process, bench::run_spec(cell));
 
     // Measure the residual pool drift over a second window: a stable
     // system has slope ≈ 0; past the boundary it grows ≈ (λ−(1−φ))·n.

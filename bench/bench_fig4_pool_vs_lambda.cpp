@@ -4,6 +4,7 @@
 //
 // Expected shape (paper): the pool grows like ln(1/(1−λ))/c — linear in
 // i with slope ln(2)/c — and stays below the reference curve.
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <string>
@@ -23,7 +24,10 @@ int main(int argc, char** argv) {
   parser.add_flag("imax", "largest i in lambda = 1 - 2^-i", "10");
   if (!parser.parse_or_exit(argc, argv)) return 0;
   const auto options = bench::read_standard_flags(parser);
-  const auto i_max = static_cast<std::uint32_t>(parser.get_uint("imax"));
+  // The slope fit needs two points; λn grows with i, so checking i_max
+  // rejects a grid that reaches λ = 1 before any cell runs.
+  const auto i_max = bench::read_flag(parser, "imax", 2, 63);
+  (void)bench::paper_lambda_n(options.n, i_max);
 
   const std::vector<std::uint32_t> capacities = {1, 3};
 
@@ -41,10 +45,9 @@ int main(int argc, char** argv) {
     std::vector<double> plot_is, plot_pools;
     for (std::uint32_t i = 1; i <= i_max; ++i) {
       const double lambda = sim::lambda_one_minus_2pow(i);
-      const auto config =
-          bench::make_cell(options, c, sim::lambda_n_for(options.n, i));
-      const auto result = bench::run_cell(config);
-      const double measured = result.normalized_pool.mean();
+      const auto cell =
+          bench::make_cell(options, c, bench::paper_lambda_n(options.n, i));
+      const double measured = bench::run_cell(options, cell).pool_over_n;
       const double reference = analysis::fig4_reference(lambda, c);
       table.add_row({io::Table::format_number(i),
                      io::Table::format_number(lambda),
@@ -53,17 +56,18 @@ int main(int argc, char** argv) {
                      io::Table::format_number(reference),
                      measured <= reference ? "yes" : "NO"});
       csv_rows.push_back({static_cast<double>(i), lambda,
-                          static_cast<double>(c), measured,
-                          result.normalized_pool.sem(), reference});
+                          static_cast<double>(c), measured, reference});
       plot_is.push_back(i);
       plot_pools.push_back(measured);
     }
     plot.add_series("c=" + std::to_string(c), plot_is, plot_pools);
 
     // The paper's law pool/n ≈ ln(1/(1−λ))/c + const is linear in i with
-    // slope ln(2)/c; fit the large-i tail and report the match.
-    std::vector<double> tail_is(plot_is.end() - 5, plot_is.end());
-    std::vector<double> tail_pools(plot_pools.end() - 5, plot_pools.end());
+    // slope ln(2)/c; fit the last min(5, imax) points and report the
+    // match.
+    const auto tail = static_cast<std::ptrdiff_t>(std::min(5u, i_max));
+    std::vector<double> tail_is(plot_is.end() - tail, plot_is.end());
+    std::vector<double> tail_pools(plot_pools.end() - tail, plot_pools.end());
     const auto fit = stats::fit_line(tail_is, tail_pools);
     std::printf("slope check c=%u: measured %.4f vs predicted ln(2)/c = "
                 "%.4f (R^2 = %.4f)\n",
@@ -74,7 +78,7 @@ int main(int argc, char** argv) {
   std::printf("\n");
 
   bench::emit(table, options, "fig4_pool_vs_lambda",
-              {"i", "lambda", "c", "pool_over_n", "sem", "reference"},
+              {"i", "lambda", "c", "pool_over_n", "reference"},
               csv_rows);
   return 0;
 }

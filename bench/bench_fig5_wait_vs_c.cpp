@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
   parser.add_flag("cmax", "largest capacity to sweep", "5");
   if (!parser.parse_or_exit(argc, argv)) return 0;
   const auto options = bench::read_standard_flags(parser);
-  const auto c_max = static_cast<std::uint32_t>(parser.get_uint("cmax"));
+  const auto c_max = bench::read_flag(parser, "cmax", 1, 65535);
 
   const std::vector<std::uint32_t> lambda_exponents = {2, 10, 13};
 
@@ -47,10 +47,10 @@ int main(int argc, char** argv) {
       continue;
     }
     const double lambda = sim::lambda_one_minus_2pow(i);
+    const std::uint64_t lambda_n = bench::paper_lambda_n(options.n, i);
     for (std::uint32_t c = 1; c <= c_max; ++c) {
-      const auto config =
-          bench::make_cell(options, c, sim::lambda_n_for(options.n, i));
-      const auto result = bench::run_cell(config);
+      const auto result =
+          bench::run_cell(options, bench::make_cell(options, c, lambda_n));
       const double reference =
           analysis::fig5_reference(options.n, lambda, c);
       const auto wait_max = static_cast<double>(result.wait_max);
@@ -61,7 +61,8 @@ int main(int argc, char** argv) {
                      io::Table::format_number(reference),
                      wait_max <= reference ? "yes" : "NO"});
       csv_rows.push_back({static_cast<double>(c), lambda, result.wait_mean,
-                          wait_max, result.wait_p99_upper, reference});
+                          wait_max, static_cast<double>(result.wait_p99),
+                          reference});
       plot_cs.push_back(c);
       plot_waits.push_back(result.wait_mean);
     }

@@ -26,7 +26,6 @@
 #include "bench_common.hpp"
 #include "core/bin_samplers.hpp"
 #include "core/capped.hpp"
-#include "sim/runner.hpp"
 
 namespace {
 
@@ -107,25 +106,21 @@ int main(int argc, char** argv) {
 
   for (Scenario& scenario : scenarios) {
     std::fprintf(stderr, "[cell] %s ...\n", scenario.name.c_str());
-    core::CappedConfig config;
-    config.n = n;
-    config.capacity = *std::max_element(scenario.capacities.begin(),
-                                        scenario.capacities.end());
-    config.lambda_n = lambda_n;
-    config.kernel = options.kernel;
-    config.shards = options.shards;
-    core::Capped process(config, core::Engine(options.seed));
+    // A Scenario has one capacity for every bin, so this runs on
+    // run_experiment.
+    const auto cell = bench::make_cell(
+        options,
+        *std::max_element(scenario.capacities.begin(),
+                          scenario.capacities.end()),
+        lambda_n);
+    core::Capped process(bench::capped_cell(options, cell),
+                         core::Engine(options.seed));
     process.set_bin_capacities(scenario.capacities);
     std::optional<core::WeightedBinSampler> routing;
     if (!scenario.weights.empty()) {
       process.set_bin_sampler(&routing.emplace(n, scenario.weights));
     }
-    sim::RunSpec spec;
-    spec.burn_in = sim::suggested_burn_in(
-        static_cast<double>(lambda_n) / static_cast<double>(n));
-    spec.auto_burn_in = false;
-    spec.measure_rounds = options.rounds;
-    const auto result = sim::run_experiment(process, spec);
+    const auto result = sim::run_experiment(process, bench::run_spec(cell));
 
     const double budget =
         static_cast<double>(scenario.total_capacity()) / n;

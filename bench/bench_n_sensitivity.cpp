@@ -20,12 +20,15 @@ int main(int argc, char** argv) {
   parser.add_flag("c", "capacity", "2");
   if (!parser.parse_or_exit(argc, argv)) return 0;
   auto options = bench::read_standard_flags(parser);
-  const auto i = static_cast<std::uint32_t>(parser.get_uint("i"));
-  const auto c = static_cast<std::uint32_t>(parser.get_uint("c"));
+  const auto i = bench::read_flag(parser, "i", 1, 63);
+  const auto c = bench::read_flag(parser, "c", 1, 65535);
   const double lambda = sim::lambda_one_minus_2pow(i);
 
   const std::vector<std::uint32_t> sizes = {1u << 10, 1u << 11, 1u << 12,
                                             1u << 13, 1u << 14, 1u << 15};
+  // λn/n grows with n, so checking the smallest n rejects a grid that
+  // reaches λ = 1 before any cell runs.
+  (void)bench::paper_lambda_n(sizes.front(), i);
 
   io::Table table({"n", "pool/n", "wait_avg", "wait_max",
                    "wait_max - loglog n"});
@@ -34,12 +37,11 @@ int main(int argc, char** argv) {
 
   for (const std::uint32_t n : sizes) {
     options.n = n;
-    const auto config =
-        bench::make_cell(options, c, sim::lambda_n_for(n, i));
-    const auto result = bench::run_cell(config);
+    const auto result = bench::run_cell(
+        options, bench::make_cell(options, c, bench::paper_lambda_n(n, i)));
     const double loglog = analysis::log_log_n(n);
     table.add_row({io::Table::format_number(n),
-                   io::Table::format_number(result.normalized_pool.mean()),
+                   io::Table::format_number(result.pool_over_n),
                    io::Table::format_number(result.wait_mean),
                    io::Table::format_number(
                        static_cast<double>(result.wait_max)),
@@ -47,7 +49,7 @@ int main(int argc, char** argv) {
                        static_cast<double>(result.wait_max) - loglog)});
     csv_rows.push_back({static_cast<double>(n), lambda,
                         static_cast<double>(c),
-                        result.normalized_pool.mean(), result.wait_mean,
+                        result.pool_over_n, result.wait_mean,
                         static_cast<double>(result.wait_max), loglog});
   }
 

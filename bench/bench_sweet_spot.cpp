@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
   parser.add_flag("cmax", "largest capacity to sweep", "10");
   if (!parser.parse_or_exit(argc, argv)) return 0;
   const auto options = bench::read_standard_flags(parser);
-  const auto c_max = static_cast<std::uint32_t>(parser.get_uint("cmax"));
+  const auto c_max = bench::read_flag(parser, "cmax", 1, 65535);
 
   const std::vector<std::uint32_t> lambda_exponents = {4, 7, 10};
 
@@ -40,10 +40,10 @@ int main(int argc, char** argv) {
     const double lambda = sim::lambda_one_minus_2pow(i);
     double best_avg = 0, best_avg_wait = 0, wait_at_c1 = 0;
     double best_max = 0, best_max_wait = 0;
+    const std::uint64_t lambda_n = bench::paper_lambda_n(options.n, i);
     for (std::uint32_t c = 1; c <= c_max; ++c) {
-      const auto config =
-          bench::make_cell(options, c, sim::lambda_n_for(options.n, i));
-      const auto result = bench::run_cell(config);
+      const auto result =
+          bench::run_cell(options, bench::make_cell(options, c, lambda_n));
       const auto wait_max = static_cast<double>(result.wait_max);
       if (c == 1) wait_at_c1 = result.wait_mean;
       if (c == 1 || result.wait_mean < best_avg_wait) {

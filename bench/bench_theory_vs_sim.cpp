@@ -35,9 +35,9 @@ int main(int argc, char** argv) {
     }
     const double lambda = sim::lambda_one_minus_2pow(i);
     for (const std::uint32_t c : capacities) {
-      const auto config =
-          bench::make_cell(options, c, sim::lambda_n_for(options.n, i));
-      const auto result = bench::run_cell(config);
+      const auto result = bench::run_cell(
+          options,
+          bench::make_cell(options, c, bench::paper_lambda_n(options.n, i)));
 
       // Theorem 1 for c = 1 (sharper constants), Theorem 2 otherwise.
       const double pool_bound =
@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
           c == 1 ? analysis::wait_bound_thm1(options.n, lambda)
                  : analysis::wait_bound_thm2(options.n, lambda, c);
 
-      const double pool_max = result.pool.max();
+      const auto pool_max = static_cast<double>(result.pool_max);
       const auto wait_max = static_cast<double>(result.wait_max);
       const double pool_slack = pool_max > 0 ? pool_bound / pool_max : 0.0;
       const double wait_slack = wait_max > 0 ? wait_bound / wait_max : 0.0;

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "core/capped.hpp"
 #include "telemetry/ball_trace.hpp"
 
 namespace {
@@ -73,17 +74,26 @@ int main(int argc, char** argv) {
                        "pool-time vs bin-queue-time split of the wait, "
                        "per capacity c");
   bench::add_standard_flags(parser);
+  // The default traces enough balls for a stable p99 without holding
+  // every ball of the run.
+  parser.add_flag("trace-sample",
+                  "fraction of balls to trace through their lifecycle "
+                  "(deterministic in the seed)",
+                  "0.01");
   if (!parser.parse_or_exit(argc, argv)) return 0;
   const auto options = bench::read_standard_flags(parser);
+  double sample_rate = 0.0;
+  try {
+    sample_rate =
+        parser.get_double_range("trace-sample", 0.0, 1.0, true, false);
+  } catch (const io::UsageError& e) {
+    io::fail_usage(e.what());
+  }
 
   const std::uint64_t lambda_n =
       static_cast<std::uint64_t>(options.n) - (options.n >> 6);  // 1−2^−6
   const double lambda =
       static_cast<double>(lambda_n) / static_cast<double>(options.n);
-  // --trace-sample overrides; the default traces enough balls for a
-  // stable p99 without holding every ball of the run.
-  const double sample_rate =
-      options.trace_sample > 0.0 ? options.trace_sample : 0.01;
 
   io::Table table({"c", "spans", "wait mean", "wait p99", "pool mean",
                    "pool p99", "binq mean", "binq p99", "pool share"});
@@ -91,28 +101,30 @@ int main(int argc, char** argv) {
   std::vector<std::vector<double>> csv_rows;
 
   for (std::uint32_t c = 1; c <= 6; ++c) {
-    const sim::SimConfig config = bench::make_cell(options, c, lambda_n);
-    telemetry::log_info("cell_start", {{"cell", config.label()},
-                                       {"burn_in", config.burn_in},
-                                       {"rounds", config.measure_rounds},
+    const auto cell = bench::make_cell(options, c, lambda_n);
+    telemetry::log_info("cell_start", {{"cell", cell.name},
+                                       {"burn_in", cell.burn_in},
+                                       {"rounds", cell.rounds},
                                        {"sample_rate", sample_rate}});
 
     telemetry::BallTraceConfig trace_config;
-    trace_config.seed = config.seed;
+    trace_config.seed = cell.seed;
     trace_config.sample_rate = sample_rate;
     trace_config.completed_capacity = 1u << 20;
     telemetry::BallTracer tracer(trace_config);
 
-    sim::RunTelemetry telemetry;
-    telemetry.registry = &bench::bench_registry();
-    telemetry.ball_trace = &tracer;
-    (void)sim::run_capped(config, sim::RunSpec::from_config(config),
-                          telemetry);
+    // Ball tracing attaches to a core::Capped, not to a Scenario, so this
+    // runs on run_experiment.
+    core::Capped process(bench::capped_cell(options, cell),
+                         core::Engine(cell.seed));
+    (void)sim::run_experiment(
+        process, bench::run_spec(cell),
+        {.registry = &bench::bench_registry(), .ball_trace = &tracer});
 
     const Decomposition d = decompose(tracer.completed());
     if (tracer.dropped() > 0) {
       telemetry::log_warn("spans_dropped",
-                          {{"cell", config.label()},
+                          {{"cell", cell.name},
                            {"dropped", tracer.dropped()},
                            {"hint", "raise completed_capacity or lower "
                                     "--trace-sample"}});

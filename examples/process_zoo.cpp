@@ -20,6 +20,7 @@
 #include "core/threshold.hpp"
 #include "io/cli.hpp"
 #include "io/table.hpp"
+#include "sim/config.hpp"
 #include "sim/runner.hpp"
 
 namespace {
@@ -29,7 +30,6 @@ using namespace iba;
 sim::RunSpec shared_spec(double lambda) {
   sim::RunSpec spec;
   spec.burn_in = sim::suggested_burn_in(lambda);
-  spec.auto_burn_in = false;
   spec.measure_rounds = 600;
   return spec;
 }

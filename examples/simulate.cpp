@@ -123,7 +123,6 @@ sim::RunResult run_with_trace(P& process, const sim::RunSpec& spec,
     result.wait_mean = wait_sum / static_cast<double>(result.deletions);
   }
   if constexpr (requires { process.waits(); }) {
-    result.wait_stddev = process.waits().stddev();
     result.wait_p99_upper =
         static_cast<double>(process.waits().quantile_upper_bound(0.99));
   }
@@ -320,7 +319,7 @@ void check_resume_flags(const io::ArgParser& parser,
 /// The CAPPED front end: compiles the flags (or the --resume checkpoint)
 /// into a scenario, runs it, and prints the artifact's fields. Returns
 /// the process exit code.
-int run_capped_cli(const io::ArgParser& parser) {
+int capped_cli(const io::ArgParser& parser) {
   if (!parser.get("trace-csv").empty()) {
     throw io::UsageError(
         "simulate: --trace-csv is not available for --process capped; "
@@ -376,18 +375,14 @@ int run_capped_cli(const io::ArgParser& parser) {
   const std::uint64_t rounds_run =
       resume.empty() ? scn.burn_in + scn.rounds : scn.rounds;
   const artifact::ResultArtifact& a = outcome.artifact;
-  const double pool_mean =
-      static_cast<double>(a.pool_sum) / static_cast<double>(a.rounds);
+  const artifact::Observables o = artifact::observables(a);
   const Report result{
       .burn_in = a.burn_in, .measured_rounds = a.rounds,
-      .wait_max = a.wait_max, .deletions = a.wait_count,
-      .pool_mean = pool_mean,
-      .pool_over_n = pool_mean / static_cast<double>(a.n),
-      .pool_max = static_cast<double>(a.pool_max),
-      .wait_mean = a.wait_count == 0 ? 0.0
-                                     : static_cast<double>(a.wait_sum) /
-                                           static_cast<double>(a.wait_count),
-      .wait_p99_upper = static_cast<double>(a.wait_p99),
+      .wait_max = o.wait_max, .deletions = o.deletions,
+      .pool_mean = o.pool_mean, .pool_over_n = o.pool_over_n,
+      .pool_max = static_cast<double>(o.pool_max),
+      .wait_mean = o.wait_mean,
+      .wait_p99_upper = static_cast<double>(o.wait_p99),
       .max_load_peak = static_cast<double>(a.max_load_peak),
       .rounds_per_second = rounds_per_second(rounds_run, start)};
   report("CAPPED", a.n, scn.arrival.lambda, result, parser.get_bool("json"));
@@ -436,7 +431,7 @@ int main(int argc, char** argv) {
   parser.add_flag("lambda", "arrival rate in (0, 1); lambda*n integral",
                   "0.9375");
   parser.add_flag("rounds", "measured rounds", "1000");
-  parser.add_flag("burnin", "burn-in rounds (0 = auto)", "0");
+  parser.add_flag("burnin", "burn-in rounds (0 = 5/(1-lambda)+2000)", "0");
   parser.add_flag("seed", "random seed", "1");
   parser.add_flag("arrival", "deterministic | binomial | poisson",
                   "deterministic");
@@ -518,13 +513,12 @@ int main(int argc, char** argv) {
     spec.burn_in = parser.provided("burnin") && parser.get_uint("burnin") > 0
                        ? parser.get_uint("burnin")
                        : sim::suggested_burn_in(lambda);
-    spec.auto_burn_in = false;
 
     const auto seed = parser.get_uint("seed");
     const auto lambda_n = core::CappedConfig::from_rate(n, lambda, 1).lambda_n;
 
     if (process_name == "capped") {
-      return run_capped_cli(parser);
+      return capped_cli(parser);
     } else if (process_name == "modcapped") {
       core::ModCappedConfig config;
       config.n = n;

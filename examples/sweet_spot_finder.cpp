@@ -10,10 +10,13 @@
 #include <vector>
 
 #include "analysis/bounds.hpp"
+#include "artifact/artifact.hpp"
+#include "core/capped.hpp"
 #include "io/cli.hpp"
 #include "io/table.hpp"
+#include "scenario/runner.hpp"
+#include "scenario/scenario.hpp"
 #include "sim/config.hpp"
-#include "sim/runner.hpp"
 
 int main(int argc, char** argv) {
   using namespace iba;
@@ -38,17 +41,17 @@ int main(int argc, char** argv) {
   double best_wait = 0;
   for (std::uint32_t c = 1; c <= c_max; ++c) {
     // from_rate validates that lambda*n is integral.
-    const auto capped = core::CappedConfig::from_rate(n, lambda, c);
-    sim::SimConfig config;
-    config.n = n;
-    config.capacity = c;
-    config.lambda_n = capped.lambda_n;
-    config.burn_in = sim::suggested_burn_in(lambda);
-    config.auto_burn_in = false;
-    config.measure_rounds = parser.get_uint("rounds");
-    config.seed = parser.get_uint("seed");
+    (void)core::CappedConfig::from_rate(n, lambda, c);
+    scenario::Scenario scn;
+    scn.n = n;
+    scn.capacity = c;
+    scn.arrival = scenario::ArrivalModel::constant(lambda);
+    scn.burn_in = sim::suggested_burn_in(lambda);
+    scn.rounds = parser.get_uint("rounds");
+    scn.seed = parser.get_uint("seed");
 
-    const auto result = sim::run_capped(config);
+    const artifact::Observables result =
+        artifact::observables(scenario::run_scenario(scn).artifact);
     if (c == 1 || result.wait_mean < best_wait) {
       best_wait = result.wait_mean;
       best_c = c;
@@ -57,7 +60,7 @@ int main(int argc, char** argv) {
                    io::Table::format_number(result.wait_mean),
                    io::Table::format_number(
                        static_cast<double>(result.wait_max)),
-                   io::Table::format_number(result.normalized_pool.mean()),
+                   io::Table::format_number(result.pool_over_n),
                    io::Table::format_number(
                        analysis::wait_bound_thm2(n, lambda, c))});
   }

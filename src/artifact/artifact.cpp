@@ -13,6 +13,25 @@ constexpr const char* kContext = "artifact";
 
 }  // namespace
 
+Observables observables(const ResultArtifact& a) {
+  const auto rounds = static_cast<double>(a.rounds);
+  const auto n = static_cast<double>(a.n);
+  Observables o;
+  o.pool_mean = static_cast<double>(a.pool_sum) / rounds;
+  o.pool_over_n = o.pool_mean / n;
+  o.system_load_over_n =
+      static_cast<double>(a.pool_sum + a.load_sum) / rounds / n;
+  if (a.wait_count > 0) {
+    o.wait_mean =
+        static_cast<double>(a.wait_sum) / static_cast<double>(a.wait_count);
+  }
+  o.wait_max = a.wait_max;
+  o.wait_p99 = a.wait_p99;
+  o.pool_max = a.pool_max;
+  o.deletions = a.wait_count;
+  return o;
+}
+
 std::string render_artifact(const ResultArtifact& artifact) {
   std::ostringstream out;
   out << "scenario = " << artifact.scenario_name << '\n';

@@ -104,6 +104,22 @@ struct ResultArtifact {
   }
 };
 
+/// The paper's Section V observables of a finished run, derived from the
+/// artifact's exact integers — what the CAPPED benches tabulate and what
+/// `simulate --process capped` reports.
+struct Observables {
+  double pool_mean = 0.0;           ///< Σ pool / measured rounds
+  double pool_over_n = 0.0;         ///< the y-axis of Figure 4
+  double system_load_over_n = 0.0;  ///< mean (pool + in-bin balls) / n
+  double wait_mean = 0.0;           ///< over the measured deletions
+  std::uint64_t wait_max = 0;
+  std::uint64_t wait_p99 = 0;  ///< dyadic upper bound
+  std::uint64_t pool_max = 0;
+  std::uint64_t deletions = 0;
+};
+
+[[nodiscard]] Observables observables(const ResultArtifact& artifact);
+
 /// The full canonical file content: `iba-artifact <version>` header,
 /// fixed-order body, and a trailing `crc32 = <8 hex>` line over
 /// everything before it. This is the exact byte sequence written to

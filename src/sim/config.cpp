@@ -1,39 +1,11 @@
 #include "sim/config.hpp"
 
+#include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 #include "common/assert.hpp"
 
 namespace iba::sim {
-
-core::CappedConfig SimConfig::to_capped() const {
-  validate();
-  core::CappedConfig config;
-  config.n = n;
-  config.capacity = capacity;
-  config.lambda_n = lambda_n;
-  config.kernel = kernel;
-  config.shards = shards;
-  return config;
-}
-
-void SimConfig::validate() const {
-  IBA_EXPECT(n > 0, "SimConfig: n must be positive");
-  IBA_EXPECT(capacity > 0, "SimConfig: capacity must be positive");
-  IBA_EXPECT(lambda_n <= n, "SimConfig: lambda must be at most 1");
-  IBA_EXPECT(measure_rounds > 0, "SimConfig: measure_rounds must be positive");
-  IBA_EXPECT(shards >= 1, "SimConfig: shards must be at least 1");
-  IBA_EXPECT(shards == 1 || kernel == core::RoundKernel::kBinMajor,
-             "SimConfig: sharding requires the bin-major kernel");
-}
-
-std::string SimConfig::label() const {
-  char buf[96];
-  std::snprintf(buf, sizeof(buf), "n=%u c=%u lambda=%.6g", n, capacity,
-                lambda());
-  return buf;
-}
 
 double lambda_one_minus_2pow(std::uint32_t i) {
   return 1.0 - std::pow(2.0, -static_cast<double>(i));

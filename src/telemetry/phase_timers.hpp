@@ -1,10 +1,10 @@
 // Scoped phase timers: where does a round's time go?
 //
 // PhaseTimers accumulates nanoseconds and ball counts per simulation
-// phase (throw / accept / delete inside a step, burn-in / measure around
-// it), so a run can report per-phase ns-per-ball. ScopedPhaseTimer is the
-// RAII instrument; constructed with a null sink it reads no clock at all,
-// and with IBA_TELEMETRY_ENABLED=0 it compiles away entirely.
+// phase (throw / accept / delete inside a step), so a run can report
+// per-phase ns-per-ball. ScopedPhaseTimer is the RAII instrument;
+// constructed with a null sink it reads no clock at all, and with
+// IBA_TELEMETRY_ENABLED=0 it compiles away entirely.
 #pragma once
 
 #include <array>
@@ -20,15 +20,12 @@ enum class Phase : std::uint8_t {
   kThrow = 0,   ///< sampling one bin per pool ball
   kAccept,      ///< bins accepting into their buffers
   kDelete,      ///< end-of-round service (one ball per non-empty bin)
-  kBurnIn,      ///< whole rounds before the measurement window
-  kMeasure,     ///< whole rounds inside the measurement window
 };
 
-inline constexpr std::size_t kPhaseCount = 5;
+inline constexpr std::size_t kPhaseCount = 3;
 
 [[nodiscard]] constexpr const char* phase_name(Phase phase) noexcept {
-  constexpr const char* kNames[kPhaseCount] = {"throw", "accept", "delete",
-                                               "burn_in", "measure"};
+  constexpr const char* kNames[kPhaseCount] = {"throw", "accept", "delete"};
   return kNames[static_cast<std::size_t>(phase)];
 }
 

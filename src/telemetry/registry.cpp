@@ -40,25 +40,6 @@ DyadicHistogram& Registry::histogram(std::string_view name,
       .first->second;
 }
 
-void Registry::merge(const Registry& other) {
-  for (const auto& [name, c] : other.counters_) counter(name).merge(c);
-  for (const auto& [name, g] : other.gauges_) gauge(name).merge(g);
-  for (const auto& [name, h] : other.histograms_) {
-    auto it = histograms_.find(name);
-    if (it == histograms_.end()) {
-      histograms_.emplace(name, h);  // adopt contents and layout
-      continue;
-    }
-    IBA_EXPECT(it->second.layout_compatible(h),
-               "Registry::merge: histogram '" + name +
-                   "' bucket layouts differ (dyadic shift " +
-                   std::to_string(it->second.shift()) + " vs " +
-                   std::to_string(h.shift()) +
-                   "); merging would misalign buckets");
-    it->second.merge(h);
-  }
-}
-
 #else  // IBA_TELEMETRY_ENABLED == 0: hand out shared dummies, store nothing.
 
 namespace {
@@ -75,7 +56,6 @@ DyadicHistogram& Registry::histogram(std::string_view) {
 DyadicHistogram& Registry::histogram(std::string_view, std::uint32_t) {
   return g_null_histogram;
 }
-void Registry::merge(const Registry&) {}
 
 #endif
 

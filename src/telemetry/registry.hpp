@@ -3,16 +3,8 @@
 // A Registry hands out stable references to its instruments, so hot loops
 // resolve a name once and then pay one integer add per event. Instruments
 // live in name-ordered maps, which makes iteration — and therefore every
-// exporter and merge — deterministic. With IBA_TELEMETRY_ENABLED=0 the
-// registry stores nothing and every mutation compiles to a no-op.
-//
-// Merge semantics (used to combine per-thread registries):
-//   counters    — sum
-//   gauges      — elementwise max (a merged gauge reads as the peak)
-//   histograms  — bucketwise sum; sum/max combine exactly
-// Merging is commutative for counters/gauges/histogram buckets, but
-// floating-point sums are not associative: callers that need identical
-// exported bytes regardless of thread count merge in a fixed order.
+// exporter — deterministic. With IBA_TELEMETRY_ENABLED=0 the registry
+// stores nothing and every mutation compiles to a no-op.
 #pragma once
 
 #include <cstdint>
@@ -38,8 +30,6 @@ class Counter {
   }
   [[nodiscard]] std::uint64_t value() const noexcept { return value_; }
 
-  void merge(const Counter& other) noexcept { value_ += other.value_; }
-
  private:
   std::uint64_t value_ = 0;
 };
@@ -59,14 +49,6 @@ class Gauge {
   [[nodiscard]] double value() const noexcept { return value_; }
   [[nodiscard]] double max() const noexcept { return max_; }
 
-  /// Merged gauges read as the elementwise max across inputs.
-  void merge(const Gauge& other) noexcept {
-    if (!other.set_) return;
-    if (!set_ || other.value_ > value_) value_ = other.value_;
-    if (!set_ || other.max_ > max_) max_ = other.max_;
-    set_ = true;
-  }
-
  private:
   double value_ = 0.0;
   double max_ = 0.0;
@@ -84,8 +66,7 @@ class Gauge {
 /// recorded with shift = 10 buckets at ~µs resolution without growing
 /// past 64 buckets. Two histograms with different shifts place the same
 /// value in different buckets, so merging them would silently misalign —
-/// merge() therefore requires identical shifts (see Registry::merge for
-/// the named-metric error).
+/// merge() therefore requires identical shifts.
 class DyadicHistogram {
  public:
   DyadicHistogram() noexcept = default;
@@ -163,8 +144,8 @@ class DyadicHistogram {
 
 /// Named instrument store. counter()/gauge()/histogram() create on first
 /// use and return references that stay valid for the registry's lifetime
-/// (node-based maps). Not thread-safe; see concurrency notes in
-/// docs/TELEMETRY.md and SharedRegistry for cross-thread merging.
+/// (node-based maps). Not thread-safe; SharedRegistry wraps one for
+/// cross-thread recording.
 class Registry {
  public:
   Counter& counter(std::string_view name);
@@ -191,13 +172,6 @@ class Registry {
   [[nodiscard]] bool empty() const noexcept {
     return counters_.empty() && gauges_.empty() && histograms_.empty();
   }
-
-  /// Folds `other` in under the semantics documented above. Instruments
-  /// present only in `other` are created here (histograms keep their
-  /// dyadic shift). Throws ContractViolation — naming the metric — when
-  /// a histogram exists on both sides with different bucket layouts,
-  /// instead of silently misaligning the counts.
-  void merge(const Registry& other);
 
   void clear() noexcept;
 

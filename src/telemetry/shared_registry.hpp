@@ -1,9 +1,5 @@
-// Mutex-guarded registry wrapper for cross-thread aggregation: worker
-// threads merge their private registries (or record directly inside
-// with()), readers take consistent snapshots. Note that concurrent merges
-// arrive in scheduling order — callers needing byte-reproducible exports
-// across thread counts should instead keep one Registry per worker and
-// merge them in a fixed order after joining.
+// Mutex-guarded registry wrapper for cross-thread aggregation: writer
+// threads record inside with(), readers take consistent snapshots.
 #pragma once
 
 #include <mutex>
@@ -15,12 +11,6 @@ namespace iba::telemetry {
 
 class SharedRegistry {
  public:
-  /// Thread-safe merge of a privately built registry.
-  void merge(const Registry& other) {
-    const std::lock_guard lock(mutex_);
-    registry_.merge(other);
-  }
-
   /// Runs `fn(Registry&)` under the lock for direct recording.
   template <typename Fn>
   auto with(Fn&& fn) {

@@ -165,7 +165,6 @@ TYPED_TEST(ProcessContract, WorksWithGenericRunner) {
   auto process = TypeParam::make();
   sim::RunSpec spec;
   spec.burn_in = 40;
-  spec.auto_burn_in = false;
   spec.measure_rounds = 60;
   const auto result = sim::run_experiment(process, spec);
   EXPECT_EQ(result.measured_rounds, 60u);

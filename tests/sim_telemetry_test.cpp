@@ -1,15 +1,16 @@
 // End-to-end telemetry wiring: run_experiment populating a registry with
 // conserved flow counters and byte-identical exports for the same seed,
-// the round trace capturing measured rounds, and phase timers splitting
-// real step time.
+// and phase timers attached to a Capped splitting real step time.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <sstream>
 
 #include "core/capped.hpp"
 #include "sim/runner.hpp"
 #include "telemetry/export.hpp"
+#include "telemetry/phase_timers.hpp"
 
 namespace {
 
@@ -17,27 +18,23 @@ using namespace iba;
 
 #if IBA_TELEMETRY_ENABLED
 
-sim::SimConfig small_config(std::uint64_t seed) {
-  sim::SimConfig config;
+core::CappedConfig small_config() {
+  core::CappedConfig config;
   config.n = 256;
   config.capacity = 2;
   config.lambda_n = 224;  // λ = 7/8
-  config.burn_in = 200;
-  config.auto_burn_in = false;
-  config.measure_rounds = 300;
-  config.seed = seed;
   return config;
 }
 
-TEST(SimTelemetry, RegistryCountersMatchRunResult) {
-  const auto config = small_config(11);
-  telemetry::Registry registry;
-  sim::RunTelemetry hooks;
-  hooks.registry = &registry;
-  const auto result =
-      sim::run_capped(config, sim::RunSpec::from_config(config), hooks);
+constexpr sim::RunSpec kSpec{.burn_in = 200, .measure_rounds = 300};
 
-  EXPECT_EQ(registry.counter("rounds_total").value(), config.measure_rounds);
+TEST(SimTelemetry, RegistryCountersMatchRunResult) {
+  core::Capped process(small_config(), core::Engine(11));
+  telemetry::Registry registry;
+  const auto result =
+      sim::run_experiment(process, kSpec, {.registry = &registry});
+
+  EXPECT_EQ(registry.counter("rounds_total").value(), kSpec.measure_rounds);
   EXPECT_EQ(registry.counter("runs_total").value(), 1u);
   EXPECT_EQ(registry.counter("balls_deleted_total").value(),
             result.deletions);
@@ -55,13 +52,11 @@ TEST(SimTelemetry, RegistryCountersMatchRunResult) {
 }
 
 TEST(SimTelemetry, SameSeedSameRegistryBytes) {
-  const auto config = small_config(42);
   std::string exports[2];
   for (auto& text : exports) {
+    core::Capped process(small_config(), core::Engine(42));
     telemetry::Registry registry;
-    sim::RunTelemetry hooks;
-    hooks.registry = &registry;
-    (void)sim::run_capped(config, sim::RunSpec::from_config(config), hooks);
+    (void)sim::run_experiment(process, kSpec, {.registry = &registry});
     std::ostringstream out;
     telemetry::write_prometheus(registry, out);
     text = out.str();
@@ -70,56 +65,32 @@ TEST(SimTelemetry, SameSeedSameRegistryBytes) {
   EXPECT_EQ(exports[0], exports[1]);
 }
 
-TEST(SimTelemetry, RoundTraceCapturesMeasuredRounds) {
-  const auto config = small_config(7);
-  telemetry::RoundTrace trace(1u << 10);  // larger than measure_rounds
-  sim::RunTelemetry hooks;
-  hooks.trace = &trace;
-  (void)sim::run_capped(config, sim::RunSpec::from_config(config), hooks);
-
-  EXPECT_EQ(trace.size(), config.measure_rounds);
-  EXPECT_EQ(trace.dropped(), 0u);
-  telemetry::RoundEvent event;
-  ASSERT_TRUE(trace.try_pop(event));
-  // First traced round follows the burn-in.
-  EXPECT_EQ(event.metrics.round, config.burn_in + 1);
-  EXPECT_GT(event.step_ns, 0u);
-}
-
-TEST(SimTelemetry, RoundTraceDropsInsteadOfGrowing) {
-  const auto config = small_config(7);
-  telemetry::RoundTrace trace(64);  // much smaller than measure_rounds
-  sim::RunTelemetry hooks;
-  hooks.trace = &trace;
-  (void)sim::run_capped(config, sim::RunSpec::from_config(config), hooks);
-  EXPECT_LE(trace.size(), trace.capacity());
-  EXPECT_EQ(trace.size() + trace.dropped(), config.measure_rounds);
-}
-
 TEST(SimTelemetry, PhaseTimersSplitStepTime) {
-  const auto config = small_config(3);
+  core::Capped process(small_config(), core::Engine(3));
   telemetry::PhaseTimers timers;
-  sim::RunTelemetry hooks;
-  hooks.timers = &timers;
-  (void)sim::run_capped(config, sim::RunSpec::from_config(config), hooks);
+  process.set_phase_timers(&timers);
+  constexpr std::uint64_t kRounds = 500;
+  const auto start = std::chrono::steady_clock::now();
+  for (std::uint64_t round = 0; round < kRounds; ++round) {
+    (void)process.step();
+  }
+  const auto wall_ns = static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count());
+  process.set_phase_timers(nullptr);
 
   using telemetry::Phase;
-  // Burn-in and measurement each ran rounds.
-  EXPECT_EQ(timers.calls(Phase::kBurnIn), 1u);
-  EXPECT_EQ(timers.calls(Phase::kMeasure), 1u);
-  EXPECT_GT(timers.ns(Phase::kMeasure), 0u);
-  // The process-internal phases saw one call per round (burn-in and
-  // measured) and real time.
-  const std::uint64_t total_rounds = config.burn_in + config.measure_rounds;
-  EXPECT_EQ(timers.calls(Phase::kThrow), total_rounds);
-  EXPECT_EQ(timers.calls(Phase::kAccept), total_rounds);
-  EXPECT_EQ(timers.calls(Phase::kDelete), total_rounds);
+  // The process-internal phases saw one call per round and real time.
+  EXPECT_EQ(timers.calls(Phase::kThrow), kRounds);
+  EXPECT_EQ(timers.calls(Phase::kAccept), kRounds);
+  EXPECT_EQ(timers.calls(Phase::kDelete), kRounds);
   EXPECT_GT(timers.balls(Phase::kThrow), 0u);
   EXPECT_GT(timers.ns_per_ball(Phase::kAccept), 0.0);
-  // The inner phases are contained in burn-in + measure.
+  // The inner phases are contained in the rounds' wall time.
   EXPECT_LE(timers.ns(Phase::kThrow) + timers.ns(Phase::kAccept) +
                 timers.ns(Phase::kDelete),
-            timers.ns(Phase::kBurnIn) + timers.ns(Phase::kMeasure));
+            wall_ns);
 }
 
 #endif  // IBA_TELEMETRY_ENABLED

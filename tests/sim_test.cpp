@@ -1,39 +1,42 @@
-// Integration tests of the simulation engine: config validation, burn-in
-// behaviour, measurement aggregation and determinism.
+// Integration tests of the measurement loops: sim::run_experiment's
+// burn-in, aggregation and determinism; the paper's reference through
+// scenario::run_scenario; and the two loops measuring the same process
+// on a small paper grid.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <tuple>
+#include <utility>
 
 #include "analysis/bounds.hpp"
+#include "artifact/artifact.hpp"
+#include "core/capped.hpp"
 #include "core/greedy.hpp"
+#include "scenario/progress.hpp"
+#include "scenario/runner.hpp"
 #include "sim/config.hpp"
 #include "sim/runner.hpp"
 
 namespace {
 
 using namespace iba::sim;
+using iba::core::Capped;
+using iba::core::CappedConfig;
+using iba::core::Engine;
+using iba::core::RoundKernel;
 
-SimConfig small_config() {
-  SimConfig config;
+CappedConfig small_config() {
+  CappedConfig config;
   config.n = 512;
   config.capacity = 2;
   config.lambda_n = 384;  // λ = 3/4
-  config.burn_in = 100;
-  config.auto_burn_in = false;
-  config.measure_rounds = 300;
-  config.seed = 7;
   return config;
 }
 
-TEST(SimConfig, ValidationAndLabel) {
-  SimConfig config = small_config();
-  EXPECT_NO_THROW(config.validate());
-  EXPECT_NE(config.label().find("c=2"), std::string::npos);
-  config.lambda_n = config.n + 1;
-  EXPECT_THROW(config.validate(), iba::ContractViolation);
-  config = small_config();
-  config.measure_rounds = 0;
-  EXPECT_THROW(config.validate(), iba::ContractViolation);
+RunResult run_small(std::uint64_t seed) {
+  Capped process(small_config(), Engine(seed));
+  return run_experiment(process, {.burn_in = 100, .measure_rounds = 300});
 }
 
 TEST(SimConfig, LambdaHelpers) {
@@ -44,7 +47,7 @@ TEST(SimConfig, LambdaHelpers) {
 }
 
 TEST(Runner, MeasuresRequestedRounds) {
-  const auto result = run_capped(small_config());
+  const auto result = run_small(7);
   EXPECT_EQ(result.measured_rounds, 300u);
   EXPECT_EQ(result.burn_in_used, 100u);
   EXPECT_EQ(result.pool.count(), 300u);
@@ -53,59 +56,45 @@ TEST(Runner, MeasuresRequestedRounds) {
 }
 
 TEST(Runner, DeterministicForSameSeed) {
-  const auto a = run_capped(small_config());
-  const auto b = run_capped(small_config());
+  const auto a = run_small(7);
+  const auto b = run_small(7);
   EXPECT_DOUBLE_EQ(a.normalized_pool.mean(), b.normalized_pool.mean());
   EXPECT_DOUBLE_EQ(a.wait_mean, b.wait_mean);
   EXPECT_EQ(a.wait_max, b.wait_max);
 }
 
-TEST(Runner, AutoBurnInExtendsPastFloor) {
-  SimConfig config = small_config();
-  config.n = 1024;
-  config.lambda_n = 1023;  // λ close to 1: slow ramp-up
-  config.burn_in = 10;
-  config.auto_burn_in = true;
-  config.max_burn_in = 20000;
-  const auto result = run_capped(config);
-  EXPECT_GT(result.burn_in_used, 10u);
-  EXPECT_LE(result.burn_in_used, 20000u);
-}
-
 TEST(Runner, NormalizedPoolNearPaperReference) {
-  // After stabilization the normalized pool should sit near the paper's
-  // empirical law ln(1/(1−λ))/c + 1 (±50% tolerance at small n).
-  SimConfig config;
-  config.n = 4096;
-  config.capacity = 1;
-  config.lambda_n = 3072;  // λ = 3/4
-  config.auto_burn_in = true;
-  config.burn_in = 200;
-  config.measure_rounds = 500;
-  config.seed = 11;
-  const auto result = run_capped(config);
+  // After the fixed burn-in the normalized pool should sit near the
+  // paper's empirical law ln(1/(1−λ))/c + 1 (±50% tolerance at small n).
+  iba::scenario::Scenario scn;
+  scn.n = 4096;
+  scn.capacity = 1;
+  scn.arrival = iba::scenario::ArrivalModel::constant(0.75);
+  scn.burn_in = suggested_burn_in(0.75);
+  scn.rounds = 500;
+  scn.seed = 11;
+  const auto result =
+      iba::artifact::observables(iba::scenario::run_scenario(scn).artifact);
   // The c = 1 mean-field steady state is sharp: pool/n = ln(1/(1−λ)) − λ.
   const double mean_field = iba::analysis::mean_field_pool_c1(0.75);
-  EXPECT_NEAR(result.normalized_pool.mean(), mean_field, 0.2 * mean_field);
+  EXPECT_NEAR(result.pool_over_n, mean_field, 0.2 * mean_field);
   // The paper's dashed reference curve upper-bounds the measurement.
-  EXPECT_LT(result.normalized_pool.mean(),
-            iba::analysis::fig4_reference(0.75, 1));
+  EXPECT_LT(result.pool_over_n, iba::analysis::fig4_reference(0.75, 1));
   // And safely below the Theorem 1 w.h.p. bound.
-  EXPECT_LT(result.pool.max(),
-            iba::analysis::pool_bound_thm1(config.n, 0.75));
+  EXPECT_LT(static_cast<double>(result.pool_max),
+            iba::analysis::pool_bound_thm1(scn.n, 0.75));
 }
 
 TEST(Runner, WaitStatsResetAfterBurnIn) {
   // wait_max reflects the measurement window only: for a stabilized c=1
   // λ=1/2 system it is small even though burn-in started from empty.
-  SimConfig config;
+  CappedConfig config;
   config.n = 1024;
   config.capacity = 1;
   config.lambda_n = 512;
-  config.burn_in = 200;
-  config.auto_burn_in = false;
-  config.measure_rounds = 200;
-  const auto result = run_capped(config);
+  Capped process(config, Engine(1));
+  const auto result =
+      run_experiment(process, {.burn_in = 200, .measure_rounds = 200});
   EXPECT_GT(result.deletions, 0u);
   EXPECT_LT(result.wait_mean, 10.0);
   EXPECT_LE(result.wait_max, 64u);
@@ -114,14 +103,79 @@ TEST(Runner, WaitStatsResetAfterBurnIn) {
 TEST(Runner, WorksWithOtherProcesses) {
   iba::core::BatchGreedyConfig config{.n = 256, .d = 2, .lambda_n = 192};
   iba::core::BatchGreedy process(config, iba::core::Engine(3));
-  RunSpec spec;
-  spec.burn_in = 100;
-  spec.auto_burn_in = false;
-  spec.measure_rounds = 200;
-  const auto result = run_experiment(process, spec);
+  const auto result =
+      run_experiment(process, {.burn_in = 100, .measure_rounds = 200});
   EXPECT_EQ(result.measured_rounds, 200u);
   EXPECT_EQ(result.pool.mean(), 0.0);  // GREEDY[d] has no pool
   EXPECT_GT(result.system_load.mean(), 0.0);
 }
+
+// The benches that stay on run_experiment (d-choice, per-bin
+// capacities, ablations, failures, ball tracing) build their Capped from
+// scenario::capped_config of the cell the others run through
+// run_scenario. On the paper's grid both loops must measure the same
+// process: same deletions, wait mean, max and p99, and pool/n and system
+// load/n equal up to the round-off of run_experiment's floating-point
+// means.
+using Execution = std::pair<RoundKernel, std::uint32_t /*shards*/>;
+using LoopCase =
+    std::tuple<std::uint32_t /*c*/, std::uint32_t /*i*/, Execution>;
+
+class LoopEquivalence : public ::testing::TestWithParam<LoopCase> {};
+
+TEST_P(LoopEquivalence, ScenarioAndExperimentMeasureTheSameProcess) {
+  const auto [c, i, execution] = GetParam();
+  const auto [kernel, shards] = execution;
+  constexpr std::uint32_t n = 512;
+  const std::uint64_t lambda_n = lambda_n_for(n, i);
+  const double lambda = static_cast<double>(lambda_n) / n;
+  iba::scenario::Scenario scn;
+  scn.n = n;
+  scn.capacity = c;
+  scn.arrival = iba::scenario::ArrivalModel::constant(lambda);
+  scn.burn_in = suggested_burn_in(lambda);
+  scn.rounds = 400;
+  scn.seed = 2021;
+
+  iba::scenario::RunOptions options;
+  options.kernel = kernel;
+  options.shards = shards;
+  const auto cell = iba::artifact::observables(
+      iba::scenario::run_scenario(scn, options).artifact);
+
+  CappedConfig config = iba::scenario::capped_config(scn);
+  ASSERT_EQ(config.lambda_n, lambda_n);
+  config.kernel = kernel;
+  config.shards = shards;
+  Capped process(config, Engine(scn.seed));
+  const RunResult r = run_experiment(
+      process, {.burn_in = scn.burn_in, .measure_rounds = scn.rounds});
+
+  EXPECT_EQ(r.deletions, cell.deletions);
+  EXPECT_EQ(r.wait_mean, cell.wait_mean);
+  EXPECT_EQ(r.wait_max, cell.wait_max);
+  EXPECT_EQ(r.wait_p99_upper, static_cast<double>(cell.wait_p99));
+  EXPECT_EQ(r.pool.max(), static_cast<double>(cell.pool_max));
+  EXPECT_NEAR(r.normalized_pool.mean(), cell.pool_over_n,
+              1e-12 * cell.pool_over_n);
+  EXPECT_NEAR(r.system_load.mean() / n, cell.system_load_over_n,
+              1e-12 * cell.system_load_over_n);
+}
+
+std::string loop_case_name(const ::testing::TestParamInfo<LoopCase>& param) {
+  const auto [c, i, execution] = param.param;
+  const auto [kernel, shards] = execution;
+  return "c" + std::to_string(c) + "_i" + std::to_string(i) + "_" +
+         (kernel == RoundKernel::kScalar ? "scalar" : "binmajor") +
+         "_shards" + std::to_string(shards);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PaperGrid, LoopEquivalence,
+    ::testing::Combine(::testing::Values(1u, 3u), ::testing::Values(2u, 6u),
+                       ::testing::Values(Execution(RoundKernel::kBinMajor, 1),
+                                         Execution(RoundKernel::kBinMajor, 4),
+                                         Execution(RoundKernel::kScalar, 1))),
+    loop_case_name);
 
 }  // namespace

@@ -7,7 +7,6 @@
 
 #include "rng/bounded.hpp"
 #include "rng/xoshiro256.hpp"
-#include "stats/autocorrelation.hpp"
 #include "stats/histogram.hpp"
 #include "stats/p2_quantile.hpp"
 
@@ -118,18 +117,6 @@ TEST(P2Quantile, ConvergesOnSkewedData) {
     p90.add(-std::log(iba::rng::uniform01_open_low(eng)));
   }
   EXPECT_NEAR(p90.value(), std::log(10.0), 0.1);
-}
-
-TEST(WindowsAgree, DetectsStabilization) {
-  std::vector<double> ramp;
-  for (int i = 0; i < 100; ++i) ramp.push_back(i);
-  EXPECT_FALSE(windows_agree(ramp, 50, 0.01));
-
-  std::vector<double> flat(100, 7.0);
-  EXPECT_TRUE(windows_agree(flat, 50, 0.01));
-
-  EXPECT_FALSE(windows_agree(flat, 0, 0.01));   // degenerate window
-  EXPECT_FALSE(windows_agree(flat, 100, 0.01)); // not enough data
 }
 
 }  // namespace

@@ -12,7 +12,6 @@
 
 #include "core/capped.hpp"
 #include "rng/xoshiro256.hpp"
-#include "sim/config.hpp"
 #include "sim/runner.hpp"
 #include "telemetry/ball_trace.hpp"
 #include "telemetry/export.hpp"
@@ -27,18 +26,6 @@ using iba::telemetry::BallSpan;
 using iba::telemetry::BallTraceConfig;
 using iba::telemetry::BallTracer;
 using iba::telemetry::kSpanAttemptCap;
-
-[[maybe_unused]] iba::sim::SimConfig small_config(std::uint64_t seed) {
-  iba::sim::SimConfig config;
-  config.n = 256;
-  config.capacity = 2;
-  config.lambda_n = 224;  // λ = 7/8
-  config.burn_in = 200;
-  config.auto_burn_in = false;
-  config.measure_rounds = 300;
-  config.seed = seed;
-  return config;
-}
 
 [[maybe_unused]] std::string spans_to_string(
     const std::deque<BallSpan>& spans) {
@@ -361,25 +348,27 @@ TEST(BallTrace, LiveRingReceivesCompletedSpans) {
 }
 
 TEST(BallTrace, RunnerClearsBurnInSpansAndRecordsRegistry) {
-  const auto config = small_config(99);
+  CappedConfig config;
+  config.n = 256;
+  config.capacity = 2;
+  config.lambda_n = 224;  // λ = 7/8
+  const iba::sim::RunSpec spec{.burn_in = 200, .measure_rounds = 300};
   iba::telemetry::Registry registry;
   BallTraceConfig trace;
-  trace.seed = config.seed;
+  trace.seed = 99;
   trace.sample_rate = 1.0;
   trace.completed_capacity = 1u << 20;
   BallTracer tracer(trace);
-  iba::sim::RunTelemetry telemetry;
-  telemetry.registry = &registry;
-  telemetry.ball_trace = &tracer;
 
-  const auto result = iba::sim::run_capped(
-      config, iba::sim::RunSpec::from_config(config), telemetry);
+  Capped process(config, Engine(99));
+  const auto result = iba::sim::run_experiment(
+      process, spec, {.registry = &registry, .ball_trace = &tracer});
 
   // Burn-in spans were cleared: buffered spans all completed during the
   // measurement window.
   ASSERT_FALSE(tracer.completed().empty());
   for (const BallSpan& span : tracer.completed()) {
-    EXPECT_GE(span.service_round, config.burn_in);
+    EXPECT_GE(span.service_round, spec.burn_in);
   }
   // At full sampling, the measured spans are the measured deletions.
   EXPECT_EQ(tracer.completed().size() + tracer.dropped(), result.deletions);
