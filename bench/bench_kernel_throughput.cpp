@@ -163,7 +163,7 @@ bool check_determinism(std::uint32_t capacity, std::uint64_t seed,
   for (std::size_t v = 1; v < variants.size(); ++v) {
     const auto snap = variants[v].snapshot();
     if (snap.engine_state != reference.engine_state ||
-        snap.bin_queues != reference.bin_queues ||
+        snap.bins != reference.bins ||
         snap.pool.size() != reference.pool.size()) {
       iba::telemetry::log_error("determinism_end_state_mismatch",
                                 {{"variant", static_cast<std::uint64_t>(v)}});

@@ -132,28 +132,23 @@ Capped::Capped(const CappedSnapshot& snapshot)
                                      snapshot.waits.sumsq_lo),
       stats::Log2Histogram::from_counts(snapshot.waits.histogram,
                                         snapshot.waits.max));
-  IBA_EXPECT(snapshot.bin_queues.size() == config_.n,
-             "CappedSnapshot: bin_queues size must equal n");
+  const queueing::BinQueues& queues = snapshot.bins;
+  IBA_EXPECT(queues.loads.size() == config_.n,
+             "CappedSnapshot: bins.loads must hold one load per bin (n)");
   // A snapshot taken mid-shrink can hold queues longer than the
   // (already lowered) acceptance capacity: those bins are still
   // draining. Widen the storage to the longest queue so the restore
   // fits; without a controller such a snapshot is corrupt.
-  std::size_t longest = 0;
-  for (const auto& queue : snapshot.bin_queues) {
-    longest = std::max(longest, queue.size());
-  }
+  const std::uint32_t longest =
+      *std::max_element(queues.loads.begin(), queues.loads.end());
   if (longest > bins_.capacity()) {
     IBA_EXPECT(config_.control.enabled(),
                "CappedSnapshot: bin queue exceeds capacity");
     IBA_EXPECT(longest <= config_.control.c_max,
                "CappedSnapshot: bin queue exceeds control.c_max");
-    bins_.grow_capacity(static_cast<std::uint32_t>(longest));
+    bins_.grow_capacity(longest);
   }
-  for (std::uint32_t bin = 0; bin < config_.n; ++bin) {
-    for (const std::uint64_t label : snapshot.bin_queues[bin]) {
-      bins_.push(bin, label);
-    }
-  }
+  bins_.restore(queues);
   if (controller_ != nullptr) controller_->restore(snapshot.controller);
 }
 
@@ -180,15 +175,7 @@ CappedSnapshot Capped::snapshot() const {
   snap.deferred.assign(gate_.deferred().begin(), gate_.deferred().end());
   snap.waits = wait_state(waits_);
   if (controller_ != nullptr) snap.controller = controller_->state();
-  snap.bin_queues.resize(config_.n);
-  for (std::uint32_t bin = 0; bin < config_.n; ++bin) {
-    auto& queue = snap.bin_queues[bin];
-    const auto load = bins_.load(bin);
-    queue.reserve(load);
-    for (std::uint32_t i = 0; i < load; ++i) {
-      queue.push_back(bins_.peek(bin, i));
-    }
-  }
+  snap.bins = bins_.queues();
   return snap;
 }
 

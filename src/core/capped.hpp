@@ -146,9 +146,9 @@ struct CappedSnapshot {
   std::uint64_t deleted_total = 0;
   std::uint64_t shed_total = 0;
   std::array<std::uint64_t, 4> engine_state{};
-  std::vector<queueing::AgedPool::Bucket> pool;        ///< oldest-first
-  std::vector<DeferredBucket> deferred;                ///< retry order
-  std::vector<std::vector<std::uint64_t>> bin_queues;  ///< front-first
+  std::vector<queueing::AgedPool::Bucket> pool;  ///< oldest-first
+  std::vector<DeferredBucket> deferred;          ///< retry order
+  queueing::BinQueues bins;  ///< n loads; queues front-first
   CappedWaitState waits;
   /// Controller state; meaningful iff config.control.enabled(). A
   /// snapshot taken mid-shrink records the (smaller) current capacity

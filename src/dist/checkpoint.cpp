@@ -2,8 +2,11 @@
 
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
+#include "common/assert.hpp"
 #include "io/sealed.hpp"
+#include "sim/checkpoint.hpp"
 
 namespace iba::dist {
 
@@ -11,6 +14,7 @@ namespace {
 
 constexpr std::string_view kShardMagic = "iba-dist-shard";
 constexpr std::string_view kManifestMagic = "iba-dist-manifest";
+constexpr std::string_view kQueue = "queue = ";  // queue-line prefix
 constexpr std::uint32_t kVersion = 1;
 
 [[noreturn]] void fail(const std::string& context,
@@ -53,18 +57,18 @@ std::string manifest_path(const std::string& base) {
 }
 
 std::uint32_t save_shard(const ShardState& shard, const std::string& path) {
-  std::ostringstream body;
-  body << "round = " << shard.round << '\n';
-  body << "bin-lo = " << shard.bin_lo << '\n';
-  body << "bin-count = " << shard.bin_count << '\n';
-  body << "capacity = " << shard.capacity << '\n';
-  for (const auto& queue : shard.queues) {
-    body << "queue = " << queue.size();
-    for (const std::uint64_t label : queue) body << ' ' << label;
-    body << '\n';
-  }
-  body << "end\n";
-  return io::sealed::commit_header(path, kShardMagic, kVersion, body.str(),
+  IBA_EXPECT(shard.queues.loads.size() == shard.bin_count,
+             "save_shard: queues must hold one load per bin of the range");
+  std::ostringstream head;
+  head << "round = " << shard.round << '\n';
+  head << "bin-lo = " << shard.bin_lo << '\n';
+  head << "bin-count = " << shard.bin_count << '\n';
+  head << "capacity = " << shard.capacity << '\n';
+  const std::string head_text = head.str();
+  const sim::QueueLines lines =
+      sim::render_queue_lines(shard.queues, kQueue, shard.round);
+  const std::string_view body[] = {head_text, lines.view(), "end\n"};
+  return io::sealed::commit_header(path, kShardMagic, kVersion, body,
                                    "dist shard");
 }
 
@@ -89,18 +93,17 @@ ShardState load_shard(const std::string& path) {
     fail(context, "capacity out of range");
   }
   shard.capacity = static_cast<std::uint32_t>(capacity);
-  shard.queues.resize(shard.bin_count);
-  for (auto& queue : shard.queues) {
-    expect_key(in, "queue", context);
-    const std::uint64_t length = parse_u64(in, "queue length", context);
-    if (length > capacity) fail(context, "queue longer than capacity");
-    queue.reserve(length);
-    for (std::uint64_t i = 0; i < length; ++i) {
-      queue.push_back(parse_u64(in, "queue label", context));
-    }
+  const auto pos = in.tellg();
+  if (pos < 0 || static_cast<std::size_t>(pos) >= body.size() ||
+      body[static_cast<std::size_t>(pos)] != '\n') {
+    fail(context, "truncated/invalid field: capacity");
   }
-  std::string tail;
-  if (!(in >> tail) || tail != "end") fail(context, "missing end marker");
+  auto at = static_cast<std::size_t>(pos) + 1;
+  shard.queues = sim::parse_queue_lines(body, at, shard.bin_count, capacity,
+                                        kQueue, context);
+  if (std::string_view(body).substr(at) != "end\n") {
+    fail(context, "missing end marker");
+  }
   return shard;
 }
 

@@ -1,9 +1,10 @@
 // Distributed checkpoint artifacts (docs/DISTRIBUTED.md):
 //
-//  * shard file  — one worker's bin range: every queue front-first,
-//    written by the worker on kMsgCheckpoint;
+//  * shard file  — one worker's bin range: a `queue = <load> <label>...`
+//    line per bin, front-first (sim::render_queue_lines, the codec of
+//    checkpoint bins), written by the worker on kMsgCheckpoint;
 //  * coordinator file — the coordinator's own state, stored as a
-//    standard checkpoint-v3 CappedSnapshot whose bin_queues are empty
+//    standard checkpoint-v3 CappedSnapshot whose bins are n zero loads
 //    (bins live in the shard files), via sim::save_checkpoint;
 //  * manifest — the commit record binding one generation: round,
 //    geometry, per-shard CRCs. Written (atomically) LAST, so at every
@@ -35,6 +36,8 @@
 #include <string>
 #include <vector>
 
+#include "queueing/bin_table.hpp"
+
 namespace iba::dist {
 
 /// One worker's persisted bin range.
@@ -43,8 +46,8 @@ struct ShardState {
   std::uint64_t bin_lo = 0;    ///< first global bin of the range
   std::uint64_t bin_count = 0;
   std::uint32_t capacity = 1;  ///< storage capacity at save time
-  /// Per local bin, front-first (next-to-delete first).
-  std::vector<std::vector<std::uint64_t>> queues;
+  /// bin_count loads, one per local bin; queues front-first.
+  queueing::BinQueues queues;
 };
 
 /// The commit record of one checkpoint generation.
@@ -67,7 +70,8 @@ struct Manifest {
 
 /// Atomically writes the shard file; returns the body's CRC-32 (which
 /// the worker reports in its kMsgCheckpointAck, and the manifest
-/// records). Throws std::runtime_error on IO failure.
+/// records). Throws std::runtime_error on IO failure, and
+/// ContractViolation unless `queues` holds bin_count loads.
 std::uint32_t save_shard(const ShardState& shard, const std::string& path);
 
 /// Reads and validates a shard file. Throws std::runtime_error on IO

@@ -301,9 +301,9 @@ core::CappedSnapshot Coordinator::snapshot() const {
   snap.deferred.assign(gate_.deferred().begin(), gate_.deferred().end());
   snap.waits = core::wait_state(waits_);
   if (controller_ != nullptr) snap.controller = controller_->state();
-  // Bins live in the shard files; n empty queues keep the snapshot
+  // Bins live in the shard files; n zero loads keep the snapshot
   // well-formed for checkpoint v3 (they serialize compactly).
-  snap.bin_queues.resize(config_.n);
+  snap.bins.loads.assign(config_.n, 0);
   return snap;
 }
 

@@ -68,7 +68,7 @@ class Coordinator {
               const CoordinatorOptions& options = {});
 
   /// Resume. `snapshot` is the coordinator file of a committed
-  /// generation (bin_queues empty); workers load their shard of the
+  /// generation (bins all empty); workers load their shard of the
   /// same generation under `resume_base`. Verifies ball conservation
   /// across the restored shards before returning.
   Coordinator(const core::CappedSnapshot& snapshot,
@@ -90,8 +90,8 @@ class Coordinator {
   /// that already died is ignored — the run is over either way).
   void shutdown() noexcept;
 
-  /// The coordinator's persistable state: a CappedSnapshot whose
-  /// bin_queues are present but empty (the bins live in the shards).
+  /// The coordinator's persistable state: a CappedSnapshot whose bins
+  /// are n zero loads (the bins live in the shards).
   [[nodiscard]] core::CappedSnapshot snapshot() const;
 
   [[nodiscard]] std::uint64_t round() const noexcept { return round_; }

@@ -84,13 +84,7 @@ void Worker::handle_init(const InitMsg& msg) {
     if (shard->capacity > storage) storage = shard->capacity;
   }
   table_.emplace(static_cast<std::uint32_t>(bin_count_), storage);
-  if (shard.has_value()) {
-    for (std::uint32_t bin = 0; bin < bin_count_; ++bin) {
-      for (const std::uint64_t label : shard->queues[bin]) {
-        table_->push(bin, label);
-      }
-    }
-  }
+  if (shard.has_value()) table_->restore(shard->queues);
   send_init_ack(fd_, InitAckMsg{round_, table_->total_load()});
 }
 
@@ -194,15 +188,7 @@ void Worker::handle_checkpoint(const CheckpointMsg& msg) {
   shard.bin_lo = bin_lo_;
   shard.bin_count = bin_count_;
   shard.capacity = table_->capacity();
-  shard.queues.resize(bin_count_);
-  for (std::uint32_t bin = 0; bin < bin_count_; ++bin) {
-    const std::uint32_t load = table_->load(bin);
-    auto& queue = shard.queues[bin];
-    queue.reserve(load);
-    for (std::uint32_t i = 0; i < load; ++i) {
-      queue.push_back(table_->peek(bin, i));
-    }
-  }
+  shard.queues = table_->queues();
   CheckpointAckMsg ack;
   ack.round = round_;
   ack.crc = save_shard(shard, msg.path);

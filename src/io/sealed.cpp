@@ -9,6 +9,7 @@
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <vector>
 
 #include "common/crc32.hpp"
 
@@ -53,12 +54,27 @@ void parse_header(std::string_view line, std::string_view magic,
 std::uint32_t commit_header(const std::string& path, std::string_view magic,
                             std::uint32_t version, std::string_view body,
                             const std::string& context) {
-  const std::uint32_t crc = common::crc32(body);
+  return commit_header(path, magic, version, std::span(&body, 1), context);
+}
+
+std::uint32_t commit_header(const std::string& path, std::string_view magic,
+                            std::uint32_t version,
+                            std::span<const std::string_view> body,
+                            const std::string& context) {
+  std::uint32_t crc = 0;
+  std::size_t size = 0;
+  for (const std::string_view piece : body) {
+    crc = common::crc32_update(crc, piece);
+    size += piece.size();
+  }
   const std::string header = std::string(magic) + ' ' +
                              std::to_string(version) + ' ' +
                              std::to_string(crc) + ' ' +
-                             std::to_string(body.size()) + '\n';
-  const std::string_view pieces[] = {header, body};
+                             std::to_string(size) + '\n';
+  std::vector<std::string_view> pieces;
+  pieces.reserve(body.size() + 1);
+  pieces.push_back(header);
+  pieces.insert(pieces.end(), body.begin(), body.end());
   commit(path, pieces, context);
   return crc;
 }

@@ -25,6 +25,11 @@ namespace iba::io::sealed {
 std::uint32_t commit_header(const std::string& path, std::string_view magic,
                             std::uint32_t version, std::string_view body,
                             const std::string& context);
+/// The same, for a body kept as consecutive pieces (no concatenation).
+std::uint32_t commit_header(const std::string& path, std::string_view magic,
+                            std::uint32_t version,
+                            std::span<const std::string_view> body,
+                            const std::string& context);
 
 /// Reads a header envelope of `magic` at exactly `version` and returns
 /// its body. Names the damage: bad header, unsupported version, body

@@ -27,22 +27,12 @@ std::uint32_t get_u32(const std::uint8_t* in) noexcept {
 /// CRC-32 over type ‖ length ‖ payload (the bytes after the magic).
 std::uint32_t frame_crc(std::uint32_t type, std::uint32_t length,
                         std::span<const std::uint8_t> payload) noexcept {
-  // One contiguous pass would need a copy; chain the table CRC by hand
-  // instead: crc32(a ‖ b) with the standard inversions is reproduced by
-  // un-finalizing between pieces.
   std::array<std::uint8_t, 8> head;
   put_u32(head.data(), type);
   put_u32(head.data() + 4, length);
-  const auto& table = common::detail::crc32_table();
-  std::uint32_t crc = 0xFFFFFFFFu;
-  const auto feed = [&](const std::uint8_t* data, std::size_t size) {
-    for (std::size_t i = 0; i < size; ++i) {
-      crc = table[(crc ^ data[i]) & 0xFFu] ^ (crc >> 8);
-    }
-  };
-  feed(head.data(), head.size());
-  feed(payload.data(), payload.size());
-  return crc ^ 0xFFFFFFFFu;
+  return common::crc32_update(
+      common::crc32_update(0, head.data(), head.size()), payload.data(),
+      payload.size());
 }
 
 }  // namespace

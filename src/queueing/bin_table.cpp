@@ -44,6 +44,53 @@ void BinTable::grow_capacity(std::uint32_t new_capacity) {
   capacity_ = new_capacity;
 }
 
+BinQueues BinTable::queues() const {
+  BinQueues out;
+  out.loads.resize(bins_);
+  std::size_t total = 0;
+  for (std::uint32_t bin = 0; bin < bins_; ++bin) {
+    out.loads[bin] = hs_[bin] & kSizeMask;
+    total += out.loads[bin];
+  }
+  out.labels.resize(total);
+  Label* dst = out.labels.data();
+  for (std::uint32_t bin = 0; bin < bins_; ++bin) {
+    const std::uint32_t size = out.loads[bin];
+    if (size == 0) continue;
+    // A queue is at most two runs of the ring: head to the end of the
+    // bin's slots, then the wrapped rest from slot 0.
+    const std::uint32_t head = hs_[bin] >> kHeadShift;
+    const Label* slots =
+        labels_.data() + static_cast<std::size_t>(bin) * capacity_;
+    const std::uint32_t first = std::min(size, capacity_ - head);
+    dst = std::copy_n(slots + head, first, dst);
+    dst = std::copy_n(slots, size - first, dst);
+  }
+  return out;
+}
+
+void BinTable::restore(const BinQueues& queues) {
+  IBA_EXPECT(total_load_ == 0, "BinTable: restore needs an empty table");
+  IBA_EXPECT(queues.loads.size() == bins_,
+             "BinTable: restore needs one load per bin");
+  std::size_t total = 0;
+  for (const std::uint32_t load : queues.loads) {
+    IBA_EXPECT(load <= capacity_, "BinTable: restored queue exceeds capacity");
+    total += load;
+  }
+  IBA_EXPECT(total == queues.labels.size(),
+             "BinTable: restored labels must number the sum of the loads");
+  const Label* src = queues.labels.data();
+  for (std::uint32_t bin = 0; bin < bins_; ++bin) {
+    const std::uint32_t size = queues.loads[bin];
+    std::copy_n(src, size,
+                labels_.data() + static_cast<std::size_t>(bin) * capacity_);
+    src += size;
+    hs_[bin] = size;  // head 0
+  }
+  total_load_ = total;
+}
+
 std::uint32_t BinTable::max_load() const noexcept {
   std::uint32_t max = 0;
   for (const std::uint32_t hs : hs_) {

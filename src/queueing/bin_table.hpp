@@ -19,11 +19,24 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "common/assert.hpp"
 #include "core/arena.hpp"
 
 namespace iba::queueing {
+
+/// Every queue of a bin table as two flat arrays: the load of each bin,
+/// and all labels front-first (next-to-delete first), concatenated in
+/// bin order — bin b's queue is the loads[b] labels after the first
+/// Σ_{i<b} loads[i]. The form snapshots, checkpoints and dist shard
+/// files carry; a bin range is a contiguous slice of both arrays.
+struct BinQueues {
+  std::vector<std::uint32_t> loads;
+  std::vector<std::uint64_t> labels;
+
+  bool operator==(const BinQueues&) const = default;
+};
 
 /// n bounded FIFO queues of 64-bit ball labels. Queue order is insertion
 /// order; pop_front() implements the paper's FIFO deletion.
@@ -163,6 +176,15 @@ class BinTable {
   /// bound drains naturally (core/capped.cpp), and slot arithmetic is
   /// indifferent to spare slots.
   void grow_capacity(std::uint32_t new_capacity);
+
+  /// Every queue, front-first (O(n + total load)).
+  [[nodiscard]] BinQueues queues() const;
+
+  /// Loads `queues` into this table, which must be empty: each queue is
+  /// laid out from head 0, as pushing its labels in order would. Throws
+  /// ContractViolation unless there is one load per bin, no load exceeds
+  /// capacity() and the labels number exactly Σ loads.
+  void restore(const BinQueues& queues);
 
   /// Maximum end-of-round load over all bins (O(n) scan).
   [[nodiscard]] std::uint32_t max_load() const noexcept;

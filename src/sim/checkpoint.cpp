@@ -1,10 +1,13 @@
 #include "sim/checkpoint.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 
+#include "common/assert.hpp"
 #include "io/sealed.hpp"
 
 namespace iba::sim {
@@ -57,18 +60,17 @@ void expect_keyword(std::istream& in, const char* keyword) {
 }
 
 /// Appends the decimal rendering of `value` to `out` without the
-/// allocation churn of std::to_string — render_body is on the
-/// checkpoint hot path (bench_fault_recovery budgets it at <= 5% of a
-/// run), and a 2^15-bin snapshot is a couple of MB of digits.
+/// allocation churn of std::to_string.
 void append_number(std::string& out, std::uint64_t value) {
   char digits[20];
-  char* end = digits + sizeof(digits);
-  char* cursor = end;
-  do {
-    *--cursor = static_cast<char>('0' + value % 10);
-    value /= 10;
-  } while (value != 0);
-  out.append(cursor, end);
+  out.append(digits,
+             std::to_chars(digits, digits + sizeof(digits), value).ptr);
+}
+
+std::size_t decimal_digits(std::uint64_t value) {
+  std::size_t digits = 1;
+  for (; value >= 10; value /= 10) ++digits;
+  return digits;
 }
 
 void append_field(std::string& out, std::uint64_t value) {
@@ -76,14 +78,13 @@ void append_field(std::string& out, std::uint64_t value) {
   append_number(out, value);
 }
 
-std::string render_body(const Checkpoint& checkpoint) {
-  const core::CappedSnapshot& snapshot = checkpoint.snapshot;
+/// The body up to and including the `bins <n>` line; the queue lines
+/// follow (render_queue_lines), then render_tail.
+std::string render_head(const core::CappedSnapshot& snapshot) {
   const auto& config = snapshot.config;
   std::string out;
-  // ~20 bytes per stored label dominates; reserve once.
-  std::size_t labels = snapshot.pool.size() * 2 + snapshot.deferred.size() * 3;
-  for (const auto& queue : snapshot.bin_queues) labels += queue.size() + 1;
-  out.reserve(512 + labels * 21);
+  out.reserve(512 +
+              (snapshot.pool.size() * 2 + snapshot.deferred.size() * 3) * 21);
 
   char prob[40];
   std::snprintf(prob, sizeof(prob), "%.17g", config.failure_probability);
@@ -143,13 +144,16 @@ std::string render_body(const Checkpoint& checkpoint) {
     out.push_back('\n');
   }
   out += "bins";
-  append_field(out, snapshot.bin_queues.size());
+  append_field(out, snapshot.bins.loads.size());
   out.push_back('\n');
-  for (const auto& queue : snapshot.bin_queues) {
-    append_number(out, queue.size());
-    for (const std::uint64_t label : queue) append_field(out, label);
-    out.push_back('\n');
-  }
+  return out;
+}
+
+/// The body after the queue lines: waits, fault and control state, end.
+std::string render_tail(const Checkpoint& checkpoint) {
+  const core::CappedSnapshot& snapshot = checkpoint.snapshot;
+  const auto& config = snapshot.config;
+  std::string out;
   const core::CappedWaitState& waits = snapshot.waits;
   out += "waits";
   append_field(out, waits.count);
@@ -250,9 +254,97 @@ std::string render_body(const Checkpoint& checkpoint) {
 
 }  // namespace
 
+QueueLines render_queue_lines(const queueing::BinQueues& queues,
+                              std::string_view prefix,
+                              std::uint64_t max_label) {
+  std::uint32_t max_load = 0;
+  std::size_t total = 0;
+  for (const std::uint32_t load : queues.loads) {
+    max_load = std::max(max_load, load);
+    total += load;
+  }
+  IBA_EXPECT(total == queues.labels.size(),
+             "render_queue_lines: labels must number the sum of the loads");
+  // A digit-count bound, not 21 bytes per number: a label takes at most
+  // digits(max_label) + 1 bytes. The buffer is left uninitialised, so
+  // only the pages written are ever touched.
+  const std::size_t bound =
+      queues.loads.size() * (prefix.size() + decimal_digits(max_load) + 1) +
+      total * (decimal_digits(max_label) + 1);
+  QueueLines out;
+  out.bytes = std::make_unique_for_overwrite<char[]>(bound);
+  char* p = out.bytes.get();
+  char* const end = p + bound;
+  const std::uint64_t* label = queues.labels.data();
+  for (const std::uint32_t load : queues.loads) {
+    p = std::copy(prefix.begin(), prefix.end(), p);
+    p = std::to_chars(p, end, load).ptr;
+    for (const std::uint64_t* last = label + load; label != last; ++label) {
+      IBA_EXPECT(*label <= max_label,
+                 "render_queue_lines: a label exceeds max_label");
+      *p++ = ' ';
+      p = std::to_chars(p, end, *label).ptr;
+    }
+    *p++ = '\n';
+  }
+  out.size = static_cast<std::size_t>(p - out.bytes.get());
+  return out;
+}
+
+queueing::BinQueues parse_queue_lines(std::string_view text, std::size_t& at,
+                                      std::size_t bins, std::size_t max_load,
+                                      std::string_view prefix,
+                                      const std::string& context) {
+  const auto reject = [&](const std::string& why) {
+    throw std::runtime_error(context + ": " + why);
+  };
+  const char* p = text.data() + at;
+  const char* const end = text.data() + text.size();
+  const auto number = [&](std::uint64_t& value) {
+    const auto [next, ec] = std::from_chars(p, end, value);
+    p = next;
+    return ec == std::errc();
+  };
+  queueing::BinQueues queues;
+  queues.loads.reserve(bins);
+  for (std::size_t bin = 0; bin < bins; ++bin) {
+    if (!std::string_view(p, static_cast<std::size_t>(end - p))
+             .starts_with(prefix)) {
+      reject("expected '" + std::string(prefix) + "'");
+    }
+    p += prefix.size();
+    std::uint64_t load = 0;
+    if (!number(load)) reject("truncated/invalid field: queue length");
+    // Each label takes at least two bytes, so a length beyond the bytes
+    // left is corrupt; checked before it is compared or reserved.
+    if (load > static_cast<std::uint64_t>(end - p)) {
+      reject("out-of-range field: queue length");
+    }
+    if (load > max_load) reject("queue longer than capacity");
+    queues.loads.push_back(static_cast<std::uint32_t>(load));
+    for (std::uint64_t i = 0; i < load; ++i) {
+      std::uint64_t label = 0;
+      if (p == end || *p++ != ' ' || !number(label)) {
+        reject("truncated/invalid field: queue label");
+      }
+      queues.labels.push_back(label);
+    }
+    if (p == end || *p++ != '\n') {
+      reject("queue line runs past its length");
+    }
+  }
+  at = static_cast<std::size_t>(p - text.data());
+  return queues;
+}
+
 void save_checkpoint(const Checkpoint& checkpoint, const std::string& path) {
-  io::sealed::commit_header(path, kMagic, kVersion, render_body(checkpoint),
-                            kContext);
+  const std::string head = render_head(checkpoint.snapshot);
+  // Labels are arrival rounds, so none exceeds the snapshot's round.
+  const QueueLines bins = render_queue_lines(checkpoint.snapshot.bins, "",
+                                             checkpoint.snapshot.round);
+  const std::string tail = render_tail(checkpoint);
+  const std::string_view body[] = {head, bins.view(), tail};
+  io::sealed::commit_header(path, kMagic, kVersion, body, kContext);
 }
 
 void save_checkpoint(const core::CappedSnapshot& snapshot,
@@ -361,7 +453,6 @@ Checkpoint load_checkpoint_full(const std::string& path) {
     fail("bin count mismatch: config says " + std::to_string(snap.config.n) +
          ", file has " + std::to_string(bins));
   }
-  snap.bin_queues.resize(bins);
   // Under adaptive control a mid-shrink bin legitimately holds more
   // than the (already lowered) capacity — but never more than c_max.
   const std::size_t queue_bound =
@@ -369,16 +460,14 @@ Checkpoint load_checkpoint_full(const std::string& path) {
           ? std::max<std::size_t>(snap.config.capacity,
                                   snap.config.control.c_max)
           : snap.config.capacity;
-  for (auto& queue : snap.bin_queues) {
-    const auto length2 = read_count(in, "queue length", body_size);
-    if (length2 > queue_bound) {
-      fail("queue longer than capacity");
-    }
-    queue.reserve(length2);
-    for (std::size_t i = 0; i < length2; ++i) {
-      queue.push_back(read_value<std::uint64_t>(in, "queue label"));
-    }
+  const std::string_view text = in.view();
+  auto at = static_cast<std::size_t>(in.tellg());
+  if (at >= text.size() || text[at] != '\n') {
+    fail("truncated/invalid field: bin count");
   }
+  ++at;
+  snap.bins = parse_queue_lines(text, at, bins, queue_bound, "", kContext);
+  in.seekg(static_cast<std::streamoff>(at));
 
   expect_keyword(in, "waits");
   core::CappedWaitState& waits = snap.waits;

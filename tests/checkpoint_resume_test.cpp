@@ -397,6 +397,32 @@ TEST_F(CheckpointResumeTest, OversizedCountsAreRejectedBeforeAllocating) {
                          "fault down count");
 }
 
+TEST_F(CheckpointResumeTest, QueueLinesThatDisagreeWithTheirLengthAreNamed) {
+  // A queue line's labels must number its length: one label short, the
+  // next line's length would be read as a label; one label long, it
+  // would be read as the next line's length.
+  Capped p(rich_config(), Engine(12));
+  for (int r = 0; r < 10; ++r) (void)p.step();
+  const std::string file = path("ckpt");
+  sim::save_checkpoint(p.snapshot(), file);
+  const std::string body = body_of(file);
+  // The first queue line holding two or more labels.
+  std::size_t row = body.find('\n', body.find("\nbins ") + 1) + 1;
+  while (body[row] == '0' || body[row] == '1') {
+    row = body.find('\n', row) + 1;
+  }
+  const std::size_t row_end = body.find('\n', row);
+  const std::size_t last_label = body.rfind(' ', row_end);
+  ASSERT_LT(row, last_label);
+
+  expect_named_rejection(path("short"), body.substr(0, last_label) +
+                                            body.substr(row_end),
+                         "queue label");
+  expect_named_rejection(path("long"), body.substr(0, row_end) + " 7" +
+                                           body.substr(row_end),
+                         "queue line runs past its length");
+}
+
 // -- format v3: adaptive-control state -------------------------------
 
 CappedConfig control_config() {

@@ -234,7 +234,7 @@ TEST(HeteroCapped, UniformCaseBehavesLikeCapped) {
   const core::CappedSnapshot a = capped.snapshot();
   const core::CappedSnapshot b = hetero.snapshot();
   EXPECT_EQ(a.engine_state, b.engine_state);
-  EXPECT_EQ(a.bin_queues, b.bin_queues);
+  EXPECT_EQ(a.bins, b.bins);
   EXPECT_EQ(capped.waits().count(), hetero.waits().count());
   EXPECT_EQ(capped.waits().mean(), hetero.waits().mean());
 }

@@ -115,7 +115,7 @@ std::vector<Format> formats() {
                    shard.bin_lo = 4;
                    shard.bin_count = 3;
                    shard.capacity = 2;
-                   shard.queues = {{10, 11}, {}, {12}};
+                   shard.queues = {{2, 0, 1}, {10, 11, 12}};
                    (void)dist::save_shard(shard, path);
                  },
                  [](const std::string& path) {

@@ -213,7 +213,7 @@ void expect_snapshot_eq(const CappedSnapshot& a, const CappedSnapshot& b,
     EXPECT_EQ(a.pool[i].label, b.pool[i].label) << variant << " bucket " << i;
     EXPECT_EQ(a.pool[i].count, b.pool[i].count) << variant << " bucket " << i;
   }
-  EXPECT_EQ(a.bin_queues, b.bin_queues) << variant;
+  EXPECT_EQ(a.bins, b.bins) << variant;
   EXPECT_EQ(a.shed_total, b.shed_total) << variant;
   ASSERT_EQ(a.deferred.size(), b.deferred.size()) << variant;
   for (std::size_t i = 0; i < a.deferred.size(); ++i) {
@@ -549,7 +549,7 @@ TEST(ControlDifferential, StaticControlIsInert) {
     }
     EXPECT_EQ(bare.snapshot.engine_state, controlled.snapshot.engine_state)
         << variant.name;
-    EXPECT_EQ(bare.snapshot.bin_queues, controlled.snapshot.bin_queues)
+    EXPECT_EQ(bare.snapshot.bins, controlled.snapshot.bins)
         << variant.name;
     EXPECT_EQ(bare.wait_stddev, controlled.wait_stddev) << variant.name;
   }
@@ -731,7 +731,7 @@ TEST(KernelDifferential, MultiChunkShardsMatchScalar) {
     for (std::uint64_t label = 1; label <= kAges; ++label) {
       wide.pool.push_back({label, 1});
     }
-    wide.bin_queues.resize(kMultiChunkN);
+    wide.bins.loads.assign(kMultiChunkN, 0);
     const auto resume = [&](RoundKernel kernel, std::uint32_t shards) {
       CappedSnapshot snap = wide;
       snap.config = with_kernel(snap.config, kernel, shards);

@@ -6,7 +6,9 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <string>
 
+#include "common/assert.hpp"
 #include "core/capped.hpp"
 #include "core/greedy.hpp"
 #include "sim/checkpoint.hpp"
@@ -29,6 +31,18 @@ CappedConfig small_config() {
 
 std::string temp_file(const std::string& name) {
   return (std::filesystem::temp_directory_path() / name).string();
+}
+
+/// Runs `action` and expects an exception whose message carries `name`.
+template <typename Action>
+void expect_error_names(Action action, const std::string& name) {
+  try {
+    action();
+    ADD_FAILURE() << name << ": not rejected";
+  } catch (const std::exception& e) {
+    EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+        << name << " -> " << e.what();
+  }
 }
 
 TEST(TraceRecorder, CapturesSeries) {
@@ -193,11 +207,50 @@ TEST(Checkpoint, RejectsOverfullQueue) {
   Capped process(small_config(), Engine(9));
   for (int i = 0; i < 50; ++i) (void)process.step();
   auto snap = process.snapshot();
-  snap.bin_queues[0] = {1, 2, 3, 4, 5};  // capacity is 3
+  // Bin 0's queue becomes 1..5; capacity is 3.
+  auto& bins = snap.bins;
+  bins.labels.erase(bins.labels.begin(),
+                    bins.labels.begin() + bins.loads[0]);
+  bins.labels.insert(bins.labels.begin(), {1, 2, 3, 4, 5});
+  bins.loads[0] = 5;
+  EXPECT_THROW(Capped{snap}, ContractViolation);
   const auto path = temp_file("iba_checkpoint_overfull.ckpt");
   sim::save_checkpoint(snap, path);
-  EXPECT_THROW((void)sim::load_checkpoint(path), std::runtime_error);
+  expect_error_names([&] { (void)sim::load_checkpoint(path); },
+                     "queue longer than capacity");
   std::filesystem::remove(path);
+}
+
+TEST(Snapshot, RejectsLoadsThatAreNotOnePerBin) {
+  Capped process(small_config(), Engine(10));
+  for (int i = 0; i < 20; ++i) (void)process.step();
+  auto snap = process.snapshot();
+  snap.bins.labels.resize(snap.bins.labels.size() - snap.bins.loads.back());
+  snap.bins.loads.pop_back();
+  expect_error_names([&] { Capped restored(snap); }, "one load per bin");
+  // Saved, the short table is a bin count that disagrees with n.
+  const auto path = temp_file("iba_checkpoint_short_bins.ckpt");
+  sim::save_checkpoint(snap, path);
+  expect_error_names([&] { (void)sim::load_checkpoint(path); },
+                     "bin count mismatch");
+  std::filesystem::remove(path);
+}
+
+TEST(Snapshot, RejectsLabelsThatDoNotSumToTheLoads) {
+  Capped process(small_config(), Engine(11));
+  for (int i = 0; i < 20; ++i) (void)process.step();
+  const auto snap = process.snapshot();
+  ASSERT_FALSE(snap.bins.labels.empty());
+  auto extra = snap;
+  extra.bins.labels.push_back(1);
+  expect_error_names([&] { Capped restored(extra); }, "sum of the loads");
+  auto missing = snap;
+  missing.bins.labels.pop_back();
+  expect_error_names([&] { Capped restored(missing); }, "sum of the loads");
+  // Nor can such a snapshot be saved: the file would misplace labels.
+  const auto path = temp_file("iba_checkpoint_bad_sum.ckpt");
+  expect_error_names([&] { sim::save_checkpoint(missing, path); },
+                     "sum of the loads");
 }
 
 }  // namespace
