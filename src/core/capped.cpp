@@ -13,20 +13,6 @@ namespace iba::core {
 
 namespace {
 
-// The fused sweep's bin chunk: 8192 bins, so a chunk's cursor and label
-// slices stay L2-resident and a chunk-local offset fits in 16 bits, with
-// 0xFFFF left over as the bucket sentinel.
-constexpr std::uint32_t kChunkBits = 13;
-constexpr std::uint32_t kChunkWidth = 1u << kChunkBits;
-constexpr std::uint16_t kSentinel = 0xFFFF;
-// Look-ahead of the acceptance replay's software prefetch, in entries.
-constexpr std::size_t kPrefetchDist = 24;
-
-constexpr std::uint32_t chunk_count(std::uint32_t n) noexcept {
-  return static_cast<std::uint32_t>(
-      (static_cast<std::uint64_t>(n) + kChunkWidth - 1) >> kChunkBits);
-}
-
 // Length of one slice's row of per-chunk cursors, padded to a whole
 // cache line so no two shards ever write the same line.
 constexpr std::size_t cursor_row(std::uint32_t n_chunks) noexcept {
@@ -45,15 +31,6 @@ std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point since) {
 CappedConfig validated(const CappedConfig& config) {
   config.validate();
   return config;
-}
-
-// Read+write prefetch hint; a no-op where the builtin is unavailable.
-inline void prefetch_rw(const void* address) noexcept {
-#if defined(__GNUC__) || defined(__clang__)
-  __builtin_prefetch(address, 1);
-#else
-  (void)address;
-#endif
 }
 
 }  // namespace
@@ -126,12 +103,7 @@ Capped::Capped(const CappedSnapshot& snapshot)
     pool_.add(bucket.label, bucket.count);
   }
   gate_.restore(snapshot.shed_total, snapshot.deferred);
-  waits_.restore(
-      stats::UintMoments::from_parts(snapshot.waits.count, snapshot.waits.sum,
-                                     snapshot.waits.sumsq_hi,
-                                     snapshot.waits.sumsq_lo),
-      stats::Log2Histogram::from_counts(snapshot.waits.histogram,
-                                        snapshot.waits.max));
+  waits_ = wait_recorder(snapshot.waits);
   const queueing::BinQueues& queues = snapshot.bins;
   IBA_EXPECT(queues.loads.size() == config_.n,
              "CappedSnapshot: bins.loads must hold one load per bin (n)");
@@ -150,17 +122,6 @@ Capped::Capped(const CappedSnapshot& snapshot)
   }
   bins_.restore(queues);
   if (controller_ != nullptr) controller_->restore(snapshot.controller);
-}
-
-CappedWaitState wait_state(const WaitRecorder& waits) {
-  CappedWaitState state;
-  state.count = waits.moments().count();
-  state.sum = waits.moments().sum();
-  state.sumsq_hi = waits.moments().sumsq_hi();
-  state.sumsq_lo = waits.moments().sumsq_lo();
-  state.max = waits.histogram().max();
-  state.histogram = waits.histogram().counts();
-  return state;
 }
 
 CappedSnapshot Capped::snapshot() const {
@@ -401,75 +362,55 @@ RoundMetrics Capped::allocate_and_delete(
 
 void Capped::accept_scalar(std::span<const std::uint32_t> choices,
                            RoundMetrics& m) {
-  survivors_.clear();
-  const auto trace_throw = [this](std::uint64_t label, std::uint32_t bin,
-                                  std::uint64_t load, bool accepted) {
-    if constexpr (IBA_TELEMETRY_ENABLED != 0) {
-      if (tracer_ != nullptr) tracer_->on_throw(label, bin, load, accepted);
-    } else {
-      (void)this;
-      (void)label;
-      (void)bin;
-      (void)load;
-      (void)accepted;
-    }
-  };
+  // Buckets are visited in preference order (the paper's oldest-first,
+  // or the ablation's inversion); rejections are counted per bucket and
+  // re-added oldest-first to keep the pool's label order intact.
+  const auto& buckets = pool_.buckets();
+  const std::size_t n_buckets = buckets.size();
+  const bool forward = config_.acceptance == AcceptanceOrder::kOldestFirst;
+  const std::uint32_t cap = config_.capacity;
+  const std::uint32_t* const caps = round_caps_;
+  rejected_.assign(n_buckets, 0);
   std::size_t idx = 0;
-  if (config_.acceptance == AcceptanceOrder::kOldestFirst) {
-    const std::uint32_t cap = config_.capacity;
-    const std::uint32_t* const caps = round_caps_;
-    for (const auto& bucket : pool_.buckets()) {
-      for (std::uint64_t k = 0; k < bucket.count; ++k) {
-        const std::uint32_t bin = choices[idx++];
-        const std::uint64_t load = bins_.load(bin);
-        const std::uint32_t cap_b = caps != nullptr ? caps[bin] : cap;
-        if (load < cap_b) {
-          bins_.push(bin, bucket.label);
-          ++m.accepted;
-          trace_throw(bucket.label, bin, load, true);
-        } else {
-          survivors_.add(bucket.label, 1);
-          trace_throw(bucket.label, bin, load, false);
-        }
+  for (std::size_t i = 0; i < n_buckets; ++i) {
+    const std::size_t b = forward ? i : n_buckets - 1 - i;
+    const auto [label, count] = buckets[b];
+    for (std::uint64_t k = 0; k < count; ++k) {
+      const std::uint32_t bin = choices[idx++];
+      const std::uint64_t load = bins_.load(bin);
+      const bool accepted = load < (caps != nullptr ? caps[bin] : cap);
+      if (accepted) {
+        bins_.push(bin, label);
+        ++m.accepted;
+      } else {
+        ++rejected_[b];
       }
-    }
-  } else {
-    // Youngest-first ablation: buckets visited in reverse. Survivors are
-    // seen youngest-first, so they are staged and re-added oldest-first
-    // to keep the pool's label order intact.
-    const std::uint32_t cap = config_.capacity;
-    const std::uint32_t* const caps = round_caps_;
-    const auto& buckets = pool_.buckets();
-    reverse_survivor_scratch_.clear();
-    for (auto it = buckets.rbegin(); it != buckets.rend(); ++it) {
-      std::uint64_t rejected = 0;
-      for (std::uint64_t k = 0; k < it->count; ++k) {
-        const std::uint32_t bin = choices[idx++];
-        const std::uint64_t load = bins_.load(bin);
-        const std::uint32_t cap_b = caps != nullptr ? caps[bin] : cap;
-        if (load < cap_b) {
-          bins_.push(bin, it->label);
-          ++m.accepted;
-          trace_throw(it->label, bin, load, true);
-        } else {
-          ++rejected;
-          trace_throw(it->label, bin, load, false);
-        }
+      if constexpr (IBA_TELEMETRY_ENABLED != 0) {
+        if (tracer_ != nullptr) tracer_->on_throw(label, bin, load, accepted);
       }
-      if (rejected > 0) {
-        reverse_survivor_scratch_.push_back({it->label, rejected});
-      }
-    }
-    for (auto it = reverse_survivor_scratch_.rbegin();
-         it != reverse_survivor_scratch_.rend(); ++it) {
-      survivors_.add(it->label, it->count);
     }
   }
   IBA_ASSERT(idx == choices.size());
+  survivors_.clear();
+  for (std::size_t b = 0; b < n_buckets; ++b) {
+    survivors_.add(buckets[b].label, rejected_[b]);
+  }
 }
 
 void Capped::delete_scalar(RoundMetrics& m) {
   const bool failures = config_.failure_probability > 0.0;
+  // A crashing bin's buffer returns to the pool with its labels (ages)
+  // preserved.
+  const auto requeue_all = [&](std::uint32_t bin) {
+    while (bins_.load(bin) > 0) {
+      const std::uint64_t crashed = bins_.pop_front(bin);
+      if constexpr (IBA_TELEMETRY_ENABLED != 0) {
+        if (tracer_ != nullptr) tracer_->on_requeue(bin, crashed);
+      }
+      ++requeue_[crashed];
+      ++m.requeued;
+    }
+  };
   for (std::uint32_t bin = 0; bin < config_.n; ++bin) {
     if (bins_.load(bin) == 0) continue;
     // Injected faults are consulted before the stochastic failure coin:
@@ -477,37 +418,43 @@ void Capped::delete_scalar(RoundMetrics& m) {
     // draw sequence stays identical across kernels and shard counts.
     if (faults_round_ &&
         (fault_flags_[bin] & FaultFlags::kNoServe) != 0) {
-      if ((fault_flags_[bin] & FaultFlags::kDrain) != 0) {
-        // Crash with state loss: the buffer returns to the pool with
-        // labels (ages) preserved, exactly like kCrashRequeue.
-        while (bins_.load(bin) > 0) {
-          const std::uint64_t crashed = bins_.pop_front(bin);
-          if constexpr (IBA_TELEMETRY_ENABLED != 0) {
-            if (tracer_ != nullptr) tracer_->on_requeue(bin, crashed);
-          }
-          ++requeue_[crashed];
-          ++m.requeued;
-        }
-      }
-      continue;  // down / straggling: no service this round
+      // Crash with state loss drains, like kCrashRequeue; down or
+      // straggling bins keep their buffer. No service this round.
+      if ((fault_flags_[bin] & FaultFlags::kDrain) != 0) requeue_all(bin);
+      continue;
     }
     if (failures &&
         rng::uniform01(engine_) < config_.failure_probability) {
       if (config_.failure_mode == FailureMode::kCrashRequeue) {
-        // The bin crashes: its buffered balls return to the pool with
-        // their original labels (ages keep accruing).
-        while (bins_.load(bin) > 0) {
-          const std::uint64_t crashed = bins_.pop_front(bin);
-          if constexpr (IBA_TELEMETRY_ENABLED != 0) {
-            if (tracer_ != nullptr) tracer_->on_requeue(bin, crashed);
-          }
-          ++requeue_[crashed];
-          ++m.requeued;
-        }
+        requeue_all(bin);
       }
       continue;  // no service from this bin this round
     }
-    delete_from_bin(bin, m);
+    // Service: the served ball's wait is its age.
+    std::uint64_t label;
+    std::uint32_t position = 0;  // queue index served
+    switch (config_.deletion) {
+      case DeletionDiscipline::kLifo:
+        position = bins_.load(bin) - 1;
+        label = bins_.pop_back(bin);
+        break;
+      case DeletionDiscipline::kUniform:
+        position = rng::bounded32(engine_, bins_.load(bin));
+        label = bins_.pop_at(bin, position);
+        break;
+      case DeletionDiscipline::kFifo:
+      default:
+        label = bins_.pop_front(bin);
+    }
+    if constexpr (IBA_TELEMETRY_ENABLED != 0) {
+      if (tracer_ != nullptr) tracer_->on_delete(bin, label, position);
+    }
+    const std::uint64_t wait = round_ - label;
+    waits_.record(wait);
+    ++m.deleted;
+    ++m.wait_count;
+    m.wait_sum += static_cast<double>(wait);
+    if (wait > m.wait_max) m.wait_max = wait;
   }
 }
 
@@ -515,61 +462,20 @@ void Capped::delete_scalar(RoundMetrics& m) {
 // Fused round kernel.
 // ---------------------------------------------------------------------------
 
-// Flattens pool buckets in acceptance-visit order: bucket_ends_[b] is
-// one past the last throw index of bucket b, so a binary search maps a
-// throw index to its bucket.
-void Capped::flatten_pool_buckets(std::uint64_t expected_total) {
-  const bool forward = config_.acceptance == AcceptanceOrder::kOldestFirst;
-  const auto& buckets = pool_.buckets();
-  bucket_labels_.clear();
-  bucket_ends_.clear();
-  std::uint64_t cum = 0;
-  if (forward) {
-    for (const auto& bucket : buckets) {
-      bucket_labels_.push_back(bucket.label);
-      cum += bucket.count;
-      bucket_ends_.push_back(cum);
-    }
-  } else {
-    for (auto it = buckets.rbegin(); it != buckets.rend(); ++it) {
-      bucket_labels_.push_back(it->label);
-      cum += it->count;
-      bucket_ends_.push_back(cum);
-    }
-  }
-  IBA_ASSERT(cum == expected_total);
-  (void)expected_total;
-}
-
 // Fused round kernel for untraced rounds. A flat counting sort over
 // n = 10^6 bins random-accesses multi-megabyte cursor arrays and loses
 // to the scalar loop on cache misses, so the kernel works in two
 // cache-resident levels instead, and splits both over the shard pool:
 //
-//   Pass A partitions throws into contiguous 8192-bin chunks. Shard s
-//   takes the s-th contiguous slice of the throws (pool buckets are
-//   contiguous index ranges in visit order), appends each throw's 13-bit
-//   local bin offset to its (chunk, slice) stream, and closes every
-//   bucket the slice spans with one sentinel per chunk. A chunk's streams
-//   lie in slice order, so reading them in turn visits the chunk's
-//   throws in (bucket, throw-index) order — the scalar visit order — and
-//   the bucket of an entry is implied by its sentinel-delimited segment
-//   instead of being stored per throw.
+//   Pass A partitions throws into the range kernel's chunk streams
+//   (core/range_kernel.hpp). Shard s takes the s-th contiguous slice of
+//   the throws (pool buckets are contiguous index ranges in visit order)
+//   and writes that slice's stream in every chunk.
 //
-//   Pass B gives shard t a contiguous run of whole chunks. Per chunk it
-//   first replays acceptance: each candidate is accepted iff its bin has
-//   room at its turn, exactly the scalar rule, with the chunk's bin state
-//   (sizes, heads, labels) L1/L2-resident. It then runs the delete walk
-//   over the same chunk's bins while they are still hot. Accepted counts,
-//   per-bucket rejections, waits, load stats and drained labels go to the
-//   shard's private SweepShard; all are exact integers (see
-//   WaitRecorder), so merging them in shard order equals the scalar
-//   path's end-of-round stream bit for bit.
-//
-// Configurations that draw from the engine per bin (failure coins,
-// uniform deletion) must draw in ascending bin order: with more than one
-// shard their delete walk runs after the parallel acceptance, serially
-// over all bins on the calling thread.
+//   Pass B is the range kernel, the one copy of the accept/serve rule,
+//   which dist::Worker also runs: shard t sweeps a contiguous run of
+//   whole chunks into its private SweepShard, and the shards merge in
+//   order.
 //
 // Outcome, RNG consumption and metrics are byte-identical to the scalar
 // path for every shard count; only the memory access order differs.
@@ -577,8 +483,21 @@ bool Capped::round_fused(std::span<const std::uint32_t> choices,
                          RoundMetrics& m) {
   const std::uint32_t n = config_.n;
   const std::size_t nu = choices.size();
-  flatten_pool_buckets(nu);
-  const std::size_t n_buckets = bucket_labels_.size();
+  // Pool buckets in acceptance-visit order; bucket_ends_[b] is one past
+  // the last throw index of bucket b, so a binary search maps a throw
+  // index to its bucket.
+  const bool forward = config_.acceptance == AcceptanceOrder::kOldestFirst;
+  const auto& buckets = pool_.buckets();
+  const std::size_t n_buckets = buckets.size();
+  visit_buckets_.clear();
+  bucket_ends_.clear();
+  std::uint64_t cum = 0;
+  for (std::size_t i = 0; i < n_buckets; ++i) {
+    visit_buckets_.push_back(buckets[forward ? i : n_buckets - 1 - i]);
+    cum += visit_buckets_.back().count;
+    bucket_ends_.push_back(cum);
+  }
+  IBA_ASSERT(cum == nu);
   const std::uint32_t n_chunks = chunk_count(n);
 
   // One sentinel per (bucket, chunk): bail to the scalar path if the pool's
@@ -629,10 +548,7 @@ bool Capped::round_fused(std::span<const std::uint32_t> choices,
     }
   }
   chunk_begin_[n_chunks] = run;
-  // The kPrefetchDist slack keeps the replay loop's look-ahead read in
-  // bounds; stale values there are harmless (the prefetched address is
-  // masked into the chunk and never dereferenced architecturally).
-  part16_.resize(run + kPrefetchDist);
+  part16_.resize(run + kPrefetchDist);  // the replay's look-ahead slack
   for_shards(nu, [&](std::size_t s, std::size_t lo, std::size_t hi) {
     if (lo == hi) return;
     std::uint64_t* const cursor = slice_cursor_.data() + s * row;
@@ -654,23 +570,29 @@ bool Capped::round_fused(std::span<const std::uint32_t> choices,
     IBA_ASSERT(idx == hi);
   });
 
-  // Pass B. Engine-drawing delete walks stay in bin order: inline when
-  // one shard walks every chunk in turn, else after the parallel sweep.
+  // Pass B: the range kernel over each shard's run of chunks. Delete
+  // walks that draw from the engine (failure coins, uniform deletion)
+  // stay in bin order: inline when one shard walks every chunk in turn,
+  // else serially after the parallel sweep.
+  const RangeRound range{
+      .bins = &bins_, .round = round_, .part = part16_.data(),
+      .chunk_begin = chunk_begin_.data(), .stream_end = slice_cursor_.data(),
+      .row = row, .slices = shards, .slice_buckets = slice_buckets_.data(),
+      .buckets = visit_buckets_, .capacity = config_.capacity,
+      .caps = round_caps_,
+      .fault_flags = faults_round_ ? fault_flags_ : nullptr,
+      .failure_probability = config_.failure_probability,
+      .failure_mode = config_.failure_mode, .deletion = config_.deletion,
+      .engine = &engine_, .timing = timing};
   sweep_.resize(shards);
-  for (SweepShard& acc : sweep_) {
-    acc.accepted = acc.deleted = acc.wait_sum = acc.wait_max = 0;
-    acc.max_load = acc.empty_bins = acc.busy_ns = acc.delete_ns = 0;
-    acc.rejected.assign(n_buckets, 0);
-    acc.requeued.clear();
-    acc.waits.reset();
-  }
+  for (SweepShard& acc : sweep_) acc.reset(n_buckets);
   const bool draws = config_.failure_probability > 0.0 ||
                      config_.deletion == DeletionDiscipline::kUniform;
   const bool inline_delete = !draws || shards == 1;
   std::chrono::steady_clock::time_point t_pass_b;
   if (timing) t_pass_b = std::chrono::steady_clock::now();
   for_shards(n_chunks, [&](std::size_t t, std::size_t lo, std::size_t hi) {
-    sweep_chunks(sweep_[t], static_cast<std::uint32_t>(lo),
+    sweep_chunks(range, sweep_[t], static_cast<std::uint32_t>(lo),
                  static_cast<std::uint32_t>(hi), inline_delete);
   });
   std::uint64_t delete_ns = 0;
@@ -690,7 +612,7 @@ bool Capped::round_fused(std::span<const std::uint32_t> choices,
   if (!inline_delete) {
     std::chrono::steady_clock::time_point t_del;
     if (timing) t_del = std::chrono::steady_clock::now();
-    delete_bins(sweep_[0], 0, n);
+    delete_bins(range, sweep_[0], 0, n);
     if (timing) delete_ns += elapsed_ns(t_del);
   }
 
@@ -725,13 +647,12 @@ bool Capped::round_fused(std::span<const std::uint32_t> choices,
   m.empty_bins = empty_bins;
 
   // Survivors re-added oldest-first (AgedPool's label-order invariant).
-  const bool forward = config_.acceptance == AcceptanceOrder::kOldestFirst;
   survivors_.clear();
   for (std::size_t i = 0; i < n_buckets; ++i) {
     const std::size_t b = forward ? i : n_buckets - 1 - i;
     std::uint64_t rejected = 0;
     for (const SweepShard& acc : sweep_) rejected += acc.rejected[b];
-    survivors_.add(bucket_labels_[b], rejected);
+    survivors_.add(visit_buckets_[b].label, rejected);
   }
   pool_.swap(survivors_);
 
@@ -743,222 +664,6 @@ bool Capped::round_fused(std::span<const std::uint32_t> choices,
     timers_->add(telemetry::Phase::kDelete, delete_ns, m.deleted);
   }
   return true;
-}
-
-void Capped::sweep_chunks(SweepShard& acc, std::uint32_t chunk_begin,
-                          std::uint32_t chunk_end, bool with_delete) {
-  const bool timing = timers_ != nullptr;
-  std::chrono::steady_clock::time_point t_busy;
-  if (timing) t_busy = std::chrono::steady_clock::now();
-
-  const std::uint32_t n = config_.n;
-  const std::size_t shards = config_.shards;
-  const std::size_t row = cursor_row(chunk_count(n));
-  const std::size_t n_buckets = bucket_labels_.size();
-  // Acceptance bounds by the logical capacity; slot arithmetic uses the
-  // storage capacity, which can be wider after a controller shrink (the
-  // storage never narrows — spare slots are simply unused).
-  const std::uint32_t cap = config_.capacity;
-  const std::uint32_t storage = bins_.capacity();
-  const std::uint32_t* const caps = round_caps_;  // per-bin bounds, if any
-  std::uint32_t* const hs_arr = bins_.packed_mut();
-  std::uint64_t* const lb = bins_.labels_mut();
-  const std::uint16_t* const part = part16_.data();
-  std::uint64_t* const rejected = acc.rejected.data();
-  constexpr std::uint32_t kSizeMask = queueing::BinTable::kSizeMask;
-  constexpr std::uint32_t kHeadShift = queueing::BinTable::kHeadShift;
-  std::uint64_t accepted = 0;
-  std::size_t p = chunk_begin_[chunk_begin];  // chunk streams are contiguous
-  for (std::uint32_t c = chunk_begin; c < chunk_end; ++c) {
-    const std::uint32_t bin_lo = c << kChunkBits;
-    const std::uint32_t bin_hi = std::min(n, bin_lo + kChunkWidth);
-
-    // Acceptance replay in visit order, one slice stream after another.
-    // The replay touches bin state in random order, but only within this
-    // chunk's cache-resident slice of the cursor and label arrays, so the
-    // loads hit L1/L2 instead of paying a full random-access miss per
-    // candidate.
-    for (std::size_t s = 0; s < shards; ++s) {
-      const std::size_t stream_end = slice_cursor_[s * row + c];
-      std::size_t b = slice_buckets_[2 * s];
-      std::uint64_t label = b < n_buckets ? bucket_labels_[b] : 0;
-      std::uint64_t rej = 0;
-      for (; p < stream_end; ++p) {
-        const std::uint32_t v = part[p];
-        // Software prefetch kPrefetchDist entries ahead: the replay's only
-        // cold loads are the cursor word and label line of the upcoming
-        // bins. Sentinels and the tail slack read garbage offsets — the
-        // mask and clamp keep the hinted address inside the chunk, and a
-        // useless hint costs nothing measurable.
-        {
-          const std::uint32_t ahead =
-              part[p + kPrefetchDist] & (kChunkWidth - 1);
-          const std::uint32_t pf_bin = std::min(bin_hi - 1, bin_lo + ahead);
-          prefetch_rw(hs_arr + pf_bin);
-          prefetch_rw(lb + static_cast<std::size_t>(pf_bin) * storage);
-        }
-        if (v == kSentinel) [[unlikely]] {
-          // Bucket b has no further throws in this (chunk, slice).
-          rejected[b] += rej;
-          rej = 0;
-          ++b;
-          if (b < n_buckets) label = bucket_labels_[b];
-          continue;
-        }
-        const std::uint32_t bin = bin_lo + v;
-        const std::uint32_t hs = hs_arr[bin];
-        const std::uint32_t load = hs & kSizeMask;
-        const std::uint32_t cap_b = caps != nullptr ? caps[bin] : cap;
-        if (load < cap_b) {
-          std::uint32_t slot = (hs >> kHeadShift) + load;
-          if (slot >= storage) slot -= storage;
-          lb[static_cast<std::size_t>(bin) * storage + slot] = label;
-          hs_arr[bin] = hs + 1;
-          ++accepted;
-        } else {
-          ++rej;
-        }
-      }
-      IBA_ASSERT(b == slice_buckets_[2 * s + 1] && rej == 0);
-    }
-
-    if (with_delete) {
-      std::chrono::steady_clock::time_point t_del;
-      if (timing) t_del = std::chrono::steady_clock::now();
-      delete_bins(acc, bin_lo, bin_hi);
-      if (timing) acc.delete_ns += elapsed_ns(t_del);
-    }
-  }
-  acc.accepted += accepted;
-  if (timing) acc.busy_ns += elapsed_ns(t_busy);
-}
-
-// The fused sweep's delete walk. Waits are recorded inline into the
-// shard's recorder: the integer wait accumulator is order-independent,
-// so mid-sweep recording matches the scalar path's end-of-round stream
-// bit for bit.
-void Capped::delete_bins(SweepShard& acc, std::uint32_t bin_begin,
-                         std::uint32_t bin_end) {
-  const std::uint32_t storage = bins_.capacity();
-  const bool faults = faults_round_;
-  const bool failures = config_.failure_probability > 0.0;
-  const double p_fail = config_.failure_probability;
-  const bool crash = config_.failure_mode == FailureMode::kCrashRequeue;
-  const DeletionDiscipline discipline = config_.deletion;
-  std::uint32_t* const hs_arr = bins_.packed_mut();
-  std::uint64_t* const lb = bins_.labels_mut();
-  constexpr std::uint32_t kSizeMask = queueing::BinTable::kSizeMask;
-  constexpr std::uint32_t kHeadShift = queueing::BinTable::kHeadShift;
-  WaitRecorder& waits = acc.waits;
-  std::uint64_t max_load = acc.max_load;
-  std::uint64_t empty_bins = acc.empty_bins;
-  std::uint64_t deleted = 0;
-  std::uint64_t wait_sum = 0;
-  std::uint64_t wait_max = acc.wait_max;
-  const auto drain = [&](std::uint32_t bin) {
-    bins_.drain_bulk(
-        bin, [&](std::uint64_t label) { acc.requeued.push_back(label); });
-    ++empty_bins;
-  };
-  if (!failures && !faults && discipline != DeletionDiscipline::kUniform) {
-    // Failure-free FIFO/LIFO: no engine draws, lean raw-array loop.
-    const bool lifo = discipline == DeletionDiscipline::kLifo;
-    for (std::uint32_t bin = bin_begin; bin < bin_end; ++bin) {
-      const std::uint32_t hs = hs_arr[bin];
-      const std::uint32_t load = hs & kSizeMask;
-      if (load == 0) {
-        ++empty_bins;
-        continue;
-      }
-      const std::size_t base = static_cast<std::size_t>(bin) * storage;
-      const std::uint32_t head = hs >> kHeadShift;
-      std::uint64_t served;
-      if (lifo) {
-        std::uint32_t slot = head + load - 1;
-        if (slot >= storage) slot -= storage;
-        served = lb[base + slot];
-        hs_arr[bin] = hs - 1;  // head unchanged, size - 1
-      } else {
-        served = lb[base + head];
-        const std::uint32_t next = head + 1 == storage ? 0 : head + 1;
-        hs_arr[bin] = (next << kHeadShift) | (load - 1);
-      }
-      const std::uint64_t wait = round_ - served;
-      waits.record(wait);
-      ++deleted;
-      wait_sum += wait;
-      if (wait > wait_max) wait_max = wait;
-      empty_bins += static_cast<std::uint64_t>(load == 1);
-      if (load - 1 > max_load) max_load = load - 1;
-    }
-  } else {
-    // Faults, failures and/or uniform service: per-bin coin/position
-    // draws in bin order, exactly the scalar path's engine consumption.
-    for (std::uint32_t bin = bin_begin; bin < bin_end; ++bin) {
-      const std::uint32_t load = hs_arr[bin] & kSizeMask;
-      if (load == 0) {
-        ++empty_bins;
-        continue;
-      }
-      if (faults && (fault_flags_[bin] & FaultFlags::kNoServe) != 0) {
-        if ((fault_flags_[bin] & FaultFlags::kDrain) != 0) {
-          drain(bin);
-        } else if (load > max_load) {
-          max_load = load;
-        }
-        continue;  // faulted bins draw no failure coin (see delete_scalar)
-      }
-      if (failures && rng::uniform01(engine_) < p_fail) {
-        if (crash) {
-          drain(bin);
-        } else if (load > max_load) {
-          max_load = load;
-        }
-        continue;
-      }
-      std::uint64_t served;
-      switch (discipline) {
-        case DeletionDiscipline::kLifo:
-          served = bins_.remove_at(bin, load - 1);
-          break;
-        case DeletionDiscipline::kUniform:
-          served = bins_.remove_at(bin, rng::bounded32(engine_, load));
-          break;
-        case DeletionDiscipline::kFifo:
-        default:
-          served = bins_.remove_at(bin, 0);
-          break;
-      }
-      const std::uint64_t wait = round_ - served;
-      waits.record(wait);
-      ++deleted;
-      wait_sum += wait;
-      if (wait > wait_max) wait_max = wait;
-      empty_bins += static_cast<std::uint64_t>(load == 1);
-      if (load - 1 > max_load) max_load = load - 1;
-    }
-  }
-  acc.deleted += deleted;
-  acc.wait_sum += wait_sum;
-  acc.wait_max = wait_max;
-  acc.max_load = max_load;
-  acc.empty_bins = empty_bins;
-}
-
-void Capped::record_wait(std::uint32_t bin, std::uint64_t label,
-                         std::uint64_t position, RoundMetrics& m) {
-  if constexpr (IBA_TELEMETRY_ENABLED != 0) {
-    if (tracer_ != nullptr) tracer_->on_delete(bin, label, position);
-  } else {
-    (void)bin;
-    (void)position;
-  }
-  const std::uint64_t wait = round_ - label;
-  waits_.record(wait);
-  ++m.deleted;
-  ++m.wait_count;
-  m.wait_sum += static_cast<double>(wait);
-  if (wait > m.wait_max) m.wait_max = wait;
 }
 
 void Capped::for_shards(
@@ -980,27 +685,6 @@ void Capped::merge_requeued_into_pool() {
   }
   pool_.merge_sorted(requeue_scratch_);
   requeue_.clear();
-}
-
-void Capped::delete_from_bin(std::uint32_t bin, RoundMetrics& m) {
-  std::uint64_t label;
-  std::uint64_t position = 0;  // queue index served
-  switch (config_.deletion) {
-    case DeletionDiscipline::kFifo:
-      label = bins_.pop_front(bin);
-      break;
-    case DeletionDiscipline::kLifo:
-      position = bins_.load(bin) - 1;
-      label = bins_.pop_back(bin);
-      break;
-    case DeletionDiscipline::kUniform:
-      position = rng::bounded32(engine_, bins_.load(bin));
-      label = bins_.pop_at(bin, static_cast<std::uint32_t>(position));
-      break;
-    default:
-      label = bins_.pop_front(bin);
-  }
-  record_wait(bin, label, position, m);
 }
 
 }  // namespace iba::core

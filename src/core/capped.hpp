@@ -39,6 +39,7 @@
 #include "core/policies.hpp"
 #include "core/process.hpp"
 #include "core/arena.hpp"
+#include "core/range_kernel.hpp"
 #include "queueing/aged_pool.hpp"
 #include "queueing/bin_table.hpp"
 #include "telemetry/phase_timers.hpp"
@@ -117,22 +118,6 @@ struct CappedConfig {
   /// Throws ContractViolation when the configuration is unusable.
   void validate() const;
 };
-
-/// Wait-recorder state captured in a snapshot — exact integer moments
-/// (Σw² split into 64-bit halves) plus the dyadic histogram — so a
-/// resumed run continues the cumulative waiting-time statistics
-/// bit-for-bit instead of restarting them.
-struct CappedWaitState {
-  std::uint64_t count = 0;
-  std::uint64_t sum = 0;
-  std::uint64_t sumsq_hi = 0;
-  std::uint64_t sumsq_lo = 0;
-  std::uint64_t max = 0;
-  std::vector<std::uint64_t> histogram;  ///< Log2Histogram counts
-};
-
-/// The exact state of a wait recorder, as a snapshot stores it.
-[[nodiscard]] CappedWaitState wait_state(const WaitRecorder& waits);
 
 /// Complete dynamic state of a Capped process — everything needed to
 /// resume a run bit-for-bit, including the cumulative waiting-time
@@ -384,48 +369,18 @@ class Capped {
   void record_time_series(const RoundMetrics& m);
   RoundMetrics allocate_and_delete(const Admission& admission,
                                    std::span<const std::uint32_t> choices);
-  void delete_from_bin(std::uint32_t bin, RoundMetrics& m);
 
   // -- scalar (ball-at-a-time) round path --
   void accept_scalar(std::span<const std::uint32_t> choices, RoundMetrics& m);
   void delete_scalar(RoundMetrics& m);
 
   // -- fused bin-major round kernel (see docs/PERFORMANCE.md) --
-  void flatten_pool_buckets(std::uint64_t expected_total);
-  /// Fused accept+delete sweep for the untraced kernel,
-  /// run on config_.shards threads: a sliced two-level partition of the
-  /// throws into bin chunks, then per chunk the acceptance replay and the
-  /// delete walk while the chunk's bins are cache-hot. Returns false
-  /// (nothing mutated) when the pool's bucket count makes the partition
-  /// bookkeeping uneconomical; the round then runs the scalar path.
+  /// Fused accept+delete sweep for the untraced kernel, run on
+  /// config_.shards threads: a sliced partition of the throws into chunk
+  /// streams, then the range kernel over each shard's run of chunks.
+  /// Returns false (nothing mutated) when the pool's bucket count makes
+  /// the partition uneconomical; the round then runs the scalar path.
   bool round_fused(std::span<const std::uint32_t> choices, RoundMetrics& m);
-  /// One shard's private accumulators in a fused sweep. All are exact
-  /// integers, so merging them in shard order reproduces the serial
-  /// sweep bit for bit. Aligned so shards never share a cache line.
-  struct alignas(64) SweepShard {
-    std::uint64_t accepted = 0;
-    std::uint64_t deleted = 0;
-    std::uint64_t wait_sum = 0;
-    std::uint64_t wait_max = 0;
-    std::uint64_t max_load = 0;
-    std::uint64_t empty_bins = 0;
-    std::uint64_t busy_ns = 0;    // phase timing only
-    std::uint64_t delete_ns = 0;  // phase timing only
-    std::vector<std::uint64_t> rejected;  // per pool bucket
-    std::vector<std::uint64_t> requeued;  // labels of drained balls
-    WaitRecorder waits;
-  };
-  /// Pass B of the fused sweep over chunks [chunk_begin, chunk_end):
-  /// acceptance replay per chunk, then (with_delete) that chunk's delete
-  /// walk.
-  void sweep_chunks(SweepShard& acc, std::uint32_t chunk_begin,
-                    std::uint32_t chunk_end, bool with_delete);
-  /// The fused sweep's delete walk over bins [bin_begin, bin_end). Draws
-  /// from the engine only for failure coins and uniform deletion.
-  void delete_bins(SweepShard& acc, std::uint32_t bin_begin,
-                   std::uint32_t bin_end);
-  void record_wait(std::uint32_t bin, std::uint64_t label,
-                   std::uint64_t position, RoundMetrics& m);
   /// Runs fn(shard, begin, end) over config_.shards contiguous slices of
   /// [0, count): inline when shards == 1, else on the shard pool.
   void for_shards(std::size_t count,
@@ -444,26 +399,20 @@ class Capped {
   // pointer so a moved Capped keeps the address its buffers point at.
   std::unique_ptr<Arena> arena_;
   ArenaBuffer<std::uint32_t> choice_scratch_;
-  std::vector<queueing::AgedPool::Bucket> reverse_survivor_scratch_;
+  std::vector<std::uint64_t> rejected_;  // scalar path, per pool bucket
   std::map<std::uint64_t, std::uint64_t> requeue_;  // label → crashed count
   queueing::BinTable bins_;
 
-  // Fused kernel scratch, reused across rounds: throws are partitioned
-  // into contiguous bin-range chunks sized so the cursor arrays and
-  // per-chunk bin state stay cache-resident. A chunk's stream is one sub-stream per throw slice,
-  // in slice order; each holds 16-bit chunk-local offsets in bucket-major
-  // visit order with one sentinel per bucket the slice spans, so the
-  // bucket of an entry is implied by its segment instead of stored.
-  ArenaBuffer<std::uint16_t> part16_;         // local bin offsets + sentinels
-  // Fused-sweep partition bookkeeping. Slice s's throws span pool buckets
-  // [slice_buckets_[2s], slice_buckets_[2s+1]) and its stream for chunk c
-  // ends at slice_cursor_[s * row + c] (rows padded to a cache line);
-  // chunk c's streams start at chunk_begin_[c].
+  // Fused-sweep scratch, reused across rounds: the range kernel's chunk
+  // streams (core/range_kernel.hpp) and their bookkeeping, as
+  // RangeRound's part, stream_end (rows padded to a cache line),
+  // slice_buckets and chunk_begin.
+  ArenaBuffer<std::uint16_t> part16_;
   std::vector<std::uint64_t> slice_cursor_;
   std::vector<std::size_t> slice_buckets_;
   std::vector<std::uint64_t> chunk_begin_;
   std::vector<SweepShard> sweep_;             // one per shard
-  std::vector<std::uint64_t> bucket_labels_;  // flat copy of pool buckets
+  std::vector<queueing::AgedPool::Bucket> visit_buckets_;  // visit order
   std::vector<std::uint64_t> bucket_ends_;    // throw-index boundaries
   std::unique_ptr<concurrency::ThreadPool> shard_pool_;  // shards > 1
 

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "stats/histogram.hpp"
 #include "stats/int_moments.hpp"
@@ -40,6 +41,19 @@ struct RoundMetrics {
                                  ///< end of round (kDeferRetry only)
   std::uint64_t faulted_bins = 0;///< bins under an injected fault (down,
                                  ///< draining, or straggling) this round
+};
+
+/// A wait recorder's exact state — integer moments (Σw² split into
+/// 64-bit halves) plus the dyadic histogram — as snapshots and
+/// distributed round results carry it, so a rebuilt recorder continues
+/// the cumulative waiting-time statistics bit for bit.
+struct CappedWaitState {
+  std::uint64_t count = 0;
+  std::uint64_t sum = 0;
+  std::uint64_t sumsq_hi = 0;
+  std::uint64_t sumsq_lo = 0;
+  std::uint64_t max = 0;
+  std::vector<std::uint64_t> histogram;  ///< Log2Histogram counts
 };
 
 /// Accumulates the waiting times of every deleted ball over a run:
@@ -86,16 +100,9 @@ class WaitRecorder {
     histogram_ = stats::Log2Histogram{};
   }
 
-  /// Restores a previously captured state (checkpoint resume): the
-  /// recorder continues exactly where the saved run left off, so resumed
-  /// cumulative moments stay bit-identical to the uninterrupted run.
-  void restore(const stats::UintMoments& moments,
-               const stats::Log2Histogram& histogram) {
-    moments_ = moments;
-    histogram_ = histogram;
-  }
-
  private:
+  friend WaitRecorder wait_recorder(const CappedWaitState& state);
+
   // Exact integer accumulation (Σw in 64 bits, Σw² in 128): cheap on
   // the per-deleted-ball hot path — no serial FP dependency chain — and
   // order-independent, which lets the fused bin-major kernel record
@@ -103,5 +110,23 @@ class WaitRecorder {
   stats::UintMoments moments_;
   stats::Log2Histogram histogram_;
 };
+
+/// The exact state of a wait recorder.
+[[nodiscard]] inline CappedWaitState wait_state(const WaitRecorder& waits) {
+  return {waits.moments().count(),    waits.moments().sum(),
+          waits.moments().sumsq_hi(), waits.moments().sumsq_lo(),
+          waits.histogram().max(),    waits.histogram().counts()};
+}
+
+/// The inverse of wait_state(): a recorder holding exactly `state`, so
+/// one rebuilt from wait_state(w) continues where w left off.
+[[nodiscard]] inline WaitRecorder wait_recorder(const CappedWaitState& state) {
+  WaitRecorder waits;
+  waits.moments_ = stats::UintMoments::from_parts(
+      state.count, state.sum, state.sumsq_hi, state.sumsq_lo);
+  waits.histogram_ =
+      stats::Log2Histogram::from_counts(state.histogram, state.max);
+  return waits;
+}
 
 }  // namespace iba::core

@@ -1,0 +1,243 @@
+#include "core/range_kernel.hpp"
+
+#include <algorithm>
+#include <chrono>
+
+#include "common/assert.hpp"
+#include "core/fault_hooks.hpp"
+#include "rng/bounded.hpp"
+
+namespace iba::core {
+
+namespace {
+
+std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point since) {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - since)
+          .count());
+}
+
+// Read+write prefetch hint; a no-op where the builtin is unavailable.
+inline void prefetch_rw(const void* address) noexcept {
+#if defined(__GNUC__) || defined(__clang__)
+  __builtin_prefetch(address, 1);
+#else
+  (void)address;
+#endif
+}
+
+}  // namespace
+
+void SweepShard::reset(std::size_t buckets) {
+  accepted = deleted = wait_sum = wait_max = 0;
+  max_load = empty_bins = busy_ns = delete_ns = 0;
+  rejected.assign(buckets, 0);
+  requeued.clear();
+  waits.reset();
+}
+
+void sweep_chunks(const RangeRound& r, SweepShard& acc, std::uint32_t chunk_lo,
+                  std::uint32_t chunk_hi, bool with_delete) {
+  const bool timing = r.timing;
+  std::chrono::steady_clock::time_point t_busy;
+  if (timing) t_busy = std::chrono::steady_clock::now();
+
+  queueing::BinTable& table = *r.bins;
+  const std::uint32_t n = table.bins();
+  const std::size_t slices = r.slices;
+  const std::size_t row = r.row;
+  const std::size_t n_buckets = r.buckets.size();
+  const queueing::AgedPool::Bucket* const buckets = r.buckets.data();
+  const std::uint64_t* const stream_end = r.stream_end;
+  const std::size_t* const slice_buckets = r.slice_buckets;
+  // Slot arithmetic uses the storage width, which a controller shrink
+  // leaves wider than the acceptance bound.
+  const std::uint32_t cap = r.capacity;
+  const std::uint32_t storage = table.capacity();
+  const std::uint32_t* const caps = r.caps;  // per-bin bounds, if any
+  std::uint32_t* const hs_arr = table.packed_mut();
+  std::uint64_t* const lb = table.labels_mut();
+  const std::uint16_t* const part = r.part;
+  std::uint64_t* const rejected = acc.rejected.data();
+  constexpr std::uint32_t kSizeMask = queueing::BinTable::kSizeMask;
+  constexpr std::uint32_t kHeadShift = queueing::BinTable::kHeadShift;
+  std::uint64_t accepted = 0;
+  for (std::uint32_t c = chunk_lo; c < chunk_hi; ++c) {
+    const std::uint32_t bin_lo = c << kChunkBits;
+    const std::uint32_t bin_hi = std::min(n, bin_lo + kChunkWidth);
+
+    // Acceptance replay in visit order, one slice stream after another,
+    // within this chunk's cache-resident slice of the bin state.
+    std::size_t p = r.chunk_begin[c];
+    for (std::size_t s = 0; s < slices; ++s) {
+      const std::size_t end = stream_end[s * row + c];
+      std::size_t b = slice_buckets[2 * s];
+      std::uint64_t label = b < n_buckets ? buckets[b].label : 0;
+      std::uint64_t rej = 0;
+      for (; p < end; ++p) {
+        const std::uint32_t v = part[p];
+        // Prefetch the cursor word and label line kPrefetchDist entries
+        // ahead. Sentinels and slack read garbage; the mask and clamp keep
+        // the hint inside the chunk.
+        {
+          const std::uint32_t ahead =
+              part[p + kPrefetchDist] & (kChunkWidth - 1);
+          const std::uint32_t pf_bin = std::min(bin_hi - 1, bin_lo + ahead);
+          prefetch_rw(hs_arr + pf_bin);
+          prefetch_rw(lb + static_cast<std::size_t>(pf_bin) * storage);
+        }
+        if (v == kSentinel) [[unlikely]] {
+          // Bucket b has no further throws in this (chunk, slice).
+          rejected[b] += rej;
+          rej = 0;
+          ++b;
+          if (b < n_buckets) label = buckets[b].label;
+          continue;
+        }
+        const std::uint32_t bin = bin_lo + v;
+        const std::uint32_t hs = hs_arr[bin];
+        const std::uint32_t load = hs & kSizeMask;
+        const std::uint32_t cap_b = caps != nullptr ? caps[bin] : cap;
+        if (load < cap_b) {
+          std::uint32_t slot = (hs >> kHeadShift) + load;
+          if (slot >= storage) slot -= storage;
+          lb[static_cast<std::size_t>(bin) * storage + slot] = label;
+          hs_arr[bin] = hs + 1;
+          ++accepted;
+        } else {
+          ++rej;
+        }
+      }
+      IBA_ASSERT(b == slice_buckets[2 * s + 1] && rej == 0);
+    }
+
+    if (with_delete) {
+      std::chrono::steady_clock::time_point t_del;
+      if (timing) t_del = std::chrono::steady_clock::now();
+      delete_bins(r, acc, bin_lo, bin_hi);
+      if (timing) acc.delete_ns += elapsed_ns(t_del);
+    }
+  }
+  acc.accepted += accepted;
+  if (timing) acc.busy_ns += elapsed_ns(t_busy);
+}
+
+// Waits are recorded inline into the caller's recorder: the integer
+// wait accumulator is order-independent, so mid-sweep recording matches
+// the scalar path's end-of-round stream bit for bit.
+void delete_bins(const RangeRound& r, SweepShard& acc, std::uint32_t bin_lo,
+                 std::uint32_t bin_hi) {
+  queueing::BinTable& table = *r.bins;
+  const std::uint32_t storage = table.capacity();
+  const std::uint8_t* const fault_flags = r.fault_flags;
+  const bool failures = r.failure_probability > 0.0;
+  const double p_fail = r.failure_probability;
+  const bool crash = r.failure_mode == FailureMode::kCrashRequeue;
+  const DeletionDiscipline discipline = r.deletion;
+  const std::uint64_t round = r.round;
+  std::uint32_t* const hs_arr = table.packed_mut();
+  std::uint64_t* const lb = table.labels_mut();
+  constexpr std::uint32_t kSizeMask = queueing::BinTable::kSizeMask;
+  constexpr std::uint32_t kHeadShift = queueing::BinTable::kHeadShift;
+  WaitRecorder& waits = acc.waits;
+  std::uint64_t max_load = acc.max_load;
+  std::uint64_t empty_bins = acc.empty_bins;
+  std::uint64_t deleted = 0;
+  std::uint64_t wait_sum = 0;
+  std::uint64_t wait_max = acc.wait_max;
+  const auto drain = [&](std::uint32_t bin) {
+    table.drain_bulk(
+        bin, [&](std::uint64_t label) { acc.requeued.push_back(label); });
+    ++empty_bins;
+  };
+  if (!failures && fault_flags == nullptr &&
+      discipline != DeletionDiscipline::kUniform) {
+    // Failure-free FIFO/LIFO: no engine draws, lean raw-array loop.
+    const bool lifo = discipline == DeletionDiscipline::kLifo;
+    for (std::uint32_t bin = bin_lo; bin < bin_hi; ++bin) {
+      const std::uint32_t hs = hs_arr[bin];
+      const std::uint32_t load = hs & kSizeMask;
+      if (load == 0) {
+        ++empty_bins;
+        continue;
+      }
+      const std::size_t base = static_cast<std::size_t>(bin) * storage;
+      const std::uint32_t head = hs >> kHeadShift;
+      std::uint64_t served;
+      if (lifo) {
+        std::uint32_t slot = head + load - 1;
+        if (slot >= storage) slot -= storage;
+        served = lb[base + slot];
+        hs_arr[bin] = hs - 1;  // head unchanged, size - 1
+      } else {
+        served = lb[base + head];
+        const std::uint32_t next = head + 1 == storage ? 0 : head + 1;
+        hs_arr[bin] = (next << kHeadShift) | (load - 1);
+      }
+      const std::uint64_t wait = round - served;
+      waits.record(wait);
+      ++deleted;
+      wait_sum += wait;
+      if (wait > wait_max) wait_max = wait;
+      empty_bins += static_cast<std::uint64_t>(load == 1);
+      if (load - 1 > max_load) max_load = load - 1;
+    }
+  } else {
+    // Faults, failures and/or uniform service: per-bin coin/position
+    // draws in bin order, exactly the scalar path's engine consumption.
+    IBA_ASSERT(r.engine != nullptr ||
+               (!failures && discipline != DeletionDiscipline::kUniform));
+    for (std::uint32_t bin = bin_lo; bin < bin_hi; ++bin) {
+      const std::uint32_t load = hs_arr[bin] & kSizeMask;
+      if (load == 0) {
+        ++empty_bins;
+        continue;
+      }
+      if (fault_flags != nullptr &&
+          (fault_flags[bin] & FaultFlags::kNoServe) != 0) {
+        if ((fault_flags[bin] & FaultFlags::kDrain) != 0) {
+          drain(bin);
+        } else if (load > max_load) {
+          max_load = load;
+        }
+        continue;  // faulted bins draw no failure coin (see delete_scalar)
+      }
+      if (failures && rng::uniform01(*r.engine) < p_fail) {
+        if (crash) {
+          drain(bin);
+        } else if (load > max_load) {
+          max_load = load;
+        }
+        continue;
+      }
+      std::uint64_t served;
+      switch (discipline) {
+        case DeletionDiscipline::kLifo:
+          served = table.remove_at(bin, load - 1);
+          break;
+        case DeletionDiscipline::kUniform:
+          served = table.remove_at(bin, rng::bounded32(*r.engine, load));
+          break;
+        case DeletionDiscipline::kFifo:
+        default:
+          served = table.remove_at(bin, 0);
+          break;
+      }
+      const std::uint64_t wait = round - served;
+      waits.record(wait);
+      ++deleted;
+      wait_sum += wait;
+      if (wait > wait_max) wait_max = wait;
+      empty_bins += static_cast<std::uint64_t>(load == 1);
+      if (load - 1 > max_load) max_load = load - 1;
+    }
+  }
+  acc.deleted += deleted;
+  acc.wait_sum += wait_sum;
+  acc.wait_max = wait_max;
+  acc.max_load = max_load;
+  acc.empty_bins = empty_bins;
+}
+
+}  // namespace iba::core

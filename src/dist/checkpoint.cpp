@@ -147,7 +147,9 @@ Manifest load_manifest(const std::string& path) {
   expect_key(in, "shard-crcs", context);
   manifest.shard_crcs.resize(manifest.workers);
   for (auto& crc : manifest.shard_crcs) {
-    crc = static_cast<std::uint32_t>(parse_u64(in, "shard-crc", context));
+    const std::uint64_t value = parse_u64(in, "shard-crc", context);
+    if (value > 0xFFFFFFFFu) fail(context, "shard-crc out of range");
+    crc = static_cast<std::uint32_t>(value);
   }
   std::string tail;
   if (!(in >> tail) || tail != "end") fail(context, "missing end marker");

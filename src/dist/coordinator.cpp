@@ -61,12 +61,7 @@ Coordinator::Coordinator(const core::CappedSnapshot& snapshot,
     pool_.add(bucket.label, bucket.count);
   }
   gate_.restore(snapshot.shed_total, snapshot.deferred);
-  waits_.restore(
-      stats::UintMoments::from_parts(snapshot.waits.count, snapshot.waits.sum,
-                                     snapshot.waits.sumsq_hi,
-                                     snapshot.waits.sumsq_lo),
-      stats::Log2Histogram::from_counts(snapshot.waits.histogram,
-                                        snapshot.waits.max));
+  waits_ = core::wait_recorder(snapshot.waits);
   if (controller_ != nullptr) controller_->restore(snapshot.controller);
   last_saved_round_ = round_;  // the generation being resumed from
   init_workers(resume_base);
@@ -255,17 +250,10 @@ core::RoundMetrics Coordinator::step() {
     m.total_load += result.total_load;
     m.max_load = std::max(m.max_load, result.max_load);
     m.empty_bins += static_cast<std::uint32_t>(result.empty_bins);
-    m.wait_count += result.wait_count;
-    wait_sum += result.wait_sum;
-    m.wait_max = std::max(m.wait_max, result.wait_max);
-    core::WaitRecorder worker_waits;
-    worker_waits.restore(
-        stats::UintMoments::from_parts(result.wait_count, result.wait_sum,
-                                       result.wait_sumsq_hi,
-                                       result.wait_sumsq_lo),
-        stats::Log2Histogram::from_counts(result.wait_histogram,
-                                          result.wait_max));
-    waits_.merge(worker_waits);
+    m.wait_count += result.waits.count;
+    wait_sum += result.waits.sum;
+    m.wait_max = std::max(m.wait_max, result.waits.max);
+    waits_.merge(core::wait_recorder(result.waits));
     for (std::size_t i = 0; i < rejected.size(); ++i) {
       rejected[i] += result.rejected[i];
     }

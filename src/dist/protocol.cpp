@@ -150,12 +150,12 @@ void send_round_result(int fd, const RoundResultMsg& msg) {
   out.u64(msg.total_load);
   out.u64(msg.max_load);
   out.u64(msg.empty_bins);
-  out.u64(msg.wait_count);
-  out.u64(msg.wait_sum);
-  out.u64(msg.wait_sumsq_hi);
-  out.u64(msg.wait_sumsq_lo);
-  out.u64(msg.wait_max);
-  out.u64_vec(msg.wait_histogram);
+  out.u64(msg.waits.count);
+  out.u64(msg.waits.sum);
+  out.u64(msg.waits.sumsq_hi);
+  out.u64(msg.waits.sumsq_lo);
+  out.u64(msg.waits.max);
+  out.u64_vec(msg.waits.histogram);
   out.u64_vec(msg.rejected);
   net::write_frame(fd, kMsgRoundResult, out.span());
 }
@@ -169,12 +169,12 @@ RoundResultMsg decode_round_result(net::WireReader& in) {
   msg.total_load = in.u64("result.total_load");
   msg.max_load = in.u64("result.max_load");
   msg.empty_bins = in.u64("result.empty_bins");
-  msg.wait_count = in.u64("result.wait_count");
-  msg.wait_sum = in.u64("result.wait_sum");
-  msg.wait_sumsq_hi = in.u64("result.wait_sumsq_hi");
-  msg.wait_sumsq_lo = in.u64("result.wait_sumsq_lo");
-  msg.wait_max = in.u64("result.wait_max");
-  msg.wait_histogram = in.u64_vec("result.wait_histogram");
+  msg.waits.count = in.u64("result.wait_count");
+  msg.waits.sum = in.u64("result.wait_sum");
+  msg.waits.sumsq_hi = in.u64("result.wait_sumsq_hi");
+  msg.waits.sumsq_lo = in.u64("result.wait_sumsq_lo");
+  msg.waits.max = in.u64("result.wait_max");
+  msg.waits.histogram = in.u64_vec("result.wait_histogram");
   msg.rejected = in.u64_vec("result.rejected");
   in.expect_end("result");
   return msg;

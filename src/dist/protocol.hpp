@@ -33,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "core/metrics.hpp"
 #include "net/frame.hpp"
 #include "queueing/aged_pool.hpp"
 
@@ -117,14 +118,8 @@ struct RoundResultMsg {
   std::uint64_t total_load = 0;  ///< end-of-round, this range
   std::uint64_t max_load = 0;
   std::uint64_t empty_bins = 0;
-  // This round's wait-moment delta (stats::UintMoments parts + dyadic
-  // histogram counts + max), merged exactly on the coordinator.
-  std::uint64_t wait_count = 0;
-  std::uint64_t wait_sum = 0;
-  std::uint64_t wait_sumsq_hi = 0;
-  std::uint64_t wait_sumsq_lo = 0;
-  std::uint64_t wait_max = 0;
-  std::vector<std::uint64_t> wait_histogram;
+  /// This round's waits, merged exactly on the coordinator.
+  core::CappedWaitState waits;
   std::vector<std::uint64_t> rejected;  ///< per bucket, survivors
 };
 

@@ -55,12 +55,14 @@ bool Worker::run() {
 }
 
 void Worker::handle_init(const InitMsg& msg) {
-  if (msg.bin_count == 0 || msg.bin_lo + msg.bin_count > msg.n) {
+  // n first, so the range test below cannot wrap.
+  if (msg.n > 0xFFFFFFFFu) fail("init: n must fit 32 bits");
+  if (msg.bin_count == 0 || msg.bin_count > msg.n ||
+      msg.bin_lo > msg.n - msg.bin_count) {
     fail("init: bin range [" + std::to_string(msg.bin_lo) + ", +" +
          std::to_string(msg.bin_count) + ") does not fit n = " +
          std::to_string(msg.n));
   }
-  if (msg.n > 0xFFFFFFFFu) fail("init: n must fit 32 bits");
   if (msg.capacity < 1 || msg.capacity > 0xFFFFu) {
     fail("init: capacity out of range");
   }
@@ -83,9 +85,80 @@ void Worker::handle_init(const InitMsg& msg) {
     // the acceptance bound arrives per round and drains them naturally.
     if (shard->capacity > storage) storage = shard->capacity;
   }
-  table_.emplace(static_cast<std::uint32_t>(bin_count_), storage);
+  const auto bins = static_cast<std::uint32_t>(bin_count_);
+  table_.emplace(bins, storage, &arena_);
   if (shard.has_value()) table_->restore(shard->queues);
+  region_.assign(static_cast<std::size_t>(core::chunk_count(bins)) + 1, 0);
+  stream_end_.assign(region_.size() - 1, 0);
   send_init_ack(fd_, InitAckMsg{round_, table_->total_load()});
+}
+
+template <typename Need>
+void Worker::widen_regions(const Need& need) {
+  // need(c) may read region_[c]: it runs before the entry is rewritten.
+  const std::size_t chunks = stream_end_.size();
+  std::uint64_t at = 0;
+  for (std::size_t c = 0; c < chunks; ++c) {
+    const std::uint64_t room = std::max(region_[c + 1] - region_[c], need(c));
+    region_[c] = at;
+    at += room;
+  }
+  region_[chunks] = at;
+  // The slack keeps the kernel's prefetch look-ahead read in bounds.
+  streams_.resize(at + core::kPrefetchDist);
+}
+
+bool Worker::draw_streams(const RoundMsg& msg,
+                          core::BinChoiceSampler* sampler,
+                          core::Engine& engine) {
+  const std::size_t chunks = stream_end_.size();
+  std::copy(region_.begin(), region_.end() - 1, stream_end_.begin());
+  std::uint16_t* const out = streams_.data();
+  std::uint64_t* const cursor = stream_end_.data();
+  const std::uint64_t* const limit = region_.data() + 1;
+  const std::uint64_t bin_lo = bin_lo_;
+  const std::uint64_t bin_count = bin_count_;
+  // An entry past its region's end is counted, not written.
+  const auto append = [&](std::size_t c, std::uint16_t value) {
+    const std::uint64_t at = cursor[c]++;
+    if (at < limit[c]) out[at] = value;
+  };
+
+  // Draw bucket by bucket in the global visit order (oldest first), in
+  // fixed batches: fill_bounded and the Zipf sampler consume the engine
+  // stream identically at any batch split, so these are the
+  // single-process choices exactly.
+  constexpr std::size_t kDrawBatch = 4096;
+  std::array<std::uint32_t, kDrawBatch> choices{};
+  for (const auto& bucket : msg.buckets) {
+    for (std::uint64_t left = bucket.count; left > 0;) {
+      const std::span<std::uint32_t> batch(
+          choices.data(), std::min<std::uint64_t>(left, kDrawBatch));
+      if (sampler != nullptr) {
+        sampler->fill(engine, batch);
+      } else {
+        rng::fill_bounded(engine, batch, static_cast<std::uint32_t>(n_));
+      }
+      left -= batch.size();
+      for (const std::uint32_t choice : batch) {
+        const std::uint64_t bin = choice - bin_lo;
+        if (bin >= bin_count) continue;  // another worker's range
+        append(bin >> core::kChunkBits,
+               static_cast<std::uint16_t>(bin & (core::kChunkWidth - 1)));
+      }
+    }
+    for (std::size_t c = 0; c < chunks; ++c) append(c, core::kSentinel);
+  }
+
+  bool fit = true;
+  for (std::size_t c = 0; c < chunks; ++c) fit &= cursor[c] <= limit[c];
+  if (!fit) {
+    widen_regions([&](std::size_t c) {
+      const std::uint64_t entries = cursor[c] - region_[c];
+      return entries + entries / 8;
+    });
+  }
+  return fit;
 }
 
 void Worker::handle_round(const RoundMsg& msg) {
@@ -98,10 +171,6 @@ void Worker::handle_round(const RoundMsg& msg) {
     table_->grow_capacity(msg.capacity);
   }
 
-  RoundResultMsg result;
-  result.round = msg.round;
-  result.rejected.resize(msg.buckets.size());
-
   core::BinChoiceSampler* zipf = nullptr;
   if (msg.sampler == kSamplerZipf) {
     if (!zipf_.has_value() || zipf_->exponent() != msg.zipf_s) {
@@ -110,71 +179,44 @@ void Worker::handle_round(const RoundMsg& msg) {
     zipf = &*zipf_;
   }
 
-  // Draw the whole round, bucket by bucket in the global visit order
-  // (oldest first), in fixed batches: fill_bounded and the Zipf sampler
-  // consume the engine stream identically at any batch split, so these
-  // are the single-process choices exactly. Acceptance runs on the
-  // throws into this range as they are drawn. Each bin accepts while it
-  // has room under this round's bound (possibly below a draining bin's
-  // current load after a shrink — it then accepts nothing). Acceptance
-  // is independent across bins, so visiting only this range's throws
-  // reproduces the single-process outcome for these bins exactly.
+  // Regions fit a uniform draw with 1/8 to spare. The draw is a pure
+  // function of the shipped state, so a round that overflows one (a
+  // skewed draw) is drawn again into regions widened to its counts.
+  std::uint64_t throws = 0;
+  for (const auto& bucket : msg.buckets) throws += bucket.count;
+  const std::uint64_t expected =
+      throws * core::kChunkWidth / n_ + msg.buckets.size();
+  widen_regions([&](std::size_t) { return expected + expected / 8; });
   core::Engine engine(msg.engine);
-  constexpr std::size_t kDrawBatch = 4096;
-  std::array<std::uint32_t, kDrawBatch> choices{};
-  for (std::size_t b = 0; b < msg.buckets.size(); ++b) {
-    const std::uint64_t label = msg.buckets[b].label;
-    for (std::uint64_t left = msg.buckets[b].count; left > 0;) {
-      const std::span<std::uint32_t> batch(
-          choices.data(), std::min<std::uint64_t>(left, kDrawBatch));
-      if (zipf != nullptr) {
-        zipf->fill(engine, batch);
-      } else {
-        rng::fill_bounded(engine, batch, static_cast<std::uint32_t>(n_));
-      }
-      left -= batch.size();
-      for (const std::uint32_t choice : batch) {
-        const std::uint64_t bin = choice - bin_lo_;
-        if (bin >= bin_count_) continue;  // another worker's range
-        const auto local = static_cast<std::uint32_t>(bin);
-        if (table_->load(local) < msg.capacity) {
-          table_->push(local, label);
-          ++result.accepted;
-        } else {
-          ++result.rejected[b];
-        }
-      }
-    }
-  }
-  result.engine = engine.state();
+  while (!draw_streams(msg, zipf, engine)) engine = core::Engine(msg.engine);
 
-  // Deletion: every non-empty bin serves its FIFO front; the served
-  // ball's wait is its age. Draws nothing — this is what lets deletion
-  // run worker-side at all.
-  wait_moments_ = stats::UintMoments{};
-  wait_histogram_ = stats::Log2Histogram{};
-  for (std::uint32_t bin = 0; bin < bin_count_; ++bin) {
-    if (table_->load(bin) == 0) continue;
-    const std::uint64_t label = table_->pop_front(bin);
-    const std::uint64_t wait = msg.round - label;
-    wait_moments_.add(wait);
-    wait_histogram_.add(wait);
-    ++result.deleted;
-  }
-
-  result.total_load = table_->total_load();
-  result.max_load = table_->max_load();
-  result.empty_bins = table_->empty_bins();
-  result.wait_count = wait_moments_.count();
-  result.wait_sum = wait_moments_.sum();
-  result.wait_sumsq_hi = wait_moments_.sumsq_hi();
-  result.wait_sumsq_lo = wait_moments_.sumsq_lo();
-  result.wait_max = wait_histogram_.max();
-  result.wait_histogram = wait_histogram_.counts();
+  // The range kernel, once over the whole range: each bin accepts while
+  // it has room under this round's bound (none, for a bin still
+  // draining after a shrink), then every non-empty bin serves its FIFO
+  // front. Acceptance is independent across bins, so this range's
+  // throws alone reproduce the single-process outcome for its bins, and
+  // FIFO service draws nothing, which is what lets it run worker-side.
+  const std::size_t slice_buckets[2] = {0, msg.buckets.size()};
+  const core::RangeRound range{
+      .bins = &*table_, .round = msg.round, .part = streams_.data(),
+      .chunk_begin = region_.data(), .stream_end = stream_end_.data(),
+      .slice_buckets = slice_buckets, .buckets = msg.buckets,
+      .capacity = msg.capacity};
+  sweep_.reset(msg.buckets.size());
+  core::sweep_chunks(range, sweep_, 0,
+                     static_cast<std::uint32_t>(stream_end_.size()), true);
+  table_->adjust_total_load(static_cast<std::int64_t>(sweep_.accepted) -
+                            static_cast<std::int64_t>(sweep_.deleted));
 
   round_ = msg.round;
   ++rounds_served_;
-  send_round_result(fd_, result);
+  send_round_result(
+      fd_, {.round = msg.round, .engine = engine.state(),
+            .accepted = sweep_.accepted, .deleted = sweep_.deleted,
+            .total_load = table_->total_load(), .max_load = sweep_.max_load,
+            .empty_bins = sweep_.empty_bins,
+            .waits = core::wait_state(sweep_.waits),
+            .rejected = sweep_.rejected});
 }
 
 void Worker::handle_checkpoint(const CheckpointMsg& msg) {

@@ -4,14 +4,16 @@
 // pool, no controller. Each round it rebuilds the master engine from
 // the state the coordinator shipped and redraws the whole round's bin
 // choices, bucket by bucket and oldest first — the single-process draw,
-// choice for choice. It keeps only the throws that land in its range,
-// replays acceptance over them in that global visit order, runs the
-// paper's FIFO one-deletion-per-non-empty-bin pass, and reports exact
-// integer deltas plus the engine state after the draw. Every worker
-// draws the same stream from the same state, so the coordinator can
-// require their post-draw states to agree; acceptance and deletion draw
-// nothing, so the trajectory never depends on worker scheduling or
-// message timing.
+// choice for choice, in fixed batches. Each throw into its range goes
+// straight into its chunk's 16-bit offset stream, and the range kernel
+// (core/range_kernel.hpp) — the accept/serve rule core::Capped runs —
+// sweeps the range once: acceptance in global visit order, then the
+// paper's FIFO one-deletion-per-non-empty-bin pass. The worker reports
+// the kernel's exact integer deltas plus the engine state after the
+// draw. Every worker draws the same stream from the same state, so the
+// coordinator can require their post-draw states to agree; acceptance
+// and deletion draw nothing, so the trajectory never depends on worker
+// scheduling or message timing.
 //
 // The same class serves both deployments: dist_run --role worker wraps
 // it around a connected TCP socket; the differential tests run it on a
@@ -22,11 +24,10 @@
 #include <optional>
 #include <vector>
 
+#include "core/range_kernel.hpp"
 #include "dist/protocol.hpp"
 #include "queueing/bin_table.hpp"
 #include "scenario/arrival.hpp"
-#include "stats/histogram.hpp"
-#include "stats/int_moments.hpp"
 
 namespace iba::dist {
 
@@ -35,7 +36,9 @@ class Worker {
   /// `fd` must be connected to the coordinator; the Worker does not own
   /// it. `index` is this worker's bin-range slot (announced via
   /// kMsgHello so TCP workers can connect in any order).
-  Worker(int fd, std::uint32_t index) : fd_(fd), index_(index) {}
+  Worker(int fd, std::uint32_t index) : fd_(fd), index_(index) {
+    streams_.set_arena(&arena_);
+  }
 
   /// Sends the hello, then serves coordinator messages until a clean
   /// kMsgShutdown (returns true) or the coordinator hangs up (returns
@@ -51,10 +54,23 @@ class Worker {
     return table_.has_value() ? table_->total_load() : 0;
   }
 
+  /// Counts the bin table's and throw streams' allocations: flat across
+  /// rounds once the streams fit the run's rounds.
+  [[nodiscard]] const core::Arena& arena() const noexcept { return arena_; }
+
  private:
   void handle_init(const InitMsg& msg);
   void handle_round(const RoundMsg& msg);
   void handle_checkpoint(const CheckpointMsg& msg);
+  /// Draws the round from `engine` into the chunk streams. Returns
+  /// false, with the regions widened to fit, when a chunk's entries
+  /// overflowed its region (the streams are then incomplete).
+  bool draw_streams(const RoundMsg& msg, core::BinChoiceSampler* sampler,
+                    core::Engine& engine);
+  /// Lays the chunk regions out back to back, chunk c's at least
+  /// need(c) entries long; a region never shrinks.
+  template <typename Need>
+  void widen_regions(const Need& need);
 
   int fd_;
   std::uint32_t index_;
@@ -62,14 +78,21 @@ class Worker {
   std::uint64_t bin_lo_ = 0;
   std::uint64_t bin_count_ = 0;
   std::uint64_t round_ = 0;  ///< last completed round
+  // Declared before everything allocated from it.
+  core::Arena arena_;
   std::optional<queueing::BinTable> table_;
   // The Zipf table of the last kSamplerZipf round, rebuilt when the
   // exponent changes (it is a pure function of (n, s)).
   std::optional<scenario::ZipfBinSampler> zipf_;
   std::uint64_t rounds_served_ = 0;
-  // Per-round wait delta scratch, reset each round.
-  stats::UintMoments wait_moments_;
-  stats::Log2Histogram wait_histogram_;
+
+  // Range-kernel input, reused across rounds. Chunk c's offset stream
+  // lives in the region [region_[c], region_[c + 1]) of streams_ and
+  // ends at stream_end_[c].
+  core::ArenaBuffer<std::uint16_t> streams_;
+  std::vector<std::uint64_t> region_;      // chunks + 1 region starts
+  std::vector<std::uint64_t> stream_end_;  // one per chunk
+  core::SweepShard sweep_;
 };
 
 }  // namespace iba::dist

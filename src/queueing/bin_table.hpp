@@ -13,7 +13,7 @@
 // state instead of two, and a push is one +1 on the packed word.
 //
 // The remove_at / drain_bulk / adjust_total_load API exists for the
-// fused round kernel (core/capped.cpp): shards own disjoint bin ranges,
+// range kernel (core/range_kernel.cpp): shards own disjoint bin ranges,
 // so per-bin state is race-free, but total_load_ is shared — these
 // operations defer it and the kernel commits the merged delta once.
 #pragma once
@@ -161,10 +161,10 @@ class BinTable {
     return total_load_;
   }
 
-  /// Raw mutable views of the per-bin arrays for the fused round kernel
-  /// (core/capped.cpp): its chunked sweep updates the packed cursors and
-  /// labels in place and commits the total-load delta once per round via
-  /// adjust_total_load().
+  /// Raw mutable views of the per-bin arrays for the range kernel
+  /// (core/range_kernel.cpp): its chunked sweep updates the packed
+  /// cursors and labels in place; its caller commits the total-load
+  /// delta once per round via adjust_total_load().
   [[nodiscard]] std::uint32_t* packed_mut() noexcept { return hs_.data(); }
   [[nodiscard]] Label* labels_mut() noexcept { return labels_.data(); }
 

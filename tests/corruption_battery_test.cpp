@@ -302,6 +302,29 @@ TEST(ValidCrcMutants, ShardBinCountIsBoundedBeforeAllocating) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(ValidCrcMutants, ManifestShardCrcAbove32BitsIsNamed) {
+  // A manifest whose CRC is valid but whose shard CRC needs 33 bits must
+  // fail by name, not truncate to a CRC some shard might match.
+  const auto dir = std::filesystem::temp_directory_path() /
+                   "iba_corruption_battery_manifest_crc";
+  std::filesystem::create_directories(dir);
+  const std::string file = (dir / "wide.manifest").string();
+  io::sealed::commit_header(file, "iba-dist-manifest", 1,
+                            "round = 1\nn = 8\nworkers = 1\ndigest = d\n"
+                            "seed = 1\nshard-crcs = 4294967296\nend\n",
+                            "test");
+  try {
+    (void)dist::load_manifest(file);
+    ADD_FAILURE() << "shard CRC of 2^32 accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("shard-crc"), std::string::npos)
+        << e.what();
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "unnamed failure: " << e.what();
+  }
+  std::filesystem::remove_all(dir);
+}
+
 /// A valid round frame: three buckets, oldest first, the newest
 /// labelled with the round.
 dist::RoundMsg valid_round() {

@@ -12,6 +12,8 @@
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <limits>
+#include <memory>
 #include <string>
 #include <thread>
 #include <utility>
@@ -29,6 +31,7 @@
 #include "net/frame.hpp"
 #include "net/socket.hpp"
 #include "scenario/arrival.hpp"
+#include "scenario/progress.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/scenario.hpp"
 
@@ -95,6 +98,33 @@ hysteresis = 0.1
 rounds = 96
 burn-in = 24
 seed = 9
+)";
+
+// A fragmented pool over many chunks: Zipf(2) choices pile the λn = 20
+// arrivals per round onto a few hot bins, so the pool keeps dozens of
+// small age buckets while n = 10^6 spans 123 chunks of 8192 bins — the
+// shape for which core::Capped's fused sweep bails out to its scalar
+// path. n is not a multiple of 8192, so every range of a 3-worker split
+// ends mid-chunk, and most buckets hold a ball or two, so many have no
+// throw in some range.
+constexpr const char* kFragmentedPool = R"(
+[scenario]
+name = dist_fragmented_pool
+
+[system]
+n = 1000000
+c = 1
+
+[arrival]
+model = constant
+lambda = 0.00002
+skew = zipf
+zipf-s = 2
+
+[run]
+rounds = 32
+burn-in = 8
+seed = 5
 )";
 
 /// Real workers on threads, one socketpair each. The coordinator-side
@@ -200,6 +230,106 @@ TEST(DistDifferential, SkewAndControlPlaneMatchSingleProcess) {
       scenario::parse_scenario(kSkewControl, "skew.scn");
   const std::string baseline = single_process_bytes(scn);
   EXPECT_EQ(distributed_bytes(scn, 4), baseline);
+}
+
+TEST(DistDifferential, WorkersSweepTheRoundsSingleProcessRunsScalar) {
+  const scenario::Scenario scn =
+      scenario::parse_scenario(kFragmentedPool, "fragmented.scn");
+  // From the public API, the fused sweep's bail-out test: one sentinel
+  // per (bucket, chunk) against half the round's throws. The single
+  // process runs such rounds on its scalar path; the workers run the
+  // range kernel on every round.
+  core::Capped process(scenario::capped_config(scn), core::Engine(scn.seed));
+  const std::unique_ptr<core::BinChoiceSampler> sampler =
+      scn.arrival.make_sampler(scn.n);
+  process.set_bin_sampler(sampler.get());
+  const std::uint64_t chunks = (scn.n + 8191) / 8192;
+  std::uint64_t scalar_rounds = 0;
+  for (std::uint64_t round = 0; round < scn.burn_in + scn.rounds; ++round) {
+    // The round adds one bucket of λn arrivals to the pool it throws.
+    const std::uint64_t buckets = process.pool().buckets().size() + 1;
+    const std::uint64_t throws = process.balls_to_throw();
+    if (buckets * chunks > throws / 2 + 1024) ++scalar_rounds;
+    (void)process.step();
+  }
+  EXPECT_GT(scalar_rounds, 0u);
+  EXPECT_EQ(distributed_bytes(scn, 3), single_process_bytes(scn));
+}
+
+TEST(DistDifferential, WorkerRoundsAllocateNothingOnceWarm) {
+  // Each worker's arena count after 200 rounds equals the count after
+  // 40: the bin table and the throw streams stop growing once warm.
+  core::CappedConfig config;
+  config.n = 20'000;  // three chunks, the last one partial
+  config.capacity = 2;
+  config.lambda_n = 18'750;
+  const auto allocations = [&config](std::uint64_t rounds) {
+    constexpr std::uint32_t kWorkers = 3;
+    std::vector<net::Socket> coordinator_side;
+    std::vector<net::Socket> worker_side;
+    std::vector<std::unique_ptr<Worker>> workers;
+    std::vector<std::thread> threads;
+    for (std::uint32_t i = 0; i < kWorkers; ++i) {
+      auto [c, w] = net::socket_pair();
+      workers.push_back(std::make_unique<Worker>(w.fd(), i));
+      coordinator_side.push_back(std::move(c));
+      worker_side.push_back(std::move(w));
+    }
+    for (std::uint32_t i = 0; i < kWorkers; ++i) {
+      threads.emplace_back(
+          [&worker = *workers[i]] { EXPECT_NO_THROW((void)worker.run()); });
+    }
+    std::vector<int> fds;
+    for (const net::Socket& socket : coordinator_side) {
+      fds.push_back(socket.fd());
+    }
+    try {
+      Coordinator coordinator(config, core::Engine(7), fds);
+      for (std::uint64_t r = 0; r < rounds; ++r) (void)coordinator.step();
+      coordinator.shutdown();
+    } catch (const std::exception& error) {
+      ADD_FAILURE() << error.what();
+    }
+    for (net::Socket& socket : coordinator_side) socket.close();
+    for (std::thread& thread : threads) thread.join();
+    std::vector<std::uint64_t> counts;
+    for (const auto& worker : workers) {
+      EXPECT_EQ(worker->rounds_served(), rounds);
+      counts.push_back(worker->arena().allocation_count());
+    }
+    return counts;
+  };
+  EXPECT_EQ(allocations(200), allocations(40));
+}
+
+TEST(DistDifferential, WorkerInitRejectsRangesThatWrap) {
+  // bin_lo + bin_count wraps 64 bits in both frames; the first would
+  // otherwise serve global bin 0 as local bin 1, the second would size
+  // a 2^32 - 1-bin table.
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  InitMsg past_the_end;
+  past_the_end.n = 100;
+  past_the_end.bin_lo = kMax;
+  past_the_end.bin_count = 2;
+  past_the_end.capacity = 2;
+  InitMsg wrapping_count;
+  wrapping_count.n = 100;
+  wrapping_count.bin_lo = 1;
+  wrapping_count.bin_count = kMax;
+  wrapping_count.capacity = 2;
+  for (const InitMsg& init : {past_the_end, wrapping_count}) {
+    auto [c, w] = net::socket_pair();
+    send_init(c.fd(), init);  // buffered until the worker reads it
+    ::shutdown(c.fd(), SHUT_WR);  // an accepted init then sees EOF
+    try {
+      (void)Worker(w.fd(), 0).run();
+      ADD_FAILURE() << "a range that wraps was accepted";
+    } catch (const std::runtime_error& error) {
+      EXPECT_NE(std::string(error.what()).find("does not fit"),
+                std::string::npos)
+          << error.what();
+    }
+  }
 }
 
 TEST(DistDifferential, KilledWorkerSurfacesAsWorkerLost) {
