@@ -346,11 +346,6 @@ RoundMetrics Capped::allocate_and_delete(
   m.pool_size = pool_.total();
   m.deferred = gate_.deferred_total();
   m.oldest_pool_age = pool_.oldest_age(round_);
-  if (!fused) {
-    m.total_load = bins_.total_load();
-    m.max_load = bins_.max_load();
-    m.empty_bins = bins_.empty_bins();
-  }
   return m;
 }
 
@@ -411,8 +406,16 @@ void Capped::delete_scalar(RoundMetrics& m) {
       ++m.requeued;
     }
   };
+  // The same walk takes the end-of-round load statistics, counting the
+  // bins it skips (empty, faulted, failing) too.
+  std::uint32_t max_load = 0;
+  std::uint32_t empty_bins = 0;
   for (std::uint32_t bin = 0; bin < config_.n; ++bin) {
-    if (bins_.load(bin) == 0) continue;
+    const std::uint32_t load = bins_.load(bin);
+    if (load == 0) {
+      ++empty_bins;
+      continue;
+    }
     // Injected faults are consulted before the stochastic failure coin:
     // a faulted bin draws no coin, in every kernel, so the engine's
     // draw sequence stays identical across kernels and shard counts.
@@ -420,13 +423,21 @@ void Capped::delete_scalar(RoundMetrics& m) {
         (fault_flags_[bin] & FaultFlags::kNoServe) != 0) {
       // Crash with state loss drains, like kCrashRequeue; down or
       // straggling bins keep their buffer. No service this round.
-      if ((fault_flags_[bin] & FaultFlags::kDrain) != 0) requeue_all(bin);
+      if ((fault_flags_[bin] & FaultFlags::kDrain) != 0) {
+        requeue_all(bin);
+        ++empty_bins;
+      } else {
+        max_load = std::max(max_load, load);
+      }
       continue;
     }
     if (failures &&
         rng::uniform01(engine_) < config_.failure_probability) {
       if (config_.failure_mode == FailureMode::kCrashRequeue) {
         requeue_all(bin);
+        ++empty_bins;
+      } else {
+        max_load = std::max(max_load, load);
       }
       continue;  // no service from this bin this round
     }
@@ -435,11 +446,11 @@ void Capped::delete_scalar(RoundMetrics& m) {
     std::uint32_t position = 0;  // queue index served
     switch (config_.deletion) {
       case DeletionDiscipline::kLifo:
-        position = bins_.load(bin) - 1;
+        position = load - 1;
         label = bins_.pop_back(bin);
         break;
       case DeletionDiscipline::kUniform:
-        position = rng::bounded32(engine_, bins_.load(bin));
+        position = rng::bounded32(engine_, load);
         label = bins_.pop_at(bin, position);
         break;
       case DeletionDiscipline::kFifo:
@@ -455,7 +466,12 @@ void Capped::delete_scalar(RoundMetrics& m) {
     ++m.wait_count;
     m.wait_sum += static_cast<double>(wait);
     if (wait > m.wait_max) m.wait_max = wait;
+    empty_bins += static_cast<std::uint32_t>(load == 1);
+    max_load = std::max(max_load, load - 1);
   }
+  m.total_load = bins_.total_load();
+  m.max_load = max_load;
+  m.empty_bins = empty_bins;
 }
 
 // ---------------------------------------------------------------------------
@@ -624,9 +640,9 @@ bool Capped::round_fused(std::span<const std::uint32_t> choices,
   std::uint64_t empty_bins = 0;
   for (const SweepShard& acc : sweep_) {
     accepted += acc.accepted;
-    m.deleted += acc.deleted;
-    wait_sum += acc.wait_sum;
-    m.wait_max = std::max(m.wait_max, acc.wait_max);
+    m.deleted += acc.waits.count();
+    wait_sum += acc.waits.moments().sum();
+    m.wait_max = std::max(m.wait_max, acc.waits.max());
     max_load = std::max(max_load, acc.max_load);
     empty_bins += acc.empty_bins;
     waits_.merge(acc.waits);

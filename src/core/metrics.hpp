@@ -66,6 +66,14 @@ class WaitRecorder {
     histogram_.add(wait);
   }
 
+  /// `weight` balls that each waited `wait` rounds; equals `weight` calls
+  /// of record(wait). A zero weight records nothing (not even the
+  /// histogram's width or maximum).
+  void record(std::uint64_t wait, std::uint64_t weight) noexcept {
+    if (weight == 0) return;
+    moments_.add(wait, weight);
+    histogram_.add(wait, weight);
+  }
 
   [[nodiscard]] std::uint64_t count() const noexcept {
     return moments_.count();

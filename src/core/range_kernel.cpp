@@ -11,6 +11,9 @@ namespace iba::core {
 
 namespace {
 
+/// The delete walk tallies waits below this per value.
+constexpr std::uint64_t kTallyWidth = 64;
+
 std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point since) {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -30,8 +33,7 @@ inline void prefetch_rw(const void* address) noexcept {
 }  // namespace
 
 void SweepShard::reset(std::size_t buckets) {
-  accepted = deleted = wait_sum = wait_max = 0;
-  max_load = empty_bins = busy_ns = delete_ns = 0;
+  accepted = max_load = empty_bins = busy_ns = delete_ns = 0;
   rejected.assign(buckets, 0);
   requeued.clear();
   waits.reset();
@@ -123,9 +125,10 @@ void sweep_chunks(const RangeRound& r, SweepShard& acc, std::uint32_t chunk_lo,
   if (timing) acc.busy_ns += elapsed_ns(t_busy);
 }
 
-// Waits are recorded inline into the caller's recorder: the integer
-// wait accumulator is order-independent, so mid-sweep recording matches
-// the scalar path's end-of-round stream bit for bit.
+// Waits are tallied per value and folded into the caller's recorder at
+// the end of the call: the integer wait accumulator is order-independent
+// and a weighted record equals that many single ones, so this matches
+// the scalar path's per-ball stream bit for bit.
 void delete_bins(const RangeRound& r, SweepShard& acc, std::uint32_t bin_lo,
                  std::uint32_t bin_hi) {
   queueing::BinTable& table = *r.bins;
@@ -143,9 +146,17 @@ void delete_bins(const RangeRound& r, SweepShard& acc, std::uint32_t bin_lo,
   WaitRecorder& waits = acc.waits;
   std::uint64_t max_load = acc.max_load;
   std::uint64_t empty_bins = acc.empty_bins;
-  std::uint64_t deleted = 0;
-  std::uint64_t wait_sum = 0;
-  std::uint64_t wait_max = acc.wait_max;
+  // Served balls per wait below kTallyWidth; longer waits are recorded
+  // one by one. A call serves at most one ball per bin, so 32 bits hold
+  // any count.
+  std::uint32_t tally[kTallyWidth] = {};
+  const auto serve = [&](std::uint64_t wait) {
+    if (wait < kTallyWidth) [[likely]] {
+      ++tally[wait];
+    } else {
+      waits.record(wait);
+    }
+  };
   const auto drain = [&](std::uint32_t bin) {
     table.drain_bulk(
         bin, [&](std::uint64_t label) { acc.requeued.push_back(label); });
@@ -175,11 +186,7 @@ void delete_bins(const RangeRound& r, SweepShard& acc, std::uint32_t bin_lo,
         const std::uint32_t next = head + 1 == storage ? 0 : head + 1;
         hs_arr[bin] = (next << kHeadShift) | (load - 1);
       }
-      const std::uint64_t wait = round - served;
-      waits.record(wait);
-      ++deleted;
-      wait_sum += wait;
-      if (wait > wait_max) wait_max = wait;
+      serve(round - served);
       empty_bins += static_cast<std::uint64_t>(load == 1);
       if (load - 1 > max_load) max_load = load - 1;
     }
@@ -224,18 +231,14 @@ void delete_bins(const RangeRound& r, SweepShard& acc, std::uint32_t bin_lo,
           served = table.remove_at(bin, 0);
           break;
       }
-      const std::uint64_t wait = round - served;
-      waits.record(wait);
-      ++deleted;
-      wait_sum += wait;
-      if (wait > wait_max) wait_max = wait;
+      serve(round - served);
       empty_bins += static_cast<std::uint64_t>(load == 1);
       if (load - 1 > max_load) max_load = load - 1;
     }
   }
-  acc.deleted += deleted;
-  acc.wait_sum += wait_sum;
-  acc.wait_max = wait_max;
+  for (std::uint64_t wait = 0; wait < kTallyWidth; ++wait) {
+    waits.record(wait, tally[wait]);
+  }
   acc.max_load = max_load;
   acc.empty_bins = empty_bins;
 }

@@ -8,9 +8,11 @@
 // sweep_chunks() replays acceptance — a throw is accepted iff its bin
 // has room under the round's bound at its turn, which realizes "each bin
 // accepts the oldest min{c − ℓ, ν} of its requests" — then serves the
-// chunk's bins while they are cache-hot. Every delta is an exact integer
-// (see WaitRecorder), so merging SweepShards in any order equals one
-// serial sweep bit for bit.
+// chunk's bins while they are cache-hot, tallying the served balls'
+// waits per value. Every delta is an exact integer (see WaitRecorder),
+// and a tally folded in as weighted records equals the per-ball records,
+// so merging SweepShards in any order equals one serial sweep bit for
+// bit.
 //
 // core::Capped partitions a round into these streams and sweeps them per
 // shard; dist::Worker writes one slice while redrawing the round and
@@ -49,15 +51,14 @@ constexpr std::uint32_t chunk_count(std::uint32_t bins) noexcept {
 /// share a cache line.
 struct alignas(64) SweepShard {
   std::uint64_t accepted = 0;
-  std::uint64_t deleted = 0;
-  std::uint64_t wait_sum = 0;
-  std::uint64_t wait_max = 0;
   std::uint64_t max_load = 0;    ///< end of round, over the swept bins
   std::uint64_t empty_bins = 0;  ///< end of round, over the swept bins
   std::uint64_t busy_ns = 0;     ///< phase timing only
   std::uint64_t delete_ns = 0;   ///< phase timing only
   std::vector<std::uint64_t> rejected;  ///< per pool bucket
   std::vector<std::uint64_t> requeued;  ///< labels of drained balls
+  /// This round's served balls: their count, wait sum and maximum wait
+  /// are the round's deleted, wait_sum and wait_max.
   WaitRecorder waits;
 
   /// Zeroes every delta for a round over `buckets` pool buckets.
@@ -102,7 +103,10 @@ void sweep_chunks(const RangeRound& r, SweepShard& acc, std::uint32_t chunk_lo,
                   std::uint32_t chunk_hi, bool with_delete);
 
 /// The delete walk over bins [bin_lo, bin_hi): every non-empty bin that
-/// is neither faulted nor failing serves one ball under r.deletion.
+/// is neither faulted nor failing serves one ball under r.deletion. Waits
+/// below 64 are counted per value and folded into acc.waits once per
+/// call, so the walk's per-ball cost is one increment; by Theorems 1–2
+/// nearly every wait at the paper's λ is that short.
 void delete_bins(const RangeRound& r, SweepShard& acc, std::uint32_t bin_lo,
                  std::uint32_t bin_hi);
 

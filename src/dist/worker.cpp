@@ -206,13 +206,13 @@ void Worker::handle_round(const RoundMsg& msg) {
   core::sweep_chunks(range, sweep_, 0,
                      static_cast<std::uint32_t>(stream_end_.size()), true);
   table_->adjust_total_load(static_cast<std::int64_t>(sweep_.accepted) -
-                            static_cast<std::int64_t>(sweep_.deleted));
+                            static_cast<std::int64_t>(sweep_.waits.count()));
 
   round_ = msg.round;
   ++rounds_served_;
   send_round_result(
       fd_, {.round = msg.round, .engine = engine.state(),
-            .accepted = sweep_.accepted, .deleted = sweep_.deleted,
+            .accepted = sweep_.accepted, .deleted = sweep_.waits.count(),
             .total_load = table_->total_load(), .max_load = sweep_.max_load,
             .empty_bins = sweep_.empty_bins,
             .waits = core::wait_state(sweep_.waits),

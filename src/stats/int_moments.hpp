@@ -2,12 +2,13 @@
 //
 // Accumulates count, Σx and Σx² in integer registers — Σx in 64 bits,
 // Σx² in 128 — so accumulation never rounds and is therefore
-// order-independent. That is the property that lets the fused bin-major
-// round kernel (core/capped.cpp) record waiting times in the middle of
-// its chunked sweep and still match the scalar path bit for bit. It
+// order-independent. That is the property that lets the range kernel
+// (core/range_kernel.cpp) record waiting times in the middle of its
+// chunked sweep and still match the scalar path bit for bit. It
 // also removes Welford's per-sample serial division chain from the
 // per-deleted-ball hot path: variance is derived from the exact integer
-// sums only at query time.
+// sums only at query time, and a run of equal samples is one weighted
+// add().
 #pragma once
 
 #include <cmath>
@@ -28,6 +29,14 @@ class UintMoments {
     ++count_;
     sum_ += x;
     sumsq_ += static_cast<Uint128>(x) * x;
+  }
+
+  /// `weight` samples of value x at once; equals `weight` calls of
+  /// add(x), wraparound included (the sums are modular either way).
+  void add(std::uint64_t x, std::uint64_t weight) noexcept {
+    count_ += weight;
+    sum_ += x * weight;
+    sumsq_ += static_cast<Uint128>(x) * x * weight;
   }
 
   void merge(const UintMoments& other) noexcept {

@@ -1,6 +1,6 @@
 // Direct unit tests for the measurement primitives of core: RoundMetrics
 // defaults and WaitRecorder semantics (moments, dyadic quantile bounds,
-// reset, merge behaviour via the underlying histogram).
+// reset, merge behaviour via the underlying histogram, weighted records).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +14,7 @@
 
 namespace {
 
+using iba::core::CappedWaitState;
 using iba::core::RoundMetrics;
 using iba::core::WaitRecorder;
 
@@ -132,6 +133,51 @@ TEST(WaitRecorder, QuantileUpperBoundPowerOfTwoEdges) {
   recorder.record(1);
   EXPECT_EQ(recorder.quantile_upper_bound(0.25), 0u);
   EXPECT_EQ(recorder.quantile_upper_bound(1.0), 1u);
+}
+
+void expect_state_eq(const CappedWaitState& a, const CappedWaitState& b,
+                     std::uint64_t wait, std::uint64_t weight) {
+  EXPECT_EQ(a.count, b.count) << wait << " x" << weight;
+  EXPECT_EQ(a.sum, b.sum) << wait << " x" << weight;
+  EXPECT_EQ(a.sumsq_hi, b.sumsq_hi) << wait << " x" << weight;
+  EXPECT_EQ(a.sumsq_lo, b.sumsq_lo) << wait << " x" << weight;
+  EXPECT_EQ(a.max, b.max) << wait << " x" << weight;
+  EXPECT_EQ(a.histogram, b.histogram) << wait << " x" << weight;
+}
+
+// record(w, k) must leave exactly the state of k calls of record(w),
+// the histogram's width and maximum included: the delete walk folds its
+// per-value tally in this way, on both sides of its 64-value bound, and
+// checkpoints store the state byte for byte.
+TEST(WaitRecorder, WeightedRecordEqualsRepeatedRecords) {
+  for (const std::uint64_t wait :
+       {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{63},
+        std::uint64_t{64}, std::uint64_t{1} << 40,
+        std::uint64_t{0xFFFFFFFFFFFFFFFF}}) {
+    for (const std::uint64_t weight : {0u, 1u, 3u, 64u}) {
+      WaitRecorder weighted;
+      WaitRecorder repeated;
+      weighted.record(2);
+      repeated.record(2);
+      weighted.record(wait, weight);
+      for (std::uint64_t i = 0; i < weight; ++i) repeated.record(wait);
+      expect_state_eq(wait_state(weighted), wait_state(repeated), wait,
+                      weight);
+    }
+  }
+  // A zero weight leaves an empty recorder empty: no histogram bins, no
+  // maximum.
+  WaitRecorder empty;
+  empty.record(1000, 0);
+  EXPECT_EQ(empty.count(), 0u);
+  EXPECT_EQ(empty.max(), 0u);
+  EXPECT_TRUE(empty.histogram().counts().empty());
+  // The largest value lands in the histogram's last bin, 64.
+  WaitRecorder top;
+  top.record(0xFFFFFFFFFFFFFFFF, 2);
+  EXPECT_EQ(top.histogram().bin_count(), 65u);
+  EXPECT_EQ(top.histogram().count(64), 2u);
+  EXPECT_EQ(top.max(), 0xFFFFFFFFFFFFFFFFu);
 }
 
 // Per-round flow conservation under the crash-requeue failure path:

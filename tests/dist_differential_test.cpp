@@ -127,6 +127,35 @@ burn-in = 8
 seed = 5
 )";
 
+// Deferred arrivals keep their arrival round as label. The pool limit
+// sits just above λn, so each round defers the arrivals that do not fit
+// beside the survivors, and with a backoff of 80 rounds every readmitted
+// ball waits at least 80 rounds while the rest wait a few: served waits
+// fall on both sides of the delete walk's 64-value tally bound.
+// n = 20000 spans three chunks, so a 3-worker split ends mid-chunk.
+constexpr const char* kTallyBound = R"(
+[scenario]
+name = dist_tally_bound
+
+[system]
+n = 20000
+c = 2
+
+[arrival]
+model = constant
+lambda = 0.9375
+
+[backpressure]
+mode = defer
+pool-limit = 20000
+backoff = 80
+
+[run]
+rounds = 120
+burn-in = 8
+seed = 13
+)";
+
 /// Real workers on threads, one socketpair each. The coordinator-side
 /// fds go to run_distributed; kill() simulates a kill -9 by shutting
 /// the worker's socket down under it (its blocked read sees EOF and
@@ -254,6 +283,25 @@ TEST(DistDifferential, WorkersSweepTheRoundsSingleProcessRunsScalar) {
   }
   EXPECT_GT(scalar_rounds, 0u);
   EXPECT_EQ(distributed_bytes(scn, 3), single_process_bytes(scn));
+}
+
+TEST(DistDifferential, WaitsAcrossTheTallyBoundMatchSingleProcess) {
+  const scenario::Scenario scn =
+      scenario::parse_scenario(kTallyBound, "tally.scn");
+  const scenario::RunOutcome outcome = scenario::run_scenario(scn);
+  ASSERT_TRUE(outcome.complete);
+  // Log2Histogram bins 0-6 hold waits below 64, bins 7 and up the rest.
+  const std::vector<std::uint64_t>& histogram =
+      outcome.artifact.wait_histogram;
+  std::uint64_t below = 0;
+  std::uint64_t above = 0;
+  for (std::size_t bin = 0; bin < histogram.size(); ++bin) {
+    (bin < 7 ? below : above) += histogram[bin];
+  }
+  EXPECT_GT(below, 0u);
+  EXPECT_GT(above, 0u);
+  EXPECT_EQ(distributed_bytes(scn, 3),
+            artifact::render_artifact(outcome.artifact));
 }
 
 TEST(DistDifferential, WorkerRoundsAllocateNothingOnceWarm) {

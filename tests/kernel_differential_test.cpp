@@ -746,6 +746,44 @@ TEST(KernelDifferential, MultiChunkShardsMatchScalar) {
   }
 }
 
+// The delete walk tallies waits below 64 per value and records longer
+// ones one by one. A retained outage of 70 rounds over bins that end
+// mid-chunk makes the recovered bins serve balls older than 64 rounds
+// beside bins serving short waits, in the same chunks and rounds: with
+// no other faults (the failure-free loop once the outage ends) and with
+// failure coins (the faults/failures loop every round).
+TEST(KernelDifferential, WaitsAcrossTheTallyBoundMatchScalar) {
+  constexpr const char* kSchedule = "crash@2:bins=0-30000,down=70,retain";
+  constexpr std::uint64_t kRoundsPastOutage = 90;
+  auto failing = multi_chunk(base_config());
+  failing.failure_probability = 0.2;
+  const Scenario cases[] = {{"no_failures", multi_chunk(base_config())},
+                            {"failures_skip", failing}};
+  for (const Scenario& scenario : cases) {
+    SCOPED_TRACE(scenario.name);
+    const RunCapture reference = run_with_faults(
+        with_kernel(scenario.config, RoundKernel::kScalar, 1), kSchedule,
+        kSeed, kRoundsPastOutage);
+    // Some round serves waits on both sides of the bound: its maximum is
+    // at least 64 while its mean is below 64.
+    bool straddled = false;
+    for (const RoundMetrics& m : reference.metrics) {
+      straddled = straddled ||
+                  (m.wait_max >= 64 &&
+                   m.wait_sum < 64.0 * static_cast<double>(m.wait_count));
+    }
+    EXPECT_TRUE(straddled) << "no round served waits on both sides of 64";
+    for (const std::uint32_t shards : {1u, 4u}) {
+      expect_runs_eq(
+          reference,
+          run_with_faults(
+              with_kernel(scenario.config, RoundKernel::kBinMajor, shards),
+              kSchedule, kSeed, kRoundsPastOutage),
+          ("bin_major_" + std::to_string(shards)).c_str());
+    }
+  }
+}
+
 // -- folded configurations: per-bin capacities (CAPPED over non-uniform
 // bins, with capacity-proportional routing) and the d = 2 greedy
 // sampler run on the same two kernels ---------------------------------

@@ -165,9 +165,16 @@ TEST_P(LoopEquivalence, ScenarioAndExperimentMeasureTheSameProcess) {
 std::string loop_case_name(const ::testing::TestParamInfo<LoopCase>& param) {
   const auto [c, i, execution] = param.param;
   const auto [kernel, shards] = execution;
-  return "c" + std::to_string(c) + "_i" + std::to_string(i) + "_" +
-         (kernel == RoundKernel::kScalar ? "scalar" : "binmajor") +
-         "_shards" + std::to_string(shards);
+  // Appended piecewise: gcc 12 reports a false -Wrestrict on a chain of
+  // "literal" + std::string.
+  std::string name = "c";
+  name += std::to_string(c);
+  name += "_i";
+  name += std::to_string(i);
+  name += kernel == RoundKernel::kScalar ? "_scalar" : "_binmajor";
+  name += "_shards";
+  name += std::to_string(shards);
+  return name;
 }
 
 INSTANTIATE_TEST_SUITE_P(

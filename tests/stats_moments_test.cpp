@@ -1,12 +1,15 @@
 // Tests for OnlineMoments (Welford/Pébay) and Summary: agreement with
-// two-pass reference computations, merge correctness, and edge cases.
+// two-pass reference computations, merge correctness, and edge cases;
+// and for UintMoments' weighted add.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "rng/bounded.hpp"
 #include "rng/xoshiro256.hpp"
+#include "stats/int_moments.hpp"
 #include "stats/summary.hpp"
 #include "stats/welford.hpp"
 
@@ -14,6 +17,7 @@ namespace {
 
 using iba::stats::OnlineMoments;
 using iba::stats::Summary;
+using iba::stats::UintMoments;
 
 struct Reference {
   double mean = 0, var_pop = 0, var_sample = 0, skew = 0, kurt = 0;
@@ -164,6 +168,34 @@ TEST(Summary, ToStringContainsMean) {
   s.add(5.0);
   s.add(5.0);
   EXPECT_NE(s.to_string().find('5'), std::string::npos);
+}
+
+// add(x, k) must leave exactly the state of k calls of add(x): count,
+// Σx and the 128-bit Σx², including x ≥ 2^32 (x² past 64 bits) and sums
+// that wrap.
+TEST(UintMoments, WeightedAddEqualsRepeatedAdds) {
+  const std::uint64_t big = (std::uint64_t{1} << 40) + 7;
+  for (const std::uint64_t x :
+       {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{63}, big,
+        std::uint64_t{0xFFFFFFFFFFFFFFFF}}) {
+    for (const std::uint64_t k : {0u, 1u, 2u, 5u, 1000u}) {
+      UintMoments weighted;
+      UintMoments repeated;
+      weighted.add(3);
+      repeated.add(3);
+      weighted.add(x, k);
+      for (std::uint64_t i = 0; i < k; ++i) repeated.add(x);
+      EXPECT_EQ(weighted.count(), repeated.count()) << x << " x" << k;
+      EXPECT_EQ(weighted.sum(), repeated.sum()) << x << " x" << k;
+      EXPECT_EQ(weighted.sumsq_hi(), repeated.sumsq_hi()) << x << " x" << k;
+      EXPECT_EQ(weighted.sumsq_lo(), repeated.sumsq_lo()) << x << " x" << k;
+    }
+  }
+  // The 128-bit product is taken before any truncation: (2^40 + 7)² · 5
+  // has a non-zero high half.
+  UintMoments m;
+  m.add(big, 5);
+  EXPECT_GT(m.sumsq_hi(), 0u);
 }
 
 }  // namespace
