@@ -5,13 +5,16 @@ Compares a freshly measured BENCH_kernel.json against the committed
 baseline and fails (exit 1) when any kernel variant regressed beyond the
 tolerance band. Stdlib only — runs anywhere CI has a python3.
 
-    $ ./build-release/bench/bench_kernel_throughput --quick true \
-          --json fresh.json
+    $ for i in 1 2 3 4 5; do ./build-release/bench/bench_kernel_throughput \
+          --quick true --json fresh-$i.json; done
     $ scripts/bench_trend.py --baseline BENCH_kernel.json \
-          --fresh fresh.json --mode normalized --tolerance 0.10
+          --fresh fresh-*.json --mode normalized --tolerance 0.10
 
 Rows are keyed by (kernel, shards) and compared on balls_per_sec
-(higher is better). Two modes:
+(higher is better). Given several --fresh files (repeated runs of one
+binary), each row is gated on its median over them: one short run is
+noisier than the tolerance band on a shared host, the median of five
+is not. Two modes:
 
   absolute    each row must reach baseline * (1 - tolerance). Right when
               baseline and fresh ran on the same machine.
@@ -27,7 +30,7 @@ Rows are keyed by (kernel, shards) and compared on balls_per_sec
               the cue to regenerate the committed baseline.
 
 --synthetic-slowdown PCT is a self-test hook: it slows the fastest
-fresh row down by PCT percent before comparing, so CI can assert the
+fresh (median) row down by PCT percent before comparing, so CI can assert the
 gate actually trips (the run must then exit 1).
 
 Exit codes: 0 within tolerance, 1 regression detected, 2 usage/IO error.
@@ -66,8 +69,9 @@ def main():
     parser.add_argument("--baseline", default="BENCH_kernel.json",
                         help="committed baseline JSON (default: "
                              "BENCH_kernel.json)")
-    parser.add_argument("--fresh", required=True,
-                        help="freshly measured JSON to gate")
+    parser.add_argument("--fresh", required=True, nargs="+",
+                        help="freshly measured JSON(s) to gate; with "
+                             "several, each row's median is gated")
     parser.add_argument("--mode", choices=("absolute", "normalized"),
                         default="normalized")
     parser.add_argument("--tolerance", type=float, default=0.10,
@@ -83,7 +87,9 @@ def main():
         sys.exit("bench_trend: --tolerance must be in [0, 1)")
 
     baseline = load_rows(args.baseline)
-    fresh = load_rows(args.fresh)
+    runs = [load_rows(path) for path in args.fresh]
+    fresh = {key: statistics.median(run[key] for run in runs if key in run)
+             for key in set().union(*runs)}
 
     if args.synthetic_slowdown > 0.0:
         victim = max(fresh, key=fresh.get)

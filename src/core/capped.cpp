@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <optional>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -12,13 +13,6 @@
 namespace iba::core {
 
 namespace {
-
-// Length of one slice's row of per-chunk cursors, padded to a whole
-// cache line so no two shards ever write the same line.
-constexpr std::size_t cursor_row(std::uint32_t n_chunks) noexcept {
-  constexpr std::size_t kLine = 64 / sizeof(std::uint64_t);
-  return (static_cast<std::size_t>(n_chunks) + kLine - 1) / kLine * kLine;
-}
 
 std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point since) {
   return static_cast<std::uint64_t>(
@@ -84,7 +78,7 @@ Capped::Capped(const CappedConfig& config, Engine engine)
       arena_(std::make_unique<Arena>()),
       bins_(config_.n, config_.capacity, arena_.get()) {
   choice_scratch_.set_arena(arena_.get());
-  part16_.set_arena(arena_.get());
+  regions_.set_arena(arena_.get());
   if (config_.shards > 1) {
     shard_pool_ = std::make_unique<concurrency::ThreadPool>(config_.shards);
   }
@@ -184,17 +178,7 @@ RoundMetrics Capped::step() {
   begin_round_faults();
   const std::uint64_t generated = sample_arrivals(config_, engine_);
   const Admission adm = gate_.admit(config_, round_ + 1, generated, pool_);
-  const std::uint64_t nu = pool_.total() + adm.admitted;
-  {
-    telemetry::ScopedPhaseTimer timer(timers_, telemetry::Phase::kThrow, nu);
-    choice_scratch_.resize(nu);
-    if (bin_sampler_ != nullptr) {
-      bin_sampler_->fill(engine_, choice_scratch_);
-    } else {
-      rng::fill_bounded(engine_, choice_scratch_, config_.n);
-    }
-  }
-  const RoundMetrics m = step_internal(adm, choice_scratch_);
+  const RoundMetrics m = step_internal(adm, std::nullopt);
   if (controller_ != nullptr) controller_->observe(m);
   if constexpr (IBA_TELEMETRY_ENABLED != 0) {
     if (timeseries_ != nullptr) record_time_series(m);
@@ -274,8 +258,9 @@ RoundMetrics Capped::step_with_choices(
   return step_internal(adm, choices);
 }
 
-RoundMetrics Capped::step_internal(const Admission& admission,
-                                   std::span<const std::uint32_t> choices) {
+RoundMetrics Capped::step_internal(
+    const Admission& admission,
+    std::optional<std::span<const std::uint32_t>> choices) {
   ++round_;
   pool_.add(round_, admission.admitted);
   if constexpr (IBA_TELEMETRY_ENABLED != 0) {
@@ -291,8 +276,21 @@ RoundMetrics Capped::step_internal(const Admission& admission,
   return allocate_and_delete(admission, choices);
 }
 
+std::span<const std::uint32_t> Capped::draw_choices() {
+  const std::uint64_t nu = pool_.total();
+  telemetry::ScopedPhaseTimer timer(timers_, telemetry::Phase::kThrow, nu);
+  choice_scratch_.resize(nu);
+  if (bin_sampler_ != nullptr) {
+    bin_sampler_->fill(engine_, choice_scratch_);
+  } else {
+    rng::fill_bounded(engine_, choice_scratch_, config_.n);
+  }
+  return choice_scratch_;
+}
+
 RoundMetrics Capped::allocate_and_delete(
-    const Admission& admission, std::span<const std::uint32_t> choices) {
+    const Admission& admission,
+    std::optional<std::span<const std::uint32_t>> choices) {
   RoundMetrics m;
   m.round = round_;
   m.generated = admission.generated;
@@ -311,13 +309,18 @@ RoundMetrics Capped::allocate_and_delete(
   // Fast path: the fused sweep handles acceptance and deletion in one
   // chunked pass on every shard (and computes the end-of-round load
   // stats), timing itself so its kAccept/kDelete split matches the
-  // scalar path's. Every round it does not take — RoundKernel::kScalar,
-  // an attached ball tracer, or a pool whose age spread makes the
-  // sweep's partition uneconomical — runs the scalar reference, serially
-  // whatever the shard count. The bytes are the same either way.
+  // scalar path's. A sampler's choices are drawn serially first; a
+  // uniform round's are drawn by the sweep, split across the shards.
+  // Every round it does not take — RoundKernel::kScalar, an attached
+  // ball tracer, a pool whose age spread makes the sweep's partition
+  // uneconomical, or a split draw that a rejection shifted — draws
+  // serially and runs the scalar reference, whatever the shard count.
+  // The bytes are the same either way.
+  if (!choices && bin_sampler_ != nullptr) choices = draw_choices();
   const bool fused = config_.kernel == RoundKernel::kBinMajor && !tracing &&
                      round_fused(choices, m);
   if (!fused) {
+    if (!choices) choices = draw_choices();
     // Allocation. Pool buckets are considered in preference order (the
     // paper's oldest-first, or the ablation's inversion); each bin
     // accepts while it has room, which realizes "accept the preferred
@@ -326,7 +329,7 @@ RoundMetrics Capped::allocate_and_delete(
       telemetry::ScopedPhaseTimer accept_timer(timers_,
                                                telemetry::Phase::kAccept,
                                                m.thrown);
-      accept_scalar(choices, m);
+      accept_scalar(*choices, m);
       pool_.swap(survivors_);
     }
 
@@ -483,10 +486,14 @@ void Capped::delete_scalar(RoundMetrics& m) {
 // to the scalar loop on cache misses, so the kernel works in two
 // cache-resident levels instead, and splits both over the shard pool:
 //
-//   Pass A partitions throws into the range kernel's chunk streams
+//   Pass A writes the throws into the range kernel's chunk streams
 //   (core/range_kernel.hpp). Shard s takes the s-th contiguous slice of
 //   the throws (pool buckets are contiguous index ranges in visit order)
-//   and writes that slice's stream in every chunk.
+//   and writes that slice's stream in every chunk. A uniform round is
+//   drawn here: shard s jumps a copy of the engine to its slice's first
+//   throw and appends each choice straight into its streams. Given
+//   choices (a sampler's, or step_with_choices') are counted per chunk
+//   and scattered into exact regions.
 //
 //   Pass B is the range kernel, the one copy of the accept/serve rule,
 //   which dist::Worker also runs: shard t sweeps a contiguous run of
@@ -495,10 +502,11 @@ void Capped::delete_scalar(RoundMetrics& m) {
 //
 // Outcome, RNG consumption and metrics are byte-identical to the scalar
 // path for every shard count; only the memory access order differs.
-bool Capped::round_fused(std::span<const std::uint32_t> choices,
+bool Capped::round_fused(std::optional<std::span<const std::uint32_t>> given,
                          RoundMetrics& m) {
   const std::uint32_t n = config_.n;
-  const std::size_t nu = choices.size();
+  const std::uint64_t nu = pool_.total();
+  IBA_ASSERT(!given || given->size() == nu);
   // Pool buckets in acceptance-visit order; bucket_ends_[b] is one past
   // the last throw index of bucket b, so a binary search maps a throw
   // index to its bucket.
@@ -524,76 +532,51 @@ bool Capped::round_fused(std::span<const std::uint32_t> choices,
   }
 
   // The sweep interleaves acceptance and deletion per chunk, so phase
-  // attribution is done here (no clock reads without a sink): each shard
-  // times its delete walks and its whole Pass B, and Pass B's wall time
-  // is split between kAccept and kDelete in that ratio.
+  // attribution is done here (no clock reads without a sink): a split
+  // draw is kThrow; each shard times its delete walks and its whole
+  // Pass B, and the rest of the kernel's wall time is split between
+  // kAccept and kDelete in that ratio.
   const bool timing = timers_ != nullptr;
   std::chrono::steady_clock::time_point t_sweep;
   if (timing) t_sweep = std::chrono::steady_clock::now();
 
-  // Pass A: per-(slice, chunk) counts and each slice's bucket span, an
-  // exclusive prefix in (chunk, slice) order that turns the counts into
-  // stream cursors, then the sliced bucket-major partition.
+  // Slice s is the s-th of `shards` near-equal runs of the throws, with
+  // the buckets holding its first and last throw (bucket_ends_ is
+  // strictly increasing: pool buckets are never empty).
   const std::size_t shards = config_.shards;
-  const std::size_t row = cursor_row(n_chunks);
-  slice_cursor_.assign(shards * row, 0);
-  slice_buckets_.assign(2 * shards, 0);
-  for_shards(nu, [&](std::size_t s, std::size_t lo, std::size_t hi) {
-    if (lo == hi) return;
-    std::uint64_t* const counts = slice_cursor_.data() + s * row;
-    for (std::size_t i = lo; i < hi; ++i) ++counts[choices[i] >> kChunkBits];
-    // Buckets holding throws lo and hi - 1 (bucket_ends_ is strictly
-    // increasing: pool buckets are never empty).
-    const auto bucket_of = [this](std::size_t idx) {
+  throw_slices_.assign(shards, ThrowSlice{});
+  for (std::size_t s = 0; s < shards; ++s) {
+    ThrowSlice& slice = throw_slices_[s];
+    slice.lo = nu / shards * s + std::min<std::uint64_t>(s, nu % shards);
+    slice.hi = slice.lo + nu / shards + (s < nu % shards ? 1 : 0);
+    if (slice.lo == slice.hi) continue;
+    const auto bucket_of = [this](std::uint64_t idx) {
       return static_cast<std::size_t>(
           std::upper_bound(bucket_ends_.begin(), bucket_ends_.end(), idx) -
           bucket_ends_.begin());
     };
-    slice_buckets_[2 * s] = bucket_of(lo);
-    slice_buckets_[2 * s + 1] = bucket_of(hi - 1) + 1;
-  });
-  chunk_begin_.resize(static_cast<std::size_t>(n_chunks) + 1);
-  std::uint64_t run = 0;
-  for (std::uint32_t c = 0; c < n_chunks; ++c) {
-    chunk_begin_[c] = run;
-    for (std::size_t s = 0; s < shards; ++s) {
-      std::uint64_t& cell = slice_cursor_[s * row + c];
-      const std::uint64_t count = cell;
-      cell = run;
-      run += count + (slice_buckets_[2 * s + 1] - slice_buckets_[2 * s]);
+    slice.bucket_lo = bucket_of(slice.lo);
+    slice.bucket_hi = bucket_of(slice.hi - 1) + 1;
+  }
+  regions_.shape(shards, n);
+  if (given) {
+    partition(*given);
+  } else {
+    if (!draw_split()) return false;
+    if (timing) {
+      timers_->add(telemetry::Phase::kThrow, elapsed_ns(t_sweep), nu);
+      t_sweep = std::chrono::steady_clock::now();
     }
   }
-  chunk_begin_[n_chunks] = run;
-  part16_.resize(run + kPrefetchDist);  // the replay's look-ahead slack
-  for_shards(nu, [&](std::size_t s, std::size_t lo, std::size_t hi) {
-    if (lo == hi) return;
-    std::uint64_t* const cursor = slice_cursor_.data() + s * row;
-    std::uint16_t* const out = part16_.data();
-    std::size_t idx = lo;
-    for (std::size_t b = slice_buckets_[2 * s]; b < slice_buckets_[2 * s + 1];
-         ++b) {
-      const std::size_t b_end =
-          std::min(static_cast<std::size_t>(bucket_ends_[b]), hi);
-      for (; idx < b_end; ++idx) {
-        const std::uint32_t bin = choices[idx];
-        out[cursor[bin >> kChunkBits]++] =
-            static_cast<std::uint16_t>(bin & (kChunkWidth - 1));
-      }
-      for (std::uint32_t c = 0; c < n_chunks; ++c) {
-        out[cursor[c]++] = kSentinel;
-      }
-    }
-    IBA_ASSERT(idx == hi);
-  });
 
   // Pass B: the range kernel over each shard's run of chunks. Delete
   // walks that draw from the engine (failure coins, uniform deletion)
   // stay in bin order: inline when one shard walks every chunk in turn,
   // else serially after the parallel sweep.
   const RangeRound range{
-      .bins = &bins_, .round = round_, .part = part16_.data(),
-      .chunk_begin = chunk_begin_.data(), .stream_end = slice_cursor_.data(),
-      .row = row, .slices = shards, .slice_buckets = slice_buckets_.data(),
+      .bins = &bins_, .round = round_, .part = regions_.data(),
+      .stream_begin = regions_.begins(), .stream_end = regions_.cursors(),
+      .row = regions_.row(), .slices = throw_slices_,
       .buckets = visit_buckets_, .capacity = config_.capacity,
       .caps = round_caps_,
       .fault_flags = faults_round_ ? fault_flags_ : nullptr,
@@ -680,6 +663,81 @@ bool Capped::round_fused(std::span<const std::uint32_t> choices,
     timers_->add(telemetry::Phase::kDelete, delete_ns, m.deleted);
   }
   return true;
+}
+
+void Capped::partition(std::span<const std::uint32_t> choices) {
+  // Per-(slice, chunk) counts, exact regions (counts plus one sentinel
+  // per bucket the slice meets), then the bucket-major scatter.
+  const std::size_t row = regions_.row();
+  const std::uint32_t n_chunks = regions_.chunks();
+  std::uint64_t* const cursors = regions_.cursors();
+  std::fill(cursors, cursors + regions_.slices() * row, 0);
+  for_slices([&](std::size_t s) {
+    std::uint64_t* const counts = cursors + s * row;
+    const ThrowSlice& slice = throw_slices_[s];
+    for (std::uint64_t i = slice.lo; i < slice.hi; ++i) {
+      ++counts[choices[i] >> kChunkBits];
+    }
+  });
+  regions_.lay_out([&](std::size_t s, std::uint32_t c) {
+    const ThrowSlice& slice = throw_slices_[s];
+    return cursors[s * row + c] + (slice.bucket_hi - slice.bucket_lo);
+  });
+  regions_.rewind();
+  for_slices([&](std::size_t s) {
+    std::uint64_t* const cursor = cursors + s * row;
+    std::uint16_t* const out = regions_.data();
+    const ThrowSlice& slice = throw_slices_[s];
+    std::uint64_t idx = slice.lo;
+    for (std::size_t b = slice.bucket_lo; b < slice.bucket_hi; ++b) {
+      const std::uint64_t b_end = std::min(bucket_ends_[b], slice.hi);
+      for (; idx < b_end; ++idx) {
+        const std::uint32_t bin = choices[idx];
+        out[cursor[bin >> kChunkBits]++] =
+            static_cast<std::uint16_t>(bin & (kChunkWidth - 1));
+      }
+      for (std::uint32_t c = 0; c < n_chunks; ++c) {
+        out[cursor[c]++] = kSentinel;
+      }
+    }
+    IBA_ASSERT(idx == slice.hi);
+  });
+}
+
+bool Capped::draw_split() {
+  // Throw i is drawn from the engine state i words past the round's
+  // start, since fill_bounded takes one word per choice, except that a
+  // Lemire rejection (probability below n / 2^64 per draw) takes one
+  // more. So slice s draws from a copy jumped throw_slices_[s].lo words
+  // ahead, and the draw is exact iff every slice ends where the next
+  // begins. If not, nothing has changed but scratch, and the round is
+  // drawn serially instead. Streams that overflowed their regions are
+  // drawn again into widened regions: the same words, the same choices.
+  regions_.widen_uniform(throw_slices_, config_.n);
+  split_states_.resize(throw_slices_.size());
+  do {
+    regions_.rewind();
+    for_slices([&](std::size_t s) {
+      Engine engine = engine_;
+      engine.discard(throw_slices_[s].lo);
+      split_states_[s].first = engine.state();
+      draw_slice(regions_, s, throw_slices_[s], bucket_ends_, engine,
+                 nullptr, config_.n, 0);
+      split_states_[s].last = engine.state();
+    });
+    for (std::size_t s = 1; s < split_states_.size(); ++s) {
+      if (split_states_[s - 1].last != split_states_[s].first) return false;
+    }
+  } while (!regions_.fit());
+  engine_ = Engine(split_states_.back().last);
+  return true;
+}
+
+void Capped::for_slices(const std::function<void(std::size_t)>& fn) {
+  for_shards(config_.shards,
+             [&](std::size_t, std::size_t lo, std::size_t hi) {
+               for (std::size_t s = lo; s < hi; ++s) fn(s);
+             });
 }
 
 void Capped::for_shards(

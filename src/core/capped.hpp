@@ -27,6 +27,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -80,9 +81,11 @@ struct CappedConfig {
   /// Number of threads the fused bin-major sweep runs on (1 = inline, no
   /// thread pool); each takes a slice of the throws and a contiguous run
   /// of bin chunks. Requires kernel == kBinMajor when > 1. Results are
-  /// invariant in this value — every engine draw (failure coins,
-  /// uniform-deletion positions) happens on the calling thread in bin
-  /// order, so the RNG stream never depends on scheduling.
+  /// invariant in this value: a uniform round's slices are drawn from
+  /// the engine jumped exactly to each slice's first throw, and every
+  /// other engine draw (a sampler's choices, failure coins,
+  /// uniform-deletion positions) happens on the calling thread in order,
+  /// so the RNG stream never depends on scheduling.
   std::uint32_t shards = 1;
 
   /// Pool bound for backpressure (0 = unbounded, the paper's model).
@@ -362,13 +365,20 @@ class Capped {
   /// begin_round_faults() so the fault plan re-baselines against the
   /// round's actual capacity.
   void apply_control();
-  RoundMetrics step_internal(const Admission& admission,
-                             std::span<const std::uint32_t> choices);
+  /// `choices` are the round's bin choices if already drawn or given;
+  /// otherwise the round draws them from engine_ (see round_fused).
+  RoundMetrics step_internal(
+      const Admission& admission,
+      std::optional<std::span<const std::uint32_t>> choices);
   /// Builds the end-of-round TimeSeriesSample and feeds the attached
   /// recorder. Pure function of simulation state.
   void record_time_series(const RoundMetrics& m);
-  RoundMetrics allocate_and_delete(const Admission& admission,
-                                   std::span<const std::uint32_t> choices);
+  RoundMetrics allocate_and_delete(
+      const Admission& admission,
+      std::optional<std::span<const std::uint32_t>> choices);
+  /// Draws the round's choices serially into choice_scratch_, through
+  /// the sampler if one is attached.
+  std::span<const std::uint32_t> draw_choices();
 
   // -- scalar (ball-at-a-time) round path --
   void accept_scalar(std::span<const std::uint32_t> choices, RoundMetrics& m);
@@ -376,11 +386,22 @@ class Capped {
 
   // -- fused bin-major round kernel (see docs/PERFORMANCE.md) --
   /// Fused accept+delete sweep for the untraced kernel, run on
-  /// config_.shards threads: a sliced partition of the throws into chunk
-  /// streams, then the range kernel over each shard's run of chunks.
-  /// Returns false (nothing mutated) when the pool's bucket count makes
-  /// the partition uneconomical; the round then runs the scalar path.
-  bool round_fused(std::span<const std::uint32_t> choices, RoundMetrics& m);
+  /// config_.shards threads: the throws, sliced, into chunk streams —
+  /// the given choices partitioned, or a uniform round drawn slice by
+  /// slice — then the range kernel over each shard's run of chunks.
+  /// Returns false (nothing mutated but scratch) when the pool's bucket
+  /// count makes the partition uneconomical, or a rejection shifted the
+  /// split draw; the round then runs the scalar path.
+  bool round_fused(std::optional<std::span<const std::uint32_t>> given,
+                   RoundMetrics& m);
+  /// Pass A for given choices: exact regions, then the scatter.
+  void partition(std::span<const std::uint32_t> choices);
+  /// Pass A for a uniform round: each slice drawn from the engine jumped
+  /// to its first throw, straight into the streams. Returns false, with
+  /// engine_ untouched, when the slices' engine states do not chain.
+  bool draw_split();
+  /// Runs fn(s) for every slice s, each shard taking its own.
+  void for_slices(const std::function<void(std::size_t)>& fn);
   /// Runs fn(shard, begin, end) over config_.shards contiguous slices of
   /// [0, count): inline when shards == 1, else on the shard pool.
   void for_shards(std::size_t count,
@@ -404,13 +425,15 @@ class Capped {
   queueing::BinTable bins_;
 
   // Fused-sweep scratch, reused across rounds: the range kernel's chunk
-  // streams (core/range_kernel.hpp) and their bookkeeping, as
-  // RangeRound's part, stream_end (rows padded to a cache line),
-  // slice_buckets and chunk_begin.
-  ArenaBuffer<std::uint16_t> part16_;
-  std::vector<std::uint64_t> slice_cursor_;
-  std::vector<std::size_t> slice_buckets_;
-  std::vector<std::uint64_t> chunk_begin_;
+  // streams (core/range_kernel.hpp), the throw slices, and a split
+  // draw's engine state at each slice's first and past its last throw.
+  struct alignas(64) SliceStates {
+    std::array<std::uint64_t, 4> first;
+    std::array<std::uint64_t, 4> last;
+  };
+  StreamRegions regions_;
+  std::vector<ThrowSlice> throw_slices_;
+  std::vector<SliceStates> split_states_;
   std::vector<SweepShard> sweep_;             // one per shard
   std::vector<queueing::AgedPool::Bucket> visit_buckets_;  // visit order
   std::vector<std::uint64_t> bucket_ends_;    // throw-index boundaries

@@ -14,6 +14,10 @@ namespace {
 /// The delete walk tallies waits below this per value.
 constexpr std::uint64_t kTallyWidth = 64;
 
+/// Choices one draw batch holds: 16 KiB stays L1-resident between the
+/// draw and the stream appends.
+constexpr std::size_t kDrawBatch = 4096;
+
 std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point since) {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -32,6 +36,88 @@ inline void prefetch_rw(const void* address) noexcept {
 
 }  // namespace
 
+void StreamRegions::shape(std::size_t slices, std::uint32_t bins) {
+  if (slices == slices_ && bins == bins_) return;
+  slices_ = slices;
+  bins_ = bins;
+  chunks_ = chunk_count(bins);
+  // Rows padded to a whole cache line of cursors.
+  constexpr std::size_t kLine = 64 / sizeof(std::uint64_t);
+  row_ = (static_cast<std::size_t>(chunks_) + kLine - 1) / kLine * kLine;
+  begin_.assign(slices * row_, 0);
+  limit_.assign(slices * row_, 0);
+  end_.assign(slices * row_, 0);
+}
+
+void StreamRegions::widen_uniform(std::span<const ThrowSlice> slices,
+                                  std::uint32_t n) {
+  IBA_ASSERT(slices.size() == slices_);
+  widen([&](std::size_t s, std::uint32_t c) {
+    const std::uint64_t width =
+        std::min<std::uint64_t>(kChunkWidth, bins_ - (c << kChunkBits));
+    const ThrowSlice& slice = slices[s];
+    const std::uint64_t expected = (slice.hi - slice.lo) * width / n +
+                                   (slice.bucket_hi - slice.bucket_lo);
+    return expected + expected / 8;
+  });
+}
+
+void StreamRegions::rewind() { end_ = begin_; }
+
+bool StreamRegions::fit() {
+  bool fits = true;
+  for (std::size_t i = 0; i < end_.size(); ++i) fits &= end_[i] <= limit_[i];
+  if (!fits) {
+    widen([&](std::size_t s, std::uint32_t c) {
+      const std::size_t i = s * row_ + c;
+      const std::uint64_t entries = end_[i] - begin_[i];
+      return entries + entries / 8;
+    });
+  }
+  return fits;
+}
+
+void draw_slice(StreamRegions& regions, std::size_t slice,
+                const ThrowSlice& throws,
+                std::span<const std::uint64_t> bucket_ends, Engine& engine,
+                BinChoiceSampler* sampler, std::uint32_t n,
+                std::uint32_t bin_lo) {
+  const std::size_t row = regions.row();
+  const std::uint32_t chunks = regions.chunks();
+  const std::uint32_t bins = regions.bins();
+  std::uint16_t* const out = regions.data();
+  std::uint64_t* const cursor = regions.cursors() + slice * row;
+  const std::uint64_t* const limit = regions.limits() + slice * row;
+  const auto append = [&](std::uint32_t c, std::uint16_t value) {
+    const std::uint64_t at = cursor[c]++;
+    if (at < limit[c]) out[at] = value;
+  };
+  std::uint32_t choices[kDrawBatch] = {};
+  std::uint64_t idx = throws.lo;
+  for (std::size_t b = throws.bucket_lo; b < throws.bucket_hi; ++b) {
+    const std::uint64_t b_end = std::min(bucket_ends[b], throws.hi);
+    while (idx < b_end) {
+      const std::span<std::uint32_t> batch(
+          choices, static_cast<std::size_t>(
+                       std::min<std::uint64_t>(b_end - idx, kDrawBatch)));
+      if (sampler != nullptr) {
+        sampler->fill(engine, batch);
+      } else {
+        rng::fill_bounded(engine, batch, n);
+      }
+      idx += batch.size();
+      for (const std::uint32_t choice : batch) {
+        const std::uint32_t bin = choice - bin_lo;
+        if (bin >= bins) continue;  // outside the range
+        append(bin >> kChunkBits,
+               static_cast<std::uint16_t>(bin & (kChunkWidth - 1)));
+      }
+    }
+    for (std::uint32_t c = 0; c < chunks; ++c) append(c, kSentinel);
+  }
+  IBA_ASSERT(idx == throws.hi);
+}
+
 void SweepShard::reset(std::size_t buckets) {
   accepted = max_load = empty_bins = busy_ns = delete_ns = 0;
   rejected.assign(buckets, 0);
@@ -47,12 +133,13 @@ void sweep_chunks(const RangeRound& r, SweepShard& acc, std::uint32_t chunk_lo,
 
   queueing::BinTable& table = *r.bins;
   const std::uint32_t n = table.bins();
-  const std::size_t slices = r.slices;
+  const std::size_t slices = r.slices.size();
+  const ThrowSlice* const slice_of = r.slices.data();
   const std::size_t row = r.row;
   const std::size_t n_buckets = r.buckets.size();
   const queueing::AgedPool::Bucket* const buckets = r.buckets.data();
+  const std::uint64_t* const stream_begin = r.stream_begin;
   const std::uint64_t* const stream_end = r.stream_end;
-  const std::size_t* const slice_buckets = r.slice_buckets;
   // Slot arithmetic uses the storage width, which a controller shrink
   // leaves wider than the acceptance bound.
   const std::uint32_t cap = r.capacity;
@@ -71,10 +158,10 @@ void sweep_chunks(const RangeRound& r, SweepShard& acc, std::uint32_t chunk_lo,
 
     // Acceptance replay in visit order, one slice stream after another,
     // within this chunk's cache-resident slice of the bin state.
-    std::size_t p = r.chunk_begin[c];
     for (std::size_t s = 0; s < slices; ++s) {
+      std::size_t p = stream_begin[s * row + c];
       const std::size_t end = stream_end[s * row + c];
-      std::size_t b = slice_buckets[2 * s];
+      std::size_t b = slice_of[s].bucket_lo;
       std::uint64_t label = b < n_buckets ? buckets[b].label : 0;
       std::uint64_t rej = 0;
       for (; p < end; ++p) {
@@ -111,7 +198,7 @@ void sweep_chunks(const RangeRound& r, SweepShard& acc, std::uint32_t chunk_lo,
           ++rej;
         }
       }
-      IBA_ASSERT(b == slice_buckets[2 * s + 1] && rej == 0);
+      IBA_ASSERT(b == slice_of[s].bucket_hi && rej == 0);
     }
 
     if (with_delete) {

@@ -1,4 +1,5 @@
-// The CAPPED accept/serve rule over one range of bins, written once.
+// The CAPPED accept/serve rule over one range of bins, written once, and
+// the chunk streams that feed it.
 //
 // A round's throws arrive as 16-bit offset streams. The range's bins are
 // cut into 8192-bin chunks; each chunk holds one stream per throw slice,
@@ -14,16 +15,29 @@
 // so merging SweepShards in any order equals one serial sweep bit for
 // bit.
 //
-// core::Capped partitions a round into these streams and sweeps them per
-// shard; dist::Worker writes one slice while redrawing the round and
-// sweeps its whole range. The bin table is range-local.
+// Each (slice, chunk) stream lives in its own region of one buffer
+// (StreamRegions), so a draw can append its choices straight into the
+// streams: draw_slice() draws a slice's throws in L1-sized batches and
+// appends each in-range choice to its chunk's stream. Regions sized for
+// a uniform draw with 1/8 to spare almost always fit; a stream that
+// overflows its region is counted, not written, and the draw — a pure
+// function of the engine state — is redrawn into regions widened to the
+// measured counts.
+//
+// core::Capped draws a uniform round's slices in parallel, each from
+// the engine jumped to the slice's first throw (Xoshiro256Base::discard),
+// or partitions a given choice list into exact regions; dist::Worker
+// redraws the whole round as one slice, keeping its range's throws. Both
+// then sweep. The bin table is range-local.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
 
+#include "core/arena.hpp"
 #include "core/metrics.hpp"
 #include "core/policies.hpp"
 #include "core/process.hpp"
@@ -45,6 +59,96 @@ inline constexpr std::size_t kPrefetchDist = 24;
 constexpr std::uint32_t chunk_count(std::uint32_t bins) noexcept {
   return static_cast<std::uint32_t>(
       (static_cast<std::uint64_t>(bins) + kChunkWidth - 1) >> kChunkBits);
+}
+
+/// One slice of a round's throws in visit order: throws [lo, hi), which
+/// meet pool buckets [bucket_lo, bucket_hi).
+struct ThrowSlice {
+  std::uint64_t lo = 0;
+  std::uint64_t hi = 0;
+  std::size_t bucket_lo = 0;
+  std::size_t bucket_hi = 0;
+};
+
+/// The chunk streams of one round: stream (s, c) is slice s's stream in
+/// chunk c, written into its own region of one buffer. Regions lie
+/// chunk-major (chunk c's slice regions back to back), so a sweep of a
+/// chunk reads one span with gaps. Per-stream arrays are indexed
+/// s * row() + c, with rows padded to a cache line so slices writing
+/// in parallel never share one.
+class StreamRegions {
+ public:
+  void set_arena(Arena* arena) noexcept { data_.set_arena(arena); }
+
+  /// Sets the slice count and the range's bin count; a change of either
+  /// empties every region.
+  void shape(std::size_t slices, std::uint32_t bins);
+
+  /// Lays the regions out back to back, region (s, c) exactly
+  /// need(s, c) entries long. need(s, c) may read stream (s, c)'s
+  /// cursor.
+  template <typename Need>
+  void lay_out(const Need& need);
+  /// Widens each region (s, c) to a uniform draw's expected entries plus
+  /// 1/8: slices[s]'s throws spread over n bins (of which chunk c holds
+  /// its width), plus one sentinel per bucket the slice meets.
+  void widen_uniform(std::span<const ThrowSlice> slices, std::uint32_t n);
+
+  /// Moves every cursor to its region's start.
+  void rewind();
+  /// True when every stream fit its region. Otherwise widens each region
+  /// to its stream's count plus 1/8 and returns false: the streams are
+  /// incomplete, and the round must be written again after rewind().
+  bool fit();
+
+  [[nodiscard]] std::size_t slices() const noexcept { return slices_; }
+  [[nodiscard]] std::uint32_t bins() const noexcept { return bins_; }
+  [[nodiscard]] std::uint32_t chunks() const noexcept { return chunks_; }
+  [[nodiscard]] std::size_t row() const noexcept { return row_; }
+  [[nodiscard]] std::uint16_t* data() noexcept { return data_.data(); }
+  /// Stream starts, and the cursors: one past each stream's last entry.
+  [[nodiscard]] const std::uint64_t* begins() const noexcept {
+    return begin_.data();
+  }
+  [[nodiscard]] std::uint64_t* cursors() noexcept { return end_.data(); }
+  [[nodiscard]] const std::uint64_t* limits() const noexcept {
+    return limit_.data();
+  }
+
+ private:
+  /// As lay_out, but a region never shrinks.
+  template <typename Need>
+  void widen(const Need& need) {
+    lay_out([&](std::size_t s, std::uint32_t c) {
+      const std::size_t i = s * row_ + c;
+      return std::max<std::uint64_t>(limit_[i] - begin_[i], need(s, c));
+    });
+  }
+
+  ArenaBuffer<std::uint16_t> data_;
+  std::vector<std::uint64_t> begin_;
+  std::vector<std::uint64_t> limit_;
+  std::vector<std::uint64_t> end_;
+  std::size_t slices_ = 0;
+  std::uint32_t bins_ = 0;
+  std::uint32_t chunks_ = 0;
+  std::size_t row_ = 0;
+};
+
+template <typename Need>
+void StreamRegions::lay_out(const Need& need) {
+  std::uint64_t at = 0;
+  for (std::uint32_t c = 0; c < chunks_; ++c) {
+    for (std::size_t s = 0; s < slices_; ++s) {
+      const std::size_t i = s * row_ + c;
+      const std::uint64_t entries = need(s, c);
+      begin_[i] = at;
+      at += entries;
+      limit_[i] = at;
+    }
+  }
+  // The slack keeps the kernel's prefetch look-ahead read in bounds.
+  data_.resize(at + kPrefetchDist);
 }
 
 /// One caller's deltas from a sweep. Aligned so parallel shards never
@@ -70,16 +174,14 @@ struct RangeRound {
   queueing::BinTable* bins = nullptr;  ///< the range's bins
   std::uint64_t round = 0;             ///< a served ball waits round − label
 
-  // Chunk c's first stream starts at part[chunk_begin[c]]; slice s's
-  // stream in chunk c ends at part[stream_end[s * row + c]], where the
-  // next slice's begins. Slice s spans pool buckets
-  // [slice_buckets[2s], slice_buckets[2s + 1]).
+  // Slice s's stream in chunk c is part[stream_begin[i], stream_end[i])
+  // with i = s * row + c (a StreamRegions' arrays); slices[s] names the
+  // pool buckets the stream's sentinels close.
   const std::uint16_t* part = nullptr;
-  const std::uint64_t* chunk_begin = nullptr;
+  const std::uint64_t* stream_begin = nullptr;
   const std::uint64_t* stream_end = nullptr;
   std::size_t row = 0;
-  std::size_t slices = 1;
-  const std::size_t* slice_buckets = nullptr;
+  std::span<const ThrowSlice> slices;
   std::span<const queueing::AgedPool::Bucket> buckets;  ///< visit order
 
   /// Acceptance bound: caps[bin] if non-null, else `capacity`; either may
@@ -96,6 +198,20 @@ struct RangeRound {
   Engine* engine = nullptr;
   bool timing = false;  ///< fill SweepShard::busy_ns / delete_ns
 };
+
+/// Draws slice `slice` of a round from `engine`, which stands at throw
+/// slice.lo: through `sampler`, or uniformly over [0, n) with
+/// fill_bounded when it is null, in 4096-choice batches (both consume the
+/// stream identically at any batch split). Each choice inside
+/// [bin_lo, bin_lo + regions.bins()) is appended to its chunk's stream;
+/// each bucket the slice meets (bucket_ends[b] is one past its last
+/// throw) is closed with a sentinel in every chunk. Appends past a
+/// region's end are counted, not written (see StreamRegions::fit).
+void draw_slice(StreamRegions& regions, std::size_t slice,
+                const ThrowSlice& throws,
+                std::span<const std::uint64_t> bucket_ends, Engine& engine,
+                BinChoiceSampler* sampler, std::uint32_t n,
+                std::uint32_t bin_lo);
 
 /// Chunks [chunk_lo, chunk_hi): per chunk the acceptance replay, then
 /// (with_delete) its delete walk.

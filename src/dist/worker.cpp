@@ -1,7 +1,6 @@
 #include "dist/worker.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cstdio>
 #include <span>
 #include <stdexcept>
@@ -9,7 +8,6 @@
 
 #include "common/assert.hpp"
 #include "dist/checkpoint.hpp"
-#include "rng/bounded.hpp"
 
 namespace iba::dist {
 
@@ -88,77 +86,8 @@ void Worker::handle_init(const InitMsg& msg) {
   const auto bins = static_cast<std::uint32_t>(bin_count_);
   table_.emplace(bins, storage, &arena_);
   if (shard.has_value()) table_->restore(shard->queues);
-  region_.assign(static_cast<std::size_t>(core::chunk_count(bins)) + 1, 0);
-  stream_end_.assign(region_.size() - 1, 0);
+  regions_.shape(1, bins);
   send_init_ack(fd_, InitAckMsg{round_, table_->total_load()});
-}
-
-template <typename Need>
-void Worker::widen_regions(const Need& need) {
-  // need(c) may read region_[c]: it runs before the entry is rewritten.
-  const std::size_t chunks = stream_end_.size();
-  std::uint64_t at = 0;
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::uint64_t room = std::max(region_[c + 1] - region_[c], need(c));
-    region_[c] = at;
-    at += room;
-  }
-  region_[chunks] = at;
-  // The slack keeps the kernel's prefetch look-ahead read in bounds.
-  streams_.resize(at + core::kPrefetchDist);
-}
-
-bool Worker::draw_streams(const RoundMsg& msg,
-                          core::BinChoiceSampler* sampler,
-                          core::Engine& engine) {
-  const std::size_t chunks = stream_end_.size();
-  std::copy(region_.begin(), region_.end() - 1, stream_end_.begin());
-  std::uint16_t* const out = streams_.data();
-  std::uint64_t* const cursor = stream_end_.data();
-  const std::uint64_t* const limit = region_.data() + 1;
-  const std::uint64_t bin_lo = bin_lo_;
-  const std::uint64_t bin_count = bin_count_;
-  // An entry past its region's end is counted, not written.
-  const auto append = [&](std::size_t c, std::uint16_t value) {
-    const std::uint64_t at = cursor[c]++;
-    if (at < limit[c]) out[at] = value;
-  };
-
-  // Draw bucket by bucket in the global visit order (oldest first), in
-  // fixed batches: fill_bounded and the Zipf sampler consume the engine
-  // stream identically at any batch split, so these are the
-  // single-process choices exactly.
-  constexpr std::size_t kDrawBatch = 4096;
-  std::array<std::uint32_t, kDrawBatch> choices{};
-  for (const auto& bucket : msg.buckets) {
-    for (std::uint64_t left = bucket.count; left > 0;) {
-      const std::span<std::uint32_t> batch(
-          choices.data(), std::min<std::uint64_t>(left, kDrawBatch));
-      if (sampler != nullptr) {
-        sampler->fill(engine, batch);
-      } else {
-        rng::fill_bounded(engine, batch, static_cast<std::uint32_t>(n_));
-      }
-      left -= batch.size();
-      for (const std::uint32_t choice : batch) {
-        const std::uint64_t bin = choice - bin_lo;
-        if (bin >= bin_count) continue;  // another worker's range
-        append(bin >> core::kChunkBits,
-               static_cast<std::uint16_t>(bin & (core::kChunkWidth - 1)));
-      }
-    }
-    for (std::size_t c = 0; c < chunks; ++c) append(c, core::kSentinel);
-  }
-
-  bool fit = true;
-  for (std::size_t c = 0; c < chunks; ++c) fit &= cursor[c] <= limit[c];
-  if (!fit) {
-    widen_regions([&](std::size_t c) {
-      const std::uint64_t entries = cursor[c] - region_[c];
-      return entries + entries / 8;
-    });
-  }
-  return fit;
 }
 
 void Worker::handle_round(const RoundMsg& msg) {
@@ -179,16 +108,28 @@ void Worker::handle_round(const RoundMsg& msg) {
     zipf = &*zipf_;
   }
 
-  // Regions fit a uniform draw with 1/8 to spare. The draw is a pure
-  // function of the shipped state, so a round that overflows one (a
-  // skewed draw) is drawn again into regions widened to its counts.
+  // Redraw the whole round, bucket by bucket in the global visit order
+  // (oldest first), keeping this range's throws: the single-process
+  // choices exactly. Regions fit a uniform draw with 1/8 to spare. The
+  // draw is a pure function of the shipped state, so a round that
+  // overflows one (a skewed draw) is drawn again into regions widened to
+  // its counts.
+  bucket_ends_.clear();
   std::uint64_t throws = 0;
-  for (const auto& bucket : msg.buckets) throws += bucket.count;
-  const std::uint64_t expected =
-      throws * core::kChunkWidth / n_ + msg.buckets.size();
-  widen_regions([&](std::size_t) { return expected + expected / 8; });
+  for (const auto& bucket : msg.buckets) {
+    throws += bucket.count;
+    bucket_ends_.push_back(throws);
+  }
+  const core::ThrowSlice all{.hi = throws, .bucket_hi = msg.buckets.size()};
+  regions_.widen_uniform({&all, 1}, static_cast<std::uint32_t>(n_));
   core::Engine engine(msg.engine);
-  while (!draw_streams(msg, zipf, engine)) engine = core::Engine(msg.engine);
+  do {
+    regions_.rewind();
+    engine = core::Engine(msg.engine);
+    core::draw_slice(regions_, 0, all, bucket_ends_, engine, zipf,
+                     static_cast<std::uint32_t>(n_),
+                     static_cast<std::uint32_t>(bin_lo_));
+  } while (!regions_.fit());
 
   // The range kernel, once over the whole range: each bin accepts while
   // it has room under this round's bound (none, for a bin still
@@ -196,15 +137,13 @@ void Worker::handle_round(const RoundMsg& msg) {
   // front. Acceptance is independent across bins, so this range's
   // throws alone reproduce the single-process outcome for its bins, and
   // FIFO service draws nothing, which is what lets it run worker-side.
-  const std::size_t slice_buckets[2] = {0, msg.buckets.size()};
   const core::RangeRound range{
-      .bins = &*table_, .round = msg.round, .part = streams_.data(),
-      .chunk_begin = region_.data(), .stream_end = stream_end_.data(),
-      .slice_buckets = slice_buckets, .buckets = msg.buckets,
+      .bins = &*table_, .round = msg.round, .part = regions_.data(),
+      .stream_begin = regions_.begins(), .stream_end = regions_.cursors(),
+      .row = regions_.row(), .slices = {&all, 1}, .buckets = msg.buckets,
       .capacity = msg.capacity};
   sweep_.reset(msg.buckets.size());
-  core::sweep_chunks(range, sweep_, 0,
-                     static_cast<std::uint32_t>(stream_end_.size()), true);
+  core::sweep_chunks(range, sweep_, 0, regions_.chunks(), true);
   table_->adjust_total_load(static_cast<std::int64_t>(sweep_.accepted) -
                             static_cast<std::int64_t>(sweep_.waits.count()));
 

@@ -37,7 +37,7 @@ class Worker {
   /// it. `index` is this worker's bin-range slot (announced via
   /// kMsgHello so TCP workers can connect in any order).
   Worker(int fd, std::uint32_t index) : fd_(fd), index_(index) {
-    streams_.set_arena(&arena_);
+    regions_.set_arena(&arena_);
   }
 
   /// Sends the hello, then serves coordinator messages until a clean
@@ -62,15 +62,6 @@ class Worker {
   void handle_init(const InitMsg& msg);
   void handle_round(const RoundMsg& msg);
   void handle_checkpoint(const CheckpointMsg& msg);
-  /// Draws the round from `engine` into the chunk streams. Returns
-  /// false, with the regions widened to fit, when a chunk's entries
-  /// overflowed its region (the streams are then incomplete).
-  bool draw_streams(const RoundMsg& msg, core::BinChoiceSampler* sampler,
-                    core::Engine& engine);
-  /// Lays the chunk regions out back to back, chunk c's at least
-  /// need(c) entries long; a region never shrinks.
-  template <typename Need>
-  void widen_regions(const Need& need);
 
   int fd_;
   std::uint32_t index_;
@@ -86,12 +77,10 @@ class Worker {
   std::optional<scenario::ZipfBinSampler> zipf_;
   std::uint64_t rounds_served_ = 0;
 
-  // Range-kernel input, reused across rounds. Chunk c's offset stream
-  // lives in the region [region_[c], region_[c + 1]) of streams_ and
-  // ends at stream_end_[c].
-  core::ArenaBuffer<std::uint16_t> streams_;
-  std::vector<std::uint64_t> region_;      // chunks + 1 region starts
-  std::vector<std::uint64_t> stream_end_;  // one per chunk
+  // Range-kernel input, reused across rounds: one slice of chunk
+  // streams, and the round's bucket boundaries in throw indices.
+  core::StreamRegions regions_;
+  std::vector<std::uint64_t> bucket_ends_;
   core::SweepShard sweep_;
 };
 

@@ -1,9 +1,6 @@
-// Counting histograms for load and waiting-time distributions.
-//
-// Histogram      — fixed-width bins over [lo, hi) with under/overflow bins.
-// Log2Histogram  — one bin per power of two; the natural shape for
-//                  waiting-time tails (compact, O(64) state, exact counts
-//                  per dyadic range).
+// Log2Histogram — a counting histogram with one bin per power of two; the
+// natural shape for waiting-time tails (compact, O(64) state, exact
+// counts per dyadic range).
 #pragma once
 
 #include <bit>
@@ -14,57 +11,6 @@
 #include "common/assert.hpp"
 
 namespace iba::stats {
-
-/// Fixed-width histogram over [lo, hi) with `bins` equal cells plus
-/// dedicated underflow/overflow counters.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins)
-      : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(bins)),
-        counts_(bins, 0) {
-    IBA_EXPECT(hi > lo, "Histogram: hi must exceed lo");
-    IBA_EXPECT(bins > 0, "Histogram: needs at least one bin");
-  }
-
-  void add(double x, std::uint64_t weight = 1) noexcept {
-    ++total_;
-    if (x < lo_) {
-      underflow_ += weight;
-    } else if (x >= hi_) {
-      overflow_ += weight;
-    } else {
-      auto idx = static_cast<std::size_t>((x - lo_) / width_);
-      if (idx >= counts_.size()) idx = counts_.size() - 1;  // fp edge
-      counts_[idx] += weight;
-    }
-  }
-
-  [[nodiscard]] std::size_t bin_count() const noexcept {
-    return counts_.size();
-  }
-  [[nodiscard]] std::uint64_t count(std::size_t bin) const noexcept {
-    IBA_ASSERT(bin < counts_.size());
-    return counts_[bin];
-  }
-  [[nodiscard]] double bin_lo(std::size_t bin) const noexcept {
-    return lo_ + static_cast<double>(bin) * width_;
-  }
-  [[nodiscard]] double bin_hi(std::size_t bin) const noexcept {
-    return lo_ + static_cast<double>(bin + 1) * width_;
-  }
-  [[nodiscard]] std::uint64_t underflow() const noexcept { return underflow_; }
-  [[nodiscard]] std::uint64_t overflow() const noexcept { return overflow_; }
-  [[nodiscard]] std::uint64_t total() const noexcept { return total_; }
-
- private:
-  double lo_;
-  double hi_;
-  double width_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t underflow_ = 0;
-  std::uint64_t overflow_ = 0;
-  std::uint64_t total_ = 0;
-};
 
 /// Histogram of non-negative integers with one bin per power of two:
 /// bin 0 holds value 0, bin k ≥ 1 holds values in [2^(k−1), 2^k).

@@ -9,13 +9,17 @@
 // d-choice sampler.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/bin_samplers.hpp"
 #include "core/capped.hpp"
+#include "core/range_kernel.hpp"
 #include "fault/fault_plan.hpp"
 #include "fault/schedule.hpp"
 #include "rng/bounded.hpp"
@@ -837,6 +841,177 @@ TEST(KernelDifferential, FoldedConfigurationsMatchScalar) {
             ("bin_major_" + std::to_string(shards)).c_str());
       }
     }
+  }
+}
+
+// -- the split draw: on a uniform round, shard s draws its own slice of
+// the throws from a copy of the engine jumped to the slice's first
+// throw, straight into its chunk streams -----------------------------
+
+constexpr std::uint32_t kSplitShards[] = {2, 3, 4, 7};
+
+RunCapture run_from(const CappedConfig& config, Engine engine,
+                    std::uint64_t rounds) {
+  Capped process(config, engine);
+  return step_and_capture(process, rounds);
+}
+
+TEST(KernelDifferential, SplitDrawMatchesScalar) {
+  // A ragged n (13 chunks, the last holding 17 bins), and a one-chunk
+  // run whose rounds throw fewer balls than there are shards, leaving
+  // some slices empty.
+  CappedConfig sparse = base_config();
+  sparse.capacity = 1;
+  sparse.lambda_n = 1;
+  const Scenario cases[] = {{"ragged_n", multi_chunk(base_config())},
+                            {"fewer_throws_than_shards", sparse}};
+  for (const Scenario& scenario : cases) {
+    SCOPED_TRACE(scenario.name);
+    const RunCapture reference =
+        run(with_kernel(scenario.config, RoundKernel::kScalar, 1), kSeed,
+            kMultiChunkRounds, /*trace=*/false);
+    for (const std::uint32_t shards : kSplitShards) {
+      expect_runs_eq(reference,
+                     run(with_kernel(scenario.config, RoundKernel::kBinMajor,
+                                     shards),
+                         kSeed, kMultiChunkRounds, /*trace=*/false),
+                     ("shards_" + std::to_string(shards)).c_str());
+    }
+  }
+  const auto& metrics =
+      run(with_kernel(sparse, RoundKernel::kScalar, 1), kSeed,
+          kMultiChunkRounds, false)
+          .metrics;
+  EXPECT_TRUE(std::any_of(metrics.begin(), metrics.end(),
+                          [](const RoundMetrics& m) {
+                            return m.thrown > 0 && m.thrown < 7;
+                          }));
+}
+
+TEST(KernelDifferential, SplitDrawSurvivesThrowCountJumps) {
+  // Forty throws over 13 chunks and up to 7 slices size most regions
+  // for one or two entries with nothing to spare, so early rounds
+  // overflow and are drawn again; then the throw count jumps to 0.9 n
+  // and back.
+  CappedConfig config = multi_chunk(base_config());
+  config.lambda_n = 40;
+  const auto drive = [&](RoundKernel kernel, std::uint32_t shards) {
+    Capped process(with_kernel(config, kernel, shards), Engine(kSeed));
+    std::vector<RoundMetrics> head;
+    for (int r = 0; r < 10; ++r) head.push_back(process.step());
+    process.set_lambda_n(config.n / 10 * 9);
+    for (int r = 0; r < 10; ++r) head.push_back(process.step());
+    process.set_lambda_n(40);
+    RunCapture capture = step_and_capture(process, 10);
+    capture.metrics.insert(capture.metrics.begin(), head.begin(), head.end());
+    return capture;
+  };
+  const RunCapture reference = drive(RoundKernel::kScalar, 1);
+  for (const std::uint32_t shards : kSplitShards) {
+    expect_runs_eq(reference, drive(RoundKernel::kBinMajor, shards),
+                   ("shards_" + std::to_string(shards)).c_str());
+  }
+}
+
+TEST(KernelDifferential, SplitDrawRejectionFallsBackToSerialBytes) {
+  // xoshiro256++ outputs rotl(s0 + s3, 23) + s0, so the state
+  // {0, a, b, 0} outputs the word 0, which Lemire rejects for any n that
+  // is not a power of two: the round's first throw takes two words, and
+  // slice 0 ends one word past slice 1's start. The round must be drawn
+  // serially, with the bytes of one shard.
+  const Engine planted(std::array<std::uint64_t, 4>{
+      0, 0x9e3779b97f4a7c15ULL, 0xbf58476d1ce4e5b9ULL, 0});
+  const CappedConfig config = multi_chunk(base_config());
+  {
+    Engine probe = planted;
+    (void)iba::rng::bounded32(probe, config.n);
+    Engine two = planted;
+    two.discard(2);
+    ASSERT_EQ(probe, two);
+  }
+  const RunCapture reference = run_from(
+      with_kernel(config, RoundKernel::kBinMajor, 1), planted, 5);
+  expect_runs_eq(
+      reference,
+      run_from(with_kernel(config, RoundKernel::kScalar, 1), planted, 5),
+      "scalar");
+  for (const std::uint32_t shards : kSplitShards) {
+    expect_runs_eq(
+        reference,
+        run_from(with_kernel(config, RoundKernel::kBinMajor, shards), planted,
+                 5),
+        ("shards_" + std::to_string(shards)).c_str());
+  }
+}
+
+TEST(KernelDifferential, SplitDrawLeavesTheSerialEngineState) {
+  // FIFO service and deterministic arrivals draw nothing, so after each
+  // round the engine stands exactly past a serial draw of its throws.
+  const CappedConfig config =
+      with_kernel(multi_chunk(base_config()), RoundKernel::kBinMajor, 4);
+  Capped process(config, Engine(kSeed));
+  Engine serial(kSeed);
+  std::vector<std::uint32_t> choices;
+  for (int r = 0; r < 5; ++r) {
+    choices.resize(process.balls_to_throw());
+    iba::rng::fill_bounded(serial, std::span<std::uint32_t>(choices),
+                           config.n);
+    (void)process.step();
+    EXPECT_EQ(process.engine_state(), serial.state()) << "round " << r;
+  }
+}
+
+// StreamRegions + draw_slice directly: regions too small for a draw
+// report the overflow and widen to its counts, and the redraw writes
+// each kept choice's offset into its chunk's stream in draw order, with
+// one sentinel per bucket.
+TEST(StreamRegions, OverflowWidensAndTheRedrawMatchesTheSerialDraw) {
+  using iba::core::kChunkBits;
+  using iba::core::kChunkWidth;
+  using iba::core::kSentinel;
+  using iba::core::StreamRegions;
+  using iba::core::ThrowSlice;
+  constexpr std::uint32_t kN = 30000;
+  constexpr std::uint32_t kBinLo = 3000;
+  constexpr std::uint32_t kBins = 2 * kChunkWidth + 100;  // ragged
+  const std::vector<std::uint64_t> bucket_ends = {600, 1000};
+  const ThrowSlice all{.hi = 1000, .bucket_hi = 2};
+  StreamRegions regions;
+  regions.shape(1, kBins);
+  ASSERT_EQ(regions.chunks(), 3u);
+  regions.lay_out([](std::size_t, std::uint32_t) { return 1; });
+  regions.rewind();
+  Engine first(kSeed);
+  iba::core::draw_slice(regions, 0, all, bucket_ends, first, nullptr, kN,
+                        kBinLo);
+  EXPECT_FALSE(regions.fit());
+  regions.rewind();
+  Engine again(kSeed);
+  iba::core::draw_slice(regions, 0, all, bucket_ends, again, nullptr, kN,
+                        kBinLo);
+  ASSERT_TRUE(regions.fit());
+  EXPECT_EQ(first, again);
+
+  Engine serial(kSeed);
+  std::vector<std::uint32_t> choices(1000);
+  iba::rng::fill_bounded(serial, std::span<std::uint32_t>(choices), kN);
+  EXPECT_EQ(again, serial);
+  std::vector<std::vector<std::uint16_t>> expected(3);
+  std::size_t idx = 0;
+  for (const std::uint64_t end : bucket_ends) {
+    for (; idx < end; ++idx) {
+      const std::uint32_t bin = choices[idx] - kBinLo;
+      if (choices[idx] < kBinLo || bin >= kBins) continue;
+      expected[bin >> kChunkBits].push_back(
+          static_cast<std::uint16_t>(bin & (kChunkWidth - 1)));
+    }
+    for (auto& stream : expected) stream.push_back(kSentinel);
+  }
+  for (std::uint32_t c = 0; c < 3; ++c) {
+    const std::vector<std::uint16_t> stream(
+        regions.data() + regions.begins()[c],
+        regions.data() + regions.cursors()[c]);
+    EXPECT_EQ(stream, expected[c]) << "chunk " << c;
   }
 }
 

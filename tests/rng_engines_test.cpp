@@ -78,6 +78,109 @@ TEST(Xoshiro256pp, LongJumpDistinctFromJump) {
   EXPECT_FALSE(a == b);
 }
 
+// discard(k) steps k mod 256 times and applies a 2^i-step jump per set
+// bit above bit 7; together they must leave exactly the state of k draws.
+TEST(Xoshiro256pp, DiscardEqualsRepeatedDraws) {
+  for (const std::uint64_t k : {std::uint64_t{0}, std::uint64_t{1},
+                                std::uint64_t{2}, std::uint64_t{3},
+                                std::uint64_t{256}, std::uint64_t{257},
+                                std::uint64_t{4095}, std::uint64_t{4096},
+                                (std::uint64_t{1} << 20) + 7}) {
+    Xoshiro256pp jumped(77), drawn(77);
+    Xoshiro256ss jumped_ss(78), drawn_ss(78);
+    jumped.discard(k);
+    jumped_ss.discard(k);
+    for (std::uint64_t i = 0; i < k; ++i) {
+      (void)drawn();
+      (void)drawn_ss();
+    }
+    EXPECT_EQ(jumped, drawn) << "k = " << k;
+    EXPECT_EQ(jumped_ss, drawn_ss) << "k = " << k;
+    EXPECT_EQ(jumped(), drawn()) << "k = " << k;
+  }
+}
+
+TEST(Xoshiro256pp, DiscardComposes) {
+  const std::uint64_t a = (std::uint64_t{1} << 39) + 12345;
+  const std::uint64_t b = (std::uint64_t{1} << 39) - 999;
+  Xoshiro256pp twice(3), once(3), off_by_one(3);
+  twice.discard(a);
+  twice.discard(b);
+  once.discard(a + b);
+  off_by_one.discard(a + b + 1);
+  EXPECT_EQ(twice, once);
+  EXPECT_FALSE(twice == off_by_one);
+  (void)once();
+  EXPECT_EQ(once, off_by_one);
+}
+
+// The reference code's jump polynomials are x^(2^128) and x^(2^192)
+// modulo the characteristic polynomial discard() uses.
+TEST(Xoshiro256pp, JumpPolynomialsArePowersOfX) {
+  using iba::rng::detail::Gf2Poly;
+  using iba::rng::detail::Xoshiro256Base;
+  Gf2Poly power = {2, 0, 0, 0};  // x
+  for (int i = 0; i < 128; ++i) {
+    power = iba::rng::detail::mul_mod(power, power);
+  }
+  EXPECT_EQ(power, Xoshiro256Base::kJump);
+  for (int i = 0; i < 64; ++i) {
+    power = iba::rng::detail::mul_mod(power, power);
+  }
+  EXPECT_EQ(power, Xoshiro256Base::kLongJump);
+  // The 2^i-step table: x, then each entry the square of the last, so
+  // entry 8 is the 256-step jump.
+  const auto& table = iba::rng::detail::power_of_two_jumps();
+  EXPECT_EQ(table[0], (Gf2Poly{2, 0, 0, 0}));
+  for (std::size_t i = 1; i < table.size(); ++i) {
+    EXPECT_EQ(table[i], iba::rng::detail::mul_mod(table[i - 1], table[i - 1]))
+        << "i = " << i;
+  }
+}
+
+// Berlekamp–Massey over GF(2) on one state bit recovers the engine's
+// minimal polynomial, which for this full-period engine is the degree-256
+// characteristic polynomial.
+TEST(Xoshiro256pp, CharacteristicPolynomialMatchesBerlekampMassey) {
+  constexpr std::size_t kBits = 512;
+  Xoshiro256pp engine(2024);
+  std::vector<int> bits(kBits);
+  for (std::size_t t = 0; t < kBits; ++t) {
+    bits[t] = static_cast<int>(engine.state()[0] & 1);
+    (void)engine();
+  }
+  std::vector<int> conn(kBits + 1, 0), prev(kBits + 1, 0);
+  conn[0] = prev[0] = 1;
+  std::size_t length = 0, shift = 1;
+  for (std::size_t t = 0; t < kBits; ++t) {
+    int discrepancy = bits[t];
+    for (std::size_t i = 1; i <= length; ++i) {
+      discrepancy ^= conn[i] & bits[t - i];
+    }
+    if (discrepancy == 0) {
+      ++shift;
+      continue;
+    }
+    const std::vector<int> saved = conn;
+    for (std::size_t i = 0; i + shift <= kBits; ++i) conn[i + shift] ^= prev[i];
+    if (2 * length <= t) {
+      length = t + 1 - length;
+      prev = saved;
+      shift = 1;
+    } else {
+      ++shift;
+    }
+  }
+  ASSERT_EQ(length, 256u);
+  // The characteristic polynomial is the connection polynomial reversed.
+  iba::rng::detail::Gf2Poly reversed{};
+  for (std::size_t j = 0; j < 256; ++j) {
+    if (conn[256 - j] != 0) reversed[j / 64] |= std::uint64_t{1} << (j % 64);
+  }
+  EXPECT_EQ(conn[0], 1);
+  EXPECT_EQ(reversed, iba::rng::detail::kXoshiroCharPoly);
+}
+
 TEST(Xoshiro256ss, DeterministicAndDistinctFromPp) {
   Xoshiro256ss a(12345), b(12345);
   Xoshiro256pp c(12345);

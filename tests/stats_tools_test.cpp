@@ -1,4 +1,4 @@
-// Tests for histograms, P² quantiles, and the runner's burn-in
+// Tests for the dyadic histogram, P² quantiles, and the runner's burn-in
 // window check.
 #include <gtest/gtest.h>
 
@@ -13,36 +13,6 @@
 namespace {
 
 using namespace iba::stats;
-
-TEST(Histogram, BinEdgesAndCounts) {
-  Histogram h(0.0, 10.0, 5);
-  EXPECT_EQ(h.bin_count(), 5u);
-  EXPECT_EQ(h.bin_lo(0), 0.0);
-  EXPECT_EQ(h.bin_hi(0), 2.0);
-  EXPECT_EQ(h.bin_lo(4), 8.0);
-  h.add(0.0);
-  h.add(1.999);
-  h.add(2.0);
-  h.add(9.999);
-  EXPECT_EQ(h.count(0), 2u);
-  EXPECT_EQ(h.count(1), 1u);
-  EXPECT_EQ(h.count(4), 1u);
-}
-
-TEST(Histogram, UnderOverflow) {
-  Histogram h(0.0, 1.0, 2);
-  h.add(-0.5);
-  h.add(1.0);
-  h.add(100.0);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 2u);
-  EXPECT_EQ(h.total(), 3u);
-}
-
-TEST(Histogram, RejectsBadConstruction) {
-  EXPECT_THROW(Histogram(1.0, 0.0, 3), iba::ContractViolation);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), iba::ContractViolation);
-}
 
 TEST(Log2Histogram, DyadicBinning) {
   Log2Histogram h;
