@@ -222,8 +222,7 @@ BENCHMARK(BM_CappedRound)
 
 // Same workload with every telemetry instrument attached (registry
 // counters + phase timers + round trace). Comparing balls/s against
-// BM_CappedRound gives the enabled-telemetry overhead; building with
-// -DIBA_TELEMETRY=OFF and re-running gives the compiled-out cost.
+// BM_CappedRound (nothing attached) gives the telemetry overhead.
 void BM_CappedRoundTelemetry(benchmark::State& state) {
   const auto n = static_cast<std::uint32_t>(state.range(0));
   core::CappedConfig config;

@@ -3,7 +3,7 @@
 #
 #   scripts/check.sh            # default + asan
 #   scripts/check.sh default    # just one preset
-#   scripts/check.sh ubsan no-telemetry
+#   scripts/check.sh ubsan tsan
 #
 # Any argument must name a configure preset from CMakePresets.json.
 set -euo pipefail

@@ -5,14 +5,14 @@
 // integers only (exact wait moments, dyadic histogram counts — never a
 // rounded double), a format-version header and a CRC-32 trailer binding
 // the body. Two runs of the same scenario + seed produce byte-identical
-// artifacts regardless of round kernel, shard/thread count, telemetry
-// build preset, or a kill-and-resume in the middle — which is what lets
+// artifacts regardless of round kernel, shard/thread count, attached
+// instruments, or a kill-and-resume in the middle — which is what lets
 // CI diff a fresh run against a committed golden with `cmp`.
 //
 // Everything in the artifact is derived from the simulation's own
 // integer state (process counters, snapshot wait state, fault/control
-// counters); nothing is read from the telemetry registry, so
-// -DIBA_TELEMETRY=OFF builds emit the same bytes.
+// counters); nothing is read from the telemetry registry, so a run with
+// a registry, phase timers or a tracer attached emits the same bytes.
 #pragma once
 
 #include <cstdint>

@@ -180,9 +180,7 @@ RoundMetrics Capped::step() {
   const Admission adm = gate_.admit(config_, round_ + 1, generated, pool_);
   const RoundMetrics m = step_internal(adm, std::nullopt);
   if (controller_ != nullptr) controller_->observe(m);
-  if constexpr (IBA_TELEMETRY_ENABLED != 0) {
-    if (timeseries_ != nullptr) record_time_series(m);
-  }
+  if (timeseries_ != nullptr) record_time_series(m);
   return m;
 }
 
@@ -263,14 +261,12 @@ RoundMetrics Capped::step_internal(
     std::optional<std::span<const std::uint32_t>> choices) {
   ++round_;
   pool_.add(round_, admission.admitted);
-  if constexpr (IBA_TELEMETRY_ENABLED != 0) {
-    // Ball ids are the global generation sequence: this cohort occupies
-    // ids generated_total_ .. generated_total_ + generated - 1. (With
-    // backpressure the tracer is rejected at attach time, so admitted
-    // always equals generated here when tracing.)
-    if (tracer_ != nullptr) {
-      tracer_->on_arrivals(round_, generated_total_, admission.generated);
-    }
+  // Ball ids are the global generation sequence: this cohort occupies
+  // ids generated_total_ .. generated_total_ + generated - 1. (With
+  // backpressure the tracer is rejected at attach time, so admitted
+  // always equals generated here when tracing.)
+  if (tracer_ != nullptr) {
+    tracer_->on_arrivals(round_, generated_total_, admission.generated);
   }
   generated_total_ += admission.generated;
   return allocate_and_delete(admission, choices);
@@ -298,13 +294,7 @@ RoundMetrics Capped::allocate_and_delete(
   m.thrown = pool_.total();
   if (faults_round_) m.faulted_bins = fault_plan_->faulted_bins();
 
-  const bool tracing = [&] {
-    if constexpr (IBA_TELEMETRY_ENABLED != 0) {
-      return tracer_ != nullptr;
-    } else {
-      return false;
-    }
-  }();
+  const bool tracing = tracer_ != nullptr;
 
   // Fast path: the fused sweep handles acceptance and deletion in one
   // chunked pass on every shard (and computes the end-of-round load
@@ -312,10 +302,9 @@ RoundMetrics Capped::allocate_and_delete(
   // scalar path's. A sampler's choices are drawn serially first; a
   // uniform round's are drawn by the sweep, split across the shards.
   // Every round it does not take — RoundKernel::kScalar, an attached
-  // ball tracer, a pool whose age spread makes the sweep's partition
-  // uneconomical, or a split draw that a rejection shifted — draws
-  // serially and runs the scalar reference, whatever the shard count.
-  // The bytes are the same either way.
+  // ball tracer, or a pool whose age spread makes the sweep's partition
+  // uneconomical — draws serially and runs the scalar reference,
+  // whatever the shard count. The bytes are the same either way.
   if (!choices && bin_sampler_ != nullptr) choices = draw_choices();
   const bool fused = config_.kernel == RoundKernel::kBinMajor && !tracing &&
                      round_fused(choices, m);
@@ -342,9 +331,7 @@ RoundMetrics Capped::allocate_and_delete(
   }
   deleted_total_ += m.deleted;
   if (!requeue_.empty()) merge_requeued_into_pool();
-  if constexpr (IBA_TELEMETRY_ENABLED != 0) {
-    if (tracer_ != nullptr) tracer_->on_round_end(round_);
-  }
+  if (tracer_ != nullptr) tracer_->on_round_end(round_);
 
   m.pool_size = pool_.total();
   m.deferred = gate_.deferred_total();
@@ -383,9 +370,7 @@ void Capped::accept_scalar(std::span<const std::uint32_t> choices,
       } else {
         ++rejected_[b];
       }
-      if constexpr (IBA_TELEMETRY_ENABLED != 0) {
-        if (tracer_ != nullptr) tracer_->on_throw(label, bin, load, accepted);
-      }
+      if (tracer_ != nullptr) tracer_->on_throw(label, bin, load, accepted);
     }
   }
   IBA_ASSERT(idx == choices.size());
@@ -402,9 +387,7 @@ void Capped::delete_scalar(RoundMetrics& m) {
   const auto requeue_all = [&](std::uint32_t bin) {
     while (bins_.load(bin) > 0) {
       const std::uint64_t crashed = bins_.pop_front(bin);
-      if constexpr (IBA_TELEMETRY_ENABLED != 0) {
-        if (tracer_ != nullptr) tracer_->on_requeue(bin, crashed);
-      }
+      if (tracer_ != nullptr) tracer_->on_requeue(bin, crashed);
       ++requeue_[crashed];
       ++m.requeued;
     }
@@ -460,9 +443,7 @@ void Capped::delete_scalar(RoundMetrics& m) {
       default:
         label = bins_.pop_front(bin);
     }
-    if constexpr (IBA_TELEMETRY_ENABLED != 0) {
-      if (tracer_ != nullptr) tracer_->on_delete(bin, label, position);
-    }
+    if (tracer_ != nullptr) tracer_->on_delete(bin, label, position);
     const std::uint64_t wait = round_ - label;
     waits_.record(wait);
     ++m.deleted;
@@ -492,8 +473,9 @@ void Capped::delete_scalar(RoundMetrics& m) {
 //   and writes that slice's stream in every chunk. A uniform round is
 //   drawn here: shard s jumps a copy of the engine to its slice's first
 //   throw and appends each choice straight into its streams. Given
-//   choices (a sampler's, or step_with_choices') are counted per chunk
-//   and scattered into exact regions.
+//   choices (a sampler's, or step_with_choices'), and a uniform round
+//   whose split draw a rejection shifted, drawn serially, are counted
+//   per chunk and scattered into exact regions.
 //
 //   Pass B is the range kernel, the one copy of the accept/serve rule,
 //   which dist::Worker also runs: shard t sweeps a contiguous run of
@@ -561,12 +543,17 @@ bool Capped::round_fused(std::optional<std::span<const std::uint32_t>> given,
   regions_.shape(shards, n);
   if (given) {
     partition(*given);
-  } else {
-    if (!draw_split()) return false;
+  } else if (draw_split()) {
     if (timing) {
       timers_->add(telemetry::Phase::kThrow, elapsed_ns(t_sweep), nu);
       t_sweep = std::chrono::steady_clock::now();
     }
+  } else {
+    // A rejection shifted a slice's draw, and the engine is untouched:
+    // draw serially (timed as kThrow) and partition, as a sampler round
+    // does.
+    partition(draw_choices());
+    if (timing) t_sweep = std::chrono::steady_clock::now();
   }
 
   // Pass B: the range kernel over each shard's run of chunks. Delete
@@ -710,9 +697,10 @@ bool Capped::draw_split() {
   // Lemire rejection (probability below n / 2^64 per draw) takes one
   // more. So slice s draws from a copy jumped throw_slices_[s].lo words
   // ahead, and the draw is exact iff every slice ends where the next
-  // begins. If not, nothing has changed but scratch, and the round is
-  // drawn serially instead. Streams that overflowed their regions are
-  // drawn again into widened regions: the same words, the same choices.
+  // begins. If not, nothing has changed but scratch, and the caller
+  // draws the round serially instead. Streams that overflowed their
+  // regions are drawn again into widened regions: the same words, the
+  // same choices.
   regions_.widen_uniform(throw_slices_, config_.n);
   split_states_.resize(throw_slices_.size());
   do {

@@ -44,7 +44,6 @@
 #include "queueing/aged_pool.hpp"
 #include "queueing/bin_table.hpp"
 #include "telemetry/phase_timers.hpp"
-#include "telemetry/telemetry_config.hpp"
 #include "telemetry/timeseries.hpp"
 
 namespace iba::telemetry {
@@ -262,8 +261,7 @@ class Capped {
   /// subsequent step() ends by feeding it one TimeSeriesSample built
   /// purely from simulation state (no engine draws, no wall-clock), so
   /// recording never perturbs the trajectory and the recorded content is
-  /// byte-identical across kernels and shard counts. With
-  /// -DIBA_TELEMETRY=OFF the sampling hook compiles out entirely.
+  /// byte-identical across kernels and shard counts.
   void set_time_series(telemetry::TimeSeries* series) noexcept {
     timeseries_ = series;
   }
@@ -272,8 +270,8 @@ class Capped {
   /// report every arrival / throw / delete / requeue to it, from which it
   /// shadow-tracks sampled balls (see telemetry/ball_trace.hpp). Attach
   /// before the first step — the tracer reconstructs ball identity from
-  /// the event stream, so it must see the run from the start. With
-  /// -DIBA_TELEMETRY=OFF the hook calls compile out entirely.
+  /// the event stream, so it must see the run from the start. A traced
+  /// round runs the scalar path; the bytes are the same.
   void set_ball_tracer(telemetry::BallTracer* tracer) {
     IBA_EXPECT(tracer == nullptr ||
                    config_.backpressure == BackpressureMode::kNone,
@@ -390,8 +388,9 @@ class Capped {
   /// the given choices partitioned, or a uniform round drawn slice by
   /// slice — then the range kernel over each shard's run of chunks.
   /// Returns false (nothing mutated but scratch) when the pool's bucket
-  /// count makes the partition uneconomical, or a rejection shifted the
-  /// split draw; the round then runs the scalar path.
+  /// count makes the partition uneconomical; the round then runs the
+  /// scalar path. A split draw that a rejection shifted is drawn
+  /// serially and partitioned instead.
   bool round_fused(std::optional<std::span<const std::uint32_t>> given,
                    RoundMetrics& m);
   /// Pass A for given choices: exact regions, then the scatter.

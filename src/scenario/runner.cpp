@@ -48,11 +48,10 @@ RunOutcome run(const Scenario& scn, const RunOptions& options,
 
   // -- recording ---------------------------------------------------------
   // Active when the scenario asks for it or any recording output is
-  // requested. Inert (and the flags with it) with -DIBA_TELEMETRY=OFF.
+  // requested.
   const bool recording =
-      telemetry::TimeSeries::kEnabled &&
-      (scn.record.timeseries || !options.timeseries_out.empty() ||
-       !options.flight_recorder.empty() || !options.debug_trigger.empty());
+      scn.record.timeseries || !options.timeseries_out.empty() ||
+      !options.flight_recorder.empty() || !options.debug_trigger.empty();
   telemetry::TriggerKind debug_kind = telemetry::TriggerKind::kManual;
   IBA_EXPECT(
       options.debug_trigger.empty() ||

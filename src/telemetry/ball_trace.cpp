@@ -40,8 +40,6 @@ void write_span_json(const BallSpan& span, std::ostream& out) {
   out << '\n';
 }
 
-#if IBA_TELEMETRY_ENABLED
-
 std::uint64_t BallTracer::rng_hash(std::uint64_t x) noexcept {
   return rng::splitmix64_hash(x);
 }
@@ -234,8 +232,6 @@ void BallTracer::clear_completed() {
   pool_wait_ = DyadicHistogram{};
   bin_wait_ = DyadicHistogram{};
 }
-
-#endif  // IBA_TELEMETRY_ENABLED
 
 void record_ball_trace(Registry& registry, const BallTracer& tracer) {
   registry.counter("spans_sampled_total").inc(tracer.sampled_arrivals());

@@ -30,8 +30,8 @@
 //
 // Memory is bounded: completed spans live in a ring (drop-and-count on
 // overflow), active spans are capped (sampled arrivals beyond the cap are
-// skipped and counted). With -DIBA_TELEMETRY=OFF the tracer compiles to
-// an empty shell and the hooks in core::Capped vanish entirely.
+// skipped and counted). With no tracer attached, each hook in
+// core::Capped costs one null-pointer test.
 #pragma once
 
 #include <cstdint>
@@ -42,7 +42,6 @@
 
 #include "telemetry/registry.hpp"
 #include "telemetry/round_trace.hpp"
-#include "telemetry/telemetry_config.hpp"
 
 namespace iba::telemetry {
 
@@ -98,8 +97,6 @@ struct BallTraceConfig {
   std::size_t completed_capacity = 4096;  ///< completed-span ring bound
   std::size_t max_active = 1 << 16;       ///< in-flight span bound
 };
-
-#if IBA_TELEMETRY_ENABLED
 
 /// Observer attached to core::Capped via set_ball_tracer(). Not
 /// thread-safe: one tracer per process instance, driven from the
@@ -241,49 +238,6 @@ class BallTracer {
   DyadicHistogram pool_wait_;
   DyadicHistogram bin_wait_;
 };
-
-#else  // IBA_TELEMETRY_ENABLED == 0: an empty shell with the same API.
-
-class BallTracer {
- public:
-  explicit BallTracer(const BallTraceConfig& config) : config_(config) {}
-
-  void on_arrivals(std::uint64_t, std::uint64_t, std::uint64_t) noexcept {}
-  void on_throw(std::uint64_t, std::uint32_t, std::uint64_t, bool) noexcept {}
-  void on_delete(std::uint32_t, std::uint64_t, std::uint64_t) noexcept {}
-  void on_requeue(std::uint32_t, std::uint64_t) noexcept {}
-  void on_round_end(std::uint64_t) noexcept {}
-
-  [[nodiscard]] const std::deque<BallSpan>& completed() const noexcept {
-    return completed_;
-  }
-  [[nodiscard]] std::uint64_t dropped() const noexcept { return 0; }
-  [[nodiscard]] std::uint64_t sampled_arrivals() const noexcept { return 0; }
-  [[nodiscard]] std::uint64_t skipped_samples() const noexcept { return 0; }
-  [[nodiscard]] std::uint64_t completed_total() const noexcept { return 0; }
-  [[nodiscard]] std::uint64_t active_count() const noexcept { return 0; }
-  [[nodiscard]] const DyadicHistogram& pool_wait() const noexcept {
-    return null_hist_;
-  }
-  [[nodiscard]] const DyadicHistogram& bin_wait() const noexcept {
-    return null_hist_;
-  }
-  void clear_completed() noexcept {}
-  void set_live_ring(SpanRing*) noexcept {}
-  [[nodiscard]] bool is_sampled(std::uint64_t) const noexcept {
-    return false;
-  }
-  [[nodiscard]] const BallTraceConfig& config() const noexcept {
-    return config_;
-  }
-
- private:
-  BallTraceConfig config_;
-  std::deque<BallSpan> completed_;
-  DyadicHistogram null_hist_;
-};
-
-#endif
 
 /// Folds a tracer's measurement aggregates into a registry under the
 /// span_* metric names (see docs/TELEMETRY.md). Deterministic given the

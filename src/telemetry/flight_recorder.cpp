@@ -73,30 +73,19 @@ void FlightRecorder::set_context(std::string scenario_name,
 }
 
 void FlightRecorder::note_decision(const RecordedDecision& decision) {
-#if IBA_TELEMETRY_ENABLED
   decisions_.push_back(decision);
   while (decisions_.size() > config_.max_decisions) decisions_.pop_front();
-#else
-  (void)decision;
-#endif
 }
 
 void FlightRecorder::note_event(std::uint64_t round, std::string kind,
                                 std::string detail) {
-#if IBA_TELEMETRY_ENABLED
   events_.push_back(
       {round, one_line(std::move(kind)), one_line(std::move(detail))});
   while (events_.size() > config_.max_events) events_.pop_front();
-#else
-  (void)round;
-  (void)kind;
-  (void)detail;
-#endif
 }
 
 bool FlightRecorder::trigger(TriggerKind kind, std::uint64_t round,
                              const std::string& detail) {
-#if IBA_TELEMETRY_ENABLED
   note_event(round, std::string("trigger:") + trigger_name(kind), detail);
   if (triggered_) return false;
   triggered_ = true;
@@ -104,12 +93,6 @@ bool FlightRecorder::trigger(TriggerKind kind, std::uint64_t round,
   trigger_round_ = round;
   trigger_detail_ = one_line(detail);
   return true;
-#else
-  (void)kind;
-  (void)round;
-  (void)detail;
-  return false;
-#endif
 }
 
 std::string FlightRecorder::render_bundle() const {

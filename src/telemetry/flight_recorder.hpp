@@ -35,7 +35,6 @@
 #include <utility>
 #include <vector>
 
-#include "telemetry/telemetry_config.hpp"
 #include "telemetry/timeseries.hpp"
 
 namespace iba::telemetry {

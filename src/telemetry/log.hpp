@@ -9,10 +9,8 @@
 //
 // The global logger reads IBA_LOG_LEVEL (debug|info|warn|error|off) and
 // IBA_LOG_FORMAT (kv|json) from the environment once at first use;
-// defaults are info + kv to stderr. Unlike the instruments, the logger is
-// NOT compiled out under -DIBA_TELEMETRY=OFF: it never sits on the
-// per-ball hot path (call sites are per-cell / per-run), and an
-// observability-free build still wants its error reporting.
+// defaults are info + kv to stderr. The logger never sits on the
+// per-ball hot path: call sites are per-cell / per-run.
 #pragma once
 
 #include <concepts>

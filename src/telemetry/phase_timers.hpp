@@ -3,16 +3,13 @@
 // PhaseTimers accumulates nanoseconds and ball counts per simulation
 // phase (throw / accept / delete inside a step), so a run can report
 // per-phase ns-per-ball. ScopedPhaseTimer is the RAII instrument;
-// constructed with a null sink it reads no clock at all, and with
-// IBA_TELEMETRY_ENABLED=0 it compiles away entirely.
+// constructed with a null sink it reads no clock at all.
 #pragma once
 
 #include <array>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-
-#include "telemetry/telemetry_config.hpp"
 
 namespace iba::telemetry {
 
@@ -33,16 +30,10 @@ inline constexpr std::size_t kPhaseCount = 3;
 class PhaseTimers {
  public:
   void add(Phase phase, std::uint64_t ns, std::uint64_t balls) noexcept {
-#if IBA_TELEMETRY_ENABLED
     const auto i = static_cast<std::size_t>(phase);
     ns_[i] += ns;
     balls_[i] += balls;
     ++calls_[i];
-#else
-    (void)phase;
-    (void)ns;
-    (void)balls;
-#endif
   }
 
   [[nodiscard]] std::uint64_t ns(Phase phase) const noexcept {
@@ -90,9 +81,7 @@ class ScopedPhaseTimer {
   ScopedPhaseTimer(PhaseTimers* sink, Phase phase,
                    std::uint64_t balls = 0) noexcept
       : sink_(sink), phase_(phase), balls_(balls) {
-#if IBA_TELEMETRY_ENABLED
     if (sink_ != nullptr) start_ = std::chrono::steady_clock::now();
-#endif
   }
 
   ScopedPhaseTimer(const ScopedPhaseTimer&) = delete;
@@ -103,7 +92,6 @@ class ScopedPhaseTimer {
 
   /// Ends the timed section now (instead of at scope exit).
   void stop() noexcept {
-#if IBA_TELEMETRY_ENABLED
     if (sink_ == nullptr) return;
     const auto elapsed = std::chrono::steady_clock::now() - start_;
     sink_->add(phase_, static_cast<std::uint64_t>(
@@ -112,7 +100,6 @@ class ScopedPhaseTimer {
                                .count()),
                balls_);
     sink_ = nullptr;
-#endif
   }
 
   ~ScopedPhaseTimer() { stop(); }
@@ -121,9 +108,7 @@ class ScopedPhaseTimer {
   PhaseTimers* sink_;
   Phase phase_;
   std::uint64_t balls_;
-#if IBA_TELEMETRY_ENABLED
   std::chrono::steady_clock::time_point start_{};
-#endif
 };
 
 }  // namespace iba::telemetry

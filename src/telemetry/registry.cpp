@@ -2,8 +2,6 @@
 
 namespace iba::telemetry {
 
-#if IBA_TELEMETRY_ENABLED
-
 Counter& Registry::counter(std::string_view name) {
   if (auto it = counters_.find(name); it != counters_.end()) {
     return it->second;
@@ -39,25 +37,6 @@ DyadicHistogram& Registry::histogram(std::string_view name,
   return histograms_.emplace(std::string(name), DyadicHistogram{shift})
       .first->second;
 }
-
-#else  // IBA_TELEMETRY_ENABLED == 0: hand out shared dummies, store nothing.
-
-namespace {
-Counter g_null_counter;
-Gauge g_null_gauge;
-DyadicHistogram g_null_histogram;
-}  // namespace
-
-Counter& Registry::counter(std::string_view) { return g_null_counter; }
-Gauge& Registry::gauge(std::string_view) { return g_null_gauge; }
-DyadicHistogram& Registry::histogram(std::string_view) {
-  return g_null_histogram;
-}
-DyadicHistogram& Registry::histogram(std::string_view, std::uint32_t) {
-  return g_null_histogram;
-}
-
-#endif
 
 void Registry::clear() noexcept {
   counters_.clear();

@@ -3,8 +3,7 @@
 // A Registry hands out stable references to its instruments, so hot loops
 // resolve a name once and then pay one integer add per event. Instruments
 // live in name-ordered maps, which makes iteration — and therefore every
-// exporter — deterministic. With IBA_TELEMETRY_ENABLED=0 the registry
-// stores nothing and every mutation compiles to a no-op.
+// exporter — deterministic.
 #pragma once
 
 #include <cstdint>
@@ -14,7 +13,6 @@
 
 #include "common/assert.hpp"
 #include "stats/histogram.hpp"
-#include "telemetry/telemetry_config.hpp"
 
 namespace iba::telemetry {
 
@@ -22,11 +20,7 @@ namespace iba::telemetry {
 class Counter {
  public:
   void inc(std::uint64_t delta = 1) noexcept {
-#if IBA_TELEMETRY_ENABLED
     value_ += delta;
-#else
-    (void)delta;
-#endif
   }
   [[nodiscard]] std::uint64_t value() const noexcept { return value_; }
 
@@ -38,13 +32,9 @@ class Counter {
 class Gauge {
  public:
   void set(double value) noexcept {
-#if IBA_TELEMETRY_ENABLED
     value_ = value;
     if (!set_ || value > max_) max_ = value;
     set_ = true;
-#else
-    (void)value;
-#endif
   }
   [[nodiscard]] double value() const noexcept { return value_; }
   [[nodiscard]] double max() const noexcept { return max_; }
@@ -73,14 +63,9 @@ class DyadicHistogram {
   explicit DyadicHistogram(std::uint32_t shift) noexcept : shift_(shift) {}
 
   void observe(std::uint64_t value, std::uint64_t weight = 1) noexcept {
-#if IBA_TELEMETRY_ENABLED
     hist_.add(value >> shift_, weight);
     sum_ += static_cast<double>(value) * static_cast<double>(weight);
     if (value > max_) max_ = value;
-#else
-    (void)value;
-    (void)weight;
-#endif
   }
 
   [[nodiscard]] std::uint64_t count() const noexcept { return hist_.total(); }
@@ -106,23 +91,17 @@ class DyadicHistogram {
   /// `value_sum` (e.g. a WaitRecorder's histogram plus its wait total).
   /// Raw Log2Histograms are always unshifted, so this requires shift == 0.
   void merge_log2(const stats::Log2Histogram& other, double value_sum) {
-#if IBA_TELEMETRY_ENABLED
     IBA_EXPECT(shift_ == 0,
                "DyadicHistogram: merge_log2 into a shifted histogram would "
                "misalign dyadic buckets");
     hist_.merge(other);
     sum_ += value_sum;
     if (other.max() > max_) max_ = other.max();
-#else
-    (void)other;
-    (void)value_sum;
-#endif
   }
 
   /// Bucketwise sum. Throws ContractViolation when the bucket layouts
   /// (dyadic shifts) differ — the counts would land in the wrong ranges.
   void merge(const DyadicHistogram& other) {
-#if IBA_TELEMETRY_ENABLED
     IBA_EXPECT(layout_compatible(other),
                "DyadicHistogram: cannot merge histograms with different "
                "dyadic shifts (" + std::to_string(shift_) + " vs " +
@@ -130,9 +109,6 @@ class DyadicHistogram {
     hist_.merge(other.hist_);
     sum_ += other.sum_;
     if (other.max_ > max_) max_ = other.max_;
-#else
-    (void)other;
-#endif
   }
 
  private:

@@ -15,7 +15,6 @@
 
 #include "common/assert.hpp"
 #include "core/metrics.hpp"
-#include "telemetry/telemetry_config.hpp"
 
 namespace iba::telemetry {
 
@@ -34,7 +33,6 @@ class SpscRing {
 
   /// Producer side. Returns false (and counts a drop) when full.
   bool try_push(const T& value) noexcept {
-#if IBA_TELEMETRY_ENABLED
     const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
     const std::uint64_t head = head_.load(std::memory_order_acquire);
     if (tail - head > mask_) {
@@ -44,10 +42,6 @@ class SpscRing {
     slots_[tail & mask_] = value;
     tail_.store(tail + 1, std::memory_order_release);
     return true;
-#else
-    (void)value;
-    return true;
-#endif
   }
 
   /// Consumer side. Returns false when empty.

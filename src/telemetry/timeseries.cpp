@@ -115,7 +115,6 @@ void TimeSeries::emit(int tier) noexcept {
 }
 
 void TimeSeries::observe(const TimeSeriesSample& sample) noexcept {
-#if IBA_TELEMETRY_ENABLED
   ++rounds_;
   const std::array<std::uint64_t, kColumns> row = {
       sample.round,         sample.pool_size,    sample.total_load,
@@ -126,9 +125,6 @@ void TimeSeries::observe(const TimeSeriesSample& sample) noexcept {
       sample.wait_p99};
   fold_into(0, row);
   if (pending_count_[0] == config_.cadence) emit(0);
-#else
-  (void)sample;
-#endif
 }
 
 std::uint64_t TimeSeries::tier_emitted(int tier) const noexcept {

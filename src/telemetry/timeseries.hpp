@@ -26,9 +26,7 @@
 // Rendered text (render_text / render_window) stores each column as its
 // first value followed by signed deltas — long near-constant series
 // (capacity, λ̂ in steady state) compress to runs of "+0" — while the
-// in-memory rings stay raw u64 for O(1) ingestion. With
-// -DIBA_TELEMETRY=OFF observe() compiles to nothing and the renders
-// return an empty (header-only) series; the API stays source-compatible.
+// in-memory rings stay raw u64 for O(1) ingestion.
 #pragma once
 
 #include <array>
@@ -36,8 +34,6 @@
 #include <cstdint>
 #include <string>
 #include <vector>
-
-#include "telemetry/telemetry_config.hpp"
 
 namespace iba::telemetry {
 
@@ -73,7 +69,6 @@ struct TimeSeriesConfig {
 
 class TimeSeries {
  public:
-  static constexpr bool kEnabled = IBA_TELEMETRY_ENABLED != 0;
   static constexpr int kTiers = 3;
   static constexpr std::uint64_t kFold = 16;  ///< tier t+1 = 16 × tier t
   static constexpr std::size_t kColumns = 16;
@@ -89,7 +84,7 @@ class TimeSeries {
   explicit TimeSeries(TimeSeriesConfig config = {});
 
   /// Ingests one completed round. O(kColumns); no allocation after
-  /// construction. Compiled to a no-op with -DIBA_TELEMETRY=OFF.
+  /// construction.
   void observe(const TimeSeriesSample& sample) noexcept;
 
   [[nodiscard]] const TimeSeriesConfig& config() const noexcept {

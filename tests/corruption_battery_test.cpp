@@ -42,7 +42,6 @@ struct Format {
   std::string name;
   std::function<void(const std::string& path)> make;
   std::function<void(const std::string& path)> decode;
-  bool needs_telemetry = false;
 };
 
 void PrintTo(const Format& format, std::ostream* out) { *out << format.name; }
@@ -157,8 +156,7 @@ std::vector<Format> formats() {
                  },
                  [](const std::string& path) {
                    (void)telemetry::read_bundle_file(path);
-                 },
-                 /*needs_telemetry=*/true});
+                 }});
   all.push_back(
       {"frame",
        [](const std::string& path) {
@@ -193,9 +191,6 @@ std::vector<Format> formats() {
 class CorruptionBattery : public ::testing::TestWithParam<Format> {
  protected:
   void SetUp() override {
-    if (GetParam().needs_telemetry && !telemetry::TimeSeries::kEnabled) {
-      GTEST_SKIP() << "telemetry compiled out";
-    }
     // ctest runs each case as its own process, concurrently: one
     // directory per case.
     std::string name = ::testing::UnitTest::GetInstance()

@@ -1,9 +1,7 @@
 // FlightRecorder: trigger latch semantics, bundle rendering + CRC
 // verification (including the corruption battery), the file round-trip
 // through the atomic writer, bounded logs, and the state round-trip the
-// checkpoint's .record sidecar depends on. Behavior that needs the
-// instruments is skipped under -DIBA_TELEMETRY=OFF, where trigger()
-// never latches.
+// checkpoint's .record sidecar depends on.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -16,8 +14,6 @@
 
 namespace iba::telemetry {
 namespace {
-
-constexpr bool kOn = TimeSeries::kEnabled;
 
 TimeSeriesSample make_sample(std::uint64_t round) {
   TimeSeriesSample s;
@@ -66,7 +62,6 @@ TEST(FlightRecorder, TriggerNamesRoundTrip) {
 }
 
 TEST(FlightRecorder, FirstTriggerLatches) {
-  if (!kOn) GTEST_SKIP() << "telemetry compiled out";
   FlightRecorder recorder;
   EXPECT_FALSE(recorder.triggered());
   EXPECT_TRUE(recorder.trigger(TriggerKind::kAuditorViolation, 7, "first"));
@@ -77,22 +72,12 @@ TEST(FlightRecorder, FirstTriggerLatches) {
   EXPECT_EQ(recorder.event_count(), 2u);
 }
 
-TEST(FlightRecorder, DisabledBuildNeverLatches) {
-  if (kOn) GTEST_SKIP() << "telemetry compiled in";
-  FlightRecorder recorder;
-  EXPECT_FALSE(recorder.trigger(TriggerKind::kManual, 1, "noop"));
-  EXPECT_FALSE(recorder.triggered());
-  recorder.note_event(1, "fault", "ignored");
-  EXPECT_EQ(recorder.event_count(), 0u);
-}
-
 TEST(FlightRecorder, RenderRequiresALatchedTrigger) {
   FlightRecorder recorder;
   EXPECT_THROW((void)recorder.render_bundle(), std::runtime_error);
 }
 
 TEST(FlightRecorder, LogsStayBounded) {
-  if (!kOn) GTEST_SKIP() << "telemetry compiled out";
   FlightRecorder recorder({.window = 4, .max_decisions = 5, .max_events = 5});
   for (std::uint64_t r = 0; r < 50; ++r) {
     recorder.note_decision(make_decision(r));
@@ -103,7 +88,6 @@ TEST(FlightRecorder, LogsStayBounded) {
 }
 
 TEST(FlightRecorder, BundleVerifiesAndParses) {
-  if (!kOn) GTEST_SKIP() << "telemetry compiled out";
   TimeSeries series;
   for (std::uint64_t r = 1; r <= 20; ++r) series.observe(make_sample(r));
   const FlightRecorder recorder = make_armed(&series);
@@ -147,7 +131,6 @@ TEST(FlightRecorder, BundleVerifiesAndParses) {
 }
 
 TEST(FlightRecorder, CorruptedBundlesAreRejected) {
-  if (!kOn) GTEST_SKIP() << "telemetry compiled out";
   const std::string text = make_armed().render_bundle();
   EXPECT_NO_THROW(verify_bundle_text(text));
 
@@ -171,7 +154,6 @@ TEST(FlightRecorder, CorruptedBundlesAreRejected) {
 }
 
 TEST(FlightRecorder, StateRoundTripPreservesTheBundle) {
-  if (!kOn) GTEST_SKIP() << "telemetry compiled out";
   TimeSeries series;
   for (std::uint64_t r = 1; r <= 20; ++r) series.observe(make_sample(r));
   const FlightRecorder recorder = make_armed(&series);

@@ -6,7 +6,7 @@
 // state), ball-trace span streams, snapshot-resume behaviour and
 // step_with_choices — across deletion disciplines, acceptance orders,
 // arrival models, crash-requeue failures, per-bin capacities and the
-// d-choice sampler.
+// d-choice sampler — and are unchanged by the run-time instruments.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -26,6 +26,8 @@
 #include "rng/xoshiro256.hpp"
 #include "telemetry/ball_trace.hpp"
 #include "telemetry/export.hpp"
+#include "telemetry/phase_timers.hpp"
+#include "telemetry/timeseries.hpp"
 
 namespace {
 
@@ -267,7 +269,6 @@ TEST(KernelDifferential, AllVariantsMatchScalarEverywhere) {
   }
 }
 
-#if IBA_TELEMETRY_ENABLED
 TEST(KernelDifferential, SpanStreamsAreByteIdentical) {
   for (const Scenario& scenario : scenarios()) {
     SCOPED_TRACE(scenario.name);
@@ -285,7 +286,6 @@ TEST(KernelDifferential, SpanStreamsAreByteIdentical) {
     }
   }
 }
-#endif
 
 TEST(KernelDifferential, SnapshotResumeCrossesKernels) {
   // A snapshot taken from a sharded bin-major run, resumed on the scalar
@@ -913,14 +913,19 @@ TEST(KernelDifferential, SplitDrawSurvivesThrowCountJumps) {
   }
 }
 
-TEST(KernelDifferential, SplitDrawRejectionFallsBackToSerialBytes) {
-  // xoshiro256++ outputs rotl(s0 + s3, 23) + s0, so the state
-  // {0, a, b, 0} outputs the word 0, which Lemire rejects for any n that
-  // is not a power of two: the round's first throw takes two words, and
-  // slice 0 ends one word past slice 1's start. The round must be drawn
-  // serially, with the bytes of one shard.
-  const Engine planted(std::array<std::uint64_t, 4>{
-      0, 0x9e3779b97f4a7c15ULL, 0xbf58476d1ce4e5b9ULL, 0});
+/// xoshiro256++ outputs rotl(s0 + s3, 23) + s0, so the state
+/// {0, a, b, 0} outputs the word 0, which Lemire rejects for any n that
+/// is not a power of two: the round's first throw takes two words.
+Engine rejecting_engine() {
+  return Engine(std::array<std::uint64_t, 4>{0, 0x9e3779b97f4a7c15ULL,
+                                             0xbf58476d1ce4e5b9ULL, 0});
+}
+
+TEST(KernelDifferential, SplitDrawRejectionPartitionsTheSerialDraw) {
+  // The rejection makes slice 0 end one word past slice 1's start. The
+  // round is drawn serially and partitioned into the fused sweep, with
+  // the bytes of one shard.
+  const Engine planted = rejecting_engine();
   const CappedConfig config = multi_chunk(base_config());
   {
     Engine probe = planted;
@@ -941,6 +946,76 @@ TEST(KernelDifferential, SplitDrawRejectionFallsBackToSerialBytes) {
         run_from(with_kernel(config, RoundKernel::kBinMajor, shards), planted,
                  5),
         ("shards_" + std::to_string(shards)).c_str());
+  }
+}
+
+// -- run-time instruments: attaching phase timers, a time series or a
+// ball tracer changes no byte. round_fused branches on its timers, and
+// a tracer sends every round down the scalar path ---------------------
+
+enum class Instruments { kNone, kTimersAndSeries, kAll };
+
+RunCapture run_instrumented(const CappedConfig& config, Engine engine,
+                            Instruments instruments) {
+  using iba::telemetry::Phase;
+  Capped process(config, engine);
+  iba::telemetry::PhaseTimers timers;
+  iba::telemetry::TimeSeries series;
+  iba::telemetry::BallTraceConfig trace_config;
+  trace_config.seed = kSeed;
+  trace_config.sample_rate = 0.01;
+  iba::telemetry::BallTracer tracer(trace_config);
+  if (instruments != Instruments::kNone) {
+    process.set_phase_timers(&timers);
+    process.set_time_series(&series);
+  }
+  if (instruments == Instruments::kAll) process.set_ball_tracer(&tracer);
+  RunCapture capture = step_and_capture(process, kMultiChunkRounds);
+  if (instruments != Instruments::kNone) {
+    // Every thrown ball is timed once as kThrow and once as kAccept, on
+    // the fused path, the scalar path and a rejected split draw alike.
+    std::uint64_t thrown = 0;
+    for (const RoundMetrics& m : capture.metrics) thrown += m.thrown;
+    EXPECT_EQ(timers.balls(Phase::kThrow), thrown);
+    EXPECT_EQ(timers.balls(Phase::kAccept), thrown);
+    EXPECT_EQ(series.rounds_observed(), kMultiChunkRounds);
+  }
+  if (instruments == Instruments::kAll) {
+    EXPECT_GT(tracer.sampled_arrivals(), 0u);
+  }
+  return capture;
+}
+
+TEST(KernelDifferential, InstrumentsChangeNoByte) {
+  CappedConfig coins = multi_chunk(base_config());
+  coins.failure_probability = 0.2;
+  coins.failure_mode = FailureMode::kCrashRequeue;
+  coins.deletion = DeletionDiscipline::kUniform;
+  const struct {
+    const char* name;
+    CappedConfig config;
+    Engine engine;
+  } cases[] = {
+      {"fifo", multi_chunk(base_config()), Engine(kSeed)},
+      {"failure_coins", coins, Engine(kSeed)},
+      {"rejected_split_draw", multi_chunk(base_config()), rejecting_engine()},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    for (const std::uint32_t shards : {1u, 4u}) {
+      const CappedConfig config =
+          with_kernel(c.config, RoundKernel::kBinMajor, shards);
+      const RunCapture bare =
+          run_instrumented(config, c.engine, Instruments::kNone);
+      const std::string tag = "shards_" + std::to_string(shards);
+      expect_runs_eq(
+          bare,
+          run_instrumented(config, c.engine, Instruments::kTimersAndSeries),
+          (tag + "_timers_series").c_str());
+      expect_runs_eq(bare,
+                     run_instrumented(config, c.engine, Instruments::kAll),
+                     (tag + "_all").c_str());
+    }
   }
 }
 

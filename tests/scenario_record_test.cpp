@@ -2,8 +2,7 @@
 // of the digest, a recorded run writes a deterministic time series, the
 // trigger battery lands CRC-bound bundles, and the bundle/series bytes
 // are invariant across kernels, shard counts and kill-and-resume — the
-// acceptance contract of the flight recorder. Skipped where it needs
-// samples under -DIBA_TELEMETRY=OFF.
+// acceptance contract of the flight recorder.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -15,12 +14,9 @@
 #include "scenario/runner.hpp"
 #include "scenario/scenario.hpp"
 #include "telemetry/flight_recorder.hpp"
-#include "telemetry/timeseries.hpp"
 
 namespace iba::scenario {
 namespace {
-
-constexpr bool kOn = telemetry::TimeSeries::kEnabled;
 
 constexpr const char* kBase = R"(
 [system]
@@ -98,7 +94,6 @@ TEST(ScenarioRecord, RecordSectionIsAnExecutionHint) {
 }
 
 TEST(ScenarioRecord, RecordingLeavesTheArtifactUntouched) {
-  if (!kOn) GTEST_SKIP() << "telemetry compiled out";
   const Scenario scn = parse_scenario(kRecorded, "test.scn");
   TempFile series("record_test.timeseries");
 
@@ -115,7 +110,6 @@ TEST(ScenarioRecord, RecordingLeavesTheArtifactUntouched) {
 }
 
 TEST(ScenarioRecord, DebugTriggerLandsAVerifiedBundle) {
-  if (!kOn) GTEST_SKIP() << "telemetry compiled out";
   const Scenario scn = parse_scenario(kRecorded, "test.scn");
   TempFile bundle("record_test.postmortem");
   RunOptions options;
@@ -137,7 +131,6 @@ TEST(ScenarioRecord, DebugTriggerLandsAVerifiedBundle) {
 }
 
 TEST(ScenarioRecord, ExpectationFailureFiresTheRecorder) {
-  if (!kOn) GTEST_SKIP() << "telemetry compiled out";
   // An impossible expectation: the pool can never be this empty at
   // λ ≈ 0.94, so the [expect] evaluation must fail and fire the trigger.
   Scenario scn = parse_scenario(kRecorded, "test.scn");
@@ -153,7 +146,6 @@ TEST(ScenarioRecord, ExpectationFailureFiresTheRecorder) {
 }
 
 TEST(ScenarioRecord, BundleBytesAreKernelAndShardInvariant) {
-  if (!kOn) GTEST_SKIP() << "telemetry compiled out";
   const Scenario scn = parse_scenario(kRecorded, "test.scn");
 
   auto bundle_of = [&](RunOptions options, const std::string& path) {
@@ -178,7 +170,6 @@ TEST(ScenarioRecord, BundleBytesAreKernelAndShardInvariant) {
 }
 
 TEST(ScenarioRecord, KillAndResumeReproducesSeriesAndBundle) {
-  if (!kOn) GTEST_SKIP() << "telemetry compiled out";
   const Scenario scn = parse_scenario(kRecorded, "test.scn");
 
   TempFile ref_series("rr_ref.timeseries");
@@ -219,7 +210,6 @@ TEST(ScenarioRecord, KillAndResumeReproducesSeriesAndBundle) {
 }
 
 TEST(ScenarioRecord, ResumingARecordingRunRequiresTheSidecar) {
-  if (!kOn) GTEST_SKIP() << "telemetry compiled out";
   const Scenario scn = parse_scenario(kRecorded, "test.scn");
   TempFile ckpt("rs.ckpt");
   TempFile ckpt_progress("rs.ckpt.progress");

@@ -16,8 +16,6 @@ namespace {
 
 using namespace iba;
 
-#if IBA_TELEMETRY_ENABLED
-
 core::CappedConfig small_config() {
   core::CappedConfig config;
   config.n = 256;
@@ -92,7 +90,5 @@ TEST(SimTelemetry, PhaseTimersSplitStepTime) {
                 timers.ns(Phase::kDelete),
             wall_ns);
 }
-
-#endif  // IBA_TELEMETRY_ENABLED
 
 }  // namespace

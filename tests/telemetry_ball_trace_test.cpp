@@ -55,8 +55,6 @@ using iba::telemetry::kSpanAttemptCap;
   }
 }
 
-#if IBA_TELEMETRY_ENABLED
-
 TEST(BallTrace, FullSamplingConservesEveryBall) {
   CappedConfig config;
   config.n = 128;
@@ -400,33 +398,5 @@ TEST(BallTrace, ZeroRateTracesNothing) {
   EXPECT_TRUE(tracer.completed().empty());
   EXPECT_FALSE(tracer.is_sampled(0));
 }
-
-#else  // IBA_TELEMETRY_ENABLED == 0
-
-TEST(BallTraceDisabled, TracerIsAnInertShell) {
-  BallTraceConfig trace;
-  trace.sample_rate = 1.0;
-  BallTracer tracer(trace);
-  tracer.on_arrivals(0, 0, 8);
-  tracer.on_throw(0, 0, 0, true);
-  tracer.on_delete(0, 0, 0);
-  tracer.on_requeue(0, 0);
-  tracer.on_round_end(0);
-  EXPECT_TRUE(tracer.completed().empty());
-  EXPECT_EQ(tracer.completed_total(), 0u);
-  EXPECT_FALSE(tracer.is_sampled(1));
-
-  // Attaching to a process is still legal and changes nothing.
-  CappedConfig config;
-  config.n = 64;
-  config.capacity = 2;
-  config.lambda_n = 48;
-  Capped process(config, Engine(1));
-  process.set_ball_tracer(&tracer);
-  for (int round = 0; round < 50; ++round) process.step();
-  EXPECT_TRUE(tracer.completed().empty());
-}
-
-#endif
 
 }  // namespace

@@ -76,11 +76,9 @@ TEST(Scrape, ServesMetricsFromLiveRegistry) {
   EXPECT_EQ(status_line(response), "HTTP/1.1 200 OK");
   EXPECT_NE(response.find("Content-Length:"), std::string::npos);
   const std::string body = body_of(response);
-#if IBA_TELEMETRY_ENABLED
   EXPECT_NE(body.find("iba_balls_deleted_total 42"), std::string::npos)
       << body;
   EXPECT_NE(body.find("iba_pool_size 17"), std::string::npos) << body;
-#endif
 
   // The endpoint reads a fresh snapshot on every request.
   registry.with([](iba::telemetry::Registry& r) {
@@ -88,10 +86,8 @@ TEST(Scrape, ServesMetricsFromLiveRegistry) {
   });
   const std::string after =
       http_get(server.port(), "GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n");
-#if IBA_TELEMETRY_ENABLED
   EXPECT_NE(body_of(after).find("iba_balls_deleted_total 50"),
             std::string::npos);
-#endif
   EXPECT_GE(server.requests_served(), 2u);
 }
 

@@ -27,8 +27,6 @@ using iba::telemetry::RoundTrace;
 using iba::telemetry::SharedRegistry;
 using iba::telemetry::SpscRing;
 
-#if IBA_TELEMETRY_ENABLED
-
 TEST(Registry, CountersAccumulateAndAreStable) {
   Registry registry;
   auto& counter = registry.counter("events_total");
@@ -353,20 +351,5 @@ TEST(SharedRegistryTest, ConcurrentWritersAllLand) {
   for (auto& w : writers) w.join();
   EXPECT_EQ(shared.snapshot().counter("hits_total").value(), 4000u);
 }
-
-#else  // telemetry compiled out: instruments must be inert but usable
-
-TEST(RegistryDisabled, InstrumentsAreNoOps) {
-  Registry registry;
-  registry.counter("c").inc(5);
-  registry.gauge("g").set(1.0);
-  registry.histogram("h").observe(3);
-  EXPECT_TRUE(registry.empty());
-  std::ostringstream out;
-  iba::telemetry::write_prometheus(registry, out);
-  EXPECT_TRUE(out.str().empty());
-}
-
-#endif  // IBA_TELEMETRY_ENABLED
 
 }  // namespace

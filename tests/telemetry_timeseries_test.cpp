@@ -1,8 +1,6 @@
 // TimeSeries: downsampling exactness (tier sums == full-resolution
 // sums), cadence folding, ring bounding, delta-coded rendering, and the
-// state round-trip the checkpoint sidecar depends on. Everything that
-// needs recorded samples is skipped under -DIBA_TELEMETRY=OFF, where
-// observe() compiles to a no-op.
+// state round-trip the checkpoint sidecar depends on.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -70,7 +68,6 @@ TEST(TimeSeries, TierStridesArePowersOfKFold) {
 // integrates the flow over its covered rounds exactly; for kLast the
 // newest value wins; for kMax the window maximum survives.
 TEST(TimeSeries, DownsamplingIsExact) {
-  if (!TimeSeries::kEnabled) GTEST_SKIP() << "telemetry compiled out";
   const std::uint64_t rounds = TimeSeries::kFold * TimeSeries::kFold * 3;
   TimeSeries series({.cadence = 1, .tier_capacity = 4096});
   std::vector<TimeSeriesSample> fed;
@@ -112,7 +109,6 @@ TEST(TimeSeries, DownsamplingIsExact) {
 }
 
 TEST(TimeSeries, CadenceFoldsRoundsIntoOneTierZeroSample) {
-  if (!TimeSeries::kEnabled) GTEST_SKIP() << "telemetry compiled out";
   TimeSeries series({.cadence = 4, .tier_capacity = 64});
   std::uint64_t want_generated = 0;
   std::uint64_t want_peak = 0;
@@ -134,7 +130,6 @@ TEST(TimeSeries, CadenceFoldsRoundsIntoOneTierZeroSample) {
 }
 
 TEST(TimeSeries, RingsStayBoundedAndKeepTheNewest) {
-  if (!TimeSeries::kEnabled) GTEST_SKIP() << "telemetry compiled out";
   TimeSeries series({.cadence = 1, .tier_capacity = 8});
   for (std::uint64_t r = 1; r <= 100; ++r) series.observe(make_sample(r));
   EXPECT_EQ(series.tier_emitted(0), 100u);
@@ -147,7 +142,6 @@ TEST(TimeSeries, RingsStayBoundedAndKeepTheNewest) {
 }
 
 TEST(TimeSeries, StateRoundTripPreservesEveryRenderedByte) {
-  if (!TimeSeries::kEnabled) GTEST_SKIP() << "telemetry compiled out";
   TimeSeriesConfig config{.cadence = 2, .tier_capacity = 16};
   TimeSeries series(config);
   // 777 rounds: tier-0 mid-cadence, tier-1 mid-fold — the awkward case.
@@ -168,7 +162,6 @@ TEST(TimeSeries, StateRoundTripPreservesEveryRenderedByte) {
 }
 
 TEST(TimeSeries, RestoreRejectsMismatchedConfigAndGarbage) {
-  if (!TimeSeries::kEnabled) GTEST_SKIP() << "telemetry compiled out";
   TimeSeries series({.cadence = 2, .tier_capacity = 16});
   for (std::uint64_t r = 1; r <= 50; ++r) series.observe(make_sample(r));
   const std::string state = series.state_text();
@@ -180,7 +173,6 @@ TEST(TimeSeries, RestoreRejectsMismatchedConfigAndGarbage) {
 }
 
 TEST(TimeSeries, DeltaRenderingReconstructs) {
-  if (!TimeSeries::kEnabled) GTEST_SKIP() << "telemetry compiled out";
   TimeSeries series({.cadence = 1, .tier_capacity = 32});
   for (std::uint64_t r = 1; r <= 10; ++r) series.observe(make_sample(r));
   const std::string window = series.render_window(10);
@@ -195,14 +187,6 @@ TEST(TimeSeries, DeltaRenderingReconstructs) {
     }
   }
   EXPECT_TRUE(found) << window;
-}
-
-TEST(TimeSeries, DisabledBuildObservesNothing) {
-  if (TimeSeries::kEnabled) GTEST_SKIP() << "telemetry compiled in";
-  TimeSeries series;
-  for (std::uint64_t r = 1; r <= 10; ++r) series.observe(make_sample(r));
-  EXPECT_EQ(series.rounds_observed(), 0u);
-  EXPECT_EQ(series.tier_retained(0), 0u);
 }
 
 }  // namespace
