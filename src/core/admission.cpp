@@ -1,7 +1,7 @@
 #include "core/admission.hpp"
 
 #include "common/assert.hpp"
-#include "core/capped.hpp"
+#include "core/pool_side.hpp"
 #include "rng/distributions.hpp"
 
 namespace iba::core {

@@ -1,6 +1,7 @@
 // Arrival sampling and backpressure admission — the start of every
-// CAPPED round, shared by core::Capped and dist::Coordinator so both
-// owners of a pool admit balls by one rule and consume the engine
+// CAPPED round. core::PoolSide (core/pool_side.hpp) is their one user,
+// and both owners of a pool, core::Capped and dist::Coordinator, hold a
+// PoolSide, so both admit balls by one rule and consume the engine
 // identically.
 #pragma once
 

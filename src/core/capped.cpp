@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <optional>
 #include <utility>
 
@@ -21,85 +20,25 @@ std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point since) {
           .count());
 }
 
-// The constructor validates before any member allocates bin storage.
-CappedConfig validated(const CappedConfig& config) {
-  config.validate();
-  return config;
-}
-
 }  // namespace
 
-CappedConfig CappedConfig::from_rate(std::uint32_t n, double lambda,
-                                     std::uint32_t capacity) {
-  IBA_EXPECT(n > 0, "CappedConfig: n must be positive");
-  IBA_EXPECT(lambda >= 0.0 && lambda <= 1.0,
-             "CappedConfig: lambda must lie in [0, 1]");
-  const double exact = lambda * static_cast<double>(n);
-  const double rounded = std::round(exact);
-  IBA_EXPECT(std::abs(exact - rounded) < 1e-6,
-             "CappedConfig: lambda * n must be integral");
-  CappedConfig config;
-  config.n = n;
-  config.capacity = capacity;
-  config.lambda_n = static_cast<std::uint64_t>(rounded);
-  config.validate();
-  return config;
-}
-
-void CappedConfig::validate() const {
-  IBA_EXPECT(n > 0, "CappedConfig: n must be positive");
-  IBA_EXPECT(capacity >= 1 && capacity <= kMaxCapacity,
-             "CappedConfig: capacity must lie in [1, 65535]");
-  IBA_EXPECT(lambda_n <= n,
-             "CappedConfig: lambda_n must not exceed n (lambda <= 1)");
-  IBA_EXPECT(failure_probability >= 0.0 && failure_probability < 1.0,
-             "CappedConfig: failure_probability must lie in [0, 1)");
-  IBA_EXPECT(shards >= 1, "CappedConfig: shards must be at least 1");
-  IBA_EXPECT(shards == 1 || kernel == RoundKernel::kBinMajor,
-             "CappedConfig: sharding requires the bin-major kernel");
-  IBA_EXPECT(backpressure == BackpressureMode::kNone || pool_limit > 0,
-             "CappedConfig: backpressure requires a positive pool_limit");
-  IBA_EXPECT(backpressure != BackpressureMode::kDeferRetry ||
-                 backoff_rounds >= 1,
-             "CappedConfig: defer-retry backoff must be at least 1 round");
-  if (control.enabled()) {
-    control.validate();
-    IBA_EXPECT(capacity <= control.c_max,
-               "CappedConfig: capacity must not exceed control.c_max");
-    IBA_EXPECT(control.admission_target == 0 ||
-                   backpressure != BackpressureMode::kNone,
-               "CappedConfig: admission control requires a backpressure mode");
+Capped::Capped(PoolSide side)
+    : side_(std::move(side)),
+      arena_(std::make_unique<Arena>()),
+      bins_(config().n, config().capacity, arena_.get()) {
+  choice_scratch_.set_arena(arena_.get());
+  regions_.set_arena(arena_.get());
+  if (config().shards > 1) {
+    shard_pool_ = std::make_unique<concurrency::ThreadPool>(config().shards);
   }
 }
 
 Capped::Capped(const CappedConfig& config, Engine engine)
-    : config_(validated(config)),
-      engine_(engine),
-      arena_(std::make_unique<Arena>()),
-      bins_(config_.n, config_.capacity, arena_.get()) {
-  choice_scratch_.set_arena(arena_.get());
-  regions_.set_arena(arena_.get());
-  if (config_.shards > 1) {
-    shard_pool_ = std::make_unique<concurrency::ThreadPool>(config_.shards);
-  }
-  if (config_.control.enabled()) {
-    controller_ = std::make_unique<control::Controller>(
-        config_.control, config_.n, config_.pool_limit);
-  }
-}
+    : Capped(PoolSide(config, engine)) {}
 
-Capped::Capped(const CappedSnapshot& snapshot)
-    : Capped(snapshot.config, Engine(snapshot.engine_state)) {
-  round_ = snapshot.round;
-  generated_total_ = snapshot.generated_total;
-  deleted_total_ = snapshot.deleted_total;
-  for (const auto& bucket : snapshot.pool) {
-    pool_.add(bucket.label, bucket.count);
-  }
-  gate_.restore(snapshot.shed_total, snapshot.deferred);
-  waits_ = wait_recorder(snapshot.waits);
+Capped::Capped(const CappedSnapshot& snapshot) : Capped(PoolSide(snapshot)) {
   const queueing::BinQueues& queues = snapshot.bins;
-  IBA_EXPECT(queues.loads.size() == config_.n,
+  IBA_EXPECT(queues.loads.size() == config().n,
              "CappedSnapshot: bins.loads must hold one load per bin (n)");
   // A snapshot taken mid-shrink can hold queues longer than the
   // (already lowered) acceptance capacity: those bins are still
@@ -108,28 +47,17 @@ Capped::Capped(const CappedSnapshot& snapshot)
   const std::uint32_t longest =
       *std::max_element(queues.loads.begin(), queues.loads.end());
   if (longest > bins_.capacity()) {
-    IBA_EXPECT(config_.control.enabled(),
+    IBA_EXPECT(config().control.enabled(),
                "CappedSnapshot: bin queue exceeds capacity");
-    IBA_EXPECT(longest <= config_.control.c_max,
+    IBA_EXPECT(longest <= config().control.c_max,
                "CappedSnapshot: bin queue exceeds control.c_max");
     bins_.grow_capacity(longest);
   }
   bins_.restore(queues);
-  if (controller_ != nullptr) controller_->restore(snapshot.controller);
 }
 
 CappedSnapshot Capped::snapshot() const {
-  CappedSnapshot snap;
-  snap.config = config_;
-  snap.round = round_;
-  snap.generated_total = generated_total_;
-  snap.deleted_total = deleted_total_;
-  snap.shed_total = gate_.shed_total();
-  snap.engine_state = engine_.state();
-  snap.pool.assign(pool_.buckets().begin(), pool_.buckets().end());
-  snap.deferred.assign(gate_.deferred().begin(), gate_.deferred().end());
-  snap.waits = wait_state(waits_);
-  if (controller_ != nullptr) snap.controller = controller_->state();
+  CappedSnapshot snap = side_.snapshot();
   snap.bins = bins_.queues();
   return snap;
 }
@@ -139,11 +67,11 @@ void Capped::begin_round_faults() {
     faults_round_ = false;
     return;
   }
-  // The plan runs before the round's first allocation-engine draw and
-  // must only consume its own stream; the load view reflects the state
-  // at the end of the previous round.
+  // The plan runs after admission, before the round's first bin-choice
+  // draw, and must only consume its own stream; the load view reflects
+  // the state at the end of the previous round.
   fault_plan_->begin_round(
-      round_ + 1, config_.capacity,
+      round(), config().capacity,
       [this](std::uint32_t bin) { return load(bin); });
   faults_round_ = fault_plan_->active();
   fault_flags_ = faults_round_ ? fault_plan_->flags() : nullptr;
@@ -156,17 +84,17 @@ void Capped::set_bin_capacities(std::span<const std::uint32_t> capacities) {
     bin_caps_.clear();
     return;
   }
-  IBA_EXPECT(capacities.size() == config_.n,
+  IBA_EXPECT(capacities.size() == config().n,
              "Capped: need exactly one capacity per bin");
   IBA_EXPECT(fault_plan_ == nullptr,
              "Capped: per-bin capacities are incompatible with a fault plan");
-  IBA_EXPECT(controller_ == nullptr,
+  IBA_EXPECT(controller() == nullptr,
              "Capped: per-bin capacities are incompatible with adaptive "
              "control");
   const auto [lo, hi] = std::minmax_element(capacities.begin(),
                                             capacities.end());
   IBA_EXPECT(*lo >= 1, "Capped: every per-bin capacity must be >= 1");
-  IBA_EXPECT(*hi == config_.capacity,
+  IBA_EXPECT(*hi == config().capacity,
              "Capped: config.capacity must equal the largest per-bin "
              "capacity (the storage width)");
   bin_caps_.assign(capacities.begin(), capacities.end());
@@ -174,12 +102,13 @@ void Capped::set_bin_capacities(std::span<const std::uint32_t> capacities) {
 }
 
 RoundMetrics Capped::step() {
-  apply_control();
+  RoundMetrics m = side_.open_round();
+  // A controller may have grown c; shrink leaves the storage as it is.
+  if (config().capacity > bins_.capacity()) {
+    bins_.grow_capacity(config().capacity);
+  }
   begin_round_faults();
-  const std::uint64_t generated = sample_arrivals(config_, engine_);
-  const Admission adm = gate_.admit(config_, round_ + 1, generated, pool_);
-  const RoundMetrics m = step_internal(adm, std::nullopt);
-  if (controller_ != nullptr) controller_->observe(m);
+  run_round(m, std::nullopt);
   if (timeseries_ != nullptr) record_time_series(m);
   return m;
 }
@@ -196,16 +125,16 @@ void Capped::record_time_series(const RoundMetrics& m) {
   s.deferred = m.deferred;
   s.requeued = m.requeued;
   s.faulted_bins = m.faulted_bins;
-  s.capacity = config_.capacity;
-  s.wait_p50 = waits_.quantile_upper_bound(0.50);
-  s.wait_p95 = waits_.quantile_upper_bound(0.95);
-  s.wait_p99 = waits_.quantile_upper_bound(0.99);
-  if (controller_ != nullptr) {
+  s.capacity = config().capacity;
+  s.wait_p50 = waits().quantile_upper_bound(0.50);
+  s.wait_p95 = waits().quantile_upper_bound(0.95);
+  s.wait_p99 = waits().quantile_upper_bound(0.99);
+  if (const control::Controller* controller = side_.controller()) {
     // λ̂ as ×10⁶ fixed point: the EWMA is a pure function of the
     // byte-identical metrics stream, so the rounding is too.
     s.lambda_hat_micro = static_cast<std::uint64_t>(
-        controller_->estimator().lambda_ewma() * 1e6 + 0.5);
-    s.control_changes = controller_->changes_total();
+        controller->estimator().lambda_ewma() * 1e6 + 0.5);
+    s.control_changes = controller->changes_total();
   }
   timeseries_->observe(s);
 }
@@ -213,88 +142,55 @@ void Capped::record_time_series(const RoundMetrics& m) {
 void Capped::set_capacity(std::uint32_t capacity) {
   IBA_EXPECT(bin_caps_.empty(),
              "Capped: set_capacity is incompatible with per-bin capacities");
-  IBA_EXPECT(capacity >= 1 && capacity <= CappedConfig::kMaxCapacity,
-             "Capped: capacity must lie in [1, 65535]");
+  side_.set_capacity(capacity);
   if (capacity > bins_.capacity()) {
     bins_.grow_capacity(capacity);
-  }
-  // Shrink touches only the acceptance bound: overfull bins drain via
-  // the regular deletions (see the header comment).
-  config_.capacity = capacity;
-}
-
-void Capped::apply_control() {
-  if (controller_ == nullptr) return;
-  const auto decision =
-      controller_->decide(round_ + 1, config_.capacity, config_.pool_limit);
-  if (!decision) return;
-  if (decision->capacity != config_.capacity) {
-    set_capacity(decision->capacity);
-  }
-  if (decision->pool_limit != 0 &&
-      decision->pool_limit != config_.pool_limit) {
-    set_pool_limit(decision->pool_limit);
   }
 }
 
 RoundMetrics Capped::step_with_choices(
     std::span<const std::uint32_t> choices) {
-  IBA_EXPECT(config_.arrival == ArrivalModel::kDeterministic,
+  IBA_EXPECT(config().arrival == ArrivalModel::kDeterministic,
              "Capped: step_with_choices requires deterministic arrivals");
   IBA_EXPECT(fault_plan_ == nullptr &&
-                 config_.backpressure == BackpressureMode::kNone,
+                 config().backpressure == BackpressureMode::kNone,
              "Capped: step_with_choices is incompatible with fault plans "
              "and backpressure");
-  IBA_EXPECT(controller_ == nullptr,
+  IBA_EXPECT(controller() == nullptr,
              "Capped: step_with_choices is incompatible with adaptive "
              "control (couplings assume a fixed capacity)");
   IBA_EXPECT(choices.size() == balls_to_throw(),
              "Capped: need exactly one bin choice per thrown ball");
-  Admission adm;
-  adm.generated = config_.lambda_n;
-  adm.admitted = config_.lambda_n;
-  return step_internal(adm, choices);
-}
-
-RoundMetrics Capped::step_internal(
-    const Admission& admission,
-    std::optional<std::span<const std::uint32_t>> choices) {
-  ++round_;
-  pool_.add(round_, admission.admitted);
-  // Ball ids are the global generation sequence: this cohort occupies
-  // ids generated_total_ .. generated_total_ + generated - 1. (With
-  // backpressure the tracer is rejected at attach time, so admitted
-  // always equals generated here when tracing.)
-  if (tracer_ != nullptr) {
-    tracer_->on_arrivals(round_, generated_total_, admission.generated);
-  }
-  generated_total_ += admission.generated;
-  return allocate_and_delete(admission, choices);
+  // Deterministic arrivals, no gate and no controller: the round opens
+  // with exactly λn admitted balls and no engine draw.
+  RoundMetrics m = side_.open_round();
+  run_round(m, choices);
+  return m;
 }
 
 std::span<const std::uint32_t> Capped::draw_choices() {
-  const std::uint64_t nu = pool_.total();
+  const std::uint64_t nu = pool_size();
   telemetry::ScopedPhaseTimer timer(timers_, telemetry::Phase::kThrow, nu);
   choice_scratch_.resize(nu);
   if (bin_sampler_ != nullptr) {
-    bin_sampler_->fill(engine_, choice_scratch_);
+    bin_sampler_->fill(side_.engine(), choice_scratch_);
   } else {
-    rng::fill_bounded(engine_, choice_scratch_, config_.n);
+    rng::fill_bounded(side_.engine(), choice_scratch_, config().n);
   }
   return choice_scratch_;
 }
 
-RoundMetrics Capped::allocate_and_delete(
-    const Admission& admission,
-    std::optional<std::span<const std::uint32_t>> choices) {
-  RoundMetrics m;
-  m.round = round_;
-  m.generated = admission.generated;
-  m.shed = admission.shed;
-  m.thrown = pool_.total();
+void Capped::run_round(RoundMetrics& m,
+                       std::optional<std::span<const std::uint32_t>> choices) {
+  // Ball ids are the global generation sequence: this cohort occupies
+  // the last m.generated ids. (With backpressure the tracer is rejected
+  // at attach time, so admitted always equals generated here when
+  // tracing.)
+  if (tracer_ != nullptr) {
+    tracer_->on_arrivals(m.round, generated_total() - m.generated,
+                         m.generated);
+  }
   if (faults_round_) m.faulted_bins = fault_plan_->faulted_bins();
-
-  const bool tracing = tracer_ != nullptr;
 
   // Fast path: the fused sweep handles acceptance and deletion in one
   // chunked pass on every shard (and computes the end-of-round load
@@ -306,8 +202,8 @@ RoundMetrics Capped::allocate_and_delete(
   // uneconomical — draws serially and runs the scalar reference,
   // whatever the shard count. The bytes are the same either way.
   if (!choices && bin_sampler_ != nullptr) choices = draw_choices();
-  const bool fused = config_.kernel == RoundKernel::kBinMajor && !tracing &&
-                     round_fused(choices, m);
+  const bool fused = config().kernel == RoundKernel::kBinMajor &&
+                     tracer_ == nullptr && round_fused(choices, m);
   if (!fused) {
     if (!choices) choices = draw_choices();
     // Allocation. Pool buckets are considered in preference order (the
@@ -319,7 +215,6 @@ RoundMetrics Capped::allocate_and_delete(
                                                telemetry::Phase::kAccept,
                                                m.thrown);
       accept_scalar(*choices, m);
-      pool_.swap(survivors_);
     }
 
     // Deletion: every non-empty, non-failed bin serves one ball.
@@ -329,14 +224,15 @@ RoundMetrics Capped::allocate_and_delete(
     delete_timer.set_balls(m.deleted);
     delete_timer.stop();
   }
-  deleted_total_ += m.deleted;
-  if (!requeue_.empty()) merge_requeued_into_pool();
-  if (tracer_ != nullptr) tracer_->on_round_end(round_);
-
-  m.pool_size = pool_.total();
-  m.deferred = gate_.deferred_total();
-  m.oldest_pool_age = pool_.oldest_age(round_);
-  return m;
+  // requeue_ is a std::map, so its (label, count) pairs come out sorted
+  // and order-independent of which kernel (or shard) recorded them.
+  requeue_scratch_.clear();
+  for (const auto& [label, count] : requeue_) {
+    requeue_scratch_.push_back({label, count});
+  }
+  requeue_.clear();
+  side_.close_round(m, rejected_, requeue_scratch_);
+  if (tracer_ != nullptr) tracer_->on_round_end(m.round);
 }
 
 // ---------------------------------------------------------------------------
@@ -348,12 +244,12 @@ RoundMetrics Capped::allocate_and_delete(
 void Capped::accept_scalar(std::span<const std::uint32_t> choices,
                            RoundMetrics& m) {
   // Buckets are visited in preference order (the paper's oldest-first,
-  // or the ablation's inversion); rejections are counted per bucket and
-  // re-added oldest-first to keep the pool's label order intact.
-  const auto& buckets = pool_.buckets();
+  // or the ablation's inversion); rejections are counted per bucket, and
+  // the pool side re-adds them oldest-first.
+  const auto& buckets = pool().buckets();
   const std::size_t n_buckets = buckets.size();
-  const bool forward = config_.acceptance == AcceptanceOrder::kOldestFirst;
-  const std::uint32_t cap = config_.capacity;
+  const bool forward = config().acceptance == AcceptanceOrder::kOldestFirst;
+  const std::uint32_t cap = config().capacity;
   const std::uint32_t* const caps = round_caps_;
   rejected_.assign(n_buckets, 0);
   std::size_t idx = 0;
@@ -374,14 +270,10 @@ void Capped::accept_scalar(std::span<const std::uint32_t> choices,
     }
   }
   IBA_ASSERT(idx == choices.size());
-  survivors_.clear();
-  for (std::size_t b = 0; b < n_buckets; ++b) {
-    survivors_.add(buckets[b].label, rejected_[b]);
-  }
 }
 
 void Capped::delete_scalar(RoundMetrics& m) {
-  const bool failures = config_.failure_probability > 0.0;
+  const bool failures = config().failure_probability > 0.0;
   // A crashing bin's buffer returns to the pool with its labels (ages)
   // preserved.
   const auto requeue_all = [&](std::uint32_t bin) {
@@ -396,7 +288,7 @@ void Capped::delete_scalar(RoundMetrics& m) {
   // bins it skips (empty, faulted, failing) too.
   std::uint32_t max_load = 0;
   std::uint32_t empty_bins = 0;
-  for (std::uint32_t bin = 0; bin < config_.n; ++bin) {
+  for (std::uint32_t bin = 0; bin < n(); ++bin) {
     const std::uint32_t load = bins_.load(bin);
     if (load == 0) {
       ++empty_bins;
@@ -418,8 +310,8 @@ void Capped::delete_scalar(RoundMetrics& m) {
       continue;
     }
     if (failures &&
-        rng::uniform01(engine_) < config_.failure_probability) {
-      if (config_.failure_mode == FailureMode::kCrashRequeue) {
+        rng::uniform01(side_.engine()) < config().failure_probability) {
+      if (config().failure_mode == FailureMode::kCrashRequeue) {
         requeue_all(bin);
         ++empty_bins;
       } else {
@@ -430,13 +322,13 @@ void Capped::delete_scalar(RoundMetrics& m) {
     // Service: the served ball's wait is its age.
     std::uint64_t label;
     std::uint32_t position = 0;  // queue index served
-    switch (config_.deletion) {
+    switch (config().deletion) {
       case DeletionDiscipline::kLifo:
         position = load - 1;
         label = bins_.pop_back(bin);
         break;
       case DeletionDiscipline::kUniform:
-        position = rng::bounded32(engine_, load);
+        position = rng::bounded32(side_.engine(), load);
         label = bins_.pop_at(bin, position);
         break;
       case DeletionDiscipline::kFifo:
@@ -444,8 +336,8 @@ void Capped::delete_scalar(RoundMetrics& m) {
         label = bins_.pop_front(bin);
     }
     if (tracer_ != nullptr) tracer_->on_delete(bin, label, position);
-    const std::uint64_t wait = round_ - label;
-    waits_.record(wait);
+    const std::uint64_t wait = round() - label;
+    side_.waits().record(wait);
     ++m.deleted;
     ++m.wait_count;
     m.wait_sum += static_cast<double>(wait);
@@ -486,14 +378,15 @@ void Capped::delete_scalar(RoundMetrics& m) {
 // path for every shard count; only the memory access order differs.
 bool Capped::round_fused(std::optional<std::span<const std::uint32_t>> given,
                          RoundMetrics& m) {
-  const std::uint32_t n = config_.n;
-  const std::uint64_t nu = pool_.total();
+  const CappedConfig& config = this->config();
+  const std::uint32_t n = config.n;
+  const std::uint64_t nu = pool_size();
   IBA_ASSERT(!given || given->size() == nu);
   // Pool buckets in acceptance-visit order; bucket_ends_[b] is one past
   // the last throw index of bucket b, so a binary search maps a throw
   // index to its bucket.
-  const bool forward = config_.acceptance == AcceptanceOrder::kOldestFirst;
-  const auto& buckets = pool_.buckets();
+  const bool forward = config.acceptance == AcceptanceOrder::kOldestFirst;
+  const auto& buckets = pool().buckets();
   const std::size_t n_buckets = buckets.size();
   visit_buckets_.clear();
   bucket_ends_.clear();
@@ -525,7 +418,7 @@ bool Capped::round_fused(std::optional<std::span<const std::uint32_t>> given,
   // Slice s is the s-th of `shards` near-equal runs of the throws, with
   // the buckets holding its first and last throw (bucket_ends_ is
   // strictly increasing: pool buckets are never empty).
-  const std::size_t shards = config_.shards;
+  const std::size_t shards = config.shards;
   throw_slices_.assign(shards, ThrowSlice{});
   for (std::size_t s = 0; s < shards; ++s) {
     ThrowSlice& slice = throw_slices_[s];
@@ -561,19 +454,19 @@ bool Capped::round_fused(std::optional<std::span<const std::uint32_t>> given,
   // stay in bin order: inline when one shard walks every chunk in turn,
   // else serially after the parallel sweep.
   const RangeRound range{
-      .bins = &bins_, .round = round_, .part = regions_.data(),
+      .bins = &bins_, .round = round(), .part = regions_.data(),
       .stream_begin = regions_.begins(), .stream_end = regions_.cursors(),
       .row = regions_.row(), .slices = throw_slices_,
-      .buckets = visit_buckets_, .capacity = config_.capacity,
+      .buckets = visit_buckets_, .capacity = config.capacity,
       .caps = round_caps_,
       .fault_flags = faults_round_ ? fault_flags_ : nullptr,
-      .failure_probability = config_.failure_probability,
-      .failure_mode = config_.failure_mode, .deletion = config_.deletion,
-      .engine = &engine_, .timing = timing};
+      .failure_probability = config.failure_probability,
+      .failure_mode = config.failure_mode, .deletion = config.deletion,
+      .engine = &side_.engine(), .timing = timing};
   sweep_.resize(shards);
   for (SweepShard& acc : sweep_) acc.reset(n_buckets);
-  const bool draws = config_.failure_probability > 0.0 ||
-                     config_.deletion == DeletionDiscipline::kUniform;
+  const bool draws = config.failure_probability > 0.0 ||
+                     config.deletion == DeletionDiscipline::kUniform;
   const bool inline_delete = !draws || shards == 1;
   std::chrono::steady_clock::time_point t_pass_b;
   if (timing) t_pass_b = std::chrono::steady_clock::now();
@@ -615,7 +508,7 @@ bool Capped::round_fused(std::optional<std::span<const std::uint32_t>> given,
     m.wait_max = std::max(m.wait_max, acc.waits.max());
     max_load = std::max(max_load, acc.max_load);
     empty_bins += acc.empty_bins;
-    waits_.merge(acc.waits);
+    side_.waits().merge(acc.waits);
     for (const std::uint64_t label : acc.requeued) ++requeue_[label];
     requeued += acc.requeued.size();
   }
@@ -632,15 +525,12 @@ bool Capped::round_fused(std::optional<std::span<const std::uint32_t>> given,
   m.max_load = max_load;
   m.empty_bins = empty_bins;
 
-  // Survivors re-added oldest-first (AgedPool's label-order invariant).
-  survivors_.clear();
+  // Rejections per pool bucket, oldest first, for the pool side.
+  rejected_.assign(n_buckets, 0);
   for (std::size_t i = 0; i < n_buckets; ++i) {
     const std::size_t b = forward ? i : n_buckets - 1 - i;
-    std::uint64_t rejected = 0;
-    for (const SweepShard& acc : sweep_) rejected += acc.rejected[b];
-    survivors_.add(visit_buckets_[b].label, rejected);
+    for (const SweepShard& acc : sweep_) rejected_[i] += acc.rejected[b];
   }
-  pool_.swap(survivors_);
 
   if (timing) {
     const std::uint64_t total_ns = elapsed_ns(t_sweep);
@@ -701,28 +591,28 @@ bool Capped::draw_split() {
   // draws the round serially instead. Streams that overflowed their
   // regions are drawn again into widened regions: the same words, the
   // same choices.
-  regions_.widen_uniform(throw_slices_, config_.n);
+  regions_.widen_uniform(throw_slices_, n());
   split_states_.resize(throw_slices_.size());
   do {
     regions_.rewind();
     for_slices([&](std::size_t s) {
-      Engine engine = engine_;
+      Engine engine = side_.engine();
       engine.discard(throw_slices_[s].lo);
       split_states_[s].first = engine.state();
       draw_slice(regions_, s, throw_slices_[s], bucket_ends_, engine,
-                 nullptr, config_.n, 0);
+                 nullptr, n(), 0);
       split_states_[s].last = engine.state();
     });
     for (std::size_t s = 1; s < split_states_.size(); ++s) {
       if (split_states_[s - 1].last != split_states_[s].first) return false;
     }
   } while (!regions_.fit());
-  engine_ = Engine(split_states_.back().last);
+  side_.engine() = Engine(split_states_.back().last);
   return true;
 }
 
 void Capped::for_slices(const std::function<void(std::size_t)>& fn) {
-  for_shards(config_.shards,
+  for_shards(config().shards,
              [&](std::size_t, std::size_t lo, std::size_t hi) {
                for (std::size_t s = lo; s < hi; ++s) fn(s);
              });
@@ -731,22 +621,11 @@ void Capped::for_slices(const std::function<void(std::size_t)>& fn) {
 void Capped::for_shards(
     std::size_t count,
     const std::function<void(std::size_t, std::size_t, std::size_t)>& fn) {
-  if (config_.shards == 1) {
+  if (config().shards == 1) {
     fn(0, 0, count);
     return;
   }
-  concurrency::parallel_for_ranges(*shard_pool_, count, config_.shards, fn);
-}
-
-void Capped::merge_requeued_into_pool() {
-  // requeue_ is a std::map, so its (label, count) pairs come out sorted
-  // and order-independent of which kernel (or shard) recorded them.
-  requeue_scratch_.clear();
-  for (const auto& [label, count] : requeue_) {
-    requeue_scratch_.push_back({label, count});
-  }
-  pool_.merge_sorted(requeue_scratch_);
-  requeue_.clear();
+  concurrency::parallel_for_ranges(*shard_pool_, count, config().shards, fn);
 }
 
 }  // namespace iba::core

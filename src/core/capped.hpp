@@ -20,6 +20,10 @@
 //  * step_with_choices() lets callers supply the bin choices, which is
 //    how the MODCAPPED coupling (Lemma 6) and the oracle tests drive two
 //    processes with shared randomness.
+//  * Capped is the bin half of the round. The pool half — control,
+//    arrivals, admission, the pool, waits, totals and the snapshot's
+//    non-bin fields — is a core::PoolSide (core/pool_side.hpp), the
+//    same one dist::Coordinator holds.
 #pragma once
 
 #include <array>
@@ -34,10 +38,10 @@
 #include "common/assert.hpp"
 #include "concurrency/thread_pool.hpp"
 #include "control/controller.hpp"
-#include "core/admission.hpp"
 #include "core/fault_hooks.hpp"
 #include "core/metrics.hpp"
 #include "core/policies.hpp"
+#include "core/pool_side.hpp"
 #include "core/process.hpp"
 #include "core/arena.hpp"
 #include "core/range_kernel.hpp"
@@ -51,98 +55,6 @@ class BallTracer;
 }  // namespace iba::telemetry
 
 namespace iba::core {
-
-/// Configuration of a CAPPED(c, λ) instance. λ is specified through the
-/// integral per-round arrival count λn, exactly as in the paper's model.
-/// The policy fields default to the paper's process; changing them gives
-/// the footnote-2 stochastic-arrival variant and the ablations of
-/// DESIGN.md §7.
-struct CappedConfig {
-  std::uint32_t n = 0;          ///< number of bins
-  std::uint32_t capacity = 1;   ///< buffer size c, in [1, 65535]
-  std::uint64_t lambda_n = 0;   ///< λ·n, new balls per round (integral)
-
-  ArrivalModel arrival = ArrivalModel::kDeterministic;
-  DeletionDiscipline deletion = DeletionDiscipline::kFifo;
-  AcceptanceOrder acceptance = AcceptanceOrder::kOldestFirst;
-  /// Per-round, per-bin probability of a service failure.
-  /// 0 = the paper's reliable bins.
-  double failure_probability = 0.0;
-  /// What failure does: skip one service opportunity, or crash and dump
-  /// the buffer back into the pool.
-  FailureMode failure_mode = FailureMode::kSkipService;
-
-  /// How the round hot path executes. Both kernels produce byte-identical
-  /// trajectories for the same seed; kBinMajor (the fused sweep) is the
-  /// fast default, kScalar is the reference it is differentially tested
-  /// against (docs/PERFORMANCE.md).
-  RoundKernel kernel = RoundKernel::kBinMajor;
-  /// Number of threads the fused bin-major sweep runs on (1 = inline, no
-  /// thread pool); each takes a slice of the throws and a contiguous run
-  /// of bin chunks. Requires kernel == kBinMajor when > 1. Results are
-  /// invariant in this value: a uniform round's slices are drawn from
-  /// the engine jumped exactly to each slice's first throw, and every
-  /// other engine draw (a sampler's choices, failure coins,
-  /// uniform-deletion positions) happens on the calling thread in order,
-  /// so the RNG stream never depends on scheduling.
-  std::uint32_t shards = 1;
-
-  /// Pool bound for backpressure (0 = unbounded, the paper's model).
-  /// The bound applies at admission: arrivals beyond it are shed or
-  /// deferred per `backpressure`; balls already in flight never drop.
-  std::uint64_t pool_limit = 0;
-  BackpressureMode backpressure = BackpressureMode::kNone;
-  /// Rounds a deferred arrival waits before retrying admission
-  /// (kDeferRetry). Deterministic: no randomness in the backoff.
-  std::uint32_t backoff_rounds = 4;
-
-  /// Adaptive control plane (src/control/): when control.policy is not
-  /// 'none', a controller retunes `capacity` (and, with an admission
-  /// target, `pool_limit`) at round boundaries. Requires
-  /// capacity ≤ control.c_max.
-  control::ControlConfig control;
-
-  /// Largest buffer size: the bin table packs a queue's length into 16
-  /// bits.
-  static constexpr std::uint32_t kMaxCapacity = queueing::BinTable::kSizeMask;
-
-  /// λ as a real number.
-  [[nodiscard]] double lambda() const noexcept {
-    return n == 0 ? 0.0
-                  : static_cast<double>(lambda_n) / static_cast<double>(n);
-  }
-
-  /// Builds a config from a real rate; requires λ·n to be integral
-  /// (within fp tolerance), as the model assumes.
-  static CappedConfig from_rate(std::uint32_t n, double lambda,
-                                std::uint32_t capacity);
-
-  /// Throws ContractViolation when the configuration is unusable.
-  void validate() const;
-};
-
-/// Complete dynamic state of a Capped process — everything needed to
-/// resume a run bit-for-bit, including the cumulative waiting-time
-/// statistics and backpressure accounting. Fault-plan state (when a
-/// plan is attached) lives beside the snapshot in the checkpoint file
-/// (sim/checkpoint.hpp); the plan is external to the process.
-struct CappedSnapshot {
-  CappedConfig config;
-  std::uint64_t round = 0;
-  std::uint64_t generated_total = 0;
-  std::uint64_t deleted_total = 0;
-  std::uint64_t shed_total = 0;
-  std::array<std::uint64_t, 4> engine_state{};
-  std::vector<queueing::AgedPool::Bucket> pool;  ///< oldest-first
-  std::vector<DeferredBucket> deferred;          ///< retry order
-  queueing::BinQueues bins;  ///< n loads; queues front-first
-  CappedWaitState waits;
-  /// Controller state; meaningful iff config.control.enabled(). A
-  /// snapshot taken mid-shrink records the (smaller) current capacity
-  /// in `config`, and bins still draining may exceed it — the restore
-  /// path sizes the storage to the longest queue.
-  control::ControllerState controller;
-};
 
 /// The CAPPED(c, λ) process. Deterministic given (config, engine).
 class Capped {
@@ -165,7 +77,7 @@ class Capped {
   /// The master engine's state, as snapshot().engine_state holds it,
   /// without copying the bins.
   [[nodiscard]] std::array<std::uint64_t, 4> engine_state() const noexcept {
-    return engine_.state();
+    return side_.engine().state();
   }
 
   /// Advances one round, drawing bin choices from the internal engine.
@@ -183,16 +95,16 @@ class Capped {
   /// (current pool + the λn arrivals of that round). Exact for
   /// deterministic arrivals; the expectation otherwise.
   [[nodiscard]] std::uint64_t balls_to_throw() const noexcept {
-    return pool_.total() + config_.lambda_n;
+    return pool_size() + lambda_n();
   }
 
-  [[nodiscard]] std::uint32_t n() const noexcept { return config_.n; }
+  [[nodiscard]] std::uint32_t n() const noexcept { return config().n; }
   [[nodiscard]] std::uint32_t capacity() const noexcept {
-    return config_.capacity;
+    return config().capacity;
   }
-  [[nodiscard]] double lambda() const noexcept { return config_.lambda(); }
+  [[nodiscard]] double lambda() const noexcept { return config().lambda(); }
   [[nodiscard]] std::uint64_t lambda_n() const noexcept {
-    return config_.lambda_n;
+    return config().lambda_n;
   }
 
   /// The allocation counter behind the bin table and the kernel
@@ -202,11 +114,7 @@ class Capped {
 
   /// Changes the arrival rate for subsequent rounds (time-varying load,
   /// e.g. diurnal patterns). Takes effect from the next step().
-  void set_lambda_n(std::uint64_t lambda_n) {
-    IBA_EXPECT(lambda_n <= config_.n,
-               "Capped: lambda_n must not exceed n (lambda <= 1)");
-    config_.lambda_n = lambda_n;
-  }
+  void set_lambda_n(std::uint64_t lambda_n) { side_.set_lambda_n(lambda_n); }
 
   /// Retunes the per-bin capacity for subsequent rounds (the adaptive
   /// controller's actuator; also callable directly for scripted
@@ -223,23 +131,20 @@ class Capped {
   /// actuator). Requires a backpressure mode; takes effect at the next
   /// round's admission.
   void set_pool_limit(std::uint64_t pool_limit) {
-    IBA_EXPECT(config_.backpressure != BackpressureMode::kNone,
-               "Capped: set_pool_limit requires a backpressure mode");
-    IBA_EXPECT(pool_limit > 0, "Capped: pool_limit must be positive");
-    config_.pool_limit = pool_limit;
+    side_.set_pool_limit(pool_limit);
   }
 
   /// The adaptive controller, when config().control is enabled
   /// (read-only: decisions, estimator, counters). Null otherwise.
   [[nodiscard]] const control::Controller* controller() const noexcept {
-    return controller_.get();
+    return side_.controller();
   }
-  [[nodiscard]] std::uint64_t round() const noexcept { return round_; }
+  [[nodiscard]] std::uint64_t round() const noexcept { return side_.round(); }
   [[nodiscard]] std::uint64_t pool_size() const noexcept {
-    return pool_.total();
+    return pool().total();
   }
   [[nodiscard]] const queueing::AgedPool& pool() const noexcept {
-    return pool_;
+    return side_.pool();
   }
 
   /// End-of-round load of bin `i`.
@@ -274,15 +179,15 @@ class Capped {
   /// round runs the scalar path; the bytes are the same.
   void set_ball_tracer(telemetry::BallTracer* tracer) {
     IBA_EXPECT(tracer == nullptr ||
-                   config_.backpressure == BackpressureMode::kNone,
+                   config().backpressure == BackpressureMode::kNone,
                "Capped: ball tracing is incompatible with backpressure "
                "(shed balls would break the tracer's id sequence)");
     tracer_ = tracer;
   }
 
   /// Attaches (or detaches, with nullptr) a fault plan: from the next
-  /// step() on, begin_round() is consulted before each round and the
-  /// per-bin flags/effective capacities it publishes are honored
+  /// step() on, begin_round() is consulted after each round's admission
+  /// and the per-bin flags/effective capacities it publishes are honored
   /// identically by both kernels at every shard count. The provider
   /// must draw randomness only from its own stream — the allocation
   /// engine's draw sequence is part of the determinism contract.
@@ -316,7 +221,7 @@ class Capped {
   }
 
   [[nodiscard]] const CappedConfig& config() const noexcept {
-    return config_;
+    return side_.config();
   }
 
   /// True while a fault plan is attached (it may suppress service, which
@@ -326,24 +231,26 @@ class Capped {
   }
 
   /// Waiting-time statistics over every ball deleted so far.
-  [[nodiscard]] const WaitRecorder& waits() const noexcept { return waits_; }
+  [[nodiscard]] const WaitRecorder& waits() const noexcept {
+    return side_.waits();
+  }
   /// Clears the waiting-time statistics (e.g. after burn-in).
-  void reset_wait_stats() noexcept { waits_.reset(); }
+  void reset_wait_stats() noexcept { side_.waits().reset(); }
 
   /// Lifetime accounting for conservation checks: generated_total() ==
   /// pool_size() + total_load() + deleted_total() + shed_total() +
   /// deferred_total() (the last two are zero without backpressure).
   [[nodiscard]] std::uint64_t generated_total() const noexcept {
-    return generated_total_;
+    return side_.generated_total();
   }
   [[nodiscard]] std::uint64_t deleted_total() const noexcept {
-    return deleted_total_;
+    return side_.deleted_total();
   }
   [[nodiscard]] std::uint64_t shed_total() const noexcept {
-    return gate_.shed_total();
+    return side_.shed_total();
   }
   [[nodiscard]] std::uint64_t deferred_total() const noexcept {
-    return gate_.deferred_total();
+    return side_.deferred_total();
   }
 
   /// Label of the ball `i` positions behind the front of bin `bin`
@@ -355,25 +262,21 @@ class Capped {
   }
 
  private:
-  /// Consults the fault plan (if any) for the round about to run and
-  /// caches its per-bin views for the kernels.
+  /// Builds the pool side, then the bins and scratch around it.
+  explicit Capped(PoolSide side);
+  /// Consults the fault plan (if any) for the round the pool side just
+  /// opened, at its capacity, and caches its per-bin views for the
+  /// kernels.
   void begin_round_faults();
-  /// Consults the controller (if any) for the round about to run and
-  /// applies its capacity / pool-limit targets. Runs before
-  /// begin_round_faults() so the fault plan re-baselines against the
-  /// round's actual capacity.
-  void apply_control();
-  /// `choices` are the round's bin choices if already drawn or given;
-  /// otherwise the round draws them from engine_ (see round_fused).
-  RoundMetrics step_internal(
-      const Admission& admission,
-      std::optional<std::span<const std::uint32_t>> choices);
   /// Builds the end-of-round TimeSeriesSample and feeds the attached
   /// recorder. Pure function of simulation state.
   void record_time_series(const RoundMetrics& m);
-  RoundMetrics allocate_and_delete(
-      const Admission& admission,
-      std::optional<std::span<const std::uint32_t>> choices);
+  /// The bin half of the round the pool side opened with head `m`, then
+  /// the pool side's close. `choices` are the round's bin choices if
+  /// already given; otherwise the round draws them from the engine (see
+  /// round_fused).
+  void run_round(RoundMetrics& m,
+                 std::optional<std::span<const std::uint32_t>> choices);
   /// Draws the round's choices serially into choice_scratch_, through
   /// the sampler if one is attached.
   std::span<const std::uint32_t> draw_choices();
@@ -384,7 +287,7 @@ class Capped {
 
   // -- fused bin-major round kernel (see docs/PERFORMANCE.md) --
   /// Fused accept+delete sweep for the untraced kernel, run on
-  /// config_.shards threads: the throws, sliced, into chunk streams —
+  /// config().shards threads: the throws, sliced, into chunk streams —
   /// the given choices partitioned, or a uniform round drawn slice by
   /// slice — then the range kernel over each shard's run of chunks.
   /// Returns false (nothing mutated but scratch) when the pool's bucket
@@ -397,30 +300,27 @@ class Capped {
   void partition(std::span<const std::uint32_t> choices);
   /// Pass A for a uniform round: each slice drawn from the engine jumped
   /// to its first throw, straight into the streams. Returns false, with
-  /// engine_ untouched, when the slices' engine states do not chain.
+  /// the engine untouched, when the slices' engine states do not chain.
   bool draw_split();
   /// Runs fn(s) for every slice s, each shard taking its own.
   void for_slices(const std::function<void(std::size_t)>& fn);
-  /// Runs fn(shard, begin, end) over config_.shards contiguous slices of
+  /// Runs fn(shard, begin, end) over config().shards contiguous slices of
   /// [0, count): inline when shards == 1, else on the shard pool.
   void for_shards(std::size_t count,
                   const std::function<void(std::size_t, std::size_t,
                                            std::size_t)>& fn);
 
-  CappedConfig config_;
-  Engine engine_;
-  std::uint64_t round_ = 0;
-  void merge_requeued_into_pool();
-
-  queueing::AgedPool pool_;
-  queueing::AgedPool survivors_;  // scratch, reused across rounds
+  // First in this list: it validates the config before any bin storage
+  // is allocated.
+  PoolSide side_;
   // The arena must outlive everything allocated from it (bins_ and the
   // ArenaBuffer scratch below), hence its position in this list. Held by
   // pointer so a moved Capped keeps the address its buffers point at.
   std::unique_ptr<Arena> arena_;
   ArenaBuffer<std::uint32_t> choice_scratch_;
-  std::vector<std::uint64_t> rejected_;  // scalar path, per pool bucket
+  std::vector<std::uint64_t> rejected_;  // per pool bucket, oldest first
   std::map<std::uint64_t, std::uint64_t> requeue_;  // label → crashed count
+  std::vector<queueing::AgedPool::Bucket> requeue_scratch_;
   queueing::BinTable bins_;
 
   // Fused-sweep scratch, reused across rounds: the range kernel's chunk
@@ -438,14 +338,9 @@ class Capped {
   std::vector<std::uint64_t> bucket_ends_;    // throw-index boundaries
   std::unique_ptr<concurrency::ThreadPool> shard_pool_;  // shards > 1
 
-  std::unique_ptr<control::Controller> controller_;  // config_.control on
-
   telemetry::PhaseTimers* timers_ = nullptr;
   telemetry::BallTracer* tracer_ = nullptr;
   telemetry::TimeSeries* timeseries_ = nullptr;
-  WaitRecorder waits_;
-  std::uint64_t generated_total_ = 0;
-  std::uint64_t deleted_total_ = 0;
 
   // Fault-injection round state: set by begin_round_faults(), read by
   // both kernels. Null / false outside a faulted round, so unfaulted
@@ -455,13 +350,10 @@ class Capped {
   bool faults_round_ = false;
   const std::uint8_t* fault_flags_ = nullptr;
   // The round's per-bin acceptance bound, or null when every bin has
-  // config_.capacity: a faulted round's effective capacities, else the
+  // config().capacity: a faulted round's effective capacities, else the
   // attached per-bin capacities (the two are mutually exclusive).
   const std::uint32_t* round_caps_ = nullptr;
   std::vector<std::uint32_t> bin_caps_;  // set_bin_capacities; empty = c
-
-  AdmissionGate gate_;  // backpressure state (kShed / kDeferRetry)
-  std::vector<queueing::AgedPool::Bucket> requeue_scratch_;
 };
 
 static_assert(AllocationProcess<Capped>);

@@ -4,10 +4,9 @@
 // through this minimal per-round view and fault::FaultPlan implements it.
 //
 // Contract (what keeps scalar / fused / sharded byte-identical):
-//  * begin_round() is called exactly once per round, before the round's
-//    first allocation-engine draw. Any randomness the provider needs
-//    must come from its own stream — it must never touch the process
-//    engine.
+//  * begin_round() is called exactly once per round, after admission,
+//    before the round's bin-choice draw; the provider never touches the
+//    engine. Any randomness it needs comes from its own stream.
 //  * flags() / effective_capacity() are dense n-element arrays, constant
 //    for the duration of the round. Every kernel reads them the same
 //    way: acceptance bounds load by effective_capacity()[bin] instead of

@@ -5,6 +5,7 @@
 #include <string_view>
 
 #include "common/assert.hpp"
+#include "common/crc32.hpp"
 #include "io/sealed.hpp"
 #include "sim/checkpoint.hpp"
 
@@ -104,6 +105,7 @@ ShardState load_shard(const std::string& path) {
   if (std::string_view(body).substr(at) != "end\n") {
     fail(context, "missing end marker");
   }
+  shard.crc = common::crc32(body);  // the CRC load_header verified
   return shard;
 }
 

@@ -48,6 +48,9 @@ struct ShardState {
   std::uint32_t capacity = 1;  ///< storage capacity at save time
   /// bin_count loads, one per local bin; queues front-first.
   queueing::BinQueues queues;
+  /// The body's CRC-32 as the file's header records it: filled by
+  /// load_shard (save_shard returns it instead).
+  std::uint32_t crc = 0;
 };
 
 /// The commit record of one checkpoint generation.
@@ -74,8 +77,9 @@ struct Manifest {
 /// ContractViolation unless `queues` holds bin_count loads.
 std::uint32_t save_shard(const ShardState& shard, const std::string& path);
 
-/// Reads and validates a shard file. Throws std::runtime_error on IO
-/// errors, bad header, CRC mismatch, or malformed fields.
+/// Reads and validates a shard file, with its body CRC. Throws
+/// std::runtime_error on IO errors, bad header, CRC mismatch, or
+/// malformed fields.
 [[nodiscard]] ShardState load_shard(const std::string& path);
 
 /// Atomically writes the manifest — the generation's commit point.

@@ -73,6 +73,7 @@ void send_init_ack(int fd, const InitAckMsg& msg) {
   net::WireWriter out;
   out.u64(msg.round);
   out.u64(msg.total_load);
+  out.u32(msg.shard_crc);
   net::write_frame(fd, kMsgInitAck, out.span());
 }
 
@@ -80,6 +81,7 @@ InitAckMsg decode_init_ack(net::WireReader& in) {
   InitAckMsg msg;
   msg.round = in.u64("init_ack.round");
   msg.total_load = in.u64("init_ack.total_load");
+  msg.shard_crc = in.u32("init_ack.shard_crc");
   in.expect_end("init_ack");
   return msg;
 }

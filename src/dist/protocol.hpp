@@ -39,7 +39,7 @@
 
 namespace iba::dist {
 
-inline constexpr std::uint32_t kProtocolVersion = 2;
+inline constexpr std::uint32_t kProtocolVersion = 3;
 
 /// Frame types. Values are wire format — append, never renumber.
 enum MsgType : std::uint32_t {
@@ -77,6 +77,7 @@ struct InitMsg {
 struct InitAckMsg {
   std::uint64_t round = 0;       ///< echoed init round
   std::uint64_t total_load = 0;  ///< balls restored into the range
+  std::uint32_t shard_crc = 0;   ///< body CRC of the loaded shard (0 fresh)
 };
 
 /// How a round's pool balls pick their bin (RoundMsg::sampler). Values

@@ -79,7 +79,8 @@ scenario::RunOutcome run_distributed(const scenario::Scenario& scn,
                "run_distributed: checkpoint is already past the "
                "scenario's end");
     coordinator = std::make_unique<Coordinator>(
-        snapshot, worker_fds, options.checkpoint_base, copts);
+        snapshot, worker_fds, options.checkpoint_base, manifest.shard_crcs,
+        copts);
   } else {
     coordinator = std::make_unique<Coordinator>(
         scenario::capped_config(scn), core::Engine(seed), worker_fds, copts);

@@ -87,7 +87,8 @@ void Worker::handle_init(const InitMsg& msg) {
   table_.emplace(bins, storage, &arena_);
   if (shard.has_value()) table_->restore(shard->queues);
   regions_.shape(1, bins);
-  send_init_ack(fd_, InitAckMsg{round_, table_->total_load()});
+  send_init_ack(fd_, InitAckMsg{round_, table_->total_load(),
+                                shard.has_value() ? shard->crc : 0});
 }
 
 void Worker::handle_round(const RoundMsg& msg) {

@@ -55,11 +55,10 @@ std::string header_line(const fs::path& path) {
   return line;
 }
 
-/// Runs the bank scenario `name` for `stop_after` rounds (burn-in
-/// included) and returns the header of the checkpoint it stops with.
-std::string checkpoint_header(const char* name, std::uint64_t stop_after) {
-  const scenario::Scenario scn = scenario::load_scenario_file(
-      (kRepo / "scenarios" / (std::string(name) + ".scn")).string());
+/// Runs `scn` for `stop_after` rounds (burn-in included) and returns
+/// the header of the checkpoint it stops with.
+std::string checkpoint_header(const scenario::Scenario& scn,
+                              std::uint64_t stop_after) {
   scenario::RunOptions options;
   options.checkpoint_out = (case_dir() / "run.ckpt").string();
   options.stop_after = stop_after;
@@ -69,11 +68,60 @@ std::string checkpoint_header(const char* name, std::uint64_t stop_after) {
   return header_line(options.checkpoint_out);
 }
 
+/// The same, for the bank scenario `name`.
+std::string checkpoint_header(const char* name, std::uint64_t stop_after) {
+  return checkpoint_header(
+      scenario::load_scenario_file(
+          (kRepo / "scenarios" / (std::string(name) + ".scn")).string()),
+      stop_after);
+}
+
 TEST(CheckpointPins, FaultRecoveryMidOutage) {
   // Round 110: the crash at 96 keeps bins 0-31 down until 120, so the
   // fault-down list is non-empty.
   EXPECT_EQ(checkpoint_header("fault_recovery", 110),
             "iba-checkpoint 3 2827998230 5359");
+}
+
+TEST(CheckpointPins, FaultsUnderPoissonArrivalsAndControl) {
+  // The only pin where a faulted round also draws its arrival count from
+  // the engine, with the controller retuning c at the same boundaries:
+  // the fault plan's per-round hook must keep its place relative to the
+  // engine's draws. Round 70: the crash at 56 keeps bins 0-31 down until
+  // 80, and bins 100-199 stay degraded until 90.
+  constexpr const char* kFaultedPoissonControl = R"(
+[scenario]
+name = pin_faulted_poisson_control
+
+[system]
+n = 1024
+c = 1
+
+[arrival]
+model = constant
+distribution = poisson
+lambda = 0.9375
+
+[faults]
+schedule = crash@56:bins=0-31,down=24; degrade@60:bins=100-199,cap=1,for=30
+seed = 5
+
+[control]
+policy = sweet-spot
+c-max = 8
+window = 16
+cooldown = 8
+hysteresis = 0.1
+
+[run]
+rounds = 128
+burn-in = 32
+seed = 12
+)";
+  EXPECT_EQ(checkpoint_header(scenario::parse_scenario(kFaultedPoissonControl,
+                                                       "pin.scn"),
+                              70),
+            "iba-checkpoint 3 3252011290 6223");
 }
 
 TEST(CheckpointPins, AdaptiveSweetSpotMidRun) {

@@ -506,6 +506,106 @@ TEST(DistDifferential, CoordinatorStopAndResumeReproducesTheBytes) {
   EXPECT_EQ(distributed_bytes(scn, 3, resume), baseline);
 }
 
+/// Runs `scn` on `workers` workers until the stop_after = 50 generation
+/// under `base` has committed.
+void stop_at_round_50(const scenario::Scenario& scn, std::uint32_t workers,
+                      const std::string& base) {
+  WorkerFleet fleet(workers);
+  DistRunOptions options;
+  options.checkpoint_base = base;
+  options.stop_after = 50;
+  options.timeout_ms = 5'000;
+  const scenario::RunOutcome stopped =
+      run_distributed(scn, fleet.fds(), options);
+  EXPECT_FALSE(stopped.complete);
+}
+
+DistRunOptions resume_options(const std::string& base) {
+  DistRunOptions resume;
+  resume.checkpoint_base = base;
+  resume.resume = true;
+  resume.timeout_ms = 5'000;
+  return resume;
+}
+
+TEST(DistDifferential, ResumeRejectsAShardTheManifestDidNotCommit) {
+  // Rewrite worker 1's shard with one queued label raised by a round: a
+  // valid shard file with the same loads, so the restored total still
+  // balances, but not the body the manifest committed.
+  const scenario::Scenario scn = scenario::parse_scenario(kBank, "bank.scn");
+  const std::string base = checkpoint_base("shard_crc");
+  stop_at_round_50(scn, 2, base);
+
+  const std::string path = shard_path(base, 50, 1);
+  ShardState shard = load_shard(path);
+  bool raised = false;
+  std::size_t back = 0;  // one past the bin's last label
+  for (const std::uint32_t load : shard.queues.loads) {
+    back += load;
+    // The back of a FIFO queue holds its youngest label, so raising it
+    // keeps the queue in arrival order; labels never pass the round.
+    if (load > 0 && shard.queues.labels[back - 1] < shard.round) {
+      ++shard.queues.labels[back - 1];
+      raised = true;
+      break;
+    }
+  }
+  ASSERT_TRUE(raised);
+  const std::uint32_t committed =
+      load_manifest(manifest_path(base)).shard_crcs[1];
+  const std::uint32_t rewritten = save_shard(shard, path);
+  ASSERT_NE(rewritten, committed);
+
+  WorkerFleet fleet(2);
+  try {
+    (void)run_distributed(scn, fleet.fds(), resume_options(base));
+    ADD_FAILURE() << "a shard the manifest did not commit was resumed";
+  } catch (const WorkerLost& error) {
+    EXPECT_EQ(error.worker(), 1u);
+    const std::string what = error.what();
+    EXPECT_NE(what.find(path), std::string::npos) << what;
+    EXPECT_NE(what.find(std::to_string(rewritten)), std::string::npos) << what;
+    EXPECT_NE(what.find(std::to_string(committed)), std::string::npos) << what;
+  }
+}
+
+TEST(DistDifferential, ResumeRejectsShardsThatBreakConservation) {
+  // Drop one ball from worker 0's shard and commit the rewritten body in
+  // the manifest, so the CRC check passes and only the coordinator's
+  // conservation check can catch the missing ball.
+  const scenario::Scenario scn = scenario::parse_scenario(kBank, "bank.scn");
+  const std::string base = checkpoint_base("conservation");
+  stop_at_round_50(scn, 2, base);
+
+  const std::string path = shard_path(base, 50, 0);
+  ShardState shard = load_shard(path);
+  std::size_t back = 0;
+  std::size_t bin = 0;
+  for (; bin < shard.queues.loads.size(); ++bin) {
+    back += shard.queues.loads[bin];
+    if (shard.queues.loads[bin] > 0) break;
+  }
+  ASSERT_LT(bin, shard.queues.loads.size());
+  --shard.queues.loads[bin];
+  shard.queues.labels.erase(shard.queues.labels.begin() +
+                            static_cast<std::ptrdiff_t>(back - 1));
+  Manifest manifest = load_manifest(manifest_path(base));
+  manifest.shard_crcs[0] = save_shard(shard, path);
+  save_manifest(manifest, manifest_path(base));
+
+  WorkerFleet fleet(2);
+  try {
+    (void)run_distributed(scn, fleet.fds(), resume_options(base));
+    ADD_FAILURE() << "a shard missing a ball was resumed";
+  } catch (const ContractViolation& error) {
+    EXPECT_NE(std::string(error.what())
+                  .find("Coordinator: restored shard load breaks ball "
+                        "conservation"),
+              std::string::npos)
+        << error.what();
+  }
+}
+
 TEST(DistDifferential, StragglerPastTheDeadlineIsLost) {
   const scenario::Scenario scn = scenario::parse_scenario(kBank, "bank.scn");
 
