@@ -111,7 +111,7 @@ Measurement time_dist(const core::CappedConfig& config, std::uint64_t seed,
     }
     const auto stop = std::chrono::steady_clock::now();
     m.seconds = std::chrono::duration<double>(stop - start).count();
-    m.pool_end = coordinator.pool_size();
+    m.pool_end = coordinator.pool_side().pool().total();
     m.generated_end = coordinator.generated_total();
     coordinator.shutdown();
   }

@@ -21,16 +21,15 @@
 // Exit codes: 0 success, 1 runtime error, 2 usage error, 3 expectation
 // or golden violation, 4 a worker was lost (crash / hang / bad frame).
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "artifact/artifact.hpp"
 #include "dist/coordinator.hpp"
 #include "dist/runner.hpp"
 #include "dist/worker.hpp"
 #include "io/cli.hpp"
 #include "net/socket.hpp"
+#include "scenario/loop.hpp"
 #include "scenario/scenario.hpp"
 
 namespace {
@@ -55,13 +54,9 @@ int run_coordinator(const io::ArgParser& parser) {
   options.timeout_ms =
       static_cast<int>(parser.get_uint_range("timeout-ms", 1, 3'600'000));
   options.throttle_us = parser.get_uint("throttle-us");
-  if (options.checkpoint_every > 0 && options.checkpoint_base.empty()) {
-    throw io::UsageError(
-        "dist_run: --checkpoint-every requires --checkpoint-out");
-  }
-  if (options.stop_after > 0 && options.checkpoint_base.empty()) {
-    throw io::UsageError("dist_run: --stop-after requires --checkpoint-out");
-  }
+  // Reject bad options before any worker connects.
+  (void)scenario::plan_run(scn, options.seed, !options.checkpoint_base.empty(),
+                           options.checkpoint_every, options.stop_after);
   if (options.resume && options.checkpoint_base.empty()) {
     throw io::UsageError("dist_run: --resume requires --checkpoint-out");
   }
@@ -105,40 +100,8 @@ int run_coordinator(const io::ArgParser& parser) {
     std::fprintf(stderr, "[dist] FAIL %s\n", error.what());
     return 4;
   }
-  if (!outcome.complete) {
-    std::fprintf(stderr,
-                 "[dist] stopped after %llu rounds, checkpoint at %s\n",
-                 static_cast<unsigned long long>(outcome.rounds_done),
-                 options.checkpoint_base.c_str());
-    return 0;
-  }
-
-  const std::string text = artifact::render_artifact(outcome.artifact);
-  if (!out_path.empty()) {
-    artifact::write_artifact(outcome.artifact, out_path);
-    std::fprintf(stderr, "[dist] wrote %s (%zu bytes)\n", out_path.c_str(),
-                 text.size());
-  } else if (golden_path.empty()) {
-    std::fputs(text.c_str(), stdout);
-  }
-
-  for (const std::string& failure : outcome.failures) {
-    std::fprintf(stderr, "[dist] FAIL %s\n", failure.c_str());
-  }
-
-  if (!golden_path.empty()) {
-    const std::string golden = artifact::read_artifact_text(golden_path);
-    if (golden != text) {
-      std::fprintf(stderr,
-                   "[dist] FAIL golden mismatch: %s differs from this run "
-                   "(%zu vs %zu bytes)\n",
-                   golden_path.c_str(), golden.size(), text.size());
-      return 3;
-    }
-    std::fprintf(stderr, "[dist] golden match: %s\n", golden_path.c_str());
-  }
-
-  return outcome.ok() ? 0 : 3;
+  return scenario::report_outcome(outcome, "dist", options.checkpoint_base,
+                                  out_path, golden_path, "");
 }
 
 int run_worker(const io::ArgParser& parser) {

@@ -14,15 +14,13 @@
 // malformed scenario — the diagnostic names file:line, section and key),
 // 3 expectation/audit/golden violation.
 #include <cstdio>
-#include <optional>
 #include <string>
 
-#include "artifact/artifact.hpp"
 #include "fault/schedule.hpp"
 #include "io/cli.hpp"
+#include "scenario/loop.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/scenario.hpp"
-#include "telemetry/flight_recorder.hpp"
 
 namespace {
 
@@ -54,27 +52,9 @@ int run(const io::ArgParser& parser) {
   options.checkpoint_every = parser.get_uint("checkpoint-every");
   options.resume = parser.get("resume");
   options.stop_after = parser.get_uint("stop-after");
-  if (options.checkpoint_every > 0 && options.checkpoint_out.empty()) {
-    throw io::UsageError(
-        "scenario_run: --checkpoint-every requires --checkpoint-out");
-  }
-  if (options.stop_after > 0 && options.checkpoint_out.empty()) {
-    throw io::UsageError(
-        "scenario_run: --stop-after requires --checkpoint-out");
-  }
   options.timeseries_out = parser.get("timeseries-out");
   options.flight_recorder = parser.get("flight-recorder");
   options.debug_trigger = parser.get("debug-trigger");
-  if (!options.debug_trigger.empty()) {
-    telemetry::TriggerKind kind{};
-    if (!telemetry::trigger_from_name(options.debug_trigger, kind)) {
-      throw io::UsageError(
-          "scenario_run: --debug-trigger expects auditor-violation | "
-          "expectation-failure | shed-spike | resume-mismatch | manual, "
-          "got '" +
-          options.debug_trigger + "'");
-    }
-  }
 
   const std::string out_path = parser.get("out");
   const std::string golden_path = parser.get("golden");
@@ -94,43 +74,11 @@ int run(const io::ArgParser& parser) {
                static_cast<unsigned long long>(scn.burn_in),
                static_cast<unsigned long long>(scn.rounds));
 
-  const scenario::RunOutcome outcome = scenario::run_scenario(scn, options);
-  if (!outcome.complete) {
-    std::fprintf(stderr,
-                 "[scenario] stopped after %llu rounds, checkpoint at %s\n",
-                 static_cast<unsigned long long>(outcome.rounds_done),
-                 options.checkpoint_out.c_str());
-    return 0;
-  }
-
-  const std::string text = artifact::render_artifact(outcome.artifact);
-  if (!out_path.empty()) {
-    artifact::write_artifact(outcome.artifact, out_path);
-    std::fprintf(stderr, "[scenario] wrote %s (%zu bytes)\n",
-                 out_path.c_str(), text.size());
-  } else if (golden_path.empty()) {
-    std::fputs(text.c_str(), stdout);
-  }
-
-  for (const std::string& failure : outcome.failures) {
-    std::fprintf(stderr, "[scenario] FAIL %s\n", failure.c_str());
-  }
-
-  if (!golden_path.empty()) {
-    const std::string golden = artifact::read_artifact_text(golden_path);
-    if (golden != text) {
-      std::fprintf(stderr,
-                   "[scenario] FAIL golden mismatch: %s differs from this "
-                   "run (%zu vs %zu bytes); regenerate with "
-                   "scripts/update_goldens.sh if the change is intended\n",
-                   golden_path.c_str(), golden.size(), text.size());
-      return 3;
-    }
-    std::fprintf(stderr, "[scenario] golden match: %s\n",
-                 golden_path.c_str());
-  }
-
-  return outcome.ok() ? 0 : 3;
+  return scenario::report_outcome(
+      scenario::run_scenario(scn, options), "scenario",
+      options.checkpoint_out, out_path, golden_path,
+      "; regenerate with scripts/update_goldens.sh if the change is "
+      "intended");
 }
 
 }  // namespace

@@ -223,6 +223,8 @@ class Capped {
   [[nodiscard]] const CappedConfig& config() const noexcept {
     return side_.config();
   }
+  /// The pool half: config, engine, pool, controller, waits and totals.
+  [[nodiscard]] const PoolSide& pool_side() const noexcept { return side_; }
 
   /// True while a fault plan is attached (it may suppress service, which
   /// relaxes some trajectory invariants — see fault::InvariantAuditor).

@@ -16,7 +16,8 @@ namespace {
 constexpr std::string_view kShardMagic = "iba-dist-shard";
 constexpr std::string_view kManifestMagic = "iba-dist-manifest";
 constexpr std::string_view kQueue = "queue = ";  // queue-line prefix
-constexpr std::uint32_t kVersion = 1;
+constexpr std::uint32_t kShardVersion = 1;
+constexpr std::uint32_t kManifestVersion = 2;
 
 [[noreturn]] void fail(const std::string& context,
                        const std::string& message) {
@@ -53,6 +54,10 @@ std::string coord_path(const std::string& base, std::uint64_t round) {
   return base + ".r" + std::to_string(round) + ".coord";
 }
 
+std::string progress_path(const std::string& base, std::uint64_t round) {
+  return coord_path(base, round) + ".progress";
+}
+
 std::string manifest_path(const std::string& base) {
   return base + ".manifest";
 }
@@ -69,14 +74,14 @@ std::uint32_t save_shard(const ShardState& shard, const std::string& path) {
   const sim::QueueLines lines =
       sim::render_queue_lines(shard.queues, kQueue, shard.round);
   const std::string_view body[] = {head_text, lines.view(), "end\n"};
-  return io::sealed::commit_header(path, kShardMagic, kVersion, body,
+  return io::sealed::commit_header(path, kShardMagic, kShardVersion, body,
                                    "dist shard");
 }
 
 ShardState load_shard(const std::string& path) {
   const std::string context = "dist shard";
   const std::string body =
-      io::sealed::load_header(path, kShardMagic, kVersion, context);
+      io::sealed::load_header(path, kShardMagic, kShardVersion, context);
   std::istringstream in(body);
   ShardState shard;
   expect_key(in, "round", context);
@@ -119,16 +124,23 @@ void save_manifest(const Manifest& manifest, const std::string& path) {
   body << "shard-crcs =";
   for (const std::uint32_t crc : manifest.shard_crcs) body << ' ' << crc;
   body << '\n';
+  body << "coord-crc = " << manifest.coord_crc << '\n';
+  body << "progress-crc = " << manifest.progress_crc << '\n';
   body << "end\n";
-  io::sealed::commit_header(path, kManifestMagic, kVersion, body.str(),
+  io::sealed::commit_header(path, kManifestMagic, kManifestVersion, body.str(),
                             "dist manifest");
 }
 
 Manifest load_manifest(const std::string& path) {
   const std::string context = "dist manifest";
   const std::string body =
-      io::sealed::load_header(path, kManifestMagic, kVersion, context);
+      io::sealed::load_header(path, kManifestMagic, kManifestVersion, context);
   std::istringstream in(body);
+  const auto parse_crc = [&](std::istringstream& line, const char* what) {
+    const std::uint64_t value = parse_u64(line, what, context);
+    if (value > 0xFFFFFFFFu) fail(context, std::string(what) + " out of range");
+    return static_cast<std::uint32_t>(value);
+  };
   Manifest manifest;
   expect_key(in, "round", context);
   manifest.round = parse_u64(in, "round", context);
@@ -148,14 +160,27 @@ Manifest load_manifest(const std::string& path) {
   manifest.seed = parse_u64(in, "seed", context);
   expect_key(in, "shard-crcs", context);
   manifest.shard_crcs.resize(manifest.workers);
-  for (auto& crc : manifest.shard_crcs) {
-    const std::uint64_t value = parse_u64(in, "shard-crc", context);
-    if (value > 0xFFFFFFFFu) fail(context, "shard-crc out of range");
-    crc = static_cast<std::uint32_t>(value);
-  }
+  for (auto& crc : manifest.shard_crcs) crc = parse_crc(in, "shard-crc");
+  expect_key(in, "coord-crc", context);
+  manifest.coord_crc = parse_crc(in, "coord-crc");
+  expect_key(in, "progress-crc", context);
+  manifest.progress_crc = parse_crc(in, "progress-crc");
   std::string tail;
   if (!(in >> tail) || tail != "end") fail(context, "missing end marker");
   return manifest;
+}
+
+std::uint32_t body_crc(const std::string& path) {
+  const std::string file = io::sealed::read_file(path, "dist checkpoint");
+  return common::crc32(std::string_view(file).substr(file.find('\n') + 1));
+}
+
+void check_committed(const std::string& path, std::uint32_t committed) {
+  const std::uint32_t crc = body_crc(path);
+  if (crc == committed) return;
+  throw std::runtime_error("dist checkpoint: " + path + " has body CRC " +
+                           std::to_string(crc) + ", the manifest committed " +
+                           std::to_string(committed));
 }
 
 }  // namespace iba::dist

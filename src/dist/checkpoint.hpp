@@ -7,9 +7,10 @@
 //    standard checkpoint-v3 CappedSnapshot whose bins are n zero loads
 //    (bins live in the shard files), via sim::save_checkpoint;
 //  * manifest — the commit record binding one generation: round,
-//    geometry, per-shard CRCs. Written (atomically) LAST, so at every
-//    crash point the manifest on disk references only complete,
-//    durable files.
+//    geometry, and the body CRC of every other file of the generation.
+//    Written (atomically) LAST, so at every crash point the manifest on
+//    disk references only complete, durable files, and a resume accepts
+//    no file the generation did not commit.
 //
 // Generation layout under a base path B at round R with W workers:
 //
@@ -61,6 +62,8 @@ struct Manifest {
   std::string digest;      ///< Scenario::digest() of the run
   std::uint64_t seed = 0;
   std::vector<std::uint32_t> shard_crcs;  ///< body CRC per worker
+  std::uint32_t coord_crc = 0;     ///< body CRC of B.r<R>.coord
+  std::uint32_t progress_crc = 0;  ///< body CRC of B.r<R>.coord.progress
 };
 
 /// Derived generation filenames (see the header comment).
@@ -69,6 +72,8 @@ struct Manifest {
                                      std::uint32_t worker);
 [[nodiscard]] std::string coord_path(const std::string& base,
                                      std::uint64_t round);
+[[nodiscard]] std::string progress_path(const std::string& base,
+                                        std::uint64_t round);
 [[nodiscard]] std::string manifest_path(const std::string& base);
 
 /// Atomically writes the shard file; returns the body's CRC-32 (which
@@ -85,7 +90,15 @@ std::uint32_t save_shard(const ShardState& shard, const std::string& path);
 /// Atomically writes the manifest — the generation's commit point.
 void save_manifest(const Manifest& manifest, const std::string& path);
 
-/// Reads and validates a manifest.
+/// Reads and validates a manifest (version 2; version 1 is rejected).
 [[nodiscard]] Manifest load_manifest(const std::string& path);
+
+/// The CRC-32 of everything after the header line of the file at `path`
+/// (the whole file when it has none): a sealed file's body CRC.
+[[nodiscard]] std::uint32_t body_crc(const std::string& path);
+
+/// Throws std::runtime_error naming `path`, its body CRC and `committed`
+/// unless the two are equal.
+void check_committed(const std::string& path, std::uint32_t committed);
 
 }  // namespace iba::dist

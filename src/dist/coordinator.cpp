@@ -15,12 +15,12 @@ namespace iba::dist {
 Coordinator::Coordinator(core::PoolSide side, std::vector<int> worker_fds,
                          const CoordinatorOptions& options)
     : side_(std::move(side)), options_(options) {
-  IBA_EXPECT(config().failure_probability == 0.0,
+  IBA_EXPECT(side_.config().failure_probability == 0.0,
              "Coordinator: stochastic bin failures are not distributed "
              "(the failure coins would have to ship per round)");
-  IBA_EXPECT(config().deletion == core::DeletionDiscipline::kFifo,
+  IBA_EXPECT(side_.config().deletion == core::DeletionDiscipline::kFifo,
              "Coordinator: distributed runs require FIFO deletion");
-  IBA_EXPECT(config().acceptance == core::AcceptanceOrder::kOldestFirst,
+  IBA_EXPECT(side_.config().acceptance == core::AcceptanceOrder::kOldestFirst,
              "Coordinator: distributed runs require oldest-first "
              "acceptance");
   IBA_EXPECT(!worker_fds.empty() && worker_fds.size() <= 0xFFFFu,
@@ -91,7 +91,7 @@ void Coordinator::init_workers(const std::string& resume_base,
     init.n = n();
     init.bin_lo = links_[w].bin_lo;
     init.bin_count = links_[w].bin_count;
-    init.capacity = capacity();
+    init.capacity = side_.config().capacity;
     init.round = round();
     if (!resume_base.empty()) {
       init.resume_shard = shard_path(resume_base, round(), w);
@@ -162,7 +162,7 @@ core::RoundMetrics Coordinator::step() {
   // collected, so their draw + accept + delete passes overlap.
   RoundMsg msg;
   msg.round = m.round;
-  msg.capacity = capacity();
+  msg.capacity = side_.config().capacity;
   msg.engine = side_.engine().state();
   msg.sampler = sampler_;
   msg.zipf_s = zipf_s_;
@@ -293,13 +293,13 @@ void Coordinator::save_checkpoint(const std::string& base,
   IBA_EXPECT(persisted == side_.bin_load(),
              "Coordinator: persisted shard load breaks ball conservation");
 
-  sim::save_checkpoint(snapshot(), coord_path(base, round()));
+  manifest.coord_crc =
+      sim::save_checkpoint(snapshot(), coord_path(base, round()));
+  // The runner wrote the generation's progress sidecar before this call.
+  manifest.progress_crc = body_crc(progress_path(base, round()));
   if (prev_saved_round_ != kNoGeneration) {
-    const std::string stale = coord_path(base, prev_saved_round_);
-    std::remove(stale.c_str());
-    // The runner parks its progress sidecar beside the generation's
-    // coordinator file; collect it with the same deferral.
-    std::remove((stale + ".progress").c_str());
+    std::remove(coord_path(base, prev_saved_round_).c_str());
+    std::remove(progress_path(base, prev_saved_round_).c_str());
   }
 
   // Commit point: only now does any reader see this generation.

@@ -30,7 +30,6 @@
 #include <string>
 #include <vector>
 
-#include "control/controller.hpp"
 #include "core/metrics.hpp"
 #include "core/pool_side.hpp"
 #include "core/process.hpp"
@@ -83,8 +82,9 @@ class Coordinator {
 
   /// Orchestrates one checkpoint generation at the current round:
   /// shard files (remote), the coordinator file, then the manifest —
-  /// written last, as the commit point. Collects the previous-previous
-  /// generation's files.
+  /// written last, as the commit point, with every file's body CRC,
+  /// including the progress sidecar the caller wrote first. Collects
+  /// the previous-previous generation's files.
   void save_checkpoint(const std::string& base, const std::string& digest,
                        std::uint64_t seed);
 
@@ -97,15 +97,9 @@ class Coordinator {
   [[nodiscard]] core::CappedSnapshot snapshot() const;
 
   [[nodiscard]] std::uint64_t round() const noexcept { return side_.round(); }
-  [[nodiscard]] std::uint32_t n() const noexcept { return config().n; }
-  [[nodiscard]] std::uint32_t capacity() const noexcept {
-    return config().capacity;
-  }
+  [[nodiscard]] std::uint32_t n() const noexcept { return side_.config().n; }
   [[nodiscard]] std::uint32_t workers() const noexcept {
     return static_cast<std::uint32_t>(links_.size());
-  }
-  [[nodiscard]] std::uint64_t pool_size() const noexcept {
-    return side_.pool().total();
   }
   [[nodiscard]] std::uint64_t generated_total() const noexcept {
     return side_.generated_total();
@@ -119,11 +113,9 @@ class Coordinator {
   [[nodiscard]] std::uint64_t deferred_total() const noexcept {
     return side_.deferred_total();
   }
-  [[nodiscard]] const control::Controller* controller() const noexcept {
-    return side_.controller();
-  }
-  [[nodiscard]] const core::CappedConfig& config() const noexcept {
-    return side_.config();
+  /// The pool half: config, engine, pool, controller, waits and totals.
+  [[nodiscard]] const core::PoolSide& pool_side() const noexcept {
+    return side_;
   }
 
   /// Cumulative measured-window wait statistics (exact integer state).

@@ -1,12 +1,11 @@
-// run_distributed — the coordinator-side scenario loop (docs/
-// DISTRIBUTED.md): drives a dist::Coordinator through a parsed Scenario
-// exactly as scenario::run_scenario drives a core::Capped, reusing the
-// same Progress accumulators, artifact assembly and expectation
-// evaluation (scenario/progress.hpp). That sharing, plus the
-// coordinator's byte-identical round replication, is why a distributed
-// run's artifact bytes equal the single-process run's for the same
-// (scenario, seed) — the acceptance property the differential tests and
-// the CI dist-smoke job hold us to.
+// run_distributed — a scenario run whose bins live in remote workers
+// (docs/DISTRIBUTED.md): a dist::Coordinator driven through
+// scenario::run_loop (scenario/loop.hpp), the loop run_scenario drives a
+// core::Capped through. Only the manifest load, the coordinator's
+// construction or resume, the generation save and shutdown() are its
+// own. So with the coordinator's byte-identical rounds, a distributed
+// run's artifact equals the single-process run's for the same
+// (scenario, seed), as the differential tests and CI dist-smoke check.
 //
 // Not supported distributed (guarded with clear errors): fault
 // schedules (worker-side coins would fork the engine stream), the

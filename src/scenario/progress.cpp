@@ -228,19 +228,4 @@ void evaluate_expectations(const Scenario& scn,
   }
 }
 
-bool check_expectations(const Scenario& scn,
-                        artifact::ResultArtifact& artifact,
-                        std::vector<std::string>& failures) {
-  evaluate_expectations(scn, artifact);
-  bool ok = true;
-  for (const artifact::ExpectationCheck& check : artifact.checks) {
-    if (!check.pass) {
-      ok = false;
-      failures.push_back("expect: " + check.name + ": bound " + check.bound +
-                         ", observed " + check.observed);
-    }
-  }
-  return ok;
-}
-
 }  // namespace iba::scenario

@@ -1,15 +1,8 @@
 // Measured-window accumulators, the `<checkpoint>.progress` and
-// `.record` sidecars, and the artifact-assembly helpers shared by every
-// scenario runner —
-// the single-process run_scenario (scenario/runner.cpp) and the
-// distributed coordinator loop (dist/runner.cpp).
-//
-// Sharing is what keeps the two byte-identical: the engine
-// configuration, the accumulators, the sidecar format, the expectation
-// evaluation and the artifact field fill are one implementation, so
-// "same scenario + seed → same artifact bytes" holds across process
-// topologies by construction, not by parallel maintenance of two
-// copies.
+// `.record` sidecars, and the artifact-assembly helpers of a scenario
+// run. The one loop that uses them is scenario::run_loop
+// (scenario/loop.hpp), whichever owner holds the bins; the helpers stay
+// public for the traced replay of the end-to-end benchmark.
 //
 // The process checkpoint carries the trajectory; Progress carries the
 // runner's own state, so a resumed run finishes with accumulator values
@@ -107,12 +100,5 @@ void fill_artifact(artifact::ResultArtifact& artifact, const Scenario& scn,
 /// comparisons, deterministic doubles (IEEE +−×÷ only).
 void evaluate_expectations(const Scenario& scn,
                            artifact::ResultArtifact& artifact);
-
-/// evaluate_expectations, then one "expect: <name>: bound …, observed …"
-/// line in `failures` per failed check. Returns true when every bound
-/// held.
-[[nodiscard]] bool check_expectations(const Scenario& scn,
-                                      artifact::ResultArtifact& artifact,
-                                      std::vector<std::string>& failures);
 
 }  // namespace iba::scenario

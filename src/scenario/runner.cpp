@@ -10,7 +10,7 @@
 #include "fault/auditor.hpp"
 #include "fault/fault_plan.hpp"
 #include "io/sealed.hpp"
-#include "scenario/progress.hpp"
+#include "scenario/loop.hpp"
 #include "sim/checkpoint.hpp"
 #include "telemetry/flight_recorder.hpp"
 #include "telemetry/timeseries.hpp"
@@ -19,9 +19,10 @@ namespace iba::scenario {
 
 namespace {
 
-/// The round loop of both entry points. It continues `given` when set
-/// (continue_run), else options.resume with its sidecars, else starts
-/// fresh.
+/// Both entry points: the single-process owner and its extras (fault
+/// plan, auditor, time series, flight recorder) around run_loop. It
+/// continues `given` when set (continue_run), else options.resume with
+/// its sidecars, else starts fresh.
 RunOutcome run(const Scenario& scn, const RunOptions& options,
                sim::Checkpoint* given) {
   const std::uint32_t n = scn.n;
@@ -32,19 +33,9 @@ RunOutcome run(const Scenario& scn, const RunOptions& options,
                                   : std::uint32_t{1});
   IBA_EXPECT(kernel == core::RoundKernel::kBinMajor || shards == 1,
              "run_scenario: the scalar kernel cannot shard");
-  IBA_EXPECT(options.stop_after == 0 || !options.checkpoint_out.empty(),
-             "run_scenario: stop_after requires checkpoint_out");
-  const std::uint64_t seed = options.seed.value_or(scn.seed);
-  const std::uint64_t total_rounds = scn.burn_in + scn.rounds;
-  IBA_EXPECT(options.stop_after == 0 || options.stop_after < total_rounds,
-             "run_scenario: stop_after must precede the scenario's end");
-  const std::uint64_t checkpoint_every = !options.checkpoint_out.empty()
-                                             ? (options.checkpoint_every > 0
-                                                    ? options.checkpoint_every
-                                                    : scn.checkpoint_every)
-                                             : 0;
-
-  const std::string digest = scn.digest();
+  const RunPlan plan =
+      plan_run(scn, options.seed, !options.checkpoint_out.empty(),
+               options.checkpoint_every, options.stop_after);
 
   // -- recording ---------------------------------------------------------
   // Active when the scenario asks for it or any recording output is
@@ -56,7 +47,9 @@ RunOutcome run(const Scenario& scn, const RunOptions& options,
   IBA_EXPECT(
       options.debug_trigger.empty() ||
           telemetry::trigger_from_name(options.debug_trigger, debug_kind),
-      "run_scenario: unknown debug trigger '" + options.debug_trigger + "'");
+      "run_scenario: --debug-trigger expects auditor-violation | "
+      "expectation-failure | shed-spike | resume-mismatch | manual, got '" +
+          options.debug_trigger + "'");
   std::optional<telemetry::TimeSeries> series;
   std::optional<telemetry::FlightRecorder> recorder;
   if (recording) {
@@ -67,12 +60,12 @@ RunOutcome run(const Scenario& scn, const RunOptions& options,
     fr_config.window = scn.record.window;
     recorder.emplace(fr_config);
     recorder->attach_time_series(&*series);
-    recorder->set_context(scn.name, digest, seed, n);
+    recorder->set_context(scn.name, plan.digest, plan.seed, n);
   }
 
   std::unique_ptr<core::Capped> process;
-  std::unique_ptr<fault::FaultPlan> plan;
-  Progress progress;
+  std::unique_ptr<fault::FaultPlan> faults;
+  Progress progress{.digest = plan.digest, .seed = plan.seed};
 
   const std::uint32_t plan_ceiling =
       scn.control.enabled() ? scn.control.c_max : scn.capacity;
@@ -83,7 +76,7 @@ RunOutcome run(const Scenario& scn, const RunOptions& options,
     given = &loaded;
     progress = load_progress(options.resume + ".progress");
     if (recording && !options.flight_recorder.empty() &&
-        (progress.digest != digest || progress.seed != seed ||
+        (progress.digest != plan.digest || progress.seed != plan.seed ||
          loaded.snapshot.round != progress.rounds_done)) {
       // A broken resume is exactly what the black box is for: dump the
       // identity mismatch before the contract check aborts the run. This
@@ -91,40 +84,30 @@ RunOutcome run(const Scenario& scn, const RunOptions& options,
       // exception to the bytes-identical-across-resume contract.
       recorder->trigger(telemetry::TriggerKind::kResumeMismatch,
                         loaded.snapshot.round,
-                        "expected digest " + digest + " seed " +
-                            std::to_string(seed) + ", checkpoint has digest " +
-                            progress.digest + " seed " +
-                            std::to_string(progress.seed) + " round " +
-                            std::to_string(progress.rounds_done));
+                        "expected digest " + plan.digest + " seed " +
+                            std::to_string(plan.seed) +
+                            ", checkpoint has digest " + progress.digest +
+                            " seed " + std::to_string(progress.seed) +
+                            " round " + std::to_string(progress.rounds_done));
       recorder->write_bundle(options.flight_recorder);
     }
-    IBA_EXPECT(progress.digest == digest,
-               "run_scenario: checkpoint belongs to a different scenario "
-               "(digest mismatch)");
-    IBA_EXPECT(progress.seed == seed,
-               "run_scenario: checkpoint belongs to a different seed");
-    IBA_EXPECT(loaded.snapshot.round == progress.rounds_done,
-               "run_scenario: checkpoint and progress sidecar disagree");
   } else if (given != nullptr) {
     IBA_EXPECT(given->snapshot.config.n == n,
                "continue_run: checkpoint and scenario disagree on n");
-    progress.digest = digest;
-    progress.seed = seed;
     progress.rounds_done = given->snapshot.round;
   }
   if (given != nullptr) {
-    IBA_EXPECT(progress.rounds_done < total_rounds,
-               "run_scenario: checkpoint is already past the scenario's end");
+    check_resume(plan, progress, given->snapshot.round);
     // Execution hints are free to change on resume — overwrite them in
     // the restored config before the process spins up its thread pool.
     given->snapshot.config.kernel = kernel;
     given->snapshot.config.shards = shards;
     process = std::make_unique<core::Capped>(given->snapshot);
     if (given->has_fault_state) {
-      plan = std::make_unique<fault::FaultPlan>(
+      faults = std::make_unique<fault::FaultPlan>(
           fault::parse_schedule(given->fault_schedule), n, plan_ceiling,
           given->fault_seed);
-      plan->restore(given->fault_state);
+      faults->restore(given->fault_state);
     }
     if (recording && !options.resume.empty()) {
       load_record(*series, *recorder, options.resume + ".record");
@@ -133,16 +116,14 @@ RunOutcome run(const Scenario& scn, const RunOptions& options,
     core::CappedConfig config = capped_config(scn);
     config.kernel = kernel;
     config.shards = shards;
-    process = std::make_unique<core::Capped>(config, core::Engine(seed));
+    process = std::make_unique<core::Capped>(config, core::Engine(plan.seed));
     if (!scn.fault_schedule.empty()) {
-      plan = std::make_unique<fault::FaultPlan>(
+      faults = std::make_unique<fault::FaultPlan>(
           fault::parse_schedule(scn.fault_schedule), n, plan_ceiling,
           scn.fault_seed);
     }
-    progress.digest = digest;
-    progress.seed = seed;
   }
-  if (plan != nullptr) process->set_fault_plan(plan.get());
+  if (faults != nullptr) process->set_fault_plan(faults.get());
   const std::unique_ptr<core::BinChoiceSampler> sampler =
       scn.arrival.make_sampler(n);
   if (sampler != nullptr) process->set_bin_sampler(sampler.get());
@@ -162,9 +143,9 @@ RunOutcome run(const Scenario& scn, const RunOptions& options,
     if (const control::Controller* ctl = process->controller()) {
       seen_changes = ctl->changes_total();
     }
-    if (plan != nullptr) {
-      seen_crashes = plan->crashes_total();
-      seen_repairs = plan->repairs_total();
+    if (faults != nullptr) {
+      seen_crashes = faults->crashes_total();
+      seen_repairs = faults->repairs_total();
     }
   }
 
@@ -188,17 +169,18 @@ RunOutcome run(const Scenario& scn, const RunOptions& options,
     }
   };
 
-  const auto save_state = [&] {
+  LoopHooks hooks;
+  hooks.save = [&](const Progress& progress_now) {
     sim::Checkpoint ckpt;
     ckpt.snapshot = process->snapshot();
-    if (plan != nullptr) {
+    if (faults != nullptr) {
       ckpt.has_fault_state = true;
-      ckpt.fault_schedule = fault::to_string(plan->schedule());
-      ckpt.fault_seed = plan->seed();
-      ckpt.fault_state = plan->state();
+      ckpt.fault_schedule = fault::to_string(faults->schedule());
+      ckpt.fault_seed = faults->seed();
+      ckpt.fault_state = faults->state();
     }
     sim::save_checkpoint(ckpt, options.checkpoint_out);
-    Progress saved = progress;
+    Progress saved = progress_now;
     if (auditor.has_value()) {
       saved.audit_rounds += auditor->rounds_audited();
       saved.audit_violations += auditor->violation_count();
@@ -209,154 +191,102 @@ RunOutcome run(const Scenario& scn, const RunOptions& options,
     }
   };
 
-  RunOutcome outcome;
-  for (std::uint64_t round = progress.rounds_done + 1; round <= total_rounds;
-       ++round) {
-    if (scn.arrival.time_varying()) {
-      process->set_lambda_n(scn.arrival.rate_at(round, n));
-    }
-    const core::RoundMetrics m = process->step();
+  hooks.observe = [&](std::uint64_t round, const core::RoundMetrics& m) {
     if (auditor.has_value()) auditor->observe(*process, m);
-    if (recording) {
-      if (const control::Controller* ctl = process->controller();
-          ctl != nullptr && ctl->changes_total() > seen_changes) {
-        seen_changes = ctl->changes_total();
-        if (!ctl->decisions().empty()) {
-          const control::DecisionRecord& d = ctl->decisions().back();
-          telemetry::RecordedDecision rec;
-          rec.round = d.round;
-          rec.old_capacity = d.old_capacity;
-          rec.new_capacity = d.new_capacity;
-          rec.old_pool_limit = d.old_pool_limit;
-          rec.new_pool_limit = d.new_pool_limit;
-          rec.lambda_hat_micro =
-              static_cast<std::uint64_t>(d.lambda_hat * 1e6 + 0.5);
-          recorder->note_decision(rec);
-        }
-      }
-      if (plan != nullptr) {
-        if (plan->crashes_total() > seen_crashes) {
-          recorder->note_event(
-              round, "fault",
-              "crashes +" +
-                  std::to_string(plan->crashes_total() - seen_crashes));
-          seen_crashes = plan->crashes_total();
-        }
-        if (plan->repairs_total() > seen_repairs) {
-          recorder->note_event(
-              round, "fault",
-              "repairs +" +
-                  std::to_string(plan->repairs_total() - seen_repairs));
-          seen_repairs = plan->repairs_total();
-        }
-      }
-      if (auditor.has_value() &&
-          auditor->violation_count() > seen_violations) {
-        seen_violations = auditor->violation_count();
-        std::string detail = "invariant violation";
-        if (!auditor->violations().empty()) {
-          const auto& v = auditor->violations().back();
-          detail = v.invariant + ": " + v.detail;
-        }
-        recorder->note_event(round, "audit-violation", detail);
-        fire(telemetry::TriggerKind::kAuditorViolation, round, detail);
-      }
-      if (scn.record.shed_spike > 0 && m.shed > scn.record.shed_spike) {
-        fire(telemetry::TriggerKind::kShedSpike, round,
-             "shed " + std::to_string(m.shed) + " exceeds bound " +
-                 std::to_string(scn.record.shed_spike));
+    if (!recording) return;
+    if (const control::Controller* ctl = process->controller();
+        ctl != nullptr && ctl->changes_total() > seen_changes) {
+      seen_changes = ctl->changes_total();
+      if (!ctl->decisions().empty()) {
+        const control::DecisionRecord& d = ctl->decisions().back();
+        telemetry::RecordedDecision rec;
+        rec.round = d.round;
+        rec.old_capacity = d.old_capacity;
+        rec.new_capacity = d.new_capacity;
+        rec.old_pool_limit = d.old_pool_limit;
+        rec.new_pool_limit = d.new_pool_limit;
+        rec.lambda_hat_micro =
+            static_cast<std::uint64_t>(d.lambda_hat * 1e6 + 0.5);
+        recorder->note_decision(rec);
       }
     }
-    if (round > scn.burn_in) accumulate_progress(progress, m);
-    progress.rounds_done = round;
-    // Burn-in boundary: clear the cumulative wait statistics so the
-    // measured window starts clean. Ordered before any checkpoint at
-    // this round — the snapshot then carries the cleared state and a
-    // resume does not double-reset.
-    if (round == scn.burn_in) process->reset_wait_stats();
-    if (checkpoint_every > 0 && round % checkpoint_every == 0 &&
-        round != total_rounds) {
-      save_state();
+    if (faults != nullptr) {
+      if (faults->crashes_total() > seen_crashes) {
+        recorder->note_event(
+            round, "fault",
+            "crashes +" +
+                std::to_string(faults->crashes_total() - seen_crashes));
+        seen_crashes = faults->crashes_total();
+      }
+      if (faults->repairs_total() > seen_repairs) {
+        recorder->note_event(
+            round, "fault",
+            "repairs +" +
+                std::to_string(faults->repairs_total() - seen_repairs));
+        seen_repairs = faults->repairs_total();
+      }
     }
-    if (options.stop_after != 0 && round == options.stop_after) {
-      save_state();
-      outcome.complete = false;
-      outcome.rounds_done = round;
-      return outcome;
+    if (auditor.has_value() && auditor->violation_count() > seen_violations) {
+      seen_violations = auditor->violation_count();
+      std::string detail = "invariant violation";
+      if (!auditor->violations().empty()) {
+        const auto& v = auditor->violations().back();
+        detail = v.invariant + ": " + v.detail;
+      }
+      recorder->note_event(round, "audit-violation", detail);
+      fire(telemetry::TriggerKind::kAuditorViolation, round, detail);
     }
-  }
-  outcome.rounds_done = total_rounds;
-
-  // -- assemble the artifact -------------------------------------------
-  artifact::ResultArtifact& result = outcome.artifact;
-  RunTotals totals;
-  totals.generated_total = process->generated_total();
-  totals.deleted_total = process->deleted_total();
-  totals.shed_total = process->shed_total();
-  totals.deferred_end = process->deferred_total();
-  totals.waits = core::wait_state(process->waits());
-  totals.wait_p50 = process->waits().quantile_upper_bound(0.5);
-  totals.wait_p99 = process->waits().quantile_upper_bound(0.99);
-  fill_artifact(result, scn, digest, seed, progress, totals);
-
-  if (plan != nullptr) {
-    result.has_faults = true;
-    result.crashes = plan->crashes_total();
-    result.repairs = plan->repairs_total();
-    result.straggler_skips = plan->straggler_skips_total();
-  }
-
-  if (scn.control.enabled()) {
-    result.has_control = true;
-    result.capacity_final = process->capacity();
-    if (const control::Controller* ctl = process->controller()) {
-      result.control_changes = ctl->changes_total();
-      result.control_grows = ctl->grows_total();
-      result.control_shrinks = ctl->shrinks_total();
+    if (scn.record.shed_spike > 0 && m.shed > scn.record.shed_spike) {
+      fire(telemetry::TriggerKind::kShedSpike, round,
+           "shed " + std::to_string(m.shed) + " exceeds bound " +
+               std::to_string(scn.record.shed_spike));
     }
-  }
+  };
 
-  if (auditor.has_value()) {
+  hooks.finish = [&](RunOutcome& outcome, const Progress& progress_now) {
+    artifact::ResultArtifact& result = outcome.artifact;
+    if (faults != nullptr) {
+      result.has_faults = true;
+      result.crashes = faults->crashes_total();
+      result.repairs = faults->repairs_total();
+      result.straggler_skips = faults->straggler_skips_total();
+    }
+    if (!auditor.has_value()) return;
     result.audited = true;
-    result.audit_rounds = progress.audit_rounds + auditor->rounds_audited();
+    result.audit_rounds = progress_now.audit_rounds + auditor->rounds_audited();
     result.audit_violations =
-        progress.audit_violations + auditor->violation_count();
+        progress_now.audit_violations + auditor->violation_count();
     outcome.audit_ok = result.audit_violations == 0;
-    if (!outcome.audit_ok) {
-      for (const auto& violation : auditor->violations()) {
-        outcome.failures.push_back(
-            "audit: round " + std::to_string(violation.round) + ": " +
-            violation.invariant + ": " + violation.detail);
-      }
-      if (auditor->violations().empty()) {
-        outcome.failures.push_back(
-            "audit: violations recorded in an earlier (checkpointed) "
-            "segment");
-      }
+    if (outcome.audit_ok) return;
+    for (const auto& violation : auditor->violations()) {
+      outcome.failures.push_back("audit: round " +
+                                 std::to_string(violation.round) + ": " +
+                                 violation.invariant + ": " + violation.detail);
     }
-  }
+    if (auditor->violations().empty()) {
+      outcome.failures.push_back(
+          "audit: violations recorded in an earlier (checkpointed) segment");
+    }
+  };
 
-  outcome.expectations_ok =
-      check_expectations(scn, result, outcome.failures);
-
-  if (recording) {
+  hooks.conclude = [&](RunOutcome& outcome) {
+    if (!recording) return;
     if (!outcome.expectations_ok) {
-      fire(telemetry::TriggerKind::kExpectationFailure, total_rounds,
+      fire(telemetry::TriggerKind::kExpectationFailure, plan.total_rounds,
            outcome.failures.empty() ? std::string("expectation failed")
                                     : outcome.failures.front());
     }
     if (!options.debug_trigger.empty()) {
-      fire(debug_kind, total_rounds,
+      fire(debug_kind, plan.total_rounds,
            "debug trigger '" + options.debug_trigger + "'");
     }
     if (!options.timeseries_out.empty()) {
       io::sealed::commit(options.timeseries_out, series->render_text(),
                          "scenario timeseries");
     }
-  }
+  };
 
-  if (!options.checkpoint_out.empty()) save_state();
-  return outcome;
+  return run_loop(scn, plan, *process, progress, hooks);
 }
 
 }  // namespace

@@ -5,6 +5,10 @@
 //   burn-in → measured window with integer accumulators → evaluate
 //   [expect] bounds → artifact::ResultArtifact.
 //
+// The rounds run in scenario::run_loop (scenario/loop.hpp), with
+// core::Capped as the owner and the fault plan, auditor, time series and
+// flight recorder as hooks.
+//
 // Determinism contract: the artifact bytes depend only on (scenario
 // semantics, seed). Kernel, shard count, checkpoint cadence and
 // kill-and-resume leave them unchanged:

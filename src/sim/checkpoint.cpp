@@ -337,21 +337,22 @@ queueing::BinQueues parse_queue_lines(std::string_view text, std::size_t& at,
   return queues;
 }
 
-void save_checkpoint(const Checkpoint& checkpoint, const std::string& path) {
+std::uint32_t save_checkpoint(const Checkpoint& checkpoint,
+                              const std::string& path) {
   const std::string head = render_head(checkpoint.snapshot);
   // Labels are arrival rounds, so none exceeds the snapshot's round.
   const QueueLines bins = render_queue_lines(checkpoint.snapshot.bins, "",
                                              checkpoint.snapshot.round);
   const std::string tail = render_tail(checkpoint);
   const std::string_view body[] = {head, bins.view(), tail};
-  io::sealed::commit_header(path, kMagic, kVersion, body, kContext);
+  return io::sealed::commit_header(path, kMagic, kVersion, body, kContext);
 }
 
-void save_checkpoint(const core::CappedSnapshot& snapshot,
-                     const std::string& path) {
+std::uint32_t save_checkpoint(const core::CappedSnapshot& snapshot,
+                              const std::string& path) {
   Checkpoint checkpoint;
   checkpoint.snapshot = snapshot;
-  save_checkpoint(checkpoint, path);
+  return save_checkpoint(checkpoint, path);
 }
 
 Checkpoint load_checkpoint_full(const std::string& path) {

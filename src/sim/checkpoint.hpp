@@ -82,14 +82,15 @@ struct Checkpoint {
   fault::FaultPlan::State fault_state;
 };
 
-/// Atomically writes `checkpoint` to `path` (io::sealed::commit).
-/// Throws std::runtime_error on IO failure; `path` keeps its previous
-/// content in that case.
-void save_checkpoint(const Checkpoint& checkpoint, const std::string& path);
+/// Atomically writes `checkpoint` to `path` (io::sealed::commit) and
+/// returns the body's CRC-32. Throws std::runtime_error on IO failure;
+/// `path` keeps its previous content in that case.
+std::uint32_t save_checkpoint(const Checkpoint& checkpoint,
+                              const std::string& path);
 
 /// Convenience: snapshot-only checkpoint (no fault plan attached).
-void save_checkpoint(const core::CappedSnapshot& snapshot,
-                     const std::string& path);
+std::uint32_t save_checkpoint(const core::CappedSnapshot& snapshot,
+                              const std::string& path);
 
 /// Reads and validates a checkpoint. Throws std::runtime_error on IO
 /// errors, bad magic, unsupported version, CRC/length mismatch, or any

@@ -129,6 +129,8 @@ std::vector<Format> formats() {
                    manifest.digest = "0123abcd";
                    manifest.seed = 7;
                    manifest.shard_crcs = {1, 2};
+                   manifest.coord_crc = 3;
+                   manifest.progress_crc = 4;
                    dist::save_manifest(manifest, path);
                  },
                  [](const std::string& path) {
@@ -304,9 +306,10 @@ TEST(ValidCrcMutants, ManifestShardCrcAbove32BitsIsNamed) {
                    "iba_corruption_battery_manifest_crc";
   std::filesystem::create_directories(dir);
   const std::string file = (dir / "wide.manifest").string();
-  io::sealed::commit_header(file, "iba-dist-manifest", 1,
+  io::sealed::commit_header(file, "iba-dist-manifest", 2,
                             "round = 1\nn = 8\nworkers = 1\ndigest = d\n"
-                            "seed = 1\nshard-crcs = 4294967296\nend\n",
+                            "seed = 1\nshard-crcs = 4294967296\n"
+                            "coord-crc = 1\nprogress-crc = 2\nend\n",
                             "test");
   try {
     (void)dist::load_manifest(file);

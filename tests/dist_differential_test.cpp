@@ -28,12 +28,14 @@
 #include "dist/protocol.hpp"
 #include "dist/runner.hpp"
 #include "dist/worker.hpp"
+#include "io/sealed.hpp"
 #include "net/frame.hpp"
 #include "net/socket.hpp"
 #include "scenario/arrival.hpp"
 #include "scenario/progress.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/scenario.hpp"
+#include "sim/checkpoint.hpp"
 
 namespace iba::dist {
 namespace {
@@ -506,18 +508,19 @@ TEST(DistDifferential, CoordinatorStopAndResumeReproducesTheBytes) {
   EXPECT_EQ(distributed_bytes(scn, 3, resume), baseline);
 }
 
-/// Runs `scn` on `workers` workers until the stop_after = 50 generation
-/// under `base` has committed.
-void stop_at_round_50(const scenario::Scenario& scn, std::uint32_t workers,
-                      const std::string& base) {
+/// Runs `scn` on `workers` workers until the stop_after = `round`
+/// generation under `base` has committed.
+void stop_at_round(const scenario::Scenario& scn, std::uint32_t workers,
+                   const std::string& base, std::uint64_t round) {
   WorkerFleet fleet(workers);
   DistRunOptions options;
   options.checkpoint_base = base;
-  options.stop_after = 50;
+  options.stop_after = round;
   options.timeout_ms = 5'000;
   const scenario::RunOutcome stopped =
       run_distributed(scn, fleet.fds(), options);
   EXPECT_FALSE(stopped.complete);
+  EXPECT_EQ(stopped.rounds_done, round);
 }
 
 DistRunOptions resume_options(const std::string& base) {
@@ -534,7 +537,7 @@ TEST(DistDifferential, ResumeRejectsAShardTheManifestDidNotCommit) {
   // balances, but not the body the manifest committed.
   const scenario::Scenario scn = scenario::parse_scenario(kBank, "bank.scn");
   const std::string base = checkpoint_base("shard_crc");
-  stop_at_round_50(scn, 2, base);
+  stop_at_round(scn, 2, base, 50);
 
   const std::string path = shard_path(base, 50, 1);
   ShardState shard = load_shard(path);
@@ -575,7 +578,7 @@ TEST(DistDifferential, ResumeRejectsShardsThatBreakConservation) {
   // conservation check can catch the missing ball.
   const scenario::Scenario scn = scenario::parse_scenario(kBank, "bank.scn");
   const std::string base = checkpoint_base("conservation");
-  stop_at_round_50(scn, 2, base);
+  stop_at_round(scn, 2, base, 50);
 
   const std::string path = shard_path(base, 50, 0);
   ShardState shard = load_shard(path);
@@ -603,6 +606,94 @@ TEST(DistDifferential, ResumeRejectsShardsThatBreakConservation) {
                         "conservation"),
               std::string::npos)
         << error.what();
+  }
+}
+
+/// Resumes `base` on two workers and requires the run to fail with an
+/// error naming `path` and both CRCs.
+void expect_uncommitted_file_rejected(const scenario::Scenario& scn,
+                                      const std::string& base,
+                                      const std::string& path,
+                                      std::uint32_t committed,
+                                      std::uint32_t rewritten) {
+  ASSERT_NE(rewritten, committed);
+  WorkerFleet fleet(2);
+  try {
+    (void)run_distributed(scn, fleet.fds(), resume_options(base));
+    ADD_FAILURE() << path << " was resumed though the manifest did not "
+                  << "commit it";
+  } catch (const std::runtime_error& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find(path), std::string::npos) << what;
+    EXPECT_NE(what.find(std::to_string(rewritten)), std::string::npos) << what;
+    EXPECT_NE(what.find(std::to_string(committed)), std::string::npos) << what;
+  }
+}
+
+TEST(DistDifferential, ResumeRejectsACoordinatorFileTheManifestDidNotCommit) {
+  // A coordinator file with its first engine word raised by one, saved
+  // through the checkpoint codec so its envelope is valid: every worker
+  // would redraw the same wrong round, so only the manifest's CRC can
+  // tell it from the committed file.
+  const scenario::Scenario scn = scenario::parse_scenario(kBank, "bank.scn");
+  const std::string base = checkpoint_base("coord_crc");
+  stop_at_round(scn, 2, base, 60);
+
+  const std::string path = coord_path(base, 60);
+  core::CappedSnapshot snapshot = sim::load_checkpoint(path);
+  ++snapshot.engine_state[0];
+  const std::uint32_t rewritten = sim::save_checkpoint(snapshot, path);
+  expect_uncommitted_file_rejected(
+      scn, base, path, load_manifest(manifest_path(base)).coord_crc,
+      rewritten);
+}
+
+TEST(DistDifferential, ResumeRejectsAProgressSidecarTheManifestDidNotCommit) {
+  // A progress sidecar whose measured pool sum is raised by one: a valid
+  // sidecar of the right scenario, seed and round.
+  const scenario::Scenario scn = scenario::parse_scenario(kBank, "bank.scn");
+  const std::string base = checkpoint_base("progress_crc");
+  stop_at_round(scn, 2, base, 60);
+
+  const std::string path = progress_path(base, 60);
+  scenario::Progress progress = scenario::load_progress(path);
+  ++progress.pool_sum;
+  scenario::save_progress(progress, path);
+  expect_uncommitted_file_rejected(
+      scn, base, path, load_manifest(manifest_path(base)).progress_crc,
+      body_crc(path));
+}
+
+TEST(DistDifferential, AVersionOneManifestIsRejected) {
+  // Version 1 committed no coordinator or progress CRC.
+  const std::string path = manifest_path(checkpoint_base("manifest_v1"));
+  io::sealed::commit_header(path, "iba-dist-manifest", 1,
+                            "round = 1\nn = 8\nworkers = 1\ndigest = d\n"
+                            "seed = 1\nshard-crcs = 7\nend\n",
+                            "test");
+  try {
+    (void)load_manifest(path);
+    ADD_FAILURE() << "a version-1 manifest was accepted";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what())
+                  .find("dist manifest: unsupported version 1 (expected 2)"),
+              std::string::npos)
+        << error.what();
+  }
+}
+
+TEST(DistDifferential, StopAroundTheBurnInBoundaryResumesToTheSameBytes) {
+  // The loop clears the wait statistics at the last burn-in round before
+  // that round's checkpoint: a stop exactly there must save the cleared
+  // waits, and one on either side must not be affected.
+  const scenario::Scenario scn = scenario::parse_scenario(kBank, "bank.scn");
+  const std::string baseline = single_process_bytes(scn);
+  for (const std::uint64_t stop :
+       {scn.burn_in - 1, scn.burn_in, scn.burn_in + 1}) {
+    SCOPED_TRACE(stop);
+    const std::string base = checkpoint_base("burn_in_boundary");
+    stop_at_round(scn, 3, base, stop);
+    EXPECT_EQ(distributed_bytes(scn, 3, resume_options(base)), baseline);
   }
 }
 

@@ -180,6 +180,32 @@ TEST(ScenarioDeterminism, KillAndResumeReproducesTheRun) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(ScenarioDeterminism, StopAroundTheBurnInBoundaryResumesToTheSameBytes) {
+  // The loop clears the wait statistics at the last burn-in round before
+  // that round's checkpoint: a stop exactly there must save the cleared
+  // waits, and one on either side must not be affected.
+  const Scenario scn = parse_scenario(kLoaded, "det.scn");
+  const std::string baseline = run_bytes(scn);
+  const auto dir = std::filesystem::temp_directory_path() /
+                   "iba_scenario_burn_in_boundary_test";
+  std::filesystem::create_directories(dir);
+  const std::string ckpt = (dir / "probe.ckpt").string();
+  for (const std::uint64_t stop :
+       {scn.burn_in - 1, scn.burn_in, scn.burn_in + 1}) {
+    SCOPED_TRACE(stop);
+    RunOptions first;
+    first.checkpoint_out = ckpt;
+    first.stop_after = stop;
+    const RunOutcome stopped = run_scenario(scn, first);
+    EXPECT_FALSE(stopped.complete);
+    EXPECT_EQ(stopped.rounds_done, stop);
+    RunOptions resume;
+    resume.resume = ckpt;
+    EXPECT_EQ(run_bytes(scn, resume), baseline);
+  }
+  std::filesystem::remove_all(dir);
+}
+
 TEST(ScenarioDeterminism, InconsistentOptionsAreRejected) {
   const Scenario scn = parse_scenario(kLoaded, "det.scn");
   RunOptions no_ckpt;
