@@ -2,9 +2,10 @@
 // round loop against in-process workers over AF_UNIX socketpairs (the
 // full wire protocol without process-spawn noise) and reports rounds/s
 // and balls/s per worker count, next to the single-process Capped loop
-// as the reference row. Verifies first that every variant's counters
-// agree with the single-process run — the byte-identity contract in
-// miniature — then times the steady state. Machine-readable results go
+// as the reference row; each dist row also names the slowest worker's
+// draw and sweep ms per round. Verifies first that every variant's
+// counters agree with the single-process run — the byte-identity
+// contract in miniature — then times the steady state. Machine-readable results go
 // to --json (default BENCH_dist.json) with a host stamp, committed
 // atomically through bench::commit_json, and are gated in CI by
 // scripts/bench_trend.py against the committed baseline.
@@ -15,6 +16,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <deque>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -41,6 +43,10 @@ struct Measurement {
   double seconds = 0.0;
   std::uint64_t pool_end = 0;       ///< trajectory fingerprint
   std::uint64_t generated_end = 0;  ///< trajectory fingerprint
+  /// Dist rows: the slowest worker's (largest draw + sweep) per-round
+  /// means over every round it served, burn-in included.
+  double worker_draw_ms = 0.0;
+  double worker_sweep_ms = 0.0;
 
   [[nodiscard]] double balls_per_sec() const {
     return seconds > 0.0 ? static_cast<double>(balls) / seconds : 0.0;
@@ -86,11 +92,14 @@ Measurement time_dist(const core::CappedConfig& config, std::uint64_t seed,
     coordinator_side.push_back(std::move(c));
     worker_side.push_back(std::move(w));
   }
+  std::deque<dist::Worker> worker_objects;
   std::vector<std::thread> threads;
   for (std::uint32_t i = 0; i < workers; ++i) {
-    threads.emplace_back([fd = worker_side[i].fd(), i] {
+    dist::Worker& worker =
+        worker_objects.emplace_back(worker_side[i].fd(), i);
+    threads.emplace_back([&worker] {
       try {
-        dist::Worker(fd, i).run();
+        worker.run();
       } catch (...) {
       }
     });
@@ -117,6 +126,13 @@ Measurement time_dist(const core::CappedConfig& config, std::uint64_t seed,
   }
   for (net::Socket& socket : coordinator_side) socket.close();
   for (std::thread& thread : threads) thread.join();
+  for (const dist::Worker& worker : worker_objects) {
+    if (worker.draw_ms_per_round() + worker.sweep_ms_per_round() >
+        m.worker_draw_ms + m.worker_sweep_ms) {
+      m.worker_draw_ms = worker.draw_ms_per_round();
+      m.worker_sweep_ms = worker.sweep_ms_per_round();
+    }
+  }
   return m;
 }
 
@@ -226,9 +242,14 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(rounds),
               determinism_ok ? "" : "  TRAJECTORIES DIVERGED");
   for (const Measurement& m : results) {
-    std::printf("  %-7s workers=%u  %9.3f s  %10.1f rounds/s  %12.0f balls/s\n",
+    std::printf("  %-7s workers=%u  %9.3f s  %10.1f rounds/s  %12.0f balls/s",
                 m.kernel.c_str(), m.shards, m.seconds, m.rounds_per_sec(),
                 m.balls_per_sec());
+    if (m.kernel == "dist") {
+      std::printf("  worker draw %.3f ms, sweep %.3f ms per round",
+                  m.worker_draw_ms, m.worker_sweep_ms);
+    }
+    std::printf("\n");
   }
 
   const std::string json_path = parser.get("json");
@@ -256,6 +277,10 @@ int main(int argc, char** argv) {
     json.key("seconds").value(m.seconds);
     json.key("balls_per_sec").value(m.balls_per_sec());
     json.key("rounds_per_sec").value(m.rounds_per_sec());
+    if (m.kernel == "dist") {
+      json.key("worker_draw_ms").value(m.worker_draw_ms);
+      json.key("worker_sweep_ms").value(m.worker_sweep_ms);
+    }
     json.end_object();
   }
   json.end_array();

@@ -113,10 +113,12 @@ int run_worker(const io::ArgParser& parser) {
   dist::Worker worker(socket.fd(), index);
   const bool clean = worker.run();
   std::fprintf(stderr,
-               "[dist] worker %u: %s after %llu round(s), %llu ball(s) held\n",
+               "[dist] worker %u: %s after %llu round(s), %llu ball(s) "
+               "held; draw %.3f ms, sweep %.3f ms per round\n",
                index, clean ? "shutdown" : "coordinator hung up",
                static_cast<unsigned long long>(worker.rounds_served()),
-               static_cast<unsigned long long>(worker.total_load()));
+               static_cast<unsigned long long>(worker.total_load()),
+               worker.draw_ms_per_round(), worker.sweep_ms_per_round());
   // A vanished coordinator is routine during kill-and-resume drills: the
   // restarted coordinator spawns fresh workers, so exit clean either way.
   return 0;

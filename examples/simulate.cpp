@@ -15,7 +15,8 @@
 // waits and deletions continue P's statistics, pool fields cover K.
 //
 // Exit codes: 0 success, 1 runtime error, 2 usage error (bad flag,
-// out-of-domain parameter, or a resume flag that disagrees with the
+// out-of-domain parameter, an option conflict the library rejects with
+// ContractViolation, or a resume flag that disagrees with the
 // checkpoint), 3 invariant violation detected by the auditor.
 #include <array>
 #include <chrono>
@@ -361,10 +362,6 @@ int capped_cli(const io::ArgParser& parser) {
   }
   options.checkpoint_out = parser.get("checkpoint-out");
   options.checkpoint_every = parser.get_uint("checkpoint-every");
-  if (options.checkpoint_every > 0 && options.checkpoint_out.empty()) {
-    throw io::UsageError(
-        "simulate: --checkpoint-every requires --checkpoint-out");
-  }
   options.timeseries_out = parser.get("timeseries-out");
   options.flight_recorder = parser.get("flight-recorder");
 
@@ -554,8 +551,8 @@ int main(int argc, char** argv) {
       throw io::UsageError("simulate: unknown --process '" + process_name +
                            "'");
     }
-  } catch (const io::UsageError& error) {
-    io::fail_usage(error.what());
+  } catch (const iba::ContractViolation& error) {
+    io::fail_usage(error.what());  // covers io::UsageError too
   } catch (const fault::ScheduleError& error) {
     io::fail_usage(error.what());
   } catch (const std::exception& error) {

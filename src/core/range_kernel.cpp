@@ -1,11 +1,19 @@
 #include "core/range_kernel.hpp"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 
 #include "common/assert.hpp"
 #include "core/fault_hooks.hpp"
 #include "rng/bounded.hpp"
+#include "rng/simd.hpp"
+
+#if (defined(__x86_64__) || defined(__i386__)) && \
+    (defined(__GNUC__) || defined(__clang__))
+#define IBA_KEEP_AVX2 1
+#include <immintrin.h>
+#endif
 
 namespace iba::core {
 
@@ -32,6 +40,79 @@ inline void prefetch_rw(const void* address) noexcept {
 #else
   (void)address;
 #endif
+}
+
+/// Compacts choices[from, size) in place to their offsets from bin_lo
+/// that fall inside [0, bins), in order, written from choices[kept] on:
+/// the write index never passes the read index. Returns the new kept
+/// count. The keep is an add, not a branch, since a partial range keeps
+/// a uniformly random share that no predictor can follow.
+std::size_t keep_in_range(std::uint32_t* choices, std::size_t from,
+                          std::size_t size, std::size_t kept,
+                          std::uint32_t bin_lo, std::uint32_t bins) noexcept {
+  for (std::size_t i = from; i < size; ++i) {
+    const std::uint32_t bin = choices[i] - bin_lo;
+    choices[kept] = bin;
+    kept += static_cast<std::size_t>(bin < bins);
+  }
+  return kept;
+}
+
+#if defined(IBA_KEEP_AVX2)
+/// Each 8-bit keep mask's set lanes, low first, one byte per lane: the
+/// left-pack permutation of keep_in_range_avx2.
+constexpr auto kPackLanes = [] {
+  std::array<std::uint64_t, 256> lanes{};
+  for (std::uint64_t mask = 0; mask < 256; ++mask) {
+    std::uint64_t k = 0;
+    for (std::uint64_t lane = 0; lane < 8; ++lane) {
+      if ((mask >> lane & 1) != 0) lanes[mask] |= lane << (8 * k++);
+    }
+  }
+  return lanes;
+}();
+
+/// keep_in_range over all of choices[0, size), eight lanes at a time:
+/// each block is rebased, tested (bin ≤ bins − 1, unsigned), left-packed
+/// by a permutation and stored whole at the write index, which then
+/// advances by the block's kept count. A block is loaded before any
+/// store can reach it, so the in-place pack is safe.
+__attribute__((target("avx2,popcnt"))) std::size_t keep_in_range_avx2(
+    std::uint32_t* choices, std::size_t size, std::uint32_t bin_lo,
+    std::uint32_t bins) noexcept {
+  const __m256i lo = _mm256_set1_epi32(static_cast<int>(bin_lo));
+  const __m256i last = _mm256_set1_epi32(static_cast<int>(bins - 1));
+  std::size_t kept = 0;
+  std::size_t i = 0;
+  for (; i + 8 <= size; i += 8) {
+    const __m256i bin = _mm256_sub_epi32(
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(choices + i)),
+        lo);
+    const __m256i in = _mm256_cmpeq_epi32(_mm256_min_epu32(bin, last), bin);
+    const auto mask = static_cast<unsigned>(
+        _mm256_movemask_ps(_mm256_castsi256_ps(in)));
+    const __m256i lanes = _mm256_cvtepu8_epi32(
+        _mm_cvtsi64_si128(static_cast<long long>(kPackLanes[mask])));
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(choices + kept),
+                        _mm256_permutevar8x32_epi32(bin, lanes));
+    kept += static_cast<std::size_t>(__builtin_popcount(mask));
+  }
+  return keep_in_range(choices, i, size, kept, bin_lo, bins);
+}
+#endif
+
+/// keep_in_range over choices[0, size), on the AVX2 path when `avx2`
+/// (the rng SIMD backend, so IBA_SIMD=scalar pins the scalar keep too).
+/// Both paths keep the same choices in the same order.
+std::size_t keep_batch(std::uint32_t* choices, std::size_t size,
+                       std::uint32_t bin_lo, std::uint32_t bins,
+                       bool avx2) noexcept {
+#if defined(IBA_KEEP_AVX2)
+  if (avx2) return keep_in_range_avx2(choices, size, bin_lo, bins);
+#else
+  (void)avx2;
+#endif
+  return keep_in_range(choices, 0, size, 0, bin_lo, bins);
 }
 
 }  // namespace
@@ -77,14 +158,15 @@ bool StreamRegions::fit() {
   return fits;
 }
 
-void draw_slice(StreamRegions& regions, std::size_t slice,
-                const ThrowSlice& throws,
-                std::span<const std::uint64_t> bucket_ends, Engine& engine,
-                BinChoiceSampler* sampler, std::uint32_t n,
-                std::uint32_t bin_lo) {
+std::uint64_t draw_slice(StreamRegions& regions, std::size_t slice,
+                         const ThrowSlice& throws,
+                         std::span<const std::uint64_t> bucket_ends,
+                         Engine& engine, BinChoiceSampler* sampler,
+                         std::uint32_t n, std::uint32_t bin_lo) {
   const std::size_t row = regions.row();
   const std::uint32_t chunks = regions.chunks();
   const std::uint32_t bins = regions.bins();
+  IBA_ASSERT(bins <= n && bin_lo <= n - bins);
   std::uint16_t* const out = regions.data();
   std::uint64_t* const cursor = regions.cursors() + slice * row;
   const std::uint64_t* const limit = regions.limits() + slice * row;
@@ -92,8 +174,10 @@ void draw_slice(StreamRegions& regions, std::size_t slice,
     const std::uint64_t at = cursor[c]++;
     if (at < limit[c]) out[at] = value;
   };
+  const bool avx2 = rng::active_simd_backend() == rng::SimdBackend::kAvx2;
   std::uint32_t choices[kDrawBatch] = {};
   std::uint64_t idx = throws.lo;
+  std::uint64_t kept = 0;
   for (std::size_t b = throws.bucket_lo; b < throws.bucket_hi; ++b) {
     const std::uint64_t b_end = std::min(bucket_ends[b], throws.hi);
     while (idx < b_end) {
@@ -106,16 +190,32 @@ void draw_slice(StreamRegions& regions, std::size_t slice,
         rng::fill_bounded(engine, batch, n);
       }
       idx += batch.size();
-      for (const std::uint32_t choice : batch) {
-        const std::uint32_t bin = choice - bin_lo;
-        if (bin >= bins) continue;  // outside the range
-        append(bin >> kChunkBits,
-               static_cast<std::uint16_t>(bin & (kChunkWidth - 1)));
+      if (bins == n) {
+        // The full range (bin_lo is 0): the test never fires, so its
+        // branch always predicts, and every choice is kept.
+        for (const std::uint32_t choice : batch) {
+          const std::uint32_t bin = choice - bin_lo;
+          if (bin >= bins) continue;  // outside the range
+          append(bin >> kChunkBits,
+                 static_cast<std::uint16_t>(bin & (kChunkWidth - 1)));
+        }
+        kept += batch.size();
+        continue;
       }
+      // A narrower range: compact the batch to its rebased in-range
+      // choices first, then append them in the same order with no test.
+      const std::size_t in_range =
+          keep_batch(choices, batch.size(), bin_lo, bins, avx2);
+      for (std::size_t i = 0; i < in_range; ++i) {
+        append(choices[i] >> kChunkBits,
+               static_cast<std::uint16_t>(choices[i] & (kChunkWidth - 1)));
+      }
+      kept += in_range;
     }
     for (std::uint32_t c = 0; c < chunks; ++c) append(c, kSentinel);
   }
   IBA_ASSERT(idx == throws.hi);
+  return kept;
 }
 
 void SweepShard::reset(std::size_t buckets) {

@@ -18,17 +18,21 @@
 // Each (slice, chunk) stream lives in its own region of one buffer
 // (StreamRegions), so a draw can append its choices straight into the
 // streams: draw_slice() draws a slice's throws in L1-sized batches and
-// appends each in-range choice to its chunk's stream. Regions sized for
-// a uniform draw with 1/8 to spare almost always fit; a stream that
-// overflows its region is counted, not written, and the draw — a pure
-// function of the engine state — is redrawn into regions widened to the
-// measured counts.
+// appends each in-range choice to its chunk's stream. A range narrower
+// than n keeps a random share of each batch, so there the batch is first
+// compacted branch-free (eight lanes at a time on the AVX2 backend) to
+// its in-range choices, in order, and only those are appended; the full
+// range appends every choice. Regions sized for a uniform draw with 1/8
+// to spare almost always fit; a stream that overflows its region is
+// counted, not written, and the draw — a pure function of the engine
+// state — is redrawn into regions widened to the measured counts.
 //
-// core::Capped draws a uniform round's slices in parallel, each from
-// the engine jumped to the slice's first throw (Xoshiro256Base::discard),
-// or partitions a given choice list into exact regions; dist::Worker
-// redraws the whole round as one slice, keeping its range's throws. Both
-// then sweep. The bin table is range-local.
+// core::Capped draws a uniform round's slices in parallel over the full
+// range, each from the engine jumped to the slice's first throw
+// (Xoshiro256Base::discard), or partitions a given choice list into
+// exact regions; dist::Worker redraws the whole round as one slice,
+// keeping its range's throws. Both then sweep. The bin table is
+// range-local.
 #pragma once
 
 #include <algorithm>
@@ -207,11 +211,13 @@ struct RangeRound {
 /// each bucket the slice meets (bucket_ends[b] is one past its last
 /// throw) is closed with a sentinel in every chunk. Appends past a
 /// region's end are counted, not written (see StreamRegions::fit).
-void draw_slice(StreamRegions& regions, std::size_t slice,
-                const ThrowSlice& throws,
-                std::span<const std::uint64_t> bucket_ends, Engine& engine,
-                BinChoiceSampler* sampler, std::uint32_t n,
-                std::uint32_t bin_lo);
+/// Returns the number of choices kept (inside the range). The range must
+/// lie inside [0, n).
+std::uint64_t draw_slice(StreamRegions& regions, std::size_t slice,
+                         const ThrowSlice& throws,
+                         std::span<const std::uint64_t> bucket_ends,
+                         Engine& engine, BinChoiceSampler* sampler,
+                         std::uint32_t n, std::uint32_t bin_lo);
 
 /// Chunks [chunk_lo, chunk_hi): per chunk the acceptance replay, then
 /// (with_delete) its delete walk.

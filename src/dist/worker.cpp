@@ -1,6 +1,7 @@
 #include "dist/worker.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <span>
 #include <stdexcept>
@@ -15,6 +16,13 @@ namespace {
 
 [[noreturn]] void fail(const std::string& message) {
   throw std::runtime_error("dist worker: " + message);
+}
+
+std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point from,
+                         std::chrono::steady_clock::time_point to) {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(to - from)
+          .count());
 }
 
 }  // namespace
@@ -111,7 +119,10 @@ void Worker::handle_round(const RoundMsg& msg) {
 
   // Redraw the whole round, bucket by bucket in the global visit order
   // (oldest first), keeping this range's throws: the single-process
-  // choices exactly. Regions fit a uniform draw with 1/8 to spare. The
+  // choices exactly. Each throw must still be drawn, since the range's
+  // throws are spread over the whole stream, but a range narrower than
+  // n keeps them without a branch per throw (draw_slice compacts each
+  // batch first). Regions fit a uniform draw with 1/8 to spare. The
   // draw is a pure function of the shipped state, so a round that
   // overflows one (a skewed draw) is drawn again into regions widened to
   // its counts.
@@ -121,16 +132,18 @@ void Worker::handle_round(const RoundMsg& msg) {
     throws += bucket.count;
     bucket_ends_.push_back(throws);
   }
+  const auto t_draw = std::chrono::steady_clock::now();
   const core::ThrowSlice all{.hi = throws, .bucket_hi = msg.buckets.size()};
   regions_.widen_uniform({&all, 1}, static_cast<std::uint32_t>(n_));
   core::Engine engine(msg.engine);
   do {
     regions_.rewind();
     engine = core::Engine(msg.engine);
-    core::draw_slice(regions_, 0, all, bucket_ends_, engine, zipf,
-                     static_cast<std::uint32_t>(n_),
-                     static_cast<std::uint32_t>(bin_lo_));
+    kept_throws_ = core::draw_slice(regions_, 0, all, bucket_ends_, engine,
+                                    zipf, static_cast<std::uint32_t>(n_),
+                                    static_cast<std::uint32_t>(bin_lo_));
   } while (!regions_.fit());
+  const auto t_sweep = std::chrono::steady_clock::now();
 
   // The range kernel, once over the whole range: each bin accepts while
   // it has room under this round's bound (none, for a bin still
@@ -147,6 +160,9 @@ void Worker::handle_round(const RoundMsg& msg) {
   core::sweep_chunks(range, sweep_, 0, regions_.chunks(), true);
   table_->adjust_total_load(static_cast<std::int64_t>(sweep_.accepted) -
                             static_cast<std::int64_t>(sweep_.waits.count()));
+  const auto t_done = std::chrono::steady_clock::now();
+  draw_ns_ += elapsed_ns(t_draw, t_sweep);
+  sweep_ns_ += elapsed_ns(t_sweep, t_done);
 
   round_ = msg.round;
   ++rounds_served_;

@@ -53,6 +53,19 @@ class Worker {
   [[nodiscard]] std::uint64_t total_load() const noexcept {
     return table_.has_value() ? table_->total_load() : 0;
   }
+  /// The last round's throws into this range: the workers' counts sum to
+  /// the round's thrown.
+  [[nodiscard]] std::uint64_t kept_throws() const noexcept {
+    return kept_throws_;
+  }
+  /// Mean wall time per round served, in ms, of the draw (every throw,
+  /// then the keep, redraws included) and of the range kernel's sweep.
+  [[nodiscard]] double draw_ms_per_round() const noexcept {
+    return per_round_ms(draw_ns_);
+  }
+  [[nodiscard]] double sweep_ms_per_round() const noexcept {
+    return per_round_ms(sweep_ns_);
+  }
 
   /// Counts the bin table's and throw streams' allocations: flat across
   /// rounds once the streams fit the run's rounds.
@@ -62,6 +75,11 @@ class Worker {
   void handle_init(const InitMsg& msg);
   void handle_round(const RoundMsg& msg);
   void handle_checkpoint(const CheckpointMsg& msg);
+  [[nodiscard]] double per_round_ms(std::uint64_t ns) const noexcept {
+    return rounds_served_ == 0 ? 0.0
+                               : static_cast<double>(ns) / 1e6 /
+                                     static_cast<double>(rounds_served_);
+  }
 
   int fd_;
   std::uint32_t index_;
@@ -76,6 +94,9 @@ class Worker {
   // exponent changes (it is a pure function of (n, s)).
   std::optional<scenario::ZipfBinSampler> zipf_;
   std::uint64_t rounds_served_ = 0;
+  std::uint64_t kept_throws_ = 0;
+  std::uint64_t draw_ns_ = 0;
+  std::uint64_t sweep_ns_ = 0;
 
   // Range-kernel input, reused across rounds: one slice of chunk
   // streams, and the round's bucket boundaries in throw indices.

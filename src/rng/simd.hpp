@@ -1,4 +1,5 @@
-// Runtime dispatch for the vectorized RNG reduction paths.
+// Runtime dispatch for the vectorized RNG reduction paths, which the
+// range draw's keep (core::draw_slice) follows too.
 //
 // The backend is resolved once per process: the IBA_SIMD environment
 // variable ("scalar" | "avx2" | "auto", default auto) is consulted first,

@@ -12,6 +12,7 @@
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <string>
@@ -306,50 +307,93 @@ TEST(DistDifferential, WaitsAcrossTheTallyBoundMatchSingleProcess) {
             artifact::render_artifact(outcome.artifact));
 }
 
+// Runs `rounds` rounds of `config` on a Coordinator and `count`
+// in-process Workers, calling after_round(metrics, workers) after each
+// round; returns the workers once their threads have joined.
+std::vector<std::unique_ptr<Worker>> run_workers(
+    const core::CappedConfig& config, std::uint32_t count,
+    std::uint64_t rounds,
+    const std::function<void(const core::RoundMetrics&,
+                             const std::vector<std::unique_ptr<Worker>>&)>&
+        after_round = {}) {
+  std::vector<net::Socket> coordinator_side;
+  std::vector<net::Socket> worker_side;
+  std::vector<std::unique_ptr<Worker>> workers;
+  std::vector<std::thread> threads;
+  for (std::uint32_t i = 0; i < count; ++i) {
+    auto [c, w] = net::socket_pair();
+    workers.push_back(std::make_unique<Worker>(w.fd(), i));
+    coordinator_side.push_back(std::move(c));
+    worker_side.push_back(std::move(w));
+  }
+  for (std::uint32_t i = 0; i < count; ++i) {
+    threads.emplace_back(
+        [&worker = *workers[i]] { EXPECT_NO_THROW((void)worker.run()); });
+  }
+  std::vector<int> fds;
+  for (const net::Socket& socket : coordinator_side) {
+    fds.push_back(socket.fd());
+  }
+  try {
+    Coordinator coordinator(config, core::Engine(7), fds);
+    for (std::uint64_t r = 0; r < rounds; ++r) {
+      const core::RoundMetrics metrics = coordinator.step();
+      if (after_round) after_round(metrics, workers);
+    }
+    coordinator.shutdown();
+  } catch (const std::exception& error) {
+    ADD_FAILURE() << error.what();
+  }
+  for (net::Socket& socket : coordinator_side) socket.close();
+  for (std::thread& thread : threads) thread.join();
+  return workers;
+}
+
+// Three chunks, the last one partial.
+core::CappedConfig three_chunk_config() {
+  core::CappedConfig config;
+  config.n = 20'000;
+  config.capacity = 2;
+  config.lambda_n = 18'750;
+  return config;
+}
+
 TEST(DistDifferential, WorkerRoundsAllocateNothingOnceWarm) {
   // Each worker's arena count after 200 rounds equals the count after
   // 40: the bin table and the throw streams stop growing once warm.
-  core::CappedConfig config;
-  config.n = 20'000;  // three chunks, the last one partial
-  config.capacity = 2;
-  config.lambda_n = 18'750;
-  const auto allocations = [&config](std::uint64_t rounds) {
-    constexpr std::uint32_t kWorkers = 3;
-    std::vector<net::Socket> coordinator_side;
-    std::vector<net::Socket> worker_side;
-    std::vector<std::unique_ptr<Worker>> workers;
-    std::vector<std::thread> threads;
-    for (std::uint32_t i = 0; i < kWorkers; ++i) {
-      auto [c, w] = net::socket_pair();
-      workers.push_back(std::make_unique<Worker>(w.fd(), i));
-      coordinator_side.push_back(std::move(c));
-      worker_side.push_back(std::move(w));
-    }
-    for (std::uint32_t i = 0; i < kWorkers; ++i) {
-      threads.emplace_back(
-          [&worker = *workers[i]] { EXPECT_NO_THROW((void)worker.run()); });
-    }
-    std::vector<int> fds;
-    for (const net::Socket& socket : coordinator_side) {
-      fds.push_back(socket.fd());
-    }
-    try {
-      Coordinator coordinator(config, core::Engine(7), fds);
-      for (std::uint64_t r = 0; r < rounds; ++r) (void)coordinator.step();
-      coordinator.shutdown();
-    } catch (const std::exception& error) {
-      ADD_FAILURE() << error.what();
-    }
-    for (net::Socket& socket : coordinator_side) socket.close();
-    for (std::thread& thread : threads) thread.join();
+  const auto allocations = [](std::uint64_t rounds) {
     std::vector<std::uint64_t> counts;
-    for (const auto& worker : workers) {
+    for (const auto& worker : run_workers(three_chunk_config(), 3, rounds)) {
       EXPECT_EQ(worker->rounds_served(), rounds);
       counts.push_back(worker->arena().allocation_count());
     }
     return counts;
   };
   EXPECT_EQ(allocations(200), allocations(40));
+}
+
+TEST(DistDifferential, WorkersKeepEveryThrowExactlyOnce) {
+  // The ranges partition the bins, so in every round the workers'
+  // kept-throw counts sum to the round's thrown: through the compacted
+  // keep of a partial range (W = 3) and the full range (W = 1).
+  for (const std::uint32_t count : {1u, 3u}) {
+    std::uint64_t rounds_checked = 0;
+    run_workers(three_chunk_config(), count, 30,
+                [&](const core::RoundMetrics& metrics,
+                    const std::vector<std::unique_ptr<Worker>>& workers) {
+                  std::uint64_t kept = 0;
+                  for (const auto& worker : workers) {
+                    if (count > 1) {
+                      EXPECT_LT(worker->kept_throws(), metrics.thrown);
+                    }
+                    kept += worker->kept_throws();
+                  }
+                  EXPECT_EQ(kept, metrics.thrown)
+                      << count << " worker(s), round " << metrics.round;
+                  ++rounds_checked;
+                });
+    EXPECT_EQ(rounds_checked, 30u);
+  }
 }
 
 TEST(DistDifferential, WorkerInitRejectsRangesThatWrap) {

@@ -6,7 +6,9 @@
 // state), ball-trace span streams, snapshot-resume behaviour and
 // step_with_choices — across deletion disciplines, acceptance orders,
 // arrival models, crash-requeue failures, per-bin capacities and the
-// d-choice sampler — and are unchanged by the run-time instruments.
+// d-choice sampler — and are unchanged by the run-time instruments. The
+// range draw (draw_slice) must keep exactly a serial draw's in-range
+// choices, for any range.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,7 +25,9 @@
 #include "fault/fault_plan.hpp"
 #include "fault/schedule.hpp"
 #include "rng/bounded.hpp"
+#include "rng/simd.hpp"
 #include "rng/xoshiro256.hpp"
+#include "scenario/arrival.hpp"
 #include "telemetry/ball_trace.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/phase_timers.hpp"
@@ -41,6 +45,7 @@ using iba::core::Engine;
 using iba::core::FailureMode;
 using iba::core::RoundKernel;
 using iba::core::RoundMetrics;
+using iba::rng::SimdBackend;
 
 struct Scenario {
   const char* name;
@@ -1089,6 +1094,131 @@ TEST(StreamRegions, OverflowWidensAndTheRedrawMatchesTheSerialDraw) {
     EXPECT_EQ(stream, expected[c]) << "chunk " << c;
   }
 }
+
+// draw_slice against a serial reference: one fill over every throw,
+// then a filter to the range. A range narrower than n takes the compacted
+// keep, the full range its plain loop; both must give the serial draw's
+// streams, sentinels, kept count and post-draw engine state, through the
+// uniform draw and the Zipf sampler, over more than three 4096-choice
+// batches with bucket ends inside a batch.
+struct KeepCase {
+  const char* name;
+  std::uint32_t bin_lo;
+  std::uint32_t bins;
+  bool zipf;
+};
+
+void PrintTo(const KeepCase& keep, std::ostream* out) {
+  *out << keep.name << (keep.zipf ? " zipf" : " uniform");
+}
+
+class DrawSliceKeep : public ::testing::TestWithParam<KeepCase> {};
+
+// A ragged n: three full chunks and a partial one.
+constexpr std::uint32_t kKeepN = 3 * iba::core::kChunkWidth + 777;
+
+TEST_P(DrawSliceKeep, MatchesTheSerialDrawFiltered) {
+  using iba::core::kChunkBits;
+  using iba::core::kChunkWidth;
+  using iba::core::kSentinel;
+  using iba::core::StreamRegions;
+  using iba::core::ThrowSlice;
+  const KeepCase& param = GetParam();
+  ASSERT_LE(param.bin_lo + param.bins, kKeepN);
+  const std::vector<std::uint64_t> bucket_ends = {1000, 6000, 9100, 14000};
+  const ThrowSlice all{.hi = bucket_ends.back(),
+                       .bucket_hi = bucket_ends.size()};
+  iba::scenario::ZipfBinSampler zipf(kKeepN, 0.8);
+  iba::core::BinChoiceSampler* const sampler =
+      param.zipf ? &zipf : nullptr;
+
+  Engine serial(kSeed);
+  std::vector<std::uint32_t> choices(all.hi);
+  if (sampler != nullptr) {
+    zipf.fill(serial, choices);
+  } else {
+    iba::rng::fill_bounded(serial, std::span<std::uint32_t>(choices),
+                           kKeepN);
+  }
+  std::vector<std::vector<std::uint16_t>> expected(
+      iba::core::chunk_count(param.bins));
+  std::uint64_t in_range = 0;
+  std::size_t idx = 0;
+  for (const std::uint64_t end : bucket_ends) {
+    for (; idx < end; ++idx) {
+      if (choices[idx] < param.bin_lo ||
+          choices[idx] - param.bin_lo >= param.bins) {
+        continue;
+      }
+      const std::uint32_t bin = choices[idx] - param.bin_lo;
+      expected[bin >> kChunkBits].push_back(
+          static_cast<std::uint16_t>(bin & (kChunkWidth - 1)));
+      ++in_range;
+    }
+    for (auto& stream : expected) stream.push_back(kSentinel);
+  }
+  ASSERT_GT(in_range, 0u);
+
+  // The worker's draw on each SIMD backend (the keep has a scalar and an
+  // AVX2 form): regions for a uniform draw, widened and redrawn until
+  // every stream fits.
+  for (const SimdBackend backend :
+       {SimdBackend::kScalar, SimdBackend::kAvx2}) {
+    iba::rng::set_simd_backend(backend);
+    StreamRegions regions;
+    regions.shape(1, param.bins);
+    regions.widen_uniform({&all, 1}, kKeepN);
+    Engine drawn(kSeed);
+    std::uint64_t kept = 0;
+    do {
+      regions.rewind();
+      drawn = Engine(kSeed);
+      kept = iba::core::draw_slice(regions, 0, all, bucket_ends, drawn,
+                                   sampler, kKeepN, param.bin_lo);
+    } while (!regions.fit());
+    iba::rng::reset_simd_backend();
+
+    const char* const name = iba::rng::simd_backend_name(backend);
+    EXPECT_EQ(drawn, serial) << name;
+    EXPECT_EQ(kept, in_range) << name;
+    for (std::uint32_t c = 0; c < regions.chunks(); ++c) {
+      const std::vector<std::uint16_t> stream(
+          regions.data() + regions.begins()[c],
+          regions.data() + regions.cursors()[c]);
+      EXPECT_EQ(stream, expected[c]) << name << ", chunk " << c;
+    }
+  }
+}
+
+std::vector<KeepCase> keep_cases() {
+  // The coordinator's W = 3 split: the first n % 3 ranges hold one more.
+  const auto lo = [](std::uint32_t w) {
+    return w * (kKeepN / 3) + std::min(w, kKeepN % 3);
+  };
+  const std::vector<KeepCase> ranges = {
+      {"first_of_three", 0, lo(1), false},
+      {"middle_of_three", lo(1), lo(2) - lo(1), false},
+      {"last_of_three", lo(2), kKeepN - lo(2), false},
+      {"narrower_than_a_chunk", 5000, 300, false},
+      {"starts_mid_chunk", iba::core::kChunkWidth + 4000,
+       iba::core::kChunkWidth + 1000, false},
+      {"full", 0, kKeepN, false}};
+  std::vector<KeepCase> all;
+  for (const bool zipf : {false, true}) {
+    for (KeepCase c : ranges) {
+      c.zipf = zipf;
+      all.push_back(c);
+    }
+  }
+  return all;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Ranges, DrawSliceKeep, ::testing::ValuesIn(keep_cases()),
+    [](const ::testing::TestParamInfo<KeepCase>& case_info) {
+      return std::string(case_info.param.name) +
+             (case_info.param.zipf ? "_zipf" : "_uniform");
+    });
 
 TEST(KernelDifferential, ConfigValidationRejectsShardedScalar) {
   CappedConfig config = base_config();
