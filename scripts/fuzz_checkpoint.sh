@@ -1,11 +1,14 @@
 #!/usr/bin/env bash
 # Deterministic corruption fuzz of the checkpoint loader through the
-# simulate CLI: generate real checkpoints, then feed --resume garbage,
-# foreign-format headers and valid-CRC control-plane field corruptions.
-# Every corrupt file must be REJECTED with a clean exit 1 (no crash, no
-# signal death, no silent acceptance); the pristine files must still
-# resume. Truncation at every offset, every bit flip and trailing bytes
-# are covered in-process by tests/corruption_battery_test.cpp.
+# scenario_run CLI: stop real scenario runs to get checkpoints, then
+# feed --resume garbage, foreign-format headers and valid-CRC
+# control-plane field corruptions. Every corrupt checkpoint sits beside
+# a copy of the pristine .progress sidecar, so a rejection can only come
+# from the checkpoint decoder. Each must be REJECTED with a clean
+# non-zero exit below 128 (no crash, no signal death, no silent
+# acceptance); the pristine checkpoints must still resume. Truncation at
+# every offset, every bit flip and trailing bytes are covered in-process
+# by tests/corruption_battery_test.cpp.
 #
 #   scripts/fuzz_checkpoint.sh [build-dir]     # default: build
 #
@@ -14,38 +17,51 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 build_dir="${1:-build}"
-simulate="$build_dir/examples/simulate"
+scenario_run="$build_dir/examples/scenario_run"
 
-if [ ! -x "$simulate" ]; then
-  echo "error: $simulate not built (cmake --build $build_dir)" >&2
+if [ ! -x "$scenario_run" ]; then
+  echo "error: $scenario_run not built (cmake --build $build_dir)" >&2
   exit 1
 fi
 
 work="$(mktemp -d "${TMPDIR:-/tmp}/iba_fuzz_ckpt.XXXXXX")"
 trap 'rm -rf "$work"' EXIT
+
+# seed <scenario> <checkpoint> <round>: stop the scenario at <round>,
+# then check that the pristine checkpoint resumes to the end (exit 0).
+seed() {
+  local scn="$1" out="$2" round="$3"
+  "$scenario_run" --scenario "$scn" --checkpoint-out "$out" \
+    --stop-after "$round" 2>/dev/null
+  [ -s "$out" ] || { echo "FAIL: no checkpoint written" >&2; exit 1; }
+  if ! "$scenario_run" --scenario "$scn" --resume "$out" \
+      >/dev/null 2>&1; then
+    echo "FAIL: pristine checkpoint $out rejected" >&2
+    exit 1
+  fi
+  echo "    pristine $(basename "$out") resumes: ok"
+}
+
+echo "==> generating seed checkpoints"
+fault_scn=tests/scenarios/mass_crash.scn
 ckpt="$work/seed.ckpt"
-
-echo "==> generating seed checkpoint"
-"$simulate" --n 512 --lambda 0.875 --rounds 80 --seed 7 \
-  --faults 'crash@30:bins=0-255,down=10;random-crash:p=0.01,down=5' \
-  --checkpoint-out "$ckpt" --checkpoint-every 40 >/dev/null
-[ -s "$ckpt" ] || { echo "FAIL: no checkpoint written" >&2; exit 1; }
-
-# Resuming the pristine file must work (exit 0).
-if ! "$simulate" --resume "$ckpt" --rounds 20 >/dev/null 2>&1; then
-  echo "FAIL: pristine checkpoint rejected" >&2
-  exit 1
-fi
-echo "    pristine checkpoint resumes: ok"
+seed "$fault_scn" "$ckpt" 150
+# c = 1 past its sweet spot: the controller applies a change before the
+# save, so counters, cooldown and policy memory are non-trivial.
+control_scn=tests/scenarios/adaptive_sweet_spot.scn
+cckpt="$work/control.ckpt"
+seed "$control_scn" "$cckpt" 200
 
 fails=0
 cases=0
 
-# try <name> <file>: the loader must exit 1 (clean rejection) — not 0
-# (silent acceptance) and not >=128 (killed by a signal).
+# try <name> <file> <scenario> <seed checkpoint>: resuming <file> beside
+# the seed's pristine sidecar must exit non-zero (no silent acceptance)
+# and below 128 (not killed by a signal).
 try() {
-  local name="$1" file="$2" rc=0
-  "$simulate" --resume "$file" --rounds 5 >/dev/null 2>&1 || rc=$?
+  local name="$1" file="$2" scn="$3" pristine="$4" rc=0
+  cp "$pristine.progress" "$file.progress"
+  "$scenario_run" --scenario "$scn" --resume "$file" >/dev/null 2>&1 || rc=$?
   cases=$((cases + 1))
   if [ "$rc" -eq 0 ]; then
     echo "FAIL: $name was accepted" >&2
@@ -58,17 +74,17 @@ try() {
 
 echo "==> garbage and format attacks"
 printf 'not a checkpoint\n' > "$work/garbage"
-try "plain-text garbage" "$work/garbage"
+try "plain-text garbage" "$work/garbage" "$fault_scn" "$ckpt"
 head -c 512 /dev/zero > "$work/zeros"
-try "all-zero file" "$work/zeros"
+try "all-zero file" "$work/zeros" "$fault_scn" "$ckpt"
 printf 'iba-checkpoint 1 0 0\n' > "$work/downlevel"
-try "downlevel v1 header" "$work/downlevel"
+try "downlevel v1 header" "$work/downlevel" "$fault_scn" "$ckpt"
 printf 'iba-checkpoint 3 0 999999999\n' > "$work/liar"
-try "length-lying header" "$work/liar"
+try "length-lying header" "$work/liar" "$fault_scn" "$ckpt"
 # A v2 header over an intact body (CRC and length still valid): format
 # v2 predates the control plane and is no longer loaded.
 sed '1s/^iba-checkpoint 3 /iba-checkpoint 2 /' "$ckpt" > "$work/v2"
-try "v2 header" "$work/v2"
+try "v2 header" "$work/v2" "$fault_scn" "$ckpt"
 
 # v3 control-plane corruptions. Flipping body bytes alone is caught by
 # the CRC before the parser ever sees the field, so these cases rewrite
@@ -116,25 +132,15 @@ PY
 }
 
 echo "==> v3 control-plane field corruptions (CRC recomputed)"
-cckpt="$work/control.ckpt"
-# λ = 1 − 2⁻⁵ from c = 1 so the controller actually applies a change
-# before the save: counters, cooldown and policy memory are non-trivial.
-"$simulate" --n 512 --lambda 0.96875 --c 1 --rounds 80 --seed 7 \
-  --control sweet-spot --c-max 8 --control-window 16 --cooldown 8 \
-  --checkpoint-out "$cckpt" --checkpoint-every 40 >/dev/null
-[ -s "$cckpt" ] || { echo "FAIL: no control checkpoint written" >&2; exit 1; }
-if ! "$simulate" --resume "$cckpt" --rounds 20 >/dev/null 2>&1; then
-  echo "FAIL: pristine control checkpoint rejected" >&2
-  exit 1
-fi
-echo "    pristine control checkpoint resumes: ok"
-
 mutate truncate-estimator "$cckpt" "$work/est_trunc"
-try "truncated estimator block (valid CRC)" "$work/est_trunc"
+try "truncated estimator block (valid CRC)" "$work/est_trunc" \
+  "$control_scn" "$cckpt"
 mutate policy-oob "$cckpt" "$work/policy_oob"
-try "control policy id out of range (valid CRC)" "$work/policy_oob"
+try "control policy id out of range (valid CRC)" "$work/policy_oob" \
+  "$control_scn" "$cckpt"
 mutate cooldown-flip "$cckpt" "$work/cooldown_flip"
-try "cooldown_until bit flip (valid CRC)" "$work/cooldown_flip"
+try "cooldown_until bit flip (valid CRC)" "$work/cooldown_flip" \
+  "$control_scn" "$cckpt"
 
 echo "==> $cases corrupt variants tested, $fails misbehaved"
 if [ "$fails" -ne 0 ]; then

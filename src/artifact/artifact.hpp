@@ -106,7 +106,7 @@ struct ResultArtifact {
 
 /// The paper's Section V observables of a finished run, derived from the
 /// artifact's exact integers — what the CAPPED benches tabulate and what
-/// `simulate --process capped` reports.
+/// the quickstart and sweet_spot_finder examples report.
 struct Observables {
   double pool_mean = 0.0;           ///< Σ pool / measured rounds
   double pool_over_n = 0.0;         ///< the y-axis of Figure 4

@@ -17,14 +17,10 @@
 
 namespace iba::scenario {
 
-namespace {
-
-/// Both entry points: the single-process owner and its extras (fault
-/// plan, auditor, time series, flight recorder) around run_loop. It
-/// continues `given` when set (continue_run), else options.resume with
-/// its sidecars, else starts fresh.
-RunOutcome run(const Scenario& scn, const RunOptions& options,
-               sim::Checkpoint* given) {
+/// The single-process owner and its extras (fault plan, auditor, time
+/// series, flight recorder) around run_loop. It continues
+/// options.resume with its sidecars, else starts fresh.
+RunOutcome run_scenario(const Scenario& scn, const RunOptions& options) {
   const std::uint32_t n = scn.n;
   const core::RoundKernel kernel = options.kernel.value_or(scn.kernel);
   const std::uint32_t shards =
@@ -70,10 +66,8 @@ RunOutcome run(const Scenario& scn, const RunOptions& options,
   const std::uint32_t plan_ceiling =
       scn.control.enabled() ? scn.control.c_max : scn.capacity;
 
-  sim::Checkpoint loaded;
   if (!options.resume.empty()) {
-    loaded = sim::load_checkpoint_full(options.resume);
-    given = &loaded;
+    sim::Checkpoint loaded = sim::load_checkpoint_full(options.resume);
     progress = load_progress(options.resume + ".progress");
     if (recording && !options.flight_recorder.empty() &&
         (progress.digest != plan.digest || progress.seed != plan.seed ||
@@ -91,25 +85,19 @@ RunOutcome run(const Scenario& scn, const RunOptions& options,
                             " round " + std::to_string(progress.rounds_done));
       recorder->write_bundle(options.flight_recorder);
     }
-  } else if (given != nullptr) {
-    IBA_EXPECT(given->snapshot.config.n == n,
-               "continue_run: checkpoint and scenario disagree on n");
-    progress.rounds_done = given->snapshot.round;
-  }
-  if (given != nullptr) {
-    check_resume(plan, progress, given->snapshot.round);
+    check_resume(plan, progress, loaded.snapshot.round);
     // Execution hints are free to change on resume — overwrite them in
     // the restored config before the process spins up its thread pool.
-    given->snapshot.config.kernel = kernel;
-    given->snapshot.config.shards = shards;
-    process = std::make_unique<core::Capped>(given->snapshot);
-    if (given->has_fault_state) {
+    loaded.snapshot.config.kernel = kernel;
+    loaded.snapshot.config.shards = shards;
+    process = std::make_unique<core::Capped>(loaded.snapshot);
+    if (loaded.has_fault_state) {
       faults = std::make_unique<fault::FaultPlan>(
-          fault::parse_schedule(given->fault_schedule), n, plan_ceiling,
-          given->fault_seed);
-      faults->restore(given->fault_state);
+          fault::parse_schedule(loaded.fault_schedule), n, plan_ceiling,
+          loaded.fault_seed);
+      faults->restore(loaded.fault_state);
     }
-    if (recording && !options.resume.empty()) {
+    if (recording) {
       load_record(*series, *recorder, options.resume + ".record");
     }
   } else {
@@ -287,19 +275,6 @@ RunOutcome run(const Scenario& scn, const RunOptions& options,
   };
 
   return run_loop(scn, plan, *process, progress, hooks);
-}
-
-}  // namespace
-
-RunOutcome run_scenario(const Scenario& scn, const RunOptions& options) {
-  return run(scn, options, nullptr);
-}
-
-RunOutcome continue_run(const Scenario& scn, sim::Checkpoint checkpoint,
-                        const RunOptions& options) {
-  IBA_EXPECT(options.resume.empty(),
-             "continue_run: the checkpoint is given; resume must be empty");
-  return run(scn, options, &checkpoint);
 }
 
 }  // namespace iba::scenario

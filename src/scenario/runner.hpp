@@ -33,10 +33,6 @@
 #include "core/policies.hpp"
 #include "scenario/scenario.hpp"
 
-namespace iba::sim {
-struct Checkpoint;
-}  // namespace iba::sim
-
 namespace iba::scenario {
 
 /// Execution knobs of one run — everything here is free to vary without
@@ -95,15 +91,6 @@ struct RunOutcome {
 /// failures; fault schedules that do not fit the geometry surface as
 /// fault::ScheduleError.
 [[nodiscard]] RunOutcome run_scenario(const Scenario& scenario,
-                                      const RunOptions& options = {});
-
-/// Runs the rounds of `scenario` after the checkpoint's round through
-/// run_scenario's loop, from a loaded checkpoint and no sidecar (the
-/// `simulate --resume` path). The measured-window accumulators start
-/// empty; lifetime counters and the cumulative wait statistics continue
-/// the checkpoint's. `options.resume` must be empty.
-[[nodiscard]] RunOutcome continue_run(const Scenario& scenario,
-                                      sim::Checkpoint checkpoint,
                                       const RunOptions& options = {});
 
 }  // namespace iba::scenario
