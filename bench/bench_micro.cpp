@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "core/arena.hpp"
 #include "core/capped.hpp"
 #include "core/greedy.hpp"
 #include "core/modcapped.hpp"
@@ -116,6 +117,27 @@ void BM_CappedScatter(benchmark::State& state) {
   state.SetLabel(shards == 1 ? "serial" : "parallel");
 }
 BENCHMARK(BM_CappedScatter)->Arg(1)->Arg(2)->Arg(4);
+
+// First touch of fresh arena memory, the cost a run pays once for its
+// bin state: allocate from a fresh Arena, write one byte per 4 KiB page,
+// free. Arg is the block size; 1 MiB stays on the heap, 64 MiB is a
+// huge-page-advised mapping (see core/arena.hpp).
+void BM_ArenaFirstTouch(benchmark::State& state) {
+  const auto bytes = static_cast<std::size_t>(state.range(0));
+  for (auto _ : state) {
+    core::Arena arena;
+    auto* block = static_cast<unsigned char*>(arena.allocate(bytes));
+    for (std::size_t i = 0; i < bytes; i += 4096) block[i] = 1;
+    benchmark::DoNotOptimize(block);
+    benchmark::ClobberMemory();
+    arena.deallocate(block);
+  }
+  state.counters["MiB/s"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) *
+          static_cast<double>(bytes) / (1 << 20),
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_ArenaFirstTouch)->Arg(1 << 20)->Arg(64 << 20);
 
 void BM_BinTablePushPop(benchmark::State& state) {
   queueing::BinTable bins(1 << 10, 4);

@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "dist/checkpoint.hpp"
 #include "dist/coordinator.hpp"
 #include "dist/runner.hpp"
 #include "dist/worker.hpp"
@@ -63,7 +64,14 @@ int run_coordinator(const io::ArgParser& parser) {
 
   const std::string out_path = parser.get("out");
   const std::string golden_path = parser.get("golden");
-  io::guard_overwrite(out_path, parser.get_bool("force"), "--out");
+  const bool force = parser.get_bool("force");
+  io::guard_overwrite(out_path, force, "--out");
+  // A fresh run must not replace another run's committed generation; a
+  // resume keeps saving under the base it resumed from.
+  if (!options.resume && !options.checkpoint_base.empty()) {
+    io::guard_overwrite(dist::manifest_path(options.checkpoint_base), force,
+                        "--checkpoint-out");
+  }
 
   const io::HostPort endpoint =
       io::parse_host_port(parser.get("listen"), "--listen");
@@ -168,7 +176,10 @@ int main(int argc, char** argv) {
                   "coordinator: sleep this long after each round (widens "
                   "the kill window in drills)",
                   "0");
-  parser.add_flag("force", "overwrite existing output files", "false");
+  parser.add_flag("force",
+                  "overwrite existing output files and another run's "
+                  "checkpoint",
+                  "false");
 
   try {
     if (!parser.parse_or_exit(argc, argv)) return 0;

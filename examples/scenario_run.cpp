@@ -14,7 +14,9 @@
 // malformed scenario — the diagnostic names file:line, section and key),
 // 3 expectation/audit/golden violation.
 #include <cstdio>
+#include <filesystem>
 #include <string>
+#include <system_error>
 
 #include "fault/schedule.hpp"
 #include "io/cli.hpp"
@@ -62,6 +64,17 @@ int run(const io::ArgParser& parser) {
   io::guard_overwrite(out_path, force, "--out");
   io::guard_overwrite(options.timeseries_out, force, "--timeseries-out");
   io::guard_overwrite(options.flight_recorder, force, "--flight-recorder");
+  // A fresh run must not replace another run's resume point; a resume
+  // keeps saving to the checkpoint it resumed from.
+  std::error_code ec;
+  if (!options.checkpoint_out.empty() &&
+      !std::filesystem::equivalent(options.checkpoint_out, options.resume,
+                                   ec)) {
+    for (const char* suffix : {"", ".progress", ".record"}) {
+      io::guard_overwrite(options.checkpoint_out + suffix, force,
+                          "--checkpoint-out");
+    }
+  }
 
   if (parser.get_bool("print-canonical")) {
     std::fputs(scn.canonical_text().c_str(), stdout);
@@ -132,7 +145,10 @@ int main(int argc, char** argv) {
                   "print the canonical scenario text and digest inputs, "
                   "then exit",
                   "false");
-  parser.add_flag("force", "overwrite existing output files", "false");
+  parser.add_flag("force",
+                  "overwrite existing output files and another run's "
+                  "checkpoint",
+                  "false");
 
   try {
     if (!parser.parse_or_exit(argc, argv)) return 0;

@@ -3,8 +3,15 @@
 // core::Capped owns one Arena; its bin table and kernel scratch buffers
 // allocate through it, so allocation_count() says whether a round
 // allocated. Benchmarks assert that a steady-state round allocates
-// nothing (bench_kernel_throughput exits non-zero otherwise). Blocks
-// come from the heap, zeroed and 64-byte aligned.
+// nothing (bench_kernel_throughput exits non-zero otherwise).
+//
+// Every block is zeroed and at least 64-byte aligned. A block of 2 MiB or
+// more (the bin table, the chunk-stream regions, the choice scratch) is
+// its own private anonymous mapping: 2 MiB-aligned, its length rounded up
+// to 2 MiB, advised MADV_HUGEPAGE and zeroed by the kernel, so a run's
+// first touch of its bin state faults 2 MiB pages instead of a memset
+// faulting 4 KiB ones. Smaller blocks come from the heap and are
+// memset, so a small block never holds a 2 MiB page of RSS.
 #pragma once
 
 #include <cstddef>
@@ -18,9 +25,13 @@
 namespace iba::core {
 
 /// Counting block allocator. All allocations return zeroed, 64-byte
-/// aligned heap memory.
+/// aligned memory; blocks of kHugePage bytes or more are kHugePage-aligned
+/// huge-page-advised mappings.
 class Arena {
  public:
+  /// Threshold, length granule and alignment of mapped blocks.
+  static constexpr std::size_t kHugePage = std::size_t{2} << 20;
+
   Arena() = default;
   ~Arena();
 
@@ -47,6 +58,7 @@ class Arena {
   struct Block {
     void* ptr = nullptr;
     std::size_t bytes = 0;
+    std::size_t mapped = 0;  // mapping length; 0 = heap block
   };
 
   std::vector<Block> blocks_;

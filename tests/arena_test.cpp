@@ -1,7 +1,8 @@
 // Unit tests of the core::Arena allocation counter and the grow-only
-// ArenaBuffer that fronts it: zeroing and alignment guarantees,
-// allocation accounting (the "no allocations at steady state" signal),
-// and the buffer's geometric-growth / content-preservation contract.
+// ArenaBuffer that fronts it: zeroing and alignment guarantees of heap
+// and huge-page-mapped blocks, allocation accounting (the "no
+// allocations at steady state" signal), and the buffer's
+// geometric-growth / content-preservation contract.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -37,6 +38,68 @@ TEST(Arena, SmallAllocationsComeFromTheHeapZeroedAndAligned) {
   EXPECT_EQ(arena.allocation_count(), 1u);  // cumulative
 }
 
+bool huge_aligned(const void* ptr) {
+  return reinterpret_cast<std::uintptr_t>(ptr) % Arena::kHugePage == 0;
+}
+
+TEST(Arena, MappedBlocksComeBackZeroedAndHugePageAligned) {
+  // 2 MiB exactly (the threshold), a length the mapping rounds up, and a
+  // 64 MiB bin-table-sized block.
+  for (const std::size_t bytes : {Arena::kHugePage, Arena::kHugePage + 12345,
+                                   std::size_t{64} << 20}) {
+    Arena arena;
+    void* ptr = arena.allocate(bytes);
+    ASSERT_NE(ptr, nullptr);
+    EXPECT_TRUE(huge_aligned(ptr)) << bytes;
+    EXPECT_TRUE(all_zero(ptr, bytes)) << bytes;
+    std::memset(ptr, 0xAB, bytes);  // the whole block is writable
+    EXPECT_EQ(arena.live_bytes(), bytes);
+    arena.deallocate(ptr);
+    EXPECT_EQ(arena.live_bytes(), 0u);
+  }
+}
+
+#if defined(__SANITIZE_ADDRESS__)
+TEST(ArenaDeathTest, ReadPastMappedBlockEndIsReported) {
+  // The mapping's rounding slack is poisoned, so AddressSanitizer still
+  // sees the block's true end.
+  Arena arena;
+  const std::size_t bytes = Arena::kHugePage + 100;
+  auto* ptr = static_cast<volatile unsigned char*>(arena.allocate(bytes));
+  EXPECT_DEATH((void)ptr[bytes], "use-after-poison");
+}
+#endif
+
+TEST(Arena, FreedThenReallocatedBlockIsZero) {
+  // Heap and mapped blocks alike: a block reused after a dirty free
+  // still comes back zeroed.
+  for (const std::size_t bytes :
+       {std::size_t{4096}, Arena::kHugePage, std::size_t{8} << 20}) {
+    Arena arena;
+    void* first = arena.allocate(bytes);
+    std::memset(first, 0xFF, bytes);
+    arena.deallocate(first);
+    void* second = arena.allocate(bytes);
+    EXPECT_TRUE(all_zero(second, bytes)) << bytes;
+    arena.deallocate(second);
+    EXPECT_EQ(arena.live_bytes(), 0u);
+  }
+}
+
+TEST(Arena, AllocationCountCountsHeapAndMappedBlocksAlike) {
+  Arena arena;
+  void* small = arena.allocate(64);
+  void* large = arena.allocate(std::size_t{4} << 20);
+  EXPECT_EQ(arena.allocation_count(), 2u);
+  EXPECT_EQ(arena.live_bytes(), 64u + (std::size_t{4} << 20));
+  arena.deallocate(large);
+  arena.deallocate(small);
+  EXPECT_EQ(arena.allocation_count(), 2u);  // cumulative, not live
+  EXPECT_EQ(arena.live_bytes(), 0u);
+  (void)arena.allocate(0);  // no block, no count
+  EXPECT_EQ(arena.allocation_count(), 2u);
+}
+
 TEST(Arena, ZeroBytesReturnsNull) {
   Arena arena;
   EXPECT_EQ(arena.allocate(0), nullptr);
@@ -67,6 +130,27 @@ TEST(ArenaBuffer, ResizePreservesContentsAndZeroesFreshCapacity) {
   for (std::size_t i = 100; i < 1000; ++i) {
     EXPECT_EQ(buffer[i], 0u) << "fresh element " << i << " not zeroed";
   }
+}
+
+TEST(ArenaBuffer, GrowingAcrossTheHugePageThresholdKeepsContents) {
+  // From a heap block to a mapped one: the copied prefix survives and
+  // the fresh tail is zero.
+  Arena arena;
+  ArenaBuffer<std::uint64_t> buffer;
+  buffer.set_arena(&arena);
+  const std::size_t before = (Arena::kHugePage / sizeof(std::uint64_t)) / 2;
+  buffer.resize(before);
+  std::iota(buffer.begin(), buffer.end(), std::uint64_t{1});
+  const std::size_t after = 3 * Arena::kHugePage / sizeof(std::uint64_t);
+  buffer.resize(after);
+  EXPECT_TRUE(huge_aligned(buffer.data()));
+  EXPECT_EQ(arena.allocation_count(), 2u);
+  for (std::size_t i = 0; i < before; ++i) {
+    ASSERT_EQ(buffer[i], i + 1) << "grow lost element " << i;
+  }
+  EXPECT_TRUE(all_zero(buffer.data() + before,
+                       (after - before) * sizeof(std::uint64_t)));
+  EXPECT_EQ(arena.live_bytes(), buffer.capacity() * sizeof(std::uint64_t));
 }
 
 TEST(ArenaBuffer, ShrinkThenRegrowDoesNotReallocate) {
