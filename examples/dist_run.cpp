@@ -24,7 +24,6 @@
 #include <string>
 #include <vector>
 
-#include "dist/checkpoint.hpp"
 #include "dist/coordinator.hpp"
 #include "dist/runner.hpp"
 #include "dist/worker.hpp"
@@ -32,6 +31,7 @@
 #include "net/socket.hpp"
 #include "scenario/loop.hpp"
 #include "scenario/scenario.hpp"
+#include "sim/generation.hpp"
 
 namespace {
 
@@ -69,7 +69,7 @@ int run_coordinator(const io::ArgParser& parser) {
   // A fresh run must not replace another run's committed generation; a
   // resume keeps saving under the base it resumed from.
   if (!options.resume && !options.checkpoint_base.empty()) {
-    io::guard_overwrite(dist::manifest_path(options.checkpoint_base), force,
+    io::guard_overwrite(sim::manifest_path(options.checkpoint_base), force,
                         "--checkpoint-out");
   }
 

@@ -7,6 +7,8 @@
 //   $ ./scenario_run --scenario s.scn --golden tests/goldens/s.artifact
 //     # regression check: exit 3 on any byte difference
 //   $ ./scenario_run --scenario s.scn --checkpoint-out s.ckpt --stop-after 400
+//     # saves the generation s.ckpt.r400.coord{,.progress} and commits it
+//     # in s.ckpt.manifest (sim/generation.hpp)
 //   $ ./scenario_run --scenario s.scn --resume s.ckpt --out resumed.artifact
 //     # resumed.artifact is byte-identical to the uninterrupted run
 //
@@ -14,15 +16,14 @@
 // malformed scenario — the diagnostic names file:line, section and key),
 // 3 expectation/audit/golden violation.
 #include <cstdio>
-#include <filesystem>
 #include <string>
-#include <system_error>
 
 #include "fault/schedule.hpp"
 #include "io/cli.hpp"
 #include "scenario/loop.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/scenario.hpp"
+#include "sim/generation.hpp"
 
 namespace {
 
@@ -64,16 +65,12 @@ int run(const io::ArgParser& parser) {
   io::guard_overwrite(out_path, force, "--out");
   io::guard_overwrite(options.timeseries_out, force, "--timeseries-out");
   io::guard_overwrite(options.flight_recorder, force, "--flight-recorder");
-  // A fresh run must not replace another run's resume point; a resume
-  // keeps saving to the checkpoint it resumed from.
-  std::error_code ec;
+  // A fresh run must not replace another run's committed generation; a
+  // resume keeps saving under the base it resumed from.
   if (!options.checkpoint_out.empty() &&
-      !std::filesystem::equivalent(options.checkpoint_out, options.resume,
-                                   ec)) {
-    for (const char* suffix : {"", ".progress", ".record"}) {
-      io::guard_overwrite(options.checkpoint_out + suffix, force,
-                          "--checkpoint-out");
-    }
+      !sim::same_base(options.checkpoint_out, options.resume)) {
+    io::guard_overwrite(sim::manifest_path(options.checkpoint_out), force,
+                        "--checkpoint-out");
   }
 
   if (parser.get_bool("print-canonical")) {
@@ -116,13 +113,14 @@ int main(int argc, char** argv) {
                   "invariant in this)",
                   "");
   parser.add_flag("seed", "override the scenario's seed", "");
-  parser.add_flag("checkpoint-out", "checkpoint path (with .progress sidecar)",
-                  "");
+  parser.add_flag("checkpoint-out",
+                  "checkpoint base B (each save commits B.manifest)", "");
   parser.add_flag("checkpoint-every",
                   "checkpoint cadence in rounds (requires --checkpoint-out; "
                   "0 = scenario's run.checkpoint-every)",
                   "0");
-  parser.add_flag("resume", "resume from this checkpoint", "");
+  parser.add_flag("resume", "resume from checkpoint base B's B.manifest",
+                  "");
   parser.add_flag("stop-after",
                   "stop after this many total rounds and checkpoint "
                   "(kill-and-resume testing; requires --checkpoint-out)",

@@ -1,14 +1,17 @@
 #!/usr/bin/env bash
 # Deterministic corruption fuzz of the checkpoint loader through the
-# scenario_run CLI: stop real scenario runs to get checkpoints, then
-# feed --resume garbage, foreign-format headers and valid-CRC
-# control-plane field corruptions. Every corrupt checkpoint sits beside
-# a copy of the pristine .progress sidecar, so a rejection can only come
-# from the checkpoint decoder. Each must be REJECTED with a clean
-# non-zero exit below 128 (no crash, no signal death, no silent
-# acceptance); the pristine checkpoints must still resume. Truncation at
-# every offset, every bit flip and trailing bytes are covered in-process
-# by tests/corruption_battery_test.cpp.
+# scenario_run CLI: stop real scenario runs to get checkpoint
+# generations, then feed --resume garbage, foreign-format headers and
+# valid-CRC control-plane field corruptions. Each corrupt checkpoint is
+# placed as B.r<R>.coord of a copy of the pristine generation, and the
+# copy's manifest re-commits the corrupt file's body CRC, so a rejection
+# can only come from the checkpoint decoder. Each must be REJECTED with a
+# clean non-zero exit below 128 (no crash, no signal death, no silent
+# acceptance); the pristine generations must still resume. One stale
+# case keeps the manifest's CRC, and the manifest must reject a valid
+# checkpoint it did not commit. Truncation at every offset, every bit
+# flip and trailing bytes are covered in-process by
+# tests/corruption_battery_test.cpp.
 #
 #   scripts/fuzz_checkpoint.sh [build-dir]     # default: build
 #
@@ -27,16 +30,19 @@ fi
 work="$(mktemp -d "${TMPDIR:-/tmp}/iba_fuzz_ckpt.XXXXXX")"
 trap 'rm -rf "$work"' EXIT
 
-# seed <scenario> <checkpoint> <round>: stop the scenario at <round>,
-# then check that the pristine checkpoint resumes to the end (exit 0).
+# seed <scenario> <base> <round>: stop the scenario at <round>, then
+# check that the pristine generation resumes to the end (exit 0).
 seed() {
   local scn="$1" out="$2" round="$3"
   "$scenario_run" --scenario "$scn" --checkpoint-out "$out" \
     --stop-after "$round" 2>/dev/null
-  [ -s "$out" ] || { echo "FAIL: no checkpoint written" >&2; exit 1; }
+  if [ ! -s "$out.r$round.coord" ]; then
+    echo "FAIL: no checkpoint written" >&2
+    exit 1
+  fi
   if ! "$scenario_run" --scenario "$scn" --resume "$out" \
       >/dev/null 2>&1; then
-    echo "FAIL: pristine checkpoint $out rejected" >&2
+    echo "FAIL: pristine generation $out rejected" >&2
     exit 1
   fi
   echo "    pristine $(basename "$out") resumes: ok"
@@ -55,36 +61,67 @@ seed "$control_scn" "$cckpt" 200
 fails=0
 cases=0
 
-# try <name> <file> <scenario> <seed checkpoint>: resuming <file> beside
-# the seed's pristine sidecar must exit non-zero (no silent acceptance)
-# and below 128 (not killed by a signal).
+# commit_crc <manifest> <file>: rewrite the manifest's coord-crc as the
+# body CRC of <file> (everything after its first line; the whole file
+# when it has none) and re-seal the manifest's own header CRC.
+commit_crc() {
+  python3 - "$1" "$2" <<'PY'
+import re, sys, zlib
+
+manifest, coord = sys.argv[1:3]
+data = open(coord, 'rb').read()
+crc = zlib.crc32(data[data.find(b'\n') + 1:]) & 0xFFFFFFFF
+text = open(manifest, 'rb').read()
+head, body = text.split(b'\n', 1)
+body = re.sub(rb'^coord-crc = \d+$', b'coord-crc = %d' % crc, body,
+              flags=re.M)
+magic, version = head.split()[:2]
+open(manifest, 'wb').write(b'%s %s %d %d\n' % (
+    magic, version, zlib.crc32(body) & 0xFFFFFFFF, len(body)) + body)
+PY
+}
+
+# try <name> <file> <scenario> <seed base> <round> [stale]: a copy of the
+# seed's generation with <file> as its round-<round> checkpoint, its CRC
+# committed unless "stale", must fail to resume with an exit code in
+# [1, 128) (no silent acceptance, not killed by a signal). A stale case
+# must also be rejected by the manifest.
 try() {
-  local name="$1" file="$2" scn="$3" pristine="$4" rc=0
-  cp "$pristine.progress" "$file.progress"
-  "$scenario_run" --scenario "$scn" --resume "$file" >/dev/null 2>&1 || rc=$?
+  local name="$1" file="$2" scn="$3" pristine="$4" round="$5" stale="${6:-}"
+  local rc=0 dir="$work/case$cases"
   cases=$((cases + 1))
+  mkdir -p "$dir"
+  cp "$pristine.manifest" "$dir/B.manifest"
+  cp "$pristine.r$round.coord.progress" "$dir/B.r$round.coord.progress"
+  cp "$file" "$dir/B.r$round.coord"
+  [ -n "$stale" ] || commit_crc "$dir/B.manifest" "$file"
+  "$scenario_run" --scenario "$scn" --resume "$dir/B" >/dev/null \
+    2>"$dir/err" || rc=$?
   if [ "$rc" -eq 0 ]; then
     echo "FAIL: $name was accepted" >&2
     fails=$((fails + 1))
   elif [ "$rc" -ge 128 ]; then
     echo "FAIL: $name crashed the loader (exit $rc)" >&2
     fails=$((fails + 1))
+  elif [ -n "$stale" ] && ! grep -q "the manifest committed" "$dir/err"; then
+    echo "FAIL: $name was not rejected by the manifest" >&2
+    fails=$((fails + 1))
   fi
 }
 
 echo "==> garbage and format attacks"
 printf 'not a checkpoint\n' > "$work/garbage"
-try "plain-text garbage" "$work/garbage" "$fault_scn" "$ckpt"
+try "plain-text garbage" "$work/garbage" "$fault_scn" "$ckpt" 150
 head -c 512 /dev/zero > "$work/zeros"
-try "all-zero file" "$work/zeros" "$fault_scn" "$ckpt"
+try "all-zero file" "$work/zeros" "$fault_scn" "$ckpt" 150
 printf 'iba-checkpoint 1 0 0\n' > "$work/downlevel"
-try "downlevel v1 header" "$work/downlevel" "$fault_scn" "$ckpt"
+try "downlevel v1 header" "$work/downlevel" "$fault_scn" "$ckpt" 150
 printf 'iba-checkpoint 3 0 999999999\n' > "$work/liar"
-try "length-lying header" "$work/liar" "$fault_scn" "$ckpt"
+try "length-lying header" "$work/liar" "$fault_scn" "$ckpt" 150
 # A v2 header over an intact body (CRC and length still valid): format
 # v2 predates the control plane and is no longer loaded.
-sed '1s/^iba-checkpoint 3 /iba-checkpoint 2 /' "$ckpt" > "$work/v2"
-try "v2 header" "$work/v2" "$fault_scn" "$ckpt"
+sed '1s/^iba-checkpoint 3 /iba-checkpoint 2 /' "$ckpt.r150.coord" > "$work/v2"
+try "v2 header" "$work/v2" "$fault_scn" "$ckpt" 150
 
 # v3 control-plane corruptions. Flipping body bytes alone is caught by
 # the CRC before the parser ever sees the field, so these cases rewrite
@@ -132,15 +169,21 @@ PY
 }
 
 echo "==> v3 control-plane field corruptions (CRC recomputed)"
-mutate truncate-estimator "$cckpt" "$work/est_trunc"
+mutate truncate-estimator "$cckpt.r200.coord" "$work/est_trunc"
 try "truncated estimator block (valid CRC)" "$work/est_trunc" \
-  "$control_scn" "$cckpt"
-mutate policy-oob "$cckpt" "$work/policy_oob"
+  "$control_scn" "$cckpt" 200
+mutate policy-oob "$cckpt.r200.coord" "$work/policy_oob"
 try "control policy id out of range (valid CRC)" "$work/policy_oob" \
-  "$control_scn" "$cckpt"
-mutate cooldown-flip "$cckpt" "$work/cooldown_flip"
+  "$control_scn" "$cckpt" 200
+mutate cooldown-flip "$cckpt.r200.coord" "$work/cooldown_flip"
 try "cooldown_until bit flip (valid CRC)" "$work/cooldown_flip" \
-  "$control_scn" "$cckpt"
+  "$control_scn" "$cckpt" 200
+
+echo "==> a valid checkpoint the manifest did not commit (stale CRC)"
+"$scenario_run" --scenario "$fault_scn" --seed 2 --checkpoint-out \
+  "$work/other.ckpt" --stop-after 150 2>/dev/null
+try "another seed's checkpoint (stale manifest CRC)" \
+  "$work/other.ckpt.r150.coord" "$fault_scn" "$ckpt" 150 stale
 
 echo "==> $cases corrupt variants tested, $fails misbehaved"
 if [ "$fails" -ne 0 ]; then

@@ -1,11 +1,9 @@
 #include "dist/coordinator.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <utility>
 
 #include "common/assert.hpp"
-#include "dist/checkpoint.hpp"
 #include "net/socket.hpp"
 #include "scenario/arrival.hpp"
 #include "sim/checkpoint.hpp"
@@ -57,7 +55,6 @@ Coordinator::Coordinator(const core::CappedSnapshot& snapshot,
     : Coordinator(core::PoolSide(snapshot), std::move(worker_fds), options) {
   IBA_EXPECT(shard_crcs.size() == workers(),
              "Coordinator: need one committed shard CRC per worker");
-  last_saved_round_ = round();  // the generation being resumed from
   init_workers(resume_base, shard_crcs);
 }
 
@@ -94,7 +91,7 @@ void Coordinator::init_workers(const std::string& resume_base,
     init.capacity = side_.config().capacity;
     init.round = round();
     if (!resume_base.empty()) {
-      init.resume_shard = shard_path(resume_base, round(), w);
+      init.resume_shard = sim::shard_path(resume_base, round(), w);
     }
     try {
       send_init(links_[w].fd, init);
@@ -114,7 +111,7 @@ void Coordinator::init_workers(const std::string& resume_base,
     // A shard that loads and balances can still be another generation's
     // or a rewritten one: only the committed body is this generation.
     if (!resume_base.empty() && ack.shard_crc != shard_crcs[w]) {
-      throw WorkerLost(w, "shard " + shard_path(resume_base, round(), w) +
+      throw WorkerLost(w, "shard " + sim::shard_path(resume_base, round(), w) +
                               " has body CRC " +
                               std::to_string(ack.shard_crc) +
                               ", the manifest committed " +
@@ -249,19 +246,20 @@ void Coordinator::set_bin_sampler(core::BinChoiceSampler* sampler) {
   zipf_s_ = zipf->exponent();
 }
 
-void Coordinator::save_checkpoint(const std::string& base,
-                                  const std::string& digest,
-                                  std::uint64_t seed) {
+sim::Manifest Coordinator::save_checkpoint(const std::string& base,
+                                           const std::string& digest,
+                                           std::uint64_t seed,
+                                           std::uint64_t collect_round) {
   const std::uint32_t workers = this->workers();
   // Shard files first (remote, overlapped), each order carrying the
-  // generation-before-last's file as the gc victim — the manifest on
-  // disk never references it at any crash point.
+  // collected generation's file as the gc victim — the manifest on disk
+  // never references it at any crash point.
   for (std::uint32_t w = 0; w < workers; ++w) {
     CheckpointMsg order;
     order.round = round();
-    order.path = shard_path(base, round(), w);
-    if (prev_saved_round_ != kNoGeneration) {
-      order.gc_path = shard_path(base, prev_saved_round_, w);
+    order.path = sim::shard_path(base, round(), w);
+    if (collect_round != 0) {
+      order.gc_path = sim::shard_path(base, collect_round, w);
     }
     try {
       send_checkpoint(links_[w].fd, order);
@@ -269,12 +267,7 @@ void Coordinator::save_checkpoint(const std::string& base,
       throw WorkerLost(w, "hung up before checkpoint");
     }
   }
-  Manifest manifest;
-  manifest.round = round();
-  manifest.n = n();
-  manifest.workers = workers;
-  manifest.digest = digest;
-  manifest.seed = seed;
+  sim::Manifest manifest{round(), n(), workers, digest, seed};
   manifest.shard_crcs.resize(workers);
   std::uint64_t persisted = 0;
   std::vector<std::uint8_t> payload;
@@ -292,20 +285,9 @@ void Coordinator::save_checkpoint(const std::string& base,
   }
   IBA_EXPECT(persisted == side_.bin_load(),
              "Coordinator: persisted shard load breaks ball conservation");
-
   manifest.coord_crc =
-      sim::save_checkpoint(snapshot(), coord_path(base, round()));
-  // The runner wrote the generation's progress sidecar before this call.
-  manifest.progress_crc = body_crc(progress_path(base, round()));
-  if (prev_saved_round_ != kNoGeneration) {
-    std::remove(coord_path(base, prev_saved_round_).c_str());
-    std::remove(progress_path(base, prev_saved_round_).c_str());
-  }
-
-  // Commit point: only now does any reader see this generation.
-  save_manifest(manifest, manifest_path(base));
-  prev_saved_round_ = last_saved_round_;
-  last_saved_round_ = round();
+      sim::save_checkpoint(snapshot(), sim::coord_path(base, round()));
+  return manifest;
 }
 
 void Coordinator::shutdown() noexcept {

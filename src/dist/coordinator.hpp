@@ -34,6 +34,7 @@
 #include "core/pool_side.hpp"
 #include "core/process.hpp"
 #include "dist/protocol.hpp"
+#include "sim/generation.hpp"
 
 namespace iba::dist {
 
@@ -80,13 +81,14 @@ class Coordinator {
   /// core::Capped::step() on the same (config, engine) history.
   core::RoundMetrics step();
 
-  /// Orchestrates one checkpoint generation at the current round:
-  /// shard files (remote), the coordinator file, then the manifest —
-  /// written last, as the commit point, with every file's body CRC,
-  /// including the progress sidecar the caller wrote first. Collects
-  /// the previous-previous generation's files.
-  void save_checkpoint(const std::string& base, const std::string& digest,
-                       std::uint64_t seed);
+  /// Writes the current round's generation files (sim/generation.hpp):
+  /// the shard files (remote), then the coordinator file. Returns the
+  /// generation's manifest with the shard and coordinator CRCs filled
+  /// in; the caller adds its sidecars and commits it. Each worker
+  /// removes its shard of generation `collect_round` (0 = none).
+  sim::Manifest save_checkpoint(const std::string& base,
+                                const std::string& digest, std::uint64_t seed,
+                                std::uint64_t collect_round = 0);
 
   /// Sends every worker a clean kMsgShutdown (best-effort: a worker
   /// that already died is ignored — the run is over either way).
@@ -163,13 +165,6 @@ class Coordinator {
   double zipf_s_ = 0.0;
 
   std::vector<Link> links_;
-
-  // Checkpoint-generation bookkeeping for deferred gc (see
-  // dist/checkpoint.hpp). kNoGeneration = none saved yet / unknown
-  // after a resume (that one stale generation is left on disk).
-  static constexpr std::uint64_t kNoGeneration = ~std::uint64_t{0};
-  std::uint64_t last_saved_round_ = kNoGeneration;
-  std::uint64_t prev_saved_round_ = kNoGeneration;
 };
 
 }  // namespace iba::dist

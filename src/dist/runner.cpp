@@ -3,12 +3,12 @@
 #include <unistd.h>
 
 #include <memory>
+#include <utility>
 
 #include "common/assert.hpp"
-#include "dist/checkpoint.hpp"
 #include "dist/coordinator.hpp"
 #include "scenario/loop.hpp"
-#include "sim/checkpoint.hpp"
+#include "sim/generation.hpp"
 
 namespace iba::dist {
 
@@ -32,21 +32,17 @@ scenario::RunOutcome run_distributed(const scenario::Scenario& scn,
   const CoordinatorOptions copts{.timeout_ms = options.timeout_ms};
 
   std::unique_ptr<Coordinator> coordinator;
+  sim::Generations generations(base);
   scenario::Progress progress{.digest = plan.digest, .seed = plan.seed};
   if (options.resume) {
-    const Manifest manifest = load_manifest(manifest_path(base));
-    IBA_EXPECT(manifest.workers == worker_fds.size(),
-               "run_distributed: checkpoint was taken with " +
-                   std::to_string(manifest.workers) + " workers");
-    check_committed(coord_path(base, manifest.round), manifest.coord_crc);
-    check_committed(progress_path(base, manifest.round),
-                    manifest.progress_crc);
-    const core::CappedSnapshot snapshot =
-        sim::load_checkpoint(coord_path(base, manifest.round));
-    progress = scenario::load_progress(progress_path(base, manifest.round));
-    scenario::check_resume(plan, progress, snapshot.round);
+    const auto [manifest, checkpoint] = sim::load_generation(
+        base, static_cast<std::uint32_t>(worker_fds.size()));
+    progress =
+        scenario::load_progress(sim::progress_path(base, manifest.round));
+    scenario::check_resume(plan, progress);
+    generations.resume(base, manifest);
     coordinator = std::make_unique<Coordinator>(
-        snapshot, worker_fds, base, manifest.shard_crcs, copts);
+        checkpoint.snapshot, worker_fds, base, manifest.shard_crcs, copts);
   } else {
     coordinator = std::make_unique<Coordinator>(
         scenario::capped_config(scn), core::Engine(plan.seed), worker_fds,
@@ -58,13 +54,14 @@ scenario::RunOutcome run_distributed(const scenario::Scenario& scn,
   if (sampler != nullptr) coordinator->set_bin_sampler(sampler.get());
 
   scenario::LoopHooks hooks;
-  // Progress is saved round-stamped inside the generation, BEFORE the
-  // coordinator's manifest commit, so at every crash point the manifest
-  // on disk references a complete generation including this sidecar.
+  // The shards and the coordinator file, then the progress sidecar, then
+  // the manifest that commits all of them (sim/generation.hpp).
   hooks.save = [&](const scenario::Progress& progress_now) {
-    scenario::save_progress(progress_now,
-                            progress_path(base, progress_now.rounds_done));
-    coordinator->save_checkpoint(base, plan.digest, plan.seed);
+    sim::Manifest manifest = coordinator->save_checkpoint(
+        base, plan.digest, plan.seed, generations.collect_round());
+    manifest.progress_crc = scenario::save_progress(
+        progress_now, sim::progress_path(base, manifest.round));
+    generations.commit(std::move(manifest));
   };
   hooks.after_round = [&options](std::uint64_t round) {
     if (options.on_round) options.on_round(round);

@@ -1,11 +1,13 @@
 // run_distributed — a scenario run whose bins live in remote workers
 // (docs/DISTRIBUTED.md): a dist::Coordinator driven through
 // scenario::run_loop (scenario/loop.hpp), the loop run_scenario drives a
-// core::Capped through. Only the manifest load, the coordinator's
-// construction or resume, the generation save and shutdown() are its
-// own. So with the coordinator's byte-identical rounds, a distributed
-// run's artifact equals the single-process run's for the same
-// (scenario, seed), as the differential tests and CI dist-smoke check.
+// core::Capped through, and saved and resumed through the same
+// checkpoint generation (sim/generation.hpp). Only the coordinator's
+// construction or resume, its shard and coordinator files and
+// shutdown() are its own. So with the coordinator's byte-identical
+// rounds, a distributed run's artifact equals the single-process run's
+// for the same (scenario, seed), as the differential tests and CI
+// dist-smoke check.
 //
 // Not supported distributed (guarded with clear errors): fault
 // schedules (worker-side coins would fork the engine stream), the
@@ -29,7 +31,8 @@ struct DistRunOptions {
   std::optional<std::uint64_t> seed;  ///< override [run] seed
 
   /// Checkpoint generation base path ("" = no checkpoints). Files land
-  /// as `<base>.r<R>.{coord,coord.progress,shard<w>}` + `<base>.manifest`.
+  /// as `<base>.r<R>.{coord,coord.progress,shard<w>}` + `<base>.manifest`
+  /// (sim/generation.hpp).
   std::string checkpoint_base;
   /// Cadence in rounds; 0 adopts the scenario's checkpoint-every.
   std::uint64_t checkpoint_every = 0;

@@ -100,6 +100,31 @@ std::string load_header(const std::string& path, std::string_view magic,
   return file;
 }
 
+void read_key(std::istream& in, std::string_view key,
+              const std::string& context) {
+  std::string word, eq;
+  if (!(in >> word >> eq) || word != key || eq != "=") {
+    fail(context, "expected '" + std::string(key) + " =', got '" + word +
+                      " " + eq + "'");
+  }
+}
+
+std::uint64_t read_u64(std::istream& in, std::string_view key,
+                       const std::string& context, std::uint64_t max) {
+  std::uint64_t value = 0;
+  if (!(in >> value)) {
+    fail(context, "truncated/invalid field: " + std::string(key));
+  }
+  if (value > max) fail(context, std::string(key) + " out of range");
+  return value;
+}
+
+std::uint64_t read_field(std::istream& in, std::string_view key,
+                         const std::string& context, std::uint64_t max) {
+  read_key(in, key, context);
+  return read_u64(in, key, context, max);
+}
+
 std::string seal_trailer(std::string_view magic, std::uint32_t version,
                          std::string_view body) {
   std::string text = std::string(magic) + ' ' + std::to_string(version) + '\n';

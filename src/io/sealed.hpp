@@ -3,9 +3,11 @@
 // envelopes bind the bytes with a CRC-32, so bit flips, truncation and
 // trailing bytes are rejected before any field is parsed:
 //
-//  * header  `<magic> <version> <crc32> <len>\n<body>` — checkpoint,
-//    `.progress` and `.record` sidecars, dist shard and manifest. The
-//    header leads, so a multi-MB body is committed without a copy.
+//  * header  `<magic> <version> <crc32> <len>\n<body>` — every file of a
+//    checkpoint generation (sim/generation.hpp): checkpoint, `.progress`
+//    and `.record` sidecars, dist shard and the manifest that commits
+//    them. The header leads, so a multi-MB body is committed without a
+//    copy.
 //  * trailer `<magic> <version>\n<body>crc32 = <8 hex>\n` — artifact and
 //    postmortem bundle; the CRC covers every byte before the trailer.
 //
@@ -15,6 +17,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <istream>
 #include <span>
 #include <string>
 #include <string_view>
@@ -38,6 +41,18 @@ std::uint32_t commit_header(const std::string& path, std::string_view magic,
                                       std::string_view magic,
                                       std::uint32_t version,
                                       const std::string& context);
+
+/// Readers of `key = <u64>` body lines (manifest, dist shard): read_key
+/// consumes `key =`, read_u64 a decimal at most `max`, read_field both.
+/// They throw std::runtime_error prefixed with `context` naming the key.
+void read_key(std::istream& in, std::string_view key,
+              const std::string& context);
+std::uint64_t read_u64(std::istream& in, std::string_view key,
+                       const std::string& context,
+                       std::uint64_t max = ~std::uint64_t{0});
+std::uint64_t read_field(std::istream& in, std::string_view key,
+                         const std::string& context,
+                         std::uint64_t max = ~std::uint64_t{0});
 
 /// The trailer envelope around `body`.
 [[nodiscard]] std::string seal_trailer(std::string_view magic,

@@ -27,15 +27,12 @@ RunPlan plan_run(const Scenario& scn, std::optional<std::uint64_t> seed,
   return plan;
 }
 
-void check_resume(const RunPlan& plan, const Progress& progress,
-                  std::uint64_t round) {
+void check_resume(const RunPlan& plan, const Progress& progress) {
   IBA_EXPECT(progress.digest == plan.digest,
              "scenario run: checkpoint belongs to a different scenario "
              "(digest mismatch)");
   IBA_EXPECT(progress.seed == plan.seed,
              "scenario run: checkpoint belongs to a different seed");
-  IBA_EXPECT(progress.rounds_done == round,
-             "scenario run: checkpoint and progress sidecar disagree");
   IBA_EXPECT(progress.rounds_done < plan.total_rounds,
              "scenario run: checkpoint is already past the scenario's end");
 }

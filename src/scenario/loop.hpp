@@ -40,10 +40,8 @@ struct RunPlan {
                                std::uint64_t stop_after);
 
 /// Throws ContractViolation unless `progress` belongs to the plan's
-/// scenario and seed, stands at the owner's restored `round`, and has
-/// rounds left to run.
-void check_resume(const RunPlan& plan, const Progress& progress,
-                  std::uint64_t round);
+/// scenario and seed and has rounds left to run.
+void check_resume(const RunPlan& plan, const Progress& progress);
 
 /// A front end's part of the loop. `save` (the owner and `progress`, at
 /// progress.rounds_done) is required with a save target; the rest may be
@@ -79,7 +77,8 @@ void complete_outcome(const Scenario& scn, const RunPlan& plan,
 
 /// Runs the rounds after progress.rounds_done on `owner`. The burn-in
 /// wait reset precedes its round's checkpoint, so the saved waits are the
-/// cleared ones and a resume does not reset twice.
+/// cleared ones and a resume does not reset twice. A round saves at most
+/// once, so every save commits a new generation.
 template <class Owner>
 RunOutcome run_loop(const Scenario& scn, const RunPlan& plan, Owner& owner,
                     Progress& progress, const LoopHooks& hooks) {
@@ -95,7 +94,7 @@ RunOutcome run_loop(const Scenario& scn, const RunPlan& plan, Owner& owner,
     progress.rounds_done = round;
     if (round == scn.burn_in) owner.reset_wait_stats();
     if (plan.checkpoint_every > 0 && round % plan.checkpoint_every == 0 &&
-        round != plan.total_rounds) {
+        round != plan.total_rounds && round != plan.stop_after) {
       hooks.save(progress);
     }
     if (hooks.after_round) hooks.after_round(round);

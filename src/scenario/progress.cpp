@@ -48,15 +48,16 @@ constexpr std::pair<std::string_view, std::uint64_t Progress::*> kFields[] = {
 
 }  // namespace
 
-void save_progress(const Progress& progress, const std::string& path) {
+std::uint32_t save_progress(const Progress& progress,
+                            const std::string& path) {
   std::ostringstream out;
   out << "digest = " << progress.digest << '\n';
   for (const auto& [key, field] : kFields) {
     out << key << " = " << progress.*field << '\n';
   }
   out << "end\n";
-  io::sealed::commit_header(path, kProgressMagic, kProgressVersion, out.str(),
-                            kProgressContext);
+  return io::sealed::commit_header(path, kProgressMagic, kProgressVersion,
+                                   out.str(), kProgressContext);
 }
 
 Progress load_progress(const std::string& path) {
@@ -90,10 +91,10 @@ Progress load_progress(const std::string& path) {
   fail_progress("missing end marker");
 }
 
-void save_record(const telemetry::TimeSeries& series,
-                 const telemetry::FlightRecorder& recorder,
-                 const std::string& path) {
-  io::sealed::commit_header(
+std::uint32_t save_record(const telemetry::TimeSeries& series,
+                          const telemetry::FlightRecorder& recorder,
+                          const std::string& path) {
+  return io::sealed::commit_header(
       path, kRecordMagic, kRecordVersion,
       series.state_text() + std::string(kRecordSplit) + recorder.state_text(),
       kRecordContext);

@@ -1,6 +1,6 @@
-// Measured-window accumulators, the `<checkpoint>.progress` and
-// `.record` sidecars, and the artifact-assembly helpers of a scenario
-// run. The one loop that uses them is scenario::run_loop
+// Measured-window accumulators, the `.progress` and `.record` sidecars
+// of a checkpoint generation, and the artifact-assembly helpers of a
+// scenario run. The one loop that uses them is scenario::run_loop
 // (scenario/loop.hpp), whichever owner holds the bins; the helpers stay
 // public for the traced replay of the end-to-end benchmark.
 //
@@ -26,7 +26,7 @@ class TimeSeries;
 namespace iba::scenario {
 
 /// Measured-window accumulators + run identity, persisted beside the
-/// checkpoint as `<path>.progress`.
+/// checkpoint as `B.r<R>.coord.progress` (sim/generation.hpp).
 struct Progress {
   std::string digest;       ///< Scenario::digest() of the running config
   std::uint64_t seed = 0;   ///< effective seed (identity check on resume)
@@ -47,9 +47,9 @@ struct Progress {
   std::uint64_t oldest_age_max = 0;
 };
 
-/// Atomically writes the CRC-bound sidecar (io::sealed). Throws
-/// std::runtime_error on IO failure.
-void save_progress(const Progress& progress, const std::string& path);
+/// Atomically writes the CRC-bound sidecar (io::sealed) and returns its
+/// body CRC. Throws std::runtime_error on IO failure.
+std::uint32_t save_progress(const Progress& progress, const std::string& path);
 
 /// Reads and validates a sidecar. Throws std::runtime_error on IO
 /// errors, bad header, CRC mismatch, or malformed fields.
@@ -62,11 +62,11 @@ void accumulate_progress(Progress& progress, const core::RoundMetrics& m);
 
 /// The `.record` sidecar: a recording run's time-series rings and
 /// flight-recorder logs, which a resume needs to reproduce the series
-/// and bundle bytes. Both throw std::runtime_error on IO failure or
-/// damage.
-void save_record(const telemetry::TimeSeries& series,
-                 const telemetry::FlightRecorder& recorder,
-                 const std::string& path);
+/// and bundle bytes. save_record returns the body CRC. Both throw
+/// std::runtime_error on IO failure or damage.
+std::uint32_t save_record(const telemetry::TimeSeries& series,
+                          const telemetry::FlightRecorder& recorder,
+                          const std::string& path);
 void load_record(telemetry::TimeSeries& series,
                  telemetry::FlightRecorder& recorder, const std::string& path);
 

@@ -3,6 +3,7 @@
 #include <memory>
 #include <optional>
 #include <sstream>
+#include <utility>
 
 #include "common/assert.hpp"
 #include "common/crc32.hpp"
@@ -11,15 +12,15 @@
 #include "fault/fault_plan.hpp"
 #include "io/sealed.hpp"
 #include "scenario/loop.hpp"
-#include "sim/checkpoint.hpp"
+#include "sim/generation.hpp"
 #include "telemetry/flight_recorder.hpp"
 #include "telemetry/timeseries.hpp"
 
 namespace iba::scenario {
 
 /// The single-process owner and its extras (fault plan, auditor, time
-/// series, flight recorder) around run_loop. It continues
-/// options.resume with its sidecars, else starts fresh.
+/// series, flight recorder) around run_loop. It continues the generation
+/// committed under options.resume, else starts fresh.
 RunOutcome run_scenario(const Scenario& scn, const RunOptions& options) {
   const std::uint32_t n = scn.n;
   const core::RoundKernel kernel = options.kernel.value_or(scn.kernel);
@@ -66,18 +67,18 @@ RunOutcome run_scenario(const Scenario& scn, const RunOptions& options) {
   const std::uint32_t plan_ceiling =
       scn.control.enabled() ? scn.control.c_max : scn.capacity;
 
+  sim::Generations generations(options.checkpoint_out);
   if (!options.resume.empty()) {
-    sim::Checkpoint loaded = sim::load_checkpoint_full(options.resume);
-    progress = load_progress(options.resume + ".progress");
+    auto [manifest, loaded] = sim::load_generation(options.resume, 0);
+    const std::uint64_t round = manifest.round;
+    progress = load_progress(sim::progress_path(options.resume, round));
     if (recording && !options.flight_recorder.empty() &&
-        (progress.digest != plan.digest || progress.seed != plan.seed ||
-         loaded.snapshot.round != progress.rounds_done)) {
+        (progress.digest != plan.digest || progress.seed != plan.seed)) {
       // A broken resume is exactly what the black box is for: dump the
       // identity mismatch before the contract check aborts the run. This
       // bundle describes the failed stitch, so it is the one deliberate
       // exception to the bytes-identical-across-resume contract.
-      recorder->trigger(telemetry::TriggerKind::kResumeMismatch,
-                        loaded.snapshot.round,
+      recorder->trigger(telemetry::TriggerKind::kResumeMismatch, round,
                         "expected digest " + plan.digest + " seed " +
                             std::to_string(plan.seed) +
                             ", checkpoint has digest " + progress.digest +
@@ -85,7 +86,8 @@ RunOutcome run_scenario(const Scenario& scn, const RunOptions& options) {
                             " round " + std::to_string(progress.rounds_done));
       recorder->write_bundle(options.flight_recorder);
     }
-    check_resume(plan, progress, loaded.snapshot.round);
+    check_resume(plan, progress);
+    generations.resume(options.resume, manifest);
     // Execution hints are free to change on resume — overwrite them in
     // the restored config before the process spins up its thread pool.
     loaded.snapshot.config.kernel = kernel;
@@ -98,7 +100,7 @@ RunOutcome run_scenario(const Scenario& scn, const RunOptions& options) {
       faults->restore(loaded.fault_state);
     }
     if (recording) {
-      load_record(*series, *recorder, options.resume + ".record");
+      load_record(*series, *recorder, sim::record_path(options.resume, round));
     }
   } else {
     core::CappedConfig config = capped_config(scn);
@@ -158,7 +160,11 @@ RunOutcome run_scenario(const Scenario& scn, const RunOptions& options) {
   };
 
   LoopHooks hooks;
+  // The checkpoint and its sidecars, then the manifest that commits them
+  // (sim/generation.hpp).
   hooks.save = [&](const Progress& progress_now) {
+    const std::string& base = options.checkpoint_out;
+    const std::uint64_t round = progress_now.rounds_done;
     sim::Checkpoint ckpt;
     ckpt.snapshot = process->snapshot();
     if (faults != nullptr) {
@@ -167,16 +173,21 @@ RunOutcome run_scenario(const Scenario& scn, const RunOptions& options) {
       ckpt.fault_seed = faults->seed();
       ckpt.fault_state = faults->state();
     }
-    sim::save_checkpoint(ckpt, options.checkpoint_out);
+    sim::Manifest manifest{round, n, /*workers=*/0, plan.digest, plan.seed};
+    manifest.coord_crc =
+        sim::save_checkpoint(ckpt, sim::coord_path(base, round));
     Progress saved = progress_now;
     if (auditor.has_value()) {
       saved.audit_rounds += auditor->rounds_audited();
       saved.audit_violations += auditor->violation_count();
     }
-    save_progress(saved, options.checkpoint_out + ".progress");
+    manifest.progress_crc =
+        save_progress(saved, sim::progress_path(base, round));
     if (recording) {
-      save_record(*series, *recorder, options.checkpoint_out + ".record");
+      manifest.record_crc =
+          save_record(*series, *recorder, sim::record_path(base, round));
     }
+    generations.commit(std::move(manifest));
   };
 
   hooks.observe = [&](std::uint64_t round, const core::RoundMetrics& m) {

@@ -15,11 +15,13 @@
 //  * kernels/shards — byte-identical by the process's decide-before-draw
 //    discipline (every random draw comes from the master engine in a
 //    fixed order, including through a BinChoiceSampler);
-//  * resume — the process checkpoint (format v3, incl. fault/control
-//    state and cumulative waits) carries the trajectory, and a small
-//    `<path>.progress` sidecar (CRC-bound) carries the runner's own
-//    measured-window accumulators, so a killed run finishes with the
-//    exact accumulator values of the uninterrupted one;
+//  * resume — each save is a checkpoint generation (sim/generation.hpp):
+//    the process checkpoint (format v3, incl. fault/control state and
+//    cumulative waits) carries the trajectory, its `.progress` sidecar
+//    the runner's own measured-window accumulators, and a manifest
+//    committed last binds both by CRC, so a killed run — even one killed
+//    mid-save — finishes with the exact accumulator values of the
+//    uninterrupted one;
 //  * accumulators are exact u64 sums/extrema — no floating-point
 //    round-off to reorder.
 #pragma once
@@ -43,11 +45,13 @@ struct RunOptions {
   std::optional<std::uint32_t> shards;      ///< override [system] shards
   std::optional<std::uint64_t> seed;        ///< override [run] seed
 
-  std::string checkpoint_out;  ///< checkpoint path ("" = no checkpoints)
+  /// Checkpoint generation base path ("" = no checkpoints).
+  std::string checkpoint_out;
   /// Checkpoint cadence in rounds; 0 adopts the scenario's
   /// checkpoint-every. Only active with a checkpoint_out path.
   std::uint64_t checkpoint_every = 0;
-  std::string resume;  ///< checkpoint to resume from ("" = fresh run)
+  /// Resume the generation committed under this base ("" = fresh run).
+  std::string resume;
   /// Stop (checkpoint and return, complete = false) once this many
   /// total rounds — burn-in included — have run. 0 = run to the end.
   /// Requires checkpoint_out. For kill-and-resume testing.

@@ -1,7 +1,8 @@
-# A fresh run does not replace an existing checkpoint without --force
-# true: scenario_run keeps another run's P and P.progress byte for byte
-# and exits 2, and a resume from P keeps saving to P; dist_run keeps an
-# existing B.manifest and exits 2 before any worker connects.
+# A fresh run does not replace an existing checkpoint generation without
+# --force true: scenario_run keeps another run's B.manifest and the
+# generation it commits byte for byte and exits 2, and a resume from B
+# keeps saving under B; dist_run keeps an existing B.manifest and exits 2
+# before any worker connects.
 #
 #   cmake -DSCENARIO_RUN=<scenario_run> -DDIST_RUN=<dist_run>
 #         -DROOT=<repository root> -P checkpoint_kept.cmake
@@ -38,29 +39,35 @@ function(same a b what)
   endif()
 endfunction()
 
-file(REMOVE ${ckpt} ${ckpt}.progress ${ckpt}.record ${base}.manifest)
+file(GLOB stale ${prefix}.*)
+if(stale)
+  file(REMOVE ${stale})
+endif()
 
-# The first run's resume point.
+# The first run's resume point: the generation at round 100.
+set(generation manifest r100.coord r100.coord.progress)
 expect(0 "" ${SCENARIO_RUN} --scenario ${steady} --checkpoint-out ${ckpt}
        --stop-after 100)
-file(COPY_FILE ${ckpt} ${prefix}.first)
-file(COPY_FILE ${ckpt}.progress ${prefix}.first.progress)
+foreach(file ${generation})
+  file(COPY_FILE ${ckpt}.${file} ${prefix}.first.${file})
+endforeach()
 
 # Another scenario's fresh run may not replace it.
-expect(2 "--checkpoint-out ${ckpt}: output exists" ${SCENARIO_RUN}
+expect(2 "--checkpoint-out ${ckpt}.manifest: output exists" ${SCENARIO_RUN}
        --scenario ${ROOT}/scenarios/fault_recovery.scn
        --checkpoint-out ${ckpt} --stop-after 50)
-same(${ckpt} ${prefix}.first "a refused run changed the checkpoint")
-same(${ckpt}.progress ${prefix}.first.progress
-     "a refused run changed the progress sidecar")
+foreach(file ${generation})
+  same(${ckpt}.${file} ${prefix}.first.${file}
+       "a refused run changed ${ckpt}.${file}")
+endforeach()
 
-# A resume from the checkpoint saves to it again.
+# A resume from the checkpoint saves under it again.
 expect(0 "" ${SCENARIO_RUN} --scenario ${steady} --resume ${ckpt}
        --checkpoint-out ${ckpt} --stop-after 200)
-execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files ${ckpt}
-                        ${prefix}.first RESULT_VARIABLE differ)
+execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files ${ckpt}.manifest
+                        ${prefix}.first.manifest RESULT_VARIABLE differ)
 if(NOT differ)
-  message(FATAL_ERROR "the resume did not save to its own checkpoint")
+  message(FATAL_ERROR "the resume did not save under its own checkpoint")
 endif()
 
 # dist_run: an existing manifest stops the coordinator before it listens.
@@ -73,6 +80,6 @@ if(NOT kept STREQUAL "another run's manifest\n")
   message(FATAL_ERROR "a refused dist_run changed ${base}.manifest")
 endif()
 
-file(REMOVE ${ckpt} ${ckpt}.progress ${prefix}.first ${prefix}.first.progress
-     ${base}.manifest)
+file(GLOB stale ${prefix}.*)
+file(REMOVE ${stale})
 message(STATUS "existing checkpoints keep their bytes without --force")

@@ -18,12 +18,12 @@
 #include <utility>
 #include <vector>
 
-#include "dist/checkpoint.hpp"
 #include "dist/runner.hpp"
 #include "dist/worker.hpp"
 #include "net/socket.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/scenario.hpp"
+#include "sim/generation.hpp"
 
 #ifndef IBA_REPO_DIR
 #error "IBA_REPO_DIR must point at the repository root"
@@ -56,7 +56,7 @@ std::string header_line(const fs::path& path) {
 }
 
 /// Runs `scn` for `stop_after` rounds (burn-in included) and returns
-/// the header of the checkpoint it stops with.
+/// the header of the generation's checkpoint it stops with.
 std::string checkpoint_header(const scenario::Scenario& scn,
                               std::uint64_t stop_after) {
   scenario::RunOptions options;
@@ -65,7 +65,7 @@ std::string checkpoint_header(const scenario::Scenario& scn,
   const scenario::RunOutcome outcome = scenario::run_scenario(scn, options);
   EXPECT_FALSE(outcome.complete);
   EXPECT_EQ(outcome.rounds_done, stop_after);
-  return header_line(options.checkpoint_out);
+  return header_line(sim::coord_path(options.checkpoint_out, stop_after));
 }
 
 /// The same, for the bank scenario `name`.
@@ -160,12 +160,12 @@ TEST(CheckpointPins, DistBankShardsAtTwoWorkers) {
     for (net::Socket& socket : coordinator_side) socket.close();
     for (std::thread& thread : threads) thread.join();
   }
-  EXPECT_EQ(header_line(dist::shard_path(base, 100, 0)),
+  EXPECT_EQ(header_line(sim::shard_path(base, 100, 0)),
             "iba-dist-shard 1 43293944 6163");
-  EXPECT_EQ(header_line(dist::shard_path(base, 100, 1)),
+  EXPECT_EQ(header_line(sim::shard_path(base, 100, 1)),
             "iba-dist-shard 1 2084020518 6220");
   // The coordinator file is a checkpoint whose bins are all empty.
-  EXPECT_EQ(header_line(dist::coord_path(base, 100)),
+  EXPECT_EQ(header_line(sim::coord_path(base, 100)),
             "iba-checkpoint 3 174371433 2348");
 }
 

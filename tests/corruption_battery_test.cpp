@@ -30,6 +30,7 @@
 #include "net/socket.hpp"
 #include "scenario/progress.hpp"
 #include "sim/checkpoint.hpp"
+#include "sim/generation.hpp"
 #include "telemetry/flight_recorder.hpp"
 #include "telemetry/timeseries.hpp"
 
@@ -122,7 +123,7 @@ std::vector<Format> formats() {
                  }});
   all.push_back({"manifest",
                  [](const std::string& path) {
-                   dist::Manifest manifest;
+                   sim::Manifest manifest;
                    manifest.round = 12;
                    manifest.n = 8;
                    manifest.workers = 2;
@@ -131,10 +132,29 @@ std::vector<Format> formats() {
                    manifest.shard_crcs = {1, 2};
                    manifest.coord_crc = 3;
                    manifest.progress_crc = 4;
-                   dist::save_manifest(manifest, path);
+                   manifest.kept_round = 8;
+                   sim::save_manifest(manifest, path);
                  },
                  [](const std::string& path) {
-                   (void)dist::load_manifest(path);
+                   (void)sim::load_manifest(path);
+                 }});
+  // A single-process generation: no shards, the bins in the checkpoint,
+  // and a recording sidecar.
+  all.push_back({"solo_manifest",
+                 [](const std::string& path) {
+                   sim::Manifest manifest;
+                   manifest.round = 12;
+                   manifest.n = 8;
+                   manifest.digest = "0123abcd";
+                   manifest.seed = 7;
+                   manifest.coord_crc = 3;
+                   manifest.progress_crc = 4;
+                   manifest.record_crc = 5;
+                   manifest.kept_round = 11;
+                   sim::save_manifest(manifest, path);
+                 },
+                 [](const std::string& path) {
+                   (void)sim::load_manifest(path);
                  }});
   all.push_back({"artifact",
                  [](const std::string& path) {
@@ -299,28 +319,55 @@ TEST(ValidCrcMutants, ShardBinCountIsBoundedBeforeAllocating) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(ValidCrcMutants, ManifestShardCrcAbove32BitsIsNamed) {
-  // A manifest whose CRC is valid but whose shard CRC needs 33 bits must
-  // fail by name, not truncate to a CRC some shard might match.
+/// Commits `body` as a version-3 manifest and requires load_manifest to
+/// reject it with an error that names `field`.
+void expect_manifest_field_named(const std::string& body,
+                                 const std::string& field) {
+  SCOPED_TRACE(field);
   const auto dir = std::filesystem::temp_directory_path() /
                    "iba_corruption_battery_manifest_crc";
   std::filesystem::create_directories(dir);
   const std::string file = (dir / "wide.manifest").string();
-  io::sealed::commit_header(file, "iba-dist-manifest", 2,
-                            "round = 1\nn = 8\nworkers = 1\ndigest = d\n"
-                            "seed = 1\nshard-crcs = 4294967296\n"
-                            "coord-crc = 1\nprogress-crc = 2\nend\n",
-                            "test");
+  io::sealed::commit_header(file, "iba-dist-manifest", 3, body, "test");
   try {
-    (void)dist::load_manifest(file);
-    ADD_FAILURE() << "shard CRC of 2^32 accepted";
+    (void)sim::load_manifest(file);
+    ADD_FAILURE() << "manifest with a bad " << field << " accepted";
   } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("shard-crc"), std::string::npos)
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
         << e.what();
   } catch (const std::exception& e) {
     ADD_FAILURE() << "unnamed failure: " << e.what();
   }
   std::filesystem::remove_all(dir);
+}
+
+TEST(ValidCrcMutants, ManifestShardCrcAbove32BitsIsNamed) {
+  // A manifest whose CRC is valid but whose shard CRC needs 33 bits must
+  // fail by name, not truncate to a CRC some shard might match.
+  expect_manifest_field_named(
+      "round = 1\nn = 8\nworkers = 1\ndigest = d\nseed = 1\n"
+      "shard-crcs = 4294967296\ncoord-crc = 1\nprogress-crc = 2\n"
+      "record-crc = 0\nkept-round = 0\nend\n",
+      "shard-crc");
+}
+
+TEST(ValidCrcMutants, ManifestVersionThreeFieldsAreBounded) {
+  // The fields version 3 adds, and a single-process (workers = 0)
+  // manifest that lists a shard: each fails by name.
+  const auto manifest = [](const std::string& workers,
+                           const std::string& shards,
+                           const std::string& record,
+                           const std::string& kept) {
+    return "round = 9\nn = 8\nworkers = " + workers +
+           "\ndigest = d\nseed = 1\nshard-crcs =" + shards +
+           "\ncoord-crc = 1\nprogress-crc = 2\nrecord-crc = " + record +
+           "\nkept-round = " + kept + "\nend\n";
+  };
+  expect_manifest_field_named(manifest("0", "", "4294967296", "0"),
+                              "record-crc");
+  expect_manifest_field_named(manifest("0", "", "3", "9"), "kept-round");
+  expect_manifest_field_named(manifest("0", " 7", "3", "8"), "coord-crc");
+  expect_manifest_field_named(manifest("65536", "", "3", "8"), "workers");
 }
 
 /// A valid round frame: three buckets, oldest first, the newest

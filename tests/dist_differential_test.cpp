@@ -15,6 +15,7 @@
 #include <functional>
 #include <limits>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <utility>
@@ -37,6 +38,7 @@
 #include "scenario/runner.hpp"
 #include "scenario/scenario.hpp"
 #include "sim/checkpoint.hpp"
+#include "sim/generation.hpp"
 
 namespace iba::dist {
 namespace {
@@ -486,7 +488,7 @@ TEST(DistDifferential, FailedManifestCommitResumesFromThePreviousGeneration) {
   const scenario::Scenario scn = scenario::parse_scenario(kBank, "bank.scn");
   const std::string baseline = single_process_bytes(scn);
   const std::string base = checkpoint_base("manifest_fail");
-  const std::string staging = manifest_path(base) + ".tmp";
+  const std::string staging = sim::manifest_path(base) + ".tmp";
   std::filesystem::remove_all(staging);
   {
     WorkerFleet fleet(3);
@@ -502,12 +504,13 @@ TEST(DistDifferential, FailedManifestCommitResumesFromThePreviousGeneration) {
       ADD_FAILURE() << "the manifest commit cannot have succeeded";
     } catch (const std::runtime_error& e) {
       const std::string what = e.what();
-      EXPECT_NE(what.find("dist manifest: open failed"), std::string::npos)
+      EXPECT_NE(what.find("checkpoint manifest: open failed"),
+                std::string::npos)
           << what;
     }
   }
-  EXPECT_TRUE(std::filesystem::exists(shard_path(base, 64, 0)));
-  EXPECT_EQ(load_manifest(manifest_path(base)).round, 32u);
+  EXPECT_TRUE(std::filesystem::exists(sim::shard_path(base, 64, 0)));
+  EXPECT_EQ(sim::load_manifest(sim::manifest_path(base)).round, 32u);
   std::filesystem::remove(staging);
 
   DistRunOptions resume;
@@ -583,7 +586,7 @@ TEST(DistDifferential, ResumeRejectsAShardTheManifestDidNotCommit) {
   const std::string base = checkpoint_base("shard_crc");
   stop_at_round(scn, 2, base, 50);
 
-  const std::string path = shard_path(base, 50, 1);
+  const std::string path = sim::shard_path(base, 50, 1);
   ShardState shard = load_shard(path);
   bool raised = false;
   std::size_t back = 0;  // one past the bin's last label
@@ -599,7 +602,7 @@ TEST(DistDifferential, ResumeRejectsAShardTheManifestDidNotCommit) {
   }
   ASSERT_TRUE(raised);
   const std::uint32_t committed =
-      load_manifest(manifest_path(base)).shard_crcs[1];
+      sim::load_manifest(sim::manifest_path(base)).shard_crcs[1];
   const std::uint32_t rewritten = save_shard(shard, path);
   ASSERT_NE(rewritten, committed);
 
@@ -624,7 +627,7 @@ TEST(DistDifferential, ResumeRejectsShardsThatBreakConservation) {
   const std::string base = checkpoint_base("conservation");
   stop_at_round(scn, 2, base, 50);
 
-  const std::string path = shard_path(base, 50, 0);
+  const std::string path = sim::shard_path(base, 50, 0);
   ShardState shard = load_shard(path);
   std::size_t back = 0;
   std::size_t bin = 0;
@@ -636,9 +639,9 @@ TEST(DistDifferential, ResumeRejectsShardsThatBreakConservation) {
   --shard.queues.loads[bin];
   shard.queues.labels.erase(shard.queues.labels.begin() +
                             static_cast<std::ptrdiff_t>(back - 1));
-  Manifest manifest = load_manifest(manifest_path(base));
+  sim::Manifest manifest = sim::load_manifest(sim::manifest_path(base));
   manifest.shard_crcs[0] = save_shard(shard, path);
-  save_manifest(manifest, manifest_path(base));
+  sim::save_manifest(manifest, sim::manifest_path(base));
 
   WorkerFleet fleet(2);
   try {
@@ -683,13 +686,13 @@ TEST(DistDifferential, ResumeRejectsACoordinatorFileTheManifestDidNotCommit) {
   const std::string base = checkpoint_base("coord_crc");
   stop_at_round(scn, 2, base, 60);
 
-  const std::string path = coord_path(base, 60);
+  const std::string path = sim::coord_path(base, 60);
   core::CappedSnapshot snapshot = sim::load_checkpoint(path);
   ++snapshot.engine_state[0];
   const std::uint32_t rewritten = sim::save_checkpoint(snapshot, path);
   expect_uncommitted_file_rejected(
-      scn, base, path, load_manifest(manifest_path(base)).coord_crc,
-      rewritten);
+      scn, base, path,
+      sim::load_manifest(sim::manifest_path(base)).coord_crc, rewritten);
 }
 
 TEST(DistDifferential, ResumeRejectsAProgressSidecarTheManifestDidNotCommit) {
@@ -699,31 +702,74 @@ TEST(DistDifferential, ResumeRejectsAProgressSidecarTheManifestDidNotCommit) {
   const std::string base = checkpoint_base("progress_crc");
   stop_at_round(scn, 2, base, 60);
 
-  const std::string path = progress_path(base, 60);
+  const std::string path = sim::progress_path(base, 60);
   scenario::Progress progress = scenario::load_progress(path);
   ++progress.pool_sum;
-  scenario::save_progress(progress, path);
+  const std::uint32_t rewritten = scenario::save_progress(progress, path);
   expect_uncommitted_file_rejected(
-      scn, base, path, load_manifest(manifest_path(base)).progress_crc,
-      body_crc(path));
+      scn, base, path,
+      sim::load_manifest(sim::manifest_path(base)).progress_crc, rewritten);
 }
 
 TEST(DistDifferential, AVersionOneManifestIsRejected) {
-  // Version 1 committed no coordinator or progress CRC.
-  const std::string path = manifest_path(checkpoint_base("manifest_v1"));
-  io::sealed::commit_header(path, "iba-dist-manifest", 1,
-                            "round = 1\nn = 8\nworkers = 1\ndigest = d\n"
-                            "seed = 1\nshard-crcs = 7\nend\n",
-                            "test");
-  try {
-    (void)load_manifest(path);
-    ADD_FAILURE() << "a version-1 manifest was accepted";
-  } catch (const std::runtime_error& error) {
-    EXPECT_NE(std::string(error.what())
-                  .find("dist manifest: unsupported version 1 (expected 2)"),
-              std::string::npos)
-        << error.what();
+  // Version 1 committed no coordinator or progress CRC; version 2 no
+  // record CRC and no kept generation.
+  const std::string path = sim::manifest_path(checkpoint_base("manifest_v1"));
+  const std::string v2_tail = "coord-crc = 1\nprogress-crc = 2\n";
+  for (const std::uint32_t version : {1u, 2u}) {
+    SCOPED_TRACE(version);
+    io::sealed::commit_header(path, "iba-dist-manifest", version,
+                              "round = 1\nn = 8\nworkers = 1\ndigest = d\n"
+                              "seed = 1\nshard-crcs = 7\n" +
+                                  (version == 2 ? v2_tail : "") + "end\n",
+                              "test");
+    try {
+      (void)sim::load_manifest(path);
+      ADD_FAILURE() << "a version-" << version << " manifest was accepted";
+    } catch (const std::runtime_error& error) {
+      EXPECT_NE(std::string(error.what())
+                    .find("checkpoint manifest: unsupported version " +
+                          std::to_string(version) + " (expected 3)"),
+                std::string::npos)
+          << error.what();
+    }
   }
+}
+
+TEST(DistDifferential, StopResumeAndCompleteLeaveTwoGenerations) {
+  // The resumed coordinator's first commit collects the generation the
+  // manifest kept, so a stop and resume leak none: a completed run
+  // leaves its last cadence generation and its final one.
+  const scenario::Scenario scn = scenario::parse_scenario(kBank, "bank.scn");
+  const std::string baseline = single_process_bytes(scn);
+  const std::string base = checkpoint_base("two_generations");
+  {
+    WorkerFleet fleet(2);
+    DistRunOptions options;
+    options.checkpoint_base = base;
+    options.checkpoint_every = 16;
+    options.stop_after = 40;
+    options.timeout_ms = 5'000;
+    EXPECT_FALSE(run_distributed(scn, fleet.fds(), options).complete);
+  }
+  DistRunOptions resume = resume_options(base);
+  resume.checkpoint_every = 16;
+  EXPECT_EQ(distributed_bytes(scn, 2, resume), baseline);
+
+  std::set<std::string> left;
+  for (const auto& entry : std::filesystem::directory_iterator(
+           std::filesystem::path(base).parent_path())) {
+    const std::string path = entry.path().string();
+    if (path.rfind(base + ".", 0) == 0) left.insert(path);
+  }
+  std::set<std::string> want = {sim::manifest_path(base)};
+  for (const std::uint64_t round : {112u, 120u}) {
+    want.insert(sim::coord_path(base, round));
+    want.insert(sim::progress_path(base, round));
+    want.insert(sim::shard_path(base, round, 0));
+    want.insert(sim::shard_path(base, round, 1));
+  }
+  EXPECT_EQ(left, want);
 }
 
 TEST(DistDifferential, StopAroundTheBurnInBoundaryResumesToTheSameBytes) {

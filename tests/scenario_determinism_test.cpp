@@ -6,11 +6,13 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <set>
 #include <string>
 
 #include "artifact/artifact.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/scenario.hpp"
+#include "sim/generation.hpp"
 
 namespace iba::scenario {
 namespace {
@@ -203,6 +205,78 @@ TEST(ScenarioDeterminism, StopAroundTheBurnInBoundaryResumesToTheSameBytes) {
     resume.resume = ckpt;
     EXPECT_EQ(run_bytes(scn, resume), baseline);
   }
+  std::filesystem::remove_all(dir);
+}
+
+/// A fresh directory for one case's checkpoint generations.
+std::filesystem::path case_dir(const char* name) {
+  const auto dir = std::filesystem::temp_directory_path() / name;
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir;
+}
+
+TEST(ScenarioDeterminism, SidecarLostInACrashResumesThePreviousGeneration) {
+  // The files a crash leaves after the round-120 checkpoint commit and
+  // before its progress sidecar commit: the round-120 checkpoint without
+  // its sidecar, and the round-60 manifest still committed. The resume
+  // continues from round 60 and ends with the uninterrupted bytes.
+  const Scenario scn = parse_scenario(kLoaded, "det.scn");
+  const std::string baseline = run_bytes(scn);
+  const auto dir = case_dir("iba_scenario_crash_window_test");
+  const std::string base = (dir / "probe.ckpt").string();
+  const std::string manifest = sim::manifest_path(base);
+
+  RunOptions first;
+  first.checkpoint_out = base;
+  first.stop_after = 60;
+  EXPECT_FALSE(run_scenario(scn, first).complete);
+  std::filesystem::copy_file(manifest, dir / "round60.manifest");
+
+  RunOptions second;
+  second.resume = base;
+  second.checkpoint_out = base;
+  second.stop_after = 120;
+  EXPECT_FALSE(run_scenario(scn, second).complete);
+  std::filesystem::copy_file(dir / "round60.manifest", manifest,
+                             std::filesystem::copy_options::overwrite_existing);
+  ASSERT_TRUE(std::filesystem::remove(sim::progress_path(base, 120)));
+
+  RunOptions resume;
+  resume.resume = base;
+  EXPECT_EQ(run_bytes(scn, resume), baseline);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ScenarioDeterminism, StopResumeAndCompleteLeaveTwoGenerations) {
+  // A resume that saves under its own base collects the generation the
+  // manifest kept, so a completed run leaves exactly its last cadence
+  // generation and its final one (burn-in 32 + 120 rounds = 152).
+  const Scenario scn = parse_scenario(kLoaded, "det.scn");
+  const std::string baseline = run_bytes(scn);
+  const auto dir = case_dir("iba_scenario_two_generations_test");
+  const std::string base = (dir / "probe.ckpt").string();
+
+  RunOptions first;
+  first.checkpoint_out = base;
+  first.checkpoint_every = 16;
+  first.stop_after = 70;
+  EXPECT_FALSE(run_scenario(scn, first).complete);
+  RunOptions resume;
+  resume.resume = base;
+  resume.checkpoint_out = base;
+  resume.checkpoint_every = 16;
+  EXPECT_EQ(run_bytes(scn, resume), baseline);
+
+  std::set<std::string> left;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    left.insert(entry.path().string());
+  }
+  const std::set<std::string> want = {
+      sim::manifest_path(base),         sim::coord_path(base, 144),
+      sim::progress_path(base, 144),    sim::coord_path(base, 152),
+      sim::progress_path(base, 152)};
+  EXPECT_EQ(left, want);
   std::filesystem::remove_all(dir);
 }
 

@@ -13,6 +13,7 @@
 #include "common/assert.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/scenario.hpp"
+#include "sim/generation.hpp"
 #include "telemetry/flight_recorder.hpp"
 
 namespace iba::scenario {
@@ -182,16 +183,18 @@ TEST(ScenarioRecord, KillAndResumeReproducesSeriesAndBundle) {
     (void)run_scenario(scn, options);
   }
 
-  TempFile ckpt("rr.ckpt");
-  TempFile ckpt_progress("rr.ckpt.progress");
-  TempFile ckpt_record("rr.ckpt.record");
+  const std::string base = "rr.ckpt";
+  TempFile manifest(sim::manifest_path(base));
+  TempFile ckpt(sim::coord_path(base, 90));
+  TempFile ckpt_progress(sim::progress_path(base, 90));
+  TempFile ckpt_record(sim::record_path(base, 90));
   TempFile res_series("rr_res.timeseries");
   TempFile res_bundle("rr_res.postmortem");
   {
     RunOptions first;
     first.timeseries_out = res_series.path;
     first.flight_recorder = res_bundle.path;
-    first.checkpoint_out = ckpt.path;
+    first.checkpoint_out = base;
     first.stop_after = 90;  // mid-run, mid-fold
     const RunOutcome stopped = run_scenario(scn, first);
     EXPECT_FALSE(stopped.complete);
@@ -201,7 +204,7 @@ TEST(ScenarioRecord, KillAndResumeReproducesSeriesAndBundle) {
     second.timeseries_out = res_series.path;
     second.flight_recorder = res_bundle.path;
     second.debug_trigger = "manual";
-    second.resume = ckpt.path;
+    second.resume = base;
     const RunOutcome finished = run_scenario(scn, second);
     EXPECT_TRUE(finished.complete);
   }
@@ -211,21 +214,23 @@ TEST(ScenarioRecord, KillAndResumeReproducesSeriesAndBundle) {
 
 TEST(ScenarioRecord, ResumingARecordingRunRequiresTheSidecar) {
   const Scenario scn = parse_scenario(kRecorded, "test.scn");
-  TempFile ckpt("rs.ckpt");
-  TempFile ckpt_progress("rs.ckpt.progress");
-  TempFile ckpt_record("rs.ckpt.record");
+  const std::string base = "rs.ckpt";
+  TempFile manifest(sim::manifest_path(base));
+  TempFile ckpt(sim::coord_path(base, 90));
+  TempFile ckpt_progress(sim::progress_path(base, 90));
+  TempFile ckpt_record(sim::record_path(base, 90));
   TempFile series("rs.timeseries");
   {
     RunOptions first;
     first.timeseries_out = series.path;
-    first.checkpoint_out = ckpt.path;
+    first.checkpoint_out = base;
     first.stop_after = 90;
     (void)run_scenario(scn, first);
   }
   std::remove(ckpt_record.path.c_str());
   RunOptions second;
   second.timeseries_out = series.path;
-  second.resume = ckpt.path;
+  second.resume = base;
   EXPECT_THROW((void)run_scenario(scn, second), std::runtime_error);
 }
 

@@ -22,7 +22,10 @@ function(run_scenario)
   endif()
 endfunction()
 
-file(REMOVE ${ckpt} ${ckpt}.progress)
+file(GLOB generations ${ckpt}.*)
+if(generations)
+  file(REMOVE ${generations})
+endif()
 run_scenario(--out ${prefix}.whole.artifact --force true)
 run_scenario(--checkpoint-out ${ckpt} --stop-after ${STOP_AFTER})
 run_scenario(--resume ${ckpt} --out ${prefix}.resumed.artifact --force true)
@@ -30,7 +33,8 @@ run_scenario(--resume ${ckpt} --out ${prefix}.resumed.artifact --force true)
 execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
                         ${prefix}.whole.artifact ${prefix}.resumed.artifact
                 RESULT_VARIABLE differ)
-file(REMOVE ${ckpt} ${ckpt}.progress ${prefix}.whole.artifact
+file(GLOB generations ${ckpt}.*)
+file(REMOVE ${generations} ${prefix}.whole.artifact
      ${prefix}.resumed.artifact)
 if(differ)
   message(FATAL_ERROR "the resumed artifact differs from the "
