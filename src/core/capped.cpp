@@ -546,7 +546,6 @@ void Capped::partition(std::span<const std::uint32_t> choices) {
   // Per-(slice, chunk) counts, exact regions (counts plus one sentinel
   // per bucket the slice meets), then the bucket-major scatter.
   const std::size_t row = regions_.row();
-  const std::uint32_t n_chunks = regions_.chunks();
   std::uint64_t* const cursors = regions_.cursors();
   std::fill(cursors, cursors + regions_.slices() * row, 0);
   for_slices([&](std::size_t s) {
@@ -562,20 +561,17 @@ void Capped::partition(std::span<const std::uint32_t> choices) {
   });
   regions_.rewind();
   for_slices([&](std::size_t s) {
-    std::uint64_t* const cursor = cursors + s * row;
-    std::uint16_t* const out = regions_.data();
+    const StreamAppender append(regions_, s);
     const ThrowSlice& slice = throw_slices_[s];
     std::uint64_t idx = slice.lo;
     for (std::size_t b = slice.bucket_lo; b < slice.bucket_hi; ++b) {
       const std::uint64_t b_end = std::min(bucket_ends_[b], slice.hi);
       for (; idx < b_end; ++idx) {
         const std::uint32_t bin = choices[idx];
-        out[cursor[bin >> kChunkBits]++] =
-            static_cast<std::uint16_t>(bin & (kChunkWidth - 1));
+        append(bin >> kChunkBits,
+               static_cast<std::uint16_t>(bin & (kChunkWidth - 1)));
       }
-      for (std::uint32_t c = 0; c < n_chunks; ++c) {
-        out[cursor[c]++] = kSentinel;
-      }
+      append.close_bucket();
     }
     IBA_ASSERT(idx == slice.hi);
   });

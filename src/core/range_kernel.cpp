@@ -33,15 +33,6 @@ std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point since) {
           .count());
 }
 
-// Read+write prefetch hint; a no-op where the builtin is unavailable.
-inline void prefetch_rw(const void* address) noexcept {
-#if defined(__GNUC__) || defined(__clang__)
-  __builtin_prefetch(address, 1);
-#else
-  (void)address;
-#endif
-}
-
 /// Compacts choices[from, size) in place to their offsets from bin_lo
 /// that fall inside [0, bins), in order, written from choices[kept] on:
 /// the write index never passes the read index. Returns the new kept
@@ -163,17 +154,9 @@ std::uint64_t draw_slice(StreamRegions& regions, std::size_t slice,
                          std::span<const std::uint64_t> bucket_ends,
                          Engine& engine, BinChoiceSampler* sampler,
                          std::uint32_t n, std::uint32_t bin_lo) {
-  const std::size_t row = regions.row();
-  const std::uint32_t chunks = regions.chunks();
   const std::uint32_t bins = regions.bins();
   IBA_ASSERT(bins <= n && bin_lo <= n - bins);
-  std::uint16_t* const out = regions.data();
-  std::uint64_t* const cursor = regions.cursors() + slice * row;
-  const std::uint64_t* const limit = regions.limits() + slice * row;
-  const auto append = [&](std::uint32_t c, std::uint16_t value) {
-    const std::uint64_t at = cursor[c]++;
-    if (at < limit[c]) out[at] = value;
-  };
+  const StreamAppender append(regions, slice);
   const bool avx2 = rng::active_simd_backend() == rng::SimdBackend::kAvx2;
   std::uint32_t choices[kDrawBatch] = {};
   std::uint64_t idx = throws.lo;
@@ -212,7 +195,7 @@ std::uint64_t draw_slice(StreamRegions& regions, std::size_t slice,
       }
       kept += in_range;
     }
-    for (std::uint32_t c = 0; c < chunks; ++c) append(c, kSentinel);
+    append.close_bucket();
   }
   IBA_ASSERT(idx == throws.hi);
   return kept;

@@ -25,7 +25,9 @@
 // range appends every choice. Regions sized for a uniform draw with 1/8
 // to spare almost always fit; a stream that overflows its region is
 // counted, not written, and the draw — a pure function of the engine
-// state — is redrawn into regions widened to the measured counts.
+// state — is redrawn into regions widened to the measured counts. Every
+// stream write, the draw's and the partition's, is one StreamAppender
+// append, which fetches the stream's next line ahead of its store.
 //
 // core::Capped draws a uniform round's slices in parallel over the full
 // range, each from the engine jumped to the slice's first throw
@@ -59,6 +61,20 @@ inline constexpr std::uint16_t kSentinel = 0xFFFF;
 /// a stream buffer must hold this many readable (unused) entries past
 /// its last stream.
 inline constexpr std::size_t kPrefetchDist = 24;
+/// Look-ahead of a stream append's write prefetch, in entries: two cache
+/// lines of 16-bit entries, so a stream's next line is in flight well
+/// before its first store. A stream buffer holds this many entries past
+/// its last region, so an in-region append prefetches inside it.
+inline constexpr std::size_t kAppendAhead = 64;
+
+// Read+write prefetch hint; a no-op where the builtin is unavailable.
+inline void prefetch_rw(const void* address) noexcept {
+#if defined(__GNUC__) || defined(__clang__)
+  __builtin_prefetch(address, 1);
+#else
+  (void)address;
+#endif
+}
 
 constexpr std::uint32_t chunk_count(std::uint32_t bins) noexcept {
   return static_cast<std::uint32_t>(
@@ -151,9 +167,45 @@ void StreamRegions::lay_out(const Need& need) {
       limit_[i] = at;
     }
   }
-  // The slack keeps the kernel's prefetch look-ahead read in bounds.
-  data_.resize(at + kPrefetchDist);
+  // The slack keeps both prefetch look-aheads inside the buffer.
+  data_.resize(at + std::max(kPrefetchDist, kAppendAhead));
 }
+
+/// The one writer of a round's streams: slice `slice`'s appends into its
+/// chunk streams. An append inside its stream's region prefetches the
+/// entry kAppendAhead further on, then stores, so a stream's next cache
+/// line is fetched before its first store misses on it (a round writes
+/// megabytes of streams, one new line every 32 entries per stream). An
+/// append past its region's end is counted, not written, and prefetches
+/// nothing: its cursor may run past the buffer (see StreamRegions::fit).
+class StreamAppender {
+ public:
+  StreamAppender(StreamRegions& regions, std::size_t slice) noexcept
+      : out_(regions.data()),
+        cursor_(regions.cursors() + slice * regions.row()),
+        limit_(regions.limits() + slice * regions.row()),
+        chunks_(regions.chunks()) {}
+
+  /// Appends chunk offset `offset` to chunk `chunk`'s stream.
+  void operator()(std::uint32_t chunk, std::uint16_t offset) const noexcept {
+    const std::uint64_t at = cursor_[chunk]++;
+    if (at < limit_[chunk]) [[likely]] {
+      prefetch_rw(out_ + at + kAppendAhead);
+      out_[at] = offset;
+    }
+  }
+
+  /// Closes the slice's current pool bucket: a sentinel in every chunk.
+  void close_bucket() const noexcept {
+    for (std::uint32_t c = 0; c < chunks_; ++c) (*this)(c, kSentinel);
+  }
+
+ private:
+  std::uint16_t* out_;
+  std::uint64_t* cursor_;
+  const std::uint64_t* limit_;
+  std::uint32_t chunks_;
+};
 
 /// One caller's deltas from a sweep. Aligned so parallel shards never
 /// share a cache line.

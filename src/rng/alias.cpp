@@ -20,6 +20,7 @@ AliasTable::AliasTable(const std::vector<double>& weights) {
   // over-full alias. One worklist holds both stacks: small grows up from
   // 0, large grows down from k.
   const std::size_t k = weights.size();
+  slots_.set_arena(&arena_);
   slots_.resize(k);
   std::vector<std::uint32_t> work(k);
   std::size_t small = 0;
@@ -50,17 +51,15 @@ AliasTable::AliasTable(const std::vector<double>& weights) {
   }
 }
 
-double AliasTable::outcome_probability(std::uint32_t i) const noexcept {
-  IBA_ASSERT(i < slots_.size());
-  double mass = 0.0;
-  for (std::size_t j = 0; j < slots_.size(); ++j) {
-    if (j == i) {
-      mass += slots_[j].p;
-    } else if (slots_[j].alias == i) {
-      mass += 1.0 - slots_[j].p;
-    }
+std::vector<double> AliasTable::outcome_probabilities() const {
+  const std::size_t k = slots_.size();
+  std::vector<double> mass(k, 0.0);
+  for (std::size_t j = 0; j < k; ++j) {
+    mass[j] += slots_[j].p;
+    if (slots_[j].alias != j) mass[slots_[j].alias] += 1.0 - slots_[j].p;
   }
-  return mass / static_cast<double>(slots_.size());
+  for (double& m : mass) m /= static_cast<double>(k);
+  return mass;
 }
 
 }  // namespace iba::rng

@@ -7,7 +7,11 @@
 // routing is weighted by server capacity.
 //
 // Layout: one 16-byte Slot per outcome, {p, alias}, so a draw touches
-// one cache line instead of two parallel arrays.
+// one cache line instead of two parallel arrays. The slots live in a
+// core::Arena the table owns: a table of 2 MiB or more (2^17 outcomes)
+// is a huge-page-advised mapping the kernel has already zeroed, so its
+// build faults 2 MiB pages and a random draw into it (the Zipf sampler's
+// 16 MiB table at n = 2^20) misses the TLB far less often.
 //
 // fill() draws a batch of balls at once: both words of every ball in
 // stream order, the Lemire slot with its `low < k` pre-test, a prefetch
@@ -24,6 +28,7 @@
 #include <vector>
 
 #include "common/assert.hpp"
+#include "core/arena.hpp"
 #include "rng/bounded.hpp"
 
 namespace iba::rng {
@@ -56,9 +61,9 @@ class AliasTable {
 
   [[nodiscard]] std::size_t size() const noexcept { return slots_.size(); }
 
-  /// The probability of outcome i, derived from the slots as
+  /// Every outcome's probability, derived from the slots: outcome i has
   /// (p_i + Σ_{j≠i, alias_j = i} (1 − p_j)) / k. O(k); for tests.
-  [[nodiscard]] double outcome_probability(std::uint32_t i) const noexcept;
+  [[nodiscard]] std::vector<double> outcome_probabilities() const;
 
  private:
   struct alignas(16) Slot {
@@ -81,7 +86,10 @@ class AliasTable {
     std::size_t next = 0;
   };
 
-  std::vector<Slot> slots_;
+  // The arena outlives the slots it holds (members die in reverse); it
+  // is neither copyable nor movable, and so neither is the table.
+  core::Arena arena_;
+  core::ArenaBuffer<Slot> slots_;
 };
 
 template <std::uniform_random_bit_generator Engine>

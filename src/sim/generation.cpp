@@ -35,6 +35,28 @@ void check_committed(const std::string& path, std::uint32_t committed) {
                            std::to_string(committed));
 }
 
+/// Removes round `round`'s coord, progress and record files under `base`.
+void remove_generation(const std::string& base, std::uint64_t round) {
+  for (const std::string& path : {coord_path(base, round),
+                                  progress_path(base, round),
+                                  record_path(base, round)}) {
+    std::remove(path.c_str());
+  }
+}
+
+/// The rounds the manifest at `path` commits and keeps; none when there is
+/// no manifest, or none that loads (its files cannot be trusted to be its).
+std::vector<std::uint64_t> named_rounds(const std::string& path) {
+  std::error_code ec;
+  if (!std::filesystem::exists(path, ec)) return {};
+  try {
+    const Manifest named = load_manifest(path);
+    return {named.round, named.kept_round};
+  } catch (const std::exception&) {
+    return {};
+  }
+}
+
 }  // namespace
 
 bool same_base(const std::string& a, const std::string& b) {
@@ -122,16 +144,19 @@ void Generations::resume(const std::string& resume_base,
 }
 
 void Generations::commit(Manifest manifest) {
-  if (kept_ != 0) {
-    for (const std::string& path : {coord_path(base_, kept_),
-                                    progress_path(base_, kept_),
-                                    record_path(base_, kept_)}) {
-      std::remove(path.c_str());
-    }
-  }
+  if (kept_ != 0) remove_generation(base_, kept_);
+  // A run's first commit over another run's manifest (a forced fresh
+  // run, or a resume saved under a new base) replaces that run: once
+  // this manifest commits, nothing names the generations it committed.
+  const std::vector<std::uint64_t> replaced =
+      last_ == 0 ? named_rounds(manifest_path(base_))
+                 : std::vector<std::uint64_t>{};
   manifest.kept_round = last_;
   // Commit point: only now does any reader see this generation.
   save_manifest(manifest, manifest_path(base_));
+  for (const std::uint64_t round : replaced) {
+    if (round != 0 && round != manifest.round) remove_generation(base_, round);
+  }
   kept_ = last_;
   last_ = manifest.round;
 }

@@ -95,6 +95,10 @@ class Generations {
 
   /// Removes collect_round()'s coord, progress and record files, then
   /// commits `manifest` as B.manifest, keeping the last committed round.
+  /// The first commit of a run that did not resume under this base then
+  /// removes those files of the rounds the replaced B.manifest named
+  /// (other than the one just committed). The replaced run's dist shards
+  /// stay: only their workers can reach them.
   void commit(Manifest manifest);
 
  private:

@@ -111,8 +111,8 @@ TEST(AliasTable, RejectsBadWeights) {
 
 TEST(AliasTable, NormalizesWeights) {
   rng::AliasTable table({2.0, 6.0});
-  EXPECT_NEAR(table.outcome_probability(0), 0.25, 1e-12);
-  EXPECT_NEAR(table.outcome_probability(1), 0.75, 1e-12);
+  EXPECT_NEAR(table.outcome_probabilities()[0], 0.25, 1e-12);
+  EXPECT_NEAR(table.outcome_probabilities()[1], 0.75, 1e-12);
   EXPECT_EQ(table.size(), 2u);
 }
 

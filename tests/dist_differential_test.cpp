@@ -772,6 +772,41 @@ TEST(DistDifferential, StopResumeAndCompleteLeaveTwoGenerations) {
   EXPECT_EQ(left, want);
 }
 
+TEST(DistDifferential, ForcedFreshRunCollectsTheReplacedCoordinatorFiles) {
+  // A fresh run over a completed run's base replaces it: its first
+  // manifest commit removes the completed run's coordinator and progress
+  // files (r112, r120). Its shards are the workers' files, and no
+  // checkpoint order names them.
+  const scenario::Scenario scn = scenario::parse_scenario(kBank, "bank.scn");
+  const std::string base = checkpoint_base("forced_fresh");
+  DistRunOptions options;
+  options.checkpoint_base = base;
+  options.checkpoint_every = 16;
+  options.timeout_ms = 5'000;
+  (void)distributed_bytes(scn, 2, options);
+  ASSERT_TRUE(std::filesystem::exists(sim::coord_path(base, 120)));
+  {
+    WorkerFleet fleet(2);
+    DistRunOptions fresh = options;
+    fresh.stop_after = 40;
+    EXPECT_FALSE(run_distributed(scn, fleet.fds(), fresh).complete);
+  }
+
+  std::set<std::string> left;
+  for (const auto& entry : std::filesystem::directory_iterator(
+           std::filesystem::path(base).parent_path())) {
+    const std::string path = entry.path().string();
+    if (path.rfind(base + ".", 0) == 0 &&
+        path.find(".coord") != std::string::npos) {
+      left.insert(path);
+    }
+  }
+  const std::set<std::string> want = {
+      sim::coord_path(base, 32), sim::progress_path(base, 32),
+      sim::coord_path(base, 40), sim::progress_path(base, 40)};
+  EXPECT_EQ(left, want);
+}
+
 TEST(DistDifferential, StopAroundTheBurnInBoundaryResumesToTheSameBytes) {
   // The loop clears the wait statistics at the last burn-in round before
   // that round's checkpoint: a stop exactly there must save the cleared

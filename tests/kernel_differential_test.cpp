@@ -821,6 +821,32 @@ RunCapture run_greedy_d2(const CappedConfig& config, std::uint64_t rounds) {
   return step_and_capture(process, rounds);
 }
 
+/// The Zipf sampler (s = 0.5), whose sampler rounds partition their
+/// choices into exact regions.
+RunCapture run_zipf(const CappedConfig& config, std::uint64_t rounds) {
+  Capped process(config, Engine(kSeed));
+  iba::scenario::ZipfBinSampler zipf(config.n, 0.5);
+  process.set_bin_sampler(&zipf);
+  return step_and_capture(process, rounds);
+}
+
+TEST(KernelDifferential, MappedZipfTableMatchesScalar) {
+  // n = 2^17: the sampler's alias table is 2 MiB of slots, a huge-page
+  // mapping of its arena.
+  CappedConfig config = base_config();
+  config.n = 1u << 17;
+  config.lambda_n = config.n - config.n / 16;
+  const RunCapture reference =
+      run_zipf(with_kernel(config, RoundKernel::kScalar, 1), kMultiChunkRounds);
+  for (const std::uint32_t shards : {1u, 4u}) {
+    expect_runs_eq(
+        reference,
+        run_zipf(with_kernel(config, RoundKernel::kBinMajor, shards),
+                 kMultiChunkRounds),
+        ("bin_major_" + std::to_string(shards)).c_str());
+  }
+}
+
 TEST(KernelDifferential, FoldedConfigurationsMatchScalar) {
   struct Folded {
     const char* name;
@@ -1092,6 +1118,96 @@ TEST(StreamRegions, OverflowWidensAndTheRedrawMatchesTheSerialDraw) {
         regions.data() + regions.begins()[c],
         regions.data() + regions.cursors()[c]);
     EXPECT_EQ(stream, expected[c]) << "chunk " << c;
+  }
+}
+
+/// Every choice inside [lo, lo + width): a draw that puts every throw
+/// into one chunk.
+class OneChunkSampler final : public iba::core::BinChoiceSampler {
+ public:
+  OneChunkSampler(std::uint32_t lo, std::uint32_t width)
+      : lo_(lo), width_(width) {}
+  void fill(Engine& engine, std::span<std::uint32_t> out) override {
+    for (std::uint32_t& choice : out) {
+      choice = lo_ + iba::rng::bounded32(engine, width_);
+    }
+  }
+
+ private:
+  std::uint32_t lo_;
+  std::uint32_t width_;
+};
+
+// Every throw into the range's last chunk, with regions sized for a
+// uniform draw: that stream overflows its region by thousands of
+// entries, far more than the append look-ahead, and its cursor runs past
+// the end of the buffer. An append past its region writes and prefetches
+// nothing, and the redraw into the widened regions writes the serial
+// draw's streams. On the full range (the plain loop) and a narrower one
+// (the compacted keep).
+TEST(StreamRegions, OverflowFarPastTheLookAheadRedrawsTheSerialDraw) {
+  using iba::core::chunk_count;
+  using iba::core::kAppendAhead;
+  using iba::core::kChunkBits;
+  using iba::core::kChunkWidth;
+  using iba::core::kSentinel;
+  using iba::core::StreamRegions;
+  using iba::core::ThrowSlice;
+  constexpr std::uint32_t kN = 4 * kChunkWidth;
+  const std::vector<std::uint64_t> bucket_ends = {3000, 10000};
+  const ThrowSlice all{.hi = bucket_ends.back(),
+                       .bucket_hi = bucket_ends.size()};
+  struct Range {
+    const char* name;
+    std::uint32_t bin_lo;
+    std::uint32_t bins;
+  };
+  for (const Range& range : {Range{"full", 0, kN},
+                             Range{"narrower", kChunkWidth / 2,
+                                   2 * kChunkWidth + 100}}) {
+    SCOPED_TRACE(range.name);
+    const std::uint32_t chunks = chunk_count(range.bins);
+    const std::uint32_t last = (chunks - 1) << kChunkBits;
+    OneChunkSampler sampler(range.bin_lo + last, range.bins - last);
+
+    Engine serial(kSeed);
+    std::vector<std::uint32_t> choices(all.hi);
+    sampler.fill(serial, choices);
+    std::vector<std::vector<std::uint16_t>> expected(chunks);
+    std::size_t idx = 0;
+    for (const std::uint64_t end : bucket_ends) {
+      for (; idx < end; ++idx) {
+        expected.back().push_back(
+            static_cast<std::uint16_t>(choices[idx] - range.bin_lo - last));
+      }
+      for (auto& stream : expected) stream.push_back(kSentinel);
+    }
+
+    StreamRegions regions;
+    regions.shape(1, range.bins);
+    regions.widen_uniform({&all, 1}, kN);
+    regions.rewind();
+    Engine drawn(kSeed);
+    iba::core::draw_slice(regions, 0, all, bucket_ends, drawn, &sampler, kN,
+                          range.bin_lo);
+    // Past its region, and past the buffer's slack after the last region.
+    EXPECT_GT(regions.cursors()[chunks - 1],
+              regions.limits()[chunks - 1] + 10 * kAppendAhead);
+    EXPECT_FALSE(regions.fit());
+
+    regions.rewind();
+    drawn = Engine(kSeed);
+    const std::uint64_t kept = iba::core::draw_slice(
+        regions, 0, all, bucket_ends, drawn, &sampler, kN, range.bin_lo);
+    ASSERT_TRUE(regions.fit());
+    EXPECT_EQ(kept, all.hi);
+    EXPECT_EQ(drawn, serial);
+    for (std::uint32_t c = 0; c < chunks; ++c) {
+      const std::vector<std::uint16_t> stream(
+          regions.data() + regions.begins()[c],
+          regions.data() + regions.cursors()[c]);
+      EXPECT_EQ(stream, expected[c]) << "chunk " << c;
+    }
   }
 }
 

@@ -118,6 +118,31 @@ TEST(AliasTableFill, LargeTableMatchesSample) {
                              [] { return Xoshiro256pp(2021); });
 }
 
+// 2^17 outcomes or more is 2 MiB of slots or more: a huge-page mapping
+// of the table's arena, zeroed by the kernel. fill() must still equal
+// repeated sample() at lengths that end inside a batch, and the slots
+// must carry the weights' whole mass.
+TEST(AliasTableFill, MappedTableMatchesSample) {
+  const std::vector<double> weights = zipf_weights((1u << 17) + 3, 0.5);
+  const AliasTable table(weights);
+  for (const std::size_t length :
+       {std::size_t{1}, kBatch + 1, 3 * kBatch - 5, std::size_t{100003}}) {
+    expect_fill_matches_sample(table, length,
+                               [&] { return Xoshiro256pp(31 + length); });
+  }
+  double total = 0.0;
+  for (const double w : weights) total += w;
+  const std::vector<double> probabilities = table.outcome_probabilities();
+  ASSERT_EQ(probabilities.size(), weights.size());
+  double sum = 0.0;
+  for (std::size_t i = 0; i < weights.size(); ++i) {
+    EXPECT_NEAR(probabilities[i], weights[i] / total, 1e-12)
+        << "outcome " << i;
+    sum += probabilities[i];
+  }
+  EXPECT_NEAR(sum, 1.0, 1e-9);
+}
+
 TEST(AliasTableSlots, SingleOutcomeKeepsEveryCoin) {
   const AliasTable table({5.0});
   // Coin words at both extremes; k = 1 never rejects.
@@ -128,7 +153,7 @@ TEST(AliasTableSlots, SingleOutcomeKeepsEveryCoin) {
   table.fill(engine, std::span<std::uint32_t>(out));
   for (const std::uint32_t choice : out) EXPECT_EQ(choice, 0u);
   EXPECT_EQ(engine.words_drawn(), 2 * (2 * kBatch + 3));
-  EXPECT_DOUBLE_EQ(table.outcome_probability(0), 1.0);
+  EXPECT_DOUBLE_EQ(table.outcome_probabilities()[0], 1.0);
 }
 
 // Equal weights scale to exactly 1: every slot is a p = 1 residual and
@@ -147,8 +172,8 @@ TEST(AliasTableSlots, ResidualSlotsKeepTheLargestCoin) {
   std::vector<std::uint32_t> out(kBatch);
   table.fill(batch, std::span<std::uint32_t>(out));
   for (const std::uint32_t choice : out) EXPECT_EQ(choice, 1u);
-  for (std::uint32_t i = 0; i < 3; ++i) {
-    EXPECT_DOUBLE_EQ(table.outcome_probability(i), 1.0 / 3.0);
+  for (const double p : table.outcome_probabilities()) {
+    EXPECT_DOUBLE_EQ(p, 1.0 / 3.0);
   }
 }
 
@@ -161,8 +186,8 @@ TEST(AliasTableSlots, ZeroWeightSlotNeverKeepsItsOutcome) {
   std::vector<std::uint32_t> out(kBatch);
   table.fill(batch, std::span<std::uint32_t>(out));
   for (const std::uint32_t choice : out) EXPECT_EQ(choice, 1u);
-  EXPECT_DOUBLE_EQ(table.outcome_probability(0), 0.0);
-  EXPECT_DOUBLE_EQ(table.outcome_probability(1), 1.0);
+  EXPECT_DOUBLE_EQ(table.outcome_probabilities()[0], 0.0);
+  EXPECT_DOUBLE_EQ(table.outcome_probabilities()[1], 1.0);
 }
 
 TEST(AliasTableSlots, OutcomeProbabilityMatchesWeights) {
@@ -170,9 +195,11 @@ TEST(AliasTableSlots, OutcomeProbabilityMatchesWeights) {
   double total = 0.0;
   for (const double w : weights) total += w;
   const AliasTable table(weights);
+  const std::vector<double> probabilities = table.outcome_probabilities();
+  ASSERT_EQ(probabilities.size(), weights.size());
   double sum = 0.0;
   for (std::uint32_t i = 0; i < weights.size(); ++i) {
-    const double p = table.outcome_probability(i);
+    const double p = probabilities[i];
     EXPECT_NEAR(p, weights[i] / total, 1e-12) << "outcome " << i;
     sum += p;
   }

@@ -280,6 +280,38 @@ TEST(ScenarioDeterminism, StopResumeAndCompleteLeaveTwoGenerations) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(ScenarioDeterminism, ForcedFreshRunCollectsTheReplacedGenerations) {
+  // A fresh run over a completed run's base (what --force allows)
+  // replaces it: once its first manifest commits, the completed run's
+  // generations (r144, r152) are named by nothing and are removed, so the
+  // fresh run stopped at 40 leaves exactly its own two.
+  const Scenario scn = parse_scenario(kLoaded, "det.scn");
+  const auto dir = case_dir("iba_scenario_forced_fresh_test");
+  const std::string base = (dir / "probe.ckpt").string();
+
+  RunOptions complete;
+  complete.checkpoint_out = base;
+  complete.checkpoint_every = 16;
+  EXPECT_TRUE(run_scenario(scn, complete).complete);
+  ASSERT_TRUE(std::filesystem::exists(sim::coord_path(base, 152)));
+  RunOptions fresh;
+  fresh.checkpoint_out = base;
+  fresh.checkpoint_every = 16;
+  fresh.stop_after = 40;
+  EXPECT_FALSE(run_scenario(scn, fresh).complete);
+
+  std::set<std::string> left;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    left.insert(entry.path().string());
+  }
+  const std::set<std::string> want = {
+      sim::manifest_path(base),       sim::coord_path(base, 32),
+      sim::progress_path(base, 32),   sim::coord_path(base, 40),
+      sim::progress_path(base, 40)};
+  EXPECT_EQ(left, want);
+  std::filesystem::remove_all(dir);
+}
+
 TEST(ScenarioDeterminism, InconsistentOptionsAreRejected) {
   const Scenario scn = parse_scenario(kLoaded, "det.scn");
   RunOptions no_ckpt;
